@@ -8,9 +8,6 @@ critic, 16 GPUs, batch 512, context 2048) it measures:
 
 * **plans/sec** — proposal plans scored per second through the estimator's
   incremental ``cost_delta`` path (a raw random walk, no MCMC bookkeeping);
-* **batch plans/sec** — the same proposal stream scored through the
-  vectorized ``RuntimeEstimator.batch_cost`` kernel (one numpy sweep per
-  batch), plus its speedup over the scalar path measured in the same run;
 * **MCMC iters/sec** — full search-loop iterations per second (proposal +
   scoring + acceptance + bookkeeping) for a single time-budgeted chain;
 * **parallel speedup** — wall-clock time of an ``n_chains=4`` search with
@@ -69,8 +66,6 @@ def _artifact(name: str) -> Path:
 N_CHAINS = 4
 FULL_SPEEDUP_TARGET = 3.0
 SMOKE_SPEEDUP_TARGET = 1.8
-FULL_BATCH_SPEEDUP_TARGET = 3.0
-SMOKE_BATCH_SPEEDUP_TARGET = 1.5
 
 
 def _metric(value: float, higher_is_better: bool) -> Dict[str, object]:
@@ -100,42 +95,6 @@ def _throughput(graph, workload, cluster, options, smoke: bool) -> Dict[str, flo
     ).search()
     iters_per_sec = result.n_iterations / max(result.elapsed_seconds, 1e-9)
     return {"plans_per_sec": plans_per_sec, "mcmc_iters_per_sec": iters_per_sec}
-
-
-def _batch_throughput(
-    graph, workload, cluster, options, scalar_plans_per_sec: float, smoke: bool
-) -> Dict[str, float]:
-    """plans/sec through the vectorized ``batch_cost`` kernel.
-
-    Same proposal distribution as the scalar walk, scored one whole batch
-    per numpy sweep; the lookup tables are primed and the lazy realloc
-    cells warmed outside the timed region (steady-state kernel rate, which
-    is what the batched ``advance_chain`` sweeps see).  The speedup metric
-    divides by the scalar rate measured in the *same run*, so it stays
-    comparable across machines of different absolute speed.
-    """
-    estimator = RuntimeEstimator(graph, workload, cluster)
-    searcher = MCMCSearcher(
-        graph, workload, cluster, estimator=estimator, options=options
-    )
-    plan = searcher.greedy_initial_plan()
-    estimator.batch_state(options)
-    batch = 1024 if smoke else 4096
-    estimator.batch_cost(
-        base_plan=plan, moves=_random_moves(graph, options, batch, seed=2)
-    )
-    rates = []
-    for rep in range(3):
-        moves = _random_moves(graph, options, batch, seed=20 + rep)
-        started = time.perf_counter()
-        estimator.batch_cost(base_plan=plan, moves=moves)
-        rates.append(batch / max(time.perf_counter() - started, 1e-9))
-    batch_rate = sorted(rates)[1]
-    return {
-        "batch_plans_per_sec": batch_rate,
-        "batch_size": float(batch),
-        "batch_speedup_vs_scalar": batch_rate / max(scalar_plans_per_sec, 1e-9),
-    }
 
 
 def _parallel_speedup(graph, workload, cluster, options, smoke: bool) -> Dict[str, float]:
@@ -280,9 +239,6 @@ def run_benchmark(smoke: bool = False) -> Dict[str, object]:
     options = allocation_options(graph, workload, cluster)
 
     throughput = _throughput(graph, workload, cluster, options, smoke)
-    batch = _batch_throughput(
-        graph, workload, cluster, options, throughput["plans_per_sec"], smoke
-    )
     scaling = _parallel_speedup(graph, workload, cluster, options, smoke)
     determinism = _determinism(graph, workload, cluster, options, smoke)
     latency = _scheduler_latency(smoke)
@@ -295,14 +251,9 @@ def run_benchmark(smoke: bool = False) -> Dict[str, object]:
         "config": {
             "n_chains": N_CHAINS,
             "chain_budget_s": scaling["chain_budget_s"],
-            "batch_size": batch["batch_size"],
         },
         "metrics": {
             "plans_per_sec": _metric(throughput["plans_per_sec"], True),
-            "batch_plans_per_sec": _metric(batch["batch_plans_per_sec"], True),
-            "batch_speedup_vs_scalar": _metric(
-                batch["batch_speedup_vs_scalar"], True
-            ),
             "mcmc_iters_per_sec": _metric(throughput["mcmc_iters_per_sec"], True),
             "parallel_speedup_n4": _metric(scaling["parallel_speedup"], True),
             "sequential_iters_per_sec": _metric(
@@ -316,7 +267,7 @@ def run_benchmark(smoke: bool = False) -> Dict[str, object]:
                 latency["decision_latency_cached_s"], False
             ),
         },
-        "details": {**batch, **scaling, **determinism, **latency},
+        "details": {**scaling, **determinism, **latency},
     }
     return report
 
@@ -360,17 +311,6 @@ def _check(report: Dict[str, object], smoke: bool) -> None:
             print(f"WARNING: {message}")
         else:
             raise AssertionError(message)
-    batch_speedup = report["metrics"]["batch_speedup_vs_scalar"]["value"]
-    batch_target = SMOKE_BATCH_SPEEDUP_TARGET if smoke else FULL_BATCH_SPEEDUP_TARGET
-    if batch_speedup < batch_target:
-        message = (
-            f"batch kernel is only {batch_speedup:.2f}x the scalar cost_delta "
-            f"rate, expected >= {batch_target}x"
-        )
-        if smoke:
-            print(f"WARNING: {message}")
-        else:
-            raise AssertionError(message)
 
 
 def _print(report: Dict[str, object]) -> None:
@@ -379,10 +319,6 @@ def _print(report: Dict[str, object]) -> None:
     rows = [
         {"metric": "plans/sec (cost_delta walk)",
          "value": round(metrics["plans_per_sec"]["value"])},
-        {"metric": f"plans/sec (batch kernel, B={round(details['batch_size'])})",
-         "value": round(metrics["batch_plans_per_sec"]["value"])},
-        {"metric": "batch kernel speedup vs scalar",
-         "value": f"{metrics['batch_speedup_vs_scalar']['value']:.2f}x"},
         {"metric": "MCMC iters/sec (1 chain)",
          "value": round(metrics["mcmc_iters_per_sec"]["value"])},
         {"metric": f"sequential wall, {N_CHAINS} chains (s)",

@@ -40,7 +40,6 @@ from ..cluster.hardware import ClusterSpec
 from ..cluster.topology import DeviceMesh
 from ..model.memory import PARAM_BYTES
 from ..realloc.cost import ReallocCostModel
-from .batch_eval import BatchPlanState
 from .call_cost import CallCostModel, CostBreakdown
 from .dataflow import DataflowGraph
 from .plan import Allocation, ExecutionPlan
@@ -52,7 +51,6 @@ __all__ = [
     "MemoryEstimate",
     "EvalCacheStats",
     "RuntimeEstimator",
-    "BatchPlanState",
     "DEFAULT_OOM_PENALTY",
 ]
 
@@ -293,15 +291,6 @@ class RuntimeEstimator:
         self._eval_cache: "OrderedDict[Tuple, Tuple[float, float]]" = OrderedDict()
         self._eval_cache_size = int(eval_cache_size)
         self.eval_cache_stats = EvalCacheStats()
-        # Batched evaluation: lookup tables built lazily (see batch_eval);
-        # ``batch_eval_stats`` counts base-plan table lookups once per
-        # batch_cost(moves=...) sweep, not once per proposal.
-        self._batch: Optional["BatchPlanState"] = None
-        self._batch_base_memo: Tuple[Optional[ExecutionPlan], Optional[object]] = (
-            None,
-            None,
-        )
-        self.batch_eval_stats = EvalCacheStats()
         # Allocation-key interning: option tables hold a fixed population of
         # Allocation objects that get keyed millions of times per search, so
         # the key of each *object* (by id) is remembered and value-equal keys
@@ -1017,122 +1006,3 @@ class RuntimeEstimator:
     def is_feasible(self, plan: ExecutionPlan) -> bool:
         """Whether the plan fits in device memory."""
         return self.max_memory(plan).max_bytes < self.cluster.device_memory_bytes
-
-    # ------------------------------------------------------------------ #
-    # Batched evaluation (vectorized array-of-plans kernel)
-    # ------------------------------------------------------------------ #
-    @property
-    def batch_supported(self) -> bool:
-        """Whether this estimator can score plans through the batch kernel.
-
-        Requires the memo caches (the tables are built from them) and the
-        approximate reallocation model — the exact broadcast-schedule model
-        keys on full layout pairs, which does not collapse into the batched
-        (TP, PP, cross) value tables.
-        """
-        return self.use_cache and not self.realloc_model.exact
-
-    def batch_state(self, options=None) -> BatchPlanState:
-        """Memoised :class:`BatchPlanState` lookup tables.
-
-        ``options`` (the searcher's per-call option table) primes the static
-        region on first sight; later calls reuse the existing tables, which
-        keep registering unseen allocations lazily.
-        """
-        state = self._batch
-        if state is None or (options is not None and not state.primed):
-            state = BatchPlanState(self, options)
-            self._batch = state
-        return state
-
-    def adopt_batch_state(self, state: BatchPlanState) -> None:
-        """Install externally built tables (shared-memory attach in workers)."""
-        self._batch = state
-
-    def _batch_base_indices(self, state: BatchPlanState, plan: ExecutionPlan):
-        """Option-index row of the sweep's base plan, memoised by identity.
-
-        The MCMC chain scores many sweeps against the same current-plan
-        object, so this is the batch path's analogue of the scalar eval
-        cache; hits/misses land in :attr:`batch_eval_stats` once per sweep.
-        """
-        stats = self.batch_eval_stats
-        memo_plan, memo_row = self._batch_base_memo
-        if plan is memo_plan:
-            stats.hits += 1
-            return memo_row
-        stats.misses += 1
-        row = state.encode_plan(plan)
-        self._batch_base_memo = (plan, row)
-        return row
-
-    def batch_cost(
-        self,
-        plans=None,
-        *,
-        base_plan: Optional[ExecutionPlan] = None,
-        moves=None,
-        oom_penalty: float = DEFAULT_OOM_PENALTY,
-    ):
-        """Scores of a batch of plans in one vectorized kernel sweep.
-
-        Two call shapes (exactly one of them):
-
-        * ``batch_cost(plans)`` — a sequence of full plans;
-        * ``batch_cost(base_plan=p, moves=[(call, alloc), ...])`` — the MCMC
-          shape: every row is ``p`` with one call moved.
-
-        Returns a float64 array, each entry bit-identical to the scalar
-        ``cost()`` / ``cost_delta()`` of the corresponding plan; with
-        ``cross_check`` enabled every row is verified against the scalar
-        path (which itself verifies against the from-scratch recompute).
-        """
-        import numpy as np
-
-        if not self.batch_supported:
-            raise RuntimeError(
-                "batch_cost requires use_cache and the approximate realloc model"
-            )
-        if (plans is None) == (moves is None):
-            raise ValueError("pass exactly one of `plans` or `moves`")
-        state = self.batch_state()
-        n = len(self._call_names)
-        if plans is not None:
-            batch = list(plans)
-            if n == 0 or not batch:
-                return np.zeros(len(batch))
-            idx = np.empty((len(batch), n), dtype=np.int64)
-            for b, plan in enumerate(batch):
-                idx[b] = state.encode_plan(plan)
-        else:
-            if base_plan is None:
-                raise ValueError("`moves` requires `base_plan`")
-            batch = list(moves)
-            if n == 0 or not batch:
-                return np.zeros(len(batch))
-            base_row = self._batch_base_indices(state, base_plan)
-            idx = np.tile(base_row, (len(batch), 1))
-            call_index = self._call_index
-            idx_memo = state._idx_memo  # inlined index_of fast path
-            for b, (call_name, alloc) in enumerate(batch):
-                call_id = call_index[call_name]
-                gid = idx_memo[call_id].get(id(alloc))
-                if gid is None:
-                    gid = state.index_of(call_id, alloc)
-                idx[b, call_id] = gid
-        costs = state.evaluate(idx, oom_penalty)
-        if self.cross_check:
-            for b in range(len(batch)):
-                if plans is not None:
-                    scalar = self.cost(batch[b], oom_penalty)
-                    context = f"batch_cost[{b}]"
-                else:
-                    call_name, alloc = batch[b]
-                    scalar = self.cost_delta(base_plan, call_name, alloc, oom_penalty)
-                    context = f"batch_cost[{b}]({call_name})"
-                if float(costs[b]) != scalar:
-                    raise RuntimeError(
-                        f"estimator cross-check failed in {context}: "
-                        f"batch kernel {float(costs[b])!r} != scalar {scalar!r}"
-                    )
-        return costs

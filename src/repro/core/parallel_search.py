@@ -321,13 +321,28 @@ class ChainProblem:
     """Trace context of the parent's search span.  Contextvars do not cross
     process boundaries, so the context rides in the problem; the rebuilt
     worker searcher adopts it as the parent of every chain span it starts."""
-    batch_tables: Optional[Tuple[str, object]] = None
-    """Batch-evaluation lookup tables shipped once per pool: ``("shm",
-    SharedTablesHandle)`` when the parent exported a shared-memory block
-    (workers attach zero-copy views), ``("arrays", dict)`` as the pickled
-    fallback, ``None`` when batching is disabled.  Purely a table-build
-    cost optimisation — a failed attach rebuilds locally with identical
-    values."""
+
+    @classmethod
+    def for_searcher(
+        cls, searcher: "MCMCSearcher", start_plan: ExecutionPlan, start_cost: float
+    ) -> "ChainProblem":
+        """The worker-side recipe for ``searcher``'s chains from ``start_plan``."""
+        estimator = searcher.estimator
+        return cls(
+            graph=searcher.graph,
+            workload=searcher.workload,
+            cluster=searcher.cluster,
+            options=searcher.options,
+            config=searcher.config,
+            start_assignments=dict(start_plan.assignments),
+            start_plan_name=start_plan.name,
+            start_cost=start_cost,
+            profiles=getattr(estimator, "profiles", None),
+            use_cuda_graph=getattr(estimator, "use_cuda_graph", True),
+            use_cache=getattr(estimator, "use_cache", True),
+            cross_check=getattr(estimator, "cross_check", False),
+            span_context=current_span(),
+        )
 
     def build_searcher(self) -> "MCMCSearcher":
         """Re-create the searcher inside a worker process.
@@ -362,75 +377,21 @@ class ChainProblem:
             config=self.config,
         )
         searcher.span_parent = self.span_context
-        searcher.adopt_shipped_tables(self.batch_tables)
         return searcher
 
     def start_plan(self) -> ExecutionPlan:
         return ExecutionPlan(dict(self.start_assignments), name=self.start_plan_name)
 
 
-def _make_codec(call_names, options) -> Optional["PlanCodec"]:
-    """Codec over the shipped option table, or ``None`` if unavailable.
-
-    Both pool sides build it from the same (identically ordered) options, so
-    encoded plans — ``(name, per-call option index)`` tuples — decode to
-    value-identical plans on the other side.
-    """
-    try:
-        from .batch_eval import PlanCodec
-
-        return PlanCodec(call_names, options)
-    except Exception:  # pragma: no cover - codec is purely an optimisation
-        return None
-
-
-@dataclass(frozen=True)
-class _EncodedPlan:
-    """Wire form of one plan inside a ChainState round-trip."""
-
-    name: str
-    gids: Tuple[int, ...]
-
-
-def _pack_state(state: ChainState, codec: Optional["PlanCodec"]) -> ChainState:
-    """Replace the state's plan objects with codec indices where possible.
-
-    Mutates and returns ``state`` (states hand over ownership for the
-    round-trip).  Plans containing allocations outside the codec universe
-    (e.g. a caller-supplied seed plan) simply stay as full objects.
-    """
-    if codec is not None:
-        for attr in ("current_plan", "best_plan"):
-            plan = getattr(state, attr)
-            if isinstance(plan, ExecutionPlan):
-                encoded = codec.encode(plan)
-                if encoded is not None:
-                    setattr(state, attr, _EncodedPlan(*encoded))
-    return state
-
-
-def _unpack_state(state: ChainState, codec: Optional["PlanCodec"]) -> ChainState:
-    """Inverse of :func:`_pack_state`."""
-    for attr in ("current_plan", "best_plan"):
-        plan = getattr(state, attr)
-        if isinstance(plan, _EncodedPlan):
-            if codec is None:
-                raise RuntimeError("encoded ChainState without a codec")
-            setattr(state, attr, codec.decode((plan.name, plan.gids)))
-    return state
-
-
 _WORKER_SEARCHER: Optional["MCMCSearcher"] = None
 _WORKER_START: Optional[Tuple[ExecutionPlan, float]] = None
-_WORKER_CODEC: Optional["PlanCodec"] = None
 
 
 def _init_chain_worker(problem: ChainProblem) -> None:
     """Process-pool initializer: build the searcher once per worker process."""
-    global _WORKER_SEARCHER, _WORKER_START, _WORKER_CODEC
+    global _WORKER_SEARCHER, _WORKER_START
     _WORKER_SEARCHER = problem.build_searcher()
     _WORKER_START = (problem.start_plan(), problem.start_cost)
-    _WORKER_CODEC = _make_codec(problem.graph.call_names, problem.options)
 
 
 def _run_chain_in_worker(spec: ChainSpec) -> ChainResult:
@@ -452,18 +413,15 @@ def _advance_state_in_worker(
 
     The state is self-contained (RNG included), so which worker advances
     which slice — or whether a slice runs in the parent process instead —
-    never changes the chain's outcome.  Plans cross the process boundary as
-    codec indices (chain-local scalars) whenever the pool sides share an
-    option universe; see :func:`_pack_state`.
+    never changes the chain's outcome.
     """
     if _WORKER_SEARCHER is None:
         raise RuntimeError("chain worker used before initialization")
-    advanced = _WORKER_SEARCHER.advance_chain(
-        _unpack_state(state, _WORKER_CODEC),
+    return _WORKER_SEARCHER.advance_chain(
+        state,
         max_iterations=max_iterations,
         time_budget_s=time_budget_s,
     )
-    return _pack_state(advanced, _WORKER_CODEC)
 
 
 def _start_context() -> Optional[multiprocessing.context.BaseContext]:
@@ -507,8 +465,6 @@ class ParallelSearchRunner:
         self._session_workers = 0
         self._session_force = False
         self._session_time_budget_s = 0.0
-        self._session_tables: Optional[object] = None
-        self._session_codec: Optional["PlanCodec"] = None
 
     def run(
         self,
@@ -541,24 +497,7 @@ class ParallelSearchRunner:
                 return None
             workers = granted
         self.last_granted = workers
-        estimator = searcher.estimator
-        tables, tables_owner = searcher.export_batch_tables()
-        problem = ChainProblem(
-            graph=searcher.graph,
-            workload=searcher.workload,
-            cluster=searcher.cluster,
-            options=searcher.options,
-            config=searcher.config,
-            start_assignments=dict(start_plan.assignments),
-            start_plan_name=start_plan.name,
-            start_cost=start_cost,
-            profiles=getattr(estimator, "profiles", None),
-            use_cuda_graph=getattr(estimator, "use_cuda_graph", True),
-            use_cache=getattr(estimator, "use_cache", True),
-            cross_check=getattr(estimator, "cross_check", False),
-            span_context=current_span(),
-            batch_tables=tables,
-        )
+        problem = ChainProblem.for_searcher(searcher, start_plan, start_cost)
         # A chain self-terminates at its wall-clock deadline, so any result
         # later than budget + margin means the worker is wedged, not slow.
         timeout = searcher.config.time_budget_s + _WORKER_TIMEOUT_MARGIN_S
@@ -599,11 +538,6 @@ class ParallelSearchRunner:
             return None
         finally:
             self.core_budget.release(granted)
-            # By success here every worker has initialized (all futures
-            # resolved), so the attached mappings survive the unlink; on the
-            # fallback path a late-attaching worker just rebuilds locally.
-            if tables_owner is not None:
-                tables_owner.close()
         pool.shutdown(wait=True)
         return sorted(results, key=lambda r: r.chain)
 
@@ -639,24 +573,7 @@ class ParallelSearchRunner:
         want = n_chains if self.max_workers is None else min(n_chains, self.max_workers)
         if n_workers is not None:
             want = min(want, max(1, int(n_workers)))
-        estimator = searcher.estimator
-        tables, tables_owner = searcher.export_batch_tables()
-        problem = ChainProblem(
-            graph=searcher.graph,
-            workload=searcher.workload,
-            cluster=searcher.cluster,
-            options=searcher.options,
-            config=searcher.config,
-            start_assignments=dict(start_plan.assignments),
-            start_plan_name=start_plan.name,
-            start_cost=start_cost,
-            profiles=getattr(estimator, "profiles", None),
-            use_cuda_graph=getattr(estimator, "use_cuda_graph", True),
-            use_cache=getattr(estimator, "use_cache", True),
-            cross_check=getattr(estimator, "cross_check", False),
-            span_context=current_span(),
-            batch_tables=tables,
-        )
+        problem = ChainProblem.for_searcher(searcher, start_plan, start_cost)
         try:
             self._session_pool = ProcessPoolExecutor(
                 max_workers=want,
@@ -666,14 +583,7 @@ class ParallelSearchRunner:
             )
         except OSError as exc:  # pragma: no cover - sandboxes without fork
             self.last_error = exc
-            if tables_owner is not None:
-                tables_owner.close()
             return False
-        # The shared block stays owned (and linked) for the session's whole
-        # life: pool workers spawn lazily on first submit, possibly much
-        # later than this call.
-        self._session_tables = tables_owner
-        self._session_codec = _make_codec(searcher.graph.call_names, searcher.options)
         self._session_workers = want
         self._session_force = force
         self._session_time_budget_s = searcher.config.time_budget_s
@@ -708,21 +618,14 @@ class ParallelSearchRunner:
             time_budget_s if time_budget_s is not None else self._session_time_budget_s
         )
         timeout = slice_budget + _WORKER_TIMEOUT_MARGIN_S
-        codec = self._session_codec
         try:
             futures = [
                 self._session_pool.submit(
-                    _advance_state_in_worker,
-                    _pack_state(state, codec),
-                    max_iterations,
-                    time_budget_s,
+                    _advance_state_in_worker, state, max_iterations, time_budget_s
                 )
                 for state in states
             ]
-            results = [
-                _unpack_state(future.result(timeout=timeout), codec)
-                for future in futures
-            ]
+            results = [future.result(timeout=timeout) for future in futures]
         except (
             OSError,
             BrokenProcessPool,
@@ -731,11 +634,6 @@ class ParallelSearchRunner:
             FutureTimeoutError,
         ) as exc:
             self.last_error = exc
-            # The inputs were packed in place for the round-trip; the caller
-            # will now advance these very states in-process, so restore the
-            # plan objects before handing them back.
-            for state in states:
-                _unpack_state(state, codec)
             get_logger("search").warning(
                 "search session fell back to in-process execution: %s: %s",
                 type(exc).__name__,
@@ -756,7 +654,3 @@ class ParallelSearchRunner:
         pool, self._session_pool = self._session_pool, None
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=not wait)
-        tables, self._session_tables = self._session_tables, None
-        if tables is not None:
-            tables.close()
-        self._session_codec = None

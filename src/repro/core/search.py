@@ -37,12 +37,6 @@ from ..cluster.hardware import ClusterSpec
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..obs.tracing import SpanContext, SpanRecord, current_span, get_tracer
-from .batch_eval import (
-    SharedTables,
-    attach_batch_state,
-    batch_eval_mode,
-    shared_tables_enabled,
-)
 from .dataflow import DataflowGraph
 from .estimator import DEFAULT_OOM_PENALTY, RuntimeEstimator
 from .parallel_search import (
@@ -69,20 +63,6 @@ __all__ = [
 ]
 
 _PARALLEL_MODES = ("auto", "process", "off")
-
-_BATCH_MIN_GAP = 16.0
-"""Rejections-per-acceptance level at which batched sweeps engage.
-
-A sweep's fixed kernel overhead is worth roughly a dozen scalar
-``cost_delta`` evaluations, and a sweep stops at its first acceptance — so
-batching only wins once the chain typically rejects more than this many
-proposals in a row.  Below it the scalar loop is faster; the switch is a
-pure perf heuristic and never affects the trajectory."""
-
-_BATCH_SWEEP_MIN = 16
-"""Minimum sweep width once sweeps engage (amortises the fixed overhead
-even while the adaptive width is still warming up)."""
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -237,15 +217,6 @@ class MCMCSearcher:
                 layouts.add(mesh_key + (alloc.parallel.dp, alloc.parallel.tp, alloc.parallel.pp))
             self._options_by_mesh[call_name] = by_mesh
             self._layouts[call_name] = layouts
-        # Batched-evaluation sweep width: adapts to the chain's observed
-        # acceptance run length (EMA), so most sweeps score just past the
-        # next accepted proposal.  K only affects throughput, never the
-        # trajectory — the chain always consumes proposals in RNG order up
-        # to the first acceptance.  The EMA starts below _BATCH_MIN_GAP, so
-        # fresh (hot, frequently-accepting) chains run the scalar loop until
-        # rejections actually dominate.
-        self._batch_k = 8
-        self._batch_ema = 4.0
 
     @staticmethod
     def _mesh_key(mesh) -> Tuple:
@@ -335,64 +306,6 @@ class MCMCSearcher:
             plan.with_assignment(call_name, new_alloc), self.config.oom_penalty
         )
 
-    def _batch_enabled(self) -> bool:
-        """Whether chains score proposal sweeps through the batch kernel.
-
-        Gated by ``REPRO_BATCH_EVAL`` (``on``/``auto`` enable, ``off``
-        disables) and by estimator capability: the kernel needs the memo
-        caches, the approximate reallocation model and an incremental
-        ``cost_delta`` path (reference estimators that null it out keep the
-        scalar loop).  The mode never changes results — batched and scalar
-        chains consume the RNG stream identically — so ``on`` and ``auto``
-        are equivalent today; ``on`` is reserved for callers that want a
-        hard failure if support regresses.
-        """
-        if batch_eval_mode() == "off":
-            return False
-        estimator = self.estimator
-        return bool(getattr(estimator, "batch_supported", False)) and (
-            getattr(estimator, "cost_delta", None) is not None
-        )
-
-    def export_batch_tables(self):
-        """Shipment of the batch lookup tables for worker processes.
-
-        Returns ``(shipment, owner)``: ``shipment`` travels inside the
-        pickled :class:`ChainProblem` (``("shm", handle)`` when a shared
-        memory block was exported, ``("arrays", dict)`` as the pickled
-        fallback, ``None`` when batching is disabled), and ``owner`` is the
-        parent-side :class:`SharedTables` to close once workers are done
-        (``None`` unless shared memory is in use).
-        """
-        if not self._batch_enabled():
-            return None, None
-        state = self.estimator.batch_state(self.options)
-        if shared_tables_enabled():
-            owner = SharedTables.export(state)
-            if owner is not None:
-                return ("shm", owner.handle), owner
-        return ("arrays", state.export_arrays()), None
-
-    def adopt_shipped_tables(self, shipment) -> None:
-        """Attach shipped batch tables in a worker process (fail-soft).
-
-        Any attach failure — stale shared-memory name, option-table drift —
-        just logs and keeps the local lazy build; results never depend on
-        the shipment, only the table-construction cost does.
-        """
-        if shipment is None or not self._batch_enabled():
-            return
-        try:
-            state = attach_batch_state(self.estimator, self.options, shipment)
-        except Exception as exc:  # noqa: BLE001 - any failure means rebuild
-            get_logger("search").warning(
-                "batch-table attach failed (%s: %s); rebuilding locally",
-                type(exc).__name__,
-                exc,
-            )
-            return
-        self.estimator.adopt_batch_state(state)
-
     def _chain_rng(self, chain: int) -> np.random.Generator:
         """Chain 0 keeps the classic single-chain stream (bit-compatible with
         the pre-multi-chain searcher); further chains get independent streams."""
@@ -464,86 +377,13 @@ class MCMCSearcher:
         best_plan, best_cost = state.best_plan, state.best_cost
         n_accepted = 0
         iteration = 0
-        # Every path draws one uniform per proposal (even for downhill moves
-        # that accept regardless), so the scalar loop, the batched sweep and
-        # any slicing of either consume the RNG stream identically — chain
-        # trajectories are bit-identical across all of them.
-        use_batch = slice_iters > 0 and self._batch_enabled()
-        if use_batch:
-            batch_cost = self.estimator.batch_cost
-            self.estimator.batch_state(self.options)
-        # A batch sweep stops at its first acceptance, so its fixed kernel
-        # overhead (worth roughly a dozen scalar evaluations) only pays for
-        # itself while acceptances are *rare* — e.g. a cooled-down chain
-        # rejecting almost everything.  The rejection streak and its EMA
-        # decide per pass which path scores the next proposal(s); a pure
-        # perf heuristic, since both paths walk the identical trajectory.
-        reject_streak = 0
+        # One uniform is drawn per proposal (even for downhill moves that
+        # accept regardless), so any slicing of the loop consumes the RNG
+        # stream identically — chain trajectories are bit-identical however
+        # the iteration budget is sliced.
         while iteration < slice_iters:
             if time.perf_counter() > deadline:
                 break
-            if use_batch and (
-                self._batch_ema >= _BATCH_MIN_GAP
-                or reject_streak >= _BATCH_MIN_GAP
-            ):
-                # Pre-generate K (proposal, uniform) pairs from the current
-                # plan, snapshotting the RNG state after each pair; score the
-                # whole batch in one kernel sweep; then accept the *first*
-                # Metropolis-accepted proposal in RNG order and rewind the
-                # stream to just after its uniform.  Within the consumed
-                # prefix nothing the scalar loop reads changes (current and
-                # best move only on acceptance), so the decisions match the
-                # scalar path exactly; K only sets sweep width.
-                k = min(max(self._batch_k, _BATCH_SWEEP_MIN), slice_iters - iteration)
-                proposals = []
-                snapshots = []
-                bit_generator = rng.bit_generator
-                for _ in range(k):
-                    call_name, new_alloc = self._propose(current, rng)
-                    u = rng.random()
-                    proposals.append((call_name, new_alloc, u))
-                    snapshots.append(bit_generator.state)
-                costs = batch_cost(
-                    base_plan=current,
-                    moves=[(name, alloc) for name, alloc, _ in proposals],
-                    oom_penalty=cfg.oom_penalty,
-                )
-                # Normalise the energy by the chain's best cost so far so the
-                # temperature stays meaningful across experiment scales and
-                # even when the initial plan is heavily OOM-penalised.
-                # Chain-local on purpose: sharing the cross-chain best would
-                # entangle the chains and break sequential/parallel
-                # equivalence.
-                scale = max(best_cost, 1e-9)
-                consumed, accepted_at = k, -1
-                for i in range(k):
-                    delta = (float(costs[i]) - current_cost) / scale
-                    if delta <= 0 or proposals[i][2] < math.exp(-cfg.beta * delta):
-                        consumed, accepted_at = i + 1, i
-                        break
-                for i in range(consumed):
-                    iteration += 1
-                    if i == accepted_at:
-                        call_name, new_alloc, _ = proposals[i]
-                        current = current.with_assignment(call_name, new_alloc)
-                        current_cost = float(costs[i])
-                        n_accepted += 1
-                        if current_cost < best_cost:
-                            best_plan, best_cost = current, current_cost
-                    if cfg.record_history:
-                        state.history.append(
-                            (
-                                state.n_iterations + iteration,
-                                state.wall_seconds + (time.perf_counter() - wall_start),
-                                best_cost,
-                            )
-                        )
-                if consumed < k:
-                    bit_generator.state = snapshots[consumed - 1]
-                self._batch_ema = 0.8 * self._batch_ema + 0.2 * consumed
-                self._batch_k = min(128, max(4, int(self._batch_ema * 2.0) + 2))
-                reject_streak = 0 if accepted_at >= 0 else reject_streak + consumed
-                continue
             iteration += 1
             call_name, new_alloc = self._propose(current, rng)
             proposal_cost = self._proposal_cost(current, call_name, new_alloc)
@@ -557,17 +397,11 @@ class MCMCSearcher:
             u = rng.random()
             accept = delta <= 0 or u < math.exp(-cfg.beta * delta)
             if accept:
-                # The closed gap feeds the same EMA the sweeps adapt on, so
-                # the switch works in both directions.
-                self._batch_ema = 0.8 * self._batch_ema + 0.2 * (reject_streak + 1)
-                reject_streak = 0
                 current = current.with_assignment(call_name, new_alloc)
                 current_cost = proposal_cost
                 n_accepted += 1
                 if current_cost < best_cost:
                     best_plan, best_cost = current, current_cost
-            else:
-                reject_streak += 1
             if cfg.record_history:
                 state.history.append(
                     (

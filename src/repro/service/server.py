@@ -768,20 +768,6 @@ class PlanService:
         self.registry.gauge(
             "service_eval_cache_evictions", "Estimator eval-cache LRU evictions"
         ).set(evictions)
-        # The batch kernel counts one lookup per base-plan encode (one per
-        # sweep, not per proposal) into its own EvalCacheStats; published
-        # with the same shape as the scalar gauges above.
-        batch_hits = sum(e.batch_eval_stats.hits for e in estimators)
-        batch_misses = sum(e.batch_eval_stats.misses for e in estimators)
-        batch_lookups = batch_hits + batch_misses
-        self.registry.gauge(
-            "service_batch_eval_lookups",
-            "Batch-kernel base-plan encode lookups (one per sweep)",
-        ).set(batch_lookups)
-        self.registry.gauge(
-            "service_batch_eval_hit_ratio",
-            "Batch-kernel base-plan encode hit fraction",
-        ).set(batch_hits / batch_lookups if batch_lookups else 0.0)
 
     def _execute(
         self,

@@ -116,6 +116,8 @@ class TraceRecorder:
     _events: List[Dict[str, Any]] = field(default_factory=list)
     _pids: Dict[str, int] = field(default_factory=dict)
     _tids: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    _n_threads: Dict[str, int] = field(default_factory=dict)
+    """Threads interned so far per process (the next tid is this plus one)."""
     sample_rate: float = field(default_factory=_env_sample_rate)
     max_events: int = field(default_factory=_env_max_events)
     n_sampled_out: int = 0
@@ -150,7 +152,8 @@ class TraceRecorder:
         key = (process, thread)
         tid = self._tids.get(key)
         if tid is None:
-            tid = sum(1 for (p, _t) in self._tids if p == process) + 1
+            tid = self._n_threads.get(process, 0) + 1
+            self._n_threads[process] = tid
             self._tids[key] = tid
             self._events.append(
                 {
@@ -447,8 +450,9 @@ class TraceRecorder:
         """Write the trace to ``path`` and return it."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as handle:
-            json.dump(self.to_json(), handle)
+        # json.dumps takes the C encoder; json.dump always streams through
+        # the pure-Python one.  Same bytes, about twice as fast.
+        path.write_text(json.dumps(self.to_json()))
         return path
 
 
