@@ -1,17 +1,13 @@
-"""Tests for the vectorized batch plan-evaluation kernel and table shipping.
+"""Consistency checks for the single plan-scoring path.
 
-The headline invariant of :mod:`repro.core.batch_eval` is *bit identity*:
-``RuntimeEstimator.batch_cost`` must produce exactly the floats the scalar
-``cost()`` / ``cost_delta()`` path produces — same table values, combined
-in the same order — on PPO and GRPO, across seeds, including OOM-penalized
-and empty-graph plans.  On top of that sit the shipping paths (shared
-memory with a pickled-arrays fail-soft fallback, the per-poll plan codec)
-and the searcher-level guarantee that the batched ``advance_chain`` sweep
-consumes the RNG stream identically to the scalar loop, so flipping
-``REPRO_BATCH_EVAL`` can never change search results.
+The module and test names date from a vectorized evaluation kernel that was
+once checked against the scalar estimator.  That kernel is gone; each test
+now pins the same guarantee on the path that remains: the memoised
+``cost()`` / incremental ``cost_delta()`` fast path returns exactly the
+floats a from-scratch recompute returns — on PPO and GRPO, across seeds,
+including OOM-penalized and empty-graph plans — and a search driven by it,
+sliced or not, sequential or in worker processes, lands on the same result.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -27,22 +23,7 @@ from repro.core import (
     allocation_options,
     instructgpt_workload,
 )
-from repro.core.batch_eval import (
-    BatchPlanState,
-    PlanCodec,
-    SharedTables,
-    SharedTablesHandle,
-    attach_batch_state,
-    batch_eval_mode,
-    shared_tables_enabled,
-)
 from repro.core.dataflow import DataflowGraph
-from repro.core.parallel_search import (
-    _EncodedPlan,
-    _make_codec,
-    _pack_state,
-    _unpack_state,
-)
 
 
 @pytest.fixture(scope="module")
@@ -91,24 +72,6 @@ def _random_moves(graph, options, n, seed):
     return moves
 
 
-class TestKnobs:
-    def test_batch_eval_mode_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_EVAL", raising=False)
-        assert batch_eval_mode() == "auto"
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "OFF")
-        assert batch_eval_mode() == "off"
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "on")
-        assert batch_eval_mode() == "on"
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "nonsense")
-        assert batch_eval_mode() == "auto"
-
-    def test_shared_tables_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARED_TABLES", raising=False)
-        assert shared_tables_enabled() is True
-        monkeypatch.setenv("REPRO_SHARED_TABLES", "off")
-        assert shared_tables_enabled() is False
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize("algorithm", ["ppo", "grpo"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -116,11 +79,14 @@ class TestBitIdentity:
         self, algorithm, seed, workload_small, cluster8
     ):
         graph, options, estimator, _ = _setup(algorithm, workload_small, cluster8)
-        estimator.batch_state(options)
+        reference = RuntimeEstimator(graph, workload_small, cluster8, use_cache=False)
         plans = _random_plans(graph, options, 24, seed)
-        batch = estimator.batch_cost(plans)
-        for plan, got in zip(plans, batch):
-            assert float(got) == estimator.cost(plan)
+        cold = [estimator.cost(plan) for plan in plans]
+        # Second pass is served from the signature-keyed eval cache.
+        warm = [estimator.cost(plan) for plan in plans]
+        assert warm == cold
+        for plan, got in zip(plans, cold):
+            assert got == reference.cost(plan)
 
     @pytest.mark.parametrize("algorithm", ["ppo", "grpo"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -130,38 +96,47 @@ class TestBitIdentity:
         graph, options, estimator, searcher = _setup(
             algorithm, workload_small, cluster8
         )
+        reference = RuntimeEstimator(graph, workload_small, cluster8, use_cache=False)
         base = searcher.greedy_initial_plan()
-        estimator.batch_state(options)
-        moves = _random_moves(graph, options, 48, seed)
-        batch = estimator.batch_cost(base_plan=base, moves=moves)
-        for (name, alloc), got in zip(moves, batch):
-            assert float(got) == estimator.cost_delta(base, name, alloc)
+        for name, alloc in _random_moves(graph, options, 48, seed):
+            got = estimator.cost_delta(base, name, alloc)
+            assert got == reference.cost(base.with_assignment(name, alloc))
 
     def test_oom_penalized_plans_match(self, workload_small):
         # Shrink device memory so plenty of (otherwise prunable-feasible)
-        # allocations exceed it: the vectorized OOM boundary + penalty is
-        # exercised for real.
+        # allocations exceed it: the OOM boundary + penalty is exercised
+        # for real.
         from repro.cluster import GPUSpec, make_cluster as _mk
 
         tight = _mk(8, gpu=GPUSpec(memory_gb=18.0))
         graph, options, estimator, _ = _setup("ppo", workload_small, tight)
-        estimator.batch_state(options)
+        reference = RuntimeEstimator(graph, workload_small, tight, use_cache=False)
         plans = _random_plans(graph, options, 16, 0)
         penalized = [
             estimator.cost(p, oom_penalty=100.0) != estimator.cost(p, oom_penalty=1.0)
             for p in plans
         ]
         assert any(penalized), "setup failed to produce any OOM-penalized plan"
-        batch = estimator.batch_cost(plans, oom_penalty=100.0)
-        for plan, got in zip(plans, batch):
-            assert float(got) == estimator.cost(plan, oom_penalty=100.0)
+        for plan in plans:
+            assert estimator.cost(plan, oom_penalty=100.0) == reference.cost(
+                plan, oom_penalty=100.0
+            )
+        base = plans[0]
+        for name, alloc in _random_moves(graph, options, 16, 1):
+            assert estimator.cost_delta(
+                base, name, alloc, oom_penalty=100.0
+            ) == reference.cost(base.with_assignment(name, alloc), oom_penalty=100.0)
 
     def test_empty_graph_scores_zero(self, workload_small, cluster8):
         graph = DataflowGraph(calls=[], external_inputs=("prompts",), name="empty")
-        estimator = RuntimeEstimator(graph, workload_small, cluster8)
-        plans = [ExecutionPlan({}, name="empty")]
-        assert estimator.batch_cost(plans).tolist() == [0.0]
-        assert estimator.batch_cost(base_plan=plans[0], moves=[]).tolist() == []
+        plan = ExecutionPlan({}, name="empty")
+        assert RuntimeEstimator(graph, workload_small, cluster8).cost(plan) == 0.0
+        assert (
+            RuntimeEstimator(graph, workload_small, cluster8, use_cache=False).cost(
+                plan
+            )
+            == 0.0
+        )
 
     def test_cross_check_verifies_every_row(self, workload_small, cluster8):
         graph = build_ppo_graph()
@@ -173,156 +148,45 @@ class TestBitIdentity:
             graph, workload_small, cluster8, estimator=estimator, options=options
         )
         base = searcher.greedy_initial_plan()
-        estimator.batch_state(options)
-        # Passes only if every row equals the scalar path bit-for-bit.
-        estimator.batch_cost(base_plan=base, moves=_random_moves(graph, options, 16, 5))
-
-    def test_exactly_one_call_shape_required(self, workload_small, cluster8):
-        _, options, estimator, searcher = _setup("ppo", workload_small, cluster8)
-        base = searcher.greedy_initial_plan()
-        with pytest.raises(ValueError):
-            estimator.batch_cost()
-        with pytest.raises(ValueError):
-            estimator.batch_cost([base], moves=[])
-        with pytest.raises(ValueError):
-            estimator.batch_cost(moves=[])  # no base_plan
+        # Passes only if every move equals the full recompute bit-for-bit.
+        for name, alloc in _random_moves(graph, options, 16, 5):
+            estimator.cost_delta(base, name, alloc)
 
 
 class TestBatchedChainParity:
     @pytest.mark.parametrize("algorithm", ["ppo", "grpo"])
     def test_batched_equals_scalar_trajectory(
-        self, algorithm, monkeypatch, workload_small, cluster8
+        self, algorithm, workload_small, cluster8
     ):
-        def run():
+        def run(use_cache):
             config = SearchConfig(
                 max_iterations=250, time_budget_s=60.0, seed=11, record_history=True
             )
+            graph = _graph(algorithm)
+            estimator = RuntimeEstimator(
+                graph, workload_small, cluster8, use_cache=use_cache
+            )
             return MCMCSearcher(
-                _graph(algorithm), workload_small, cluster8, config=config
+                graph, workload_small, cluster8, config=config, estimator=estimator
             ).search()
 
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "off")
-        scalar = run()
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "on")
-        batched = run()
-        assert batched.best_cost == scalar.best_cost
-        assert batched.best_plan.to_dict() == scalar.best_plan.to_dict()
-        assert batched.n_accepted == scalar.n_accepted
-        assert [(i, c) for i, _, c in batched.history] == [
-            (i, c) for i, _, c in scalar.history
+        # The memoised incremental path must walk exactly the chain that
+        # from-scratch scoring walks.
+        memoised = run(True)
+        scratch = run(False)
+        assert memoised.best_cost == scratch.best_cost
+        assert memoised.best_plan.to_dict() == scratch.best_plan.to_dict()
+        assert memoised.n_accepted == scratch.n_accepted
+        assert [(i, c) for i, _, c in memoised.history] == [
+            (i, c) for i, _, c in scratch.history
         ]
-
-
-class TestTableShipping:
-    def test_shared_memory_round_trip(self, workload_small, cluster8):
-        _, options, estimator, _ = _setup("ppo", workload_small, cluster8)
-        state = estimator.batch_state(options)
-        owner = SharedTables.export(state)
-        if owner is None:
-            pytest.skip("shared memory unavailable in this environment")
-        try:
-            _, _, est2, _ = _setup("ppo", workload_small, cluster8)
-            attached = attach_batch_state(est2, options, ("shm", owner.handle))
-            source = state.export_arrays()
-            mirror = attached.export_arrays()
-            for field, arr in source.items():
-                assert np.array_equal(arr, mirror[field]), field
-            # The attached state evaluates identically to the local build.
-            plans = _random_plans(_graph("ppo"), options, 8, 3)
-            est2.adopt_batch_state(attached)
-            assert est2.batch_cost(plans).tolist() == estimator.batch_cost(
-                plans
-            ).tolist()
-        finally:
-            owner.close()
-
-    def test_pickled_arrays_round_trip(self, workload_small, cluster8):
-        _, options, estimator, _ = _setup("ppo", workload_small, cluster8)
-        state = estimator.batch_state(options)
-        _, _, est2, _ = _setup("ppo", workload_small, cluster8)
-        attached = attach_batch_state(est2, options, ("arrays", state.export_arrays()))
-        assert attached.primed
-
-    def test_count_mismatch_raises(self, workload_small, cluster8):
-        _, options, estimator, _ = _setup("ppo", workload_small, cluster8)
-        arrays = estimator.batch_state(options).export_arrays()
-        arrays["static_counts"] = arrays["static_counts"] + 1
-        _, _, est2, _ = _setup("ppo", workload_small, cluster8)
-        with pytest.raises(ValueError, match="do not match the option table"):
-            attach_batch_state(est2, options, ("arrays", arrays))
-
-    def test_adopt_shipped_tables_is_fail_soft(self, workload_small, cluster8):
-        _, options, _, searcher = _setup("ppo", workload_small, cluster8)
-        bogus = SharedTablesHandle(shm_name="psm_does_not_exist", specs=(), total_bytes=0)
-        searcher.adopt_shipped_tables(("shm", bogus))  # must not raise
-        # The searcher still searches (local lazy rebuild).
-        config = SearchConfig(max_iterations=10, time_budget_s=60.0, seed=0)
-        result = MCMCSearcher(
-            _graph("ppo"),
-            searcher.workload,
-            searcher.cluster,
-            config=config,
-        ).search()
-        assert result.n_iterations == 10
-
-    def test_export_respects_shared_tables_knob(
-        self, monkeypatch, workload_small, cluster8
-    ):
-        _, _, _, searcher = _setup("ppo", workload_small, cluster8)
-        monkeypatch.setenv("REPRO_SHARED_TABLES", "off")
-        shipment, owner = searcher.export_batch_tables()
-        assert owner is None
-        assert shipment is not None and shipment[0] == "arrays"
-
-    def test_no_shipment_when_batching_disabled(
-        self, monkeypatch, workload_small, cluster8
-    ):
-        _, _, _, searcher = _setup("ppo", workload_small, cluster8)
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "off")
-        assert searcher.export_batch_tables() == (None, None)
-
-
-class TestPlanCodec:
-    def test_encode_decode_round_trip(self, workload_small, cluster8):
-        graph, options, _, searcher = _setup("ppo", workload_small, cluster8)
-        codec = PlanCodec([c.name for c in graph.calls], options)
-        plan = searcher.greedy_initial_plan()
-        encoded = codec.encode(plan)
-        assert encoded is not None
-        decoded = codec.decode(encoded)
-        assert decoded.to_dict() == plan.to_dict()
-        assert decoded.name == plan.name
-
-    def test_out_of_universe_allocation_stays_unencoded(
-        self, workload_small, cluster8
-    ):
-        graph, options, _, searcher = _setup("ppo", workload_small, cluster8)
-        codec = PlanCodec([c.name for c in graph.calls], options)
-        plan = searcher.greedy_initial_plan()
-        name = graph.calls[0].name
-        foreign = dataclasses.replace(plan[name], n_microbatches=971)
-        assert codec.encode(plan.with_assignment(name, foreign)) is None
-
-    def test_pack_unpack_chain_state_round_trip(self, workload_small, cluster8):
-        graph, options, _, searcher = _setup("ppo", workload_small, cluster8)
-        codec = _make_codec([c.name for c in graph.calls], options)
-        assert codec is not None
-        plan = searcher.greedy_initial_plan()
-        state = searcher.init_chain_state(0, plan, searcher.estimator.cost(plan), 10)
-        packed = _pack_state(state, codec)
-        assert isinstance(packed.current_plan, _EncodedPlan)
-        assert isinstance(packed.best_plan, _EncodedPlan)
-        unpacked = _unpack_state(packed, codec)
-        assert unpacked.current_plan.to_dict() == plan.to_dict()
-        assert unpacked.best_plan.to_dict() == plan.to_dict()
 
 
 class TestSessionPollParity:
     @pytest.mark.parametrize("algorithm", ["ppo", "grpo"])
     def test_sliced_batched_equals_unsliced(
-        self, algorithm, monkeypatch, workload_small, cluster8
+        self, algorithm, workload_small, cluster8
     ):
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "on")
         kwargs = dict(
             max_iterations=60, time_budget_s=60.0, seed=4, n_chains=2, parallel="off"
         )
@@ -345,10 +209,9 @@ class TestSessionPollParity:
         assert result.best_plan.to_dict() == reference.best_plan.to_dict()
         assert result.n_iterations == reference.n_iterations
 
-    def test_sliced_process_mode_with_shipped_tables(
-        self, monkeypatch, workload_small, cluster8
-    ):
-        monkeypatch.setenv("REPRO_BATCH_EVAL", "on")
+    def test_sliced_process_mode_with_shipped_tables(self, workload_small, cluster8):
+        # Worker processes receive pickled chain states each poll; the
+        # sliced process-mode session must match the sequential search.
         kwargs = dict(max_iterations=40, time_budget_s=60.0, seed=6, n_chains=2)
         reference = MCMCSearcher(
             _graph("ppo"),
@@ -373,27 +236,3 @@ class TestSessionPollParity:
         result = session.stop()
         assert result.best_cost == reference.best_cost
         assert result.best_plan.to_dict() == reference.best_plan.to_dict()
-
-
-class TestBatchEvalStats:
-    def test_base_encode_counted_once_per_sweep(self, workload_small, cluster8):
-        graph, options, estimator, searcher = _setup("ppo", workload_small, cluster8)
-        base = searcher.greedy_initial_plan()
-        estimator.batch_state(options)
-        moves = _random_moves(graph, options, 8, 0)
-        estimator.batch_cost(base_plan=base, moves=moves)
-        assert estimator.batch_eval_stats.misses == 1
-        assert estimator.batch_eval_stats.hits == 0
-        estimator.batch_cost(base_plan=base, moves=moves)
-        assert estimator.batch_eval_stats.hits == 1  # memoised base row
-
-    def test_service_publishes_batch_gauges(self):
-        from repro.obs import MetricsRegistry, snapshot
-        from repro.service import PlanService
-
-        registry = MetricsRegistry()
-        with PlanService(max_workers=1, registry=registry) as _service:
-            metrics = snapshot(registry)["metrics"]
-            assert "service_batch_eval_lookups" in metrics
-            assert "service_batch_eval_hit_ratio" in metrics
-            assert "service_eval_cache_lookups" in metrics
