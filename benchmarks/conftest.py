@@ -13,10 +13,9 @@ Set ``REPRO_BENCH_SCALE=full`` to run every point of every figure (slow) and
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from repro import knobs
 from repro.core import SearchConfig
 
 __all__ = ["run_once", "bench_scale", "bench_search_config"]
@@ -24,16 +23,12 @@ __all__ = ["run_once", "bench_scale", "bench_search_config"]
 
 def bench_scale() -> str:
     """``small`` (default, CI-friendly) or ``full`` (every figure point)."""
-    return os.environ.get("REPRO_BENCH_SCALE", "small").lower()
+    return knobs.get("REPRO_BENCH_SCALE")
 
 
 def bench_search_config(seed: int = 0) -> SearchConfig:
     """Search budget used inside benchmarks (scaled via the environment)."""
-    scale = 1.0
-    try:
-        scale = float(os.environ.get("REPRO_SEARCH_BUDGET_SCALE", "1.0"))
-    except ValueError:
-        pass
+    scale = knobs.get("REPRO_SEARCH_BUDGET_SCALE")
     return SearchConfig(
         max_iterations=int(2000 * scale), time_budget_s=20.0 * scale, seed=seed
     )

@@ -20,6 +20,8 @@ The package is organised by subsystem:
 * :mod:`repro.experiments` — settings, metrics and runners for every figure.
 * :mod:`repro.rlhf` — a tiny functional NumPy transformer and end-to-end
   PPO/DPO/GRPO/ReMax training loops.
+* :mod:`repro.knobs` — the declared ``REPRO_*`` environment knobs and their
+  one strict parser.
 """
 
 from . import (

@@ -23,16 +23,14 @@ searches (sub-second budgets or a handful of iterations per chain) never
 leave the calling thread either: forking, re-building the estimator and
 pickling the option table costs more than it saves.
 
-Knobs (environment variables, read once per process):
+``parallel="auto"`` leaves the calling thread only when the search's
+``time_budget_s`` is at least :data:`MIN_PARALLEL_BUDGET_S` and some chain
+has at least :data:`MIN_PARALLEL_CHAIN_ITERS` iterations.
+
+Knobs (see :mod:`repro.knobs`):
 
 ``REPRO_CORE_BUDGET``
     Total cores the global governor hands out (default: ``os.cpu_count()``).
-``REPRO_PARALLEL_MIN_BUDGET_S``
-    Minimum ``time_budget_s`` for ``parallel="auto"`` to leave the calling
-    thread (default 1.0).
-``REPRO_PARALLEL_MIN_ITERS``
-    Minimum per-chain iteration budget for ``parallel="auto"`` to leave the
-    calling thread (default 2000).
 ``REPRO_PARALLEL_START_METHOD``
     Multiprocessing start method for chain workers (``fork`` / ``forkserver``
     / ``spawn``; default: the platform default, i.e. ``fork`` on Linux).
@@ -60,6 +58,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from .. import knobs
 from ..cluster.hardware import ClusterSpec
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
@@ -79,30 +78,15 @@ __all__ = [
     "ChainState",
     "ChainProblem",
     "ParallelSearchRunner",
-    "min_parallel_budget_s",
-    "min_parallel_chain_iters",
+    "MIN_PARALLEL_BUDGET_S",
+    "MIN_PARALLEL_CHAIN_ITERS",
 ]
 
+MIN_PARALLEL_BUDGET_S = 1.0
+"""Smallest ``time_budget_s`` worth a process pool in ``auto`` mode."""
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value >= 0 else default
-
-
-def min_parallel_budget_s() -> float:
-    """Smallest ``time_budget_s`` worth a process pool in ``auto`` mode."""
-    return _env_float("REPRO_PARALLEL_MIN_BUDGET_S", 1.0)
-
-
-def min_parallel_chain_iters() -> int:
-    """Smallest per-chain iteration budget worth a process pool in ``auto`` mode."""
-    return int(_env_float("REPRO_PARALLEL_MIN_ITERS", 2000))
+MIN_PARALLEL_CHAIN_ITERS = 2000
+"""Smallest per-chain iteration budget worth a process pool in ``auto`` mode."""
 
 
 _WORKER_TIMEOUT_MARGIN_S = 60.0
@@ -130,7 +114,7 @@ class CoreBudget:
 
     def __init__(self, total: Optional[int] = None) -> None:
         if total is None:
-            total = int(_env_float("REPRO_CORE_BUDGET", 0.0)) or (os.cpu_count() or 1)
+            total = knobs.get("REPRO_CORE_BUDGET") or (os.cpu_count() or 1)
         if total < 1:
             raise ValueError(f"core budget must be >= 1, got {total}")
         self.total = int(total)
@@ -231,7 +215,7 @@ class ChainState:
     consumes a slice of the chain's budgets and writes the outcome back here,
     so a chain can run in slices — on the calling thread or round-tripping
     through worker processes — and still produce exactly the chain one
-    uninterrupted ``run_chain`` would have produced: the RNG travels *in* the
+    uninterrupted run would have produced: the RNG travels *in* the
     state, iteration numbering picks up where the previous slice stopped, and
     wall/CPU seconds accumulate across slices.
     """
@@ -399,9 +383,10 @@ def _run_chain_in_worker(spec: ChainSpec) -> ChainResult:
     if _WORKER_SEARCHER is None or _WORKER_START is None:
         raise RuntimeError("chain worker used before initialization")
     start_plan, start_cost = _WORKER_START
-    return _WORKER_SEARCHER.run_chain(
+    state = _WORKER_SEARCHER.init_chain_state(
         spec.chain, start_plan, start_cost, spec.max_iterations
     )
+    return _WORKER_SEARCHER.advance_chain(state).to_result()
 
 
 def _advance_state_in_worker(
@@ -428,16 +413,10 @@ def _start_context() -> Optional[multiprocessing.context.BaseContext]:
     """Start method for chain workers: platform default unless overridden.
 
     ``REPRO_PARALLEL_START_METHOD`` selects ``fork``/``forkserver``/``spawn``;
-    an unknown value falls back to the default (``None`` lets
-    :class:`ProcessPoolExecutor` pick).
+    unset, ``None`` lets :class:`ProcessPoolExecutor` pick.
     """
-    method = os.environ.get("REPRO_PARALLEL_START_METHOD", "").strip().lower()
-    if not method:
-        return None
-    try:
-        return multiprocessing.get_context(method)
-    except ValueError:
-        return None
+    method = knobs.get("REPRO_PARALLEL_START_METHOD")
+    return multiprocessing.get_context(method) if method else None
 
 
 # ---------------------------------------------------------------------- #

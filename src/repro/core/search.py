@@ -41,13 +41,13 @@ from .dataflow import DataflowGraph
 from .estimator import DEFAULT_OOM_PENALTY, RuntimeEstimator
 from .parallel_search import (
     GLOBAL_CORE_BUDGET,
+    MIN_PARALLEL_BUDGET_S,
+    MIN_PARALLEL_CHAIN_ITERS,
     ChainResult,
     ChainSpec,
     ChainState,
     CoreBudget,
     ParallelSearchRunner,
-    min_parallel_budget_s,
-    min_parallel_chain_iters,
 )
 from .plan import Allocation, ExecutionPlan
 from .pruning import PruneConfig, allocation_options, search_space_size
@@ -345,7 +345,7 @@ class MCMCSearcher:
         (``state.max_iterations`` and ``config.time_budget_s`` worth of
         accumulated wall time) always apply on top, and exhausting either
         marks the state ``done``.  Advancing a fresh state without slice
-        bounds is exactly :meth:`run_chain`; because the RNG travels in the
+        bounds runs the whole chain; because the RNG travels in the
         state and nothing is drawn between slices, the proposal stream —
         and therefore the best plan/cost and history — is bit-identical no
         matter how the iteration budget is sliced (a binding *time* budget
@@ -440,30 +440,6 @@ class MCMCSearcher:
             )
         return state
 
-    def run_chain(
-        self,
-        chain: int,
-        start_plan: ExecutionPlan,
-        start_cost: float,
-        max_iterations: int,
-    ) -> ChainResult:
-        """Run one independent Metropolis-Hastings chain to completion.
-
-        The chain's outcome is a pure function of the search problem, the
-        seed and ``chain`` — no wall-clock dependence except the time budget
-        cutoff — so running it in-process or in a worker process yields the
-        same result.  History samples are chain-local: iterations count from
-        1 and elapsed times are measured from the chain's own start.
-
-        With ``record_history=True`` the full sample list travels back from
-        worker processes (one tuple per iteration — identical in both
-        execution modes, which the determinism tests rely on); for very long
-        parallel runs prefer ``record_history=False`` to skip that pickle
-        traffic.
-        """
-        state = self.init_chain_state(chain, start_plan, start_cost, max_iterations)
-        return self.advance_chain(state).to_result()
-
     def _chain_specs(self, n_chains: int) -> List[ChainSpec]:
         """Even split of the iteration budget (earlier chains take remainders)."""
         base_iters, extra_iters = divmod(self.config.max_iterations, n_chains)
@@ -491,9 +467,9 @@ class MCMCSearcher:
         estimator rebuilding than they gain, so they stay on the calling
         thread.
         """
-        if self.config.time_budget_s < min_parallel_budget_s():
+        if self.config.time_budget_s < MIN_PARALLEL_BUDGET_S:
             return False
-        return max(spec.max_iterations for spec in specs) >= min_parallel_chain_iters()
+        return max(spec.max_iterations for spec in specs) >= MIN_PARALLEL_CHAIN_ITERS
 
     def search(self) -> SearchResult:
         """Run the Metropolis-Hastings chains and return the best plan found.
@@ -539,7 +515,11 @@ class MCMCSearcher:
                 # search, just without claiming a core it does not have).
                 with self.core_budget.lease(1, minimum=0):
                     results = [
-                        self.run_chain(spec.chain, start_plan, start_cost, spec.max_iterations)
+                        self.advance_chain(
+                            self.init_chain_state(
+                                spec.chain, start_plan, start_cost, spec.max_iterations
+                            )
+                        ).to_result()
                         for spec in specs
                     ]
 

@@ -7,11 +7,11 @@ returns the rows/series the paper reports.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from .. import knobs
 from ..baselines import (
     DeepSpeedChatSystem,
     NeMoAlignerSystem,
@@ -36,33 +36,6 @@ __all__ = [
     "run_scheduler_comparison",
 ]
 
-#: Environment variable scaling the MCMC search budget in benchmarks (1.0 = default).
-SEARCH_BUDGET_ENV = "REPRO_SEARCH_BUDGET_SCALE"
-
-
-def _budget_scale() -> float:
-    """Parse ``REPRO_SEARCH_BUDGET_SCALE`` into a positive finite factor.
-
-    A malformed value silently falling back to 1.0 would make an expensive
-    high-fidelity run silently cheap (or a typo'd ``-1`` produce negative
-    budgets), so invalid values are rejected loudly.
-    """
-    raw = os.environ.get(SEARCH_BUDGET_ENV)
-    if raw is None or not raw.strip():
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SEARCH_BUDGET_ENV} must be a number, got {raw!r}"
-        ) from None
-    if not math.isfinite(scale) or scale <= 0:
-        raise ValueError(
-            f"{SEARCH_BUDGET_ENV} must be a positive finite number, got {raw!r}"
-        )
-    return scale
-
-
 def default_search_config(seed: int = 0) -> SearchConfig:
     """Search budget used by the benchmark harness.
 
@@ -70,7 +43,7 @@ def default_search_config(seed: int = 0) -> SearchConfig:
     thousand proposals; set ``REPRO_SEARCH_BUDGET_SCALE`` to enlarge it for
     higher-fidelity runs.
     """
-    scale = _budget_scale()
+    scale = knobs.get("REPRO_SEARCH_BUDGET_SCALE")
     return SearchConfig(
         max_iterations=int(3000 * scale),
         time_budget_s=30.0 * scale,

@@ -17,6 +17,8 @@ import platform
 from pathlib import Path
 from typing import Dict, Union
 
+from .. import knobs
+
 __all__ = ["artifact_dir", "artifact_path", "machine_fingerprint"]
 
 
@@ -30,7 +32,7 @@ def artifact_dir(default: Union[str, Path] = ".") -> Path:
     their save paths), not here — reading the knob has no filesystem side
     effects.
     """
-    value = os.environ.get("REPRO_ARTIFACT_DIR", "").strip()
+    value = knobs.get("REPRO_ARTIFACT_DIR")
     return Path(value) if value else Path(default)
 
 
@@ -58,23 +60,17 @@ def machine_fingerprint() -> Dict[str, object]:
     * ``usable_cores`` — the scheduler-affinity mask size, which is what a
       containerised run can actually use (falls back to ``cores``);
     * ``core_budget`` — the effective ``CoreBudget`` total: the
-      ``REPRO_CORE_BUDGET`` override when set, else ``cores`` (computed
-      from the environment directly — ``repro.obs`` stays import-free of
-      ``repro.core``).
+      ``REPRO_CORE_BUDGET`` override when set, else ``cores``.
     """
     cores = os.cpu_count() or 1
     try:
         usable = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         usable = cores
-    try:
-        budget = int(float(os.environ.get("REPRO_CORE_BUDGET", "0") or "0"))
-    except ValueError:
-        budget = 0
     return {
         "cores": cores,
         "usable_cores": usable,
-        "core_budget": budget if budget > 0 else cores,
+        "core_budget": knobs.get("REPRO_CORE_BUDGET") or cores,
         "platform": platform.platform(),
         "python": platform.python_version(),
     }

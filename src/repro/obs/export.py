@@ -24,6 +24,7 @@ import re
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .. import knobs
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
@@ -135,13 +136,16 @@ def write_metrics_snapshot(
     path: Union[str, Path],
     extra: Optional[Mapping[str, Any]] = None,
 ) -> Path:
-    """Write the JSON snapshot to ``path`` (``METRICS_*.json``); returns it."""
+    """Write the JSON snapshot to ``path`` (``METRICS_*.json``); returns it.
+
+    The file also records every knob's effective value under ``knobs``, so
+    it names the configuration that produced it.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(snapshot(registry, extra), indent=2, sort_keys=True, default=str)
-        + "\n"
-    )
+    data = snapshot(registry, extra)
+    data["knobs"] = knobs.snapshot()
+    path.write_text(json.dumps(data, indent=2, sort_keys=True, default=str) + "\n")
     return path
 
 

@@ -5,8 +5,9 @@ All subsystems log through children of the ``repro`` logger —
 handler configuration controls the whole stack.  Two environment knobs:
 
 ``REPRO_LOG_LEVEL``
-    Root level of the hierarchy (``debug``/``info``/``warning``/``error``;
-    default ``warning``, so instrumented paths are silent unless asked).
+    Root level of the hierarchy (``debug``/``info``/``warning``/``error``/
+    ``critical``; default ``warning``, so instrumented paths are silent
+    unless asked).
 ``REPRO_LOG_FORMAT``
     ``text`` (default, human-readable single lines) or ``json`` (one JSON
     object per line: ``ts``, ``level``, ``logger``, ``message`` plus any
@@ -23,25 +24,15 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import sys
 import threading
 from typing import Any, Dict, Optional, TextIO
 
+from .. import knobs
+
 __all__ = ["ROOT_LOGGER_NAME", "get_logger", "configure_logging", "JsonFormatter"]
 
 ROOT_LOGGER_NAME = "repro"
-
-_LEVELS = {
-    "debug": logging.DEBUG,
-    "info": logging.INFO,
-    "warning": logging.WARNING,
-    "warn": logging.WARNING,
-    "error": logging.ERROR,
-    "critical": logging.CRITICAL,
-}
-
-_FORMATS = ("text", "json")
 
 # Attributes every LogRecord carries; anything else came in via ``extra=``
 # and is emitted as a structured field by the JSON formatter.
@@ -71,16 +62,6 @@ class JsonFormatter(logging.Formatter):
         return json.dumps(payload, sort_keys=True, default=str)
 
 
-def _env_level(explicit: Optional[str]) -> int:
-    raw = (explicit or os.environ.get("REPRO_LOG_LEVEL", "warning")).strip().lower()
-    return _LEVELS.get(raw, logging.WARNING)
-
-
-def _env_format(explicit: Optional[str]) -> str:
-    raw = (explicit or os.environ.get("REPRO_LOG_FORMAT", "text")).strip().lower()
-    return raw if raw in _FORMATS else "text"
-
-
 def configure_logging(
     level: Optional[str] = None,
     fmt: Optional[str] = None,
@@ -93,11 +74,13 @@ def configure_logging(
     (default ``sys.stderr``) and stops propagating to the global root.
     """
     global _configured
+    level = level or knobs.get("REPRO_LOG_LEVEL")
+    fmt = fmt or knobs.get("REPRO_LOG_FORMAT")
     root = logging.getLogger(ROOT_LOGGER_NAME)
     with _config_lock:
-        root.setLevel(_env_level(level))
+        root.setLevel(level.upper())
         handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
-        if _env_format(fmt) == "json":
+        if fmt.lower() == "json":
             handler.setFormatter(JsonFormatter())
         else:
             handler.setFormatter(

@@ -26,10 +26,11 @@ events) live in :mod:`repro.obs.export`; the structured logging setup in
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from .. import knobs
 
 __all__ = [
     "metrics_enabled",
@@ -44,8 +45,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
 ]
 
-_OFF_VALUES = {"off", "0", "false", "no", "disabled"}
-
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
@@ -56,12 +55,8 @@ _DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
 def metrics_enabled() -> bool:
-    """Whether instrument updates are live (``REPRO_METRICS`` knob).
-
-    Any of ``off``/``0``/``false``/``no``/``disabled`` (case-insensitive)
-    disables metrics; everything else — including unset — enables them.
-    """
-    return os.environ.get("REPRO_METRICS", "on").strip().lower() not in _OFF_VALUES
+    """Whether instrument updates are live (the ``REPRO_METRICS`` flag, default on)."""
+    return knobs.get("REPRO_METRICS")
 
 
 # ---------------------------------------------------------------------- #

@@ -42,6 +42,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
+from .. import knobs
+
 __all__ = [
     "tracing_enabled",
     "SpanContext",
@@ -52,16 +54,10 @@ __all__ = [
     "current_span",
 ]
 
-_OFF_VALUES = {"off", "0", "false", "no", "disabled"}
-
 
 def tracing_enabled() -> bool:
-    """Whether span recording is live (``REPRO_TRACING`` knob).
-
-    Any of ``off``/``0``/``false``/``no``/``disabled`` (case-insensitive)
-    disables tracing; everything else — including unset — enables it.
-    """
-    return os.environ.get("REPRO_TRACING", "on").strip().lower() not in _OFF_VALUES
+    """Whether span recording is live (the ``REPRO_TRACING`` flag, default on)."""
+    return knobs.get("REPRO_TRACING")
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,7 @@ class PlanCosting:
         """
         if self.service is None:
             return ServiceStats()
-        return self.service.stats.snapshot() - self._stats_baseline
+        return self.service.stats.snapshot().delta(self._stats_baseline)
 
     @property
     def wave_stats(self) -> Dict[str, float]:

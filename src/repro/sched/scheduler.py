@@ -44,13 +44,11 @@ Perfetto.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cluster.hardware import ClusterSpec
-from ..core.parallel_search import _env_float
 from ..core.plan import ExecutionPlan
 from ..core.pruning import PruneConfig
 from ..core.search import SearchConfig
@@ -78,17 +76,6 @@ __all__ = ["NodeFailure", "SchedulerConfig", "ClusterScheduler", "schedule_trace
 _FAILURE, _RECOVERY, _ARRIVAL, _ITERATION = "failure", "recovery", "arrival", "iteration"
 _SEARCH_POLL = "search_poll"
 _PRIORITY = {_FAILURE: 0, _RECOVERY: 1, _ARRIVAL: 2, _ITERATION: 3, _SEARCH_POLL: 4}
-
-_OFF_VALUES = {"off", "0", "false", "no", "disabled"}
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    """Boolean knob: unset → ``default``; any :data:`_OFF_VALUES` word → off."""
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in _OFF_VALUES
-
 
 @dataclass(frozen=True)
 class NodeFailure:
@@ -131,46 +118,49 @@ class SchedulerConfig:
     online_search: Optional[SearchConfig] = None
     """Budget of one job's background session; defaults to 4x ``search``
     (spread over the job's runtime, one slice per poll)."""
-    poll_interval_s: float = field(
-        default_factory=lambda: _env_float("REPRO_SCHED_POLL_INTERVAL", 20.0)
-    )
-    """Virtual seconds between ``SEARCH_POLL`` kernel events
-    (``REPRO_SCHED_POLL_INTERVAL``)."""
+    poll_interval_s: float = 20.0
+    """Virtual seconds between ``SEARCH_POLL`` kernel events (> 0)."""
     poll_iterations: int = 200
     """Search proposals per chain consumed by one background poll."""
-    swap_margin: float = field(
-        default_factory=lambda: max(1.0, _env_float("REPRO_SCHED_SWAP_MARGIN", 1.05))
-    )
+    swap_margin: float = 1.05
     """Minimum ratio of current planned iteration time over the candidate's
-    switch-amortized iteration time for a hot swap (``REPRO_SCHED_SWAP_MARGIN``;
-    clamped to >= 1 so a swap can never be taken at a loss)."""
-    bg_core_share: float = field(
-        default_factory=lambda: min(1.0, _env_float("REPRO_BG_CORE_SHARE", 0.5))
-    )
-    """Fraction of the service's core budget one background session may
-    borrow per poll (``REPRO_BG_CORE_SHARE``); the shared governor still
-    arbitrates, so foreground replans always win the contention."""
-    timeline: bool = field(
-        default_factory=lambda: _env_flag("REPRO_SCHED_TIMELINE", True)
-    )
-    """Whether to record the per-decision timeline (``REPRO_SCHED_TIMELINE``).
-    Off, a month-long fleet replay accumulates no in-memory timeline entries
-    and pays no per-decision metrics/logging cost; the schedule report's
-    ``timeline`` list is simply empty."""
-    counter_interval_s: float = field(
-        default_factory=lambda: max(
-            0.0, _env_float("REPRO_SCHED_COUNTER_INTERVAL", 0.0)
-        )
-    )
-    """Minimum virtual seconds between live counter-track samples
-    (``REPRO_SCHED_COUNTER_INTERVAL``; 0 samples at every dispatch step).
-    Fleet replays set an interval so the in-memory sample list stays bounded
-    by the horizon, not the event count."""
+    switch-amortized iteration time for a hot swap (>= 1, so a swap can
+    never be taken at a loss)."""
+    bg_core_share: float = 0.5
+    """Fraction, in ``(0, 1]``, of the service's core budget one background
+    session may borrow per poll; the shared governor still arbitrates, so
+    foreground replans always win the contention."""
+    timeline: bool = True
+    """Whether to record the per-decision timeline.  Off, a month-long fleet
+    replay accumulates no in-memory timeline entries and pays no
+    per-decision metrics/logging cost; the schedule report's ``timeline``
+    list is simply empty."""
+    counter_interval_s: float = 0.0
+    """Minimum virtual seconds (>= 0) between live counter-track samples;
+    0 samples at every dispatch step.  Fleet replays set an interval so the
+    in-memory sample list stays bounded by the horizon, not the event
+    count."""
     memoize_candidates: bool = False
     """Memoize (job-type, shape) → scored candidate inside :class:`PlanCosting`.
     Off by default: the memo short-circuits the plan service, so service-level
     cache statistics stop counting repeated scoring waves.  Fleet replay turns
     it on — thousands of decisions re-score identical candidates."""
+
+    def __post_init__(self) -> None:
+        if not self.swap_margin >= 1.0:
+            raise ValueError(f"swap_margin must be >= 1, got {self.swap_margin}")
+        if not 0.0 < self.bg_core_share <= 1.0:
+            raise ValueError(
+                f"bg_core_share must be in (0, 1], got {self.bg_core_share}"
+            )
+        if not self.poll_interval_s > 0:
+            raise ValueError(
+                f"poll_interval_s must be > 0, got {self.poll_interval_s}"
+            )
+        if not self.counter_interval_s >= 0:
+            raise ValueError(
+                f"counter_interval_s must be >= 0, got {self.counter_interval_s}"
+            )
 
     def resolved_replan_search(self) -> SearchConfig:
         if self.replan_search is not None:
@@ -273,17 +263,8 @@ class ClusterScheduler:
         self._timeline_enabled = self.config.timeline
         self._segments: List[_Segment] = []
         self._open_segments: Dict[int, _Segment] = {}
-        # Running-set index and per-event report aggregates: every value the
-        # end-of-run report needs is maintained O(1) at the event that changes
-        # it, so neither the hot loop nor the report ever scans all jobs.
-        # ``legacy_report()`` keeps the original scans as the parity oracle.
+        # Running-set index, so the hot loop never scans all jobs.
         self._running_jobs: Dict[int, Job] = {}
-        self._iterations_total = 0.0
-        self._n_completed = 0
-        self._last_completion = 0.0
-        self._min_arrival = min(
-            (job.spec.arrival_time for job in self.jobs), default=0.0
-        )
         self._n_open_sessions = 0
         self._n_swaps_taken = 0
         self._n_failures = 0
@@ -525,7 +506,6 @@ class ClusterScheduler:
             return  # stale event from before a displacement
         self._accrue(job, time)
         job.iterations_done += 1.0
-        self._iterations_total += 1.0
         if job.iterations_done >= job.spec.target_iterations:
             self._complete(job, time)
         else:
@@ -541,9 +521,6 @@ class ClusterScheduler:
         job.phase = JobPhase.COMPLETED
         self._running_jobs.pop(job.uid, None)
         job.completed_at = time
-        if not self._n_completed or time > self._last_completion:
-            self._last_completion = time
-        self._n_completed += 1
         job.segment_started_at = None
         job.pending_event = None
         self._close_segment(job, time)
@@ -984,61 +961,17 @@ class ClusterScheduler:
         ]
 
     def _report(self) -> ScheduleReport:
-        """Build the report from the per-event aggregates (no job scans).
-
-        ``makespan``/``total_iterations`` come from values maintained O(1)
-        at the event that changed them; :meth:`legacy_report` recomputes the
-        same report with the original end-of-run scans and the two must be
-        bit-identical (``total_iterations`` increments by exactly 1.0, so
-        incremental and per-job summation are both exact;
-        ``total_switch_seconds`` is summed in job order in both paths
-        because chronological float accumulation could drift by ulps).
-        """
-        start = self._min_arrival
-        makespan = (self._last_completion - start) if self._n_completed else 0.0
-        return ScheduleReport(
-            policy=self.policy.name,
-            cluster_gpus=self.cluster.n_gpus,
-            jobs=self._job_metrics(),
-            makespan=makespan,
-            busy_horizon=max(0.0, self._busy_until - start),
-            total_iterations=self._iterations_total,
-            n_failures=self._n_failures,
-            n_recoveries=self._n_recoveries,
-            candidates_scored=self.costing.candidates_scored,
-            cold_searches=self.costing.cold_stats,
-            replan_searches=self.costing.replan_stats,
-            service_stats=self._service_stats_delta(),
-            timeline=self._timeline,
-            n_events=self.kernel.n_processed,
-            engine_profile_runs=self.profiler.engine_runs,
-            total_switch_seconds=sum(job.switch_seconds for job in self.jobs),
-            n_search_polls=self._n_search_polls,
-            n_swaps_rejected=self._n_swaps_rejected,
-            swap_seconds_saved=self._swap_seconds_saved,
-            online_sessions=self._n_sessions_started,
-        )
-
-    def legacy_report(self) -> ScheduleReport:
-        """The original end-of-run-scan report: the parity oracle.
-
-        Recomputes every aggregate by scanning all jobs, exactly as the
-        pre-incremental implementation did.  Kept so tests can assert the
-        per-event aggregation in :meth:`_report` is bit-identical on any
-        finished run.
-        """
+        """Build the report from one scan of the per-job metrics."""
         job_metrics = self._job_metrics()
         completions = [m.completed_at for m in job_metrics if m.completed_at is not None]
-        arrivals = [m.arrival_time for m in job_metrics]
-        start = min(arrivals) if arrivals else 0.0
-        makespan = (max(completions) - start) if completions else 0.0
+        start = min((m.arrival_time for m in job_metrics), default=0.0)
         return ScheduleReport(
             policy=self.policy.name,
             cluster_gpus=self.cluster.n_gpus,
             jobs=job_metrics,
-            makespan=makespan,
+            makespan=(max(completions) - start) if completions else 0.0,
             busy_horizon=max(0.0, self._busy_until - start),
-            total_iterations=sum(m.iterations for m in job_metrics),
+            total_iterations=sum((m.iterations for m in job_metrics), 0.0),
             n_failures=self._n_failures,
             n_recoveries=self._n_recoveries,
             candidates_scored=self.costing.candidates_scored,

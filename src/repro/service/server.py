@@ -151,8 +151,7 @@ class ServiceStats:
     def delta(self, baseline: "ServiceStats") -> "ServiceStats":
         """Field-wise difference: this run's share of shared-service counters.
 
-        ``live.snapshot().delta(baseline)`` (or ``snapshot - baseline``)
-        returns a new :class:`ServiceStats` whose derived ``hit_rate`` is
+        ``live.snapshot().delta(baseline)`` returns a new :class:`ServiceStats` whose derived ``hit_rate`` is
         recomputed from the delta counters — the per-run view schedulers and
         benchmarks report when several runs share one service.
         """
@@ -162,11 +161,6 @@ class ServiceStats:
                 for spec in dataclasses.fields(self)
             }
         )
-
-    def __sub__(self, baseline: "ServiceStats") -> "ServiceStats":
-        if not isinstance(baseline, ServiceStats):
-            return NotImplemented
-        return self.delta(baseline)
 
     def to_dict(self) -> Dict[str, float]:
         """Machine-readable form of the counters (benchmarks, schedulers)."""

@@ -27,47 +27,16 @@ cleanly.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .. import knobs
+
 __all__ = ["TraceSpan", "TraceRecorder", "validate_chrome_events", "load_chrome_trace"]
 
 _US_PER_S = 1e6
-
-
-def _env_sample_rate() -> float:
-    """``REPRO_TRACE_SAMPLE`` keep-rate in ``(0, 1]`` (default 1.0: keep all).
-
-    Malformed or out-of-range values fail loudly — a typo silently dropping
-    trace events would be much worse than a crash at recorder construction.
-    """
-    raw = os.environ.get("REPRO_TRACE_SAMPLE", "").strip()
-    if not raw:
-        return 1.0
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_TRACE_SAMPLE must be a float in (0, 1], got {raw!r}")
-    if not (0.0 < value <= 1.0):
-        raise ValueError(f"REPRO_TRACE_SAMPLE must be in (0, 1], got {value}")
-    return value
-
-
-def _env_max_events() -> int:
-    """``REPRO_TRACE_MAX_EVENTS`` hard cap (default 0: unbounded)."""
-    raw = os.environ.get("REPRO_TRACE_MAX_EVENTS", "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(float(raw))
-    except ValueError:
-        raise ValueError(f"REPRO_TRACE_MAX_EVENTS must be an integer >= 0, got {raw!r}")
-    if value < 0:
-        raise ValueError(f"REPRO_TRACE_MAX_EVENTS must be >= 0, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -118,8 +87,8 @@ class TraceRecorder:
     _tids: Dict[Tuple[str, str], int] = field(default_factory=dict)
     _n_threads: Dict[str, int] = field(default_factory=dict)
     """Threads interned so far per process (the next tid is this plus one)."""
-    sample_rate: float = field(default_factory=_env_sample_rate)
-    max_events: int = field(default_factory=_env_max_events)
+    sample_rate: float = field(default_factory=lambda: knobs.get("REPRO_TRACE_SAMPLE"))
+    max_events: int = field(default_factory=lambda: knobs.get("REPRO_TRACE_MAX_EVENTS"))
     n_sampled_out: int = 0
     """Payload events dropped by the sampling keep-rate."""
     n_capped_out: int = 0

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import knobs
 from repro.cluster import make_cluster
 from repro.core import SearchConfig
 from repro.obs import (
@@ -194,6 +195,7 @@ class TestSnapshot:
         data = json.loads(path.read_text())
         assert data["meta"]["mode"] == "unit"
         assert data["metrics"]["w_total"]["series"][0]["value"] == 7
+        assert data["knobs"] == knobs.snapshot()
 
     def test_snapshot_stamps_schema_version(self, registry):
         from repro.obs import SNAPSHOT_SCHEMA_VERSION

@@ -50,13 +50,19 @@ class TestTracingKnob:
         assert not tracing_enabled()
         assert not Tracer().enabled
 
-    @pytest.mark.parametrize("value", [None, "on", "1", "anything"])
+    @pytest.mark.parametrize("value", [None, "on", "1"])
     def test_on_values(self, monkeypatch, value):
         if value is None:
             monkeypatch.delenv("REPRO_TRACING", raising=False)
         else:
             monkeypatch.setenv("REPRO_TRACING", value)
         assert tracing_enabled()
+
+    @pytest.mark.parametrize("value", ["anything", "of"])
+    def test_malformed_values_raise(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_TRACING", value)
+        with pytest.raises(ValueError, match="REPRO_TRACING"):
+            tracing_enabled()
 
     def test_disabled_tracer_is_free(self):
         disabled = Tracer(enabled=False)

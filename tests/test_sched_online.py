@@ -150,6 +150,18 @@ class TestOnlineReplanning:
         assert online.max_iterations == 400
         assert online.time_budget_s == pytest.approx(8.0)
 
-    def test_swap_margin_clamped_to_at_least_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED_SWAP_MARGIN", "0.5")
-        assert SchedulerConfig().swap_margin == 1.0
+    def test_swap_margin_clamped_to_at_least_one(self):
+        # Invalid fields fail at construction, so a swap is never taken at a
+        # loss, whether the value comes from a default or a caller.
+        for field, value in [
+            ("swap_margin", 0.5),
+            ("bg_core_share", 0.0),
+            ("bg_core_share", 3.0),
+            ("poll_interval_s", 0.0),
+            ("poll_interval_s", -1.0),
+            ("counter_interval_s", -5.0),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                SchedulerConfig(**{field: value})
+        edge = SchedulerConfig(swap_margin=1.0, bg_core_share=1.0, counter_interval_s=0.0)
+        assert edge.swap_margin == 1.0 and edge.bg_core_share == 1.0

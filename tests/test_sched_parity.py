@@ -1,13 +1,7 @@
-"""Incremental report aggregation parity and the fleet-scale scheduler knobs.
+"""The fleet-scale scheduler recording fields.
 
-The scheduler now builds its :class:`ScheduleReport` from O(1) per-event
-accounting (running-job index, iteration/completion counters, incremental
-makespan) instead of end-of-run scans.  ``legacy_report()`` keeps the
-original scan-everything implementation as a parity oracle: these tests
-assert the two are **bit-identical** (``to_dict() == to_dict()``) across
-randomized traces × policies × failure injections, and that the new
-``timeline`` / ``counter_interval_s`` knobs only drop recording overhead,
-never change scheduling outcomes.
+``SchedulerConfig.timeline`` and ``counter_interval_s`` only drop recording
+overhead; these tests assert they never change scheduling outcomes.
 """
 
 import random
@@ -19,7 +13,6 @@ from repro.core import SearchConfig
 from repro.sched import (
     ClusterScheduler,
     JobSpec,
-    NodeFailure,
     SchedulerConfig,
 )
 from repro.service import PlanService
@@ -50,50 +43,9 @@ def _random_trace(seed: int, n_jobs: int = 5):
 
 @pytest.fixture(scope="module")
 def shared_service():
-    """One warm service for every parity run: same shapes hit the cache."""
+    """One warm service for every run: same shapes hit the cache."""
     with PlanService(max_workers=4, estimator_cache_size=32) as service:
         yield service
-
-
-class TestIncrementalReportParity:
-    @pytest.mark.parametrize("policy", ["first_fit", "best_throughput", "priority"])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_report_bit_identical_to_legacy(self, policy, seed, shared_service):
-        scheduler = ClusterScheduler(
-            cluster=make_cluster(32),
-            jobs=_random_trace(seed),
-            policy=policy,
-            config=SchedulerConfig(search=TINY_SEARCH),
-            service=shared_service,
-        )
-        report = scheduler.run()
-        assert report.all_completed
-        assert report.to_dict() == scheduler.legacy_report().to_dict()
-
-    @pytest.mark.parametrize("policy", ["first_fit", "best_throughput"])
-    def test_parity_with_failure_injection(self, policy, shared_service):
-        scheduler = ClusterScheduler(
-            cluster=make_cluster(32),
-            jobs=_random_trace(2),
-            policy=policy,
-            config=SchedulerConfig(search=TINY_SEARCH),
-            service=shared_service,
-            failures=[NodeFailure(time=20.0, node=1, recovery_time=120.0)],
-        )
-        report = scheduler.run()
-        assert report.all_completed
-        assert report.n_failures == 1
-        assert report.to_dict() == scheduler.legacy_report().to_dict()
-
-    def test_parity_before_run_is_empty(self, shared_service):
-        scheduler = ClusterScheduler(
-            cluster=make_cluster(16),
-            jobs=[JobSpec(name="solo", batch_size=64, target_iterations=2,
-                          min_gpus=8, max_gpus=8)],
-            config=SchedulerConfig(search=TINY_SEARCH),
-            service=shared_service,
-        )
-        assert scheduler._report().to_dict() == scheduler.legacy_report().to_dict()
 
 
 class TestTimelineKnob:
@@ -129,14 +81,6 @@ class TestTimelineKnob:
         assert on.makespan == off.makespan
         assert on.total_iterations == off.total_iterations
 
-    def test_timeline_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED_TIMELINE", "off")
-        assert SchedulerConfig().timeline is False
-        monkeypatch.setenv("REPRO_SCHED_TIMELINE", "1")
-        assert SchedulerConfig().timeline is True
-        monkeypatch.delenv("REPRO_SCHED_TIMELINE")
-        assert SchedulerConfig().timeline is True
-
 
 class TestCounterIntervalKnob:
     def test_interval_throttles_samples(self, shared_service):
@@ -161,10 +105,3 @@ class TestCounterIntervalKnob:
         assert len(sparse) == 1
         assert len(sparse) < len(dense)
 
-    def test_counter_interval_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED_COUNTER_INTERVAL", "30")
-        assert SchedulerConfig().counter_interval_s == 30.0
-        monkeypatch.setenv("REPRO_SCHED_COUNTER_INTERVAL", "-5")
-        assert SchedulerConfig().counter_interval_s == 0.0
-        monkeypatch.delenv("REPRO_SCHED_COUNTER_INTERVAL")
-        assert SchedulerConfig().counter_interval_s == 0.0

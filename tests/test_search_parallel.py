@@ -140,7 +140,9 @@ class TestChainPickling:
         # Simulate the worker lifecycle in-process, through a pickle boundary.
         _init_chain_worker(pickle.loads(pickle.dumps(problem)))
         worker_result = _run_chain_in_worker(ChainSpec(chain=1, max_iterations=30))
-        local_result = searcher.run_chain(1, start, start_cost, 30)
+        local_result = searcher.advance_chain(
+            searcher.init_chain_state(1, start, start_cost, 30)
+        ).to_result()
         assert worker_result.best_cost == local_result.best_cost
         assert worker_result.n_iterations == local_result.n_iterations
         assert worker_result.n_accepted == local_result.n_accepted
