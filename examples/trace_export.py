@@ -75,7 +75,7 @@ def main() -> None:
     )
     events = load_chrome_trace(schedule_path)
     print(f"schedule: {report.n_completed}/{report.n_jobs} jobs, "
-          f"makespan {report.makespan:.1f}s, {report.n_events} kernel events, "
+          f"makespan {report.makespan:.1f}s, {report.n_events} simulated events, "
           f"{report.engine_profile_runs} engine profiles, "
           f"{report.total_switch_seconds:.2f}s parameter switches")
     print(f"merged trace: {len(events)} events -> {schedule_path}")

@@ -9,10 +9,12 @@ its phase, current partition, plan and engine-derived iteration profile,
 accumulated progress and the displacement counters (replans, preemptions,
 elastic resizes).
 
-Progress is **iteration-granular**: a job advances one whole RLHF iteration
-per kernel event at the pace of its engine-simulated
-:class:`~repro.sched.profiles.IterationProfile`; an iteration interrupted by
-a preemption, failure or elastic migration is lost (its GPU time is still
+Progress is **iteration-granular**: a job advances whole RLHF iterations at
+the pace of its engine-simulated
+:class:`~repro.sched.profiles.IterationProfile`, each iteration banked at its
+boundary (the scheduler arms kernel events only at boundaries something
+observes and banks the ones in between); an iteration interrupted by a
+preemption, failure or elastic migration is lost (its GPU time is still
 billed), exactly as an aborted training step would be on a real cluster.
 """
 
@@ -144,7 +146,13 @@ class Job:
     iteration_started_at: Optional[float] = None
     """Start of the in-flight iteration (for intra-iteration phase queries)."""
     pending_event: Optional["Event"] = None
-    """The job's next scheduled iteration-boundary kernel event."""
+    """The job's armed iteration-boundary kernel event: the next boundary
+    something observes, which may lie several boundaries ahead."""
+    next_boundary_at: Optional[float] = None
+    """Time of the first iteration boundary of the segment not yet banked."""
+    armed_boundaries: int = 0
+    """Boundaries from ``next_boundary_at`` up to and including the one
+    ``pending_event`` fires at."""
     prev_partition: Optional["Partition"] = None
     prev_plan: Optional[ExecutionPlan] = None
     """Located layout of the last segment — what migration costs are charged
@@ -205,8 +213,9 @@ class Job:
         """Bank the GPU time of the current running segment up to ``now``.
 
         Progress is *not* banked here — iterations complete only at their
-        kernel events; a segment cut short mid-iteration paid for GPUs
-        without finishing the step.
+        boundaries, which the scheduler banks in order (from the armed kernel
+        event or when a cut settles the boundaries it passed); a segment cut
+        short mid-iteration paid for GPUs without finishing the step.
         """
         if self.segment_started_at is None:
             return

@@ -112,7 +112,9 @@ class ScheduleReport:
     timeline: List[Dict[str, Any]] = field(default_factory=list)
     """Chronological ``{time, event, job, detail}`` records of the run."""
     n_events: int = 0
-    """Kernel events processed (arrivals, iteration boundaries, failures...)."""
+    """Simulated events: kernel events processed (arrivals, failures, armed
+    iteration boundaries...) plus the iteration boundaries banked without a
+    kernel event of their own, so not all of them are kernel events."""
     engine_profile_runs: int = 0
     """Distinct runtime-engine iteration simulations behind the progress
     model (cache misses of the :class:`~repro.sched.profiles.IterationProfiler`)."""

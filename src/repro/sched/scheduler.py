@@ -8,11 +8,15 @@ the same kernel the iteration-level runtime engine executes plans on.  The
 event loop covers:
 
 * **arrivals** — jobs join the queue at their arrival time;
-* **iteration boundaries** — a placed job advances one whole RLHF iteration
-  per kernel event, paced by the engine-simulated
+* **iteration boundaries** — a placed job advances whole RLHF iterations,
+  paced by the engine-simulated
   :class:`~repro.sched.profiles.IterationProfile` of its searched plan (not
   a flat ``iters/s`` scalar), and completes at the boundary that reaches
-  ``target_iterations``;
+  ``target_iterations``.  A kernel event is armed only at the next boundary
+  something observes: every boundary while a background re-planning session
+  may hot-swap the plan, otherwise just the last one.  Skipped boundaries
+  are banked with the same float arithmetic when that event fires or when a
+  cut interrupts the segment, so outcomes match one event per boundary;
 * **failures / recoveries** — injected whole-node failures displace every
   job whose partition touches the node; recoveries return the capacity;
 * **elastic resizes** — when capacity frees up and the queue is empty,
@@ -44,7 +48,9 @@ Perfetto.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -76,6 +82,7 @@ __all__ = ["NodeFailure", "SchedulerConfig", "ClusterScheduler", "schedule_trace
 _FAILURE, _RECOVERY, _ARRIVAL, _ITERATION = "failure", "recovery", "arrival", "iteration"
 _SEARCH_POLL = "search_poll"
 _PRIORITY = {_FAILURE: 0, _RECOVERY: 1, _ARRIVAL: 2, _ITERATION: 3, _SEARCH_POLL: 4}
+_UID = attrgetter("uid")
 
 @dataclass(frozen=True)
 class NodeFailure:
@@ -263,8 +270,12 @@ class ClusterScheduler:
         self._timeline_enabled = self.config.timeline
         self._segments: List[_Segment] = []
         self._open_segments: Dict[int, _Segment] = {}
-        # Running-set index, so the hot loop never scans all jobs.
+        # Running-set index, so the hot loop never scans all jobs, plus the
+        # same jobs kept in uid order so policies never wait on a sort.
         self._running_jobs: Dict[int, Job] = {}
+        self._running_order: List[Job] = []
+        # Iteration boundaries banked without a kernel event of their own.
+        self._n_banked_boundaries = 0
         self._n_open_sessions = 0
         self._n_swaps_taken = 0
         self._n_failures = 0
@@ -344,16 +355,23 @@ class ClusterScheduler:
         )
 
     def _running(self) -> List[Job]:
-        """Running jobs in submission (uid) order, from the running-set index.
+        """Running jobs in submission (uid) order, as a fresh list.
 
-        Uids ascend in ``self.jobs`` order, so sorting by uid reproduces the
-        order the old all-jobs scan yielded — policies iterate this list, so
-        the order is behaviour, not cosmetics.
+        Uids ascend in ``self.jobs`` order, so uid order reproduces the order
+        an all-jobs scan would yield — policies iterate this list, so the
+        order is behaviour, not cosmetics.
         """
-        running = self._running_jobs
-        if not running:
-            return []
-        return sorted(running.values(), key=lambda job: job.uid)
+        return list(self._running_order)
+
+    def _mark_running(self, job: Job) -> None:
+        # Swaps and resizes restart an already-running job: index it once.
+        if job.uid not in self._running_jobs:
+            self._running_jobs[job.uid] = job
+            insort(self._running_order, job, key=_UID)
+
+    def _unmark_running(self, job: Job) -> None:
+        if self._running_jobs.pop(job.uid, None) is not None:
+            del self._running_order[bisect_left(self._running_order, job.uid, key=_UID)]
 
     def _accrue(self, job: Job, time: float) -> None:
         """Bank a job's GPU time and extend the busy horizon."""
@@ -504,6 +522,7 @@ class ClusterScheduler:
         job, generation = payload
         if job.generation != generation or not job.is_running:
             return  # stale event from before a displacement
+        self._settle(job)
         self._accrue(job, time)
         job.iterations_done += 1.0
         if job.iterations_done >= job.spec.target_iterations:
@@ -512,14 +531,51 @@ class ClusterScheduler:
             if self._maybe_swap(job, time):
                 return  # _start_segment armed the next boundary
             job.iteration_started_at = time
-            job.pending_event = self._push(
-                time + job.seconds_per_iteration, _ITERATION, (job, job.generation)
-            )
+            job.next_boundary_at = time + job.seconds_per_iteration
+            self._arm_boundary(job)
+
+    def _arm_boundary(self, job: Job) -> None:
+        """Push the one kernel event of the next boundary something observes.
+
+        A background session's hot swap is decided at every boundary
+        (:meth:`_maybe_swap`), so a segment with a session gets an event per
+        boundary.  Without one nothing reads the intermediate boundaries, and
+        the event goes straight to the segment's last boundary, computed with
+        the same float recurrence :meth:`_settle` banks them with.
+        """
+        ahead = 1 if job.session is not None else int(job.remaining_iterations)
+        time = job.next_boundary_at
+        for _ in range(ahead - 1):
+            time += job.seconds_per_iteration
+        job.armed_boundaries = ahead
+        job.pending_event = self._push(time, _ITERATION, (job, job.generation))
+
+    def _settle(self, job: Job, until: float = float("inf"), inclusive: bool = True) -> None:
+        """Bank the boundaries the armed event skipped (all but its own).
+
+        Each banked boundary does exactly what its own kernel event would
+        have: accrue GPU time up to it, complete one iteration, start the
+        next.  A cut stops at its ``until`` time; ``inclusive`` says whether a
+        boundary at that very time would already have been handled (cuts
+        from dispatch run after the timestamp drained; failures run first).
+        """
+        limit = job.armed_boundaries - 1
+        boundary = job.next_boundary_at
+        banked = 0
+        while banked < limit and (boundary <= until if inclusive else boundary < until):
+            self._accrue(job, boundary)
+            job.iterations_done += 1.0
+            job.iteration_started_at = boundary
+            boundary += job.seconds_per_iteration
+            banked += 1
+        job.next_boundary_at = boundary
+        job.armed_boundaries -= banked
+        self._n_banked_boundaries += banked
 
     def _complete(self, job: Job, time: float) -> None:
         self._stop_session(job)
         job.phase = JobPhase.COMPLETED
-        self._running_jobs.pop(job.uid, None)
+        self._unmark_running(job)
         job.completed_at = time
         job.segment_started_at = None
         job.pending_event = None
@@ -705,14 +761,17 @@ class ClusterScheduler:
         self._log(time, "swap", job, detail)
         return True
 
-    def _cut_segment(self, job: Job, time: float) -> None:
+    def _cut_segment(self, job: Job, time: float, before_boundaries: bool = False) -> None:
         """Shared teardown of a running segment (displacement or migration).
 
-        Banks the GPU time, closes the trace segment, invalidates the
-        pending iteration event and remembers the located layout that
+        Banks the iteration boundaries passed by ``time`` — one at exactly
+        ``time`` too, unless the cut runs ``before_boundaries`` of its
+        timestamp — and the GPU time, closes the trace segment, invalidates
+        the pending iteration event and remembers the located layout that
         migration costs will be charged against.  The in-flight iteration is
         lost — progress is iteration-granular.
         """
+        self._settle(job, until=time, inclusive=not before_boundaries)
         self._stop_session(job)
         self._accrue(job, time)
         self._close_segment(job, time)
@@ -730,8 +789,9 @@ class ClusterScheduler:
         node failure the resident parameter copy is gone, so the eventual
         re-placement pays a full reload instead of a relayout.
         """
+        # Failure events precede same-time iteration boundaries in the kernel.
+        self._cut_segment(job, time, before_boundaries=reason == "failure")
         phase = job.current_phase(time)
-        self._cut_segment(job, time)
         if reason == "failure":
             job.lost_params = True
         self.manager.release(job.uid)
@@ -743,7 +803,7 @@ class ClusterScheduler:
         job.segment_started_at = None
         job.iteration_started_at = None
         job.phase = JobPhase.PENDING
-        self._running_jobs.pop(job.uid, None)
+        self._unmark_running(job)
         if reason == "preemption":
             job.n_preemptions += 1
         self._queue.append(job)
@@ -807,15 +867,11 @@ class ClusterScheduler:
         job.seconds_per_iteration = profile.seconds_per_iteration
         job.planned_seconds_per_iteration = planned_seconds_per_iteration
         job.phase = JobPhase.RUNNING
-        self._running_jobs[job.uid] = job
+        self._mark_running(job)
         job.segment_started_at = time
         job.switch_seconds += switch
         job.iteration_started_at = time + switch
-        job.pending_event = self._push(
-            time + switch + profile.seconds_per_iteration,
-            _ITERATION,
-            (job, job.generation),
-        )
+        job.next_boundary_at = time + switch + profile.seconds_per_iteration
         segment = _Segment(
             job=job.name,
             partition=partition.describe(),
@@ -828,6 +884,7 @@ class ClusterScheduler:
         self._segments.append(segment)
         self._open_segments[job.uid] = segment
         self._maybe_start_session(job, time)
+        self._arm_boundary(job)  # after the session start: it decides the event
         return switch
 
     def _close_segment(self, job: Job, time: float) -> None:
@@ -880,7 +937,7 @@ class ClusterScheduler:
         this valve an infeasible job would leave the whole report pending.
         Returns whether any job was dropped.
         """
-        if not self._queue or self._running() or self.manager.failed_ids:
+        if not self._queue or self._running_jobs or self.manager.failed_ids:
             return False
         dropped = False
         for job in list(self._queue):
@@ -979,7 +1036,7 @@ class ClusterScheduler:
             replan_searches=self.costing.replan_stats,
             service_stats=self._service_stats_delta(),
             timeline=self._timeline,
-            n_events=self.kernel.n_processed,
+            n_events=self.kernel.n_processed + self._n_banked_boundaries,
             engine_profile_runs=self.profiler.engine_runs,
             total_switch_seconds=sum(job.switch_seconds for job in self.jobs),
             n_search_polls=self._n_search_polls,
@@ -1048,13 +1105,14 @@ class ClusterScheduler:
                 if segment.end_iteration is not None
                 else segment.start_iteration
             )
+            calls = sorted(segment.profile.call_spans.items())
             for k in range(end_iteration - segment.start_iteration):
                 base = first_boundary + k * segment.iter_seconds
                 recorder.add_span(
                     process, "iterations", f"iter {segment.start_iteration + k}",
                     base, base + segment.iter_seconds, category="iteration",
                 )
-                for call, (span_start, span_end) in sorted(segment.profile.call_spans.items()):
+                for call, (span_start, span_end) in calls:
                     recorder.add_span(
                         process, call, call, base + span_start, base + span_end,
                         category="phase",

@@ -354,6 +354,66 @@ class TestTraceDrivenProgress:
         # The engine pace deliberately differs from the estimator's scalar.
         assert period != runtime_job.planned_seconds_per_iteration
 
+    @staticmethod
+    def _spy(scheduler, method, time_arg=0):
+        """Record the times ``scheduler.<method>`` is called at."""
+        times = []
+        original = getattr(scheduler, method)
+
+        def spy(*args):
+            times.append(args[time_arg])
+            return original(*args)
+
+        setattr(scheduler, method, spy)
+        return times
+
+    def test_sessionless_segment_arms_only_its_last_boundary(self):
+        # Nothing observes the boundaries in between, so the kernel pops
+        # one iteration event per segment; the report still counts every
+        # simulated boundary.
+        target = 12
+        scheduler = ClusterScheduler(
+            make_cluster(8), [tiny_job("a", target_iterations=target)],
+            policy="first_fit", config=TINY,
+        )
+        popped = self._spy(scheduler, "_handle_iteration")
+        report = scheduler.run()
+        assert report.all_completed
+        assert report.jobs[0].iterations == target
+        assert len(popped) <= 2 * len(scheduler._segments)
+        assert scheduler.kernel.n_processed == 1 + len(popped)  # arrival + boundaries
+        assert report.n_events == 1 + target
+
+    def test_online_session_observes_every_boundary(self):
+        # A background session may hot-swap at any boundary, so each one
+        # still gets its own kernel event and reaches _maybe_swap.  The
+        # margin is unreachable, so the one segment runs to completion.
+        target = 8
+        config = SchedulerConfig(
+            search=SearchConfig(max_iterations=20, time_budget_s=5.0, seed=0,
+                                record_history=False),
+            elastic=False,
+            online_replanning=True,
+            online_search=SearchConfig(max_iterations=60, time_budget_s=5.0, seed=0,
+                                       record_history=False),
+            poll_interval_s=5.0,
+            poll_iterations=30,
+            swap_margin=1e9,
+        )
+        scheduler = ClusterScheduler(
+            make_cluster(8), [tiny_job("a", target_iterations=target)],
+            policy="first_fit", config=config,
+        )
+        popped = self._spy(scheduler, "_handle_iteration")
+        swap_checks = self._spy(scheduler, "_maybe_swap", time_arg=1)
+        report = scheduler.run()
+        assert report.all_completed and report.online_sessions == 1
+        assert len(scheduler._segments) == 1
+        assert len(popped) == target
+        # Every boundary but the completing one asks whether to swap.
+        assert swap_checks == popped[:-1]
+        assert report.n_events == scheduler.kernel.n_processed
+
     def test_displacement_charges_switch_cost_and_names_phase(self):
         jobs = [tiny_job("a", target_iterations=20)]
         failure = NodeFailure(time=20.0, node=0, recovery_time=40.0)
