@@ -9,8 +9,8 @@ traces to replay in seconds.  This benchmark drives that path end to end:
   the cold plan searches, the second measures the scheduler event loop
   itself (``schedule_events_per_sec``) with the fleet preset (timeline off,
   throttled counters, candidate memo on),
-* export the warm run's merged Chrome trace *sampled* (``REPRO_TRACE_SAMPLE``
-  + ``REPRO_TRACE_MAX_EVENTS``), so even fleet traces stay loadable,
+* export the warm run's merged Chrome trace, one segment span per plan
+  segment, so even fleet traces stay loadable without dropping any data,
 * replay the same trace against a grid of cluster shapes × policies through
   :func:`repro.capacity.whatif.capacity_whatif` and write the machine-
   readable cost/throughput frontier (``CAPACITY_fleet_frontier[.smoke].json``).
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -54,10 +53,6 @@ FLEET_TRACE = "TRACE_fleet_replay.json"
 FRONTIER_REPORT = "CAPACITY_fleet_frontier.json"
 SMOKE_FRONTIER_REPORT = "CAPACITY_fleet_frontier.smoke.json"
 RUNTIME_TRACE_BASELINE = "BENCH_runtime_trace.json"
-
-# Sampled trace-export knobs for the fleet trace (set only during export).
-_TRACE_SAMPLE = "0.05"
-_TRACE_MAX_EVENTS = "20000"
 
 
 def fleet_setup(
@@ -93,27 +88,14 @@ def _baseline_events_per_sec() -> Optional[float]:
         return None
 
 
-def _export_sampled_trace(scheduler: ClusterScheduler) -> Dict[str, float]:
-    """Export the merged Chrome trace with fleet sampling knobs engaged."""
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_TRACE_SAMPLE", "REPRO_TRACE_MAX_EVENTS")
-    }
-    os.environ["REPRO_TRACE_SAMPLE"] = _TRACE_SAMPLE
-    os.environ["REPRO_TRACE_MAX_EVENTS"] = _TRACE_MAX_EVENTS
+def _export_trace(scheduler: ClusterScheduler) -> Dict[str, float]:
+    """Export the merged Chrome trace and time the export."""
     started = time.perf_counter()
-    try:
-        path = scheduler.export_chrome_trace(str(_artifact(FLEET_TRACE)))
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    path = scheduler.export_chrome_trace(str(_artifact(FLEET_TRACE)))
     export_s = time.perf_counter() - started
     events = load_chrome_trace(path)
     return {
-        "sampled_trace_events": float(len(events)),
+        "trace_events": float(len(events)),
         "trace_export_s": export_s,
     }
 
@@ -141,7 +123,7 @@ def _fleet_replay(
         warm_started = time.perf_counter()
         report = warm_scheduler.run()
         warm_s = time.perf_counter() - warm_started
-        trace_stats = _export_sampled_trace(warm_scheduler)
+        trace_stats = _export_trace(warm_scheduler)
     assert report.n_events > 0
     assert report.all_completed, "fleet replay left jobs incomplete"
     out = {
@@ -278,7 +260,7 @@ def _check(report: Dict[str, object]) -> None:
     details = report["details"]
     metrics = report["metrics"]
     assert metrics["schedule_events_per_sec"]["value"] > 0
-    assert details["sampled_trace_events"] > 0
+    assert details["trace_events"] > 0
     assert details["capacity_frontier_size"] >= 1
     if report["mode"] == "full":
         # The fleet acceptance bar: >= 10x the committed small-scenario
@@ -300,7 +282,7 @@ def _print(report: Dict[str, object]) -> None:
          "value": round(details["schedule_events_per_sec"])},
         {"metric": "speedup vs runtime_trace baseline",
          "value": round(details.get("speedup_vs_runtime_trace", 0.0), 1)},
-        {"metric": "sampled chrome events", "value": round(details["sampled_trace_events"])},
+        {"metric": "chrome trace events", "value": round(details["trace_events"])},
         {"metric": "capacity grid wall (s)", "value": round(details["capacity_grid_wall_s"], 1)},
         {"metric": "capacity frontier size",
          "value": round(details["capacity_frontier_size"])},

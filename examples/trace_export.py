@@ -11,9 +11,10 @@ loadable in ``chrome://tracing`` or https://ui.perfetto.dev:
 2. **One merged multi-job schedule** (``schedule_trace.json``): a small
    cluster trace with an injected node failure — cluster-level events
    (arrivals, placements, the failure, the displacement, the replan) on one
-   process, and per-job processes carrying running segments,
-   parameter-switch windows and the engine-profiled call phases of every
-   completed iteration.
+   process, and per-job processes carrying running segments and
+   parameter-switch windows.  Each segment span's args rebuild every
+   completed iteration's engine-profiled call phases; the first and last
+   iteration of each segment are also drawn as explicit spans.
 
 Run with::
 

@@ -32,7 +32,7 @@ _OFF = ("off", "0", "false", "no", "disabled")
 class Knob:
     """One environment knob.
 
-    ``kind`` is ``flag``, ``float`` (finite, ``0 < x <= high``), ``int``
+    ``kind`` is ``flag``, ``float`` (finite, ``x > 0``), ``int``
     (``x >= 0``), ``choice`` (one of ``choices``) or ``path`` (a directory;
     an existing non-directory is rejected).
     """
@@ -41,17 +41,14 @@ class Knob:
     kind: str
     default: object
     doc: str
-    high: float = math.inf
     choices: Tuple[str, ...] = ()
 
     def accepted(self) -> str:
         """The accepted form, as error messages state it."""
         if self.kind == "flag":
             return f"one of {'/'.join(_ON)} or {'/'.join(_OFF)}"
-        if self.kind == "float" and math.isinf(self.high):
-            return "a finite number > 0"
         if self.kind == "float":
-            return f"a number in (0, {self.high:g}]"
+            return "a finite number > 0"
         if self.kind == "int":
             return "an integer >= 0"
         if self.kind == "choice":
@@ -71,7 +68,7 @@ class Knob:
                 number = float(word)
             except ValueError:
                 number = math.nan
-            if math.isfinite(number) and 0 < number <= self.high:
+            if math.isfinite(number) and number > 0:
                 value = number
         elif self.kind == "int":
             try:
@@ -110,11 +107,6 @@ KNOBS: Dict[str, Knob] = {
              "Off disables causal span tracing and the decision-provenance ledger."),
         Knob("REPRO_ARTIFACT_DIR", "path", None,
              "Directory relative BENCH/TRACE/METRICS/PROVENANCE paths resolve against."),
-        Knob("REPRO_TRACE_SAMPLE", "float", 1.0,
-             "Deterministic keep-rate of Chrome-trace payload events.",
-             high=1.0),
-        Knob("REPRO_TRACE_MAX_EVENTS", "int", 0,
-             "Cap on retained Chrome-trace payload events (0: unbounded)."),
         Knob("REPRO_LOG_LEVEL", "choice", "warning",
              "Level of the `repro.*` loggers.",
              choices=("debug", "info", "warning", "error", "critical")),

@@ -40,7 +40,8 @@ budget, warm-started from their own previously cached plans (same
 fingerprint family) — cold planning happens once per (job type, shape).
 
 A run can export one merged Chrome trace spanning cluster-level events and
-per-job iteration phases (:meth:`ClusterScheduler.export_chrome_trace`,
+per-job plan segments whose args rebuild every iteration's phases
+(:meth:`ClusterScheduler.export_chrome_trace`,
 ``schedule_trace(trace_path=...)``), loadable in ``chrome://tracing`` or
 Perfetto.
 """
@@ -1058,14 +1059,25 @@ class ClusterScheduler:
     # Unified trace export
     # ------------------------------------------------------------------ #
     def record_chrome(self, recorder: TraceRecorder) -> None:
-        """Emit the run into a recorder: cluster events + per-job phases.
+        """Emit the run into a recorder: cluster events + per-job segments.
 
         One merged trace: a ``cluster`` process carries the decision-level
         timeline as instant events plus live counter tracks (running/queued
         jobs, free/busy GPUs, utilization, plan-cache hit ratio, search
-        seconds); each job gets a process with its running segments,
-        parameter-switch windows, iteration spans and — inside every
-        completed iteration — the engine-profiled call phases.
+        seconds); each job gets a process with its running segments and
+        parameter-switch windows.
+
+        A segment runs one plan, so each of its completed iterations repeats
+        the same engine profile shifted by ``iter_seconds``.  The segment
+        span's args hold everything needed to rebuild them:
+        ``first_boundary_s``, ``iter_seconds``, ``start_iteration``,
+        ``n_iterations`` and ``phases`` (call name → ``[start, end]`` offset
+        inside an iteration).  Completed iteration ``k`` (``0 <= k <
+        n_iterations``) is ``iter {start_iteration + k}`` starting at
+        ``first_boundary_s + k * iter_seconds``, its call phases at that base
+        plus their offsets.  Only the first and the last completed iteration
+        are written as explicit ``iteration``/``phase`` spans; an iteration
+        cut off by the segment's end is not exported.
 
         When tracing is on, the run's causal span tree (decision waves →
         plan requests → search chains, plus session polls and swaps) merges
@@ -1086,9 +1098,24 @@ class ClusterScheduler:
         for segment in self._segments:
             process = f"job {segment.job}"
             end = segment.end if segment.end is not None else self._busy_until
+            first_boundary = segment.start + segment.switch_seconds
+            end_iteration = (
+                segment.end_iteration
+                if segment.end_iteration is not None
+                else segment.start_iteration
+            )
+            n_iterations = end_iteration - segment.start_iteration
+            calls = sorted(segment.profile.call_spans.items())
             recorder.add_span(
                 process, "segments", segment.partition, segment.start, end,
                 category="segment",
+                args={
+                    "first_boundary_s": first_boundary,
+                    "iter_seconds": segment.iter_seconds,
+                    "start_iteration": segment.start_iteration,
+                    "n_iterations": n_iterations,
+                    "phases": {call: list(span) for call, span in calls},
+                },
             )
             if segment.switch_seconds > 0:
                 # A segment cut inside its switch-in window ends before the
@@ -1099,14 +1126,7 @@ class ClusterScheduler:
                     min(segment.start + segment.switch_seconds, end),
                     category="switch",
                 )
-            first_boundary = segment.start + segment.switch_seconds
-            end_iteration = (
-                segment.end_iteration
-                if segment.end_iteration is not None
-                else segment.start_iteration
-            )
-            calls = sorted(segment.profile.call_spans.items())
-            for k in range(end_iteration - segment.start_iteration):
+            for k in sorted({0, n_iterations - 1}) if n_iterations > 0 else ():
                 base = first_boundary + k * segment.iter_seconds
                 recorder.add_span(
                     process, "iterations", f"iter {segment.start_iteration + k}",

@@ -27,12 +27,9 @@ cleanly.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-from .. import knobs
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = ["TraceSpan", "TraceRecorder", "validate_chrome_events", "load_chrome_trace"]
 
@@ -66,20 +63,6 @@ class TraceRecorder:
     and ``"gpu 3"``); the recorder interns them to the integer ``pid``/``tid``
     ids the Trace Event Format requires and emits the matching metadata
     events, so the labels show up in the Perfetto UI.
-
-    Fleet-scale runs emit far more events than Perfetto can load, so the
-    recorder supports **deterministic systematic sampling** (``sample_rate``,
-    seeded by the ``REPRO_TRACE_SAMPLE`` knob: keep every ``1/rate``-th
-    payload event) and a **hard event cap with head/tail retention**
-    (``max_events`` / ``REPRO_TRACE_MAX_EVENTS``: once full, the oldest
-    events past the protected head roll out of a bounded tail window, and
-    the export carries a marker naming how many were dropped).  Both are
-    applied at record time, so month-long traces never accumulate unbounded
-    in-memory event lists.  Metadata (``ph: "M"``) naming events are exempt
-    from both; async/flow event *pairs* share one sampling decision so no
-    half of a pair is orphaned.  With the knobs at their defaults
-    (``sample_rate=1.0``, ``max_events=0``) recording and export are
-    byte-for-byte identical to an unsampled recorder.
     """
 
     _events: List[Dict[str, Any]] = field(default_factory=list)
@@ -87,15 +70,6 @@ class TraceRecorder:
     _tids: Dict[Tuple[str, str], int] = field(default_factory=dict)
     _n_threads: Dict[str, int] = field(default_factory=dict)
     """Threads interned so far per process (the next tid is this plus one)."""
-    sample_rate: float = field(default_factory=lambda: knobs.get("REPRO_TRACE_SAMPLE"))
-    max_events: int = field(default_factory=lambda: knobs.get("REPRO_TRACE_MAX_EVENTS"))
-    n_sampled_out: int = 0
-    """Payload events dropped by the sampling keep-rate."""
-    n_capped_out: int = 0
-    """Payload events rolled out of the bounded tail by the hard cap."""
-    _seen: int = 0
-    _n_head: int = 0
-    _tail: Optional[Deque[Dict[str, Any]]] = None
 
     # ------------------------------------------------------------------ #
     # Label interning
@@ -137,51 +111,6 @@ class TraceRecorder:
         return tid
 
     # ------------------------------------------------------------------ #
-    # Sampling and bounded retention (record-time, deterministic)
-    # ------------------------------------------------------------------ #
-    def _keep(self) -> bool:
-        """One systematic-sampling decision for the next payload event.
-
-        Keeps event ``i`` (1-based) iff ``floor(i * rate)`` advances — i.e.
-        exactly every ``1/rate``-th candidate, deterministically, with no RNG
-        state to seed.  ``rate >= 1`` short-circuits without any counting so
-        the default path stays byte-identical to an unsampled recorder.
-        """
-        rate = self.sample_rate
-        if rate >= 1.0:
-            return True
-        seen = self._seen + 1
-        self._seen = seen
-        if int(seen * rate) > int((seen - 1) * rate):
-            return True
-        self.n_sampled_out += 1
-        return False
-
-    def _record(self, event: Dict[str, Any]) -> None:
-        """Append one kept payload event, honouring the hard cap.
-
-        The first ``max_events - tail`` events are retained verbatim (the
-        head: run setup, early placements); later events roll through a
-        bounded tail window (the most recent activity).  ``max_events <= 0``
-        means unbounded — a plain list append, identical to the legacy path.
-        """
-        cap = self.max_events
-        if cap <= 0:
-            self._events.append(event)
-            return
-        tail_len = max(1, cap // 4)
-        head_limit = max(0, cap - tail_len)
-        if self._n_head < head_limit:
-            self._n_head += 1
-            self._events.append(event)
-            return
-        if self._tail is None:
-            self._tail = deque(maxlen=tail_len)
-        elif len(self._tail) == self._tail.maxlen:
-            self.n_capped_out += 1
-        self._tail.append(event)
-
-    # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
     def add_span(
@@ -195,8 +124,6 @@ class TraceRecorder:
         args: Optional[Mapping[str, Any]] = None,
     ) -> None:
         """Record one complete (``ph: "X"``) event from virtual seconds."""
-        if not self._keep():
-            return
         event: Dict[str, Any] = {
             "ph": "X",
             "ts": start_s * _US_PER_S,
@@ -209,7 +136,7 @@ class TraceRecorder:
             event["cat"] = category
         if args:
             event["args"] = dict(args)
-        self._record(event)
+        self._events.append(event)
 
     def add_trace_span(
         self,
@@ -245,8 +172,6 @@ class TraceRecorder:
         args: Optional[Mapping[str, Any]] = None,
     ) -> None:
         """Record one instant (``ph: "i"``) marker event."""
-        if not self._keep():
-            return
         event: Dict[str, Any] = {
             "ph": "i",
             "ts": time_s * _US_PER_S,
@@ -259,7 +184,7 @@ class TraceRecorder:
             event["cat"] = category
         if args:
             event["args"] = dict(args)
-        self._record(event)
+        self._events.append(event)
 
     def add_counter(
         self,
@@ -275,8 +200,6 @@ class TraceRecorder:
         track; the ``values`` mapping's series stack within the track.
         Counter events live on ``tid`` 0 — tracks are named, not threaded.
         """
-        if not self._keep():
-            return
         event: Dict[str, Any] = {
             "ph": "C",
             "ts": time_s * _US_PER_S,
@@ -287,7 +210,7 @@ class TraceRecorder:
         }
         if category:
             event["cat"] = category
-        self._record(event)
+        self._events.append(event)
 
     def add_async_span(
         self,
@@ -305,12 +228,8 @@ class TraceRecorder:
         Async events nest by ``(cat, id)`` rather than by stack order, which
         is what lets the causal span trees of :mod:`repro.obs.tracing` —
         whose spans overlap freely across threads and processes — render as
-        separate tracks in Perfetto.  ``args`` travel on the begin event —
-        and the begin/end pair shares one sampling decision, so a sampled
-        trace never contains an orphaned half.
+        separate tracks in Perfetto.  ``args`` travel on the begin event.
         """
-        if not self._keep():
-            return
         pid = self._pid(process)
         tid = self._tid(process, thread)
         begin: Dict[str, Any] = {
@@ -324,8 +243,8 @@ class TraceRecorder:
         }
         if args:
             begin["args"] = dict(args)
-        self._record(begin)
-        self._record(
+        self._events.append(begin)
+        self._events.append(
             {
                 "ph": "e",
                 "ts": max(start_s, end_s) * _US_PER_S,
@@ -355,12 +274,9 @@ class TraceRecorder:
         finish step carries ``bp: "e"`` (bind to enclosing slice), the form
         both chrome://tracing and Perfetto accept.  ``name``/``cat``/``id``
         must match between the two steps — the recorder guarantees that.
-        The start/finish pair shares one sampling decision.
         """
-        if not self._keep():
-            return
         common = {"name": name, "cat": category, "id": str(id)}
-        self._record(
+        self._events.append(
             {
                 "ph": "s",
                 "ts": from_time_s * _US_PER_S,
@@ -369,7 +285,7 @@ class TraceRecorder:
                 **common,
             }
         )
-        self._record(
+        self._events.append(
             {
                 "ph": "f",
                 "bp": "e",
@@ -385,29 +301,11 @@ class TraceRecorder:
     # ------------------------------------------------------------------ #
     @property
     def n_events(self) -> int:
-        return len(self._events) + (len(self._tail) if self._tail else 0)
+        return len(self._events)
 
     def events(self) -> List[Dict[str, Any]]:
-        """The recorded Trace Event Format events (validated).
-
-        With the hard cap engaged the export is head events, then — when any
-        events actually rolled out of the bounded tail — an instant marker
-        naming the drop count, then the retained tail window.
-        """
+        """The recorded Trace Event Format events (validated)."""
         out = list(self._events)
-        if self._tail:
-            if self.n_capped_out:
-                out.append(
-                    {
-                        "ph": "i",
-                        "ts": self._tail[0].get("ts", 0),
-                        "pid": 0,
-                        "tid": 0,
-                        "name": f"[trace capped: {self.n_capped_out} events dropped]",
-                        "s": "g",
-                    }
-                )
-            out.extend(self._tail)
         validate_chrome_events(out)
         return out
 

@@ -66,10 +66,12 @@ class TestParsing:
         assert knobs.get("REPRO_TRACING") is False
 
     def test_ranges_include_their_closed_ends(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "1")
-        assert knobs.get("REPRO_TRACE_SAMPLE") == 1.0
-        monkeypatch.setenv("REPRO_TRACE_MAX_EVENTS", "0")
-        assert knobs.get("REPRO_TRACE_MAX_EVENTS") == 0
+        # Floats are (0, inf): any positive finite number, however small or large.
+        for raw, value in (("1e-9", 1e-9), ("1e300", 1e300)):
+            monkeypatch.setenv("REPRO_SEARCH_BUDGET_SCALE", raw)
+            assert knobs.get("REPRO_SEARCH_BUDGET_SCALE") == value
+        monkeypatch.setenv("REPRO_CORE_BUDGET", "0")
+        assert knobs.get("REPRO_CORE_BUDGET") == 0
         monkeypatch.setenv("REPRO_CORE_BUDGET", " 3 ")
         assert knobs.get("REPRO_CORE_BUDGET") == 3
 
@@ -84,10 +86,10 @@ class TestParsing:
         assert knobs.get("REPRO_ARTIFACT_DIR") == str(tmp_path)
 
     def test_snapshot_covers_every_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.25")
+        monkeypatch.setenv("REPRO_SEARCH_BUDGET_SCALE", "0.25")
         snap = knobs.snapshot()
         assert list(snap) == list(knobs.KNOBS)
-        assert snap["REPRO_TRACE_SAMPLE"] == 0.25
+        assert snap["REPRO_SEARCH_BUDGET_SCALE"] == 0.25
 
 
 class TestSingleSourceOfTruth:

@@ -471,6 +471,78 @@ class TestTraceDrivenProgress:
         assert any(e["ph"] == "i" for e in events)
         assert any(e["ph"] == "X" for e in events)
 
+    def test_trace_size_does_not_grow_with_iterations(self):
+        from repro.sim import TraceRecorder
+
+        counts = []
+        for target in (20, 200):
+            scheduler = ClusterScheduler(
+                make_cluster(8), [tiny_job("a", target_iterations=target)],
+                policy="first_fit", config=TINY,
+            )
+            assert scheduler.run().all_completed
+            recorder = TraceRecorder()
+            scheduler.record_chrome(recorder)
+            cats = [e.get("cat") for e in recorder.events()]
+            counts.append((cats.count("iteration"), cats.count("phase")))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == 2 and counts[0][1] > 0
+
+    def test_segment_args_rebuild_every_iteration_exactly(self, tmp_path):
+        from repro.sim import load_chrome_trace
+
+        path = tmp_path / "schedule.json"
+        report = schedule_trace(
+            make_cluster(16),
+            [tiny_job("a", target_iterations=20),
+             tiny_job("b", arrival_time=5.0, target_iterations=20)],
+            policy="first_fit",
+            config=TINY,
+            failures=[NodeFailure(time=15.0, node=0, recovery_time=30.0)],
+            trace_path=str(path),
+        )
+        assert report.all_completed
+        events = load_chrome_trace(path)
+        process = {
+            e["pid"]: e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        explicit = {}
+        for e in events:
+            if e.get("cat") in ("iteration", "phase"):
+                explicit.setdefault(process[e["pid"]], []).append(
+                    (e["name"], e["ts"], e["dur"])
+                )
+        rebuilt_ends, iterations, n_segments = {}, {}, {}
+        for e in events:
+            if e.get("cat") != "segment":
+                continue
+            job = process[e["pid"]]
+            args = e["args"]
+            n = args["n_iterations"]
+            n_segments[job] = n_segments.get(job, 0) + 1
+            iterations[job] = iterations.get(job, 0) + n
+            step = args["iter_seconds"]
+            for k in range(n):
+                base = args["first_boundary_s"] + k * step
+                spans = [(f"iter {args['start_iteration'] + k}", base, base + step)]
+                phases = args["phases"].items()
+                spans += [(call, base + lo, base + hi) for call, (lo, hi) in phases]
+                assert all(hi >= lo for _, lo, hi in spans)
+                if k in (0, n - 1):
+                    rebuilt_ends.setdefault(job, []).extend(
+                        (name, lo * 1e6, max(0.0, hi - lo) * 1e6) for name, lo, hi in spans
+                    )
+        # The failure cut job a, so it ran in more than one segment.
+        assert n_segments["job a"] >= 2
+        # Explicit first/last iterations equal the rebuilt ones bit for bit.
+        assert {job: sorted(spans) for job, spans in explicit.items()} == {
+            job: sorted(spans) for job, spans in rebuilt_ends.items()
+        }
+        # Segments account for every completed iteration, none twice.
+        assert iterations == {f"job {job.name}": job.iterations for job in report.jobs}
+
     def test_no_trace_path_skips_export(self):
         report = schedule_trace(
             make_cluster(8), [tiny_job("a")], policy="first_fit", config=TINY
