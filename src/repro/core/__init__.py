@@ -23,14 +23,6 @@ from .estimator import (
     TimeCostResult,
 )
 from .parallel import ParallelStrategy, enumerate_strategies, factorize_3d
-from .parallel_search import (
-    GLOBAL_CORE_BUDGET,
-    ChainResult,
-    ChainSpec,
-    ChainState,
-    CoreBudget,
-    ParallelSearchRunner,
-)
 from .plan import (
     Allocation,
     DataTransferEdge,
@@ -51,6 +43,9 @@ from .profiler import (
 )
 from .pruning import PruneConfig, allocation_options, enumerate_allocations, search_space_size
 from .search import (
+    ChainResult,
+    ChainSpec,
+    ChainState,
     MCMCSearcher,
     SearchConfig,
     SearchResult,
@@ -107,15 +102,11 @@ __all__ = [
     "SearchSession",
     "SessionProgress",
     "search_execution_plan",
-    "BruteForceResult",
-    "brute_force_search",
-    # parallel search / core governor
-    "CoreBudget",
-    "GLOBAL_CORE_BUDGET",
     "ChainSpec",
     "ChainResult",
     "ChainState",
-    "ParallelSearchRunner",
+    "BruteForceResult",
+    "brute_force_search",
     # api
     "GENERATE",
     "INFERENCE",

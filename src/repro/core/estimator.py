@@ -208,10 +208,6 @@ class RuntimeEstimator:
         self.graph = graph
         self.workload = workload
         self.cluster = cluster
-        # Kept verbatim so an equivalent estimator can be re-created in a
-        # worker process (see repro.core.parallel_search.ChainProblem).
-        self.profiles = dict(profiles) if profiles is not None else None
-        self.use_cuda_graph = use_cuda_graph
         self.use_cache = use_cache
         self.cross_check = cross_check
         self.comm = CommModel(cluster)

@@ -9,19 +9,17 @@ random function call, and keeps the lowest-cost plan ever visited.
 
 Proposals are scored through the estimator's incremental
 :meth:`~repro.core.estimator.RuntimeEstimator.cost_delta` path (a proposal
-changes exactly one call's allocation).  ``SearchConfig.n_chains`` runs
-several *independent* Metropolis-Hastings chains: every chain starts from the
-same best initial candidate, explores with its own RNG stream, keeps its own
-running best (for the normalised acceptance temperature) and receives the
-**full** wall-clock budget; the iteration budget is split evenly across
-chains.  Because chains share no mutable state, they can execute either
-in-process (one after another) or on worker processes
-(:mod:`repro.core.parallel_search`) — whenever the *iteration* budget binds,
-both modes produce bit-identical best plans and costs for the same seeds, so
-parallelism only changes wall-clock time, never results.  (A binding *time*
-budget makes any run timing-dependent — two sequential runs under machine
-load already differ — so time-bounded searches are best-effort in every
-execution mode.)
+changes exactly one call's allocation), which is cheap enough that a search
+runs entirely on the calling thread.  ``SearchConfig.n_chains`` runs several
+*independent* Metropolis-Hastings chains one after another: every chain
+starts from the same best initial candidate, explores with its own RNG
+stream, keeps its own running best (for the normalised acceptance
+temperature) and receives the **full** wall-clock budget; the iteration
+budget is split evenly across chains.  Whenever the *iteration* budget
+binds, the best plan and cost are a pure function of the inputs and the
+seed.  (A binding *time* budget makes any run timing-dependent — two runs
+under machine load already differ — so time-bounded searches are
+best-effort.)
 """
 
 from __future__ import annotations
@@ -39,16 +37,6 @@ from ..obs.metrics import get_registry
 from ..obs.tracing import SpanContext, SpanRecord, current_span, get_tracer
 from .dataflow import DataflowGraph
 from .estimator import DEFAULT_OOM_PENALTY, RuntimeEstimator
-from .parallel_search import (
-    GLOBAL_CORE_BUDGET,
-    MIN_PARALLEL_BUDGET_S,
-    MIN_PARALLEL_CHAIN_ITERS,
-    ChainResult,
-    ChainSpec,
-    ChainState,
-    CoreBudget,
-    ParallelSearchRunner,
-)
 from .plan import Allocation, ExecutionPlan
 from .pruning import PruneConfig, allocation_options, search_space_size
 from .workload import RLHFWorkload
@@ -59,10 +47,92 @@ __all__ = [
     "SessionProgress",
     "SearchSession",
     "MCMCSearcher",
+    "ChainSpec",
+    "ChainResult",
+    "ChainState",
     "search_execution_plan",
 ]
 
-_PARALLEL_MODES = ("auto", "process", "off")
+
+@dataclass(frozen=True)
+class ChainSpec:
+    """One chain's share of a search: which stream, how many proposals."""
+
+    chain: int
+    max_iterations: int
+
+
+@dataclass
+class ChainResult:
+    """Outcome of one Metropolis-Hastings chain.
+
+    ``best_plan``/``best_cost`` are the chain-local optimum; ``history``
+    holds chain-local ``(iteration, elapsed_seconds, best_cost_so_far)``
+    samples with iteration counting from 1 and elapsed measured from the
+    chain's own start.  ``wall_seconds`` is the chain's wall-clock time and
+    ``cpu_seconds`` its CPU time (``time.process_time`` delta).
+    """
+
+    chain: int
+    best_plan: ExecutionPlan
+    best_cost: float
+    n_iterations: int
+    n_accepted: int
+    history: List[Tuple[int, float, float]] = field(default_factory=list)
+    wall_seconds: float = 0.0
+    cpu_seconds: float = 0.0
+
+
+@dataclass
+class ChainState:
+    """Resumable mid-flight snapshot of one Metropolis-Hastings chain.
+
+    :meth:`MCMCSearcher.advance_chain` consumes a slice of the chain's
+    budgets and writes the outcome back here, so a chain can run in slices
+    and still produce exactly the chain one uninterrupted run would have
+    produced: the RNG travels *in* the state, iteration numbering picks up
+    where the previous slice stopped, and wall/CPU seconds accumulate across
+    slices.
+    """
+
+    chain: int
+    max_iterations: int
+    """The chain's **total** proposal budget (not a per-slice bound)."""
+    rng: np.random.Generator
+    current_plan: ExecutionPlan
+    current_cost: float
+    best_plan: ExecutionPlan
+    best_cost: float
+    n_iterations: int = 0
+    n_accepted: int = 0
+    history: List[Tuple[int, float, float]] = field(default_factory=list)
+    wall_seconds: float = 0.0
+    cpu_seconds: float = 0.0
+    done: bool = False
+    """Set once the iteration or wall-clock budget is exhausted."""
+    span_context: Optional[SpanContext] = None
+    """Trace parent of this chain's slice spans.  Set at initialisation from
+    the enclosing search span and refreshed per poll by the session, so a
+    slice's span lands beneath the poll that ran it."""
+
+    @property
+    def remaining_iterations(self) -> int:
+        """Proposals left in the chain's total budget."""
+        return max(0, self.max_iterations - self.n_iterations)
+
+    def to_result(self) -> ChainResult:
+        """The chain's outcome so far, in the merged-result format."""
+        return ChainResult(
+            chain=self.chain,
+            best_plan=self.best_plan,
+            best_cost=self.best_cost,
+            n_iterations=self.n_iterations,
+            n_accepted=self.n_accepted,
+            history=list(self.history),
+            wall_seconds=self.wall_seconds,
+            cpu_seconds=self.cpu_seconds,
+        )
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -87,12 +157,6 @@ class SearchConfig:
     own RNG stream, an even share of the iteration budget and the **full**
     wall-clock budget; the search returns the best plan over all chains with
     merged history."""
-    parallel: str = "auto"
-    """Chain execution mode: ``"auto"`` runs chains on worker processes when
-    the search is big enough and the core-budget governor grants cores,
-    ``"process"`` always uses worker processes, ``"off"`` always runs chains
-    in-process.  The mode never changes the result (chains are deterministic
-    given their seeds), so it is excluded from workload fingerprints."""
     initial_plan: Optional[ExecutionPlan] = None
     """Optional warm-start hint: evaluated alongside the greedy plan and any
     seed plans, so the chain starts from the best available candidate.  The
@@ -100,10 +164,6 @@ class SearchConfig:
     cost.  Excluded from workload fingerprints (see :mod:`repro.service`)."""
 
     def __post_init__(self) -> None:
-        if self.parallel not in _PARALLEL_MODES:
-            raise ValueError(
-                f"parallel must be one of {_PARALLEL_MODES}, got {self.parallel!r}"
-            )
         # Budget validation at construction: a bad budget would otherwise
         # fail deep in chain setup (or silently search nothing forever).
         # ``max_iterations=0`` stays legal on purpose — it is the documented
@@ -132,8 +192,7 @@ class SearchResult:
     n_accepted: int
     elapsed_seconds: float
     """True wall-clock time of the whole search, including initial-candidate
-    evaluation and (for parallel runs) worker pool start-up — *not* the sum
-    of per-chain times."""
+    evaluation."""
     history: List[Tuple[int, float, float]] = field(default_factory=list)
     """``(iteration, chain_elapsed_seconds, best_cost_so_far)`` samples.
     Iterations number chains back to back (chain-major); elapsed times are
@@ -141,17 +200,11 @@ class SearchResult:
     search_space: float = 0.0
     n_chains: int = 1
     cpu_seconds: float = 0.0
-    """Summed per-chain CPU time (``time.process_time``).  For sequential
-    runs this tracks ``elapsed_seconds``; for parallel runs it is the compute
-    actually spent across worker processes."""
+    """Summed per-chain CPU time (``time.process_time``)."""
     chain_wall_seconds: List[float] = field(default_factory=list)
     """Per-chain wall-clock seconds, in chain order."""
     chain_cpu_seconds: List[float] = field(default_factory=list)
     """Per-chain CPU seconds, in chain order."""
-    execution_mode: str = "sequential"
-    """How the chains ran: ``"sequential"`` (in-process) or ``"process"``."""
-    n_workers: int = 1
-    """Worker processes used (1 for sequential runs)."""
 
     @property
     def improvement_ratio(self) -> float:
@@ -164,13 +217,6 @@ class SearchResult:
     def acceptance_rate(self) -> float:
         """Fraction of accepted MCMC proposals."""
         return self.n_accepted / max(1, self.n_iterations)
-
-    @property
-    def parallel_efficiency(self) -> float:
-        """CPU seconds per wall second, normalised by workers (1.0 is ideal)."""
-        if self.elapsed_seconds <= 0 or self.n_workers <= 0:
-            return 0.0
-        return self.cpu_seconds / (self.elapsed_seconds * self.n_workers)
 
 
 class MCMCSearcher:
@@ -186,7 +232,6 @@ class MCMCSearcher:
         prune: PruneConfig = PruneConfig(),
         config: SearchConfig = SearchConfig(),
         seed_plans: Optional[Sequence[ExecutionPlan]] = None,
-        core_budget: Optional[CoreBudget] = None,
     ) -> None:
         self.graph = graph
         self.workload = workload
@@ -198,11 +243,6 @@ class MCMCSearcher:
         if missing:
             raise ValueError(f"no allocation options for calls: {sorted(missing)}")
         self.seed_plans = list(seed_plans or [])
-        self.core_budget = core_budget if core_budget is not None else GLOBAL_CORE_BUDGET
-        self.span_parent: Optional[SpanContext] = None
-        """Fallback trace parent for chain spans when no contextvar context
-        is active — set by :meth:`ChainProblem.build_searcher` inside worker
-        processes, where the parent's contextvars do not exist."""
         # Per-call proposal indexes: options grouped by mesh, and the set of
         # (mesh, strategy) layouts available, so proposing a move never scans
         # the full option list comparing dataclasses.
@@ -329,7 +369,7 @@ class MCMCSearcher:
             current_cost=start_cost,
             best_plan=start_plan,
             best_cost=start_cost,
-            span_context=current_span() or self.span_parent,
+            span_context=current_span(),
         )
 
     def advance_chain(
@@ -364,7 +404,7 @@ class MCMCSearcher:
             else min(float(time_budget_s), remaining_time)
         )
         # Chain slices are the unit of tracing: one span per advance (never
-        # per proposal).  The gate is the shipped context itself — with
+        # per proposal).  The gate is the state's span context — with
         # REPRO_TRACING=off no span is ever opened, so no context exists and
         # the hot loop pays exactly one ``is not None`` check.
         span_parent = state.span_context
@@ -390,8 +430,8 @@ class MCMCSearcher:
             # Normalise the energy by the chain's best cost so far so the
             # temperature stays meaningful across experiment scales and even
             # when the initial plan is heavily OOM-penalised.  Chain-local on
-            # purpose: sharing the cross-chain best would entangle the chains
-            # and break sequential/parallel equivalence.
+            # purpose: sharing the cross-chain best would entangle the chains,
+            # making each chain's trajectory depend on the chains before it.
             scale = max(best_cost, 1e-9)
             delta = (proposal_cost - current_cost) / scale
             u = rng.random()
@@ -422,7 +462,7 @@ class MCMCSearcher:
         ):
             state.done = True
         if span_parent is not None:
-            state.slice_spans.append(
+            get_tracer().append(
                 SpanRecord(
                     name=f"chain {state.chain}",
                     category="search",
@@ -448,29 +488,6 @@ class MCMCSearcher:
             for chain in range(n_chains)
         ]
 
-    def _estimator_portable(self) -> bool:
-        """Whether worker processes can rebuild an equivalent estimator.
-
-        :class:`ChainProblem` re-creates a plain :class:`RuntimeEstimator`
-        from its shipped configuration (profiles, cuda-graph, caching,
-        cross-check).  A custom estimator *subclass* (e.g. a benchmark's
-        reference implementation) cannot be reproduced that way, so its
-        searches always run chains in-process — wrong-cost-model plans would
-        be far worse than losing parallelism.
-        """
-        return type(self.estimator) is RuntimeEstimator
-
-    def _auto_parallel_worthwhile(self, specs: List[ChainSpec]) -> bool:
-        """Whether ``parallel="auto"`` should bother forking worker processes.
-
-        Tiny searches lose more to process start-up, option pickling and
-        estimator rebuilding than they gain, so they stay on the calling
-        thread.
-        """
-        if self.config.time_budget_s < MIN_PARALLEL_BUDGET_S:
-            return False
-        return max(spec.max_iterations for spec in specs) >= MIN_PARALLEL_CHAIN_ITERS
-
     def search(self) -> SearchResult:
         """Run the Metropolis-Hastings chains and return the best plan found.
 
@@ -478,13 +495,11 @@ class MCMCSearcher:
         any seed plans supplied at construction time (e.g. the Megatron
         heuristic) and ``config.initial_plan``; the reported ``initial_plan``/
         ``initial_cost`` are that actual chain start, so the improvement ratio
-        reflects what the search itself achieved.  Depending on
-        ``config.parallel`` and the core-budget governor, chains run either
-        in-process or on worker processes; the merged result is identical.
+        reflects what the search itself achieved.  Chains run one after
+        another on the calling thread.
         """
         cfg = self.config
-        tracer = get_tracer()
-        with tracer.start_span(
+        with get_tracer().start_span(
             "search",
             category="search",
             args={"n_chains": cfg.n_chains, "max_iterations": cfg.max_iterations},
@@ -496,39 +511,14 @@ class MCMCSearcher:
             initial_plan, initial_cost = start_plan, start_cost
 
             n_chains = max(1, int(cfg.n_chains))
-            specs = self._chain_specs(n_chains)
-
-            results: Optional[List[ChainResult]] = None
-            execution_mode = "sequential"
-            n_workers = 1
-            if n_chains > 1 and cfg.parallel != "off" and self._estimator_portable():
-                force = cfg.parallel == "process"
-                if force or self._auto_parallel_worthwhile(specs):
-                    runner = ParallelSearchRunner(core_budget=self.core_budget)
-                    results = runner.run(self, specs, start_plan, start_cost, force=force)
-                    if results is not None:
-                        execution_mode = "process"
-                        n_workers = runner.last_granted
-            if results is None:
-                # In-process fallback: account the calling thread with the
-                # governor (minimum=0: a fully-loaded machine still runs the
-                # search, just without claiming a core it does not have).
-                with self.core_budget.lease(1, minimum=0):
-                    results = [
-                        self.advance_chain(
-                            self.init_chain_state(
-                                spec.chain, start_plan, start_cost, spec.max_iterations
-                            )
-                        ).to_result()
-                        for spec in specs
-                    ]
-
-            # Chain spans rode back inside the results (recorded in-process
-            # or shipped from worker processes — same path either way).
-            for chain_result in results:
-                if chain_result.spans:
-                    tracer.extend(chain_result.spans)
-
+            results = [
+                self.advance_chain(
+                    self.init_chain_state(
+                        spec.chain, start_plan, start_cost, spec.max_iterations
+                    )
+                ).to_result()
+                for spec in self._chain_specs(n_chains)
+            ]
             merged = self._merge_results(
                 results,
                 initial_plan=initial_plan,
@@ -536,14 +526,11 @@ class MCMCSearcher:
                 start_cost=start_cost,
                 start_time=start_time,
                 n_chains=n_chains,
-                execution_mode=execution_mode,
-                n_workers=n_workers,
             )
             search_span.set(
                 best_cost=merged.best_cost,
                 initial_cost=merged.initial_cost,
                 iterations=merged.n_iterations,
-                execution_mode=merged.execution_mode,
             )
         self._publish_metrics(merged)
         return merged
@@ -553,10 +540,7 @@ class MCMCSearcher:
         """One batched registry update per search run (no per-proposal cost)."""
         registry = get_registry()
         if registry.enabled:
-            registry.counter(
-                "search_runs_total", "Plan searches by chain execution mode",
-                labels=("mode",),
-            ).labels(mode=result.execution_mode).inc()
+            registry.counter("search_runs_total", "Plan searches run").inc()
             registry.counter(
                 "search_iterations_total", "MCMC proposals evaluated across runs"
             ).inc(result.n_iterations)
@@ -579,9 +563,8 @@ class MCMCSearcher:
         log = get_logger("search")
         if log.isEnabledFor(10):  # logging.DEBUG
             log.debug(
-                "%s search: %d iters over %d chains in %.3fs "
+                "search: %d iters over %d chains in %.3fs "
                 "(accept %.2f, cost %.4f -> %.4f)",
-                result.execution_mode,
                 result.n_iterations,
                 result.n_chains,
                 result.elapsed_seconds,
@@ -598,8 +581,6 @@ class MCMCSearcher:
         start_cost: float,
         start_time: float,
         n_chains: int,
-        execution_mode: str,
-        n_workers: int,
     ) -> SearchResult:
         """Deterministically merge per-chain results (chain order, strict <)."""
         best_plan_assignments: Dict[str, Allocation] = dict(initial_plan.assignments)
@@ -631,8 +612,6 @@ class MCMCSearcher:
             cpu_seconds=sum(r.cpu_seconds for r in results),
             chain_wall_seconds=[r.wall_seconds for r in results],
             chain_cpu_seconds=[r.cpu_seconds for r in results],
-            execution_mode=execution_mode,
-            n_workers=n_workers,
         )
 
 
@@ -651,9 +630,6 @@ class SessionProgress:
     """Every chain exhausted its budgets; further polls are no-ops."""
     wall_seconds: float
     """Summed per-chain compute seconds consumed so far (not session age)."""
-    execution_mode: str
-    """How this poll's slices ran: ``"sequential"``, ``"process"`` or
-    ``"idle"`` (nothing left to advance)."""
 
 
 class SearchSession:
@@ -661,21 +637,14 @@ class SearchSession:
 
     The same Metropolis-Hastings chains :meth:`MCMCSearcher.search` runs to
     completion, executed in slices: :meth:`start` evaluates the initial
-    candidates and positions the chains, each :meth:`poll` consumes one slice
-    of the budgets, :meth:`best_so_far` reads the merged best at any point,
-    and :meth:`stop` releases any worker pool and returns the final merged
-    :class:`SearchResult`.  Slicing never changes the outcome: at equal total
-    iteration budgets, the session's best plan/cost are bit-identical to an
-    uninterrupted ``search()`` with the same seed, because each chain's RNG
-    travels inside its checkpointed :class:`ChainState` and nothing is drawn
-    between slices.
-
-    Multi-chain sessions keep their chains alive across polls on a
-    persistent worker pool (states round-trip through pickles, mirroring the
-    ``ChainSpec``/``ChainResult`` path of one-shot searches); the shared
-    :class:`CoreBudget` governor is consulted *per poll*, so an idle session
-    holds no cores, and on a busy machine a poll degrades to in-process
-    execution instead of oversubscribing foreground searches.
+    candidates and positions the chains, each :meth:`poll` advances every
+    unfinished chain by one slice of its budgets on the calling thread,
+    :meth:`best_so_far` reads the merged best at any point, and :meth:`stop`
+    returns the final merged :class:`SearchResult`.  Slicing never changes
+    the outcome: at equal total iteration budgets, the session's best
+    plan/cost are bit-identical to an uninterrupted ``search()`` with the
+    same seed, because each chain's RNG travels inside its checkpointed
+    :class:`ChainState` and nothing is drawn between slices.
     """
 
     def __init__(
@@ -683,7 +652,6 @@ class SearchSession:
         searcher: MCMCSearcher,
         slice_iterations: Optional[int] = None,
         slice_time_s: Optional[float] = None,
-        max_workers: Optional[int] = None,
     ) -> None:
         if slice_iterations is not None and slice_iterations < 1:
             raise ValueError(
@@ -700,16 +668,12 @@ class SearchSession:
         self.slice_time_s = slice_time_s
         """Default wall-clock bound per chain per poll (``None``: unbounded —
         the iteration slice and the chain's total time budget still apply)."""
-        self.max_workers = max_workers
         self.states: List[ChainState] = []
         self.n_polls = 0
-        self._runner: Optional[ParallelSearchRunner] = None
         self._started_at: Optional[float] = None
         self._initial_plan: Optional[ExecutionPlan] = None
         self._initial_cost = float("inf")
         self._stopped = False
-        self._used_process = False
-        self._n_workers = 1
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -722,35 +686,17 @@ class SearchSession:
         self._started_at = time.perf_counter()
         start_plan, start_cost = self.searcher.initial_candidate()
         self._initial_plan, self._initial_cost = start_plan, start_cost
-        n_chains = max(1, int(cfg.n_chains))
-        specs = self.searcher._chain_specs(n_chains)
         self.states = [
             self.searcher.init_chain_state(
                 spec.chain, start_plan, start_cost, spec.max_iterations
             )
-            for spec in specs
+            for spec in self.searcher._chain_specs(max(1, int(cfg.n_chains)))
         ]
-        # Same gate as search(): a persistent pool only when the chains are
-        # parallelizable at all and big enough to amortise the start-up.
-        if n_chains > 1 and cfg.parallel != "off" and self.searcher._estimator_portable():
-            force = cfg.parallel == "process"
-            if force or self.searcher._auto_parallel_worthwhile(specs):
-                runner = ParallelSearchRunner(
-                    core_budget=self.searcher.core_budget,
-                    max_workers=self.max_workers,
-                )
-                if runner.open_session(
-                    self.searcher, start_plan, start_cost, force=force
-                ):
-                    self._runner = runner
         return self
 
     def stop(self) -> SearchResult:
-        """Close any worker pool and return the final merged result."""
+        """Finish the session and return the final merged result."""
         self.start()
-        if self._runner is not None:
-            self._runner.close_session()
-            self._runner = None
         result = self.result()
         if not self._stopped:
             self._stopped = True
@@ -785,7 +731,7 @@ class SearchSession:
         """Merged best over the initial candidate and every chain.
 
         Deterministic merge, mirroring ``_merge_results``: chain order with
-        strict ``<``, so slicing and execution mode cannot flip ties.
+        strict ``<``, so slicing cannot flip ties.
         """
         best_plan, best_cost = self._initial_plan, self._initial_cost
         for state in self.states:
@@ -805,11 +751,7 @@ class SearchSession:
         """Advance every unfinished chain by one slice and report progress.
 
         Slice bounds default to the session's ``slice_iterations``/
-        ``slice_time_s``.  Worker-pool sessions round-trip the chain states
-        through the pool; when the governor denies cores for this poll (or
-        the pool died) the slice runs on the calling thread instead — the
-        states are self-contained, so mixing execution modes across polls
-        does not change the outcome.
+        ``slice_time_s``.
         """
         if self._stopped:
             raise RuntimeError("SearchSession has been stopped")
@@ -818,8 +760,7 @@ class SearchSession:
         before_iters = self.n_iterations
         active = [state for state in self.states if not state.done]
         # Re-parent each chain under the caller's span for *this* poll, so a
-        # slice's spans land beneath the poll that ran it (states carry their
-        # context through worker-pool pickling unchanged).
+        # slice's spans land beneath the poll that ran it.
         poll_context = current_span()
         if poll_context is not None:
             for state in active:
@@ -828,34 +769,8 @@ class SearchSession:
             int(max_iterations) if max_iterations is not None else self.slice_iterations
         )
         slice_time = time_budget_s if time_budget_s is not None else self.slice_time_s
-        mode = "idle"
-        if active:
-            advanced = None
-            if self._runner is not None:
-                advanced = self._runner.advance_states(active, slice_iters, slice_time)
-                if advanced is None and not self._runner.session_open:
-                    self._runner = None  # pool died; stay in-process from here on
-            if advanced is not None:
-                by_chain = {state.chain: state for state in advanced}
-                self.states = [
-                    by_chain.get(state.chain, state) for state in self.states
-                ]
-                mode = "process"
-                self._used_process = True
-                if self._runner is not None:
-                    self._n_workers = max(self._n_workers, self._runner.last_granted)
-            else:
-                # In-process slice, accounted with the governor like the
-                # sequential fallback of search() (minimum=0: a fully loaded
-                # machine still advances, just without claiming a core).
-                with self.searcher.core_budget.lease(1, minimum=0):
-                    for state in active:
-                        self.searcher.advance_chain(state, slice_iters, slice_time)
-                mode = "sequential"
-        tracer = get_tracer()
-        for state in self.states:
-            if state.slice_spans:
-                tracer.extend(state.drain_spans())
+        for state in active:
+            self.searcher.advance_chain(state, slice_iters, slice_time)
         self.n_polls += 1
         best = self.best_cost
         return SessionProgress(
@@ -865,7 +780,6 @@ class SearchSession:
             improved=best < before_best,
             done=self.done,
             wall_seconds=sum(state.wall_seconds for state in self.states),
-            execution_mode=mode,
         )
 
     def result(self) -> SearchResult:
@@ -882,8 +796,6 @@ class SearchSession:
             start_cost=self._initial_cost,
             start_time=self._started_at,
             n_chains=len(self.states),
-            execution_mode="process" if self._used_process else "sequential",
-            n_workers=self._n_workers,
         )
 
 
@@ -895,15 +807,12 @@ def search_execution_plan(
     config: SearchConfig = SearchConfig(),
     estimator: Optional[RuntimeEstimator] = None,
     initial_plan: Optional[ExecutionPlan] = None,
-    core_budget: Optional[CoreBudget] = None,
 ) -> SearchResult:
     """Convenience wrapper: build a searcher and run it once.
 
     ``initial_plan`` optionally warm-starts the chain (e.g. from a cached plan
     for a similar workload, see :mod:`repro.service.warm_start`); it takes
     precedence over ``config.initial_plan`` when both are given.
-    ``core_budget`` shares a core governor with other concurrent components
-    (defaults to the process-global one).
     """
     if initial_plan is not None:
         import dataclasses
@@ -916,6 +825,5 @@ def search_execution_plan(
         estimator=estimator,
         prune=prune,
         config=config,
-        core_budget=core_budget,
     )
     return searcher.search()

@@ -32,9 +32,9 @@ _OFF = ("off", "0", "false", "no", "disabled")
 class Knob:
     """One environment knob.
 
-    ``kind`` is ``flag``, ``float`` (finite, ``x > 0``), ``int``
-    (``x >= 0``), ``choice`` (one of ``choices``) or ``path`` (a directory;
-    an existing non-directory is rejected).
+    ``kind`` is ``flag``, ``float`` (finite, ``x > 0``), ``choice`` (one of
+    ``choices``) or ``path`` (a directory; an existing non-directory is
+    rejected).
     """
 
     name: str
@@ -49,8 +49,6 @@ class Knob:
             return f"one of {'/'.join(_ON)} or {'/'.join(_OFF)}"
         if self.kind == "float":
             return "a finite number > 0"
-        if self.kind == "int":
-            return "an integer >= 0"
         if self.kind == "choice":
             return f"one of {'/'.join(self.choices)}"
         return "a directory path"
@@ -69,13 +67,6 @@ class Knob:
             except ValueError:
                 number = math.nan
             if math.isfinite(number) and number > 0:
-                value = number
-        elif self.kind == "int":
-            try:
-                number = int(word)
-            except ValueError:
-                number = None
-            if number is not None and number >= 0:
                 value = number
         elif self.kind == "choice":
             value = word if word in self.choices else None
@@ -96,11 +87,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("REPRO_BENCH_SCALE", "choice", "small",
              "`full` runs every point of every figure benchmark; `small` is the CI subset.",
              choices=("small", "full")),
-        Knob("REPRO_CORE_BUDGET", "int", 0,
-             "Cores the global core-budget governor hands out (0: `os.cpu_count()`)."),
-        Knob("REPRO_PARALLEL_START_METHOD", "choice", None,
-             "Start method of parallel-search workers (unset: the platform default).",
-             choices=("fork", "forkserver", "spawn")),
         Knob("REPRO_METRICS", "flag", True,
              "Off makes the metrics registry a no-op and its exporters write nothing."),
         Knob("REPRO_TRACING", "flag", True,

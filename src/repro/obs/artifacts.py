@@ -58,9 +58,7 @@ def machine_fingerprint() -> Dict[str, object]:
 
     * ``cores`` — ``os.cpu_count()``: the machine's logical core count;
     * ``usable_cores`` — the scheduler-affinity mask size, which is what a
-      containerised run can actually use (falls back to ``cores``);
-    * ``core_budget`` — the effective ``CoreBudget`` total: the
-      ``REPRO_CORE_BUDGET`` override when set, else ``cores``.
+      containerised run can actually use (falls back to ``cores``).
     """
     cores = os.cpu_count() or 1
     try:
@@ -70,7 +68,6 @@ def machine_fingerprint() -> Dict[str, object]:
     return {
         "cores": cores,
         "usable_cores": usable,
-        "core_budget": knobs.get("REPRO_CORE_BUDGET") or cores,
         "platform": platform.platform(),
         "python": platform.python_version(),
     }

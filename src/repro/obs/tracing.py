@@ -4,21 +4,17 @@ The metrics registry (:mod:`repro.obs.metrics`) answers *how much*; this
 module answers *why this job got this plan*: a lightweight span-tree tracer
 that follows one scheduling decision through every layer it touches.
 
-* A :class:`SpanContext` is the portable identity of a span —
-  ``trace_id``/``span_id``/``parent_id`` — and nothing else, so it pickles
-  across process boundaries.
+* A :class:`SpanContext` is the identity of a span —
+  ``trace_id``/``span_id``/``parent_id`` — and nothing else.
 * :meth:`Tracer.start_span` is a context manager that opens a child of the
   *implicitly current* span (a ``contextvars.ContextVar``, so propagation
   follows the call stack and survives thread hops made with
   :meth:`Tracer.activate`).
-* Cross-**process** propagation is explicit: the parent ships a
-  :class:`SpanContext` inside the search work units
-  (:class:`~repro.core.parallel_search.ChainProblem` /
-  :class:`~repro.core.parallel_search.ChainState`), workers record finished
-  :class:`SpanRecord` entries locally and return them with their results,
-  and the parent folds them back in with :meth:`Tracer.extend`.  Span
-  timestamps use the shared wall clock (``time.time()``), so records from
-  different processes land on one consistent timeline.
+* Search chains carry their parent explicitly: each
+  :class:`~repro.core.search.ChainState` holds the :class:`SpanContext` of
+  the search or poll that advances it, and every chain slice appends one
+  finished :class:`SpanRecord` under it with :meth:`Tracer.append`.  Span
+  timestamps are wall-clock seconds (``time.time()``).
 * :meth:`Tracer.record_chrome` merges the span tree into a
   :class:`~repro.sim.trace.TraceRecorder` as Chrome-trace async events
   (``ph: "b"``/``"e"``) plus flow arrows (``ph: "s"``/``"f"``) from each
@@ -40,7 +36,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from .. import knobs
 
@@ -62,11 +58,10 @@ def tracing_enabled() -> bool:
 
 @dataclass(frozen=True)
 class SpanContext:
-    """Portable identity of one span (picklable, immutable).
+    """Identity of one span (immutable).
 
     ``trace_id`` groups every span of one causal tree; ``span_id`` is unique
-    per span (process-qualified, so ids minted in worker processes never
-    collide with the parent's); ``parent_id`` is ``None`` for roots.
+    per span; ``parent_id`` is ``None`` for roots.
     """
 
     trace_id: str
@@ -82,12 +77,7 @@ class SpanContext:
 
 @dataclass
 class SpanRecord:
-    """One finished span (picklable — workers ship these back).
-
-    Timestamps are ``time.time()`` seconds: the one clock that is consistent
-    across the processes of one machine, which is what lets worker-side
-    chain spans merge onto the parent's timeline.
-    """
+    """One finished span; timestamps are ``time.time()`` seconds."""
 
     name: str
     category: str
@@ -179,7 +169,7 @@ class _ActiveSpan:
         if self._token is not None:
             _current_span.reset(self._token)
             self._token = None
-        self._tracer._append(
+        self._tracer.append(
             SpanRecord(
                 name=self.name,
                 category=self.category,
@@ -197,8 +187,8 @@ class Tracer:
 
     The default process-global tracer (:func:`get_tracer`) is what every
     instrumented layer reports into, so one scheduler run's spans — whether
-    opened on the scheduler thread, a plan-service worker thread or shipped
-    back from a search worker process — accumulate in a single place.
+    opened on the scheduler thread or a plan-service worker thread —
+    accumulate in a single place.
     Consumers snapshot :attr:`n_records` before a run and export the delta
     (see :meth:`record_chrome`).
     """
@@ -248,20 +238,12 @@ class Tracer:
         finally:
             _current_span.reset(token)
 
-    def _append(self, record: SpanRecord) -> None:
+    def append(self, record: SpanRecord) -> None:
+        """Record one finished span (dropped when the tracer is disabled)."""
+        if not self.enabled:
+            return
         with self._lock:
             self._records.append(record)
-
-    def extend(self, records: Iterable[SpanRecord]) -> int:
-        """Fold spans recorded elsewhere (worker processes) into this tracer."""
-        if not self.enabled:
-            return 0
-        added = list(records)
-        if not added:
-            return 0
-        with self._lock:
-            self._records.extend(added)
-        return len(added)
 
     # ------------------------------------------------------------------ #
     # Reading / export

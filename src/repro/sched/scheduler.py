@@ -134,10 +134,6 @@ class SchedulerConfig:
     """Minimum ratio of current planned iteration time over the candidate's
     switch-amortized iteration time for a hot swap (>= 1, so a swap can
     never be taken at a loss)."""
-    bg_core_share: float = 0.5
-    """Fraction, in ``(0, 1]``, of the service's core budget one background
-    session may borrow per poll; the shared governor still arbitrates, so
-    foreground replans always win the contention."""
     timeline: bool = True
     """Whether to record the per-decision timeline.  Off, a month-long fleet
     replay accumulates no in-memory timeline entries and pays no
@@ -157,10 +153,6 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if not self.swap_margin >= 1.0:
             raise ValueError(f"swap_margin must be >= 1, got {self.swap_margin}")
-        if not 0.0 < self.bg_core_share <= 1.0:
-            raise ValueError(
-                f"bg_core_share must be in (0, 1], got {self.bg_core_share}"
-            )
         if not self.poll_interval_s > 0:
             raise ValueError(
                 f"poll_interval_s must be > 0, got {self.poll_interval_s}"
@@ -288,9 +280,6 @@ class ClusterScheduler:
         self._n_sessions_started = 0
         self._swap_seconds_saved = 0.0
         self._poll_event: Optional[Event] = None
-        self._bg_workers = max(
-            1, int(self.service.core_budget.total * self.config.bg_core_share)
-        )
         self._obs_log = get_logger("sched")
         self._m_timeline = self.registry.counter(
             "sched_timeline_events_total",
@@ -631,7 +620,6 @@ class ClusterScheduler:
         job.session = self.service.start_session(
             request,
             slice_iterations=self.config.poll_iterations,
-            max_workers=self._bg_workers,
         )
         self._n_sessions_started += 1
         self._n_open_sessions += 1

@@ -19,13 +19,10 @@ Two keys are derived per request:
   :mod:`repro.service.warm_start`).
 
 Fields that do not change the search *problem* are excluded from both keys:
-``SearchConfig.record_history`` (observability only),
-``SearchConfig.initial_plan`` (a hint that can only improve the result) and
-``SearchConfig.parallel`` (the execution mode of the chains, not part of the
-problem: iteration-bounded searches are bit-identical across modes, and
-searches whose *time* budget binds were never run-to-run deterministic in
-the first place — the cache's contract for those is "a plan searched under
-this budget", in any mode).
+``SearchConfig.record_history`` (observability only) and
+``SearchConfig.initial_plan`` (a hint that can only improve the result).
+Searches whose *time* budget binds are not run-to-run deterministic, so the
+cache's contract for those is "a plan searched under this budget".
 """
 
 from __future__ import annotations
@@ -80,9 +77,7 @@ def _cluster_dict(cluster: ClusterSpec) -> Dict[str, Any]:
 
 
 def _search_dict(search: SearchConfig) -> Dict[str, Any]:
-    # record_history, initial_plan and parallel do not change the search
-    # problem (see the module docstring on why the execution mode is not
-    # part of a request's identity).
+    # record_history and initial_plan do not change the search problem.
     return {
         "beta": search.beta,
         "oom_penalty": search.oom_penalty,

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster.hardware import ClusterSpec
 from ..core.dataflow import DataflowGraph
 from ..core.estimator import RuntimeEstimator
-from ..core.parallel_search import GLOBAL_CORE_BUDGET, CoreBudget
 from ..core.plan import ExecutionPlan
 from ..core.pruning import PruneConfig, allocation_options
 from ..core.search import MCMCSearcher, SearchConfig, SearchResult, SearchSession
@@ -128,9 +127,6 @@ class ServiceStats:
     warm_starts: int = 0
     dedup_joins: int = 0
     estimator_reuses: int = 0
-    parallel_searches: int = 0
-    """Searches whose chains ran on worker processes (vs in the request
-    thread); bounded by what the shared core-budget governor granted."""
     sessions_started: int = 0
     """Online (pollable) search sessions opened via :meth:`start_session`."""
     session_polls: int = 0
@@ -354,13 +350,6 @@ class PlanService:
         estimator, so its memoised per-call and per-edge costs amortise
         across requests.  Estimator caches are GIL-safe for concurrent
         searches (racing writes store identical values).
-    core_budget:
-        The :class:`~repro.core.parallel_search.CoreBudget` governor shared
-        between this service's request threads and any process-parallel
-        searches they spawn (``SearchConfig.n_chains > 1``).  One governor
-        spans both layers, so multi-chain searches degrade to in-process
-        execution instead of oversubscribing the machine when many requests
-        are in flight.  Defaults to the process-global governor.
     registry:
         The :class:`~repro.obs.metrics.MetricsRegistry` this service reports
         into: request latency histogram labeled by outcome
@@ -379,7 +368,6 @@ class PlanService:
         persist_path: Optional[str] = None,
         warm_start: bool = True,
         estimator_cache_size: int = 8,
-        core_budget: Optional[CoreBudget] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_workers < 1:
@@ -392,7 +380,6 @@ class PlanService:
             capacity=cache_capacity, persist_path=persist_path
         )
         self.warm_start = warm_start
-        self.core_budget = core_budget if core_budget is not None else GLOBAL_CORE_BUDGET
         self.stats = ServiceStats()
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="plan-service"
@@ -518,7 +505,6 @@ class PlanService:
         request: PlanRequest,
         slice_iterations: Optional[int] = None,
         slice_time_s: Optional[float] = None,
-        max_workers: Optional[int] = None,
     ) -> PlanSession:
         """Open a resumable background search for ``request``.
 
@@ -529,8 +515,7 @@ class PlanService:
         session's fingerprint.  The session is seeded exactly like a blocking
         request — from the exact cached entry (if any) plus the family
         warm-start — so polling starts from the best plan the service already
-        knows.  ``max_workers`` caps the cores a multi-chain session may
-        borrow from the shared governor per poll (the background core share).
+        knows.
         """
         if self._closed:
             raise RuntimeError("PlanService has been shut down")
@@ -562,13 +547,11 @@ class PlanService:
             prune=request.prune,
             config=request.search,
             seed_plans=seed_plans,
-            core_budget=self.core_budget,
         )
         session = SearchSession(
             searcher,
             slice_iterations=slice_iterations,
             slice_time_s=slice_time_s,
-            max_workers=max_workers,
         ).start()
         with self._lock:
             self._session_counter += 1
@@ -825,7 +808,6 @@ class PlanService:
             prune=request.prune,
             config=request.search,
             seed_plans=seed_plans,
-            core_budget=self.core_budget,
         )
         result = searcher.search()
         peak_memory_bytes = estimator.max_memory(result.best_plan).max_bytes
@@ -838,8 +820,6 @@ class PlanService:
         with self._lock:
             if warm_started:
                 self.stats.warm_starts += 1
-            if result.execution_mode == "process":
-                self.stats.parallel_searches += 1
             self.stats.search_seconds += result.elapsed_seconds
         total_seconds = finished_at - submitted_at
         outcome = "warm" if warm_started else "cold"

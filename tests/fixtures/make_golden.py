@@ -104,7 +104,6 @@ def golden_scheduler_config() -> SchedulerConfig:
             max_iterations=40,
             time_budget_s=60.0,
             record_history=False,
-            parallel="off",
             seed=0,
         )
     )

@@ -50,7 +50,6 @@ def make_searcher(algorithm: str, seed: int, iterations: int) -> MCMCSearcher:
         time_budget_s=600.0,
         seed=seed,
         n_chains=1,
-        parallel="off",
     )
     return MCMCSearcher(graph, workload, make_cluster(16), config=config)
 

@@ -6,7 +6,7 @@ now pins the same guarantee on the path that remains: the memoised
 ``cost()`` / incremental ``cost_delta()`` fast path returns exactly the
 floats a from-scratch recompute returns — on PPO and GRPO, across seeds,
 including OOM-penalized and empty-graph plans — and a search driven by it,
-sliced or not, sequential or in worker processes, lands on the same result.
+sliced or not, lands on the same result.
 """
 
 import numpy as np
@@ -187,9 +187,7 @@ class TestSessionPollParity:
     def test_sliced_batched_equals_unsliced(
         self, algorithm, workload_small, cluster8
     ):
-        kwargs = dict(
-            max_iterations=60, time_budget_s=60.0, seed=4, n_chains=2, parallel="off"
-        )
+        kwargs = dict(max_iterations=60, time_budget_s=60.0, seed=4, n_chains=2)
         reference = MCMCSearcher(
             _graph(algorithm), workload_small, cluster8, config=SearchConfig(**kwargs)
         ).search()
@@ -208,31 +206,3 @@ class TestSessionPollParity:
         assert result.best_cost == reference.best_cost
         assert result.best_plan.to_dict() == reference.best_plan.to_dict()
         assert result.n_iterations == reference.n_iterations
-
-    def test_sliced_process_mode_with_shipped_tables(self, workload_small, cluster8):
-        # Worker processes receive pickled chain states each poll; the
-        # sliced process-mode session must match the sequential search.
-        kwargs = dict(max_iterations=40, time_budget_s=60.0, seed=6, n_chains=2)
-        reference = MCMCSearcher(
-            _graph("ppo"),
-            workload_small,
-            cluster8,
-            config=SearchConfig(parallel="off", **kwargs),
-        ).search()
-        session = SearchSession(
-            MCMCSearcher(
-                _graph("ppo"),
-                workload_small,
-                cluster8,
-                config=SearchConfig(parallel="process", **kwargs),
-            ),
-            slice_iterations=9,
-        )
-        session.start()
-        if session._runner is None:
-            pytest.skip("process pool unavailable on this machine")
-        while not session.done:
-            session.poll()
-        result = session.stop()
-        assert result.best_cost == reference.best_cost
-        assert result.best_plan.to_dict() == reference.best_plan.to_dict()

@@ -5,9 +5,11 @@ import pytest
 from repro.cluster import DeviceMesh, full_cluster_mesh, make_cluster
 from repro.core import (
     Allocation,
+    MCMCSearcher,
     ParallelStrategy,
     Profiler,
     RuntimeEstimator,
+    instructgpt_workload,
     symmetric_plan,
 )
 from repro.core.estimator import DEFAULT_OOM_PENALTY
@@ -21,6 +23,11 @@ def cluster():
 @pytest.fixture(scope="module")
 def estimator(ppo_graph, small_workload, cluster):
     return RuntimeEstimator(ppo_graph, small_workload, cluster)
+
+
+@pytest.fixture(scope="module")
+def workload_small():
+    return instructgpt_workload("7b", "7b", batch_size=64)
 
 
 def concurrent_plan(ppo_graph, cluster):
@@ -140,3 +147,45 @@ class TestProfiledEstimator:
         t_approx = approx.time_cost(plan).total_seconds
         # The paper reports estimator errors below ~25%.
         assert abs(t_approx - t_exact) / t_exact < 0.25
+
+
+class TestEvalCacheLRU:
+    def _plans(self, searcher, n):
+        """n distinct plans: vary one call's allocation of the greedy plan."""
+        base = searcher.greedy_initial_plan()
+        call = searcher.graph.call_names[0]
+        choices = searcher.options[call]
+        assert len(choices) >= n
+        return [base.with_assignment(call, choices[i]) for i in range(n)]
+
+    def test_lru_caps_size_and_counts_evictions(self, ppo_graph, small_cluster, workload_small):
+        estimator = RuntimeEstimator(ppo_graph, workload_small, small_cluster, eval_cache_size=2)
+        searcher = MCMCSearcher(ppo_graph, workload_small, small_cluster, estimator=estimator)
+        plans = self._plans(searcher, 3)
+        for plan in plans:
+            estimator.cost(plan)
+        stats = estimator.eval_cache_stats
+        assert stats.misses == 3
+        assert stats.evictions == 1
+        assert len(estimator._eval_cache) == 2
+        # Re-evaluating the most recent plan hits; the evicted one misses.
+        estimator.cost(plans[2])
+        assert stats.hits == 1
+        estimator.cost(plans[0])
+        assert stats.misses == 4
+        assert stats.hit_rate == pytest.approx(1 / 5)
+        data = stats.to_dict()
+        assert data["evictions"] >= 2
+
+    def test_cached_values_identical_after_eviction(
+        self, ppo_graph, small_cluster, workload_small
+    ):
+        tiny = RuntimeEstimator(ppo_graph, workload_small, small_cluster, eval_cache_size=1)
+        reference = RuntimeEstimator(ppo_graph, workload_small, small_cluster)
+        searcher = MCMCSearcher(ppo_graph, workload_small, small_cluster, estimator=tiny)
+        for plan in self._plans(searcher, 3):
+            assert tiny.cost(plan) == reference.cost(plan)
+
+    def test_invalid_capacity_rejected(self, ppo_graph, small_cluster, workload_small):
+        with pytest.raises(ValueError):
+            RuntimeEstimator(ppo_graph, workload_small, small_cluster, eval_cache_size=0)

@@ -3,10 +3,9 @@
 Covers the tracer's own contract — implicit parentage through the context
 variable, explicit grafting, the ``REPRO_TRACING`` kill switch, thread-hop
 propagation via :meth:`Tracer.activate`, Chrome-trace export with flow
-arrows — and the cross-*process* invariant the search layer depends on: a
-process-mode :class:`SearchSession` polled in slices yields the same
-span-tree parentage as a sequential one, and spans keep flowing after the
-fail-soft in-process fallback.
+arrows — and the parentage the search layer depends on: every chain slice
+of a :class:`SearchSession` polled in slices hangs under the poll that ran
+it.
 """
 
 from __future__ import annotations
@@ -70,7 +69,8 @@ class TestTracingKnob:
             assert span.context is None
             span.set(key="value")  # no-op, chainable
         assert disabled.n_records == 0
-        assert disabled.extend([_record("orphan")]) == 0
+        disabled.append(_record("orphan"))
+        assert disabled.n_records == 0
 
 
 def _record(name: str, context: SpanContext = None) -> SpanRecord:
@@ -126,13 +126,6 @@ class TestSpanTree:
         thread.start()
         thread.join()
         assert seen["parent"] == captured.span_id
-
-    def test_extend_folds_foreign_records(self, tracer):
-        with tracer.start_span("parent") as parent:
-            pass
-        shipped = _record("shipped", parent.context.child())
-        assert tracer.extend([shipped]) == 1
-        assert tracer.records(since=1) == [shipped]
 
     def test_records_since_and_clear(self, tracer):
         with tracer.start_span("one"):
@@ -195,12 +188,10 @@ class TestChromeExport:
 
 
 # ---------------------------------------------------------------------- #
-# Cross-process propagation through SearchSession
+# Span parentage through SearchSession
 # ---------------------------------------------------------------------- #
-def _session(parallel: str) -> SearchSession:
-    config = SearchConfig(
-        max_iterations=40, time_budget_s=60.0, seed=5, n_chains=2, parallel=parallel
-    )
+def _session() -> SearchSession:
+    config = SearchConfig(max_iterations=40, time_budget_s=60.0, seed=5, n_chains=2)
     searcher = MCMCSearcher(
         build_ppo_graph(),
         instructgpt_workload("7b", "7b", batch_size=64),
@@ -210,72 +201,22 @@ def _session(parallel: str) -> SearchSession:
     return SearchSession(searcher, slice_iterations=9)
 
 
-def _polled_parentage(tracer: Tracer, session: SearchSession):
-    """Poll to completion, one span per poll; return edges + execution modes."""
-    session.start()
-    modes = set()
-    while not session.done:
-        with tracer.start_span("session poll", category="service"):
-            modes.add(session.poll().execution_mode)
-    session.stop()
-    by_id = {r.context.span_id: r for r in tracer.records()}
-    edges = sorted(
-        (r.name, by_id[r.context.parent_id].name)
-        for r in tracer.records()
-        if r.context.parent_id in by_id
-    )
-    return edges, modes
-
-
-class TestCrossProcessSpans:
-    def test_process_parentage_matches_sequential(self):
-        sequential_tracer = Tracer(enabled=True)
-        previous = set_tracer(sequential_tracer)
-        try:
-            sequential_edges, _ = _polled_parentage(sequential_tracer, _session("off"))
-        finally:
-            set_tracer(previous)
-        assert sequential_edges, "sequential session recorded no span edges"
-        assert ("chain 0", "session poll") in sequential_edges
-
-        process_tracer = Tracer(enabled=True)
-        previous = set_tracer(process_tracer)
-        try:
-            session = _session("process")
-            session.start()
-            if session._runner is None:
-                pytest.skip("process pool unavailable on this machine")
-            process_edges, modes = _polled_parentage(process_tracer, session)
-        finally:
-            set_tracer(previous)
-        assert "process" in modes
-        # Same tree shape: every chain slice hangs under the poll that ran
-        # it, regardless of which process executed the slice.
-        assert process_edges == sequential_edges
-
-    def test_spans_survive_in_process_fallback(self):
-        tracer = Tracer(enabled=True)
-        previous = set_tracer(tracer)
-        try:
-            session = _session("process")
-            session.start()
-            if session._runner is None:
-                pytest.skip("process pool unavailable on this machine")
+class TestSessionSpans:
+    def test_chain_slices_hang_under_their_poll(self, tracer):
+        session = _session().start()
+        while not session.done:
             with tracer.start_span("session poll", category="service"):
                 session.poll()
-            before = len([r for r in tracer.records() if r.name.startswith("chain")])
-            assert before >= 1
-            # Kill the pool: later polls fall back to the calling thread.
-            session._runner.close_session()
-            session._runner = None
-            while not session.done:
-                with tracer.start_span("session poll", category="service"):
-                    assert session.poll().execution_mode in ("sequential", "idle")
-            session.stop()
-        finally:
-            set_tracer(previous)
-        chains = [r for r in tracer.records() if r.name.startswith("chain")]
-        assert len(chains) > before, "fallback slices recorded no spans"
-        by_id = {r.context.span_id: r for r in tracer.records()}
+        session.stop()
+        records = tracer.records()
+        by_id = {r.context.span_id: r for r in records}
+        edges = sorted(
+            (r.name, by_id[r.context.parent_id].name)
+            for r in records
+            if r.context.parent_id in by_id
+        )
+        assert ("chain 0", "session poll") in edges
+        chains = [r for r in records if r.name.startswith("chain")]
+        assert chains, "session recorded no chain spans"
         for record in chains:
             assert by_id[record.context.parent_id].name == "session poll"

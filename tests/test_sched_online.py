@@ -155,13 +155,11 @@ class TestOnlineReplanning:
         # loss, whether the value comes from a default or a caller.
         for field, value in [
             ("swap_margin", 0.5),
-            ("bg_core_share", 0.0),
-            ("bg_core_share", 3.0),
             ("poll_interval_s", 0.0),
             ("poll_interval_s", -1.0),
             ("counter_interval_s", -5.0),
         ]:
             with pytest.raises(ValueError, match=field):
                 SchedulerConfig(**{field: value})
-        edge = SchedulerConfig(swap_margin=1.0, bg_core_share=1.0, counter_interval_s=0.0)
-        assert edge.swap_margin == 1.0 and edge.bg_core_share == 1.0
+        edge = SchedulerConfig(swap_margin=1.0, counter_interval_s=0.0)
+        assert edge.swap_margin == 1.0

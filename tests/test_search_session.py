@@ -3,10 +3,11 @@
 The headline invariant: a :class:`SearchSession` polled in N slices reaches
 *exactly* the same best plan/cost — and the same per-chain trajectories — as
 one uninterrupted ``search()`` with the same seed and total budget, for PPO
-and GRPO, in sequential and process execution modes.  Each chain's RNG
-travels inside its checkpointed :class:`ChainState`, so slicing can never
-change the outcome.  Also covered here: the new :class:`SearchConfig`
-budget validation and the session lifecycle (budgets, done, stop).
+and GRPO.  Each chain's RNG travels inside its checkpointed
+:class:`ChainState`, so slicing can never change the outcome.  Also covered
+here: the :class:`SearchConfig` budget validation, the session lifecycle
+(budgets, done, stop), the single-chain RNG stream and the search timing
+fields.
 """
 
 import pickle
@@ -59,9 +60,7 @@ class TestSlicedDeterminism:
     def test_sliced_equals_unsliced_sequential(
         self, algorithm, slice_iterations, cluster8, workload_small
     ):
-        kwargs = dict(
-            max_iterations=50, time_budget_s=60.0, seed=3, n_chains=2, parallel="off"
-        )
+        kwargs = dict(max_iterations=50, time_budget_s=60.0, seed=3, n_chains=2)
         reference = _searcher(algorithm, workload_small, cluster8, **kwargs).search()
         session = SearchSession(
             _searcher(algorithm, workload_small, cluster8, **kwargs),
@@ -71,56 +70,12 @@ class TestSlicedDeterminism:
             session.poll()
         _assert_identical(session.stop(), reference)
 
-    @pytest.mark.parametrize("algorithm", ["ppo", "grpo"])
-    def test_sliced_process_equals_unsliced_sequential(
-        self, algorithm, cluster8, workload_small
-    ):
-        kwargs = dict(max_iterations=40, time_budget_s=60.0, seed=5, n_chains=2)
-        reference = _searcher(
-            algorithm, workload_small, cluster8, parallel="off", **kwargs
-        ).search()
-        session = SearchSession(
-            _searcher(algorithm, workload_small, cluster8, parallel="process", **kwargs),
-            slice_iterations=9,
-        )
-        session.start()
-        if session._runner is None:
-            pytest.skip("process pool unavailable on this machine")
-        modes = set()
-        while not session.done:
-            modes.add(session.poll().execution_mode)
-        result = session.stop()
-        _assert_identical(result, reference)
-        assert "process" in modes
-        assert result.execution_mode == "process"
-
-    def test_mixed_execution_modes_still_identical(self, cluster8, workload_small):
-        """A session that loses its pool mid-run must not change the outcome."""
-        kwargs = dict(max_iterations=30, time_budget_s=60.0, seed=9, n_chains=2)
-        reference = _searcher(
-            "ppo", workload_small, cluster8, parallel="off", **kwargs
-        ).search()
-        session = SearchSession(
-            _searcher("ppo", workload_small, cluster8, parallel="process", **kwargs),
-            slice_iterations=8,
-        )
-        session.start()
-        if session._runner is None:
-            pytest.skip("process pool unavailable on this machine")
-        session.poll()
-        # Simulate the pool dying between polls: later slices run in-process.
-        session._runner.close_session()
-        session._runner = None
-        while not session.done:
-            assert session.poll().execution_mode in ("sequential", "idle")
-        _assert_identical(session.stop(), reference)
-
 
 class TestSessionLifecycle:
     def test_budget_accounting_and_done(self, cluster8, workload_small):
         searcher = _searcher(
             "ppo", workload_small, cluster8,
-            max_iterations=20, time_budget_s=60.0, seed=1, n_chains=2, parallel="off",
+            max_iterations=20, time_budget_s=60.0, seed=1, n_chains=2,
         )
         session = SearchSession(searcher, slice_iterations=6)
         session.start()
@@ -135,12 +90,12 @@ class TestSessionLifecycle:
         assert progress.done
         # Polling a finished session is a harmless no-op.
         idle = session.poll()
-        assert idle.new_iterations == 0 and idle.execution_mode == "idle"
+        assert idle.new_iterations == 0
 
     def test_best_monotone_and_initial_candidate(self, cluster8, workload_small):
         searcher = _searcher(
             "ppo", workload_small, cluster8,
-            max_iterations=40, time_budget_s=60.0, seed=2, n_chains=1, parallel="off",
+            max_iterations=40, time_budget_s=60.0, seed=2, n_chains=1,
         )
         session = SearchSession(searcher, slice_iterations=5)
         session.start()
@@ -156,7 +111,7 @@ class TestSessionLifecycle:
     def test_stop_is_final_and_result_matches(self, cluster8, workload_small):
         searcher = _searcher(
             "ppo", workload_small, cluster8,
-            max_iterations=10, time_budget_s=60.0, seed=4, n_chains=1, parallel="off",
+            max_iterations=10, time_budget_s=60.0, seed=4, n_chains=1,
         )
         session = SearchSession(searcher, slice_iterations=4)
         session.poll()  # poll() auto-starts
@@ -177,7 +132,7 @@ class TestSessionLifecycle:
     def test_chain_state_pickles(self, cluster8, workload_small):
         searcher = _searcher(
             "ppo", workload_small, cluster8,
-            max_iterations=10, time_budget_s=60.0, seed=6, n_chains=1, parallel="off",
+            max_iterations=10, time_budget_s=60.0, seed=6, n_chains=1,
         )
         plan, cost = searcher.initial_candidate()
         state = searcher.init_chain_state(0, plan, cost, 10)
@@ -190,6 +145,28 @@ class TestSessionLifecycle:
         searcher.advance_chain(clone)
         assert clone.best_cost == state.best_cost
         assert clone.done and state.done
+
+
+class TestSearchRuns:
+    def test_single_chain_matches_pre_parallel_stream(self, cluster8, workload_small):
+        # Chain 0 keeps the classic single-chain RNG stream: two fresh
+        # searchers with the same seed agree.
+        kwargs = dict(max_iterations=120, time_budget_s=60, seed=4)
+        r1 = _searcher("ppo", workload_small, cluster8, **kwargs).search()
+        r2 = _searcher("ppo", workload_small, cluster8, **kwargs).search()
+        assert r1.best_cost == r2.best_cost
+
+    def test_sequential_timing_fields(self, cluster8, workload_small):
+        result = _searcher(
+            "ppo", workload_small, cluster8,
+            max_iterations=90, time_budget_s=30, seed=0, n_chains=3,
+        ).search()
+        assert len(result.chain_wall_seconds) == 3
+        assert len(result.chain_cpu_seconds) == 3
+        assert result.cpu_seconds == pytest.approx(sum(result.chain_cpu_seconds))
+        # True wall clock covers initial-candidate evaluation plus all chains.
+        assert result.elapsed_seconds >= max(result.chain_wall_seconds)
+        assert result.elapsed_seconds > 0
 
 
 class TestSearchConfigValidation:
