@@ -13,8 +13,8 @@ The package is organised by subsystem:
 * :mod:`repro.baselines` — DeepSpeed-Chat, OpenRLHF, NeMo-Aligner, veRL and the
   Megatron heuristic as strategy models, plus ReaL itself.
 * :mod:`repro.service` — planner-as-a-service: workload fingerprinting, an
-  LRU plan cache with disk persistence, warm-started searches and a
-  concurrent deduplicating plan server.
+  in-memory LRU plan cache, warm-started searches and a concurrent
+  deduplicating plan server.
 * :mod:`repro.sched` — multi-job cluster scheduler: elastic, plan-service-
   driven scheduling of concurrent RLHF jobs over one shared cluster.
 * :mod:`repro.experiments` — settings, metrics and runners for every figure.
@@ -53,7 +53,7 @@ from .core import (
 )
 from .runtime import RuntimeEngine
 from .sched import ClusterScheduler, JobSpec, NodeFailure, ScheduleReport, schedule_trace
-from .service import PlanClient, PlanRequest, PlanService
+from .service import PlanRequest, PlanService
 
 __version__ = "1.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "search_execution_plan",
     "RuntimeEngine",
     "PlanService",
-    "PlanClient",
     "PlanRequest",
     "JobSpec",
     "NodeFailure",

@@ -28,9 +28,7 @@ from .plan import (
     DataTransferEdge,
     ExecutionPlan,
     ReallocationEdge,
-    allocation_from_dict,
     data_transfer_edges,
-    plan_from_dict,
     reallocation_edges,
     symmetric_plan,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "reallocation_edges",
     "data_transfer_edges",
     "symmetric_plan",
-    "allocation_from_dict",
-    "plan_from_dict",
     # estimator
     "CallCostModel",
     "CostBreakdown",

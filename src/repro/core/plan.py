@@ -24,8 +24,6 @@ __all__ = [
     "ExecutionPlan",
     "ReallocationEdge",
     "DataTransferEdge",
-    "allocation_from_dict",
-    "plan_from_dict",
     "reallocation_edges",
     "data_transfer_edges",
     "symmetric_plan",
@@ -68,9 +66,7 @@ class Allocation:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable representation (cluster shape is stored separately).
 
-        The mesh is stored by its coordinates within its cluster; rebuilding
-        the allocation therefore requires a :class:`ClusterSpec` of the same
-        shape (see :func:`allocation_from_dict`).
+        The mesh is stored by its coordinates within its cluster.
         """
         return {
             "mesh": {
@@ -199,9 +195,9 @@ class ExecutionPlan:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable representation of the plan.
 
-        The originating cluster's shape is recorded so deserialization can
-        verify the target cluster is compatible (meshes are stored by
-        coordinates, not by the full hardware spec).
+        The originating cluster's shape is recorded next to the assignments,
+        whose meshes are stored by coordinates, not by the full hardware
+        spec.
         """
         clusters = {a.mesh.cluster for a in self.assignments.values()}
         shape: Optional[Tuple[int, int]] = None
@@ -216,50 +212,6 @@ class ExecutionPlan:
                 for call_name, alloc in sorted(self.assignments.items())
             },
         }
-
-
-def allocation_from_dict(data: Mapping[str, Any], cluster: ClusterSpec) -> Allocation:
-    """Rebuild an :class:`Allocation` serialized by :meth:`Allocation.to_dict`.
-
-    ``cluster`` supplies the hardware substrate the stored mesh coordinates
-    refer to; it must have the same shape as the cluster the allocation was
-    serialized from, otherwise mesh construction fails with a clear error.
-    """
-    mesh_data = data["mesh"]
-    mesh = DeviceMesh(
-        cluster=cluster,
-        node_start=int(mesh_data["node_start"]),
-        n_nodes=int(mesh_data["n_nodes"]),
-        gpu_start=int(mesh_data["gpu_start"]),
-        gpus_per_node=int(mesh_data["gpus_per_node"]),
-    )
-    parallel_data = data["parallel"]
-    parallel = ParallelStrategy(
-        dp=int(parallel_data["dp"]),
-        tp=int(parallel_data["tp"]),
-        pp=int(parallel_data["pp"]),
-    )
-    return Allocation(
-        mesh=mesh,
-        parallel=parallel,
-        n_microbatches=int(data.get("n_microbatches", 1)),
-        zero3=bool(data.get("zero3", False)),
-    )
-
-
-def plan_from_dict(data: Mapping[str, Any], cluster: ClusterSpec) -> ExecutionPlan:
-    """Rebuild an :class:`ExecutionPlan` serialized by :meth:`ExecutionPlan.to_dict`."""
-    shape = data.get("cluster_shape")
-    if shape is not None and tuple(shape) != (cluster.n_nodes, cluster.gpus_per_node):
-        raise ValueError(
-            f"plan was serialized on a cluster of shape {tuple(shape)}, cannot "
-            f"deserialize onto ({cluster.n_nodes}, {cluster.gpus_per_node})"
-        )
-    assignments = {
-        call_name: allocation_from_dict(alloc_data, cluster)
-        for call_name, alloc_data in data["assignments"].items()
-    }
-    return ExecutionPlan(assignments, name=str(data.get("name", "plan")))
 
 
 # ---------------------------------------------------------------------- #

@@ -79,7 +79,7 @@ class PlanCosting:
         # (job planning identity, partition shape, replan?) → scored result.
         # The memo mirrors the service's exact-key cache — identical keys pose
         # byte-identical planning problems — but answers without a service
-        # round trip (fingerprinting, locks, plan deserialization).  Gated off
+        # round trip (fingerprinting, locks, response assembly).  Gated off
         # by default because hits bypass the service's request statistics.
         self._memo: Dict[tuple, Tuple[Optional[ExecutionPlan], float, bool]] = {}
         self.candidates_scored = 0

@@ -78,7 +78,7 @@ class IterationProfiler:
         self._profiles: Dict[Tuple, IterationProfile] = {}
         self._engines: Dict[Tuple, object] = {}
         # id(plan) → (plan, canonical JSON key).  Plans are shared objects
-        # (service cache hits return the same deserialized instance), so the
+        # (service cache hits return the cached plan object itself), so the
         # identity check makes repeated profiling of the same plan skip the
         # canonical-JSON dump — the profiler's per-call hot cost at fleet
         # scale.  Holding the plan itself keeps the id stable.

@@ -5,18 +5,15 @@ subsystem turns it into a shared service so heavy planning traffic is cheap:
 
 * :mod:`repro.service.fingerprint` — canonical cache keys for planning
   requests (exact key + warm-start family key).
-* :mod:`repro.service.cache` — thread-safe LRU plan cache with optional
-  on-disk JSON persistence.
+* :mod:`repro.service.cache` — thread-safe in-memory LRU cache of plan
+  objects.
 * :mod:`repro.service.warm_start` — seeding the MCMC search from the most
   similar cached plan, adapted across cluster sizes.
 * :mod:`repro.service.server` — the concurrent :class:`PlanService` with
   request deduplication and per-request statistics.
-* :mod:`repro.service.client` — the ergonomic :class:`PlanClient` front door
-  (single, named-algorithm and batch requests).
 """
 
 from .cache import PlanCache, PlanCacheEntry
-from .client import PlanClient
 from .fingerprint import WorkloadFingerprint, canonical_request, fingerprint_request
 from .server import (
     PlanRequest,
@@ -45,5 +42,4 @@ __all__ = [
     "SessionStatus",
     "PlanSession",
     "PlanService",
-    "PlanClient",
 ]

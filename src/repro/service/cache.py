@@ -1,11 +1,10 @@
 """Plan cache: LRU storage of search results keyed by workload fingerprint.
 
 The cache maps a :class:`~repro.service.fingerprint.WorkloadFingerprint` key
-to a :class:`PlanCacheEntry` — the serialized best plan plus the summary
-statistics of the search that produced it.  Entries are kept in LRU order and
-optionally persisted to a JSON file so a restarted service keeps its warm
-plans (the multi-tenant "plans as shared state" pattern of service-oriented
-FL/RLHF systems).
+to a :class:`PlanCacheEntry` — the best :class:`~repro.core.plan.ExecutionPlan`
+itself plus the summary statistics of the search that produced it.  Entries
+live in memory only and are kept in LRU order: a plan search is cheap enough
+to repeat, so nothing needs to survive a restart.
 
 The cache is thread-safe: the plan server's worker pool reads and writes it
 concurrently.
@@ -13,16 +12,12 @@ concurrently.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from ..cluster.hardware import ClusterSpec
-from ..core.plan import ExecutionPlan, plan_from_dict
+from ..core.plan import ExecutionPlan
 from ..core.search import SearchResult
 from .fingerprint import WorkloadFingerprint
 
@@ -35,68 +30,59 @@ DEFAULT_CACHE_CAPACITY = 128
 class PlanCacheEntry:
     """One cached search outcome.
 
-    ``plan_data`` is the JSON form of the best plan (meshes stored by
-    coordinates); ``cluster_shape`` records the ``(n_nodes, gpus_per_node)``
-    shape those coordinates refer to.  ``features`` mirrors the fingerprint's
-    scale knobs so the warm-start selector can rank entries without
-    re-deriving workloads.
+    ``plan`` is the best plan as the search returned it; its meshes carry the
+    cluster it was searched on.  Served plans are shared between every hit,
+    session seed and warm start of the entry, so they must not be mutated.
+    ``features`` mirrors the fingerprint's scale knobs so the warm-start
+    selector can rank entries without re-deriving workloads.
     """
 
     key: str
     family: str
     features: Dict[str, float]
-    cluster_shape: Tuple[int, int]
-    plan_data: Dict[str, Any]
+    plan: ExecutionPlan
     best_cost: float
     initial_cost: float
+    peak_memory_bytes: float
+    """Estimated MaxMem of the best plan."""
     n_iterations: int = 0
     n_accepted: int = 0
     elapsed_seconds: float = 0.0
     search_space: float = 0.0
-    peak_memory_bytes: float = 0.0
-    """Estimated MaxMem of the best plan; 0 means unknown (legacy entries)."""
 
     @classmethod
     def from_search_result(
         cls,
         fingerprint: WorkloadFingerprint,
         result: SearchResult,
-        cluster: ClusterSpec,
-        peak_memory_bytes: float = 0.0,
+        peak_memory_bytes: float,
     ) -> "PlanCacheEntry":
         """Build an entry from a finished search."""
         return cls(
             key=fingerprint.key,
             family=fingerprint.family,
             features=dict(fingerprint.features),
-            cluster_shape=(cluster.n_nodes, cluster.gpus_per_node),
-            plan_data=result.best_plan.to_dict(),
+            plan=result.best_plan,
             best_cost=result.best_cost,
             initial_cost=result.initial_cost,
+            peak_memory_bytes=peak_memory_bytes,
             n_iterations=result.n_iterations,
             n_accepted=result.n_accepted,
             elapsed_seconds=result.elapsed_seconds,
             search_space=result.search_space,
-            peak_memory_bytes=peak_memory_bytes,
         )
 
-    def plan(self, cluster: ClusterSpec) -> ExecutionPlan:
-        """Rebuild the cached plan on ``cluster`` (must match the stored shape)."""
-        return plan_from_dict(self.plan_data, cluster)
+    def to_search_result(self) -> SearchResult:
+        """A summary :class:`SearchResult` for cache hits.
 
-    def to_search_result(self, cluster: ClusterSpec) -> SearchResult:
-        """Reconstruct a summary :class:`SearchResult` for cache hits.
-
-        The proposal history is not persisted, and the initial plan is not
-        stored separately (it is only used for the improvement ratio), so the
-        reconstructed result reuses the best plan with the recorded initial
-        cost.
+        The proposal history and the initial plan are not kept (the initial
+        plan only feeds the improvement ratio), so the result reuses the
+        stored best plan with the recorded initial cost.
         """
-        plan = self.plan(cluster)
         return SearchResult(
-            best_plan=plan,
+            best_plan=self.plan,
             best_cost=self.best_cost,
-            initial_plan=plan,
+            initial_plan=self.plan,
             initial_cost=self.initial_cost,
             n_iterations=self.n_iterations,
             n_accepted=self.n_accepted,
@@ -105,98 +91,31 @@ class PlanCacheEntry:
             search_space=self.search_space,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form for on-disk persistence."""
-        return {
-            "key": self.key,
-            "family": self.family,
-            "features": dict(self.features),
-            "cluster_shape": list(self.cluster_shape),
-            "plan": self.plan_data,
-            "best_cost": self.best_cost,
-            "initial_cost": self.initial_cost,
-            "n_iterations": self.n_iterations,
-            "n_accepted": self.n_accepted,
-            "elapsed_seconds": self.elapsed_seconds,
-            "search_space": self.search_space,
-            "peak_memory_bytes": self.peak_memory_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlanCacheEntry":
-        """Inverse of :meth:`to_dict`."""
-        shape = tuple(int(v) for v in data["cluster_shape"])
-        if len(shape) != 2:
-            raise ValueError(f"cluster_shape must have two entries, got {shape}")
-        plan_shape = data["plan"].get("cluster_shape")
-        if plan_shape is not None and tuple(int(v) for v in plan_shape) != shape:
-            raise ValueError(
-                f"entry cluster_shape {shape} disagrees with the plan's "
-                f"{tuple(plan_shape)}"
-            )
-        return cls(
-            key=str(data["key"]),
-            family=str(data["family"]),
-            features={k: float(v) for k, v in data.get("features", {}).items()},
-            cluster_shape=(shape[0], shape[1]),
-            plan_data=dict(data["plan"]),
-            best_cost=float(data["best_cost"]),
-            initial_cost=float(data["initial_cost"]),
-            n_iterations=int(data.get("n_iterations", 0)),
-            n_accepted=int(data.get("n_accepted", 0)),
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            search_space=float(data.get("search_space", 0.0)),
-            peak_memory_bytes=float(data.get("peak_memory_bytes", 0.0)),
-        )
-
 
 class PlanCache:
     """Thread-safe LRU cache of :class:`PlanCacheEntry` objects.
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of entries; the least recently used entry is evicted
-        when the cache overflows.
-    persist_path:
-        Optional JSON file.  When given, the cache loads existing entries at
-        construction and rewrites the file (atomically) after every mutation,
-        so plans survive service restarts.
+    ``capacity`` is the maximum number of entries; the least recently used
+    entry is evicted when the cache overflows.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CACHE_CAPACITY,
-        persist_path: Optional[str] = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.persist_path = persist_path
         self._entries: "OrderedDict[str, PlanCacheEntry]" = OrderedDict()
         self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        if persist_path is not None and os.path.exists(persist_path):
-            self._load(persist_path)
 
-    # ------------------------------------------------------------------ #
-    # Core operations
-    # ------------------------------------------------------------------ #
     def get(self, key: str) -> Optional[PlanCacheEntry]:
         """Look up an entry by exact fingerprint key (refreshes LRU order)."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
+            if entry is not None:
+                self._entries.move_to_end(key)
             return entry
 
     def peek(self, key: str) -> Optional[PlanCacheEntry]:
-        """Look up an entry without touching LRU order or hit/miss counters."""
+        """Look up an entry without touching LRU order."""
         with self._lock:
             return self._entries.get(key)
 
@@ -208,18 +127,15 @@ class PlanCache:
             self._entries[entry.key] = entry
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
-            self._persist()
 
     def refresh(self, entry: PlanCacheEntry) -> bool:
         """Replace the cached entry for ``entry.key`` only if this one is better.
 
         The staleness hook of online re-planning: a background session that
         beats the cached cost for its fingerprint writes its improved plan
-        back (including persistence), so future requests are never served a
-        plan the service already knows how to beat.  Entries at least as good
-        as the candidate are left untouched; returns whether the cache
-        changed.
+        back, so future requests are never served a plan the service already
+        knows how to beat.  Entries at least as good as the candidate are
+        left untouched; returns whether the cache changed.
         """
         with self._lock:
             existing = self._entries.get(entry.key)
@@ -242,12 +158,6 @@ class PlanCache:
         with self._lock:
             return list(self._entries)
 
-    def clear(self) -> None:
-        """Drop every entry (and rewrite the persistence file, if any)."""
-        with self._lock:
-            self._entries.clear()
-            self._persist()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -255,57 +165,3 @@ class PlanCache:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    def flush(self) -> None:
-        """Force a rewrite of the persistence file (no-op without one)."""
-        with self._lock:
-            self._persist()
-
-    def _persist(self) -> None:
-        if self.persist_path is None:
-            return
-        payload = {
-            "version": 1,
-            "entries": [entry.to_dict() for entry in self._entries.values()],
-        }
-        directory = os.path.dirname(os.path.abspath(self.persist_path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, self.persist_path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
-
-    def _load(self, path: str) -> None:
-        # A cache file is disposable state: a corrupted or incompatible file
-        # must not prevent the service from starting, so bad payloads (or
-        # individual bad entries) are dropped instead of raised.
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            entries = payload.get("entries", [])
-        except (OSError, json.JSONDecodeError, AttributeError):
-            return
-        if not isinstance(entries, list):
-            return
-        for data in entries:
-            try:
-                entry = PlanCacheEntry.from_dict(data)
-            except (KeyError, TypeError, ValueError):
-                continue
-            self._entries[entry.key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)

@@ -102,9 +102,9 @@ class RequestStats:
 class PlanResponse:
     """A served plan plus provenance.
 
-    ``peak_memory_bytes`` is the estimator's MaxMem of the served plan
-    (0 when unknown, e.g. a legacy persisted cache entry); ``feasible`` is
-    that peak compared against the request cluster's per-device capacity.
+    ``peak_memory_bytes`` is the estimator's MaxMem of the served plan;
+    ``feasible`` is that peak compared against the request cluster's
+    per-device capacity.
     Schedulers use it to reject (job, partition) candidates whose best plan
     still OOMs.
     """
@@ -113,7 +113,7 @@ class PlanResponse:
     cost: float
     result: SearchResult
     stats: RequestStats
-    peak_memory_bytes: float = 0.0
+    peak_memory_bytes: float
     feasible: bool = True
 
 
@@ -336,9 +336,8 @@ class PlanService:
     ----------
     max_workers:
         Size of the search worker pool (concurrent cold searches).
-    cache:
-        An existing :class:`PlanCache` to share between services; by default
-        a private cache is created from ``cache_capacity``/``persist_path``.
+    cache_capacity:
+        Size of the service's in-memory LRU :class:`PlanCache`.
     warm_start:
         Whether cache misses are seeded from the most similar cached plan of
         the same fingerprint family.
@@ -363,9 +362,7 @@ class PlanService:
     def __init__(
         self,
         max_workers: int = 4,
-        cache: Optional[PlanCache] = None,
         cache_capacity: int = 128,
-        persist_path: Optional[str] = None,
         warm_start: bool = True,
         estimator_cache_size: int = 8,
         registry: Optional[MetricsRegistry] = None,
@@ -376,9 +373,7 @@ class PlanService:
             raise ValueError(
                 f"estimator_cache_size must be >= 1, got {estimator_cache_size}"
             )
-        self.cache = cache if cache is not None else PlanCache(
-            capacity=cache_capacity, persist_path=persist_path
-        )
+        self.cache = PlanCache(capacity=cache_capacity)
         self.warm_start = warm_start
         self.stats = ServiceStats()
         self._pool = ThreadPoolExecutor(
@@ -463,8 +458,7 @@ class PlanService:
                 )
                 return future
             self.stats.cache_hits += 1
-        # Deserializing the cached plan can be comparatively expensive, so
-        # hits are materialised outside the lock to keep submission concurrent.
+        # Hits are answered outside the lock to keep submission concurrent.
         with get_tracer().start_span(
             "plan request",
             category="service",
@@ -489,13 +483,6 @@ class PlanService:
     def plan(self, request: PlanRequest, timeout: Optional[float] = None) -> PlanResponse:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(request).result(timeout=timeout)
-
-    def plan_many(
-        self, requests: List[PlanRequest], timeout: Optional[float] = None
-    ) -> List[PlanResponse]:
-        """Submit a batch of requests and gather the responses in order."""
-        futures = [self.submit(request) for request in requests]
-        return [future.result(timeout=timeout) for future in futures]
 
     # ------------------------------------------------------------------ #
     # Online sessions
@@ -528,7 +515,7 @@ class PlanService:
         seeded_from: Optional[str] = None
         exact = self.cache.peek(fingerprint.key)
         if exact is not None:
-            seed_plans.append(exact.plan(request.cluster))
+            seed_plans.append(exact.plan)
         if self.warm_start:
             entry = select_warm_start(self.cache, fingerprint)
             if entry is not None:
@@ -608,9 +595,7 @@ class PlanService:
         """Refresh the cache when a session's current best beats the entry."""
         result = handle.session.result()
         peak = handle.estimator.max_memory(result.best_plan).max_bytes
-        entry = PlanCacheEntry.from_search_result(
-            handle.fingerprint, result, handle.request.cluster, peak
-        )
+        entry = PlanCacheEntry.from_search_result(handle.fingerprint, result, peak)
         if not self.cache.refresh(entry):
             return False
         with self._lock:
@@ -691,7 +676,7 @@ class PlanService:
         fingerprint: WorkloadFingerprint,
         submitted_at: float,
     ) -> PlanResponse:
-        result = entry.to_search_result(request.cluster)
+        result = entry.to_search_result()
         elapsed = time.perf_counter() - submitted_at
         stats = RequestStats(
             fingerprint=fingerprint.key,
@@ -709,13 +694,7 @@ class PlanService:
 
     @staticmethod
     def _fits_memory(peak_memory_bytes: float, cluster: ClusterSpec) -> bool:
-        """Whether a plan's estimated MaxMem fits the per-device capacity.
-
-        An unknown peak (0, from legacy cache entries) is treated as fitting —
-        the pre-existing behaviour of serving the plan unconditionally.
-        """
-        if peak_memory_bytes <= 0:
-            return True
+        """Whether a plan's estimated MaxMem fits the per-device capacity."""
         return peak_memory_bytes < cluster.device_memory_bytes
 
     def _collect_gauges(self) -> None:
@@ -812,9 +791,7 @@ class PlanService:
         result = searcher.search()
         peak_memory_bytes = estimator.max_memory(result.best_plan).max_bytes
         self.cache.put(
-            PlanCacheEntry.from_search_result(
-                fingerprint, result, request.cluster, peak_memory_bytes
-            )
+            PlanCacheEntry.from_search_result(fingerprint, result, peak_memory_bytes)
         )
         finished_at = time.perf_counter()
         with self._lock:
@@ -883,15 +860,11 @@ class PlanService:
         self._pool.shutdown(wait=wait)
 
     def close(self, wait: bool = True) -> None:
-        """Shut the worker pool down and flush the plan cache to disk.
+        """Shut the worker pool down and unhook the metrics collector.
 
-        ``shutdown`` alone leaves a persistent cache at whatever state its
-        last mutation wrote; ``close`` additionally forces a final
-        :meth:`PlanCache.flush`, so a persisted cache is never lost on exit.
         Safe to call more than once.
         """
         self.shutdown(wait=wait)
-        self.cache.flush()
         # Publish the final gauge values before unhooking the collector, so
         # snapshots taken after close still carry this service's last state.
         if self.registry.enabled:

@@ -18,7 +18,7 @@ the cost reachable within a given budget relative to the hint itself.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..cluster.hardware import ClusterSpec
 from ..core.dataflow import DataflowGraph
@@ -84,8 +84,7 @@ def select_warm_start(
 
 
 def _allocation_distance(
-    cached: Mapping[str, Any],
-    source_shape: tuple,
+    cached: Allocation,
     candidate: Allocation,
     target_gpus: int,
 ) -> float:
@@ -96,21 +95,16 @@ def _allocation_distance(
     degrees and micro-batch count by log ratio.  DP is implied by mesh size
     and TP/PP, so it needs no term of its own.
     """
-    cached_mesh = cached["mesh"]
-    cached_parallel = cached["parallel"]
-    source_nodes, source_node_width = source_shape
-    source_gpus = max(1, source_nodes * source_node_width)
-    cached_gpus = int(cached_mesh["n_nodes"]) * int(cached_mesh["gpus_per_node"])
+    source = cached.mesh.cluster
     distance = 2.0 * _log_ratio(
-        candidate.mesh.n_gpus / target_gpus, cached_gpus / source_gpus
+        candidate.mesh.n_gpus / target_gpus,
+        cached.mesh.n_gpus / max(1, source.n_gpus),
     )
-    distance += _log_ratio(candidate.parallel.tp, int(cached_parallel["tp"]))
-    distance += _log_ratio(candidate.parallel.pp, int(cached_parallel["pp"]))
-    distance += 0.25 * _log_ratio(
-        candidate.n_microbatches, int(cached.get("n_microbatches", 1))
-    )
+    distance += _log_ratio(candidate.parallel.tp, cached.parallel.tp)
+    distance += _log_ratio(candidate.parallel.pp, cached.parallel.pp)
+    distance += 0.25 * _log_ratio(candidate.n_microbatches, cached.n_microbatches)
     # Prefer the same position within the cluster, normalised to [0, 1).
-    cached_start = int(cached_mesh["node_start"]) / max(1, source_nodes)
+    cached_start = cached.mesh.node_start / max(1, source.n_nodes)
     target_nodes = candidate.mesh.cluster.n_nodes
     candidate_start = candidate.mesh.node_start / target_nodes
     distance += 0.1 * abs(candidate_start - cached_start)
@@ -126,29 +120,29 @@ def adapt_plan(
     """Project a cached plan onto the target cluster's allocation options.
 
     When the target cluster has the same shape as the plan's source cluster
-    the plan deserializes directly.  Otherwise every call's cached allocation
-    is replaced by the nearest option available on the target cluster
-    (nearest in mesh fraction, TP/PP degrees and micro-batch count).  Returns
-    ``None`` when the cached plan does not cover the graph — the search then
-    simply cold-starts.
+    the cached assignments are reused as they are.  Otherwise every call's
+    cached allocation is replaced by the nearest option available on the
+    target cluster (nearest in mesh fraction, TP/PP degrees and micro-batch
+    count).  Returns ``None`` when the cached plan does not cover the graph —
+    the search then simply cold-starts.
     """
-    if set(graph.call_names) - set(entry.plan_data.get("assignments", {})):
+    cached_plan = entry.plan
+    call_names = graph.call_names
+    if set(call_names) - set(cached_plan.assignments):
         return None
-    target_shape = (cluster.n_nodes, cluster.gpus_per_node)
-    if tuple(entry.cluster_shape) == target_shape:
-        plan = entry.plan(cluster)
-        return ExecutionPlan(dict(plan.assignments), name="warm-start")
-    source_shape = tuple(entry.cluster_shape)
+    source = cached_plan[call_names[0]].mesh.cluster
+    if (source.n_nodes, source.gpus_per_node) == (cluster.n_nodes, cluster.gpus_per_node):
+        return ExecutionPlan(cached_plan.assignments, name="warm-start")
     assignments: Dict[str, Allocation] = {}
-    for call_name in graph.call_names:
-        cached = entry.plan_data["assignments"][call_name]
+    for call_name in call_names:
+        cached = cached_plan[call_name]
         choices = options.get(call_name)
         if not choices:
             return None
         best = min(
             range(len(choices)),
             key=lambda i: (
-                _allocation_distance(cached, source_shape, choices[i], cluster.n_gpus),
+                _allocation_distance(cached, choices[i], cluster.n_gpus),
                 i,
             ),
         )

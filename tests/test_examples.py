@@ -3,18 +3,21 @@
 Examples drift silently when they are not exercised; each test loads the
 script as a module and runs its ``main()`` with a tiny CLI configuration so
 the whole path (argument parsing, planning, simulated execution, printing)
-executes in well under a second per script.
+executes in well under a second per script.  The README's Quickstart code
+blocks are executed as written, for the same reason.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _load_example(name: str):
@@ -29,6 +32,16 @@ def _run_main(monkeypatch, name: str, argv: list[str]):
     module = _load_example(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
     module.main()
+
+
+def test_readme_quickstart_runs_as_written(monkeypatch, capsys, tmp_path):
+    section = README.read_text().split("\n## Quickstart\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme_quickstart"})
+    assert "ExecutionPlan" in capsys.readouterr().out
 
 
 def test_examples_directory_complete():

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.algorithms import build_dpo_graph, build_ppo_graph
 from repro.cluster import make_cluster
 from repro.core import (
@@ -13,7 +11,6 @@ from repro.core import (
     ParallelStrategy,
     SearchConfig,
     instructgpt_workload,
-    plan_from_dict,
     symmetric_plan,
 )
 from repro.service import (
@@ -42,10 +39,10 @@ def _entry(key="k", family="f", cost=1.0, cluster=None, plan=None) -> PlanCacheE
         key=key,
         family=family,
         features={"batch_size": 128.0},
-        cluster_shape=(cluster.n_nodes, cluster.gpus_per_node),
-        plan_data=plan.to_dict(),
+        plan=plan,
         best_cost=cost,
         initial_cost=2 * cost,
+        peak_memory_bytes=1.0,
     )
 
 
@@ -91,41 +88,26 @@ class TestFingerprint:
         assert plain.key == with_history.key == with_hint.key
 
 
-class TestPlanSerialization:
-    def test_plan_round_trip(self, ppo_graph, two_node_cluster):
-        plan = symmetric_plan(
-            ppo_graph, two_node_cluster, ParallelStrategy(dp=2, tp=8, pp=1),
-            n_microbatches=4,
-        )
-        data = plan.to_dict()
-        rebuilt = plan_from_dict(data, two_node_cluster)
-        assert rebuilt.name == plan.name
-        assert rebuilt.assignments == plan.assignments
-
-    def test_plan_rejects_mismatched_cluster_shape(self, ppo_graph, two_node_cluster):
-        plan = symmetric_plan(ppo_graph, two_node_cluster, ParallelStrategy(dp=2, tp=8, pp=1))
-        with pytest.raises(ValueError, match="shape"):
-            plan_from_dict(plan.to_dict(), make_cluster(8))
-
-
 class TestPlanCache:
     def test_get_put_and_counters(self):
         cache = PlanCache(capacity=4)
         assert cache.get("missing") is None
-        cache.put(_entry(key="a"))
-        hit = cache.get("a")
-        assert hit is not None and hit.best_cost == 1.0
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
+        entry = _entry(key="a")
+        cache.put(entry)
+        assert cache.get("a") is entry
+        assert len(cache) == 1 and "a" in cache
 
     def test_lru_eviction_order(self):
         cache = PlanCache(capacity=2)
         cache.put(_entry(key="a"))
         cache.put(_entry(key="b"))
+        assert cache.peek("a") is not None  # peek leaves 'a' least recent
+        assert cache.keys() == ["a", "b"]
         assert cache.get("a") is not None  # refresh 'a'; 'b' becomes LRU
+        assert cache.keys() == ["b", "a"]
         cache.put(_entry(key="c"))
-        assert "b" not in cache and "a" in cache and "c" in cache
-        assert cache.evictions == 1
+        assert cache.keys() == ["a", "c"]
+        assert cache.peek("b") is None
 
     def test_family_entries_most_recent_first(self):
         cache = PlanCache(capacity=8)
@@ -134,56 +116,17 @@ class TestPlanCache:
         cache.put(_entry(key="c", family="f1"))
         assert [e.key for e in cache.family_entries("f1")] == ["c", "a"]
 
-    def test_disk_round_trip(self, tmp_path):
-        path = str(tmp_path / "plans.json")
-        cluster = make_cluster(8)
-        cache = PlanCache(capacity=4, persist_path=path)
-        cache.put(_entry(key="a", family="f", cost=3.5, cluster=cluster))
-
-        reloaded = PlanCache(capacity=4, persist_path=path)
-        entry = reloaded.get("a")
-        assert entry is not None
-        assert entry.best_cost == 3.5 and entry.family == "f"
-        plan = entry.plan(cluster)
-        original = _entry(cluster=cluster).plan(cluster)
-        assert plan.assignments == original.assignments
-        result = entry.to_search_result(cluster)
-        assert result.best_cost == 3.5 and result.initial_cost == 7.0
-
-    @pytest.mark.parametrize(
-        "payload", ["{not json", '{"version": 1, "entries": 5}', '{"entries": [{}]}', "[]"]
-    )
-    def test_corrupt_persist_file_starts_empty(self, tmp_path, payload):
-        path = tmp_path / "plans.json"
-        path.write_text(payload)
-        cache = PlanCache(capacity=4, persist_path=str(path))
-        assert len(cache) == 0
-        cache.put(_entry(key="a"))  # and the file becomes writable again
-        assert len(PlanCache(capacity=4, persist_path=str(path))) == 1
-
-    def test_entry_rejects_disagreeing_cluster_shapes(self):
-        data = _entry(key="a").to_dict()
-        data["cluster_shape"] = [2, 8]  # plan says (1, 8)
-        with pytest.raises(ValueError, match="disagrees"):
-            PlanCacheEntry.from_dict(data)
-
-    def test_reload_respects_capacity(self, tmp_path):
-        path = str(tmp_path / "plans.json")
-        cache = PlanCache(capacity=4, persist_path=path)
-        for name in "abcd":
-            cache.put(_entry(key=name))
-        shrunken = PlanCache(capacity=2, persist_path=path)
-        assert len(shrunken) == 2
-        assert shrunken.keys() == ["c", "d"]  # most recent survive
-
     def test_entry_from_search_result(self, ppo_graph, small_workload, small_cluster):
         searcher = MCMCSearcher(
             ppo_graph, small_workload, small_cluster, config=SMALL_SEARCH
         )
         result = searcher.search()
         fp = fingerprint_request(ppo_graph, small_workload, small_cluster, SMALL_SEARCH)
-        entry = PlanCacheEntry.from_search_result(fp, result, small_cluster)
+        entry = PlanCacheEntry.from_search_result(fp, result, peak_memory_bytes=5.0)
         assert entry.key == fp.key and entry.family == fp.family
-        rebuilt = entry.plan(small_cluster)
-        assert rebuilt.assignments == result.best_plan.assignments
-        assert entry.to_search_result(small_cluster).best_cost == result.best_cost
+        assert entry.plan is result.best_plan
+        assert entry.peak_memory_bytes == 5.0
+        served = entry.to_search_result()
+        assert served.best_plan is result.best_plan
+        assert served.best_cost == result.best_cost
+        assert served.initial_cost == result.initial_cost

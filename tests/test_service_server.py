@@ -11,7 +11,6 @@ from repro.cluster import make_cluster
 from repro.core import SearchConfig, find_execution_plan, instructgpt_workload
 from repro.experiments import ExperimentSetting, run_comparison
 from repro.service import (
-    PlanClient,
     PlanRequest,
     PlanService,
     select_warm_start,
@@ -60,6 +59,16 @@ class TestCacheHits:
         assert miss_seconds >= 10.0 * hit_seconds
         assert service.stats.cache_hits == 1 and service.stats.cache_misses == 1
         assert service.stats.hit_rate == pytest.approx(0.5)
+
+    def test_hit_serves_the_cached_plan_object(self, service):
+        request = _request(max_iterations=60)
+        first = service.plan(request)
+        second = service.plan(request)
+        assert second.stats.cache_hit
+        assert second.plan is first.plan
+        handle = service.start_session(request, slice_iterations=10)
+        assert handle.session.searcher.seed_plans[0] is first.plan
+        service.stop_session(handle.session_id)
 
     def test_hit_reconstructs_search_result(self, service):
         request = _request(max_iterations=120)
@@ -150,18 +159,20 @@ class TestWarmStart:
 
 class TestClientAndRouting:
     def test_client_batch_api_mixed_stream(self):
-        with PlanClient(max_workers=2) as client:
+        with PlanService(max_workers=2) as svc:
             requests = [
                 _request(batch_size=128, max_iterations=80),
                 _request(batch_size=192, max_iterations=80),
                 _request(batch_size=128, max_iterations=80),
                 _request(batch_size=192, max_iterations=80),
             ]
-            responses = client.plan_many(requests)
+            # Enqueue every request before awaiting the first response.
+            futures = [svc.submit(request) for request in requests]
+            responses = [future.result() for future in futures]
             assert len(responses) == 4
             assert responses[0].cost == responses[2].cost
             assert responses[1].cost == responses[3].cost
-            stats = client.stats
+            stats = svc.stats
             # Duplicates were either cache hits or dedup joins, never a
             # second search.
             assert stats.cache_misses == 2
@@ -241,20 +252,6 @@ class TestEstimatorSharing:
 
 
 class TestLifecycle:
-    def test_close_flushes_persistent_cache(self, tmp_path):
-        path = str(tmp_path / "plans.json")
-        service = PlanService(max_workers=1, persist_path=path)
-        service.plan(_request(max_iterations=20))
-        # Sabotage the file written eagerly by put(), then close: the final
-        # flush must rewrite it so no cached plan is lost on exit.
-        (tmp_path / "plans.json").write_text("{}")
-        service.close()
-        reloaded = PlanService(max_workers=1, persist_path=path)
-        try:
-            assert len(reloaded.cache) == 1
-        finally:
-            reloaded.close()
-
     def test_close_is_idempotent_and_blocks_submissions(self):
         service = PlanService(max_workers=1)
         service.close()
@@ -262,36 +259,12 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             service.submit(_request(max_iterations=10))
 
-    def test_context_manager_closes(self, tmp_path):
-        path = str(tmp_path / "plans.json")
-        with PlanService(max_workers=1, persist_path=path) as service:
+    def test_context_manager_closes(self):
+        with PlanService(max_workers=1) as service:
             service.plan(_request(max_iterations=20))
-        assert (tmp_path / "plans.json").exists()
+        assert len(service.cache) == 1
         with pytest.raises(RuntimeError):
             service.submit(_request(max_iterations=10))
-
-    def test_owning_client_close_flushes(self, tmp_path):
-        path = str(tmp_path / "plans.json")
-        client = PlanClient(max_workers=1, persist_path=path)
-        client.plan_algorithm(
-            "ppo", "7b", "7b", n_gpus=8, batch_size=64,
-            search=SearchConfig(max_iterations=20, record_history=False),
-        )
-        (tmp_path / "plans.json").write_text("{}")
-        client.close()
-        reloaded = PlanService(max_workers=1, persist_path=path)
-        try:
-            assert len(reloaded.cache) == 1
-        finally:
-            reloaded.close()
-
-    def test_borrowing_client_close_keeps_service_open(self):
-        service = PlanService(max_workers=1)
-        client = PlanClient(service=service)
-        client.close()
-        service.plan(_request(max_iterations=10))  # still usable
-        service.close()
-
 
 class TestServiceStatsDict:
     def test_to_dict_is_machine_readable(self, service):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms import build_ppo_graph
 from repro.cluster import make_cluster
-from repro.core import SearchConfig, instructgpt_workload
+from repro.core import ExecutionPlan, SearchConfig, instructgpt_workload
 from repro.service import PlanCache, PlanCacheEntry, PlanRequest, PlanService
 
 
@@ -107,10 +107,10 @@ class TestCacheRefresh:
             key=key,
             family="f",
             features={},
-            cluster_shape=(1, 8),
-            plan_data={"assignments": {}, "cluster_shape": [1, 8]},
+            plan=ExecutionPlan({}),
             best_cost=best_cost,
             initial_cost=2.0,
+            peak_memory_bytes=1.0,
         )
 
     def test_refresh_inserts_missing_key(self):
@@ -127,13 +127,6 @@ class TestCacheRefresh:
         assert cache.refresh(self._entry(best_cost=0.5))
         assert cache.peek("k").best_cost == 0.5
 
-    def test_refresh_persists(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = PlanCache(persist_path=str(path))
-        cache.refresh(self._entry(best_cost=0.75))
-        reloaded = PlanCache(persist_path=str(path))
-        assert reloaded.peek("k").best_cost == 0.75
-
     def test_improving_session_refreshes_worse_cached_entry(self, service):
         """The staleness hook: a pre-seeded worse entry gets replaced."""
         request = _request(seed=3, max_iterations=60)
@@ -148,10 +141,10 @@ class TestCacheRefresh:
                 key=fingerprint.key,
                 family=fingerprint.family,
                 features=dict(fingerprint.features),
-                cluster_shape=(request.cluster.n_nodes, request.cluster.gpus_per_node),
-                plan_data=plan.to_dict(),
+                plan=plan,
                 best_cost=cost * 100.0,
                 initial_cost=cost * 100.0,
+                peak_memory_bytes=1.0,
             )
         )
         before = service.stats.cache_refreshes
