@@ -111,7 +111,7 @@ def _fleet_replay(
     jobs = generate_fleet_trace(trace_config)
     cluster = make_cluster(cluster_gpus)
     config = fleet_scheduler_config()
-    with PlanService(max_workers=4, estimator_cache_size=64) as service:
+    with PlanService(estimator_cache_size=64) as service:
         cold_started = time.perf_counter()
         ClusterScheduler(
             cluster, jobs, policy="first_fit", config=config, service=service

@@ -149,7 +149,7 @@ def _schedule_events_rate(
                 record_history=False,
             )
         )
-    with PlanService(max_workers=4, estimator_cache_size=32) as service:
+    with PlanService(estimator_cache_size=32) as service:
         schedule_trace(cluster, jobs, policy="first_fit", config=config, service=service)
         started = time.perf_counter()
         report = schedule_trace(

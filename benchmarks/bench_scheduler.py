@@ -131,7 +131,7 @@ def run_benchmark(
 
     # --- Policy comparison, sharing one plan service (and thus one cache:
     # --- same-shaped partitions are exact hits across policies).
-    with PlanService(max_workers=4, estimator_cache_size=32) as service:
+    with PlanService(estimator_cache_size=32) as service:
         baseline = service.stats.snapshot()
         reports = run_scheduler_comparison(
             cluster,
@@ -151,7 +151,7 @@ def run_benchmark(
     failure_report = None
     if not scaled:
         failure = NodeFailure(time=60.0, node=1, recovery_time=200.0)
-        with PlanService(max_workers=4, estimator_cache_size=32) as fail_service:
+        with PlanService(estimator_cache_size=32) as fail_service:
             failure_report = schedule_trace(
                 cluster=cluster,
                 jobs=jobs,

@@ -122,7 +122,7 @@ def _scheduler_latency(smoke: bool) -> Dict[str, float]:
         )
         for i in range(4)
     ]
-    with PlanService(max_workers=4, estimator_cache_size=32) as service:
+    with PlanService(estimator_cache_size=32) as service:
         costing = PlanCosting(service, search=search, replan_search=search)
         pairs = []
         for job in jobs:

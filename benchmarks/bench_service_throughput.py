@@ -2,7 +2,7 @@
 
 Unlike the figure benchmarks, this one measures the *serving* layer added on
 top of the paper's search: a stream of planning requests mixing repeated and
-novel workloads flows through the concurrent :class:`PlanService`, and we
+novel workloads flows through the :class:`PlanService`, and we
 report end-to-end requests/sec, the cache hit rate, and the latency gap
 between cold searches and cached answers (which must be at least 10x).
 """
@@ -42,31 +42,24 @@ def run_service_throughput():
     repeats = 4 if bench_scale() != "full" else 16
     batch_sizes = [64, 96, 128] if bench_scale() != "full" else [64, 96, 128, 192, 256]
 
-    # A mixed stream in two waves.  The first wave interleaves novel and
-    # repeated workloads while searches are still in flight, so duplicates
-    # collapse onto the running search (dedup); the second wave replays the
-    # stream after the searches finished, so repeats become cache hits.
-    wave = [
+    # A mixed stream interleaving novel and repeated workloads: the first
+    # request of each workload searches, every repeat is a cache hit.
+    stream = [
         _request(graph, batch_size, max_iterations)
-        for _ in range(repeats // 2)
+        for _ in range(repeats)
         for batch_size in batch_sizes
     ]
 
-    service = PlanService(max_workers=4)
+    service = PlanService()
     try:
         start = time.perf_counter()
-        first_futures = [service.submit(request) for request in wave]
-        responses = [future.result() for future in first_futures]
-        second_futures = [service.submit(request) for request in wave]
-        responses += [future.result() for future in second_futures]
+        responses = [service.plan(request) for request in stream]
         elapsed = time.perf_counter() - start
         stats = service.stats.snapshot()
     finally:
         service.close()
-    stream = wave + wave
 
-    cold = [r.stats.total_seconds for r in responses
-            if not r.stats.cache_hit and not r.stats.dedup_joined]
+    cold = [r.stats.total_seconds for r in responses if not r.stats.cache_hit]
     hits = [r.stats.total_seconds for r in responses if r.stats.cache_hit]
     avg_cold = sum(cold) / len(cold)
     avg_hit = sum(hits) / len(hits) if hits else float("nan")
@@ -75,7 +68,6 @@ def run_service_throughput():
         "unique": len(batch_sizes),
         "req/s": round(len(stream) / elapsed, 1),
         "hit rate": f"{stats.hit_rate:.0%}",
-        "dedup joins": stats.dedup_joins,
         "cold avg (ms)": round(avg_cold * 1e3, 1),
         "hit avg (ms)": round(avg_hit * 1e3, 2),
         "hit speedup": f"{avg_cold / avg_hit:.0f}x" if hits else "n/a",
@@ -99,7 +91,7 @@ def test_service_throughput(benchmark):
     assert all(len(costs) == 1 for costs in by_fingerprint.values())
     # Only the novel workloads ran a search.
     assert stats.cache_misses == len(by_fingerprint)
-    assert stats.cache_hits + stats.dedup_joins == stats.requests - stats.cache_misses
+    assert stats.cache_hits == stats.requests - stats.cache_misses
     assert stats.cache_hits > 0
     # Serving a repeated request is at least 10x faster than searching.
     assert avg_cold >= 10.0 * avg_hit

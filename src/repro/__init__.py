@@ -13,8 +13,8 @@ The package is organised by subsystem:
 * :mod:`repro.baselines` — DeepSpeed-Chat, OpenRLHF, NeMo-Aligner, veRL and the
   Megatron heuristic as strategy models, plus ReaL itself.
 * :mod:`repro.service` — planner-as-a-service: workload fingerprinting, an
-  in-memory LRU plan cache, warm-started searches and a concurrent
-  deduplicating plan server.
+  in-memory LRU plan cache, warm-started searches and a plan server that
+  serves each request on the caller's thread.
 * :mod:`repro.sched` — multi-job cluster scheduler: elastic, plan-service-
   driven scheduling of concurrent RLHF jobs over one shared cluster.
 * :mod:`repro.experiments` — settings, metrics and runners for every figure.

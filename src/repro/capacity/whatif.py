@@ -184,7 +184,7 @@ def capacity_whatif(
     config = config if config is not None else fleet_scheduler_config()
     owns_service = service is None
     if owns_service:
-        service = PlanService(max_workers=4, estimator_cache_size=64)
+        service = PlanService(estimator_cache_size=64)
     outcomes: List[CandidateOutcome] = []
     try:
         for candidate in candidates:

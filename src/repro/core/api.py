@@ -219,7 +219,7 @@ def find_execution_plan(
     Returns the search result together with the assembled experiment (graph,
     workload and cluster) so callers can evaluate or execute the plan.
     Passing a :class:`~repro.service.server.PlanService` routes the search
-    through the planning service (shared cache, warm starts, deduplication).
+    through the planning service (shared cache, warm starts).
     """
     from ..algorithms.registry import build_graph  # local import avoids a cycle
     from .workload import instructgpt_workload

@@ -8,14 +8,13 @@ themselves, as structured events:
   call: every candidate ``(job, partition)`` with its scored cost,
   feasibility and how the service answered it;
 * ``placement`` — the candidate the policy actually picked, with the reason
-  and the plan's cache lineage (cold / warm-started-from-*X* / exact hit /
-  dedup join);
+  and the plan's cache lineage (cold / warm-started-from-*X* / exact hit);
 * ``swap`` — one hot-swap evaluation at an iteration boundary, **accept or
   reject**, with the full margin arithmetic (planned vs. candidate cost,
   switch charge, amortization over remaining iterations, the ratio and the
   threshold it was held against);
 * ``plan_request`` — one :meth:`~repro.service.server.PlanService` answer:
-  hit/cold/warm/dedup plus which cached entry seeded a warm-started search.
+  hit/cold/warm plus which cached entry seeded a warm-started search.
 
 Events append to the process-global :class:`ProvenanceLedger`
 (:func:`get_ledger`), mirroring the metrics registry and tracer; a

@@ -12,7 +12,7 @@ digests them into one human-readable report per run:
 * the **swap ledger**: every hot-swap evaluation, accept or reject, with
   the full margin arithmetic it was decided on;
 * the **plan lineage table**: how each job's plan came to be — cold search,
-  warm-started-from-*X*, exact cache hit or dedup join.
+  warm-started-from-*X* or exact cache hit.
 
 Malformed provenance (a non-JSON line, a non-object, an event without its
 ``kind``) fails the run with a nonzero exit — this is the contract CI holds
@@ -137,8 +137,6 @@ def _lineage_label(event: Dict[str, Any]) -> str:
     lineage = event.get("lineage", "unknown")
     if lineage == "hit":
         return "exact hit"
-    if lineage == "dedup":
-        return "dedup join"
     if lineage == "warm":
         return f"warm-started-from-{event.get('seeded_from')}"
     return str(lineage)

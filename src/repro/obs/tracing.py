@@ -8,8 +8,7 @@ that follows one scheduling decision through every layer it touches.
   ``trace_id``/``span_id``/``parent_id`` — and nothing else.
 * :meth:`Tracer.start_span` is a context manager that opens a child of the
   *implicitly current* span (a ``contextvars.ContextVar``, so propagation
-  follows the call stack and survives thread hops made with
-  :meth:`Tracer.activate`).
+  follows the call stack).
 * Search chains carry their parent explicitly: each
   :class:`~repro.core.search.ChainState` holds the :class:`SpanContext` of
   the search or poll that advances it, and every chain slice appends one
@@ -33,10 +32,9 @@ import itertools
 import os
 import threading
 import time
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from .. import knobs
 
@@ -224,19 +222,6 @@ class Tracer:
         else:
             context = SpanContext(trace_id=_new_id(), span_id=_new_id())
         return _ActiveSpan(self, name, category, context, args)
-
-    @contextmanager
-    def activate(self, context: Optional[SpanContext]) -> Iterator[None]:
-        """Make ``context`` the implicit parent for the enclosed block.
-
-        The cross-*thread* propagation primitive: a worker thread activates
-        the context captured at submit time, then opens spans normally.
-        """
-        token = _current_span.set(context)
-        try:
-            yield
-        finally:
-            _current_span.reset(token)
 
     def append(self, record: SpanRecord) -> None:
         """Record one finished span (dropped when the tracer is disabled)."""

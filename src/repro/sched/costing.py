@@ -10,7 +10,9 @@ request over the partition's carved :class:`ClusterSpec`, so
   hundred located candidates costs a handful of searches),
 * displaced jobs are re-planned with warm starts from their own previously
   cached plans (same fingerprint family), and
-* batches of candidates overlap on the service's worker pool.
+* every candidate of one decision wave is warm-started from the cache as it
+  stood when the wave began, so the order of a wave's candidates never
+  changes which plan seeds which search.
 
 The costing layer also keeps the request-statistics ledger the scheduler
 report is built from: cold searches vs. warm-started/cached replans.
@@ -89,10 +91,7 @@ class PlanCosting:
         self._wave_sizes: List[int] = []
         # The service may be shared across several schedulers/benchmark runs;
         # this baseline turns its cumulative counters into per-run deltas.
-        # (A service-less costing is only used in unit tests of the ledger.)
-        self._stats_baseline = (
-            service.stats.snapshot() if service is not None else ServiceStats()
-        )
+        self._stats_baseline = service.stats.snapshot()
         self.registry = registry if registry is not None else get_registry()
         self._m_decision = self.registry.histogram(
             "sched_decision_seconds",
@@ -139,12 +138,12 @@ class PlanCosting:
     def score(self, pairs: Sequence[Tuple[Job, Partition]]) -> List[Candidate]:
         """Score one *wave* of candidates; infeasible/failed ones stay in place.
 
-        All requests are submitted before the first result is awaited, so
-        novel shapes search in parallel on the service pool while repeated
-        shapes collapse onto cache hits or in-flight searches.  One call is
-        one overlapped wave — policies batch every candidate of a scheduling
-        decision into a single call, and the wave's wall-clock time is the
-        decision's plan-costing latency (see :attr:`wave_stats`).
+        Requests are served one after another on this thread.  Repeated
+        shapes become cache hits, and every miss is warm-started only from
+        entries cached before the wave began.  One call is one wave —
+        policies batch every candidate of a scheduling decision into a single
+        call, and the wave's wall-clock time is the decision's plan-costing
+        latency (see :attr:`wave_stats`).
 
         With :attr:`memoize` on, previously scored (job type, shape, replan?)
         keys answer from the in-process memo (a :class:`Candidate` without
@@ -185,23 +184,23 @@ class PlanCosting:
         return out  # type: ignore[return-value]
 
     def _score_wave(self, pairs: Sequence[Tuple[Job, Partition]]) -> List[Candidate]:
-        """One overlapped service wave (the un-memoized scoring path)."""
+        """One service wave (the un-memoized scoring path)."""
         wave_started = time.perf_counter()
-        # The wave span is the root of each decision's causal tree: requests
-        # submitted inside it carry its context onto the service, so every
+        # Warm starts see only what was cached before the wave began.
+        wave_start_puts = self.service.cache.puts
+        # The wave span is the root of each decision's causal tree: every
         # plan-request span (and its search-chain spans) hangs beneath it.
         with get_tracer().start_span(
             "decision wave",
             category="sched",
             args={"candidates": len(pairs)},
         ) as wave_span:
-            futures = [
-                self.service.submit(self._request(job, partition))
-                for job, partition in pairs
-            ]
             out: List[Candidate] = []
-            for (job, partition), future in zip(pairs, futures):
+            for job, partition in pairs:
                 self.candidates_scored += 1
+                future = self.service.submit(
+                    self._request(job, partition), warm_start_before=wave_start_puts
+                )
                 try:
                     response = future.result()
                 except ValueError:
@@ -260,11 +259,6 @@ class PlanCosting:
     # Ledger
     # ------------------------------------------------------------------ #
     def _record(self, job: Job, stats: RequestStats) -> None:
-        # Dedup joins carry a *copy* of the primary search's timings; counting
-        # them would bill the same search seconds twice, so both ledgers skip
-        # them.
-        if stats.dedup_joined:
-            return
         if self._is_replan(job):
             self._replan.append(stats)
         elif not (stats.cache_hit or stats.warm_started):
@@ -293,8 +287,6 @@ class PlanCosting:
         at construction time — so schedulers and benchmarks sharing one
         :class:`PlanService` still report per-run request statistics.
         """
-        if self.service is None:
-            return ServiceStats()
         return self.service.stats.snapshot().delta(self._stats_baseline)
 
     @property
@@ -302,7 +294,7 @@ class PlanCosting:
         """Scheduler decision latency: per-wave wall-clock summary.
 
         One wave is one :meth:`score` call — all candidate costings of one
-        scheduling decision overlapped on the service pool.  ``mean``/``max``
+        scheduling decision.  ``mean``/``max``
         therefore measure how long the scheduler blocks on plan costing per
         decision, the latency metric tracked in ``BENCH_search_scaling.json``.
         """

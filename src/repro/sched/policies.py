@@ -93,14 +93,13 @@ class FirstFitPolicy(SchedulingPolicy):
     """FIFO over arrivals; each job takes the smallest feasible partition.
 
     All (queued job, free shape) candidates are batched into **one**
-    overlapped costing wave — novel shapes search concurrently on the plan
-    service while repeats collapse onto cache hits — and the decision is then
-    read off the scored list in FIFO order (smallest feasible shape first),
-    exactly as the sequential per-job probing would have chosen.  Scores for
-    jobs behind the placed one are not wasted: shapes repeat across
-    decisions, so the speculative searches land in the plan-service cache
-    and serve the following decisions — cold search work is pulled forward
-    and overlapped, not multiplied.
+    costing wave — repeated shapes collapse onto cache hits — and the
+    decision is then read off the scored list in FIFO order (smallest
+    feasible shape first), exactly as the sequential per-job probing would
+    have chosen.  Scores for jobs behind the placed one are not wasted:
+    shapes repeat across decisions, so the speculative searches land in the
+    plan-service cache and serve the following decisions — cold search work
+    is pulled forward, not multiplied.
     """
 
     name = "first_fit"
@@ -249,7 +248,7 @@ class StaticEqualPolicy(SchedulingPolicy):
         open_slots = [
             slot for slot in self._slots_for(manager) if slot.device_id_set <= free
         ]
-        # One overlapped wave over every (job, fitting slot) pair; the FIFO
+        # One wave over every (job, fitting slot) pair; the FIFO
         # selection below is unchanged (slots are identical shapes anyway, so
         # repeats collapse onto the same cached search).
         pairs: List[Tuple[Job, Partition]] = []

@@ -231,8 +231,8 @@ class ClusterScheduler:
         self.policy = get_policy(policy)
         self.config = config if config is not None else SchedulerConfig()
         self._owns_service = service is None
-        self.service = service if service is not None else PlanService(
-            max_workers=4, estimator_cache_size=32
+        self.service = (
+            service if service is not None else PlanService(estimator_cache_size=32)
         )
         self.failures = list(failures)
         self.trace_path = trace_path

@@ -1,4 +1,4 @@
-"""Planner-as-a-service: cached, concurrent, warm-started plan serving.
+"""Planner-as-a-service: cached, warm-started plan serving.
 
 The paper's execution-plan search is a one-shot offline procedure; this
 subsystem turns it into a shared service so heavy planning traffic is cheap:
@@ -9,8 +9,10 @@ subsystem turns it into a shared service so heavy planning traffic is cheap:
   objects.
 * :mod:`repro.service.warm_start` — seeding the MCMC search from the most
   similar cached plan, adapted across cluster sizes.
-* :mod:`repro.service.server` — the concurrent :class:`PlanService` with
-  request deduplication and per-request statistics.
+* :mod:`repro.service.server` — the :class:`PlanService`, which serves each
+  request on the caller's thread (duplicates are cache hits) and warm-starts
+  every candidate of a decision wave from the cache as it stood when the
+  wave began; per-request statistics.
 """
 
 from .cache import PlanCache, PlanCacheEntry

@@ -6,8 +6,9 @@ itself plus the summary statistics of the search that produced it.  Entries
 live in memory only and are kept in LRU order: a plan search is cheap enough
 to repeat, so nothing needs to survive a restart.
 
-The cache is thread-safe: the plan server's worker pool reads and writes it
-concurrently.
+Puts are numbered, so a decision wave can warm-start every candidate from
+the cache as it stood when the wave began (the ``before`` cutoff of
+:meth:`PlanCache.family_entries`).  The cache is thread-safe.
 """
 
 from __future__ import annotations
@@ -104,6 +105,9 @@ class PlanCache:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[str, PlanCacheEntry]" = OrderedDict()
+        self._put_numbers: Dict[str, int] = {}
+        self.puts = 0
+        """How many :meth:`put` calls the cache has seen (refreshes included)."""
         self._lock = threading.RLock()
 
     def get(self, key: str) -> Optional[PlanCacheEntry]:
@@ -125,8 +129,11 @@ class PlanCache:
             if entry.key in self._entries:
                 self._entries.move_to_end(entry.key)
             self._entries[entry.key] = entry
+            self._put_numbers[entry.key] = self.puts
+            self.puts += 1
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                evicted, _entry = self._entries.popitem(last=False)
+                del self._put_numbers[evicted]
 
     def refresh(self, entry: PlanCacheEntry) -> bool:
         """Replace the cached entry for ``entry.key`` only if this one is better.
@@ -144,13 +151,20 @@ class PlanCache:
             self.put(entry)
             return True
 
-    def family_entries(self, family: str) -> List[PlanCacheEntry]:
-        """All cached entries of a fingerprint family, most recent first."""
+    def family_entries(
+        self, family: str, before: Optional[int] = None
+    ) -> List[PlanCacheEntry]:
+        """All cached entries of a fingerprint family, most recent first.
+
+        With ``before``, only entries whose latest put came earlier than put
+        number ``before`` (a past value of :attr:`puts`) are returned.
+        """
         with self._lock:
             return [
                 entry
                 for entry in reversed(self._entries.values())
                 if entry.family == family
+                and (before is None or self._put_numbers[entry.key] < before)
             ]
 
     def keys(self) -> List[str]:

@@ -1,23 +1,24 @@
-"""Concurrent plan server: cached, deduplicated, warm-started plan search.
+"""Plan server: cached, warm-started plan search on the caller's thread.
 
 The :class:`PlanService` turns the one-shot
 :func:`~repro.core.search.search_execution_plan` into a long-lived service:
 
 * requests are fingerprinted (:mod:`repro.service.fingerprint`) and served
   from the :class:`~repro.service.cache.PlanCache` when an identical request
-  was solved before;
-* cache misses run on a thread-pool of search workers, and identical
-  requests arriving while one is already being searched *join* the in-flight
-  computation instead of starting a duplicate search;
+  was solved before — including a duplicate earlier in the same wave;
+* cache misses are searched on the calling thread before
+  :meth:`PlanService.submit` returns its (already finished) future;
 * misses are warm-started from the most similar cached plan of the same
-  fingerprint family (:mod:`repro.service.warm_start`);
+  fingerprint family (:mod:`repro.service.warm_start`).  A decision wave
+  passes the cache's put count from before its first request as
+  ``warm_start_before``, so each candidate is seeded from the cache as it
+  stood when the wave began and candidates never seed each other;
 * every response carries per-request statistics (hit/miss, warm vs cold,
-  queue and search time) and the service aggregates them.
+  search time) and the service aggregates them.
 
-The search itself is pure Python/NumPy and holds no locks, so a small pool
-genuinely overlaps request handling; the pool size bounds the number of
-concurrent searches, and the futures returned by :meth:`PlanService.submit`
-form the request queue.
+The search is pure Python and holds the GIL, so a worker pool would overlap
+nothing; serving inline keeps every outcome independent of thread timing.
+The service stays safe to share between several client threads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import dataclasses
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -40,7 +41,7 @@ from ..core.workload import RLHFWorkload
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.provenance import get_ledger
-from ..obs.tracing import SpanContext, current_span, get_tracer
+from ..obs.tracing import SpanContext, get_tracer
 from .cache import PlanCache, PlanCacheEntry
 from .fingerprint import WorkloadFingerprint, fingerprint_request
 from .warm_start import adapt_plan, select_warm_start
@@ -80,21 +81,19 @@ class RequestStats:
     fingerprint: str
     cache_hit: bool
     warm_started: bool = False
-    dedup_joined: bool = False
-    queue_seconds: float = 0.0
+    dedup_joined: bool = False  # always False; kept for callers that read it
+    queue_seconds: float = 0.0  # always 0.0; kept for callers that read it
     search_seconds: float = 0.0
     total_seconds: float = 0.0
     seeded_from: Optional[str] = None
     """Cache key of the entry that warm-started this search (``None`` when
-    the search started cold, was a hit, or joined an in-flight search)."""
+    the search started cold or was a hit)."""
 
     @property
     def outcome(self) -> str:
-        """The canonical outcome label: ``hit``/``dedup``/``warm``/``cold``."""
+        """The canonical outcome label: ``hit``/``warm``/``cold``."""
         if self.cache_hit:
             return "hit"
-        if self.dedup_joined:
-            return "dedup"
         return "warm" if self.warm_started else "cold"
 
 
@@ -125,7 +124,7 @@ class ServiceStats:
     cache_hits: int = 0
     cache_misses: int = 0
     warm_starts: int = 0
-    dedup_joins: int = 0
+    dedup_joins: int = 0  # always 0; kept for callers that read it
     estimator_reuses: int = 0
     sessions_started: int = 0
     """Online (pollable) search sessions opened via :meth:`start_session`."""
@@ -335,7 +334,8 @@ class PlanService:
     Parameters
     ----------
     max_workers:
-        Size of the search worker pool (concurrent cold searches).
+        Ignored: every request is served on the caller's thread.  Still
+        validated (``>= 1``) for callers that pass it.
     cache_capacity:
         Size of the service's in-memory LRU :class:`PlanCache`.
     warm_start:
@@ -344,24 +344,23 @@ class PlanService:
     estimator_cache_size:
         How many :class:`~repro.core.estimator.RuntimeEstimator` instances to
         keep (LRU, keyed by the graph/workload/cluster identity).  Requests
-        that pose the same estimation problem — including deduplicated and
+        that pose the same estimation problem — including
         differently-budgeted searches over one workload — share a single
         estimator, so its memoised per-call and per-edge costs amortise
-        across requests.  Estimator caches are GIL-safe for concurrent
-        searches (racing writes store identical values).
+        across requests.
     registry:
         The :class:`~repro.obs.metrics.MetricsRegistry` this service reports
         into: request latency histogram labeled by outcome
-        (``hit``/``cold``/``warm``/``dedup``), cache hit/miss counters, an
-        in-flight-search gauge and lazily collected eval-cache gauges.
-        Defaults to the process-global registry.
+        (``hit``/``cold``/``warm``), cache hit/miss counters and lazily
+        collected eval-cache gauges.  Defaults to the process-global
+        registry.
 
-    The service is a context manager; :meth:`shutdown` drains the pool.
+    The service is a context manager; :meth:`close` stops open sessions.
     """
 
     def __init__(
         self,
-        max_workers: int = 4,
+        max_workers: int = 1,
         cache_capacity: int = 128,
         warm_start: bool = True,
         estimator_cache_size: int = 8,
@@ -376,10 +375,6 @@ class PlanService:
         self.cache = PlanCache(capacity=cache_capacity)
         self.warm_start = warm_start
         self.stats = ServiceStats()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="plan-service"
-        )
-        self._inflight: Dict[str, "Future[PlanResponse]"] = {}
         self._sessions: Dict[str, PlanSession] = {}
         self._session_counter = 0
         self._estimators: "OrderedDict[str, RuntimeEstimator]" = OrderedDict()
@@ -390,16 +385,13 @@ class PlanService:
         self.registry = registry if registry is not None else get_registry()
         self._m_requests = self.registry.counter(
             "service_requests_total",
-            "Plan requests by outcome (hit/cold/warm/dedup)",
+            "Plan requests by outcome (hit/cold/warm)",
             labels=("outcome",),
         )
         self._m_latency = self.registry.histogram(
             "service_request_seconds",
             "Request latency (submit to response) by outcome",
             labels=("outcome",),
-        )
-        self._m_inflight = self.registry.gauge(
-            "service_inflight_searches", "Plan searches currently executing"
         )
         self._m_search_seconds = self.registry.counter(
             "service_search_seconds_total", "Wall-clock seconds spent in plan search"
@@ -419,70 +411,54 @@ class PlanService:
     # ------------------------------------------------------------------ #
     # Request handling
     # ------------------------------------------------------------------ #
-    def submit(self, request: PlanRequest) -> "Future[PlanResponse]":
-        """Enqueue a request; returns a future resolving to a :class:`PlanResponse`.
+    def submit(
+        self, request: PlanRequest, warm_start_before: Optional[int] = None
+    ) -> "Future[PlanResponse]":
+        """Serve ``request`` on the calling thread; returns a finished future.
 
-        Cache hits resolve immediately; identical in-flight requests share a
-        single search (the joined future's response is marked
-        ``dedup_joined``).
+        Hits are answered from the cache and misses are searched before this
+        returns; a search error (e.g. ``ValueError`` when no allocation fits)
+        is set on the future.  ``warm_start_before`` limits the warm start to
+        cache entries put before that value of :attr:`PlanCache.puts`.
         """
         if self._closed:
             raise RuntimeError("PlanService has been shut down")
         fingerprint = request.fingerprint()
         submitted_at = time.perf_counter()
-        # The caller's span context travels with the request onto the worker
-        # thread, so the service-side request span stays a child of the
-        # scheduler decision that triggered it.
-        caller_context = current_span()
         with self._lock:
             self.stats.requests += 1
             entry = self.cache.get(fingerprint.key)
             if entry is None:
-                primary = self._inflight.get(fingerprint.key)
-                if primary is not None:
-                    self.stats.dedup_joins += 1
-                    self._m_requests.labels(outcome="dedup").inc()
-                    get_ledger().record(
-                        "plan_request",
-                        fingerprint=fingerprint.key,
-                        outcome="dedup",
-                    )
-                    return self._join_inflight(primary)
                 self.stats.cache_misses += 1
-                future = self._pool.submit(
-                    self._execute, request, fingerprint, submitted_at, caller_context
-                )
-                self._inflight[fingerprint.key] = future
-                future.add_done_callback(
-                    lambda _f, key=fingerprint.key: self._clear_inflight(key)
-                )
-                return future
-            self.stats.cache_hits += 1
-        # Hits are answered outside the lock to keep submission concurrent.
+            else:
+                self.stats.cache_hits += 1
+        future: "Future[PlanResponse]" = Future()
         with get_tracer().start_span(
             "plan request",
             category="service",
-            args={"fingerprint": fingerprint.key, "outcome": "hit"},
+            args={"fingerprint": fingerprint.key},
         ) as request_span:
-            response = self._response_from_entry(
-                entry, request, fingerprint, submitted_at
+            try:
+                if entry is None:
+                    response = self._search(
+                        request, fingerprint, submitted_at, warm_start_before
+                    )
+                else:
+                    response = self._serve_hit(entry, request, fingerprint, submitted_at)
+            except Exception as exc:  # noqa: BLE001 — delivered through the future
+                future.set_exception(exc)
+                return future
+            request_span.set(
+                outcome=response.stats.outcome,
+                cost=response.cost,
+                seeded_from=response.stats.seeded_from,
             )
-            request_span.set(cost=response.cost)
-        get_ledger().record(
-            "plan_request",
-            fingerprint=fingerprint.key,
-            outcome="hit",
-            cost=response.cost,
-        )
-        self._m_requests.labels(outcome="hit").inc()
-        self._m_latency.labels(outcome="hit").observe(response.stats.total_seconds)
-        done: "Future[PlanResponse]" = Future()
-        done.set_result(response)
-        return done
+        future.set_result(response)
+        return future
 
-    def plan(self, request: PlanRequest, timeout: Optional[float] = None) -> PlanResponse:
+    def plan(self, request: PlanRequest) -> PlanResponse:
         """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(request).result(timeout=timeout)
+        return self.submit(request).result()
 
     # ------------------------------------------------------------------ #
     # Online sessions
@@ -606,10 +582,6 @@ class PlanService:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _clear_inflight(self, key: str) -> None:
-        with self._lock:
-            self._inflight.pop(key, None)
-
     def _estimator_for(
         self, request: PlanRequest, fingerprint: WorkloadFingerprint
     ) -> RuntimeEstimator:
@@ -637,39 +609,7 @@ class PlanService:
                 self._estimators.popitem(last=False)
         return estimator
 
-    def _join_inflight(
-        self,
-        primary: "Future[PlanResponse]",
-    ) -> "Future[PlanResponse]":
-        """Chain a secondary future onto an in-flight search.
-
-        The joined caller receives the same plan but its response stats are
-        marked as a dedup join (it consumed no search budget of its own; the
-        observed latency is the primary search's, which is what the joined
-        caller actually waited for).
-        """
-        secondary: "Future[PlanResponse]" = Future()
-
-        def _propagate(done: "Future[PlanResponse]") -> None:
-            exc = done.exception()
-            if exc is not None:
-                secondary.set_exception(exc)
-                return
-            response = done.result()
-            self._m_latency.labels(outcome="dedup").observe(
-                response.stats.total_seconds
-            )
-            secondary.set_result(
-                dataclasses.replace(
-                    response,
-                    stats=dataclasses.replace(response.stats, dedup_joined=True),
-                )
-            )
-
-        primary.add_done_callback(_propagate)
-        return secondary
-
-    def _response_from_entry(
+    def _serve_hit(
         self,
         entry: PlanCacheEntry,
         request: PlanRequest,
@@ -677,13 +617,12 @@ class PlanService:
         submitted_at: float,
     ) -> PlanResponse:
         result = entry.to_search_result()
-        elapsed = time.perf_counter() - submitted_at
         stats = RequestStats(
             fingerprint=fingerprint.key,
             cache_hit=True,
-            total_seconds=elapsed,
+            total_seconds=time.perf_counter() - submitted_at,
         )
-        return PlanResponse(
+        response = PlanResponse(
             plan=result.best_plan,
             cost=result.best_cost,
             result=result,
@@ -691,6 +630,15 @@ class PlanService:
             peak_memory_bytes=entry.peak_memory_bytes,
             feasible=self._fits_memory(entry.peak_memory_bytes, request.cluster),
         )
+        get_ledger().record(
+            "plan_request",
+            fingerprint=fingerprint.key,
+            outcome="hit",
+            cost=response.cost,
+        )
+        self._m_requests.labels(outcome="hit").inc()
+        self._m_latency.labels(outcome="hit").observe(stats.total_seconds)
+        return response
 
     @staticmethod
     def _fits_memory(peak_memory_bytes: float, cluster: ClusterSpec) -> bool:
@@ -725,44 +673,13 @@ class PlanService:
             "service_eval_cache_evictions", "Estimator eval-cache LRU evictions"
         ).set(evictions)
 
-    def _execute(
+    def _search(
         self,
         request: PlanRequest,
         fingerprint: WorkloadFingerprint,
         submitted_at: float,
-        caller_context: Optional[SpanContext] = None,
+        warm_start_before: Optional[int],
     ) -> PlanResponse:
-        self._m_inflight.inc()
-        try:
-            # Re-establish the submitter's span context on this worker
-            # thread, then span the whole request under it.
-            tracer = get_tracer()
-            with tracer.activate(caller_context):
-                with tracer.start_span(
-                    "plan request",
-                    category="service",
-                    args={"fingerprint": fingerprint.key},
-                ) as request_span:
-                    response = self._execute_inner(
-                        request, fingerprint, submitted_at
-                    )
-                    request_span.set(
-                        outcome=response.stats.outcome,
-                        cost=response.cost,
-                        seeded_from=response.stats.seeded_from,
-                    )
-            return response
-        finally:
-            self._m_inflight.dec()
-
-    def _execute_inner(
-        self,
-        request: PlanRequest,
-        fingerprint: WorkloadFingerprint,
-        submitted_at: float,
-    ) -> PlanResponse:
-        started_at = time.perf_counter()
-        queue_seconds = started_at - submitted_at
         options = allocation_options(
             request.graph, request.workload, request.cluster, request.prune
         )
@@ -770,7 +687,7 @@ class PlanService:
         warm_started = False
         seeded_from: Optional[str] = None
         if self.warm_start:
-            entry = select_warm_start(self.cache, fingerprint)
+            entry = select_warm_start(self.cache, fingerprint, warm_start_before)
             if entry is not None:
                 warm_plan = adapt_plan(entry, request.graph, request.cluster, options)
                 if warm_plan is not None:
@@ -813,10 +730,9 @@ class PlanService:
         self._m_latency.labels(outcome=outcome).observe(total_seconds)
         self._m_search_seconds.inc(result.elapsed_seconds)
         self._log.debug(
-            "served %s search in %.3fs (queue %.3fs, cost %.4f)",
+            "served %s search in %.3fs (cost %.4f)",
             outcome,
             total_seconds,
-            queue_seconds,
             result.best_cost,
             extra={
                 "fingerprint": fingerprint.key,
@@ -828,7 +744,6 @@ class PlanService:
             fingerprint=fingerprint.key,
             cache_hit=False,
             warm_started=warm_started,
-            queue_seconds=queue_seconds,
             search_seconds=result.elapsed_seconds,
             total_seconds=total_seconds,
             seeded_from=seeded_from,
@@ -845,11 +760,11 @@ class PlanService:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting requests and optionally wait for in-flight searches.
+    def shutdown(self) -> None:
+        """Stop accepting requests.
 
-        Open online sessions are stopped (releasing their worker pools) and
-        settled with a final cache write-back before the request pool drains.
+        Open online sessions are stopped and settled with a final cache
+        write-back.
         """
         self._closed = True
         with self._lock:
@@ -857,14 +772,13 @@ class PlanService:
             self._sessions.clear()
         for handle in sessions:
             handle.stop()
-        self._pool.shutdown(wait=wait)
 
-    def close(self, wait: bool = True) -> None:
-        """Shut the worker pool down and unhook the metrics collector.
+    def close(self) -> None:
+        """Shut the service down and unhook the metrics collector.
 
         Safe to call more than once.
         """
-        self.shutdown(wait=wait)
+        self.shutdown()
         # Publish the final gauge values before unhooking the collector, so
         # snapshots taken after close still carry this service's last state.
         if self.registry.enabled:

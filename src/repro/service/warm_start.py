@@ -60,16 +60,19 @@ def similarity_distance(
 
 
 def select_warm_start(
-    cache: PlanCache, fingerprint: WorkloadFingerprint
+    cache: PlanCache,
+    fingerprint: WorkloadFingerprint,
+    before: Optional[int] = None,
 ) -> Optional[PlanCacheEntry]:
     """Most similar cached entry of the request's family, or ``None``.
 
     The exact key is excluded — an exact match would have been a cache hit
-    and never reaches the warm-start path.
+    and never reaches the warm-start path.  ``before`` limits the choice to
+    entries put before that put number (see :meth:`PlanCache.family_entries`).
     """
     candidates = [
         entry
-        for entry in cache.family_entries(fingerprint.family)
+        for entry in cache.family_entries(fingerprint.family, before)
         if entry.key != fingerprint.key
     ]
     if not candidates:

@@ -70,7 +70,7 @@ def _run(
     config: SchedulerConfig,
     failures: Sequence[NodeFailure] = (),
 ) -> Tuple[ClusterScheduler, ScheduleReport]:
-    with PlanService(max_workers=1) as service:
+    with PlanService() as service:
         scheduler = ClusterScheduler(
             make_cluster(n_gpus), jobs, policy=policy, config=config,
             service=service, failures=failures,

@@ -108,7 +108,7 @@ class TestCapacityWhatIf:
             CapacityCandidate(name="64g", n_gpus=64),
             CapacityCandidate(name="64g-spot", n_gpus=64, cost_per_gpu_hour=1.2),
         ]
-        with PlanService(max_workers=4, estimator_cache_size=32) as service:
+        with PlanService(estimator_cache_size=32) as service:
             return capacity_whatif(jobs, candidates, service=service)
 
     def test_every_candidate_has_an_outcome(self, report):
@@ -166,7 +166,7 @@ class TestCapacityWhatIf:
     def test_too_small_cluster_skips_big_jobs(self):
         jobs = generate_fleet_trace(FleetTraceConfig(n_jobs=12, horizon_s=600.0, seed=5))
         assert any(spec.min_gpus > 8 for spec in jobs), "seed must draw a big job"
-        with PlanService(max_workers=4, estimator_cache_size=32) as service:
+        with PlanService(estimator_cache_size=32) as service:
             report = capacity_whatif(
                 jobs, [CapacityCandidate(name="8g", n_gpus=8)], service=service
             )

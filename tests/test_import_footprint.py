@@ -1,7 +1,7 @@
-"""The planner stack is single-process: importing it loads no process pool.
+"""The planner stack is single-threaded: importing it loads no worker pool.
 
-Plan search runs on the calling thread, so no public package should pull in
-``multiprocessing`` or the process-pool executor.  The check runs in a fresh
+Plan search and plan serving run on the calling thread, so no public package
+should pull in ``multiprocessing`` or the process- or thread-pool executor.  The check runs in a fresh
 interpreter so modules other tests imported cannot mask a regression.
 """
 
@@ -17,7 +17,9 @@ PROBE = """
 import json, sys
 import repro, repro.core, repro.service, repro.sched, repro.capacity, repro.obs
 print(json.dumps(sorted(
-    name for name in ("multiprocessing", "concurrent.futures.process")
+    name for name in (
+        "multiprocessing", "concurrent.futures.process", "concurrent.futures.thread"
+    )
     if name in sys.modules
 )))
 """

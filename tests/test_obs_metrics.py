@@ -337,12 +337,12 @@ class TestServiceStatsDelta:
     def test_delta_subtracts_every_counter(self):
         baseline = ServiceStats(
             requests=10, cache_hits=4, cache_misses=6, warm_starts=2,
-            dedup_joins=1, estimator_reuses=3,
+            estimator_reuses=3,
             search_seconds=5.0,
         )
         live = ServiceStats(
             requests=25, cache_hits=14, cache_misses=11, warm_starts=5,
-            dedup_joins=2, estimator_reuses=9,
+            estimator_reuses=9,
             search_seconds=8.5,
         )
         delta = live.delta(baseline)

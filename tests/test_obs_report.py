@@ -203,7 +203,7 @@ class TestProvenanceLedgerFile:
         ]
         assert {e["job"] for e in placements} == {"job-0", "job-1"}
         for event in placements:
-            assert event["lineage"] in ("cold", "warm", "hit", "dedup")
+            assert event["lineage"] in ("cold", "warm", "hit")
             assert event["fingerprint"]
 
 

@@ -1,16 +1,14 @@
 """Tests for the causal span tracer (:mod:`repro.obs.tracing`).
 
 Covers the tracer's own contract — implicit parentage through the context
-variable, explicit grafting, the ``REPRO_TRACING`` kill switch, thread-hop
-propagation via :meth:`Tracer.activate`, Chrome-trace export with flow
-arrows — and the parentage the search layer depends on: every chain slice
-of a :class:`SearchSession` polled in slices hangs under the poll that ran
-it.
+variable, explicit grafting, the ``REPRO_TRACING`` kill switch, Chrome-trace
+export with flow arrows — and the parentage the search layer depends on:
+every chain slice of a :class:`SearchSession` polled in slices hangs under
+the poll that ran it.
 """
 
 from __future__ import annotations
 
-import threading
 
 import pytest
 
@@ -111,21 +109,6 @@ class TestSpanTree:
         (record,) = tracer.records()
         assert record.args == {"early": 1, "late": "outcome"}
         assert record.duration_s >= 0.0
-
-    def test_activate_propagates_across_threads(self, tracer):
-        with tracer.start_span("submit") as submit:
-            captured = submit.context
-        seen = {}
-
-        def worker():
-            with tracer.activate(captured):
-                with tracer.start_span("work") as span:
-                    seen["parent"] = span.context.parent_id
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert seen["parent"] == captured.span_id
 
     def test_records_since_and_clear(self, tracer):
         with tracer.start_span("one"):

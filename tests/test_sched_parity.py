@@ -44,7 +44,7 @@ def _random_trace(seed: int, n_jobs: int = 5):
 @pytest.fixture(scope="module")
 def shared_service():
     """One warm service for every run: same shapes hit the cache."""
-    with PlanService(max_workers=4, estimator_cache_size=32) as service:
+    with PlanService(estimator_cache_size=32) as service:
         yield service
 
 

@@ -119,7 +119,7 @@ class TestSchedulerBasics:
         assert report.cluster_gpus == 16
 
     def test_shared_service_is_not_closed(self):
-        service = PlanService(max_workers=2)
+        service = PlanService()
         first = schedule_trace(
             make_cluster(8), [tiny_job("a")], policy="first_fit",
             config=TINY, service=service,
@@ -140,26 +140,42 @@ class TestSchedulerBasics:
         )
         service.close()
 
-    def test_dedup_joined_requests_not_double_billed(self):
-        from repro.sched import Job, PlanCosting
-        from repro.service import RequestStats
 
-        costing = PlanCosting(
-            service=None, search=TINY.search, replan_search=TINY.search
+class TestDecisionWave:
+    def test_candidate_order_does_not_change_warm_starts(self):
+        from repro.sched import Job, PartitionManager, PlanCosting
+
+        search = SearchConfig(
+            max_iterations=20, time_budget_s=600.0, seed=0, record_history=False
         )
-        runtime_job = Job.from_spec(tiny_job("a"))
-        runtime_job.first_started_at = 1.0  # makes it a replan
-        joined = RequestStats(
-            fingerprint="x", cache_hit=False, dedup_joined=True, search_seconds=5.0
-        )
-        costing._record(runtime_job, joined)
-        assert costing.replan_stats.count == 0
-        real = RequestStats(
-            fingerprint="x", cache_hit=False, warm_started=True, search_seconds=0.5
-        )
-        costing._record(runtime_job, real)
-        assert costing.replan_stats.count == 1
-        assert costing.replan_stats.total_seconds == pytest.approx(0.5)
+        shapes = PartitionManager(make_cluster(16)).distinct_shapes(min_gpus=8)
+        jobs = [
+            Job.from_spec(tiny_job(f"b{batch}", batch_size=batch, max_gpus=16))
+            for batch in (64, 128, 192)
+        ]
+        # Six misses of one fingerprint family in a single wave.
+        pairs = [(job, partition) for job in jobs for partition in shapes]
+        seed_job = Job.from_spec(tiny_job("seed", batch_size=256))
+
+        def score(wave):
+            with PlanService() as service:
+                costing = PlanCosting(service, search, search)
+                # Cache one plan of the family before the wave.
+                costing.score([(seed_job, shapes[0])])
+                scored = costing.score(wave)
+            return {
+                (c.job.spec.name, c.partition.shape): (
+                    c.seconds_per_iteration, c.stats.seeded_from
+                )
+                for c in scored
+            }
+
+        forward = score(pairs)
+        assert len(forward) == 6
+        assert score(pairs[::-1]) == forward
+        # Every candidate was seeded from the entry cached before the wave.
+        seeds = {seeded_from for _cost, seeded_from in forward.values()}
+        assert len(seeds) == 1 and None not in seeds
 
 
 class TestElasticResize:

@@ -16,7 +16,9 @@ from repro.core import (
 from repro.service import (
     PlanCache,
     PlanCacheEntry,
+    WorkloadFingerprint,
     fingerprint_request,
+    select_warm_start,
 )
 
 
@@ -115,6 +117,22 @@ class TestPlanCache:
         cache.put(_entry(key="b", family="f2"))
         cache.put(_entry(key="c", family="f1"))
         assert [e.key for e in cache.family_entries("f1")] == ["c", "a"]
+
+    def test_warm_start_cutoff_excludes_later_puts(self):
+        cache = PlanCache(capacity=8)
+        # Put numbers: a=0, b=1, c=2, then a again at 3 (its latest put).
+        for key, batch in (("a", 64), ("b", 256), ("c", 192), ("a", 64)):
+            entry = dataclasses.replace(_entry(key=key), features={"batch_size": float(batch)})
+            cache.put(entry)
+        assert cache.puts == 4
+        request = WorkloadFingerprint(key="new", family="f", features={"batch_size": 200.0})
+        chosen = {
+            before: getattr(select_warm_start(cache, request, before=before), "key", None)
+            for before in range(cache.puts + 1)
+        }
+        assert chosen == {0: None, 1: None, 2: "b", 3: "c", 4: "c"}
+        assert select_warm_start(cache, request).key == "c"
+        assert [e.key for e in cache.family_entries("f", before=3)] == ["c", "b"]
 
     def test_entry_from_search_result(self, ppo_graph, small_workload, small_cluster):
         searcher = MCMCSearcher(

@@ -1,4 +1,4 @@
-"""Tests for the concurrent plan server, warm starts and service routing."""
+"""Tests for the plan server, warm starts and service routing."""
 
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ def _request(batch_size=128, n_gpus=8, max_iterations=300, seed=0, graph=None):
 
 @pytest.fixture()
 def service():
-    svc = PlanService(max_workers=2)
+    svc = PlanService()
     yield svc
     svc.shutdown()
 
@@ -86,18 +86,33 @@ class TestCacheHits:
 
 
 class TestDeduplication:
-    def test_inflight_duplicates_share_one_search(self, service):
-        request = _request(max_iterations=1200)
+    def test_duplicate_submissions_are_cache_hits(self, service):
+        request = _request(max_iterations=200)
         futures = [service.submit(request) for _ in range(3)]
+        # Requests are served on the caller's thread: every future is done.
+        assert all(future.done() for future in futures)
         responses = [future.result() for future in futures]
-        assert service.stats.dedup_joins == 2
-        assert sum(r.stats.dedup_joined for r in responses) == 2
+        assert [r.stats.outcome for r in responses] == ["cold", "hit", "hit"]
         assert len({r.cost for r in responses}) == 1
         # Only one search actually ran.
         assert service.stats.cache_misses == 1
+        assert service.stats.cache_hits == 2
+
+    def test_search_errors_are_set_on_the_future(self, service):
+        # A 70B actor fits on a single GPU at no parallelization.
+        request = PlanRequest(
+            graph=_request().graph,
+            workload=instructgpt_workload("70b", "70b", batch_size=512),
+            cluster=make_cluster(1),
+            search=SearchConfig(max_iterations=10, time_budget_s=30.0, seed=0),
+        )
+        future = service.submit(request)
+        assert future.done()
+        with pytest.raises(ValueError):
+            future.result()
 
     def test_submit_after_shutdown_raises(self):
-        svc = PlanService(max_workers=1)
+        svc = PlanService()
         svc.shutdown()
         with pytest.raises(RuntimeError):
             svc.submit(_request(max_iterations=10))
@@ -116,13 +131,13 @@ class TestWarmStart:
             search=budget,
         )
 
-        cold = PlanService(max_workers=1, warm_start=False)
+        cold = PlanService(warm_start=False)
         try:
             cold_response = cold.plan(perturbed)
         finally:
             cold.shutdown()
 
-        warm = PlanService(max_workers=1, warm_start=True)
+        warm = PlanService(warm_start=True)
         try:
             # Solve a *similar* workload first (larger budget, so the cached
             # plan is well optimized), then the perturbed one warm-starts.
@@ -136,7 +151,7 @@ class TestWarmStart:
         assert warm_response.cost <= cold_response.cost
 
     def test_warm_start_across_cluster_sizes(self):
-        svc = PlanService(max_workers=1)
+        svc = PlanService()
         try:
             svc.plan(_request(batch_size=128, n_gpus=8, max_iterations=600))
             response = svc.plan(_request(batch_size=256, n_gpus=16, max_iterations=100))
@@ -159,28 +174,26 @@ class TestWarmStart:
 
 class TestClientAndRouting:
     def test_client_batch_api_mixed_stream(self):
-        with PlanService(max_workers=2) as svc:
+        with PlanService() as svc:
             requests = [
                 _request(batch_size=128, max_iterations=80),
                 _request(batch_size=192, max_iterations=80),
                 _request(batch_size=128, max_iterations=80),
                 _request(batch_size=192, max_iterations=80),
             ]
-            # Enqueue every request before awaiting the first response.
             futures = [svc.submit(request) for request in requests]
             responses = [future.result() for future in futures]
             assert len(responses) == 4
             assert responses[0].cost == responses[2].cost
             assert responses[1].cost == responses[3].cost
             stats = svc.stats
-            # Duplicates were either cache hits or dedup joins, never a
-            # second search.
+            # Duplicates were cache hits, never a second search.
             assert stats.cache_misses == 2
-            assert stats.cache_hits + stats.dedup_joins == 2
+            assert stats.cache_hits == 2
 
     def test_find_execution_plan_routes_through_service(self):
         search = SearchConfig(max_iterations=80, time_budget_s=30.0, seed=0)
-        with PlanService(max_workers=1) as svc:
+        with PlanService() as svc:
             result_a, _ = find_execution_plan(
                 "ppo", "7b", "7b", n_gpus=8, batch_size=128,
                 search=search, service=svc,
@@ -196,7 +209,7 @@ class TestClientAndRouting:
     def test_real_system_reuses_service_across_evaluations(self):
         setting = ExperimentSetting("tiny", "7b", "7b", n_gpus=8, batch_size=64)
         search = SearchConfig(max_iterations=120, time_budget_s=30.0, seed=0)
-        with PlanService(max_workers=1) as svc:
+        with PlanService() as svc:
             system = RealSystem(search_config=search)
             run_comparison([setting], [system], plan_service=svc)
             assert svc.stats.cache_misses == 1
@@ -253,14 +266,14 @@ class TestEstimatorSharing:
 
 class TestLifecycle:
     def test_close_is_idempotent_and_blocks_submissions(self):
-        service = PlanService(max_workers=1)
+        service = PlanService()
         service.close()
         service.close()
         with pytest.raises(RuntimeError):
             service.submit(_request(max_iterations=10))
 
     def test_context_manager_closes(self):
-        with PlanService(max_workers=1) as service:
+        with PlanService() as service:
             service.plan(_request(max_iterations=20))
         assert len(service.cache) == 1
         with pytest.raises(RuntimeError):

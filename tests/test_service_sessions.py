@@ -26,7 +26,7 @@ def _request(batch_size=128, n_gpus=8, max_iterations=40, seed=0):
 
 @pytest.fixture()
 def service():
-    svc = PlanService(max_workers=2)
+    svc = PlanService()
     yield svc
     svc.shutdown()
 
@@ -60,7 +60,7 @@ class TestSessionLifecycle:
             handle.poll()
         session_response = service.stop_session(handle.session_id)
 
-        with PlanService(max_workers=2) as fresh:
+        with PlanService() as fresh:
             blocking = fresh.plan(request)
         assert session_response.cost == blocking.cost
         assert session_response.plan.to_dict() == blocking.plan.to_dict()
@@ -82,7 +82,7 @@ class TestSessionLifecycle:
             handle.poll()
 
     def test_shutdown_settles_open_sessions(self):
-        service = PlanService(max_workers=2)
+        service = PlanService()
         handle = service.start_session(_request(), slice_iterations=5)
         handle.poll()
         service.shutdown()
