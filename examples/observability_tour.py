@@ -29,8 +29,7 @@ Run with::
 
 Set ``REPRO_METRICS=off`` / ``REPRO_TRACING=off`` to see either layer become
 a no-op, or ``REPRO_LOG_LEVEL=debug REPRO_LOG_FORMAT=json`` for structured
-logs.  ``REPRO_ARTIFACT_DIR`` redirects benchmark artifacts the same way
-``--out-dir`` redirects this example's.
+logs.
 """
 
 from __future__ import annotations

@@ -335,17 +335,6 @@ class MCMCSearcher:
                 return call_name, same_mesh[int(rng.integers(len(same_mesh)))]
         return call_name, choices[int(rng.integers(len(choices)))]
 
-    def _proposal_cost(
-        self, plan: ExecutionPlan, call_name: str, new_alloc: Allocation
-    ) -> float:
-        """Score a single-call move via the estimator's incremental path."""
-        cost_delta = getattr(self.estimator, "cost_delta", None)
-        if cost_delta is not None:
-            return cost_delta(plan, call_name, new_alloc, self.config.oom_penalty)
-        return self.estimator.cost(
-            plan.with_assignment(call_name, new_alloc), self.config.oom_penalty
-        )
-
     def _chain_rng(self, chain: int) -> np.random.Generator:
         """Chain 0 keeps the classic single-chain stream (bit-compatible with
         the pre-multi-chain searcher); further chains get independent streams."""
@@ -426,7 +415,9 @@ class MCMCSearcher:
                 break
             iteration += 1
             call_name, new_alloc = self._propose(current, rng)
-            proposal_cost = self._proposal_cost(current, call_name, new_alloc)
+            proposal_cost = self.estimator.cost_delta(
+                current, call_name, new_alloc, cfg.oom_penalty
+            )
             # Normalise the energy by the chain's best cost so far so the
             # temperature stays meaningful across experiment scales and even
             # when the initial plan is heavily OOM-penalised.  Chain-local on

@@ -32,9 +32,8 @@ _OFF = ("off", "0", "false", "no", "disabled")
 class Knob:
     """One environment knob.
 
-    ``kind`` is ``flag``, ``float`` (finite, ``x > 0``), ``choice`` (one of
-    ``choices``) or ``path`` (a directory; an existing non-directory is
-    rejected).
+    ``kind`` is ``flag``, ``float`` (finite, ``x > 0``) or ``choice`` (one
+    of ``choices``).
     """
 
     name: str
@@ -49,14 +48,11 @@ class Knob:
             return f"one of {'/'.join(_ON)} or {'/'.join(_OFF)}"
         if self.kind == "float":
             return "a finite number > 0"
-        if self.kind == "choice":
-            return f"one of {'/'.join(self.choices)}"
-        return "a directory path"
+        return f"one of {'/'.join(self.choices)}"
 
     def parse(self, raw: str) -> object:
         """The value of a non-blank raw string; raises ``ValueError`` if invalid."""
-        text = raw.strip()
-        word = text.lower()
+        word = raw.strip().lower()
         value: object = None
         if self.kind == "flag":
             if word in _ON or word in _OFF:
@@ -70,8 +66,6 @@ class Knob:
                 value = number
         elif self.kind == "choice":
             value = word if word in self.choices else None
-        elif not os.path.exists(text) or os.path.isdir(text):
-            value = text
         if value is None:
             raise ValueError(
                 f"{self.name}={raw!r} is invalid: expected {self.accepted()}"
@@ -91,8 +85,6 @@ KNOBS: Dict[str, Knob] = {
              "Off makes the metrics registry a no-op and its exporters write nothing."),
         Knob("REPRO_TRACING", "flag", True,
              "Off disables causal span tracing and the decision-provenance ledger."),
-        Knob("REPRO_ARTIFACT_DIR", "path", None,
-             "Directory relative BENCH/TRACE/METRICS/PROVENANCE paths resolve against."),
         Knob("REPRO_LOG_LEVEL", "choice", "warning",
              "Level of the `repro.*` loggers.",
              choices=("debug", "info", "warning", "error", "critical")),

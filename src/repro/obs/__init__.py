@@ -18,11 +18,11 @@ The observability layer every subsystem reports through:
   plan-request lineage);
 * :mod:`repro.obs.report` — the ``python -m repro.obs.report <run dir>``
   CLI digesting one run's TRACE/METRICS/PROVENANCE files;
-* :mod:`repro.obs.artifacts` — the ``REPRO_ARTIFACT_DIR`` knob all
-  artifact writers resolve their output paths through.
+* :mod:`repro.obs.artifacts` — the machine identity block perfbench
+  stamps on its reports.
 """
 
-from .artifacts import artifact_dir, artifact_path, machine_fingerprint
+from .artifacts import machine_fingerprint
 from .export import (
     SNAPSHOT_SCHEMA_VERSION,
     record_counter_tracks,
@@ -81,8 +81,6 @@ __all__ = [
     "write_metrics_snapshot",
     "SNAPSHOT_SCHEMA_VERSION",
     "record_counter_tracks",
-    "artifact_dir",
-    "artifact_path",
     "machine_fingerprint",
     "tracing_enabled",
     "SpanContext",

@@ -4,7 +4,7 @@ Three export paths, one registry:
 
 * :func:`snapshot` / :func:`write_metrics_snapshot` — the JSON form
   (``registry.to_dict()`` plus run metadata), written to ``METRICS_*.json``
-  files next to the existing ``BENCH_*``/``TRACE_*`` reports;
+  files next to the run's ``TRACE_*`` report;
 * :func:`to_prometheus` — the Prometheus text exposition format (v0.0.4):
   ``# HELP``/``# TYPE`` headers, escaped label values, and the
   ``_bucket``/``_sum``/``_count`` triplet for histograms with cumulative

@@ -294,9 +294,9 @@ class PlanCosting:
         """Scheduler decision latency: per-wave wall-clock summary.
 
         One wave is one :meth:`score` call — all candidate costings of one
-        scheduling decision.  ``mean``/``max``
-        therefore measure how long the scheduler blocks on plan costing per
-        decision, the latency metric tracked in ``BENCH_search_scaling.json``.
+        scheduling decision.  ``mean``/``max`` therefore measure how long the
+        scheduler blocks on plan costing per decision; perfbench reports
+        the wave count as ``sched.costing.waves``.
         """
         waves = self._wave_seconds
         if not waves:

@@ -5,17 +5,13 @@ target formats — the Prometheus text exposition grammar (escaping,
 ``_bucket``/``_sum``/``_count`` invariants), the Chrome Trace Event Format
 (counter events round-trip through ``load_chrome_trace`` and
 ``validate_chrome_events``) — plus the scheduler integration that merges
-live counter tracks and a ``METRICS_*.json`` snapshot into one run, and the
-per-metric reporting of ``benchmarks/check_bench_regression.py``.
+live counter tracks and a ``METRICS_*.json`` snapshot into one run.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import math
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -345,103 +341,3 @@ class TestSchedulerTelemetry:
         events = load_chrome_trace(report.trace_path)
         assert any(e["ph"] == "C" for e in events)
 
-
-# ---------------------------------------------------------------------- #
-# check_bench_regression: per-metric comparison lines
-# ---------------------------------------------------------------------- #
-def _load_checker():
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "benchmarks"
-        / "check_bench_regression.py"
-    )
-    spec = importlib.util.spec_from_file_location("check_bench_regression", path)
-    module = importlib.util.module_from_spec(spec)
-    # Register before exec: dataclasses resolves string annotations through
-    # sys.modules[cls.__module__].
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def _report(mode: str, **metrics: tuple) -> dict:
-    return {
-        "mode": mode,
-        "metrics": {
-            name: {"value": value, "higher_is_better": hib}
-            for name, (value, hib) in metrics.items()
-        },
-    }
-
-
-class TestBenchRegressionCheck:
-    def test_reports_every_metric_pass_and_fail(self):
-        checker = _load_checker()
-        baseline = _report("smoke", fast=(100.0, True), slow=(10.0, False))
-        current = _report("smoke", fast=(90.0, True), slow=(15.0, False))
-        comparisons = checker.compare(baseline, current, threshold=0.2)
-        by_name = {c.name: c for c in comparisons}
-        assert set(by_name) == {"fast", "slow"}
-        fast, slow = by_name["fast"], by_name["slow"]
-        # fast dropped 10% (within 20% tolerance); slow rose 50% (regressed).
-        assert not fast.regressed and fast.change == pytest.approx(-0.1)
-        assert slow.regressed and slow.change == pytest.approx(0.5)
-        assert "dropped 10.0%" in fast.describe() and "[ok]" in fast.describe()
-        assert "rose 50.0%" in slow.describe() and "[REGRESSED]" in slow.describe()
-        assert "lower is better" in slow.describe()
-        assert "tolerance 20%" in fast.describe()
-
-    def test_mode_mismatch_doubles_tolerance(self):
-        checker = _load_checker()
-        baseline = _report("full", fast=(100.0, True))
-        current = _report("smoke", fast=(70.0, True))
-        (comparison,) = checker.compare(baseline, current, threshold=0.2)
-        assert comparison.threshold == pytest.approx(0.4)
-        assert not comparison.regressed  # 30% drop < 40% doubled tolerance
-
-    def test_missing_metric_is_a_regression(self):
-        checker = _load_checker()
-        baseline = _report("smoke", gone=(5.0, True))
-        current = _report("smoke")
-        (comparison,) = checker.compare(baseline, current, threshold=0.2)
-        assert comparison.missing and comparison.regressed
-        assert math.isnan(comparison.cur_value)
-        assert "missing now [REGRESSED]" in comparison.describe()
-
-    def test_zero_baseline_never_regresses(self):
-        checker = _load_checker()
-        baseline = _report("smoke", zeroed=(0.0, True))
-        current = _report("smoke", zeroed=(5.0, True))
-        (comparison,) = checker.compare(baseline, current, threshold=0.2)
-        assert not comparison.regressed and comparison.change == 0.0
-
-    def test_main_prints_per_metric_lines(self, tmp_path, capsys):
-        checker = _load_checker()
-        base_path = tmp_path / "base.json"
-        cur_path = tmp_path / "cur.json"
-        base_path.write_text(json.dumps(_report("smoke", m1=(10.0, True), m2=(1.0, False))))
-        cur_path.write_text(json.dumps(_report("smoke", m1=(11.0, True), m2=(0.9, False))))
-        code = checker.main(
-            ["--baseline", str(base_path), "--current", str(cur_path)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "perf check OK" in out
-        assert "2/2 metrics within tolerance" in out
-        assert "m1: rose 10.0%" in out
-        assert "m2: dropped 10.0%" in out
-
-    def test_main_strict_fails_on_regression(self, tmp_path, capsys):
-        checker = _load_checker()
-        base_path = tmp_path / "base.json"
-        cur_path = tmp_path / "cur.json"
-        base_path.write_text(json.dumps(_report("smoke", m1=(10.0, True))))
-        cur_path.write_text(json.dumps(_report("smoke", m1=(1.0, True))))
-        soft = checker.main(["--baseline", str(base_path), "--current", str(cur_path)])
-        strict = checker.main(
-            ["--baseline", str(base_path), "--current", str(cur_path), "--strict"]
-        )
-        out = capsys.readouterr().out
-        assert soft == 0 and strict == 1
-        assert "REGRESSION WARNING" in out
-        assert "[REGRESSED]" in out

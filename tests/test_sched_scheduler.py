@@ -288,14 +288,17 @@ class TestFailures:
     def test_replans_are_warm_or_cached(self):
         jobs = [tiny_job("a", target_iterations=20), tiny_job("b", target_iterations=20)]
         failure = NodeFailure(time=30.0, node=0, recovery_time=60.0)
-        report = schedule_trace(
+        scheduler = ClusterScheduler(
             make_cluster(16), jobs, policy="first_fit", config=TINY, failures=[failure]
         )
+        report = scheduler.run()
         assert report.all_completed
         assert report.replan_searches.count >= 1
         assert report.cold_searches.count >= 1
-        # Warm-started/cached replans must be cheaper than cold searches.
-        assert report.replan_searches.mean_seconds < report.cold_searches.mean_seconds
+        # A displaced job is re-planned from the cache or a warm-started
+        # search, never from scratch.
+        outcomes = {stats.outcome for stats in scheduler.costing._replan}
+        assert outcomes and outcomes <= {"hit", "warm"}
 
     def test_invalid_failure_times_rejected(self):
         with pytest.raises(ValueError):
