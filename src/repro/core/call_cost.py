@@ -78,6 +78,15 @@ def _ceil_div(a: int, b: int) -> int:
 class CallCostModel:
     """Computes time, breakdown and memory of one function call.
 
+    Contract: every result is position-free.  It depends on the allocation
+    only through its shape — the mesh's ``n_nodes`` and ``gpus_per_node``,
+    the dp/tp/pp strategy, ``n_microbatches`` and ``zero3`` — never on where
+    the mesh sits (``node_start``, ``gpu_start``).  The estimator keys its
+    per-call memos on that shape
+    (:meth:`~repro.core.estimator.RuntimeEstimator._shape_key`), so a
+    position-aware model (e.g. for heterogeneous clusters) must widen that
+    key.
+
     Parameters
     ----------
     config:

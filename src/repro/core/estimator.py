@@ -13,9 +13,10 @@ search cost that penalises out-of-memory plans:
 Evaluating one plan takes a fraction of a millisecond, which is what makes
 the MCMC search over :math:`10^{16}`-sized spaces feasible.  To get there,
 the estimator memoises every expensive per-component quantity — per-call
-:class:`CostBreakdown` totals by allocation, reallocation-edge costs by
-``(model, src layout, dst layout)``, data-transfer times by edge and layout
-pair, and per-call memory contributions — and offers an incremental
+:class:`CostBreakdown` totals by call shape (position-free),
+reallocation-edge costs by ``(model, src layout, dst layout)``,
+data-transfer times by edge and layout pair, and per-call memory
+contributions — and offers an incremental
 :meth:`RuntimeEstimator.cost_delta` path that re-evaluates a plan after a
 single-call move by recomputing only what that move can affect (the moved
 call's duration, its model's reallocation edges, its incident data-transfer
@@ -334,6 +335,27 @@ class RuntimeEstimator:
         )
 
     @staticmethod
+    def _shape_key(call_name: str, alloc: Allocation) -> Tuple:
+        """Position-free identity of a call under an allocation.
+
+        :class:`CallCostModel` never reads where a mesh sits (``node_start``,
+        ``gpu_start``), so every allocation of one shape shares a breakdown.
+        Built from the attributes rather than :meth:`_key_for`, so sweeping
+        every option (greedy initialisation) interns none of them.
+        """
+        mesh, parallel = alloc.mesh, alloc.parallel
+        return (
+            call_name,
+            mesh.n_nodes,
+            mesh.gpus_per_node,
+            parallel.dp,
+            parallel.tp,
+            parallel.pp,
+            alloc.n_microbatches,
+            alloc.zero3,
+        )
+
+    @staticmethod
     def _layout_key(alloc: Allocation) -> Tuple:
         """Identity of an allocation as far as parameter layout is concerned."""
         mesh, parallel = alloc.mesh, alloc.parallel
@@ -403,14 +425,15 @@ class RuntimeEstimator:
         return self._cost_models[call.model_name].breakdown(call, wl, alloc)
 
     def call_breakdown(self, call_name: str, alloc: Allocation) -> CostBreakdown:
-        """Cost breakdown of one call under an allocation (memoised).
+        """Cost breakdown of one call under an allocation.
 
-        Returns a fresh copy so callers may mutate the breakdown without
-        corrupting the cache.
+        Memoised by call shape (:meth:`_shape_key`): allocations that differ
+        only in mesh position share one entry.  Returns a fresh copy so
+        callers may mutate the breakdown without corrupting the cache.
         """
         if not self.use_cache:
             return self._compute_breakdown(call_name, alloc)
-        key = (call_name,) + self._key_for(alloc)
+        key = self._shape_key(call_name, alloc)
         cached = self._breakdown_cache.get(key)
         if cached is None:
             cached = self._compute_breakdown(call_name, alloc)
@@ -418,10 +441,10 @@ class RuntimeEstimator:
         return cached.scaled(1.0)
 
     def call_time(self, call_name: str, alloc: Allocation) -> float:
-        """Wall time of one call under an allocation (memoised)."""
+        """Wall time of one call under an allocation, memoised by call shape."""
         if not self.use_cache:
             return self._compute_breakdown(call_name, alloc).total
-        key = (call_name,) + self._key_for(alloc)
+        key = self._shape_key(call_name, alloc)
         cached = self._call_time_cache.get(key)
         if cached is not None:
             return cached
@@ -654,10 +677,7 @@ class RuntimeEstimator:
             return new_alloc if name == call_name else plan[name]
 
         durations = base.durations.copy()
-        duration = self._call_time_cache.get((call_name,) + new_key)
-        if duration is None:
-            duration = self.call_time(call_name, new_alloc)
-        durations[call_id] = duration
+        durations[call_id] = self.call_time(call_name, new_alloc)
         realloc_in = base.realloc_in
         prev_call, next_call = self._realloc_neighbors[call_name]
         if prev_call is not None:

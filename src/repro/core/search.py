@@ -205,6 +205,9 @@ class SearchResult:
     """Per-chain wall-clock seconds, in chain order."""
     chain_cpu_seconds: List[float] = field(default_factory=list)
     """Per-chain CPU seconds, in chain order."""
+    init_seconds: float = 0.0
+    """Wall-clock seconds spent choosing the chain start: the greedy
+    initial plan plus costing the seed plans (the ``search.init`` span)."""
 
     @property
     def improvement_ratio(self) -> float:
@@ -283,18 +286,20 @@ class MCMCSearcher:
         """Best of the greedy plan, the seed plans and ``config.initial_plan``.
 
         This is the plan every chain starts from — and the floor any search
-        or session result can only improve on.
+        or session result can only improve on.  Runs under a ``search.init``
+        span, a sibling of the chain slices beneath the enclosing span.
         """
         cfg = self.config
-        start_plan = self.greedy_initial_plan()
-        start_cost = self.estimator.cost(start_plan, cfg.oom_penalty)
-        candidates = list(self.seed_plans)
-        if cfg.initial_plan is not None:
-            candidates.append(cfg.initial_plan)
-        for seed_plan in candidates:
-            seed_cost = self.estimator.cost(seed_plan, cfg.oom_penalty)
-            if seed_cost < start_cost:
-                start_plan, start_cost = seed_plan, seed_cost
+        with get_tracer().start_span("search.init", category="search"):
+            start_plan = self.greedy_initial_plan()
+            start_cost = self.estimator.cost(start_plan, cfg.oom_penalty)
+            candidates = list(self.seed_plans)
+            if cfg.initial_plan is not None:
+                candidates.append(cfg.initial_plan)
+            for seed_plan in candidates:
+                seed_cost = self.estimator.cost(seed_plan, cfg.oom_penalty)
+                if seed_cost < start_cost:
+                    start_plan, start_cost = seed_plan, seed_cost
         return start_plan, start_cost
 
     # ------------------------------------------------------------------ #
@@ -497,6 +502,7 @@ class MCMCSearcher:
         ) as search_span:
             start_time = time.perf_counter()
             start_plan, start_cost = self.initial_candidate()
+            init_seconds = time.perf_counter() - start_time
             # Report the actual chain start (greedy, seed or warm-start hint —
             # whichever won), not unconditionally the greedy plan.
             initial_plan, initial_cost = start_plan, start_cost
@@ -517,6 +523,7 @@ class MCMCSearcher:
                 start_cost=start_cost,
                 start_time=start_time,
                 n_chains=n_chains,
+                init_seconds=init_seconds,
             )
             search_span.set(
                 best_cost=merged.best_cost,
@@ -572,6 +579,7 @@ class MCMCSearcher:
         start_cost: float,
         start_time: float,
         n_chains: int,
+        init_seconds: float,
     ) -> SearchResult:
         """Deterministically merge per-chain results (chain order, strict <)."""
         best_plan_assignments: Dict[str, Allocation] = dict(initial_plan.assignments)
@@ -603,6 +611,7 @@ class MCMCSearcher:
             cpu_seconds=sum(r.cpu_seconds for r in results),
             chain_wall_seconds=[r.wall_seconds for r in results],
             chain_cpu_seconds=[r.cpu_seconds for r in results],
+            init_seconds=init_seconds,
         )
 
 
@@ -664,6 +673,7 @@ class SearchSession:
         self._started_at: Optional[float] = None
         self._initial_plan: Optional[ExecutionPlan] = None
         self._initial_cost = float("inf")
+        self._init_seconds = 0.0
         self._stopped = False
 
     # ------------------------------------------------------------------ #
@@ -676,6 +686,7 @@ class SearchSession:
         cfg = self.searcher.config
         self._started_at = time.perf_counter()
         start_plan, start_cost = self.searcher.initial_candidate()
+        self._init_seconds = time.perf_counter() - self._started_at
         self._initial_plan, self._initial_cost = start_plan, start_cost
         self.states = [
             self.searcher.init_chain_state(
@@ -787,6 +798,7 @@ class SearchSession:
             start_cost=self._initial_cost,
             start_time=self._started_at,
             n_chains=len(self.states),
+            init_seconds=self._init_seconds,
         )
 
 

@@ -84,6 +84,9 @@ class RequestStats:
     dedup_joined: bool = False  # always False; kept for callers that read it
     queue_seconds: float = 0.0  # always 0.0; kept for callers that read it
     search_seconds: float = 0.0
+    init_seconds: float = 0.0
+    """Wall-clock seconds the search spent choosing its chain start
+    (:attr:`~repro.core.search.SearchResult.init_seconds`)."""
     total_seconds: float = 0.0
     seeded_from: Optional[str] = None
     """Cache key of the entry that warm-started this search (``None`` when
@@ -133,6 +136,8 @@ class ServiceStats:
     cache_refreshes: int = 0
     """Cached entries replaced because an online session beat their cost."""
     search_seconds: float = 0.0
+    init_seconds: float = 0.0
+    """Summed :attr:`RequestStats.init_seconds` of the searches served."""
 
     @property
     def hit_rate(self) -> float:
@@ -308,11 +313,13 @@ class PlanSession:
             service = self.service
             with service._lock:
                 service.stats.search_seconds += search_seconds
+                service.stats.init_seconds += result.init_seconds
             stats = RequestStats(
                 fingerprint=self.fingerprint.key,
                 cache_hit=False,
                 warm_started=self.warm_started,
                 search_seconds=search_seconds,
+                init_seconds=result.init_seconds,
                 total_seconds=result.elapsed_seconds,
                 seeded_from=self.seeded_from,
             )
@@ -715,6 +722,7 @@ class PlanService:
             if warm_started:
                 self.stats.warm_starts += 1
             self.stats.search_seconds += result.elapsed_seconds
+            self.stats.init_seconds += result.init_seconds
         total_seconds = finished_at - submitted_at
         outcome = "warm" if warm_started else "cold"
         get_ledger().record(
@@ -745,6 +753,7 @@ class PlanService:
             cache_hit=False,
             warm_started=warm_started,
             search_seconds=result.elapsed_seconds,
+            init_seconds=result.init_seconds,
             total_seconds=total_seconds,
             seeded_from=seeded_from,
         )

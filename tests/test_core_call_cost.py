@@ -1,9 +1,18 @@
 """Tests for per-call cost breakdowns (generation / inference / training)."""
 
+import dataclasses
+
 import pytest
 
+from repro.algorithms import build_grpo_graph, build_ppo_graph
 from repro.cluster import DeviceMesh, full_cluster_mesh, make_cluster
-from repro.core import Allocation, CallCostModel, ParallelStrategy
+from repro.core import (
+    Allocation,
+    CallCostModel,
+    ParallelStrategy,
+    allocation_options,
+    instructgpt_workload,
+)
 from repro.core.profiler import AnalyticalProvider
 from repro.core.workload import CallWorkload
 from repro.core.dataflow import FunctionCallType, ModelFunctionCall
@@ -141,3 +150,42 @@ class TestCostBreakdown:
         assert doubled.total == pytest.approx(2 * bd.total)
         bd.add(doubled)
         assert bd.total == pytest.approx(3 * doubled.total / 2)
+
+
+class TestPositionFreeContract:
+    """Every allocation of one shape costs the same, wherever its mesh sits.
+
+    The estimator memoises per-call costs by shape; a cost model that read
+    ``node_start`` or ``gpu_start`` would make those memos serve wrong values.
+    """
+
+    @pytest.mark.parametrize("n_gpus", [8, 32])
+    @pytest.mark.parametrize("build", [build_ppo_graph, build_grpo_graph], ids=["ppo", "grpo"])
+    def test_same_shape_same_breakdown(self, build, n_gpus):
+        graph, cluster = build(), make_cluster(n_gpus)
+        workload = instructgpt_workload("7b", "7b", batch_size=128)
+        options = allocation_options(graph, workload, cluster)
+        n_moved = 0
+        for call in graph.calls:
+            config = workload.model_config(call.model_name)
+            model = CallCostModel(config, cluster, AnalyticalProvider(config, cluster))
+            wl = workload.call_workload(call)
+            groups = {}
+            for option in options[call.name]:
+                mesh, par = option.mesh, option.parallel
+                shape = (
+                    mesh.n_nodes, mesh.gpus_per_node, par.dp, par.tp, par.pp,
+                    option.n_microbatches, option.zero3,
+                )
+                groups.setdefault(shape, []).append(option)
+            for members in groups.values():
+                first = model.breakdown(call, wl, members[0])
+                for member in members[1:]:
+                    n_moved += member.mesh != members[0].mesh
+                    other = model.breakdown(call, wl, member)
+                    for spec in dataclasses.fields(first):
+                        assert getattr(other, spec.name) == getattr(first, spec.name), (
+                            call.name, members[0], member, spec.name
+                        )
+        # The property is vacuous unless some shapes recur at other positions.
+        assert n_moved > 0

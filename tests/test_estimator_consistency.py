@@ -1,12 +1,9 @@
 """Consistency checks for the single plan-scoring path.
 
-The module and test names date from a vectorized evaluation kernel that was
-once checked against the scalar estimator.  That kernel is gone; each test
-now pins the same guarantee on the path that remains: the memoised
-``cost()`` / incremental ``cost_delta()`` fast path returns exactly the
-floats a from-scratch recompute returns — on PPO and GRPO, across seeds,
-including OOM-penalized and empty-graph plans — and a search driven by it,
-sliced or not, lands on the same result.
+The memoised ``cost()`` / incremental ``cost_delta()`` fast path returns
+exactly the floats a from-scratch recompute returns — on PPO and GRPO,
+across seeds, including OOM-penalized and empty-graph plans — and a search
+driven by it, sliced or not, lands on the same result.
 """
 
 import numpy as np

@@ -17,8 +17,10 @@ from repro.algorithms import build_grpo_graph, build_ppo_graph
 from repro.cluster import make_cluster
 from repro.core import (
     Allocation,
+    CallCostModel,
     DataflowGraph,
     ExecutionPlan,
+    MCMCSearcher,
     ParallelStrategy,
     RuntimeEstimator,
     allocation_options,
@@ -149,6 +151,44 @@ class TestCrossCheckMode:
         estimator._eval_cache.clear()
         with pytest.raises(RuntimeError, match="cross-check"):
             estimator.cost(plan)
+
+
+class TestShapeKeyedMemos:
+    @pytest.mark.parametrize("build", [build_ppo_graph, build_grpo_graph], ids=["ppo", "grpo"])
+    def test_greedy_init_scores_each_call_shape_once(
+        self, build, workload, cluster16, monkeypatch
+    ):
+        """Counts model evaluations, not seconds: one per distinct call shape."""
+        graph = build()
+        options = allocation_options(graph, workload, cluster16)
+        scored = []
+        breakdown = CallCostModel.breakdown
+
+        def counting_breakdown(self, call, wl, alloc):
+            scored.append(call.name)
+            return breakdown(self, call, wl, alloc)
+
+        monkeypatch.setattr(CallCostModel, "breakdown", counting_breakdown)
+        plan = MCMCSearcher(
+            graph, workload, cluster16,
+            estimator=RuntimeEstimator(graph, workload, cluster16),
+            options=options,
+        ).greedy_initial_plan()
+        shapes = {
+            (name, a.mesh.n_nodes, a.mesh.gpus_per_node, a.parallel.dp,
+             a.parallel.tp, a.parallel.pp, a.n_microbatches, a.zero3)
+            for name, choices in options.items()
+            for a in choices
+        }
+        n_options = sum(len(choices) for choices in options.values())
+        assert len(scored) == len(shapes) < n_options
+        uncached = MCMCSearcher(
+            graph, workload, cluster16,
+            estimator=RuntimeEstimator(graph, workload, cluster16, use_cache=False),
+            options=options,
+        ).greedy_initial_plan()
+        # Same option objects: option order and tie-breaks are unchanged.
+        assert all(plan[name] is uncached[name] for name in graph.call_names)
 
 
 class TestEmptyGraph:

@@ -203,3 +203,27 @@ class TestSessionSpans:
         assert chains, "session recorded no chain spans"
         for record in chains:
             assert by_id[record.context.parent_id].name == "session poll"
+
+
+class TestSearchInitSpan:
+    def test_traced_search_has_one_init_span_under_search(self, tracer):
+        result = _session().searcher.search()
+        records = tracer.records()
+        by_id = {r.context.span_id: r for r in records}
+        inits = [r for r in records if r.name == "search.init"]
+        assert len(inits) == 1
+        assert by_id[inits[0].context.parent_id].name == "search"
+        # Chain slices stay children of the search, siblings of the init.
+        chains = [r for r in records if r.name.startswith("chain ")]
+        assert chains
+        assert {r.context.parent_id for r in chains} == {inits[0].context.parent_id}
+        assert 0.0 < result.init_seconds <= result.elapsed_seconds
+
+    def test_session_start_opens_init_span_under_caller(self, tracer):
+        with tracer.start_span("plan request", category="service"):
+            session = _session().start()
+        records = tracer.records()
+        by_id = {r.context.span_id: r for r in records}
+        inits = [r for r in records if r.name == "search.init"]
+        assert [by_id[r.context.parent_id].name for r in inits] == ["plan request"]
+        assert session.stop().init_seconds > 0.0
