@@ -46,6 +46,7 @@ from .search import (
     ChainState,
     MCMCSearcher,
     SearchConfig,
+    SearchProblem,
     SearchResult,
     SearchSession,
     SessionProgress,
@@ -94,6 +95,7 @@ __all__ = [
     "search_space_size",
     "SearchConfig",
     "SearchResult",
+    "SearchProblem",
     "MCMCSearcher",
     "SearchSession",
     "SessionProgress",

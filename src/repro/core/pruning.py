@@ -12,7 +12,7 @@ the micro-batch count is restricted to a small set of powers of two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.hardware import ClusterSpec
 from ..cluster.topology import DeviceMesh, enumerate_device_meshes
@@ -104,6 +104,89 @@ def _candidate_meshes(cluster: ClusterSpec, prune: PruneConfig) -> List[DeviceMe
     return meshes
 
 
+class _OptionTable:
+    """Shared enumeration state of one search problem.
+
+    Holds the candidate meshes, the pruned strategies of each mesh size
+    (enumerated once, not once per mesh) and every :class:`Allocation` built
+    so far, interned on integer keys ``(mesh index, strategy index,
+    micro-batches)``: value-equal options of different calls are one object.
+    """
+
+    def __init__(self, cluster: ClusterSpec, prune: PruneConfig) -> None:
+        self.cluster = cluster
+        self.prune = prune
+        self.meshes = _candidate_meshes(cluster, prune)
+        self._max_tp = cluster.gpus_per_node if prune.max_tp_per_node else None
+        self._strategies: Dict[int, List[ParallelStrategy]] = {}
+        self._allocations: Dict[Tuple[int, int, int], Allocation] = {}
+
+    def _admissible(
+        self, n_gpus: int, call: ModelFunctionCall, config: ModelConfig, batch_size: int
+    ) -> List[Tuple[int, ParallelStrategy, List[int]]]:
+        """``(strategy index, strategy, micro-batch counts)`` a call admits on
+        any mesh of ``n_gpus`` GPUs, in enumeration order."""
+        strategies = self._strategies.get(n_gpus)
+        if strategies is None:
+            strategies = enumerate_strategies(n_gpus, max_tp=self._max_tp)
+            self._strategies[n_gpus] = strategies
+        prune = self.prune
+        memory = MemoryModel(config)
+        param_count = config.param_count()
+        rows: List[Tuple[int, ParallelStrategy, List[int]]] = []
+        for index, strategy in enumerate(strategies):
+            if not strategy.is_compatible_with_model(config):
+                continue
+            if strategy.dp > batch_size:
+                continue
+            if prune.prune_static_oom:
+                param_bytes = param_count / (strategy.tp * strategy.pp) * PARAM_BYTES
+                static = 0.0
+                if call.call_type is FunctionCallType.TRAIN_STEP:
+                    static = memory.static_bytes_per_gpu(strategy.dp, strategy.tp, strategy.pp)
+                if param_bytes + static > self.cluster.device_memory_bytes:
+                    continue
+            # Ceiling division: the runtime shards ceil(batch / dp) sequences
+            # onto each DP rank, so a micro-batch count up to that ceiling is
+            # admissible even when dp does not divide the batch size.
+            per_dp_batch = -(-batch_size // strategy.dp)
+            rows.append(
+                (index, strategy, [m for m in prune.microbatch_choices if m <= per_dp_batch])
+            )
+        return rows
+
+    def call_options(
+        self, call: ModelFunctionCall, config: ModelConfig, workload: RLHFWorkload
+    ) -> List[Allocation]:
+        """All pruned allocation options of one call, in enumeration order
+        (mesh, then strategy, then micro-batch count)."""
+        batch_size = workload.call_workload(call).batch_size
+        interned = self._allocations
+        by_size: Dict[int, List[Tuple[int, ParallelStrategy, List[int]]]] = {}
+        options: List[Allocation] = []
+        for mesh_index, mesh in enumerate(self.meshes):
+            rows = by_size.get(mesh.n_gpus)
+            if rows is None:
+                rows = by_size[mesh.n_gpus] = self._admissible(
+                    mesh.n_gpus, call, config, batch_size
+                )
+            for strategy_index, strategy, microbatches in rows:
+                for mbs in microbatches:
+                    key = (mesh_index, strategy_index, mbs)
+                    alloc = interned.get(key)
+                    if alloc is None:
+                        alloc = interned[key] = Allocation(
+                            mesh=mesh, parallel=strategy, n_microbatches=mbs
+                        )
+                    options.append(alloc)
+        if not options:
+            raise ValueError(
+                f"pruning left no feasible allocation for call {call.name!r}; "
+                "relax the PruneConfig"
+            )
+        return options
+
+
 def enumerate_allocations(
     call: ModelFunctionCall,
     config: ModelConfig,
@@ -112,39 +195,7 @@ def enumerate_allocations(
     prune: PruneConfig = PruneConfig(),
 ) -> List[Allocation]:
     """All pruned allocation options for one model function call."""
-    wl = workload.call_workload(call)
-    memory = MemoryModel(config)
-    max_tp = cluster.gpus_per_node if prune.max_tp_per_node else None
-    options: List[Allocation] = []
-    for mesh in _candidate_meshes(cluster, prune):
-        strategies = enumerate_strategies(mesh.n_gpus, config, max_tp=max_tp)
-        for strategy in strategies:
-            if strategy.dp > wl.batch_size:
-                continue
-            if prune.prune_static_oom:
-                param_bytes = config.param_count() / (strategy.tp * strategy.pp) * PARAM_BYTES
-                static = 0.0
-                if call.call_type is FunctionCallType.TRAIN_STEP:
-                    static = memory.static_bytes_per_gpu(strategy.dp, strategy.tp, strategy.pp)
-                if param_bytes + static > cluster.device_memory_bytes:
-                    continue
-            for mbs in prune.microbatch_choices:
-                # Ceiling division: the runtime shards ceil(batch / dp)
-                # sequences onto each DP rank, so a micro-batch count up to
-                # that ceiling is admissible even when dp does not divide
-                # the batch size.
-                per_dp_batch = -(-wl.batch_size // strategy.dp)
-                if mbs > per_dp_batch:
-                    continue
-                options.append(
-                    Allocation(mesh=mesh, parallel=strategy, n_microbatches=mbs)
-                )
-    if not options:
-        raise ValueError(
-            f"pruning left no feasible allocation for call {call.name!r}; "
-            "relax the PruneConfig"
-        )
-    return options
+    return _OptionTable(cluster, prune).call_options(call, config, workload)
 
 
 def allocation_options(
@@ -153,10 +204,15 @@ def allocation_options(
     cluster: ClusterSpec,
     prune: PruneConfig = PruneConfig(),
 ) -> Dict[str, List[Allocation]]:
-    """Per-call allocation options for every call of the graph."""
+    """Per-call allocation options for every call of the graph.
+
+    Calls share one option table, so an allocation that several calls admit
+    is a single object in all of their lists.
+    """
+    table = _OptionTable(cluster, prune)
     return {
-        call.name: enumerate_allocations(
-            call, workload.model_config(call.model_name), workload, cluster, prune
+        call.name: table.call_options(
+            call, workload.model_config(call.model_name), workload
         )
         for call in graph.calls
     }

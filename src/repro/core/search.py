@@ -7,6 +7,13 @@ the sum of per-call times (ignoring overlap and memory), proposes transitions
 that reassign the device mesh, parallel strategy and micro-batch count of a
 random function call, and keeps the lowest-cost plan ever visited.
 
+Everything a search needs that does not depend on its seed or budget lives in
+a :class:`SearchProblem`: the pruned option table, the proposal indexes, the
+search-space size and the greedy start (computed once, on first use).  A
+problem is a pure function of (graph, workload, cluster, prune) and its
+estimator, so searches and sessions posing the same one share a single
+instance (the plan service keeps them in a weak-valued map).
+
 Proposals are scored through the estimator's incremental
 :meth:`~repro.core.estimator.RuntimeEstimator.cost_delta` path (a proposal
 changes exactly one call's allocation), which is cheap enough that a search
@@ -46,6 +53,7 @@ __all__ = [
     "SearchResult",
     "SessionProgress",
     "SearchSession",
+    "SearchProblem",
     "MCMCSearcher",
     "ChainSpec",
     "ChainResult",
@@ -222,8 +230,21 @@ class SearchResult:
         return self.n_accepted / max(1, self.n_iterations)
 
 
-class MCMCSearcher:
-    """Metropolis-Hastings search over per-call allocations."""
+def _mesh_key(mesh) -> Tuple:
+    """Position and shape of a device mesh, as a hashable key."""
+    return (mesh.node_start, mesh.n_nodes, mesh.gpu_start, mesh.gpus_per_node)
+
+
+class SearchProblem:
+    """One search problem, built once and shared by every searcher posing it.
+
+    A pure function of (graph, workload, cluster, prune) and the estimator
+    scoring it: the per-call option table, the proposal indexes (options
+    grouped by mesh, and the ``(mesh, dp, tp, pp)`` layouts each call
+    admits), the search-space size and the greedy start, which is computed
+    on first use and then kept.  Treat it as immutable: any number of
+    :class:`MCMCSearcher` instances and sessions may read it at once.
+    """
 
     def __init__(
         self,
@@ -233,54 +254,89 @@ class MCMCSearcher:
         estimator: Optional[RuntimeEstimator] = None,
         options: Optional[Dict[str, List[Allocation]]] = None,
         prune: PruneConfig = PruneConfig(),
-        config: SearchConfig = SearchConfig(),
-        seed_plans: Optional[Sequence[ExecutionPlan]] = None,
     ) -> None:
         self.graph = graph
         self.workload = workload
         self.cluster = cluster
-        self.config = config
         self.estimator = estimator or RuntimeEstimator(graph, workload, cluster)
         self.options = options or allocation_options(graph, workload, cluster, prune)
         missing = set(graph.call_names) - set(self.options)
         if missing:
             raise ValueError(f"no allocation options for calls: {sorted(missing)}")
-        self.seed_plans = list(seed_plans or [])
-        # Per-call proposal indexes: options grouped by mesh, and the set of
-        # (mesh, strategy) layouts available, so proposing a move never scans
-        # the full option list comparing dataclasses.
-        self._options_by_mesh: Dict[str, Dict[Tuple, List[Allocation]]] = {}
-        self._layouts: Dict[str, set] = {}
+        self.search_space = search_space_size(self.options)
+        # Per-call proposal indexes, so proposing a move never scans the full
+        # option list comparing dataclasses.
+        self.options_by_mesh: Dict[str, Dict[Tuple, List[Allocation]]] = {}
+        self.layouts: Dict[str, set] = {}
         for call_name, choices in self.options.items():
             by_mesh: Dict[Tuple, List[Allocation]] = {}
             layouts = set()
             for alloc in choices:
-                mesh_key = self._mesh_key(alloc.mesh)
+                mesh_key = _mesh_key(alloc.mesh)
                 by_mesh.setdefault(mesh_key, []).append(alloc)
                 layouts.add(mesh_key + (alloc.parallel.dp, alloc.parallel.tp, alloc.parallel.pp))
-            self._options_by_mesh[call_name] = by_mesh
-            self._layouts[call_name] = layouts
+            self.options_by_mesh[call_name] = by_mesh
+            self.layouts[call_name] = layouts
+        self._greedy: Optional[Dict[str, Allocation]] = None
 
-    @staticmethod
-    def _mesh_key(mesh) -> Tuple:
-        return (mesh.node_start, mesh.n_nodes, mesh.gpu_start, mesh.gpus_per_node)
+    def greedy_assignments(self) -> Dict[str, Allocation]:
+        """Each call's fastest option in isolation (computed once).
+
+        As the paper notes, the plan they form is usually sub-optimal: every
+        call grabs as many GPUs as help it individually, which prevents
+        concurrent execution and may overload device memory — but it is a
+        good starting point for the Markov chain.
+        """
+        if self._greedy is None:
+            call_time = self.estimator.call_time
+            self._greedy = {
+                call_name: min(choices, key=lambda a: call_time(call_name, a))
+                for call_name, choices in self.options.items()
+            }
+        return self._greedy
+
+
+class MCMCSearcher:
+    """Metropolis-Hastings search over per-call allocations.
+
+    Pass either a prepared ``problem`` or the arguments that build one
+    (graph, workload, cluster and optionally estimator, options and prune).
+    """
+
+    def __init__(
+        self,
+        graph: Optional[DataflowGraph] = None,
+        workload: Optional[RLHFWorkload] = None,
+        cluster: Optional[ClusterSpec] = None,
+        estimator: Optional[RuntimeEstimator] = None,
+        options: Optional[Dict[str, List[Allocation]]] = None,
+        prune: PruneConfig = PruneConfig(),
+        config: SearchConfig = SearchConfig(),
+        seed_plans: Optional[Sequence[ExecutionPlan]] = None,
+        problem: Optional[SearchProblem] = None,
+    ) -> None:
+        if problem is None:
+            problem = SearchProblem(graph, workload, cluster, estimator, options, prune)
+        elif any(arg is not None for arg in (graph, workload, cluster, estimator, options)):
+            raise TypeError("pass either problem= or the arguments that build one")
+        self.problem = problem
+        self.graph = problem.graph
+        self.workload = problem.workload
+        self.cluster = problem.cluster
+        self.estimator = problem.estimator
+        self.options = problem.options
+        self._options_by_mesh = problem.options_by_mesh
+        self._layouts = problem.layouts
+        self.config = config
+        self.seed_plans = list(seed_plans or [])
 
     # ------------------------------------------------------------------ #
     # Initialisation
     # ------------------------------------------------------------------ #
     def greedy_initial_plan(self) -> ExecutionPlan:
-        """Plan minimising the sum of per-call times in isolation.
-
-        As the paper notes, this plan is usually sub-optimal: every call grabs
-        as many GPUs as help it individually, which prevents concurrent
-        execution and may overload device memory — but it is a good starting
-        point for the Markov chain.
-        """
-        assignments: Dict[str, Allocation] = {}
-        for call_name, choices in self.options.items():
-            best = min(choices, key=lambda a: self.estimator.call_time(call_name, a))
-            assignments[call_name] = best
-        return ExecutionPlan(assignments, name="greedy-initial")
+        """Plan minimising the sum of per-call times in isolation
+        (:meth:`SearchProblem.greedy_assignments`)."""
+        return ExecutionPlan(self.problem.greedy_assignments(), name="greedy-initial")
 
     def initial_candidate(self) -> Tuple[ExecutionPlan, float]:
         """Best of the greedy plan, the seed plans and ``config.initial_plan``.
@@ -325,7 +381,7 @@ class MCMCSearcher:
             if other != call_name:
                 other_alloc = plan[other]
                 parallel = other_alloc.parallel
-                layout = self._mesh_key(other_alloc.mesh) + (
+                layout = _mesh_key(other_alloc.mesh) + (
                     parallel.dp,
                     parallel.tp,
                     parallel.pp,
@@ -335,7 +391,7 @@ class MCMCSearcher:
         elif roll < 0.45:
             # Same mesh, different strategy / micro-batch count.
             current = plan[call_name]
-            same_mesh = self._options_by_mesh[call_name].get(self._mesh_key(current.mesh))
+            same_mesh = self._options_by_mesh[call_name].get(_mesh_key(current.mesh))
             if same_mesh:
                 return call_name, same_mesh[int(rng.integers(len(same_mesh)))]
         return call_name, choices[int(rng.integers(len(choices)))]
@@ -606,7 +662,7 @@ class MCMCSearcher:
             n_accepted=sum(r.n_accepted for r in results),
             elapsed_seconds=time.perf_counter() - start_time,
             history=history,
-            search_space=search_space_size(self.options),
+            search_space=self.problem.search_space,
             n_chains=n_chains,
             cpu_seconds=sum(r.cpu_seconds for r in results),
             chain_wall_seconds=[r.wall_seconds for r in results],
@@ -724,6 +780,11 @@ class SearchSession:
     @property
     def initial_cost(self) -> float:
         return self._initial_cost
+
+    @property
+    def init_seconds(self) -> float:
+        """Wall-clock seconds :meth:`start` spent choosing the chain start."""
+        return self._init_seconds
 
     @property
     def n_iterations(self) -> int:

@@ -142,6 +142,11 @@ class WorkloadFingerprint:
     share it pose different search problems but identical estimation
     problems, so they can share one memoised
     :class:`~repro.core.estimator.RuntimeEstimator`."""
+    problem_key: str = ""
+    """Identity of the (graph, workload, cluster, prune) search problem: the
+    estimator identity plus the pruning rules.  Requests that share it differ
+    only in search budget or seed, so they can share one
+    :class:`~repro.core.search.SearchProblem`."""
 
     @property
     def short_key(self) -> str:
@@ -185,4 +190,5 @@ def fingerprint_request(
         family=_digest(family_document),
         features=features,
         estimator_key=_digest(estimator_document),
+        problem_key=_digest({**estimator_document, "prune": canonical["prune"]}),
     )

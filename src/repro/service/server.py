@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -35,8 +36,14 @@ from ..cluster.hardware import ClusterSpec
 from ..core.dataflow import DataflowGraph
 from ..core.estimator import RuntimeEstimator
 from ..core.plan import ExecutionPlan
-from ..core.pruning import PruneConfig, allocation_options
-from ..core.search import MCMCSearcher, SearchConfig, SearchResult, SearchSession
+from ..core.pruning import PruneConfig
+from ..core.search import (
+    MCMCSearcher,
+    SearchConfig,
+    SearchProblem,
+    SearchResult,
+    SearchSession,
+)
 from ..core.workload import RLHFWorkload
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -128,7 +135,13 @@ class ServiceStats:
     cache_misses: int = 0
     warm_starts: int = 0
     dedup_joins: int = 0  # always 0; kept for callers that read it
+    problem_builds: int = 0
+    """Searches and sessions that built a new :class:`SearchProblem`."""
+    problem_reuses: int = 0
+    """Searches and sessions that reused the live problem of an earlier one."""
     estimator_reuses: int = 0
+    """Estimator lookups that found a cached estimator.  Only problem builds
+    look one up: a reused problem brings its own estimator."""
     sessions_started: int = 0
     """Online (pollable) search sessions opened via :meth:`start_session`."""
     session_polls: int = 0
@@ -136,6 +149,8 @@ class ServiceStats:
     cache_refreshes: int = 0
     """Cached entries replaced because an online session beat their cost."""
     search_seconds: float = 0.0
+    """Summed :attr:`RequestStats.search_seconds`: initialisation plus chain
+    compute, for blocking searches and stopped sessions alike."""
     init_seconds: float = 0.0
     """Summed :attr:`RequestStats.init_seconds` of the searches served."""
 
@@ -185,7 +200,8 @@ class SessionStatus:
     cache_refreshed: bool
     """Whether this poll's improvement replaced the cached entry."""
     search_seconds: float
-    """Compute seconds consumed so far (summed over chains, not session age)."""
+    """Compute seconds consumed so far: initialisation plus the chains'
+    summed slice time (not session age)."""
 
 
 class PlanSession:
@@ -259,7 +275,8 @@ class PlanSession:
             done=session.done,
             improved=improved,
             cache_refreshed=cache_refreshed,
-            search_seconds=sum(s.wall_seconds for s in session.states),
+            search_seconds=session.init_seconds
+            + sum(s.wall_seconds for s in session.states),
         )
 
     def poll(
@@ -300,8 +317,9 @@ class PlanSession:
         """Finish the session: final cache write-back and a settled response.
 
         Idempotent — repeated stops return the same response.  The response's
-        ``search_seconds`` bill the compute actually consumed by the slices,
-        not the session's wall-clock age (sessions idle between polls).
+        ``search_seconds`` bill the compute actually consumed — initialisation
+        plus the slices — not the session's wall-clock age (sessions idle
+        between polls), so they add up with blocking searches' times.
         """
         with self._lock:
             if self._final is not None:
@@ -309,7 +327,7 @@ class PlanSession:
             result = self.session.stop()
             self.service._session_write_back(self)
             peak = self.estimator.max_memory(result.best_plan).max_bytes
-            search_seconds = sum(result.chain_wall_seconds)
+            search_seconds = result.init_seconds + sum(result.chain_wall_seconds)
             service = self.service
             with service._lock:
                 service.stats.search_seconds += search_seconds
@@ -354,7 +372,10 @@ class PlanService:
         that pose the same estimation problem — including
         differently-budgeted searches over one workload — share a single
         estimator, so its memoised per-call and per-edge costs amortise
-        across requests.
+        across requests.  Searches and sessions that pose the same search
+        problem (equal graph, workload, cluster and prune config) share one
+        :class:`~repro.core.search.SearchProblem` while any of them is alive;
+        a problem is held weakly, so it needs no size limit.
     registry:
         The :class:`~repro.obs.metrics.MetricsRegistry` this service reports
         into: request latency histogram labeled by outcome
@@ -386,6 +407,9 @@ class PlanService:
         self._session_counter = 0
         self._estimators: "OrderedDict[str, RuntimeEstimator]" = OrderedDict()
         self._estimator_cache_size = estimator_cache_size
+        self._problems: "weakref.WeakValueDictionary[str, SearchProblem]" = (
+            weakref.WeakValueDictionary()
+        )
         self._lock = threading.RLock()
         self._closed = False
         self._log = get_logger("service")
@@ -490,33 +514,9 @@ class PlanService:
         if self._closed:
             raise RuntimeError("PlanService has been shut down")
         fingerprint = request.fingerprint()
-        options = allocation_options(
-            request.graph, request.workload, request.cluster, request.prune
-        )
-        seed_plans: List[ExecutionPlan] = []
-        warm_started = False
-        seeded_from: Optional[str] = None
         exact = self.cache.peek(fingerprint.key)
-        if exact is not None:
-            seed_plans.append(exact.plan)
-        if self.warm_start:
-            entry = select_warm_start(self.cache, fingerprint)
-            if entry is not None:
-                warm_plan = adapt_plan(entry, request.graph, request.cluster, options)
-                if warm_plan is not None:
-                    seed_plans.append(warm_plan)
-                    warm_started = True
-                    seeded_from = entry.key
-        estimator = self._estimator_for(request, fingerprint)
-        searcher = MCMCSearcher(
-            graph=request.graph,
-            workload=request.workload,
-            cluster=request.cluster,
-            estimator=estimator,
-            options=options,
-            prune=request.prune,
-            config=request.search,
-            seed_plans=seed_plans,
+        searcher, seeded_from = self._searcher_for(
+            request, fingerprint, [exact.plan] if exact is not None else []
         )
         session = SearchSession(
             searcher,
@@ -532,8 +532,8 @@ class PlanService:
                 request=request,
                 fingerprint=fingerprint,
                 session=session,
-                estimator=estimator,
-                warm_started=warm_started,
+                estimator=searcher.estimator,
+                warm_started=seeded_from is not None,
                 seeded_from=seeded_from,
             )
             self._sessions[session_id] = handle
@@ -589,6 +589,63 @@ class PlanService:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _searcher_for(
+        self,
+        request: PlanRequest,
+        fingerprint: WorkloadFingerprint,
+        seed_plans: List[ExecutionPlan],
+        warm_start_before: Optional[int] = None,
+    ) -> Tuple[MCMCSearcher, Optional[str]]:
+        """A searcher on the request's shared problem and the key of the cache
+        entry that warm-started it (``None`` when none did).
+
+        The searcher starts from the best of the greedy plan, ``seed_plans``
+        and, with warm starts on, the most similar cached plan of the family
+        (limited to entries put before ``warm_start_before``).
+        """
+        problem = self._problem_for(request, fingerprint)
+        seeded_from: Optional[str] = None
+        if self.warm_start:
+            entry = select_warm_start(self.cache, fingerprint, warm_start_before)
+            if entry is not None:
+                warm_plan = adapt_plan(
+                    entry, request.graph, request.cluster, problem.options
+                )
+                if warm_plan is not None:
+                    seed_plans = seed_plans + [warm_plan]
+                    seeded_from = entry.key
+        searcher = MCMCSearcher(
+            problem=problem, config=request.search, seed_plans=seed_plans
+        )
+        return searcher, seeded_from
+
+    def _problem_for(
+        self, request: PlanRequest, fingerprint: WorkloadFingerprint
+    ) -> SearchProblem:
+        """The live problem of an earlier search or session, or a new one.
+
+        A problem is a pure function of its key, so sharing it changes no
+        outcome; it lives exactly as long as a searcher holds it.
+        """
+        key = fingerprint.problem_key
+        # Built under the lock, so racing threads never build one twice (the
+        # build is pure Python and holds the GIL, so they would not overlap).
+        with self._lock:
+            problem = self._problems.get(key)
+            if problem is not None:
+                self.stats.problem_reuses += 1
+                return problem
+            problem = SearchProblem(
+                request.graph,
+                request.workload,
+                request.cluster,
+                estimator=self._estimator_for(request, fingerprint),
+                prune=request.prune,
+            )
+            self._problems[key] = problem
+            self.stats.problem_builds += 1
+        return problem
+
     def _estimator_for(
         self, request: PlanRequest, fingerprint: WorkloadFingerprint
     ) -> RuntimeEstimator:
@@ -597,23 +654,18 @@ class PlanService:
         Searches that pose the same estimation problem (identical or
         differently-budgeted requests over one workload) reuse the memoised
         per-call and per-edge costs instead of re-deriving them from scratch.
+        Called with the service lock held (by :meth:`_problem_for`).
         """
         key = fingerprint.estimator_key
-        with self._lock:
-            estimator = self._estimators.get(key)
-            if estimator is not None:
-                self._estimators.move_to_end(key)
-                self.stats.estimator_reuses += 1
-                return estimator
+        estimator = self._estimators.get(key)
+        if estimator is not None:
+            self._estimators.move_to_end(key)
+            self.stats.estimator_reuses += 1
+            return estimator
         estimator = RuntimeEstimator(request.graph, request.workload, request.cluster)
-        with self._lock:
-            existing = self._estimators.get(key)
-            if existing is not None:
-                self.stats.estimator_reuses += 1
-                return existing
-            self._estimators[key] = estimator
-            while len(self._estimators) > self._estimator_cache_size:
-                self._estimators.popitem(last=False)
+        self._estimators[key] = estimator
+        while len(self._estimators) > self._estimator_cache_size:
+            self._estimators.popitem(last=False)
         return estimator
 
     def _serve_hit(
@@ -687,33 +739,12 @@ class PlanService:
         submitted_at: float,
         warm_start_before: Optional[int],
     ) -> PlanResponse:
-        options = allocation_options(
-            request.graph, request.workload, request.cluster, request.prune
+        searcher, seeded_from = self._searcher_for(
+            request, fingerprint, [], warm_start_before
         )
-        seed_plans: List[ExecutionPlan] = []
-        warm_started = False
-        seeded_from: Optional[str] = None
-        if self.warm_start:
-            entry = select_warm_start(self.cache, fingerprint, warm_start_before)
-            if entry is not None:
-                warm_plan = adapt_plan(entry, request.graph, request.cluster, options)
-                if warm_plan is not None:
-                    seed_plans.append(warm_plan)
-                    warm_started = True
-                    seeded_from = entry.key
-        estimator = self._estimator_for(request, fingerprint)
-        searcher = MCMCSearcher(
-            graph=request.graph,
-            workload=request.workload,
-            cluster=request.cluster,
-            estimator=estimator,
-            options=options,
-            prune=request.prune,
-            config=request.search,
-            seed_plans=seed_plans,
-        )
+        warm_started = seeded_from is not None
         result = searcher.search()
-        peak_memory_bytes = estimator.max_memory(result.best_plan).max_bytes
+        peak_memory_bytes = searcher.estimator.max_memory(result.best_plan).max_bytes
         self.cache.put(
             PlanCacheEntry.from_search_result(fingerprint, result, peak_memory_bytes)
         )

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.algorithms import build_dpo_graph, build_grpo_graph, build_ppo_graph
 from repro.cluster import make_cluster
 from repro.core import (
+    Allocation,
+    FunctionCallType,
     MCMCSearcher,
     PruneConfig,
     SearchConfig,
@@ -16,6 +19,9 @@ from repro.core import (
     ParallelStrategy,
     RuntimeEstimator,
 )
+from repro.core.parallel import enumerate_strategies
+from repro.core.pruning import _candidate_meshes
+from repro.model.memory import PARAM_BYTES, MemoryModel
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +130,65 @@ class TestPruning:
         assert dp8, "expected dp=8 options on the 8-GPU cluster"
         assert any(a.n_microbatches == 4 for a in dp8)
         assert all(a.n_microbatches <= 4 for a in dp8)
+
+
+def _reference_options(graph, workload, cluster, prune):
+    """The pruned enumeration as a naive triple loop: every mesh, every
+    strategy of that mesh, every micro-batch count, one new object each."""
+    max_tp = cluster.gpus_per_node if prune.max_tp_per_node else None
+    options = {}
+    for call in graph.calls:
+        config = workload.model_config(call.model_name)
+        batch = workload.call_workload(call).batch_size
+        memory = MemoryModel(config)
+        choices = []
+        for mesh in _candidate_meshes(cluster, prune):
+            for strategy in enumerate_strategies(mesh.n_gpus, config, max_tp=max_tp):
+                dp, tp, pp = strategy.dp, strategy.tp, strategy.pp
+                if dp > batch:
+                    continue
+                if prune.prune_static_oom:
+                    need = config.param_count() / (tp * pp) * PARAM_BYTES
+                    if call.call_type is FunctionCallType.TRAIN_STEP:
+                        need += memory.static_bytes_per_gpu(dp, tp, pp)
+                    if need > cluster.device_memory_bytes:
+                        continue
+                for mbs in prune.microbatch_choices:
+                    if mbs <= -(-batch // dp):
+                        choices.append(Allocation(mesh=mesh, parallel=strategy, n_microbatches=mbs))
+        options[call.name] = choices
+    return options
+
+
+class TestInternedEnumeration:
+    PRUNES = (
+        PruneConfig(),
+        PruneConfig(mesh_stride=2),
+        PruneConfig(prune_static_oom=False),
+        PruneConfig(max_tp_per_node=False),
+        PruneConfig(microbatch_choices=(1, 3, 8)),
+    )
+
+    @pytest.mark.parametrize(
+        "build", [build_ppo_graph, build_grpo_graph, build_dpo_graph],
+        ids=["ppo", "grpo", "dpo"],
+    )
+    @pytest.mark.parametrize("n_gpus", [8, 16, 64, 128])
+    def test_matches_naive_enumeration(self, build, n_gpus):
+        graph = build()
+        # Two architectures, so calls of different models share options.
+        workload = instructgpt_workload("34b", "7b", batch_size=64)
+        cluster = make_cluster(n_gpus)
+        for prune in self.PRUNES:
+            options = allocation_options(graph, workload, cluster, prune)
+            # Value for value and in the same order.
+            assert options == _reference_options(graph, workload, cluster, prune)
+            # Value-equal allocations of different calls are one object.
+            canonical = {}
+            for choices in options.values():
+                for alloc in choices:
+                    assert canonical.setdefault(alloc, alloc) is alloc
+            assert len(canonical) < sum(len(c) for c in options.values())
 
 
 class TestMCMCSearch:

@@ -74,6 +74,19 @@ class TestOnlineReplanning:
         assert all(job.session is None for job in scheduler.jobs)
         assert scheduler.service._closed
 
+    def test_sessions_and_searches_share_problems(self):
+        # Jobs 0 and 2 (PPO) pose one problem on equal 8-GPU partitions.
+        report = ClusterScheduler(
+            cluster=make_cluster(16), jobs=_specs(n=3), config=_config()
+        ).run()
+        stats = report.service_stats
+        assert stats["problem_reuses"] >= 1
+        # Invariants only: a problem caught in a reference cycle lives until
+        # the next collection, so exact counts could depend on GC timing.
+        assert stats["problem_builds"] + stats["problem_reuses"] == (
+            stats["cache_misses"] + stats["sessions_started"]
+        )
+
     def test_swap_refreshes_planned_throughput(self):
         """After a hot swap the resize baseline reflects the new plan."""
         scheduler = ClusterScheduler(

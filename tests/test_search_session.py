@@ -19,10 +19,13 @@ from repro.cluster import make_cluster
 from repro.core import (
     ChainState,
     MCMCSearcher,
+    RuntimeEstimator,
     SearchConfig,
+    SearchProblem,
     SearchSession,
     instructgpt_workload,
 )
+from repro.core.call_cost import CallCostModel
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,68 @@ class TestSlicedDeterminism:
         while not session.done:
             session.poll()
         _assert_identical(session.stop(), reference)
+
+
+class TestSharedProblem:
+    KWARGS = dict(max_iterations=60, time_budget_s=60.0, seed=5, n_chains=2)
+
+    @pytest.mark.parametrize("algorithm", ["ppo", "grpo"])
+    def test_reused_problem_gives_the_fresh_result(
+        self, algorithm, cluster8, workload_small
+    ):
+        graph = _graph(algorithm)
+        problem = SearchProblem(graph, workload_small, cluster8)
+        # An earlier request with another seed and budget warms the problem.
+        MCMCSearcher(
+            problem=problem, config=SearchConfig(max_iterations=30, seed=1)
+        ).search()
+        config = SearchConfig(**self.KWARGS)
+        shared = MCMCSearcher(problem=problem, config=config).search()
+        session = SearchSession(
+            MCMCSearcher(problem=problem, config=config), slice_iterations=7
+        )
+        while not session.done:
+            session.poll()
+        sliced = session.stop()
+        fresh = _searcher(algorithm, workload_small, cluster8, **self.KWARGS).search()
+        for result in (shared, sliced):
+            _assert_identical(result, fresh)
+            assert result.initial_cost == fresh.initial_cost
+            assert result.initial_plan.to_dict() == fresh.initial_plan.to_dict()
+            assert result.search_space == fresh.search_space
+
+    def test_greedy_sweep_runs_once_per_problem(
+        self, cluster8, workload_small, monkeypatch
+    ):
+        """Counts model evaluations with an unmemoised estimator, where every
+        greedy sweep scores every option."""
+        graph = _graph("ppo")
+        estimator = RuntimeEstimator(graph, workload_small, cluster8, use_cache=False)
+        problem = SearchProblem(graph, workload_small, cluster8, estimator=estimator)
+        n_options = sum(len(choices) for choices in problem.options.values())
+        scored = []
+        breakdown = CallCostModel.breakdown
+
+        def counting_breakdown(self, call, wl, alloc):
+            scored.append(call.name)
+            return breakdown(self, call, wl, alloc)
+
+        monkeypatch.setattr(CallCostModel, "breakdown", counting_breakdown)
+        first = MCMCSearcher(problem=problem).greedy_initial_plan()
+        assert len(scored) == n_options
+        second = MCMCSearcher(problem=problem).greedy_initial_plan()
+        assert len(scored) == n_options
+        assert second.assignments == first.assignments
+        # A searcher built from arguments poses a new problem and sweeps again.
+        MCMCSearcher(
+            graph, workload_small, cluster8, estimator=estimator, options=problem.options
+        ).greedy_initial_plan()
+        assert len(scored) == 2 * n_options
+
+    def test_problem_and_its_arguments_are_exclusive(self, cluster8, workload_small):
+        problem = SearchProblem(_graph("ppo"), workload_small, cluster8)
+        with pytest.raises(TypeError):
+            MCMCSearcher(_graph("ppo"), problem=problem)
 
 
 class TestSessionLifecycle:

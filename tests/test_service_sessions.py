@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.algorithms import build_ppo_graph
@@ -98,6 +101,99 @@ class TestSessionLifecycle:
         handle = service.start_session(request, slice_iterations=10)
         _, cost = handle.best_so_far()
         assert cost <= cached.cost
+        service.stop_session(handle.session_id)
+
+
+class TestBilling:
+    def test_session_bills_init_plus_chain_time(self, service):
+        handle = service.start_session(_request(), slice_iterations=10)
+        status = handle.poll()
+        session = handle.session
+        assert status.search_seconds == session.init_seconds + sum(
+            state.wall_seconds for state in session.states
+        )
+        response = handle.stop()
+        result = response.result
+        assert result.init_seconds > 0
+        assert response.stats.search_seconds == result.init_seconds + sum(
+            result.chain_wall_seconds
+        )
+
+    def test_service_sums_blocking_and_session_responses(self, service):
+        responses = [service.plan(_request(seed=1))]
+        handle = service.start_session(_request(seed=2), slice_iterations=10)
+        handle.poll()
+        responses.append(service.stop_session(handle.session_id))
+        responses.append(service.plan(_request(seed=1)))  # a hit bills nothing
+        responses.append(service.plan(_request(batch_size=64, seed=3)))
+        assert responses[2].stats.cache_hit
+        assert service.stats.search_seconds == pytest.approx(
+            sum(r.stats.search_seconds for r in responses), rel=1e-12
+        )
+
+
+class TestProblemSharing:
+    def test_live_session_shares_its_problem(self, service):
+        handle = service.start_session(_request(seed=1), slice_iterations=10)
+        # Another seed and budget: a different request, the same problem.
+        blocking = service.plan(_request(seed=2, max_iterations=30))
+        second = service.start_session(_request(seed=3), slice_iterations=10)
+        assert second.session.searcher.problem is handle.session.searcher.problem
+        assert service.stats.problem_builds == 1
+        assert service.stats.problem_reuses == 2
+        with PlanService() as fresh:
+            assert fresh.plan(_request(seed=2, max_iterations=30)).cost == blocking.cost
+
+    def test_problem_dies_with_its_last_searcher(self, service):
+        service.plan(_request(seed=1))
+        service.plan(_request(seed=2))
+        assert service.stats.problem_builds == 2
+        assert service.stats.problem_reuses == 0
+        assert service.stats.estimator_reuses == 1
+        assert len(service._problems) == 0
+
+    def test_threads_share_problems_without_changing_outcomes(self):
+        """More client threads than cores pose one problem at once.  Warm
+        starts are off: which cached plan seeds a search would otherwise
+        depend on thread order."""
+        service = PlanService(warm_start=False)
+        seeds = range(6)
+        sessions = [
+            service.start_session(_request(seed=100 + i), slice_iterations=10)
+            for i in range(2)
+        ]
+        costs = {}
+
+        def client(seed):
+            costs[seed] = service.plan(_request(seed=seed, max_iterations=20)).cost
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(s,)) for s in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = service.stats
+        assert stats.problem_builds + stats.problem_reuses == len(seeds) + len(sessions)
+        assert stats.problem_reuses >= len(seeds)
+        with PlanService(warm_start=False) as fresh:
+            for seed in seeds:
+                assert costs[seed] == fresh.plan(_request(seed=seed, max_iterations=20)).cost
+        service.close()
+
+    def test_counters_carry_through_delta_and_dict(self, service):
+        handle = service.start_session(_request(seed=1), slice_iterations=10)
+        baseline = service.stats.snapshot()
+        service.plan(_request(seed=2))
+        delta = service.stats.snapshot().delta(baseline)
+        assert (delta.problem_builds, delta.problem_reuses) == (0, 1)
+        data = delta.to_dict()
+        assert (data["problem_builds"], data["problem_reuses"]) == (0, 1)
         service.stop_session(handle.session_id)
 
 
