@@ -4,7 +4,8 @@ For each ``workload`` x ``seed`` in ``tests/fixtures/perfbench_digests.json``
 this runs ``perfbench/run.py --seconds 1 --trace 0`` and fails when the run
 is not ``"correct"`` (a failed operation or rounds that disagree) or when its
 ``digest:`` line differs from the pinned one.  ``--correct-only`` skips the
-digest comparison (for interpreters whose digests are not pinned).
+digest comparison (for interpreters whose digests are not pinned).  On
+success the last line is an ``OK:`` verdict naming how many runs passed.
 
 Run from the repository root::
 
@@ -45,8 +46,10 @@ def main(argv=None) -> int:
                         help="check only that every run is correct")
     args = parser.parse_args(argv)
     failed, drifted = [], []
+    n_runs = 0
     for workload, seeds in sorted(json.loads(FIXTURE.read_text()).items()):
         for seed, expected in sorted(seeds.items()):
+            n_runs += 1
             correct, digest = run(workload, seed)
             if not correct:
                 failed.append(f"{workload} seed {seed}: run is not correct")
@@ -60,7 +63,14 @@ def main(argv=None) -> int:
             f"{FIXTURE.relative_to(ROOT)} and declare the change in CHANGES.md.",
             file=sys.stderr,
         )
-    return 1 if failed or drifted else 0
+    if failed or drifted:
+        return 1
+    if args.correct_only:
+        print(f"OK: {n_runs}/{n_runs} workload x seed runs correct")
+    else:
+        print(f"OK: {n_runs}/{n_runs} workload x seed digests match "
+              f"{FIXTURE.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from .api import (
     schedule_jobs,
 )
 from .brute_force import BruteForceResult, brute_force_search
-from .call_cost import CallCostModel, CostBreakdown
+from .call_cost import CallCostModel, CallCostTable, CostBreakdown
 from .dataflow import DataflowGraph, FunctionCallType, ModelFunctionCall
 from .estimator import (
     DEFAULT_OOM_PENALTY,
@@ -76,6 +76,7 @@ __all__ = [
     "symmetric_plan",
     # estimator
     "CallCostModel",
+    "CallCostTable",
     "CostBreakdown",
     "RuntimeEstimator",
     "TimeCostResult",

@@ -12,7 +12,10 @@ account for on top.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
+from itertools import count
+from typing import Dict, Tuple
 
 from ..cluster.comm import CommModel
 from ..cluster.hardware import ClusterSpec
@@ -23,7 +26,11 @@ from .plan import Allocation
 from .profiler import LayerTimeProvider
 from .workload import CallWorkload
 
-__all__ = ["CostBreakdown", "CallCostModel"]
+__all__ = ["CostBreakdown", "CallCostModel", "CallCostTable"]
+
+_MAX_CALL_COSTS = 65536
+"""How many call times (and content tokens) a :class:`CallCostTable` keeps
+before it clears itself."""
 
 
 @dataclass(slots=True)
@@ -81,11 +88,14 @@ class CallCostModel:
     Contract: every result is position-free.  It depends on the allocation
     only through its shape — the mesh's ``n_nodes`` and ``gpus_per_node``,
     the dp/tp/pp strategy, ``n_microbatches`` and ``zero3`` — never on where
-    the mesh sits (``node_start``, ``gpu_start``).  The estimator keys its
-    per-call memos on that shape
-    (:meth:`~repro.core.estimator.RuntimeEstimator._shape_key`), so a
-    position-aware model (e.g. for heterogeneous clusters) must widen that
-    key.
+    the mesh sits (``node_start``, ``gpu_start``).  It depends on the cluster
+    only through its hardware — ``gpu``, ``interconnect`` and
+    ``gpus_per_node`` — never on ``n_nodes``.  The estimator keys its
+    per-call memos on (content token, shape)
+    (:meth:`~repro.core.estimator.RuntimeEstimator._shape_key`), where the
+    token of :meth:`CallCostTable.token` names the call type, model,
+    workload, one-node cluster and CUDA-graph setting; so a position-aware
+    model (e.g. for heterogeneous clusters) must widen that key.
 
     Parameters
     ----------
@@ -305,3 +315,52 @@ class CallCostModel:
         return self.memory.static_bytes_per_gpu(
             alloc.parallel.dp, alloc.parallel.tp, alloc.parallel.pp, alloc.zero3
         )
+
+
+class CallCostTable:
+    """Call times keyed by call content and shape, shareable by estimators.
+
+    :meth:`token` interns a call's content — everything a
+    :class:`CallCostModel` result depends on besides the allocation's shape —
+    to a small int, so calls of different graphs, workloads or cluster sizes
+    that pose the same pricing problem share one entry in :attr:`times`,
+    keyed on ``(token, shape)``.  Tokens come from a counter and are never
+    reused, so an estimator may keep its tokens across a :meth:`store` that
+    clears the table.  The values are pure, so clearing only forces
+    recomputation; both maps hold at most ``_MAX_CALL_COSTS`` entries.
+    :attr:`priced` counts the stores: the call shapes actually priced.
+    Lookups read :attr:`times` directly; stores take a lock, so estimators
+    on several threads lose no count.
+    """
+
+    def __init__(self) -> None:
+        self.times: Dict[Tuple, float] = {}
+        self.priced = 0
+        self._tokens: Dict[Tuple, int] = {}
+        self._next_token = count()
+        self._lock = threading.Lock()
+
+    def token(
+        self,
+        call_type: FunctionCallType,
+        config: ModelConfig,
+        workload: CallWorkload,
+        cluster: ClusterSpec,
+        use_cuda_graph: bool,
+    ) -> int:
+        """The content token of a call priced on ``cluster``'s hardware."""
+        key = (call_type, config, workload, cluster.with_nodes(1), use_cuda_graph)
+        token = self._tokens.get(key)
+        if token is None:
+            if len(self._tokens) >= _MAX_CALL_COSTS:
+                self._tokens.clear()
+            token = self._tokens[key] = next(self._next_token)
+        return token
+
+    def store(self, key: Tuple, seconds: float) -> None:
+        """Remember a freshly priced call time."""
+        with self._lock:
+            if len(self.times) >= _MAX_CALL_COSTS:
+                self.times.clear()
+            self.times[key] = seconds
+            self.priced += 1

@@ -13,7 +13,8 @@ search cost that penalises out-of-memory plans:
 Evaluating one plan takes a fraction of a millisecond, which is what makes
 the MCMC search over :math:`10^{16}`-sized spaces feasible.  To get there,
 the estimator memoises every expensive per-component quantity — per-call
-:class:`CostBreakdown` totals by call shape (position-free),
+:class:`CostBreakdown` totals by call content and shape (position-free, in a
+:class:`~repro.core.call_cost.CallCostTable` that estimators may share),
 reallocation-edge costs by ``(model, src layout, dst layout)``,
 data-transfer times by edge and layout pair, and per-call memory
 contributions — and offers an incremental
@@ -41,7 +42,7 @@ from ..cluster.hardware import ClusterSpec
 from ..cluster.topology import DeviceMesh
 from ..model.memory import PARAM_BYTES
 from ..realloc.cost import ReallocCostModel
-from .call_cost import CallCostModel, CostBreakdown
+from .call_cost import CallCostModel, CallCostTable, CostBreakdown
 from .dataflow import DataflowGraph
 from .plan import Allocation, ExecutionPlan
 from .profiler import AnalyticalProvider, LayerTimeProvider, ProfileStats, ProfiledProvider
@@ -187,10 +188,18 @@ class RuntimeEstimator:
         Bounded so long-lived estimators (e.g. held by a plan service) cannot
         grow without limit; ``eval_cache_stats`` exposes hit/miss/eviction
         counters.
+    call_costs:
+        The :class:`~repro.core.call_cost.CallCostTable` that memoises call
+        times, shared with every other estimator given the same table (a
+        plan service passes one to all its estimators).  Without one the
+        estimator builds a private table.  Estimators built from
+        ``profiles`` always use a private table: profiled timings are not a
+        function of the table's content key.
 
     The memo caches are plain dicts holding values of pure functions, so
-    concurrent use from several threads (e.g. the plan service's worker pool)
-    is safe under the GIL: racing writes store identical values.
+    concurrent use from several threads (e.g. a plan service shared by
+    several client threads) is safe under the GIL: racing writes store
+    identical values.
     """
 
     def __init__(
@@ -203,6 +212,7 @@ class RuntimeEstimator:
         use_cache: bool = True,
         cross_check: bool = False,
         eval_cache_size: int = _MAX_PLAN_EVALS,
+        call_costs: Optional[CallCostTable] = None,
     ) -> None:
         if eval_cache_size < 1:
             raise ValueError(f"eval_cache_size must be >= 1, got {eval_cache_size}")
@@ -277,8 +287,23 @@ class RuntimeEstimator:
                 for i, name in enumerate(calls):
                     self._realloc_neighbors[name] = (calls[i - 1], calls[(i + 1) % n])
         self._call_workloads = {c.name: workload.call_workload(c) for c in graph.calls}
+        if call_costs is None or profiles is not None:
+            call_costs = CallCostTable()
+        self._call_costs = call_costs
+        # Content token of each call: the call-time memo is keyed on it, so
+        # calls that pose the same pricing problem share entries.
+        self._call_token: Dict[str, int] = {
+            c.name: call_costs.token(
+                c.call_type,
+                workload.model_config(c.model_name),
+                self._call_workloads[c.name],
+                cluster,
+                use_cuda_graph,
+            )
+            for c in graph.calls
+        }
         # Memo caches (exact values of pure functions of their keys).
-        self._call_time_cache: Dict[Tuple, float] = {}
+        self._call_time_cache: Dict[Tuple, float] = call_costs.times
         self._breakdown_cache: Dict[Tuple, CostBreakdown] = {}
         self._realloc_cache: Dict[Tuple, float] = {}
         self._transfer_cache: Dict[Tuple, float] = {}
@@ -334,18 +359,19 @@ class RuntimeEstimator:
             alloc.zero3,
         )
 
-    @staticmethod
-    def _shape_key(call_name: str, alloc: Allocation) -> Tuple:
+    def _shape_key(self, call_name: str, alloc: Allocation) -> Tuple:
         """Position-free identity of a call under an allocation.
 
         :class:`CallCostModel` never reads where a mesh sits (``node_start``,
-        ``gpu_start``), so every allocation of one shape shares a breakdown.
-        Built from the attributes rather than :meth:`_key_for`, so sweeping
-        every option (greedy initialisation) interns none of them.
+        ``gpu_start``), so every allocation of one shape shares a breakdown,
+        and the call enters only through its content token, so every call
+        with the same content does too.  Built from the attributes rather
+        than :meth:`_key_for`, so sweeping every option (greedy
+        initialisation) interns none of them.
         """
         mesh, parallel = alloc.mesh, alloc.parallel
         return (
-            call_name,
+            self._call_token[call_name],
             mesh.n_nodes,
             mesh.gpus_per_node,
             parallel.dp,
@@ -427,9 +453,9 @@ class RuntimeEstimator:
     def call_breakdown(self, call_name: str, alloc: Allocation) -> CostBreakdown:
         """Cost breakdown of one call under an allocation.
 
-        Memoised by call shape (:meth:`_shape_key`): allocations that differ
-        only in mesh position share one entry.  Returns a fresh copy so
-        callers may mutate the breakdown without corrupting the cache.
+        Memoised by call content and shape (:meth:`_shape_key`): allocations
+        that differ only in mesh position share one entry.  Returns a fresh
+        copy so callers may mutate the breakdown without corrupting the cache.
         """
         if not self.use_cache:
             return self._compute_breakdown(call_name, alloc)
@@ -441,7 +467,8 @@ class RuntimeEstimator:
         return cached.scaled(1.0)
 
     def call_time(self, call_name: str, alloc: Allocation) -> float:
-        """Wall time of one call under an allocation, memoised by call shape."""
+        """Wall time of one call under an allocation, memoised by call
+        content and shape in the estimator's :class:`CallCostTable`."""
         if not self.use_cache:
             return self._compute_breakdown(call_name, alloc).total
         key = self._shape_key(call_name, alloc)
@@ -449,7 +476,7 @@ class RuntimeEstimator:
         if cached is not None:
             return cached
         value = self._compute_breakdown(call_name, alloc).total
-        self._call_time_cache[key] = value
+        self._call_costs.store(key, value)
         return value
 
     # ------------------------------------------------------------------ #

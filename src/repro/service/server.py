@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.hardware import ClusterSpec
+from ..core.call_cost import CallCostTable
 from ..core.dataflow import DataflowGraph
 from ..core.estimator import RuntimeEstimator
 from ..core.plan import ExecutionPlan
@@ -153,6 +154,9 @@ class ServiceStats:
     compute, for blocking searches and stopped sessions alike."""
     init_seconds: float = 0.0
     """Summed :attr:`RequestStats.init_seconds` of the searches served."""
+    call_shapes_priced: int = 0
+    """Call times computed by the service's estimators: misses of its shared
+    :class:`~repro.core.call_cost.CallCostTable`, not lookups."""
 
     @property
     def hit_rate(self) -> float:
@@ -310,6 +314,7 @@ class PlanSession:
             service = self.service
             with service._lock:
                 service.stats.session_polls += 1
+                service._count_priced()
             service._m_session_polls.inc()
             return self._status(improved=progress.improved, cache_refreshed=refreshed)
 
@@ -332,6 +337,7 @@ class PlanSession:
             with service._lock:
                 service.stats.search_seconds += search_seconds
                 service.stats.init_seconds += result.init_seconds
+                service._count_priced()
             stats = RequestStats(
                 fingerprint=self.fingerprint.key,
                 cache_hit=False,
@@ -375,7 +381,14 @@ class PlanService:
         across requests.  Searches and sessions that pose the same search
         problem (equal graph, workload, cluster and prune config) share one
         :class:`~repro.core.search.SearchProblem` while any of them is alive;
-        a problem is held weakly, so it needs no size limit.
+        a problem is held weakly, so it needs no size limit.  All the
+        service's estimators share one
+        :class:`~repro.core.call_cost.CallCostTable`, so a call shape is
+        priced once per service, not once per request: calls of any
+        request, graph or cluster size that pose the same pricing problem
+        (call type, model, call workload, per-node hardware) reuse its
+        times.  The table clears itself at ``_MAX_CALL_COSTS`` entries
+        (65,536); its values are pure, so that only forces recomputation.
     registry:
         The :class:`~repro.obs.metrics.MetricsRegistry` this service reports
         into: request latency histogram labeled by outcome
@@ -406,6 +419,7 @@ class PlanService:
         self._sessions: Dict[str, PlanSession] = {}
         self._session_counter = 0
         self._estimators: "OrderedDict[str, RuntimeEstimator]" = OrderedDict()
+        self._call_costs = CallCostTable()
         self._estimator_cache_size = estimator_cache_size
         self._problems: "weakref.WeakValueDictionary[str, SearchProblem]" = (
             weakref.WeakValueDictionary()
@@ -538,6 +552,7 @@ class PlanService:
             )
             self._sessions[session_id] = handle
             self.stats.sessions_started += 1
+            self._count_priced()
         get_ledger().record(
             "plan_request",
             fingerprint=fingerprint.key,
@@ -662,7 +677,10 @@ class PlanService:
             self._estimators.move_to_end(key)
             self.stats.estimator_reuses += 1
             return estimator
-        estimator = RuntimeEstimator(request.graph, request.workload, request.cluster)
+        estimator = RuntimeEstimator(
+            request.graph, request.workload, request.cluster,
+            call_costs=self._call_costs,
+        )
         self._estimators[key] = estimator
         while len(self._estimators) > self._estimator_cache_size:
             self._estimators.popitem(last=False)
@@ -698,6 +716,12 @@ class PlanService:
         self._m_requests.labels(outcome="hit").inc()
         self._m_latency.labels(outcome="hit").observe(stats.total_seconds)
         return response
+
+    def _count_priced(self) -> None:
+        """Bring :attr:`ServiceStats.call_shapes_priced` up to date.  Called
+        with the service lock held after work that may price call shapes, so
+        the pricing path itself carries no service counter."""
+        self.stats.call_shapes_priced = self._call_costs.priced
 
     @staticmethod
     def _fits_memory(peak_memory_bytes: float, cluster: ClusterSpec) -> bool:
@@ -754,6 +778,7 @@ class PlanService:
                 self.stats.warm_starts += 1
             self.stats.search_seconds += result.elapsed_seconds
             self.stats.init_seconds += result.init_seconds
+            self._count_priced()
         total_seconds = finished_at - submitted_at
         outcome = "warm" if warm_started else "cold"
         get_ledger().record(

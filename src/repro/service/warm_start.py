@@ -96,7 +96,8 @@ def _allocation_distance(
     The mesh is compared by its *fraction* of the cluster (so a half-cluster
     mesh maps to a half-cluster mesh even when the cluster grew), the TP/PP
     degrees and micro-batch count by log ratio.  DP is implied by mesh size
-    and TP/PP, so it needs no term of its own.
+    and TP/PP, so it needs no term of its own.  :func:`_nearest_option`
+    computes the same sum term by term.
     """
     source = cached.mesh.cluster
     distance = 2.0 * _log_ratio(
@@ -138,16 +139,60 @@ def adapt_plan(
         return ExecutionPlan(cached_plan.assignments, name="warm-start")
     assignments: Dict[str, Allocation] = {}
     for call_name in call_names:
-        cached = cached_plan[call_name]
         choices = options.get(call_name)
         if not choices:
             return None
-        best = min(
-            range(len(choices)),
-            key=lambda i: (
-                _allocation_distance(cached, choices[i], cluster.n_gpus),
-                i,
-            ),
-        )
-        assignments[call_name] = choices[best]
+        assignments[call_name] = _nearest_option(cached_plan[call_name], choices, cluster)
     return ExecutionPlan(assignments, name="warm-start")
+
+
+def _nearest_option(
+    cached: Allocation, choices: List[Allocation], cluster: ClusterSpec
+) -> Allocation:
+    """The first of ``choices`` (options on ``cluster``) at the least
+    :func:`_allocation_distance` from ``cached``.
+
+    Options share few distinct mesh sizes, degrees, micro-batch counts and
+    positions, so each distance term is computed once per distinct value and
+    reused.  The terms are added in :func:`_allocation_distance`'s order, so
+    every sum is bit-identical to it.
+    """
+    source = cached.mesh.cluster
+    cached_fraction = cached.mesh.n_gpus / max(1, source.n_gpus)
+    cached_start = cached.mesh.node_start / max(1, source.n_nodes)
+    cached_tp, cached_pp = cached.parallel.tp, cached.parallel.pp
+    cached_mbs = cached.n_microbatches
+    target_gpus, target_nodes = cluster.n_gpus, cluster.n_nodes
+    mesh_terms: Dict[int, float] = {}
+    tp_terms: Dict[int, float] = {}
+    pp_terms: Dict[int, float] = {}
+    mbs_terms: Dict[int, float] = {}
+    start_terms: Dict[int, float] = {}
+    best, best_distance = choices[0], math.inf
+    for candidate in choices:
+        mesh, parallel = candidate.mesh, candidate.parallel
+        n_gpus, tp, pp = mesh.n_gpus, parallel.tp, parallel.pp
+        mbs, start = candidate.n_microbatches, mesh.node_start
+        a = mesh_terms.get(n_gpus)
+        if a is None:
+            a = mesh_terms[n_gpus] = 2.0 * _log_ratio(n_gpus / target_gpus, cached_fraction)
+        t = tp_terms.get(tp)
+        if t is None:
+            t = tp_terms[tp] = _log_ratio(tp, cached_tp)
+        q = pp_terms.get(pp)
+        if q is None:
+            q = pp_terms[pp] = _log_ratio(pp, cached_pp)
+        m = mbs_terms.get(mbs)
+        if m is None:
+            m = mbs_terms[mbs] = 0.25 * _log_ratio(mbs, cached_mbs)
+        e = start_terms.get(start)
+        if e is None:
+            e = start_terms[start] = 0.1 * abs(start / target_nodes - cached_start)
+        d = a
+        d += t
+        d += q
+        d += m
+        d += e
+        if d < best_distance:
+            best, best_distance = candidate, d
+    return best

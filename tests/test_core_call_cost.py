@@ -2,18 +2,24 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import build_grpo_graph, build_ppo_graph
 from repro.cluster import DeviceMesh, full_cluster_mesh, make_cluster
 from repro.core import (
     Allocation,
     CallCostModel,
+    CallCostTable,
+    ExecutionPlan,
+    RuntimeEstimator,
     ParallelStrategy,
     allocation_options,
     instructgpt_workload,
 )
-from repro.core.profiler import AnalyticalProvider
+from repro.core.profiler import AnalyticalProvider, Profiler
 from repro.core.workload import CallWorkload
 from repro.core.dataflow import FunctionCallType, ModelFunctionCall
 from repro.model import get_model_config
@@ -189,3 +195,96 @@ class TestPositionFreeContract:
                         )
         # The property is vacuous unless some shapes recur at other positions.
         assert n_moved > 0
+
+
+# (graph, workload, cluster, options) fixtures for the sharing-contract
+# properties, built once: hypothesis draws indexes into them.
+_WORKLOAD = instructgpt_workload("7b", "7b", batch_size=128)
+_CASES = [
+    (graph, _WORKLOAD, cluster, allocation_options(graph, _WORKLOAD, cluster))
+    for graph in (build_ppo_graph(), build_grpo_graph())
+    for cluster in (make_cluster(8), make_cluster(16))
+]
+
+
+class TestCallCostTableSharingContract:
+    """What lets estimators share one content-keyed call-time table."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.integers(0, len(_CASES) - 1), extra_nodes=st.integers(1, 14),
+           draw=st.randoms(use_true_random=False))
+    def test_breakdown_ignores_cluster_node_count(self, case, extra_nodes, draw):
+        graph, workload, cluster, options = _CASES[case]
+        bigger = cluster.with_nodes(cluster.n_nodes + extra_nodes)
+        call = draw.choice(graph.calls)
+        option = draw.choice(options[call.name])
+        moved = dataclasses.replace(
+            option, mesh=dataclasses.replace(option.mesh, cluster=bigger)
+        )
+        config = workload.model_config(call.model_name)
+        wl = workload.call_workload(call)
+        small = CallCostModel(config, cluster, AnalyticalProvider(config, cluster))
+        large = CallCostModel(config, bigger, AnalyticalProvider(config, bigger))
+        assert large.breakdown(call, wl, moved) == small.breakdown(call, wl, option)
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=st.integers(0, len(_CASES) - 1), seed=st.integers(0, 2**32 - 1),
+           cross_check=st.booleans())
+    def test_shared_table_estimator_equals_private_one(self, case, seed, cross_check):
+        graph, workload, cluster, options = _CASES[case]
+        table = CallCostTable()
+        # Warm the table from every other case, so the shared estimator
+        # reads prices that other graphs and cluster sizes stored.
+        for other, other_wl, other_cluster, other_options in _CASES:
+            if other_cluster is not cluster or other is not graph:
+                warm = RuntimeEstimator(other, other_wl, other_cluster, call_costs=table)
+                for name, choices in other_options.items():
+                    for alloc in choices:
+                        warm.call_time(name, alloc)
+        shared = RuntimeEstimator(
+            graph, workload, cluster, call_costs=table, cross_check=cross_check
+        )
+        private = RuntimeEstimator(graph, workload, cluster, cross_check=cross_check)
+        rng = np.random.default_rng(seed)
+        names = graph.call_names
+
+        def pick(name):
+            choices = options[name]
+            return choices[int(rng.integers(len(choices)))]
+
+        plan = ExecutionPlan({name: pick(name) for name in names})
+        for _ in range(6):
+            assert shared.cost(plan) == private.cost(plan)
+            assert (
+                shared.time_cost(plan).total_seconds
+                == private.time_cost(plan).total_seconds
+            )
+            name = names[int(rng.integers(len(names)))]
+            alloc = pick(name)
+            assert shared.cost_delta(plan, name, alloc) == private.cost_delta(
+                plan, name, alloc
+            )
+            plan = plan.with_assignment(name, alloc)
+
+    def test_profiled_estimator_never_touches_a_given_table(self):
+        graph, workload, cluster, options = _CASES[0]
+        profiler = Profiler(cluster)
+        profiles = {
+            name: profiler.profile(workload.model_config(name), max_tokens=2 ** 17,
+                                   tp_degrees=(1, 2, 4, 8), seq_lengths=(1024, 2048),
+                                   max_batch=128)
+            for name in graph.model_names()
+        }
+        table = CallCostTable()
+        estimator = RuntimeEstimator(
+            graph, workload, cluster, profiles=profiles, call_costs=table
+        )
+        for name, choices in options.items():
+            for alloc in choices[:20]:
+                estimator.call_time(name, alloc)
+        estimator.cost(ExecutionPlan({n: c[0] for n, c in options.items()}))
+        assert table.times == {} and table.priced == 0
+        assert table.token(
+            graph.calls[0].call_type, workload.model_config(graph.calls[0].model_name),
+            workload.call_workload(graph.calls[0]), cluster, True,
+        ) == 0  # the estimator interned no content either

@@ -18,6 +18,7 @@ from repro.cluster import make_cluster
 from repro.core import (
     Allocation,
     CallCostModel,
+    CallCostTable,
     DataflowGraph,
     ExecutionPlan,
     MCMCSearcher,
@@ -153,35 +154,59 @@ class TestCrossCheckMode:
             estimator.cost(plan)
 
 
+def _content_shape(cost_model, call, wl, alloc):
+    """What one call time depends on: the call's content and the shape."""
+    return (
+        call.call_type, cost_model.config, wl, cost_model.cluster.with_nodes(1),
+        cost_model.use_cuda_graph, alloc.mesh.n_nodes, alloc.mesh.gpus_per_node,
+        alloc.parallel.dp, alloc.parallel.tp, alloc.parallel.pp,
+        alloc.n_microbatches, alloc.zero3,
+    )
+
+
+def _option_content_shapes(graph, workload, cluster, options):
+    estimator = RuntimeEstimator(graph, workload, cluster, use_cache=False)
+    return {
+        _content_shape(
+            estimator.cost_model(call.model_name), call,
+            workload.call_workload(call), alloc,
+        )
+        for call in graph.calls
+        for alloc in options[call.name]
+    }
+
+
+@pytest.fixture
+def priced(monkeypatch):
+    """Every (content, shape) that ``CallCostModel.breakdown`` computes."""
+    scored = []
+    breakdown = CallCostModel.breakdown
+
+    def counting_breakdown(self, call, wl, alloc):
+        scored.append(_content_shape(self, call, wl, alloc))
+        return breakdown(self, call, wl, alloc)
+
+    monkeypatch.setattr(CallCostModel, "breakdown", counting_breakdown)
+    return scored
+
+
 class TestShapeKeyedMemos:
     @pytest.mark.parametrize("build", [build_ppo_graph, build_grpo_graph], ids=["ppo", "grpo"])
     def test_greedy_init_scores_each_call_shape_once(
-        self, build, workload, cluster16, monkeypatch
+        self, build, workload, cluster16, priced
     ):
-        """Counts model evaluations, not seconds: one per distinct call shape."""
+        """Counts model evaluations, not seconds: one per distinct call
+        content and shape, so calls with equal content share prices."""
         graph = build()
         options = allocation_options(graph, workload, cluster16)
-        scored = []
-        breakdown = CallCostModel.breakdown
-
-        def counting_breakdown(self, call, wl, alloc):
-            scored.append(call.name)
-            return breakdown(self, call, wl, alloc)
-
-        monkeypatch.setattr(CallCostModel, "breakdown", counting_breakdown)
         plan = MCMCSearcher(
             graph, workload, cluster16,
             estimator=RuntimeEstimator(graph, workload, cluster16),
             options=options,
         ).greedy_initial_plan()
-        shapes = {
-            (name, a.mesh.n_nodes, a.mesh.gpus_per_node, a.parallel.dp,
-             a.parallel.tp, a.parallel.pp, a.n_microbatches, a.zero3)
-            for name, choices in options.items()
-            for a in choices
-        }
         n_options = sum(len(choices) for choices in options.values())
-        assert len(scored) == len(shapes) < n_options
+        assert len(priced) == len(set(priced)) < n_options
+        assert set(priced) == _option_content_shapes(graph, workload, cluster16, options)
         uncached = MCMCSearcher(
             graph, workload, cluster16,
             estimator=RuntimeEstimator(graph, workload, cluster16, use_cache=False),
@@ -189,6 +214,26 @@ class TestShapeKeyedMemos:
         ).greedy_initial_plan()
         # Same option objects: option order and tie-breaks are unchanged.
         assert all(plan[name] is uncached[name] for name in graph.call_names)
+
+    def test_shared_table_prices_only_new_content_shapes(self, workload, cluster16, priced):
+        """A second request through one table prices only what the first
+        did not, across graphs and cluster sizes."""
+        table = CallCostTable()
+        cluster32 = make_cluster(32)
+        for build, cluster in ((build_ppo_graph, cluster16), (build_grpo_graph, cluster32)):
+            graph = build()
+            options = allocation_options(graph, workload, cluster)
+            before = len(priced)
+            MCMCSearcher(
+                graph, workload, cluster,
+                estimator=RuntimeEstimator(graph, workload, cluster, call_costs=table),
+                options=options,
+            ).greedy_initial_plan()
+            new = priced[before:]
+            expected = _option_content_shapes(graph, workload, cluster, options)
+            assert len(new) == len(set(new))
+            assert set(new) == expected - set(priced[:before])
+        assert table.priced == len(priced)
 
 
 class TestEmptyGraph:

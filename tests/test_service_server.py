@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines import RealSystem
 from repro.cluster import make_cluster
-from repro.core import SearchConfig, find_execution_plan, instructgpt_workload
+from repro.core import SearchConfig, call_cost, find_execution_plan, instructgpt_workload
 from repro.experiments import ExperimentSetting, run_comparison
 from repro.service import (
     PlanRequest,
@@ -262,6 +262,37 @@ class TestEstimatorSharing:
     def test_estimator_cache_size_validation(self):
         with pytest.raises(ValueError):
             PlanService(estimator_cache_size=0)
+
+
+class TestCallShapePricing:
+    """A service's estimators share one call-time table, keyed on content."""
+
+    def test_identical_content_on_new_cluster_size_prices_nothing(self):
+        with PlanService(warm_start=False) as service:
+            service.plan(_request(n_gpus=16, max_iterations=50))
+            baseline = service.stats.snapshot()
+            assert baseline.call_shapes_priced > 0
+            response = service.plan(_request(n_gpus=8, max_iterations=50))
+            delta = service.stats.snapshot().delta(baseline)
+        # A new problem and estimator, but every 8-GPU shape of these calls
+        # was priced for the 16-GPU request.
+        assert (delta.problem_builds, delta.estimator_reuses) == (1, 0)
+        assert delta.to_dict()["call_shapes_priced"] == 0
+        with PlanService(warm_start=False) as fresh:
+            assert fresh.plan(_request(n_gpus=8, max_iterations=50)).cost == response.cost
+
+    def test_overfilled_table_stays_bounded_and_exact(self, monkeypatch):
+        monkeypatch.setattr(call_cost, "_MAX_CALL_COSTS", 4)
+        with PlanService(warm_start=False) as bounded:
+            response = bounded.plan(_request(max_iterations=50))
+            table = bounded._call_costs
+            assert len(table.times) <= 4 and len(table._tokens) <= 4
+            assert bounded.stats.call_shapes_priced > 4
+        monkeypatch.undo()
+        with PlanService(warm_start=False) as unbounded:
+            expected = unbounded.plan(_request(max_iterations=50))
+        assert response.cost == expected.cost
+        assert response.plan.to_dict() == expected.plan.to_dict()
 
 
 class TestLifecycle:

@@ -180,6 +180,10 @@ class TestProblemSharing:
         assert not any(thread.is_alive() for thread in threads)
         stats = service.stats
         assert stats.problem_builds + stats.problem_reuses == len(seeds) + len(sessions)
+        # Every store into the shared call-time table is counted: a lost
+        # update would leave fewer counts than stored entries.
+        assert stats.call_shapes_priced == service._call_costs.priced
+        assert service._call_costs.priced >= len(service._call_costs.times) > 0
         assert stats.problem_reuses >= len(seeds)
         with PlanService(warm_start=False) as fresh:
             for seed in seeds:

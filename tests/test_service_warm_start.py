@@ -13,17 +13,20 @@ cluster's shape.  Each adapted plan must also equal its pin in
 itself cannot drift.
 """
 
+import functools
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import make_cluster
-from repro.core import PruneConfig, allocation_options, instructgpt_workload
+from repro.core import ExecutionPlan, PruneConfig, allocation_options, instructgpt_workload
 from repro.service import adapt_plan
+from repro.service.warm_start import _allocation_distance
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 sys.path.insert(0, str(FIXTURES))
@@ -103,3 +106,47 @@ def test_same_shape_adaptation_is_identity(algorithm):
     plan = adapt_plan(entry, graph, cluster, options)
     assert plan is not None and plan.name == "warm-start"
     assert dict(plan.items()) == entry.plan.assignments
+
+
+# (n_gpus, gpus_per_node) cluster shapes: whole nodes and sub-node slices.
+_SHAPES = [(2, 2), (4, 4), (8, 8), (16, 8), (24, 8), (32, 8)]
+
+
+@functools.lru_cache(maxsize=None)
+def _graph_options(algorithm, batch_size, shape):
+    graph = GRAPHS[algorithm]()
+    cluster = make_cluster(shape[0], gpus_per_node=shape[1])
+    workload = instructgpt_workload("7b", "7b", batch_size=batch_size)
+    return graph, cluster, allocation_options(graph, workload, cluster, PruneConfig())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    algorithm=st.sampled_from(sorted(GRAPHS)),
+    batch_size=st.sampled_from([32, 128]),
+    source=st.sampled_from(_SHAPES),
+    target=st.sampled_from(_SHAPES),
+    draw=st.randoms(use_true_random=False),
+)
+def test_adaptation_matches_brute_force_nearest_option(
+    algorithm, batch_size, source, target, draw
+):
+    """The per-term scan picks the option a full distance sort would."""
+    graph, _, src_options = _graph_options(algorithm, batch_size, source)
+    _, cluster, options = _graph_options(algorithm, batch_size, target)
+    if source == target or any(not src_options[c] for c in graph.call_names):
+        return
+    cached = ExecutionPlan(
+        {name: draw.choice(src_options[name]) for name in graph.call_names}
+    )
+    plan = adapt_plan(SimpleNamespace(plan=cached), graph, cluster, options)
+    if any(not options[c] for c in graph.call_names):
+        assert plan is None
+        return
+    for name in graph.call_names:
+        choices = options[name]
+        best = min(
+            range(len(choices)),
+            key=lambda i: (_allocation_distance(cached[name], choices[i], cluster.n_gpus), i),
+        )
+        assert plan[name] is choices[best]
