@@ -17,9 +17,12 @@ The package is organised by subsystem:
   serves each request on the caller's thread.
 * :mod:`repro.sched` — multi-job cluster scheduler: elastic, plan-service-
   driven scheduling of concurrent RLHF jobs over one shared cluster.
+* :mod:`repro.sim` — the shared discrete-event kernel, resource timelines and
+  the Chrome-trace exporter both simulators run on.
+* :mod:`repro.capacity` — synthetic fleet traces and capacity what-if grids.
+* :mod:`repro.obs` — metrics registry, structured logging, causal tracing,
+  the decision-provenance ledger and the run-report CLI.
 * :mod:`repro.experiments` — settings, metrics and runners for every figure.
-* :mod:`repro.rlhf` — a tiny functional NumPy transformer and end-to-end
-  PPO/DPO/GRPO/ReMax training loops.
 * :mod:`repro.knobs` — the declared ``REPRO_*`` environment knobs and their
   one strict parser.
 """
@@ -32,7 +35,6 @@ from . import (
     experiments,
     model,
     realloc,
-    rlhf,
     runtime,
     sched,
     service,
@@ -67,7 +69,6 @@ __all__ = [
     "algorithms",
     "baselines",
     "experiments",
-    "rlhf",
     "sched",
     "service",
     "ClusterSpec",

@@ -112,11 +112,6 @@ class TimeCostResult:
     data_transfer_seconds: float = 0.0
     breakdowns: Dict[str, CostBreakdown] = field(default_factory=dict)
 
-    @property
-    def compute_seconds(self) -> float:
-        """Total compute time across calls (not wall time)."""
-        return sum(b.compute for b in self.breakdowns.values())
-
 
 @dataclass(slots=True)
 class MemoryEstimate:

@@ -7,7 +7,7 @@ from .metrics import (
     speedup,
     static_memory_utilization,
 )
-from .reporting import format_breakdown, format_series, format_table
+from .reporting import format_table
 from .runner import (
     default_search_config,
     default_systems,
@@ -37,8 +37,6 @@ __all__ = [
     "static_memory_utilization",
     "ThroughputRecord",
     "format_table",
-    "format_series",
-    "format_breakdown",
     "default_systems",
     "default_search_config",
     "evaluate_setting",

@@ -1,10 +1,10 @@
-"""Plain-text table/series formatting for the benchmark harness output."""
+"""Plain-text table formatting for the benchmark harness output."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
-__all__ = ["format_table", "format_series", "format_breakdown"]
+__all__ = ["format_table"]
 
 
 def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
@@ -28,27 +28,4 @@ def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
     lines.append("-" * len(header))
     for row in rows:
         lines.append("  ".join(str(row.get(col, "")).ljust(widths[col]) for col in columns))
-    return "\n".join(lines)
-
-
-def format_series(series: Mapping[str, Sequence[float]], x_label: str, title: str = "") -> str:
-    """Render named series (figure curves) as a compact table."""
-    rows = []
-    names = list(series)
-    length = max(len(v) for v in series.values())
-    for index in range(length):
-        row: Dict[str, object] = {x_label: index}
-        for name in names:
-            values = series[name]
-            row[name] = round(values[index], 4) if index < len(values) else ""
-        rows.append(row)
-    return format_table(rows, title=title)
-
-
-def format_breakdown(breakdown: Mapping[str, float], title: str = "") -> str:
-    """Render a cost/time breakdown (seconds or fractions) as aligned lines."""
-    lines = [title] if title else []
-    width = max((len(k) for k in breakdown), default=0)
-    for key, value in breakdown.items():
-        lines.append(f"  {key.ljust(width)}  {value:10.4f}")
     return "\n".join(lines)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from ..cluster.hardware import ClusterSpec
-from ..core.plan import Allocation, ReallocationEdge
+from ..core.plan import Allocation
 from ..model.config import ModelConfig
 from .layout import ParamLayout
 from .remap import ReallocationPlan, plan_reallocation, reallocation_time
@@ -109,10 +109,6 @@ class ReallocCostModel:
         )
         total_bytes = config.param_count() * PARAM_BYTES
         return ReallocCost(seconds=seconds, bytes_sent=total_bytes, n_broadcasts=dst.mesh.n_gpus)
-
-    def edge_cost(self, config: ModelConfig, edge: ReallocationEdge) -> ReallocCost:
-        """Cost of a :class:`ReallocationEdge` from an execution plan."""
-        return self.cost(config, edge.src, edge.dst)
 
     def plan(self, config: ModelConfig, src: Allocation, dst: Allocation) -> ReallocationPlan:
         """The full broadcast schedule (used by the runtime engine's trace)."""

@@ -4,7 +4,8 @@ Examples drift silently when they are not exercised; each test loads the
 script as a module and runs its ``main()`` with a tiny CLI configuration so
 the whole path (argument parsing, planning, simulated execution, printing)
 executes in well under a second per script.  The README's Quickstart code
-blocks are executed as written, for the same reason.
+blocks are executed as written, and its package map is checked against
+``src/repro/``, for the same reason.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def _load_example(name: str):
@@ -53,9 +55,19 @@ def test_examples_directory_complete():
         "multi_job_scheduling",
         "observability_tour",
         "quickstart",
-        "tiny_rlhf_training",
         "trace_export",
     ]
+
+
+def test_package_map_names_every_subpackage():
+    import repro
+
+    packages = sorted(p.parent.name for p in PACKAGE_DIR.glob("*/__init__.py"))
+    modules = {p.stem for p in PACKAGE_DIR.glob("*.py")}
+    documented = set(re.findall(r":mod:`repro\.(\w+)`", repro.__doc__)) - modules
+    assert sorted(documented) == packages
+    tree = README.read_text().split("\nsrc/repro/\n", 1)[1].split("```", 1)[0]
+    assert sorted(re.findall(r"── (\w+)/", tree)) == packages
 
 
 def test_quickstart_tiny_run(monkeypatch, capsys):
@@ -87,13 +99,6 @@ def test_long_context_planning_tiny_run(monkeypatch, capsys):
     )
     out = capsys.readouterr().out
     assert "8192" in out and "improvement" in out
-
-
-def test_tiny_rlhf_training_tiny_run(monkeypatch, capsys):
-    _run_main(monkeypatch, "tiny_rlhf_training", ["--iterations", "2"])
-    out = capsys.readouterr().out
-    for name in ("PPO", "ReMax", "GRPO", "DPO"):
-        assert name in out
 
 
 def test_multi_job_scheduling_tiny_run(monkeypatch, capsys):
@@ -178,7 +183,6 @@ def test_observability_tour_tiny_run(monkeypatch, capsys, tmp_path):
         "quickstart",
         "compare_rlhf_systems",
         "long_context_planning",
-        "tiny_rlhf_training",
         "multi_job_scheduling",
         "observability_tour",
         "trace_export",

@@ -11,8 +11,6 @@ from repro.experiments import (
     evaluate_setting,
     figure2_opportunity,
     figure8_settings,
-    format_breakdown,
-    format_series,
     format_table,
     gpus_for_actor,
     petaflops_per_second,
@@ -102,14 +100,6 @@ class TestReporting:
 
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([])
-
-    def test_format_series(self):
-        text = format_series({"real": [1.0, 2.0], "heuristic": [2.0]}, x_label="step")
-        assert "real" in text and "heuristic" in text
-
-    def test_format_breakdown(self):
-        text = format_breakdown({"compute": 0.7, "idle": 0.3}, title="B")
-        assert "compute" in text and "0.7" in text
 
 
 class TestRunner:
