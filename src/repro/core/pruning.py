@@ -12,7 +12,7 @@ the micro-batch count is restricted to a small set of powers of two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..cluster.hardware import ClusterSpec
 from ..cluster.topology import DeviceMesh, enumerate_device_meshes
@@ -104,13 +104,88 @@ def _candidate_meshes(cluster: ClusterSpec, prune: PruneConfig) -> List[DeviceMe
     return meshes
 
 
+_MeshKey = Tuple[int, int, int, int]
+_Layouts = FrozenSet[Tuple[int, int, int]]
+
+
+def _mesh_key(mesh: DeviceMesh) -> _MeshKey:
+    """Position and shape of a device mesh, as a hashable key."""
+    return (mesh.node_start, mesh.n_nodes, mesh.gpu_start, mesh.gpus_per_node)
+
+
+class _CallOptions:
+    """One call's option list, compiled once into what a search reads of it.
+
+    ``options``
+        The allocation options in enumeration order (the order
+        :meth:`~repro.core.search.MCMCSearcher._propose` indexes into with
+        its RNG).
+    ``by_mesh``
+        :func:`_mesh_key` of each mesh → ``(span, layouts)``: ``span`` is the
+        ``range`` of indexes its options occupy in ``options`` (they must be
+        contiguous; a list that splits a mesh raises ``ValueError``) and
+        ``layouts`` the ``(dp, tp, pp)`` strategies they use.  Meshes with
+        equal strategy sets share one frozenset.
+    ``representatives``
+        The first option of each distinct (mesh shape, strategy,
+        micro-batches, ZeRO-3) price, in list order.  A call's time depends
+        on nothing else of an allocation, so the first representative with
+        the least time is the option ``min(options, key=call_time)`` picks.
+    """
+
+    __slots__ = ("options", "by_mesh", "representatives")
+
+    def __init__(self, options: List[Allocation]) -> None:
+        by_mesh: Dict[_MeshKey, Tuple[range, _Layouts]] = {}
+        layout_sets: Dict[_Layouts, _Layouts] = {}
+        priced_by_shape: Dict[Tuple[int, int], set] = {}
+        representatives: List[Allocation] = []
+        start, n_options = 0, len(options)
+        while start < n_options:
+            mesh = options[start].mesh
+            key = _mesh_key(mesh)
+            end = start + 1
+            while end < n_options and (
+                options[end].mesh is mesh or _mesh_key(options[end].mesh) == key
+            ):
+                end += 1
+            if key in by_mesh:
+                raise ValueError(f"the options of mesh {key} are not contiguous")
+            priced = priced_by_shape.setdefault((mesh.n_nodes, mesh.gpus_per_node), set())
+            layouts = set()
+            parallel = None
+            for alloc in options[start:end]:
+                # Options of one strategy are adjacent (micro-batch counts
+                # vary fastest), so its layout is built once per run.
+                if alloc.parallel is not parallel:
+                    parallel = alloc.parallel
+                    layout = (parallel.dp, parallel.tp, parallel.pp)
+                    layouts.add(layout)
+                price = (layout, alloc.n_microbatches, alloc.zero3)
+                if price not in priced:
+                    priced.add(price)
+                    representatives.append(alloc)
+            frozen = frozenset(layouts)
+            by_mesh[key] = (range(start, end), layout_sets.setdefault(frozen, frozen))
+            start = end
+        self.options = options
+        self.by_mesh = by_mesh
+        self.representatives = representatives
+
+
 class _OptionTable:
-    """Shared enumeration state of one search problem.
+    """Compiled allocation options of one (cluster, prune) pair.
 
     Holds the candidate meshes, the pruned strategies of each mesh size
-    (enumerated once, not once per mesh) and every :class:`Allocation` built
-    so far, interned on integer keys ``(mesh index, strategy index,
-    micro-batches)``: value-equal options of different calls are one object.
+    (enumerated once, not once per mesh), every :class:`Allocation` built so
+    far, interned on integer keys ``(mesh index, strategy index,
+    micro-batches)`` so that value-equal options of different calls are one
+    object, and each call's :class:`_CallOptions`, memoised by what pruning
+    reads of a call: whether it trains, its model config and its batch size.
+    Problems that pose calls of equal content on one table therefore share
+    option lists, indexes and greedy candidates; a
+    :class:`~repro.service.server.PlanService` keeps one table per
+    (cluster, prune) content for its lifetime.
     """
 
     def __init__(self, cluster: ClusterSpec, prune: PruneConfig) -> None:
@@ -120,9 +195,10 @@ class _OptionTable:
         self._max_tp = cluster.gpus_per_node if prune.max_tp_per_node else None
         self._strategies: Dict[int, List[ParallelStrategy]] = {}
         self._allocations: Dict[Tuple[int, int, int], Allocation] = {}
+        self._compiled: Dict[Tuple[bool, ModelConfig, int], _CallOptions] = {}
 
     def _admissible(
-        self, n_gpus: int, call: ModelFunctionCall, config: ModelConfig, batch_size: int
+        self, n_gpus: int, trains: bool, config: ModelConfig, batch_size: int
     ) -> List[Tuple[int, ParallelStrategy, List[int]]]:
         """``(strategy index, strategy, micro-batch counts)`` a call admits on
         any mesh of ``n_gpus`` GPUs, in enumeration order."""
@@ -142,7 +218,7 @@ class _OptionTable:
             if prune.prune_static_oom:
                 param_bytes = param_count / (strategy.tp * strategy.pp) * PARAM_BYTES
                 static = 0.0
-                if call.call_type is FunctionCallType.TRAIN_STEP:
+                if trains:
                     static = memory.static_bytes_per_gpu(strategy.dp, strategy.tp, strategy.pp)
                 if param_bytes + static > self.cluster.device_memory_bytes:
                     continue
@@ -155,12 +231,29 @@ class _OptionTable:
             )
         return rows
 
-    def call_options(
+    def compile(
         self, call: ModelFunctionCall, config: ModelConfig, workload: RLHFWorkload
-    ) -> List[Allocation]:
-        """All pruned allocation options of one call, in enumeration order
-        (mesh, then strategy, then micro-batch count)."""
-        batch_size = workload.call_workload(call).batch_size
+    ) -> _CallOptions:
+        """The call's compiled options, built on first request of its content."""
+        key = (
+            call.call_type is FunctionCallType.TRAIN_STEP,
+            config,
+            workload.call_workload(call).batch_size,
+        )
+        compiled = self._compiled.get(key)
+        if compiled is None:
+            options = self._enumerate(*key)
+            if not options:
+                raise ValueError(
+                    f"pruning left no feasible allocation for call {call.name!r}; "
+                    "relax the PruneConfig"
+                )
+            compiled = self._compiled[key] = _CallOptions(options)
+        return compiled
+
+    def _enumerate(self, trains: bool, config: ModelConfig, batch_size: int) -> List[Allocation]:
+        """All pruned allocation options of one call content, in enumeration
+        order (mesh, then strategy, then micro-batch count)."""
         interned = self._allocations
         by_size: Dict[int, List[Tuple[int, ParallelStrategy, List[int]]]] = {}
         options: List[Allocation] = []
@@ -168,7 +261,7 @@ class _OptionTable:
             rows = by_size.get(mesh.n_gpus)
             if rows is None:
                 rows = by_size[mesh.n_gpus] = self._admissible(
-                    mesh.n_gpus, call, config, batch_size
+                    mesh.n_gpus, trains, config, batch_size
                 )
             for strategy_index, strategy, microbatches in rows:
                 for mbs in microbatches:
@@ -179,11 +272,6 @@ class _OptionTable:
                             mesh=mesh, parallel=strategy, n_microbatches=mbs
                         )
                     options.append(alloc)
-        if not options:
-            raise ValueError(
-                f"pruning left no feasible allocation for call {call.name!r}; "
-                "relax the PruneConfig"
-            )
         return options
 
 
@@ -195,7 +283,7 @@ def enumerate_allocations(
     prune: PruneConfig = PruneConfig(),
 ) -> List[Allocation]:
     """All pruned allocation options for one model function call."""
-    return _OptionTable(cluster, prune).call_options(call, config, workload)
+    return list(_OptionTable(cluster, prune).compile(call, config, workload).options)
 
 
 def allocation_options(
@@ -207,12 +295,13 @@ def allocation_options(
     """Per-call allocation options for every call of the graph.
 
     Calls share one option table, so an allocation that several calls admit
-    is a single object in all of their lists.
+    is a single object in all of their lists.  Each list is the caller's
+    own copy.
     """
     table = _OptionTable(cluster, prune)
     return {
-        call.name: table.call_options(
-            call, workload.model_config(call.model_name), workload
+        call.name: list(
+            table.compile(call, workload.model_config(call.model_name), workload).options
         )
         for call in graph.calls
     }

@@ -8,11 +8,13 @@ that reassign the device mesh, parallel strategy and micro-batch count of a
 random function call, and keeps the lowest-cost plan ever visited.
 
 Everything a search needs that does not depend on its seed or budget lives in
-a :class:`SearchProblem`: the pruned option table, the proposal indexes, the
-search-space size and the greedy start (computed once, on first use).  A
-problem is a pure function of (graph, workload, cluster, prune) and its
-estimator, so searches and sessions posing the same one share a single
-instance (the plan service keeps them in a weak-valued map).
+a :class:`SearchProblem`: each call's compiled options (option list, by-mesh
+proposal index and greedy representatives), the search-space size and the
+greedy start (computed once, on first use).  A problem is a pure function of
+(graph, workload, cluster, prune) and its estimator, so searches and sessions
+posing the same one share a single instance (the plan service keeps them in a
+weak-valued map, and builds them from one option table per cluster and prune
+config).
 
 Proposals are scored through the estimator's incremental
 :meth:`~repro.core.estimator.RuntimeEstimator.cost_delta` path (a proposal
@@ -45,7 +47,7 @@ from ..obs.tracing import SpanContext, SpanRecord, current_span, get_tracer
 from .dataflow import DataflowGraph
 from .estimator import DEFAULT_OOM_PENALTY, RuntimeEstimator
 from .plan import Allocation, ExecutionPlan
-from .pruning import PruneConfig, allocation_options, search_space_size
+from .pruning import PruneConfig, _CallOptions, _mesh_key, _OptionTable, search_space_size
 from .workload import RLHFWorkload
 
 __all__ = [
@@ -230,20 +232,19 @@ class SearchResult:
         return self.n_accepted / max(1, self.n_iterations)
 
 
-def _mesh_key(mesh) -> Tuple:
-    """Position and shape of a device mesh, as a hashable key."""
-    return (mesh.node_start, mesh.n_nodes, mesh.gpu_start, mesh.gpus_per_node)
-
-
 class SearchProblem:
     """One search problem, built once and shared by every searcher posing it.
 
     A pure function of (graph, workload, cluster, prune) and the estimator
-    scoring it: the per-call option table, the proposal indexes (options
-    grouped by mesh, and the ``(mesh, dp, tp, pp)`` layouts each call
-    admits), the search-space size and the greedy start, which is computed
-    on first use and then kept.  Treat it as immutable: any number of
-    :class:`MCMCSearcher` instances and sessions may read it at once.
+    scoring it: each call's compiled options (a
+    :class:`~repro.core.pruning._CallOptions`: the option list, its by-mesh
+    proposal index and its greedy representatives), the search-space size
+    and the greedy start, which is computed on first use and then kept.
+    The options come from ``table`` (an option table of this cluster and
+    prune config, which problems may share; a fresh one by default) or, when
+    ``options`` lists are given, are compiled from those by the same
+    builder.  Treat it as immutable: any number of :class:`MCMCSearcher`
+    instances and sessions may read it at once.
     """
 
     def __init__(
@@ -254,45 +255,52 @@ class SearchProblem:
         estimator: Optional[RuntimeEstimator] = None,
         options: Optional[Dict[str, List[Allocation]]] = None,
         prune: PruneConfig = PruneConfig(),
+        table: Optional[_OptionTable] = None,
     ) -> None:
         self.graph = graph
         self.workload = workload
         self.cluster = cluster
         self.estimator = estimator or RuntimeEstimator(graph, workload, cluster)
-        self.options = options or allocation_options(graph, workload, cluster, prune)
-        missing = set(graph.call_names) - set(self.options)
-        if missing:
-            raise ValueError(f"no allocation options for calls: {sorted(missing)}")
+        if options:
+            missing = set(graph.call_names) - set(options)
+            if missing:
+                raise ValueError(f"no allocation options for calls: {sorted(missing)}")
+            self.compiled = {name: _CallOptions(choices) for name, choices in options.items()}
+        else:
+            if table is None:
+                table = _OptionTable(cluster, prune)
+            self.compiled = {
+                call.name: table.compile(call, workload.model_config(call.model_name), workload)
+                for call in graph.calls
+            }
+        self.options: Dict[str, List[Allocation]] = {
+            name: compiled.options for name, compiled in self.compiled.items()
+        }
         self.search_space = search_space_size(self.options)
-        # Per-call proposal indexes, so proposing a move never scans the full
-        # option list comparing dataclasses.
-        self.options_by_mesh: Dict[str, Dict[Tuple, List[Allocation]]] = {}
-        self.layouts: Dict[str, set] = {}
-        for call_name, choices in self.options.items():
-            by_mesh: Dict[Tuple, List[Allocation]] = {}
-            layouts = set()
-            for alloc in choices:
-                mesh_key = _mesh_key(alloc.mesh)
-                by_mesh.setdefault(mesh_key, []).append(alloc)
-                layouts.add(mesh_key + (alloc.parallel.dp, alloc.parallel.tp, alloc.parallel.pp))
-            self.options_by_mesh[call_name] = by_mesh
-            self.layouts[call_name] = layouts
         self._greedy: Optional[Dict[str, Allocation]] = None
 
     def greedy_assignments(self) -> Dict[str, Allocation]:
         """Each call's fastest option in isolation (computed once).
 
-        As the paper notes, the plan they form is usually sub-optimal: every
-        call grabs as many GPUs as help it individually, which prevents
-        concurrent execution and may overload device memory — but it is a
-        good starting point for the Markov chain.
+        Prices each call's representatives only, keeping the first with the
+        least time: the option ``min(options, key=call_time)`` picks.  As the
+        paper notes, the plan they form is usually sub-optimal: every call
+        grabs as many GPUs as help it individually, which prevents concurrent
+        execution and may overload device memory — but it is a good starting
+        point for the Markov chain.
         """
         if self._greedy is None:
             call_time = self.estimator.call_time
-            self._greedy = {
-                call_name: min(choices, key=lambda a: call_time(call_name, a))
-                for call_name, choices in self.options.items()
-            }
+            greedy: Dict[str, Allocation] = {}
+            for call_name, compiled in self.compiled.items():
+                best, *rest = compiled.representatives
+                best_time = call_time(call_name, best)
+                for alloc in rest:
+                    alloc_time = call_time(call_name, alloc)
+                    if alloc_time < best_time:
+                        best, best_time = alloc, alloc_time
+                greedy[call_name] = best
+            self._greedy = greedy
         return self._greedy
 
 
@@ -325,8 +333,7 @@ class MCMCSearcher:
         self.cluster = problem.cluster
         self.estimator = problem.estimator
         self.options = problem.options
-        self._options_by_mesh = problem.options_by_mesh
-        self._layouts = problem.layouts
+        self._compiled = problem.compiled
         self.config = config
         self.seed_plans = list(seed_plans or [])
 
@@ -373,27 +380,24 @@ class MCMCSearcher:
         """
         call_names = self.graph.call_names
         call_name = call_names[int(rng.integers(len(call_names)))]
-        choices = self.options[call_name]
+        compiled = self._compiled[call_name]
+        choices = compiled.options
         roll = rng.random()
         if roll < 0.2 and len(call_names) > 1:
             # Align with another call's allocation if it is a valid option here.
             other = call_names[int(rng.integers(len(call_names)))]
             if other != call_name:
                 other_alloc = plan[other]
+                entry = compiled.by_mesh.get(_mesh_key(other_alloc.mesh))
                 parallel = other_alloc.parallel
-                layout = _mesh_key(other_alloc.mesh) + (
-                    parallel.dp,
-                    parallel.tp,
-                    parallel.pp,
-                )
-                if layout in self._layouts[call_name]:
+                if entry is not None and (parallel.dp, parallel.tp, parallel.pp) in entry[1]:
                     return call_name, other_alloc
         elif roll < 0.45:
             # Same mesh, different strategy / micro-batch count.
-            current = plan[call_name]
-            same_mesh = self._options_by_mesh[call_name].get(_mesh_key(current.mesh))
-            if same_mesh:
-                return call_name, same_mesh[int(rng.integers(len(same_mesh)))]
+            entry = compiled.by_mesh.get(_mesh_key(plan[call_name].mesh))
+            if entry is not None:
+                span = entry[0]
+                return call_name, choices[span[int(rng.integers(len(span)))]]
         return call_name, choices[int(rng.integers(len(choices)))]
 
     def _chain_rng(self, chain: int) -> np.random.Generator:

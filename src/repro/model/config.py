@@ -83,6 +83,12 @@ class ModelConfig:
 
     # ------------------------------------------------------------------ #
     # Parameter counts (reproduce Table 1 exactly)
+    #
+    # ``layer_params`` and ``param_count`` are memoised in the instance
+    # ``__dict__``, not in dataclass fields, so ``asdict``, ``==``, ``hash``
+    # and ``repr`` (and every fingerprint built from them) never see the memo.
+    # The instance is frozen, so the memo cannot go stale; ``replace`` and
+    # ``as_critic`` build new instances with empty memos.
     # ------------------------------------------------------------------ #
     def attention_params(self) -> int:
         """Parameters of one attention block (Q, K, V, O projections)."""
@@ -95,7 +101,11 @@ class ModelConfig:
 
     def layer_params(self) -> int:
         """Parameters of one transformer layer including the two RMSNorms."""
-        return self.attention_params() + self.mlp_params() + 2 * self.hidden_size
+        memo = self.__dict__.get("_layer_params")
+        if memo is None:
+            memo = self.attention_params() + self.mlp_params() + 2 * self.hidden_size
+            self.__dict__["_layer_params"] = memo
+        return memo
 
     def embedding_params(self) -> int:
         """Parameters of the input token embedding."""
@@ -109,12 +119,16 @@ class ModelConfig:
 
     def param_count(self) -> int:
         """Total parameter count (``TotalParamCount`` in Table 1 for actors)."""
-        return (
-            self.embedding_params()
-            + self.n_layers * self.layer_params()
-            + self.hidden_size  # final RMSNorm
-            + self.output_head_params()
-        )
+        memo = self.__dict__.get("_param_count")
+        if memo is None:
+            memo = (
+                self.embedding_params()
+                + self.n_layers * self.layer_params()
+                + self.hidden_size  # final RMSNorm
+                + self.output_head_params()
+            )
+            self.__dict__["_param_count"] = memo
+        return memo
 
     def param_count_no_output_embedding(self) -> int:
         """Parameter count excluding the output embedding (Table 1 identifier)."""

@@ -21,12 +21,12 @@ report is built from: cold searches vs. warm-started/cached replans.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.plan import ExecutionPlan
 from ..core.pruning import PruneConfig
-from ..core.search import SearchConfig
+from ..core.search import SearchConfig, SearchProblem
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.provenance import get_ledger
 from ..obs.tracing import get_tracer
@@ -48,6 +48,10 @@ class Candidate:
     seconds_per_iteration: float
     feasible: bool
     stats: Optional[RequestStats] = None
+    problem: Optional[SearchProblem] = field(default=None, repr=False, compare=False)
+    """The search problem that produced :attr:`plan` (``None`` after a cache
+    hit).  Holding it keeps the problem alive until the placed job's
+    background session, which poses the same problem, has started."""
 
     @property
     def iterations_per_second(self) -> float:
@@ -199,7 +203,9 @@ class PlanCosting:
             for job, partition in pairs:
                 self.candidates_scored += 1
                 future = self.service.submit(
-                    self._request(job, partition), warm_start_before=wave_start_puts
+                    self._request(job, partition),
+                    warm_start_before=wave_start_puts,
+                    keep_problem=True,
                 )
                 try:
                     response = future.result()
@@ -226,6 +232,7 @@ class PlanCosting:
                         seconds_per_iteration=response.cost,
                         feasible=response.feasible and response.cost > 0,
                         stats=response.stats,
+                        problem=response.problem,
                     )
                 )
             wave_seconds = time.perf_counter() - wave_started

@@ -53,12 +53,12 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..cluster.hardware import ClusterSpec
 from ..core.plan import ExecutionPlan
 from ..core.pruning import PruneConfig
-from ..core.search import SearchConfig
+from ..core.search import SearchConfig, SearchProblem
 from ..obs.export import record_counter_tracks, write_metrics_snapshot
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -278,6 +278,11 @@ class ClusterScheduler:
         self._n_search_polls = 0
         self._n_swaps_rejected = 0
         self._n_sessions_started = 0
+        # The problem of every background session opened.  The service holds
+        # problems only while a search or session does, so without this a
+        # later job posing the same problem (same kind, same partition shape)
+        # after the last session on it stopped would rebuild it.
+        self._session_problems: Set[SearchProblem] = set()
         self._swap_seconds_saved = 0.0
         self._poll_event: Optional[Event] = None
         self._obs_log = get_logger("sched")
@@ -621,6 +626,7 @@ class ClusterScheduler:
             request,
             slice_iterations=self.config.poll_iterations,
         )
+        self._session_problems.add(job.session.problem)
         self._n_sessions_started += 1
         self._n_open_sessions += 1
         self._ensure_poll_scheduled(time)

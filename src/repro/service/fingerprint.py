@@ -147,6 +147,10 @@ class WorkloadFingerprint:
     estimator identity plus the pruning rules.  Requests that share it differ
     only in search budget or seed, so they can share one
     :class:`~repro.core.search.SearchProblem`."""
+    option_table_key: str = ""
+    """Identity of the (cluster, prune) pair alone: requests that share it
+    enumerate their calls' options over one mesh set under one set of
+    pruning rules, so they can share one compiled option table."""
 
     @property
     def short_key(self) -> str:
@@ -191,4 +195,7 @@ def fingerprint_request(
         features=features,
         estimator_key=_digest(estimator_document),
         problem_key=_digest({**estimator_document, "prune": canonical["prune"]}),
+        option_table_key=_digest(
+            {"cluster": canonical["cluster"], "prune": canonical["prune"]}
+        ),
     )

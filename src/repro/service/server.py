@@ -37,7 +37,7 @@ from ..core.call_cost import CallCostTable
 from ..core.dataflow import DataflowGraph
 from ..core.estimator import RuntimeEstimator
 from ..core.plan import ExecutionPlan
-from ..core.pruning import PruneConfig
+from ..core.pruning import PruneConfig, _OptionTable
 from ..core.search import (
     MCMCSearcher,
     SearchConfig,
@@ -125,6 +125,14 @@ class PlanResponse:
     stats: RequestStats
     peak_memory_bytes: float
     feasible: bool = True
+    problem: Optional[SearchProblem] = field(default=None, repr=False, compare=False)
+    """The search problem a miss was searched on, when the request was
+    submitted with ``keep_problem=True`` (else ``None``, and always for a
+    hit).  The service holds problems only while a search or session does,
+    so a caller that will pose the same problem again — a scheduler opening
+    the placed job's background session — keeps it alive through this
+    reference.  Off by default: a client keeping many responses would keep
+    their problems and estimators too."""
 
 
 @dataclass
@@ -255,6 +263,11 @@ class PlanSession:
         return self.session.done
 
     @property
+    def problem(self) -> SearchProblem:
+        """The service-shared search problem this session searches."""
+        return self.session.searcher.problem
+
+    @property
     def closed(self) -> bool:
         return self._closed
 
@@ -381,7 +394,11 @@ class PlanService:
         across requests.  Searches and sessions that pose the same search
         problem (equal graph, workload, cluster and prune config) share one
         :class:`~repro.core.search.SearchProblem` while any of them is alive;
-        a problem is held weakly, so it needs no size limit.  All the
+        a problem is held weakly, so it needs no size limit.  Problems are
+        built from one compiled option table per (cluster, prune) content,
+        kept for the service's lifetime: calls of equal content (call type,
+        model, batch size) in any graph or workload on that cluster share
+        one option list, its proposal index and its greedy candidates.  All the
         service's estimators share one
         :class:`~repro.core.call_cost.CallCostTable`, so a call shape is
         priced once per service, not once per request: calls of any
@@ -424,6 +441,7 @@ class PlanService:
         self._problems: "weakref.WeakValueDictionary[str, SearchProblem]" = (
             weakref.WeakValueDictionary()
         )
+        self._option_tables: Dict[str, _OptionTable] = {}
         self._lock = threading.RLock()
         self._closed = False
         self._log = get_logger("service")
@@ -457,7 +475,10 @@ class PlanService:
     # Request handling
     # ------------------------------------------------------------------ #
     def submit(
-        self, request: PlanRequest, warm_start_before: Optional[int] = None
+        self,
+        request: PlanRequest,
+        warm_start_before: Optional[int] = None,
+        keep_problem: bool = False,
     ) -> "Future[PlanResponse]":
         """Serve ``request`` on the calling thread; returns a finished future.
 
@@ -465,6 +486,8 @@ class PlanService:
         returns; a search error (e.g. ``ValueError`` when no allocation fits)
         is set on the future.  ``warm_start_before`` limits the warm start to
         cache entries put before that value of :attr:`PlanCache.puts`.
+        ``keep_problem`` attaches a miss's search problem to the response
+        (:attr:`PlanResponse.problem`) for a caller that will pose it again.
         """
         if self._closed:
             raise RuntimeError("PlanService has been shut down")
@@ -486,7 +509,7 @@ class PlanService:
             try:
                 if entry is None:
                     response = self._search(
-                        request, fingerprint, submitted_at, warm_start_before
+                        request, fingerprint, submitted_at, warm_start_before, keep_problem
                     )
                 else:
                     response = self._serve_hit(entry, request, fingerprint, submitted_at)
@@ -650,12 +673,17 @@ class PlanService:
             if problem is not None:
                 self.stats.problem_reuses += 1
                 return problem
+            table = self._option_tables.get(fingerprint.option_table_key)
+            if table is None:
+                table = _OptionTable(request.cluster, request.prune)
+                self._option_tables[fingerprint.option_table_key] = table
             problem = SearchProblem(
                 request.graph,
                 request.workload,
                 request.cluster,
                 estimator=self._estimator_for(request, fingerprint),
                 prune=request.prune,
+                table=table,
             )
             self._problems[key] = problem
             self.stats.problem_builds += 1
@@ -762,6 +790,7 @@ class PlanService:
         fingerprint: WorkloadFingerprint,
         submitted_at: float,
         warm_start_before: Optional[int],
+        keep_problem: bool,
     ) -> PlanResponse:
         searcher, seeded_from = self._searcher_for(
             request, fingerprint, [], warm_start_before
@@ -820,6 +849,7 @@ class PlanService:
             stats=stats,
             peak_memory_bytes=peak_memory_bytes,
             feasible=self._fits_memory(peak_memory_bytes, request.cluster),
+            problem=searcher.problem if keep_problem else None,
         )
 
     # ------------------------------------------------------------------ #

@@ -15,12 +15,15 @@ from repro.core import (
     symmetric_plan,
 )
 
-# Keep hypothesis fast and deterministic for CI-style runs.
+# Keep hypothesis fast for CI-style runs.  Examples stay randomized (the
+# profile is not derandomized), so a failure prints a reproduction blob:
+# paste it into ``@reproduce_failure`` to replay a failure seen only in CI.
 settings.register_profile(
     "repro",
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    print_blob=True,
 )
 settings.load_profile("repro")
 

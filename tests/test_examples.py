@@ -177,17 +177,7 @@ def test_observability_tour_tiny_run(monkeypatch, capsys, tmp_path):
     assert any(event["ph"] == "b" for event in events)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "quickstart",
-        "compare_rlhf_systems",
-        "long_context_planning",
-        "multi_job_scheduling",
-        "observability_tour",
-        "trace_export",
-    ],
-)
+@pytest.mark.parametrize("name", sorted(p.stem for p in EXAMPLES_DIR.glob("*.py")))
 def test_example_imports_cleanly(name):
     module = _load_example(name)
     assert callable(module.main)

@@ -1,8 +1,14 @@
 """Tests that the LLaMA-3 configurations reproduce Table 1 exactly."""
 
+import dataclasses
+
 import pytest
 
+from repro.algorithms import build_ppo_graph
+from repro.cluster import make_cluster
+from repro.core import RLHFWorkload
 from repro.model import LLAMA3_CONFIGS, MODEL_SIZES, ModelConfig, critic_variant, get_model_config
+from repro.service import fingerprint_request
 
 # (hidden, intermediate, layers, heads, kv_heads, total params, params w/o output embedding)
 TABLE1 = {
@@ -83,3 +89,42 @@ class TestModelConfig:
 
     def test_registry_contains_all_sizes(self):
         assert set(LLAMA3_CONFIGS) == {"7b", "13b", "34b", "70b"}
+
+
+class TestParamCountMemo:
+    """``param_count``/``layer_params`` are memoised outside the dataclass
+    fields, so nothing that reads a config's identity can see the memo."""
+
+    @pytest.mark.parametrize("size", MODEL_SIZES)
+    def test_memo_leaves_identity_unchanged(self, size):
+        def fresh():
+            return dataclasses.replace(get_model_config(size))
+
+        config, twin = fresh(), fresh()
+        workload = RLHFWorkload(
+            {"actor": config, "ref": config, "critic": twin, "reward": twin}, batch_size=64
+        )
+
+        def identity():
+            key = fingerprint_request(build_ppo_graph(), workload, make_cluster(8)).key
+            return dataclasses.asdict(config), hash(config), repr(config), key
+
+        before = identity()
+        assert config.param_count() == TABLE1[size][5]
+        assert config.layer_params() * config.n_layers < config.param_count()
+        assert identity() == before
+        assert config == twin and hash(config) == hash(twin)
+        assert [f.name for f in dataclasses.fields(config)] == list(dataclasses.asdict(twin))
+
+    @pytest.mark.parametrize("size", MODEL_SIZES)
+    def test_variants_are_not_served_a_stale_memo(self, size):
+        hidden = TABLE1[size][0]
+        actor = dataclasses.replace(get_model_config(size))
+        assert actor.param_count() == TABLE1[size][5]
+        # The critic drops the LM head for a scalar one.
+        assert actor.as_critic().param_count() == TABLE1[size][6] + hidden
+        assert critic_variant(size).param_count() == TABLE1[size][6] + hidden
+        # A replaced config is a new instance: its counts are recomputed.
+        deeper = dataclasses.replace(actor, n_layers=actor.n_layers + 1)
+        assert deeper.param_count() == TABLE1[size][5] + actor.layer_params()
+        assert dataclasses.replace(deeper, n_layers=actor.n_layers).param_count() == TABLE1[size][5]

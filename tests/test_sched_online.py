@@ -9,6 +9,7 @@ import pytest
 from repro.cluster import make_cluster
 from repro.core import SearchConfig
 from repro.sched import ClusterScheduler, JobSpec, SchedulerConfig
+from repro.service import PlanService
 
 
 def _specs(n=1, target_iterations=25):
@@ -86,6 +87,28 @@ class TestOnlineReplanning:
         assert stats["problem_builds"] + stats["problem_reuses"] == (
             stats["cache_misses"] + stats["sessions_started"]
         )
+
+    def test_sessions_never_rebuild_a_problem(self):
+        """An admission search hands its problem to the placed job's session,
+        and later jobs of the same kind and shape reuse it after an admission
+        cache hit: one build per distinct problem.  (A problem kept alive
+        longer by a reference cycle only adds reuses, never builds.)"""
+        service = PlanService()
+        keys = []
+        problem_for = service._problem_for
+
+        def recording(request, fingerprint):
+            keys.append(fingerprint.problem_key)
+            return problem_for(request, fingerprint)
+
+        service._problem_for = recording
+        report = ClusterScheduler(
+            cluster=make_cluster(16), jobs=_specs(n=3), config=_config(), service=service
+        ).run()
+        stats = report.service_stats
+        assert stats["sessions_started"] > len(set(keys))
+        assert stats["problem_builds"] == len(set(keys))
+        service.close()
 
     def test_swap_refreshes_planned_throughput(self):
         """After a hot swap the resize baseline reflects the new plan."""

@@ -105,12 +105,20 @@ class TestSharedProblem:
     def test_greedy_sweep_runs_once_per_problem(
         self, cluster8, workload_small, monkeypatch
     ):
-        """Counts model evaluations with an unmemoised estimator, where every
-        greedy sweep scores every option."""
+        """Counts model evaluations with an unmemoised estimator: the first
+        sweep scores one breakdown per distinct (call, shape), a second sweep
+        on the same problem scores none, and the plan is each call's
+        ``min(options, key=call_time)``."""
         graph = _graph("ppo")
         estimator = RuntimeEstimator(graph, workload_small, cluster8, use_cache=False)
         problem = SearchProblem(graph, workload_small, cluster8, estimator=estimator)
-        n_options = sum(len(choices) for choices in problem.options.values())
+        n_shapes = len({
+            (call_name, a.mesh.n_nodes, a.mesh.gpus_per_node, a.parallel.dp,
+             a.parallel.tp, a.parallel.pp, a.n_microbatches, a.zero3)
+            for call_name, choices in problem.options.items()
+            for a in choices
+        })
+        assert n_shapes < sum(len(choices) for choices in problem.options.values())
         scored = []
         breakdown = CallCostModel.breakdown
 
@@ -120,15 +128,20 @@ class TestSharedProblem:
 
         monkeypatch.setattr(CallCostModel, "breakdown", counting_breakdown)
         first = MCMCSearcher(problem=problem).greedy_initial_plan()
-        assert len(scored) == n_options
+        assert len(scored) == n_shapes
         second = MCMCSearcher(problem=problem).greedy_initial_plan()
-        assert len(scored) == n_options
+        assert len(scored) == n_shapes
         assert second.assignments == first.assignments
         # A searcher built from arguments poses a new problem and sweeps again.
         MCMCSearcher(
             graph, workload_small, cluster8, estimator=estimator, options=problem.options
         ).greedy_initial_plan()
-        assert len(scored) == 2 * n_options
+        assert len(scored) == 2 * n_shapes
+        monkeypatch.undo()
+        call_time = RuntimeEstimator(graph, workload_small, cluster8).call_time
+        for call_name, choices in problem.options.items():
+            fastest = min(choices, key=lambda a: call_time(call_name, a))
+            assert first.assignments[call_name] is fastest
 
     def test_problem_and_its_arguments_are_exclusive(self, cluster8, workload_small):
         problem = SearchProblem(_graph("ppo"), workload_small, cluster8)

@@ -190,6 +190,19 @@ class TestProblemSharing:
                 assert costs[seed] == fresh.plan(_request(seed=seed, max_iterations=20)).cost
         service.close()
 
+    def test_kept_problem_outlives_its_search_for_a_session(self, service):
+        # By default a response does not keep its problem alive.
+        assert service.plan(_request(seed=1)).problem is None
+        assert len(service._problems) == 0
+        kept = service.submit(_request(seed=2), keep_problem=True).result()
+        assert kept.problem is not None and not kept.stats.cache_hit
+        handle = service.start_session(_request(seed=3), slice_iterations=10)
+        assert handle.problem is kept.problem
+        assert (service.stats.problem_builds, service.stats.problem_reuses) == (2, 1)
+        # A hit searched nothing: there is no problem to keep.
+        assert service.submit(_request(seed=2), keep_problem=True).result().problem is None
+        service.stop_session(handle.session_id)
+
     def test_counters_carry_through_delta_and_dict(self, service):
         handle = service.start_session(_request(seed=1), slice_iterations=10)
         baseline = service.stats.snapshot()
