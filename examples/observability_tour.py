@@ -27,9 +27,7 @@ Run with::
 
     python examples/observability_tour.py [--out-dir traces] [--gpus 16]
 
-Set ``REPRO_METRICS=off`` / ``REPRO_TRACING=off`` to see either layer become
-a no-op, or ``REPRO_LOG_LEVEL=debug REPRO_LOG_FORMAT=json`` for structured
-logs.
+Set ``REPRO_LOG_LEVEL=debug REPRO_LOG_FORMAT=json`` for structured logs.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import json
 from pathlib import Path
 
 from repro.core import SearchConfig, schedule_jobs
-from repro.obs import get_registry, to_prometheus
+from repro.obs import get_registry, load_provenance, to_prometheus
 from repro.obs.report import render_report
 from repro.sched import JobSpec, SchedulerConfig
 from repro.sim import load_chrome_trace
@@ -84,18 +82,15 @@ def main() -> None:
           f"makespan {report.makespan:.1f}s")
 
     # --- 1. The JSON snapshot written next to the trace. ----------------- #
-    if report.metrics_path is None:
-        print("\nmetrics snapshot: skipped (REPRO_METRICS=off)")
-    else:
-        snapshot = json.loads(Path(report.metrics_path).read_text())
-        print(f"\nmetrics snapshot (schema v{snapshot['schema_version']}): "
-              f"{len(snapshot['metrics'])} instruments -> {report.metrics_path}")
-        for name in ("service_request_seconds", "sched_decision_seconds"):
-            for series in snapshot["metrics"][name]["series"]:
-                labels = series["labels"] or {"outcome": "-"}
-                print(f"  {name}{labels}: count={series['count']} "
-                      f"p50={series['p50'] * 1e3:.2f}ms p99={series['p99'] * 1e3:.2f}ms "
-                      f"max={series['max'] * 1e3:.2f}ms")
+    snapshot = json.loads(Path(report.metrics_path).read_text())
+    print(f"\nmetrics snapshot (schema v{snapshot['schema_version']}): "
+          f"{len(snapshot['metrics'])} instruments -> {report.metrics_path}")
+    for name in ("service_request_seconds", "sched_decision_seconds"):
+        for series in snapshot["metrics"][name]["series"]:
+            labels = series["labels"] or {"outcome": "-"}
+            print(f"  {name}{labels}: count={series['count']} "
+                  f"p50={series['p50'] * 1e3:.2f}ms p99={series['p99'] * 1e3:.2f}ms "
+                  f"max={series['max'] * 1e3:.2f}ms")
 
     # --- 2. Prometheus text exposition of the same registry. ------------- #
     exposition = to_prometheus(get_registry())
@@ -114,28 +109,20 @@ def main() -> None:
     # --- 4. The causal span tree merged into the same trace. ------------- #
     span_begins = [e for e in events if e.get("ph") == "b"]
     flows = [e for e in events if e.get("ph") == "s"]
-    if span_begins:
-        names = sorted({e["name"].split(" ")[0] for e in span_begins})
-        print(f"\ncausal spans: {len(span_begins)} spans, {len(flows)} flow arrows "
-              f"({', '.join(names)})")
-        print("In Perfetto the arrows point from each scheduler decision to "
-              "the plan request and search chains it caused.")
-    else:
-        print("\ncausal spans: none recorded (REPRO_TRACING=off)")
+    names = sorted({e["name"].split(" ")[0] for e in span_begins})
+    print(f"\ncausal spans: {len(span_begins)} spans, {len(flows)} flow arrows "
+          f"({', '.join(names)})")
+    print("In Perfetto the arrows point from each scheduler decision to "
+          "the plan request and search chains it caused.")
 
     # --- 5. The decision-provenance ledger. ------------------------------ #
-    if report.provenance_path is None:
-        print("provenance: skipped (REPRO_TRACING=off)")
-    else:
-        from repro.obs import load_provenance
-
-        provenance = load_provenance(report.provenance_path)
-        kinds: dict = {}
-        for event in provenance:
-            kinds[event["kind"]] = kinds.get(event["kind"], 0) + 1
-        summary = ", ".join(f"{kind}: {count}" for kind, count in sorted(kinds.items()))
-        print(f"\nprovenance ledger: {len(provenance)} events -> "
-              f"{report.provenance_path} ({summary})")
+    provenance = load_provenance(report.provenance_path)
+    kinds: dict = {}
+    for event in provenance:
+        kinds[event["kind"]] = kinds.get(event["kind"], 0) + 1
+    summary = ", ".join(f"{kind}: {count}" for kind, count in sorted(kinds.items()))
+    print(f"\nprovenance ledger: {len(provenance)} events -> "
+          f"{report.provenance_path} ({summary})")
 
     # --- 6. The run report CLI over the whole directory. ----------------- #
     rendered = render_report(out_dir, top_k=5)

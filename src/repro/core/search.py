@@ -458,9 +458,9 @@ class MCMCSearcher:
             else min(float(time_budget_s), remaining_time)
         )
         # Chain slices are the unit of tracing: one span per advance (never
-        # per proposal).  The gate is the state's span context — with
-        # REPRO_TRACING=off no span is ever opened, so no context exists and
-        # the hot loop pays exactly one ``is not None`` check.
+        # per proposal).  The gate is the state's span context: a chain
+        # advanced outside any span has none, records nothing, and the hot
+        # loop pays exactly one ``is not None`` check.
         span_parent = state.span_context
         span_start_s = time.time() if span_parent is not None else 0.0
         wall_start = time.perf_counter()
@@ -597,27 +597,26 @@ class MCMCSearcher:
     def _publish_metrics(result: SearchResult) -> None:
         """One batched registry update per search run (no per-proposal cost)."""
         registry = get_registry()
-        if registry.enabled:
-            registry.counter("search_runs_total", "Plan searches run").inc()
-            registry.counter(
-                "search_iterations_total", "MCMC proposals evaluated across runs"
-            ).inc(result.n_iterations)
-            registry.gauge(
-                "search_acceptance_rate", "Accepted-proposal fraction of the last run"
-            ).set(result.acceptance_rate)
-            registry.gauge(
-                "search_proposals_per_sec", "Proposal throughput of the last run"
-            ).set(result.n_iterations / max(result.elapsed_seconds, 1e-9))
-            wall_hist = registry.histogram(
-                "search_chain_wall_seconds", "Per-chain wall-clock seconds"
-            )
-            for seconds in result.chain_wall_seconds:
-                wall_hist.observe(seconds)
-            cpu_hist = registry.histogram(
-                "search_chain_cpu_seconds", "Per-chain CPU seconds"
-            )
-            for seconds in result.chain_cpu_seconds:
-                cpu_hist.observe(seconds)
+        registry.counter("search_runs_total", "Plan searches run").inc()
+        registry.counter(
+            "search_iterations_total", "MCMC proposals evaluated across runs"
+        ).inc(result.n_iterations)
+        registry.gauge(
+            "search_acceptance_rate", "Accepted-proposal fraction of the last run"
+        ).set(result.acceptance_rate)
+        registry.gauge(
+            "search_proposals_per_sec", "Proposal throughput of the last run"
+        ).set(result.n_iterations / max(result.elapsed_seconds, 1e-9))
+        wall_hist = registry.histogram(
+            "search_chain_wall_seconds", "Per-chain wall-clock seconds"
+        )
+        for seconds in result.chain_wall_seconds:
+            wall_hist.observe(seconds)
+        cpu_hist = registry.histogram(
+            "search_chain_cpu_seconds", "Per-chain CPU seconds"
+        )
+        for seconds in result.chain_cpu_seconds:
+            cpu_hist.observe(seconds)
         log = get_logger("search")
         if log.isEnabledFor(10):  # logging.DEBUG
             log.debug(

@@ -81,10 +81,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("REPRO_BENCH_SCALE", "choice", "small",
              "`full` runs every point of every figure benchmark; `small` is the CI subset.",
              choices=("small", "full")),
-        Knob("REPRO_METRICS", "flag", True,
-             "Off makes the metrics registry a no-op and its exporters write nothing."),
-        Knob("REPRO_TRACING", "flag", True,
-             "Off disables causal span tracing and the decision-provenance ledger."),
         Knob("REPRO_LOG_LEVEL", "choice", "warning",
              "Level of the `repro.*` loggers.",
              choices=("debug", "info", "warning", "error", "critical")),

@@ -4,15 +4,15 @@ The observability layer every subsystem reports through:
 
 * :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry` with
   :class:`Counter`/:class:`Gauge`/:class:`Histogram` instruments (labeled
-  series, streaming p50/p90/p99, ``REPRO_METRICS=off`` no-op mode) and the
-  :func:`timed`/:func:`span` timing helpers;
+  series, streaming p50/p90/p99) and the :func:`timed`/:func:`span` timing
+  helpers;
 * :mod:`repro.obs.log` — the ``repro.*`` structured logger hierarchy
   (``REPRO_LOG_LEVEL``, ``REPRO_LOG_FORMAT=text|json``);
 * :mod:`repro.obs.export` — JSON snapshots (``METRICS_*.json``), Prometheus
   text exposition and Chrome-trace counter tracks;
 * :mod:`repro.obs.tracing` — the causal span tracer (``SpanContext``
-  propagation across threads and processes, ``REPRO_TRACING=off`` no-op
-  mode, Chrome-trace async-event/flow-arrow export);
+  propagation across threads and processes, Chrome-trace
+  async-event/flow-arrow export);
 * :mod:`repro.obs.provenance` — the decision-provenance ledger
   (``PROVENANCE_*.jsonl``: costing waves, placements, swap arithmetic,
   plan-request lineage);
@@ -20,6 +20,10 @@ The observability layer every subsystem reports through:
   CLI digesting one run's TRACE/METRICS/PROVENANCE files;
 * :mod:`repro.obs.artifacts` — the machine identity block perfbench
   stamps on its reports.
+
+All of it always records.  The tracer and the ledger are process-global and
+hold only their newest records, so a long-lived process stays bounded; a run
+exports its own records by the counts it snapshots when it starts.
 """
 
 from .artifacts import machine_fingerprint
@@ -39,7 +43,6 @@ from .metrics import (
     MetricsRegistry,
     P2Quantile,
     get_registry,
-    metrics_enabled,
     set_registry,
     span,
     timed,
@@ -58,7 +61,6 @@ from .tracing import (
     current_span,
     get_tracer,
     set_tracer,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -70,7 +72,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "get_registry",
     "set_registry",
-    "metrics_enabled",
     "timed",
     "span",
     "get_logger",
@@ -82,7 +83,6 @@ __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
     "record_counter_tracks",
     "machine_fingerprint",
-    "tracing_enabled",
     "SpanContext",
     "SpanRecord",
     "Tracer",

@@ -14,10 +14,7 @@ is the shared instrumentation substrate they now report through:
   exposition) with streaming P² quantile estimation for p50/p90/p99 — no
   sample retention, O(1) memory per series;
 * everything is thread-safe (one lock per instrument family; the registry
-  lock only guards registration);
-* the whole layer is near-zero-cost when disabled: with ``REPRO_METRICS=off``
-  the registry hands out shared no-op null instruments, so an instrumented
-  code path costs one no-op method call.
+  lock only guards registration).
 
 Exporters (JSON snapshot, Prometheus text exposition, Chrome-trace counter
 events) live in :mod:`repro.obs.export`; the structured logging setup in
@@ -30,10 +27,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import knobs
-
 __all__ = [
-    "metrics_enabled",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -52,11 +46,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 """Default latency buckets (seconds), Prometheus-style."""
 
 _DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
-
-
-def metrics_enabled() -> bool:
-    """Whether instrument updates are live (the ``REPRO_METRICS`` flag, default on)."""
-    return knobs.get("REPRO_METRICS")
 
 
 # ---------------------------------------------------------------------- #
@@ -414,47 +403,6 @@ class Histogram(_Instrument):
 
 
 # ---------------------------------------------------------------------- #
-# Null instruments (disabled registries)
-# ---------------------------------------------------------------------- #
-class _NullInstrument:
-    """Shared no-op stand-in handed out by disabled registries.
-
-    Every update is a single no-op method call, so instrumented code paths
-    cost effectively nothing under ``REPRO_METRICS=off``.
-    """
-
-    kind = "null"
-    name = "null"
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-    def labels(self, **labels: object) -> "_NullInstrument":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def time(self) -> "timed":
-        return timed(self)
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-
-_NULL = _NullInstrument()
-
-
-# ---------------------------------------------------------------------- #
 # Registry
 # ---------------------------------------------------------------------- #
 class MetricsRegistry:
@@ -462,13 +410,10 @@ class MetricsRegistry:
 
     Re-requesting an existing name returns the same instrument (families are
     process-wide singletons per registry), so independently constructed
-    components share series.  ``enabled`` defaults to the ``REPRO_METRICS``
-    environment knob; a disabled registry hands out no-op instruments and
-    snapshots empty.
+    components share series.
     """
 
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        self.enabled = metrics_enabled() if enabled is None else bool(enabled)
+    def __init__(self) -> None:
         self._metrics: Dict[str, _Instrument] = {}
         self._collectors: List[Callable[[], None]] = []
         self._lock = threading.Lock()
@@ -477,8 +422,6 @@ class MetricsRegistry:
     def _get_or_create(
         self, cls: type, name: str, help: str, label_names: Sequence[str], **kwargs: Any
     ) -> Any:
-        if not self.enabled:
-            return _NULL
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
@@ -519,9 +462,8 @@ class MetricsRegistry:
         the registry on their hot paths.  Returns ``fn`` for symmetry with
         :meth:`unregister_collector`.
         """
-        if self.enabled:
-            with self._lock:
-                self._collectors.append(fn)
+        with self._lock:
+            self._collectors.append(fn)
         return fn
 
     def unregister_collector(self, fn: Callable[[], None]) -> None:
@@ -551,7 +493,6 @@ class MetricsRegistry:
         """JSON-serializable snapshot of every instrument's series."""
         self.collect()
         return {
-            "enabled": self.enabled,
             "metrics": {
                 instrument.name: instrument.to_dict()
                 for instrument in self.instruments()
@@ -592,7 +533,7 @@ class timed:
         def handle_request(): ...
 
     The elapsed seconds of the block are available as ``.elapsed`` after
-    exit.  Works transparently with null instruments.
+    exit.
     """
 
     def __init__(self, instrument: Any) -> None:

@@ -21,18 +21,18 @@ Events append to the process-global :class:`ProvenanceLedger`
 scheduler run snapshots :attr:`ProvenanceLedger.n_events` before starting
 and serializes its delta as a ``PROVENANCE_*.jsonl`` file next to the
 Chrome trace (one JSON object per line, ``kind`` + ``seq`` always present).
-Recording is gated by the same ``REPRO_TRACING`` knob as span tracing —
-provenance and spans are two views of one causal layer.
+The ledger holds the newest ``_MAX_EVENTS`` events; ``seq`` keeps counting
+past evictions, so a file whose first events were evicted shows the gap.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
+from collections import deque
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
-
-from .tracing import tracing_enabled
+from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
 __all__ = [
     "ProvenanceLedger",
@@ -43,44 +43,51 @@ __all__ = [
 ]
 
 
+_MAX_EVENTS = 16384
+"""How many of the newest events a :class:`ProvenanceLedger` holds."""
+
+
 class ProvenanceLedger:
-    """Append-only list of decision events; thread-safe.
+    """Bounded log of decision events; thread-safe.
 
     Events are plain dicts (JSON-serializable by construction of the
     callers); the ledger stamps each with a monotonically increasing
     ``seq`` so files stay ordered even when several threads record.
     """
 
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        self.enabled = tracing_enabled() if enabled is None else bool(enabled)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._events: List[Dict[str, Any]] = []
+        self._events: Deque[Dict[str, Any]] = deque(maxlen=_MAX_EVENTS)
+        self._n_events = 0
 
     def record(self, kind: str, **fields: Any) -> None:
-        """Append one event (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Append one event, evicting the oldest beyond the cap."""
         with self._lock:
-            event = {"kind": kind, "seq": len(self._events)}
+            event = {"kind": kind, "seq": self._n_events}
             event.update(fields)
             self._events.append(event)
+            self._n_events += 1
 
     @property
     def n_events(self) -> int:
+        """Events recorded over the ledger's life, evicted ones included."""
         with self._lock:
-            return len(self._events)
+            return self._n_events
+
+    @property
+    def first_held(self) -> int:
+        """``seq`` of the oldest event still held (``n_events`` when none is)."""
+        with self._lock:
+            return self._n_events - len(self._events)
 
     def events(self, since: int = 0, kind: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Events recorded at index ``since`` or later (optionally by kind)."""
+        """Held events whose ``seq`` is ``since`` or later (optionally by kind)."""
         with self._lock:
-            selected = list(self._events[since:])
+            skip = max(0, since - (self._n_events - len(self._events)))
+            selected = list(itertools.islice(self._events, skip, None))
         if kind is not None:
             selected = [event for event in selected if event.get("kind") == kind]
         return selected
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
 
     def write_jsonl(self, path: Union[str, Path], since: int = 0) -> Path:
         """Serialize events (from ``since``) as one JSON object per line."""

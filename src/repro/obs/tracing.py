@@ -21,9 +21,10 @@ that follows one scheduling decision through every layer it touches.
   scheduler-decision → service-request → per-chain-search causality inside
   the same trace file as the virtual-time cluster timeline.
 
-``REPRO_TRACING=off`` (default on, mirroring ``REPRO_METRICS``) makes
-:meth:`start_span` return a shared no-op span whose context is ``None`` —
-instrumented hot paths cost one attribute check and nothing is recorded.
+Tracing always records.  The tracer keeps only the newest
+``_MAX_RECORDS`` spans; :attr:`Tracer.n_records` counts every span ever
+appended, so a consumer that snapshots it before a run exports exactly
+that run's spans with ``records(since)`` for as long as they are held.
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ import itertools
 import os
 import threading
 import time
+from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
-
-from .. import knobs
+from typing import Any, Deque, Dict, List, Mapping, Optional
 
 __all__ = [
-    "tracing_enabled",
     "SpanContext",
     "SpanRecord",
     "Tracer",
@@ -48,10 +47,8 @@ __all__ = [
     "current_span",
 ]
 
-
-def tracing_enabled() -> bool:
-    """Whether span recording is live (the ``REPRO_TRACING`` flag, default on)."""
-    return knobs.get("REPRO_TRACING")
+_MAX_RECORDS = 16384
+"""How many of the newest finished spans a :class:`Tracer` holds."""
 
 
 @dataclass(frozen=True)
@@ -106,24 +103,6 @@ def current_span() -> Optional[SpanContext]:
     """The implicitly propagated span context of the calling context."""
     return _current_span.get()
 
-
-class _NullSpan:
-    """Shared no-op span handle (``REPRO_TRACING=off`` / disabled tracer)."""
-
-    __slots__ = ()
-    context: Optional[SpanContext] = None
-
-    def set(self, **_args: Any) -> "_NullSpan":
-        return self
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *_exc: object) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
 
 _IMPLICIT = object()
 """Sentinel: ``start_span(parent=_IMPLICIT)`` parents under the current span."""
@@ -186,15 +165,15 @@ class Tracer:
     The default process-global tracer (:func:`get_tracer`) is what every
     instrumented layer reports into, so one scheduler run's spans — whether
     opened on the scheduler thread or a plan-service worker thread —
-    accumulate in a single place.
-    Consumers snapshot :attr:`n_records` before a run and export the delta
-    (see :meth:`record_chrome`).
+    accumulate in a single place.  It holds the newest ``_MAX_RECORDS``
+    spans.  Consumers snapshot :attr:`n_records` before a run and export
+    the delta (see :meth:`record_chrome`).
     """
 
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        self.enabled = tracing_enabled() if enabled is None else bool(enabled)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._records: List[SpanRecord] = []
+        self._records: Deque[SpanRecord] = deque(maxlen=_MAX_RECORDS)
+        self._n_records = 0
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -205,17 +184,14 @@ class Tracer:
         category: str = "",
         parent: Any = _IMPLICIT,
         args: Optional[Mapping[str, Any]] = None,
-    ):
+    ) -> _ActiveSpan:
         """Open a span as a context manager.
 
         ``parent`` defaults to the implicitly current span; pass an explicit
         :class:`SpanContext` to graft the span elsewhere in the tree (e.g. a
         scheduler-side swap decision under the service-side poll that found
-        the winning plan), or ``None`` to force a new root.  When tracing is
-        disabled the shared no-op span (``context is None``) is returned.
+        the winning plan), or ``None`` to force a new root.
         """
-        if not self.enabled:
-            return _NULL_SPAN
         parent_ctx = current_span() if parent is _IMPLICIT else parent
         if parent_ctx is not None:
             context = parent_ctx.child()
@@ -224,28 +200,31 @@ class Tracer:
         return _ActiveSpan(self, name, category, context, args)
 
     def append(self, record: SpanRecord) -> None:
-        """Record one finished span (dropped when the tracer is disabled)."""
-        if not self.enabled:
-            return
+        """Record one finished span, evicting the oldest beyond the cap."""
         with self._lock:
             self._records.append(record)
+            self._n_records += 1
 
     # ------------------------------------------------------------------ #
     # Reading / export
     # ------------------------------------------------------------------ #
     @property
     def n_records(self) -> int:
+        """Spans appended over the tracer's life, evicted ones included."""
         with self._lock:
-            return len(self._records)
+            return self._n_records
+
+    @property
+    def first_held(self) -> int:
+        """Index of the oldest span still held (``n_records`` when none is)."""
+        with self._lock:
+            return self._n_records - len(self._records)
 
     def records(self, since: int = 0) -> List[SpanRecord]:
-        """Finished spans recorded at index ``since`` or later."""
+        """Held spans whose index is ``since`` or later."""
         with self._lock:
-            return list(self._records[since:])
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
+            skip = max(0, since - (self._n_records - len(self._records)))
+            return list(itertools.islice(self._records, skip, None))
 
     def record_chrome(
         self,

@@ -405,16 +405,17 @@ class ClusterScheduler:
                 self._stop_session(job)
             if self._owns_service:
                 self.service.close()
+        self._warn_if_evicted()
         report = self._report()
         if self.trace_path is not None:
             report.trace_path = str(self.export_chrome_trace(self.trace_path))
         provenance_path = self._resolved_provenance_path()
-        if provenance_path is not None and self._ledger.enabled:
+        if provenance_path is not None:
             report.provenance_path = str(
                 self._ledger.write_jsonl(provenance_path, since=self._ledger_baseline)
             )
         metrics_path = self._resolved_metrics_path()
-        if metrics_path is not None and self.registry.enabled:
+        if metrics_path is not None:
             report.metrics_path = str(
                 write_metrics_snapshot(
                     self.registry,
@@ -429,6 +430,24 @@ class ClusterScheduler:
                 )
             )
         return report
+
+    def _warn_if_evicted(self) -> None:
+        """Log once when the bounded tracer or ledger evicted this run's first records.
+
+        The run's exports then start after a gap (the provenance file's
+        ``seq`` numbers show it) rather than losing records silently.
+        """
+        lost = {
+            "spans": self._tracer.first_held - self._trace_baseline,
+            "provenance events": self._ledger.first_held - self._ledger_baseline,
+        }
+        lost = {name: n for name, n in lost.items() if n > 0}
+        if lost:
+            self._obs_log.warning(
+                "telemetry stores evicted the first %s of this run; its trace "
+                "and provenance exports start after the gap",
+                " and ".join(f"{n} {name}" for name, n in lost.items()),
+            )
 
     def _resolved_metrics_path(self) -> Optional[str]:
         """Where to write the ``METRICS_*.json`` snapshot (``None``: nowhere).
@@ -1073,9 +1092,9 @@ class ClusterScheduler:
         are written as explicit ``iteration``/``phase`` spans; an iteration
         cut off by the segment's end is not exported.
 
-        When tracing is on, the run's causal span tree (decision waves →
-        plan requests → search chains, plus session polls and swaps) merges
-        in as async events with flow arrows on a ``planning`` process.
+        The run's causal span tree (decision waves → plan requests → search
+        chains, plus session polls and swaps) merges in as async events with
+        flow arrows on a ``planning`` process.
         """
         self._tracer.record_chrome(recorder, since=self._trace_baseline)
         record_counter_tracks(recorder, "cluster", self._counter_samples)

@@ -64,6 +64,10 @@ __all__ = [
     "PlanService",
 ]
 
+_MAX_OPTION_TABLES = 16
+"""How many compiled option tables (one per cluster and prune content) a
+:class:`PlanService` keeps, least recently used evicted first."""
+
 
 @dataclass(frozen=True)
 class PlanRequest:
@@ -319,7 +323,7 @@ class PlanSession:
                     best_cost=progress.best_cost,
                     new_iterations=progress.new_iterations,
                 )
-                if progress.improved and poll_span.context is not None:
+                if progress.improved:
                     self.winning_poll_context = poll_span.context
             refreshed = False
             if progress.improved:
@@ -396,9 +400,10 @@ class PlanService:
         :class:`~repro.core.search.SearchProblem` while any of them is alive;
         a problem is held weakly, so it needs no size limit.  Problems are
         built from one compiled option table per (cluster, prune) content,
-        kept for the service's lifetime: calls of equal content (call type,
-        model, batch size) in any graph or workload on that cluster share
-        one option list, its proposal index and its greedy candidates.  All the
+        of which the service keeps the ``_MAX_OPTION_TABLES`` (16) most
+        recently used: calls of equal content (call type, model, batch
+        size) in any graph or workload on that cluster share one option
+        list, its proposal index and its greedy candidates.  All the
         service's estimators share one
         :class:`~repro.core.call_cost.CallCostTable`, so a call shape is
         priced once per service, not once per request: calls of any
@@ -441,7 +446,7 @@ class PlanService:
         self._problems: "weakref.WeakValueDictionary[str, SearchProblem]" = (
             weakref.WeakValueDictionary()
         )
-        self._option_tables: Dict[str, _OptionTable] = {}
+        self._option_tables: "OrderedDict[str, _OptionTable]" = OrderedDict()
         self._lock = threading.RLock()
         self._closed = False
         self._log = get_logger("service")
@@ -673,10 +678,7 @@ class PlanService:
             if problem is not None:
                 self.stats.problem_reuses += 1
                 return problem
-            table = self._option_tables.get(fingerprint.option_table_key)
-            if table is None:
-                table = _OptionTable(request.cluster, request.prune)
-                self._option_tables[fingerprint.option_table_key] = table
+            table = self._option_table_for(request, fingerprint)
             problem = SearchProblem(
                 request.graph,
                 request.workload,
@@ -688,6 +690,26 @@ class PlanService:
             self._problems[key] = problem
             self.stats.problem_builds += 1
         return problem
+
+    def _option_table_for(
+        self, request: PlanRequest, fingerprint: WorkloadFingerprint
+    ) -> _OptionTable:
+        """The compiled option table of the request's (cluster, prune) content.
+
+        A rebuilt table compiles equal options in equal order, so evicting
+        one changes no outcome.  Called with the service lock held (by
+        :meth:`_problem_for`).
+        """
+        key = fingerprint.option_table_key
+        table = self._option_tables.get(key)
+        if table is not None:
+            self._option_tables.move_to_end(key)
+            return table
+        table = _OptionTable(request.cluster, request.prune)
+        self._option_tables[key] = table
+        while len(self._option_tables) > _MAX_OPTION_TABLES:
+            self._option_tables.popitem(last=False)
+        return table
 
     def _estimator_for(
         self, request: PlanRequest, fingerprint: WorkloadFingerprint
@@ -876,8 +898,7 @@ class PlanService:
         self.shutdown()
         # Publish the final gauge values before unhooking the collector, so
         # snapshots taken after close still carry this service's last state.
-        if self.registry.enabled:
-            self._collect_gauges()
+        self._collect_gauges()
         self.registry.unregister_collector(self._collector)
 
     def __enter__(self) -> "PlanService":

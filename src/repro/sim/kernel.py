@@ -187,7 +187,7 @@ class SimKernel:
     @staticmethod
     def _publish_run_metrics(n_events: int, elapsed_s: float) -> None:
         registry = get_registry()
-        if not registry.enabled or n_events <= 0:
+        if n_events <= 0:
             return
         registry.counter(
             "sim_events_total", "Discrete events processed across all kernel runs"

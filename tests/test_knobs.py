@@ -45,16 +45,30 @@ class TestEveryKnob:
                 knobs.snapshot()
 
 
+@pytest.fixture
+def flag_knob(monkeypatch):
+    """A flag knob declared for the test only: no shipped knob is a flag."""
+    name = "REPRO_TEST_FLAG"
+    monkeypatch.setitem(knobs.KNOBS, name, knobs.Knob(name, "flag", True, "test flag"))
+    return name
+
+
 class TestParsing:
     @pytest.mark.parametrize("raw", ["on", "1", "true", "YES", " Enabled "])
-    def test_flag_on_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_METRICS", raw)
-        assert knobs.get("REPRO_METRICS") is True
+    def test_flag_on_spellings(self, monkeypatch, flag_knob, raw):
+        monkeypatch.setenv(flag_knob, raw)
+        assert knobs.get(flag_knob) is True
 
     @pytest.mark.parametrize("raw", ["off", "0", "FALSE", "no", "Disabled"])
-    def test_flag_off_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_TRACING", raw)
-        assert knobs.get("REPRO_TRACING") is False
+    def test_flag_off_spellings(self, monkeypatch, flag_knob, raw):
+        monkeypatch.setenv(flag_knob, raw)
+        assert knobs.get(flag_knob) is False
+
+    def test_malformed_flag_raises_naming_the_knob(self, monkeypatch, flag_knob):
+        for raw in BAD_VALUES["flag"]:
+            monkeypatch.setenv(flag_knob, raw)
+            with pytest.raises(ValueError, match=flag_knob):
+                knobs.get(flag_knob)
 
     def test_ranges_include_their_closed_ends(self, monkeypatch):
         # Floats are (0, inf): any positive finite number, however small or large.

@@ -35,8 +35,8 @@ TINY_SEARCH = SearchConfig(max_iterations=25, time_budget_s=0.5, record_history=
 
 @pytest.fixture
 def registry():
-    """A fresh enabled registry installed as the process-wide default."""
-    fresh = MetricsRegistry(enabled=True)
+    """A fresh registry installed as the process-wide default."""
+    fresh = MetricsRegistry()
     previous = set_registry(fresh)
     try:
         yield fresh
@@ -163,11 +163,6 @@ class TestPrometheusExposition:
         registry.gauge("weird_gauge", "").set(float("nan"))
         assert "weird_gauge NaN" in to_prometheus(registry)
 
-    def test_disabled_registry_renders_empty(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("never_total", "").inc()
-        assert to_prometheus(registry) == ""
-
 
 # ---------------------------------------------------------------------- #
 # JSON snapshots
@@ -177,7 +172,6 @@ class TestSnapshot:
         h = registry.histogram("s_seconds", "")
         h.observe(0.25)
         data = snapshot(registry, extra={"source": "test"})
-        assert data["enabled"] is True
         assert data["meta"] == {"source": "test"}
         series = data["metrics"]["s_seconds"]["series"][0]
         for key in ("p50", "p90", "p99", "buckets", "count", "sum"):
@@ -320,24 +314,3 @@ class TestSchedulerTelemetry:
         )
         assert report.metrics_path is None
         assert not list(tmp_path.glob("METRICS_*"))
-
-    def test_disabled_registry_writes_no_snapshot(self, tmp_path):
-        previous = set_registry(MetricsRegistry(enabled=False))
-        try:
-            report = schedule_trace(
-                cluster=make_cluster(16),
-                jobs=_tiny_jobs(1),
-                policy="first_fit",
-                config=SchedulerConfig(search=TINY_SEARCH),
-                trace_path=str(tmp_path / "TRACE_off.json"),
-            )
-        finally:
-            set_registry(previous)
-        assert report.all_completed
-        assert report.metrics_path is None
-        assert not (tmp_path / "METRICS_TRACE_off.json").exists()
-        # The trace itself still exports in full: counter tracks ride on the
-        # explicitly requested trace_path, not on the REPRO_METRICS knob.
-        events = load_chrome_trace(report.trace_path)
-        assert any(e["ph"] == "C" for e in events)
-

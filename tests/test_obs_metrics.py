@@ -1,9 +1,8 @@
 """Unit tests of the telemetry core: registry, instruments, P², logging.
 
 Covers the :mod:`repro.obs.metrics` instrument semantics (counters, gauges,
-histograms with labeled series and streaming quantiles), the disabled-mode
-null instruments and the ``REPRO_METRICS``/``REPRO_LOG_*`` environment
-knobs, the ``timed``/``span`` helpers, the structured ``repro.*`` logging
+histograms with labeled series and streaming quantiles), the
+``REPRO_LOG_*`` environment knobs, the ``timed``/``span`` helpers, the structured ``repro.*`` logging
 setup, and the :class:`~repro.service.server.ServiceStats` delta arithmetic
 the scheduler and benchmarks report per-run statistics through.
 """
@@ -27,7 +26,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     P2Quantile,
     get_registry,
-    metrics_enabled,
     set_registry,
     span,
     timed,
@@ -37,7 +35,7 @@ from repro.service.server import ServiceStats
 
 @pytest.fixture
 def registry():
-    return MetricsRegistry(enabled=True)
+    return MetricsRegistry()
 
 
 class TestP2Quantile:
@@ -172,48 +170,6 @@ class TestHistogram:
         assert series[("hit",)].sum == pytest.approx(0.001)
 
 
-class TestDisabledRegistry:
-    def test_disabled_registry_hands_out_null_instruments(self):
-        registry = MetricsRegistry(enabled=False)
-        c = registry.counter("anything", "")
-        g = registry.gauge("anything_else", "")
-        h = registry.histogram("more", "")
-        c.inc()
-        g.set(5)
-        h.observe(1.0)
-        assert c.value == 0.0 and g.value == 0.0 and h.count == 0
-        assert h.labels(outcome="x") is h or h.labels(outcome="x").count == 0
-        assert registry.to_dict()["metrics"] == {}
-
-    def test_disabled_registry_skips_collectors(self):
-        registry = MetricsRegistry(enabled=False)
-        calls = []
-        registry.register_collector(lambda: calls.append(1))
-        registry.collect()
-        assert calls == []
-
-    def test_env_knob_off_values(self, monkeypatch):
-        for value in ("off", "0", "false", "NO", "Disabled"):
-            monkeypatch.setenv("REPRO_METRICS", value)
-            assert not metrics_enabled()
-            assert not MetricsRegistry().enabled
-        for value in ("on", "1", "TRUE", "yes", "enabled", " "):
-            monkeypatch.setenv("REPRO_METRICS", value)
-            assert metrics_enabled()
-        monkeypatch.setenv("REPRO_METRICS", "anything")
-        with pytest.raises(ValueError, match="REPRO_METRICS"):
-            metrics_enabled()
-        monkeypatch.delenv("REPRO_METRICS")
-        assert metrics_enabled()
-
-    def test_null_timed_still_measures(self):
-        registry = MetricsRegistry(enabled=False)
-        h = registry.histogram("t_seconds", "")
-        with h.time() as t:
-            pass
-        assert t.elapsed >= 0.0
-
-
 class TestRegistry:
     def test_collectors_run_on_snapshot_and_unregister(self, registry):
         calls = []
@@ -239,7 +195,7 @@ class TestRegistry:
         assert registry.get("missing") is None
 
     def test_global_registry_swap(self):
-        fresh = MetricsRegistry(enabled=True)
+        fresh = MetricsRegistry()
         previous = set_registry(fresh)
         try:
             assert get_registry() is fresh

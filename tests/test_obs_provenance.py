@@ -1,7 +1,6 @@
 """Tests for the decision-provenance ledger (:mod:`repro.obs.provenance`).
 
-The ledger's append/filter/serialize contract, the shared ``REPRO_TRACING``
-gate, and — most load-bearing — :func:`load_provenance`'s validation: the
+The ledger's append/filter/serialize contract, its bounded store, and — most load-bearing — :func:`load_provenance`'s validation: the
 report CLI and CI hold every ``PROVENANCE_*.jsonl`` artifact to "each line
 is a JSON object with a ``kind``", so malformed files must raise.
 """
@@ -14,6 +13,7 @@ import pytest
 
 from repro.obs import (
     ProvenanceLedger,
+    provenance,
     load_provenance,
     set_ledger,
     write_provenance,
@@ -22,8 +22,8 @@ from repro.obs import (
 
 @pytest.fixture
 def ledger():
-    """A fresh enabled ledger installed as the process-wide default."""
-    fresh = ProvenanceLedger(enabled=True)
+    """A fresh ledger installed as the process-wide default."""
+    fresh = ProvenanceLedger()
     previous = set_ledger(fresh)
     try:
         yield fresh
@@ -48,16 +48,34 @@ class TestLedger:
         assert [e["kind"] for e in ledger.events(since=baseline)] == ["swap", "placement"]
         assert [e["job"] for e in ledger.events(kind="placement")] == ["a", "b"]
 
-    def test_disabled_ledger_records_nothing(self):
-        disabled = ProvenanceLedger(enabled=False)
-        disabled.record("placement", job="never")
-        assert disabled.n_events == 0
-        assert disabled.events() == []
 
-    def test_clear(self, ledger):
-        ledger.record("swap")
-        ledger.clear()
-        assert ledger.n_events == 0
+class TestBoundedLedger:
+    @pytest.fixture
+    def small(self, monkeypatch):
+        monkeypatch.setattr(provenance, "_MAX_EVENTS", 4)
+        return ProvenanceLedger()
+
+    def test_seq_and_n_events_count_past_the_cap(self, small):
+        for index in range(10):
+            small.record("placement", job=index)
+        assert small.n_events == 10
+        assert small.first_held == 6
+        assert [e["seq"] for e in small.events()] == [6, 7, 8, 9]
+        assert [e["job"] for e in small.events()] == [6, 7, 8, 9]
+
+    def test_events_since_returns_only_held_events(self, small):
+        for index in range(3):
+            small.record("placement", job=index)
+        baseline = small.n_events
+        for index in range(3, 6):
+            small.record("swap", job=index)
+        assert [e["seq"] for e in small.events(since=baseline)] == [3, 4, 5]
+        assert [e["seq"] for e in small.events(since=baseline, kind="swap")] == [3, 4, 5]
+        for index in range(6, 9):
+            small.record("swap", job=index)
+        # The baseline's first events are gone; what is held comes back.
+        assert [e["seq"] for e in small.events(since=baseline)] == [5, 6, 7, 8]
+        assert small.events(since=small.n_events) == []
 
 
 class TestSerialization:

@@ -78,9 +78,9 @@ def _swap_forcing_run(out_dir: Path):
 def traced_run(tmp_path_factory):
     """One traced, provenance'd scheduler run shared by every test here."""
     out_dir = tmp_path_factory.mktemp("obs_run")
-    prev_tracer = set_tracer(Tracer(enabled=True))
-    prev_ledger = set_ledger(ProvenanceLedger(enabled=True))
-    prev_registry = set_registry(MetricsRegistry(enabled=True))
+    prev_tracer = set_tracer(Tracer())
+    prev_ledger = set_ledger(ProvenanceLedger())
+    prev_registry = set_registry(MetricsRegistry())
     try:
         report = _swap_forcing_run(out_dir)
     finally:

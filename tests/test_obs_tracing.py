@@ -1,8 +1,8 @@
 """Tests for the causal span tracer (:mod:`repro.obs.tracing`).
 
 Covers the tracer's own contract — implicit parentage through the context
-variable, explicit grafting, the ``REPRO_TRACING`` kill switch, Chrome-trace
-export with flow arrows — and the parentage the search layer depends on:
+variable, explicit grafting, the bounded span store, Chrome-trace export
+with flow arrows — and the parentage the search layer depends on:
 every chain slice of a :class:`SearchSession` polled in slices hangs under
 the poll that ran it.
 """
@@ -21,15 +21,15 @@ from repro.obs import (
     Tracer,
     current_span,
     set_tracer,
-    tracing_enabled,
+    tracing,
 )
 from repro.sim import TraceRecorder, load_chrome_trace, validate_chrome_events
 
 
 @pytest.fixture
 def tracer():
-    """A fresh enabled tracer installed as the process-wide default."""
-    fresh = Tracer(enabled=True)
+    """A fresh tracer installed as the process-wide default."""
+    fresh = Tracer()
     previous = set_tracer(fresh)
     try:
         yield fresh
@@ -37,43 +37,39 @@ def tracer():
         set_tracer(previous)
 
 
-# ---------------------------------------------------------------------- #
-# The knob
-# ---------------------------------------------------------------------- #
-class TestTracingKnob:
-    @pytest.mark.parametrize("value", ["off", "0", "false", "NO", "Disabled"])
-    def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_TRACING", value)
-        assert not tracing_enabled()
-        assert not Tracer().enabled
-
-    @pytest.mark.parametrize("value", [None, "on", "1"])
-    def test_on_values(self, monkeypatch, value):
-        if value is None:
-            monkeypatch.delenv("REPRO_TRACING", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_TRACING", value)
-        assert tracing_enabled()
-
-    @pytest.mark.parametrize("value", ["anything", "of"])
-    def test_malformed_values_raise(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_TRACING", value)
-        with pytest.raises(ValueError, match="REPRO_TRACING"):
-            tracing_enabled()
-
-    def test_disabled_tracer_is_free(self):
-        disabled = Tracer(enabled=False)
-        with disabled.start_span("never", category="x") as span:
-            assert span.context is None
-            span.set(key="value")  # no-op, chainable
-        assert disabled.n_records == 0
-        disabled.append(_record("orphan"))
-        assert disabled.n_records == 0
-
-
 def _record(name: str, context: SpanContext = None) -> SpanRecord:
     context = context or SpanContext(trace_id="t", span_id=name)
     return SpanRecord(name=name, category="test", start_s=0.0, end_s=1.0, context=context)
+
+
+# ---------------------------------------------------------------------- #
+# The bounded span store
+# ---------------------------------------------------------------------- #
+class TestBoundedStore:
+    @pytest.fixture
+    def small(self, monkeypatch):
+        monkeypatch.setattr(tracing, "_MAX_RECORDS", 4)
+        return Tracer()
+
+    def test_n_records_counts_past_the_cap(self, small):
+        for index in range(10):
+            small.append(_record(f"s{index}"))
+        assert small.n_records == 10
+        assert small.first_held == 6
+        assert [r.name for r in small.records()] == ["s6", "s7", "s8", "s9"]
+
+    def test_records_since_returns_only_held_records(self, small):
+        for index in range(3):
+            small.append(_record(f"s{index}"))
+        baseline = small.n_records
+        for index in range(3, 6):
+            small.append(_record(f"s{index}"))
+        assert [r.name for r in small.records(since=baseline)] == ["s3", "s4", "s5"]
+        for index in range(6, 9):
+            small.append(_record(f"s{index}"))
+        # The baseline's first spans are gone; what is held comes back.
+        assert [r.name for r in small.records(since=baseline)] == ["s5", "s6", "s7", "s8"]
+        assert small.records(since=small.n_records) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -110,15 +106,13 @@ class TestSpanTree:
         assert record.args == {"early": 1, "late": "outcome"}
         assert record.duration_s >= 0.0
 
-    def test_records_since_and_clear(self, tracer):
+    def test_records_since_a_baseline(self, tracer):
         with tracer.start_span("one"):
             pass
         baseline = tracer.n_records
         with tracer.start_span("two"):
             pass
         assert [r.name for r in tracer.records(since=baseline)] == ["two"]
-        tracer.clear()
-        assert tracer.n_records == 0
 
     def test_context_pickles(self, tracer):
         import pickle

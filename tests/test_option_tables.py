@@ -30,7 +30,7 @@ from repro.core import (
     instructgpt_workload,
 )
 from repro.core.pruning import _CallOptions, _OptionTable
-from repro.service import PlanRequest, PlanService
+from repro.service import PlanRequest, PlanService, server
 
 GRAPHS = {
     "ppo": build_ppo_graph,
@@ -281,6 +281,55 @@ class TestServiceTables:
         for request, cost in zip(requests, costs):
             with PlanService(warm_start=False) as fresh:
                 assert fresh.plan(request).cost == cost
+
+
+class TestServiceTableLRU:
+    # Seventeen distinct small clusters: one to four nodes of 1, 2, 4 or 8
+    # GPUs, and single nodes of 2-7 GPUs.
+    CLUSTERS = [
+        make_cluster(n_gpus, gpus_per_node=per_node)
+        for per_node, sizes in ((8, (8, 16, 24, 32)), (4, (8,)), (2, (4, 6, 8)), (1, (2, 3, 4)))
+        for n_gpus in sizes
+    ] + [make_cluster(n_gpus) for n_gpus in range(2, 8)]
+
+    @staticmethod
+    def _requests():
+        """One request per cluster, then a second graph on the first cluster, then the second."""
+        base = TestServiceTables._request("ppo")
+        requests = [dataclasses.replace(base, cluster=c) for c in TestServiceTableLRU.CLUSTERS]
+        requests.insert(server._MAX_OPTION_TABLES, dataclasses.replace(
+            TestServiceTables._request("grpo"), cluster=requests[0].cluster
+        ))
+        requests.append(dataclasses.replace(
+            TestServiceTables._request("grpo"), cluster=requests[1].cluster
+        ))
+        return requests
+
+    def test_one_table_past_the_cap_evicts_the_least_recently_used(self, monkeypatch):
+        assert len(self.CLUSTERS) == server._MAX_OPTION_TABLES + 1
+        assert len({(c.n_nodes, c.gpus_per_node) for c in self.CLUSTERS}) == len(self.CLUSTERS)
+        requests = self._requests()
+        keys = [request.fingerprint().option_table_key for request in requests]
+        with PlanService() as bounded:
+            plans = []
+            for index, request in enumerate(requests):
+                plans.append(bounded.plan(request).plan)
+                if index == server._MAX_OPTION_TABLES:
+                    # The grpo request made the first table the newest; the
+                    # cap's +1-th cluster then evicts the second, the oldest.
+                    assert list(bounded._option_tables) == keys[1:index] + [keys[0]]
+                if index == server._MAX_OPTION_TABLES + 1:
+                    assert len(bounded._option_tables) == server._MAX_OPTION_TABLES
+                    assert keys[1] not in bounded._option_tables
+                    assert keys[0] in bounded._option_tables
+            # Planning on the evicted cluster again rebuilds its table.
+            assert keys[-1] == keys[1] and keys[1] in bounded._option_tables
+            assert len(bounded._option_tables) == server._MAX_OPTION_TABLES
+        monkeypatch.setattr(server, "_MAX_OPTION_TABLES", 10**6)
+        with PlanService() as unbounded:
+            for request, plan in zip(requests, plans):
+                assert unbounded.plan(request).plan.assignments == plan.assignments
+            assert len(unbounded._option_tables) == len(self.CLUSTERS)
 
 
 def test_option_table_key_ignores_graph_workload_and_search():
