@@ -73,7 +73,7 @@ class ModelFunctionCall:
         return self.call_type is FunctionCallType.TRAIN_STEP
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataflowGraph:
     """A directed acyclic graph of model function calls for one RLHF iteration.
 
@@ -82,6 +82,9 @@ class DataflowGraph:
     iterations).  The graph validates itself on construction: keys consumed
     by a call must be produced by exactly one call or listed as an external
     input (e.g. the prompt dataset), and the graph must be acyclic.
+
+    The graph is frozen: the scheduler hands one graph object to every job
+    of the same type, so none may change it after construction.
     """
 
     calls: List[ModelFunctionCall]
@@ -93,18 +96,20 @@ class DataflowGraph:
         names = [c.name for c in self.calls]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate call names in dataflow graph: {names}")
-        self._by_name: Dict[str, ModelFunctionCall] = {c.name: c for c in self.calls}
-        self._producers: Dict[str, str] = {}
+        by_name: Dict[str, ModelFunctionCall] = {c.name: c for c in self.calls}
+        producers: Dict[str, str] = {}
         for call in self.calls:
             for key in call.output_keys:
-                if key in self._producers:
+                if key in producers:
                     raise ValueError(
                         f"data key {key!r} produced by both "
-                        f"{self._producers[key]!r} and {call.name!r}"
+                        f"{producers[key]!r} and {call.name!r}"
                     )
-                self._producers[key] = call.name
-        self._edges = self._build_edges()
-        self._order = self._topological_order()
+                producers[key] = call.name
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_producers", producers)
+        object.__setattr__(self, "_edges", self._build_edges())
+        object.__setattr__(self, "_order", self._topological_order())
 
     # ------------------------------------------------------------------ #
     # Construction

@@ -40,6 +40,14 @@ class ReallocCostModel:
     ``exact=False`` (the default, used by the plan-search estimator) applies
     the paper's approximation — data volume divided by link bandwidth — so a
     candidate plan can be scored in microseconds.
+
+    Costs are memoised for the model's lifetime, keyed by the full
+    :class:`~repro.model.config.ModelConfig` (not its name) and both meshes'
+    geometry and parallel strategies, so one model can serve callers of
+    different workloads on its cluster.  A
+    :class:`~repro.service.server.PlanService` keeps one exact model per
+    carved cluster, shared by the runtime engines of every scheduler that
+    uses the service.
     """
 
     def __init__(self, cluster: ClusterSpec, exact: bool = False) -> None:
@@ -49,7 +57,7 @@ class ReallocCostModel:
 
     def _key(self, config: ModelConfig, src: Allocation, dst: Allocation) -> Tuple:
         return (
-            config.name,
+            config,
             src.mesh.node_start,
             src.mesh.n_nodes,
             src.mesh.gpu_start,

@@ -27,7 +27,7 @@ pre-kernel implementation, see ``tests/test_golden_traces.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster.hardware import ClusterSpec
 from ..core.call_cost import CallCostModel, CostBreakdown
@@ -159,13 +159,19 @@ class RuntimeEngine:
         cluster: ClusterSpec,
         workload: RLHFWorkload,
         use_cuda_graph: bool = True,
+        realloc_model: Optional[ReallocCostModel] = None,
     ) -> None:
         self.cluster = cluster
         self.workload = workload
         self.use_cuda_graph = use_cuda_graph
         # The engine plays the exact broadcast schedule of Figure 6, unlike
-        # the estimator's bandwidth approximation.
-        self.realloc_model = ReallocCostModel(cluster, exact=True)
+        # the estimator's bandwidth approximation.  A given model (shared by
+        # engines of other workloads on an equal cluster) must be exact too.
+        if realloc_model is None:
+            realloc_model = ReallocCostModel(cluster, exact=True)
+        elif not realloc_model.exact or realloc_model.cluster != cluster:
+            raise ValueError("realloc_model must be an exact model of the engine's cluster")
+        self.realloc_model = realloc_model
         self._cost_models: Dict[str, CallCostModel] = {}
 
     # ------------------------------------------------------------------ #

@@ -126,18 +126,7 @@ class PlanCosting:
         return job.first_started_at is not None
 
     def _memo_key(self, job: Job, partition: Partition) -> tuple:
-        spec = job.spec
-        return (
-            spec.algorithm.lower(),
-            spec.actor_size,
-            spec.critic_size,
-            spec.batch_size,
-            spec.prompt_len,
-            spec.gen_len,
-            spec.n_ppo_minibatches,
-            partition.shape,
-            self._is_replan(job),
-        )
+        return (job.spec.planning_key, partition.shape, self._is_replan(job))
 
     def score(self, pairs: Sequence[Tuple[Job, Partition]]) -> List[Candidate]:
         """Score one *wave* of candidates; infeasible/failed ones stay in place.

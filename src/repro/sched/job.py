@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..core.dataflow import DataflowGraph
 from ..core.plan import ExecutionPlan
@@ -85,6 +85,24 @@ class JobSpec:
                 f"job {self.name!r} requests unknown RLHF algorithm "
                 f"{self.algorithm!r}; available: {available_algorithms()}"
             )
+
+    @property
+    def planning_key(self) -> Tuple:
+        """The job's type: specs with equal keys build equal graphs and workloads.
+
+        Everything a plan, a profile or a scored candidate depends on besides
+        the partition; name, priority, arrival, length and GPU range are not
+        part of it.
+        """
+        return (
+            self.algorithm.lower(),
+            self.actor_size,
+            self.critic_size,
+            self.batch_size,
+            self.prompt_len,
+            self.gen_len,
+            self.n_ppo_minibatches,
+        )
 
     @property
     def gpu_ceiling(self) -> float:

@@ -8,10 +8,15 @@ iteration time (dispatch overheads, reallocation broadcasts and data
 transfers included) plus the intra-iteration phase spans that the merged
 Chrome trace and displacement bookkeeping are built from.
 
-Profiles are cached by (workload, partition shape, plan): same-shaped
-partitions pose byte-identical execution problems, so a trace of concurrent
-jobs costs a handful of engine runs, mirroring how the plan service
-collapses same-shaped searches.
+Profiles are cached per scheduler by (job type, partition shape, plan):
+same-shaped partitions pose byte-identical execution problems, so a trace
+of concurrent jobs costs a handful of engine runs, mirroring how the plan
+service collapses same-shaped searches.  The engines' exact remap costs
+(the broadcast schedules of parameter reallocation) are memoised one level
+up, per plan service: the scheduler's profiler asks the service for the
+exact :class:`~repro.realloc.cost.ReallocCostModel` of each carved cluster,
+keyed there by the full model config and both layouts, so a later scheduler
+on the same service re-runs its engines without re-planning any remap.
 
 :class:`MigrationCostModel` charges the *switching* cost of moving a running
 job between partitions (elastic resize, preemption recovery, failure
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..cluster.hardware import ClusterSpec
 from ..cluster.topology import DeviceMesh
@@ -72,9 +77,22 @@ class IterationProfile:
 
 
 class IterationProfiler:
-    """Cached engine runs: (workload, partition shape, plan) -> profile."""
+    """Cached engine runs: (job type, partition shape, plan) -> profile.
 
-    def __init__(self) -> None:
+    ``realloc_models`` maps a partition's carved cluster to the exact
+    :class:`~repro.realloc.cost.ReallocCostModel` the engines on it price
+    remaps with (the scheduler passes its plan service's
+    :meth:`~repro.service.server.PlanService.realloc_model_for`); by default
+    each engine gets a model of its own.
+    """
+
+    def __init__(
+        self,
+        realloc_models: Optional[Callable[[ClusterSpec], ReallocCostModel]] = None,
+    ) -> None:
+        self._realloc_models = realloc_models or (
+            lambda cluster: ReallocCostModel(cluster, exact=True)
+        )
         self._profiles: Dict[Tuple, IterationProfile] = {}
         self._engines: Dict[Tuple, object] = {}
         # id(plan) → (plan, canonical JSON key).  Plans are shared objects
@@ -85,22 +103,9 @@ class IterationProfiler:
         self._plan_keys: Dict[int, Tuple[ExecutionPlan, str]] = {}
         self.engine_runs = 0
 
-    @staticmethod
-    def _workload_key(job: Job) -> Tuple:
-        spec = job.spec
-        return (
-            spec.algorithm.lower(),
-            spec.actor_size,
-            spec.critic_size,
-            spec.batch_size,
-            spec.prompt_len,
-            spec.gen_len,
-            spec.n_ppo_minibatches,
-        )
-
     def profile(self, job: Job, partition: Partition, plan: ExecutionPlan) -> IterationProfile:
         """The engine-derived iteration profile of running ``plan`` there."""
-        workload_key = self._workload_key(job)
+        workload_key = job.spec.planning_key
         entry = self._plan_keys.get(id(plan))
         if entry is not None and entry[0] is plan:
             plan_key = entry[1]
@@ -117,7 +122,10 @@ class IterationProfiler:
         engine_key = (workload_key, partition.shape)
         engine = self._engines.get(engine_key)
         if engine is None:
-            engine = RuntimeEngine(partition.spec, job.workload)
+            engine = RuntimeEngine(
+                partition.spec, job.workload,
+                realloc_model=self._realloc_models(partition.spec),
+            )
             self._engines[engine_key] = engine
         trace = engine.run_iteration(job.graph, plan)
         self.engine_runs += 1

@@ -245,7 +245,16 @@ class ClusterScheduler:
         self._trace_baseline = self._tracer.n_records
         self._ledger = get_ledger()
         self._ledger_baseline = self._ledger.n_events
-        self.jobs = [Job.from_spec(spec) for spec in jobs]
+        # Jobs of one type share one graph and one workload, built here, so
+        # a builder re-registered between schedulers is honoured.
+        job_types: Dict[Tuple, Tuple] = {}
+        self.jobs: List[Job] = []
+        for spec in jobs:
+            key = spec.planning_key
+            if key not in job_types:
+                job_types[key] = (spec.build_graph(), spec.build_workload())
+            graph, workload = job_types[key]
+            self.jobs.append(Job(spec=spec, graph=graph, workload=workload))
         self.manager = PartitionManager(cluster)
         self.costing = PlanCosting(
             service=self.service,
@@ -255,7 +264,7 @@ class ClusterScheduler:
             registry=self.registry,
             memoize=self.config.memoize_candidates,
         )
-        self.profiler = IterationProfiler()
+        self.profiler = IterationProfiler(realloc_models=self.service.realloc_model_for)
         self.migration = MigrationCostModel(cluster)
         self.kernel = SimKernel()
         self._queue: List[Job] = []
@@ -559,8 +568,9 @@ class ClusterScheduler:
         """
         ahead = 1 if job.session is not None else int(job.remaining_iterations)
         time = job.next_boundary_at
+        step = job.seconds_per_iteration
         for _ in range(ahead - 1):
-            time += job.seconds_per_iteration
+            time += step
         job.armed_boundaries = ahead
         job.pending_event = self._push(time, _ITERATION, (job, job.generation))
 
@@ -568,23 +578,44 @@ class ClusterScheduler:
         """Bank the boundaries the armed event skipped (all but its own).
 
         Each banked boundary does exactly what its own kernel event would
-        have: accrue GPU time up to it, complete one iteration, start the
-        next.  A cut stops at its ``until`` time; ``inclusive`` says whether a
-        boundary at that very time would already have been handled (cuts
-        from dispatch run after the timestamp drained; failures run first).
+        have: accrue GPU time up to it (:meth:`Job.accrue_gpu_time`, inlined
+        with the same per-boundary float operations), complete one
+        iteration, start the next.  A cut stops at its ``until`` time;
+        ``inclusive`` says whether a boundary at that very time would already
+        have been handled (cuts from dispatch run after the timestamp
+        drained; failures run first).
         """
         limit = job.armed_boundaries - 1
         boundary = job.next_boundary_at
+        step = job.seconds_per_iteration
+        start = job.segment_started_at
+        billed = start is not None and job.partition is not None
+        n_gpus = job.partition.n_gpus if billed else 0
+        gpu_seconds = job.gpu_seconds
+        done = job.iterations_done
+        busy = self._busy_until
         banked = 0
         while banked < limit and (boundary <= until if inclusive else boundary < until):
-            self._accrue(job, boundary)
-            job.iterations_done += 1.0
-            job.iteration_started_at = boundary
-            boundary += job.seconds_per_iteration
+            # max(0.0, elapsed) and max(busy, boundary), spelled without calls.
+            if billed:
+                elapsed = boundary - start
+                gpu_seconds += (elapsed if elapsed > 0.0 else 0.0) * n_gpus
+            start = boundary
+            if boundary > busy:
+                busy = boundary
+            done += 1.0
+            boundary += step
             banked += 1
-        job.next_boundary_at = boundary
-        job.armed_boundaries -= banked
-        self._n_banked_boundaries += banked
+        if banked:
+            if job.segment_started_at is not None:
+                job.segment_started_at = start
+            job.gpu_seconds = gpu_seconds
+            job.iterations_done = done
+            job.iteration_started_at = start
+            job.next_boundary_at = boundary
+            job.armed_boundaries -= banked
+            self._busy_until = busy
+            self._n_banked_boundaries += banked
 
     def _complete(self, job: Job, time: float) -> None:
         self._stop_session(job)

@@ -50,6 +50,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.provenance import get_ledger
 from ..obs.tracing import SpanContext, get_tracer
+from ..realloc.cost import ReallocCostModel
 from .cache import PlanCache, PlanCacheEntry
 from .fingerprint import WorkloadFingerprint, fingerprint_request
 from .warm_start import adapt_plan, select_warm_start
@@ -67,6 +68,10 @@ __all__ = [
 _MAX_OPTION_TABLES = 16
 """How many compiled option tables (one per cluster and prune content) a
 :class:`PlanService` keeps, least recently used evicted first."""
+
+_MAX_REALLOC_MODELS = 16
+"""How many exact remap cost models (one per cluster) a :class:`PlanService`
+keeps, least recently used evicted first."""
 
 
 @dataclass(frozen=True)
@@ -447,6 +452,7 @@ class PlanService:
             weakref.WeakValueDictionary()
         )
         self._option_tables: "OrderedDict[str, _OptionTable]" = OrderedDict()
+        self._realloc_models: "OrderedDict[ClusterSpec, ReallocCostModel]" = OrderedDict()
         self._lock = threading.RLock()
         self._closed = False
         self._log = get_logger("service")
@@ -710,6 +716,28 @@ class PlanService:
         while len(self._option_tables) > _MAX_OPTION_TABLES:
             self._option_tables.popitem(last=False)
         return table
+
+    def realloc_model_for(self, cluster: ClusterSpec) -> ReallocCostModel:
+        """The exact remap cost model of ``cluster``, shared per service.
+
+        The runtime engines a scheduler builds on this service's behalf (one
+        per job type and partition shape) price their parameter remaps with
+        it, so each distinct remap on a carved cluster is planned once per
+        service rather than once per engine.  The model's memo keys on the
+        full model config, so engines of different workloads can share it.
+        A rebuilt model returns equal costs, so evicting one changes no
+        outcome.
+        """
+        with self._lock:
+            model = self._realloc_models.get(cluster)
+            if model is not None:
+                self._realloc_models.move_to_end(cluster)
+                return model
+            model = ReallocCostModel(cluster, exact=True)
+            self._realloc_models[cluster] = model
+            while len(self._realloc_models) > _MAX_REALLOC_MODELS:
+                self._realloc_models.popitem(last=False)
+            return model
 
     def _estimator_for(
         self, request: PlanRequest, fingerprint: WorkloadFingerprint
