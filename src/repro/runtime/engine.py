@@ -166,11 +166,9 @@ class RuntimeEngine:
         self.use_cuda_graph = use_cuda_graph
         # The engine plays the exact broadcast schedule of Figure 6, unlike
         # the estimator's bandwidth approximation.  A given model (shared by
-        # engines of other workloads on an equal cluster) must be exact too.
+        # engines of other workloads) must be an exact model of ``cluster``.
         if realloc_model is None:
             realloc_model = ReallocCostModel(cluster, exact=True)
-        elif not realloc_model.exact or realloc_model.cluster != cluster:
-            raise ValueError("realloc_model must be an exact model of the engine's cluster")
         self.realloc_model = realloc_model
         self._cost_models: Dict[str, CallCostModel] = {}
 

@@ -196,10 +196,6 @@ class Job:
     gpu_seconds: float = 0.0
     uid: int = field(default_factory=lambda: next(_JOB_IDS))
 
-    @classmethod
-    def from_spec(cls, spec: JobSpec) -> "Job":
-        return cls(spec=spec, graph=spec.build_graph(), workload=spec.build_workload())
-
     @property
     def name(self) -> str:
         return self.spec.name

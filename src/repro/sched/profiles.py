@@ -82,17 +82,11 @@ class IterationProfiler:
     ``realloc_models`` maps a partition's carved cluster to the exact
     :class:`~repro.realloc.cost.ReallocCostModel` the engines on it price
     remaps with (the scheduler passes its plan service's
-    :meth:`~repro.service.server.PlanService.realloc_model_for`); by default
-    each engine gets a model of its own.
+    :meth:`~repro.service.server.PlanService.realloc_model_for`).
     """
 
-    def __init__(
-        self,
-        realloc_models: Optional[Callable[[ClusterSpec], ReallocCostModel]] = None,
-    ) -> None:
-        self._realloc_models = realloc_models or (
-            lambda cluster: ReallocCostModel(cluster, exact=True)
-        )
+    def __init__(self, realloc_models: Callable[[ClusterSpec], ReallocCostModel]) -> None:
+        self._realloc_models = realloc_models
         self._profiles: Dict[Tuple, IterationProfile] = {}
         self._engines: Dict[Tuple, object] = {}
         # id(plan) → (plan, canonical JSON key).  Plans are shared objects

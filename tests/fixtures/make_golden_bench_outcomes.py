@@ -359,19 +359,18 @@ def _decision() -> Dict[str, Any]:
     cluster = make_cluster(32)
     manager = PartitionManager(cluster)
     search = _search(60)
-    jobs = [
-        Job.from_spec(
-            JobSpec(
-                name=f"job-{i}",
-                algorithm="grpo" if i % 2 else "ppo",
-                batch_size=128 if i % 2 else 256,
-                target_iterations=10,
-                min_gpus=8,
-                max_gpus=32,
-            )
+    specs = [
+        JobSpec(
+            name=f"job-{i}",
+            algorithm="grpo" if i % 2 else "ppo",
+            batch_size=128 if i % 2 else 256,
+            target_iterations=10,
+            min_gpus=8,
+            max_gpus=32,
         )
         for i in range(4)
     ]
+    jobs = [Job(spec, spec.build_graph(), spec.build_workload()) for spec in specs]
     pairs = [
         (job, shape)
         for job in jobs

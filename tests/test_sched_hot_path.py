@@ -40,7 +40,6 @@ from repro.core import (
 from repro.model import get_model_config
 from repro.realloc import ReallocCostModel
 from repro.realloc import cost as realloc_cost
-from repro.runtime import RuntimeEngine
 from repro.sched import ClusterScheduler, Job, JobSpec, equal_node_partitions
 from repro.service import PlanService, server
 
@@ -287,14 +286,3 @@ def test_remap_memo_keys_on_the_full_model_config():
     assert model.cost(deeper, src, dst).bytes_sent > shallow_cost.bytes_sent
     assert model.cost(config, src, dst) is shallow_cost
 
-
-def test_engine_rejects_a_remap_model_it_cannot_use():
-    cluster = make_cluster(8)
-    workload = instructgpt_workload("7b", "7b", batch_size=64)
-    with pytest.raises(ValueError):
-        RuntimeEngine(cluster, workload, realloc_model=ReallocCostModel(cluster, exact=False))
-    with pytest.raises(ValueError):
-        other_cluster = ReallocCostModel(make_cluster(16), exact=True)
-        RuntimeEngine(cluster, workload, realloc_model=other_cluster)
-    shared = ReallocCostModel(cluster, exact=True)
-    assert RuntimeEngine(cluster, workload, realloc_model=shared).realloc_model is shared

@@ -149,13 +149,12 @@ class TestDecisionWave:
             max_iterations=20, time_budget_s=600.0, seed=0, record_history=False
         )
         shapes = PartitionManager(make_cluster(16)).distinct_shapes(min_gpus=8)
-        jobs = [
-            Job.from_spec(tiny_job(f"b{batch}", batch_size=batch, max_gpus=16))
-            for batch in (64, 128, 192)
-        ]
+        specs = [tiny_job(f"b{batch}", batch_size=batch, max_gpus=16) for batch in (64, 128, 192)]
+        jobs = [Job(spec, spec.build_graph(), spec.build_workload()) for spec in specs]
         # Six misses of one fingerprint family in a single wave.
         pairs = [(job, partition) for job in jobs for partition in shapes]
-        seed_job = Job.from_spec(tiny_job("seed", batch_size=256))
+        seed_spec = tiny_job("seed", batch_size=256)
+        seed_job = Job(seed_spec, seed_spec.build_graph(), seed_spec.build_workload())
 
         def score(wave):
             with PlanService() as service:
