@@ -92,10 +92,12 @@ class CallCostModel:
     only through its hardware — ``gpu``, ``interconnect`` and
     ``gpus_per_node`` — never on ``n_nodes``.  The estimator keys its
     per-call memos on (content token, shape)
-    (:meth:`~repro.core.estimator.RuntimeEstimator._shape_key`), where the
-    token of :meth:`CallCostTable.token` names the call type, model,
-    workload, one-node cluster and CUDA-graph setting; so a position-aware
-    model (e.g. for heterogeneous clusters) must widen that key.
+    (:meth:`~repro.core.estimator.RuntimeEstimator._shape_key`): the token of
+    :meth:`CallCostTable.token` names the call type, model, workload,
+    one-node cluster and CUDA-graph setting, and the shape is the
+    allocation's :attr:`~repro.core.plan.Allocation.key` without
+    ``node_start`` and ``gpu_start``.  A position-aware model (e.g. for
+    heterogeneous clusters) must therefore widen that key.
 
     Parameters
     ----------

@@ -12,12 +12,15 @@ search cost that penalises out-of-memory plans:
 
 Evaluating one plan takes a fraction of a millisecond, which is what makes
 the MCMC search over :math:`10^{16}`-sized spaces feasible.  To get there,
-the estimator memoises every expensive per-component quantity — per-call
-:class:`CostBreakdown` totals by call content and shape (position-free, in a
-:class:`~repro.core.call_cost.CallCostTable` that estimators may share),
-reallocation-edge costs by ``(model, src layout, dst layout)``,
-data-transfer times by edge and layout pair, and per-call memory
-contributions — and offers an incremental
+the estimator memoises every expensive per-component quantity, keyed by
+each allocation's :attr:`~repro.core.plan.Allocation.key` or a part of it —
+per-call :class:`CostBreakdown` totals by call content and shape
+(position-free, in a :class:`~repro.core.call_cost.CallCostTable` that
+estimators may share), reallocation-edge costs by model, destination
+TP/PP and whether the move crosses nodes, data-transfer times by
+destination call and node crossing, per-call memory contributions by
+strategy, and whole-plan evaluations by the tuple of the plan's keys —
+and offers an incremental
 :meth:`RuntimeEstimator.cost_delta` path that re-evaluates a plan after a
 single-call move by recomputing only what that move can affect (the moved
 call's duration, its model's reallocation edges, its incident data-transfer
@@ -64,9 +67,6 @@ _MAX_PLAN_STATES = 32
 
 _MAX_PLAN_EVALS = 16384
 """Default LRU capacity of the signature-keyed (TimeCost, MaxMem) eval cache."""
-
-_MAX_INTERNED_ALLOCS = 65536
-"""How many allocation objects to keep in the key-interning identity map."""
 
 
 @dataclass(slots=True)
@@ -308,17 +308,6 @@ class RuntimeEstimator:
         self._eval_cache: "OrderedDict[Tuple, Tuple[float, float]]" = OrderedDict()
         self._eval_cache_size = int(eval_cache_size)
         self.eval_cache_stats = EvalCacheStats()
-        # Allocation-key interning: option tables hold a fixed population of
-        # Allocation objects that get keyed millions of times per search, so
-        # the key of each *object* (by id) is remembered and value-equal keys
-        # collapse onto one shared tuple.  Each entry stores ``(alloc, key)``
-        # together: the stored reference pins the object so its id cannot be
-        # recycled while its memo entry lives, and keeping pin and key in one
-        # dict value means a concurrent overflow ``clear()`` can only drop
-        # whole entries (forcing a recompute), never leave a key behind for a
-        # recycled id.
-        self._alloc_key_by_id: Dict[int, Tuple[Allocation, Tuple]] = {}
-        self._key_intern: Dict[Tuple, Tuple] = {}
         # Simulation constants: indegrees and the initial ready heap.  Heap
         # entries carry the call's alphabetical rank so equal-ready-time ties
         # resolve exactly as they would with ``(time, name)`` keys.
@@ -339,88 +328,18 @@ class RuntimeEstimator:
     # ------------------------------------------------------------------ #
     # Cache keys (flat int tuples: cheap to build, hash and compare)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _alloc_key(alloc: Allocation) -> Tuple:
-        mesh, parallel = alloc.mesh, alloc.parallel
-        return (
-            mesh.node_start,
-            mesh.n_nodes,
-            mesh.gpu_start,
-            mesh.gpus_per_node,
-            parallel.dp,
-            parallel.tp,
-            parallel.pp,
-            alloc.n_microbatches,
-            alloc.zero3,
-        )
-
     def _shape_key(self, call_name: str, alloc: Allocation) -> Tuple:
         """Position-free identity of a call under an allocation.
 
         :class:`CallCostModel` never reads where a mesh sits (``node_start``,
         ``gpu_start``), so every allocation of one shape shares a breakdown,
         and the call enters only through its content token, so every call
-        with the same content does too.  Built from the attributes rather
-        than :meth:`_key_for`, so sweeping every option (greedy
-        initialisation) interns none of them.
+        with the same content does too.  It is the allocation's
+        :attr:`~repro.core.plan.Allocation.key` without the two position
+        entries, behind the call's token.
         """
-        mesh, parallel = alloc.mesh, alloc.parallel
-        return (
-            self._call_token[call_name],
-            mesh.n_nodes,
-            mesh.gpus_per_node,
-            parallel.dp,
-            parallel.tp,
-            parallel.pp,
-            alloc.n_microbatches,
-            alloc.zero3,
-        )
-
-    @staticmethod
-    def _layout_key(alloc: Allocation) -> Tuple:
-        """Identity of an allocation as far as parameter layout is concerned."""
-        mesh, parallel = alloc.mesh, alloc.parallel
-        return (
-            mesh.node_start,
-            mesh.n_nodes,
-            mesh.gpu_start,
-            mesh.gpus_per_node,
-            parallel.dp,
-            parallel.tp,
-            parallel.pp,
-        )
-
-    @staticmethod
-    def _transfer_key(alloc: Allocation) -> Tuple:
-        """Identity of an allocation as far as data movement is concerned."""
-        mesh, parallel = alloc.mesh, alloc.parallel
-        return (
-            mesh.node_start,
-            mesh.n_nodes,
-            mesh.gpu_start,
-            mesh.gpus_per_node,
-            parallel.dp,
-            parallel.tp,
-        )
-
-    def _key_for(self, alloc: Allocation) -> Tuple:
-        """Interned allocation key: one shared tuple per distinct allocation.
-
-        Plans reference the fixed Allocation population of the searcher's
-        option table, so keying by object identity turns the 9-attribute
-        tuple build into a single dict lookup on the hot path.  The memo is
-        bounded; overflowing it (pathological churn of fresh Allocation
-        objects) just resets the identity map, never the interned values.
-        """
-        entry = self._alloc_key_by_id.get(id(alloc))
-        if entry is not None:
-            return entry[1]
-        raw = self._alloc_key(alloc)
-        key = self._key_intern.setdefault(raw, raw)
-        if len(self._alloc_key_by_id) >= _MAX_INTERNED_ALLOCS:
-            self._alloc_key_by_id.clear()
-        self._alloc_key_by_id[id(alloc)] = (alloc, key)
-        return key
+        key = alloc.key
+        return (self._call_token[call_name], key[1]) + key[3:]
 
     def _plan_signature(self, plan: ExecutionPlan) -> Tuple:
         # The same plan object is typically queried many times in a row (the
@@ -428,8 +347,8 @@ class RuntimeEstimator:
         memo_plan, memo_sig = self._sig_memo
         if plan is memo_plan:
             return memo_sig
-        key_for = self._key_for
-        signature = tuple(key_for(plan[name]) for name in self._call_names)
+        assignments = plan.assignments
+        signature = tuple([assignments[name].key for name in self._call_names])
         self._sig_memo = (plan, signature)
         return signature
 
@@ -480,19 +399,12 @@ class RuntimeEstimator:
     def _realloc_seconds(self, model_name: str, src: Allocation, dst: Allocation) -> float:
         """Seconds to remap ``model_name``'s parameters from ``src`` to ``dst``.
 
-        The approximate reallocation model (the default for plan search)
+        The estimator's reallocation model is the approximate one, which
         depends only on the destination's TP/PP sharding and on whether the
-        move crosses nodes, so its memo key collapses to that; the exact
-        broadcast-schedule model keys on the full (src, dst) layout pair.
+        move crosses nodes, so its memo key collapses to that.
         """
-        if self.realloc_model.exact:
-            key = (model_name, self._layout_key(src), self._layout_key(dst))
-        else:
-            cross = (src.mesh.node_start, src.mesh.n_nodes) != (
-                dst.mesh.node_start,
-                dst.mesh.n_nodes,
-            )
-            key = (model_name, dst.parallel.tp, dst.parallel.pp, cross)
+        cross = src.key[:2] != dst.key[:2]
+        key = (model_name, dst.parallel.tp, dst.parallel.pp, cross)
         cached = self._realloc_cache.get(key) if self.use_cache else None
         if cached is not None:
             return cached
@@ -517,7 +429,7 @@ class RuntimeEstimator:
             sequence = calls + [calls[0]]
             for src_call, dst_call in zip(sequence[:-1], sequence[1:]):
                 src, dst = alloc_of(src_call), alloc_of(dst_call)
-                if self._layout_key(src) == self._layout_key(dst):
+                if src.key[:7] == dst.key[:7]:
                     continue
                 realloc_in[self._call_index[dst_call]] = self._realloc_seconds(
                     model_name, src, dst
@@ -567,9 +479,8 @@ class RuntimeEstimator:
     def _edge_transfer_cached(
         self, src_name: str, dst_name: str, src_alloc: Allocation, dst_alloc: Allocation
     ) -> float:
-        src_key = self._transfer_key(src_alloc)
-        dst_key = self._transfer_key(dst_alloc)
-        if src_key == dst_key:
+        src_key, dst_key = src_alloc.key, dst_alloc.key
+        if src_key[:6] == dst_key[:6]:
             # Same mesh and same DP/TP layout: the data is already in place.
             return 0.0
         cross = src_key[:2] != dst_key[:2]
@@ -602,15 +513,7 @@ class RuntimeEstimator:
         """
         if not self.use_cache:
             return self._compute_mem_contrib(call_name, alloc)
-        parallel = alloc.parallel
-        key = (
-            call_name,
-            parallel.dp,
-            parallel.tp,
-            parallel.pp,
-            alloc.n_microbatches,
-            alloc.zero3,
-        )
+        key = (call_name,) + alloc.key[4:]
         cached = self._mem_cache.get(key)
         if cached is None:
             cached = self._compute_mem_contrib(call_name, alloc)
@@ -678,25 +581,21 @@ class RuntimeEstimator:
         plan: ExecutionPlan,
         call_name: str,
         new_alloc: Allocation,
-        signature: Tuple,
-        new_key: Tuple,
     ) -> _PlanState:
         """State of ``plan`` with one call moved, updating only what changed:
         the moved call's duration, its model's reallocation edges, its
         incident data-transfer edges, its mesh and its memory contribution.
 
-        ``signature`` is the base plan's signature and ``new_key`` the moved
-        allocation's key; layout/transfer identities are tuple slices of
-        those, so no dataclass attribute walking happens on this path.
+        Layout and transfer identities are prefixes of the allocations'
+        :attr:`~repro.core.plan.Allocation.key`, so no dataclass attribute
+        walking happens on this path.
         """
         call_index = self._call_index
         call_id = call_index[call_name]
-
-        def key_of(name: str) -> Tuple:
-            return new_key if name == call_name else signature[call_index[name]]
+        assignments = plan.assignments
 
         def alloc_of(name: str) -> Allocation:
-            return new_alloc if name == call_name else plan[name]
+            return new_alloc if name == call_name else assignments[name]
 
         durations = base.durations.copy()
         durations[call_id] = self.call_time(call_name, new_alloc)
@@ -708,19 +607,17 @@ class RuntimeEstimator:
             model = self._call_model[call_name]
             realloc_in = realloc_in.copy()
             for src_call, dst_call in ((prev_call, call_name), (call_name, next_call)):
-                src_key, dst_key = key_of(src_call), key_of(dst_call)
+                src, dst = alloc_of(src_call), alloc_of(dst_call)
                 dst_id = call_index[dst_call]
-                if src_key[:7] == dst_key[:7]:
+                if src.key[:7] == dst.key[:7]:
                     realloc_in[dst_id] = 0.0
                 else:
-                    realloc_in[dst_id] = self._realloc_seconds(
-                        model, alloc_of(src_call), alloc_of(dst_call)
-                    )
+                    realloc_in[dst_id] = self._realloc_seconds(model, src, dst)
         transfers = base.transfers.copy()
         edges = self._edges
         for edge_id in self._incident_edge_ids[call_id]:
             src, dst = edges[edge_id]
-            src_key, dst_key = key_of(src), key_of(dst)
+            src_key, dst_key = alloc_of(src).key, alloc_of(dst).key
             if src_key[:6] == dst_key[:6]:
                 transfers[edge_id] = 0.0
             else:
@@ -1009,14 +906,11 @@ class RuntimeEstimator:
             return self.cost(plan.with_assignment(call_name, new_alloc), oom_penalty)
         signature = self._plan_signature(plan)
         index = self._call_index[call_name]
-        new_key = self._key_for(new_alloc)
-        moved_signature = signature[:index] + (new_key,) + signature[index + 1 :]
+        moved_signature = signature[:index] + (new_alloc.key,) + signature[index + 1 :]
 
         def build() -> _PlanState:
             base = self._state_for(plan)
-            state = self._moved_state(
-                base, plan, call_name, new_alloc, signature, new_key
-            )
+            state = self._moved_state(base, plan, call_name, new_alloc)
             self._remember_state(moved_signature, state)
             return state
 

@@ -39,12 +39,22 @@ class Allocation:
     group at the cost of per-layer parameter all-gathers.  It is used by the
     DeepSpeed-Chat and OpenRLHF baseline models; ReaL's own plans use the
     Megatron 3D layout (``zero3=False``).
+
+    ``key`` is the allocation's identity within its cluster, built once:
+    ``(node_start, n_nodes, gpu_start, gpus_per_node, dp, tp, pp,
+    n_microbatches, zero3)``.  Every allocation memo reads it or a slice of
+    it, mostly these prefixes: ``key[:2]`` the nodes (a move between
+    different ones crosses nodes), ``key[:4]`` the mesh, ``key[:6]`` the
+    data-transfer layout (mesh, DP and TP) and ``key[:7]`` the parameter
+    layout (mesh and strategy).  It stays out of ``==``, ``hash``, ``repr``
+    and :meth:`to_dict`.
     """
 
     mesh: DeviceMesh
     parallel: ParallelStrategy
     n_microbatches: int = 1
     zero3: bool = False
+    key: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_microbatches < 1:
@@ -54,6 +64,18 @@ class Allocation:
                 f"strategy {self.parallel} needs {self.parallel.world_size} GPUs "
                 f"but mesh has {self.mesh.n_gpus}"
             )
+        mesh, parallel = self.mesh, self.parallel
+        object.__setattr__(self, "key", (
+            mesh.node_start,
+            mesh.n_nodes,
+            mesh.gpu_start,
+            mesh.gpus_per_node,
+            parallel.dp,
+            parallel.tp,
+            parallel.pp,
+            self.n_microbatches,
+            self.zero3,
+        ))
 
     def describe(self) -> str:
         """Human readable one-line summary of the allocation."""

@@ -104,13 +104,7 @@ def _candidate_meshes(cluster: ClusterSpec, prune: PruneConfig) -> List[DeviceMe
     return meshes
 
 
-_MeshKey = Tuple[int, int, int, int]
 _Layouts = FrozenSet[Tuple[int, int, int]]
-
-
-def _mesh_key(mesh: DeviceMesh) -> _MeshKey:
-    """Position and shape of a device mesh, as a hashable key."""
-    return (mesh.node_start, mesh.n_nodes, mesh.gpu_start, mesh.gpus_per_node)
 
 
 class _CallOptions:
@@ -121,11 +115,12 @@ class _CallOptions:
         :meth:`~repro.core.search.MCMCSearcher._propose` indexes into with
         its RNG).
     ``by_mesh``
-        :func:`_mesh_key` of each mesh → ``(span, layouts)``: ``span`` is the
-        ``range`` of indexes its options occupy in ``options`` (they must be
-        contiguous; a list that splits a mesh raises ``ValueError``) and
-        ``layouts`` the ``(dp, tp, pp)`` strategies they use.  Meshes with
-        equal strategy sets share one frozenset.
+        Each mesh's key (its options' ``Allocation.key[:4]``) →
+        ``(span, layouts)``: ``span`` is the ``range`` of indexes its options
+        occupy in ``options`` (they must be contiguous; a list that splits a
+        mesh raises ``ValueError``) and ``layouts`` the ``(dp, tp, pp)``
+        strategies (``key[4:7]``) they use.  Meshes with equal strategy sets
+        share one frozenset.
     ``representatives``
         The first option of each distinct (mesh shape, strategy,
         micro-batches, ZeRO-3) price, in list order.  A call's time depends
@@ -136,17 +131,17 @@ class _CallOptions:
     __slots__ = ("options", "by_mesh", "representatives")
 
     def __init__(self, options: List[Allocation]) -> None:
-        by_mesh: Dict[_MeshKey, Tuple[range, _Layouts]] = {}
+        by_mesh: Dict[Tuple[int, ...], Tuple[range, _Layouts]] = {}
         layout_sets: Dict[_Layouts, _Layouts] = {}
         priced_by_shape: Dict[Tuple[int, int], set] = {}
         representatives: List[Allocation] = []
         start, n_options = 0, len(options)
         while start < n_options:
             mesh = options[start].mesh
-            key = _mesh_key(mesh)
+            key = options[start].key[:4]
             end = start + 1
             while end < n_options and (
-                options[end].mesh is mesh or _mesh_key(options[end].mesh) == key
+                options[end].mesh is mesh or options[end].key[:4] == key
             ):
                 end += 1
             if key in by_mesh:
@@ -159,7 +154,7 @@ class _CallOptions:
                 # vary fastest), so its layout is built once per run.
                 if alloc.parallel is not parallel:
                     parallel = alloc.parallel
-                    layout = (parallel.dp, parallel.tp, parallel.pp)
+                    layout = alloc.key[4:7]
                     layouts.add(layout)
                 price = (layout, alloc.n_microbatches, alloc.zero3)
                 if price not in priced:

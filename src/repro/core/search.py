@@ -47,7 +47,7 @@ from ..obs.tracing import SpanContext, SpanRecord, current_span, get_tracer
 from .dataflow import DataflowGraph
 from .estimator import DEFAULT_OOM_PENALTY, RuntimeEstimator
 from .plan import Allocation, ExecutionPlan
-from .pruning import PruneConfig, _CallOptions, _mesh_key, _OptionTable, search_space_size
+from .pruning import PruneConfig, _CallOptions, _OptionTable, search_space_size
 from .workload import RLHFWorkload
 
 __all__ = [
@@ -388,13 +388,13 @@ class MCMCSearcher:
             other = call_names[int(rng.integers(len(call_names)))]
             if other != call_name:
                 other_alloc = plan[other]
-                entry = compiled.by_mesh.get(_mesh_key(other_alloc.mesh))
-                parallel = other_alloc.parallel
-                if entry is not None and (parallel.dp, parallel.tp, parallel.pp) in entry[1]:
+                other_key = other_alloc.key
+                entry = compiled.by_mesh.get(other_key[:4])
+                if entry is not None and other_key[4:7] in entry[1]:
                     return call_name, other_alloc
         elif roll < 0.45:
             # Same mesh, different strategy / micro-batch count.
-            entry = compiled.by_mesh.get(_mesh_key(plan[call_name].mesh))
+            entry = compiled.by_mesh.get(plan[call_name].key[:4])
             if entry is not None:
                 span = entry[0]
                 return call_name, choices[span[int(rng.integers(len(span)))]]

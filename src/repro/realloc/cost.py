@@ -42,9 +42,9 @@ class ReallocCostModel:
     candidate plan can be scored in microseconds.
 
     Costs are memoised for the model's lifetime, keyed by the full
-    :class:`~repro.model.config.ModelConfig` (not its name) and both meshes'
-    geometry and parallel strategies, so one model can serve callers of
-    different workloads on its cluster.  A
+    :class:`~repro.model.config.ModelConfig` (not its name) and both
+    allocations' parameter layouts (``key[:7]``: mesh and strategy), so one
+    model can serve callers of different workloads on its cluster.  A
     :class:`~repro.service.server.PlanService` keeps one exact model per
     carved cluster, shared by the runtime engines of every scheduler that
     uses the service.
@@ -55,24 +55,9 @@ class ReallocCostModel:
         self.exact = exact
         self._cache: Dict[Tuple, ReallocCost] = {}
 
-    def _key(self, config: ModelConfig, src: Allocation, dst: Allocation) -> Tuple:
-        return (
-            config,
-            src.mesh.node_start,
-            src.mesh.n_nodes,
-            src.mesh.gpu_start,
-            src.mesh.gpus_per_node,
-            src.parallel,
-            dst.mesh.node_start,
-            dst.mesh.n_nodes,
-            dst.mesh.gpu_start,
-            dst.mesh.gpus_per_node,
-            dst.parallel,
-        )
-
     def cost(self, config: ModelConfig, src: Allocation, dst: Allocation) -> ReallocCost:
         """Cost of remapping ``config``'s parameters from ``src`` to ``dst``."""
-        key = self._key(config, src, dst)
+        key = (config, src.key[:7], dst.key[:7])
         cached = self._cache.get(key)
         if cached is not None:
             return cached

@@ -49,11 +49,6 @@ class TraceSpan:
     def duration(self) -> float:
         return self.end - self.start
 
-    @property
-    def call_name(self) -> str:
-        """Compatibility alias: the runtime engine labels spans by call name."""
-        return self.name
-
 
 @dataclass
 class TraceRecorder:

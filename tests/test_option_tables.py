@@ -161,6 +161,30 @@ def test_shared_table_compiles_fresh_options_and_reference_index(scenario):
 
 @settings(max_examples=30)
 @given(scenario=scenarios)
+def test_option_keys_are_their_attribute_tuples(scenario):
+    drawn = _problem(scenario, _shared_table(scenario["n_gpus"], scenario["prune_index"]))
+    if drawn is None:
+        return
+    problem = drawn[-1]
+    for choices in problem.options.values():
+        for alloc in choices:
+            mesh, parallel = alloc.mesh, alloc.parallel
+            assert alloc.key == (
+                mesh.node_start,
+                mesh.n_nodes,
+                mesh.gpu_start,
+                mesh.gpus_per_node,
+                parallel.dp,
+                parallel.tp,
+                parallel.pp,
+                alloc.n_microbatches,
+                alloc.zero3,
+            )
+            assert alloc.key[:4] == _mesh_key(mesh)
+
+
+@settings(max_examples=30)
+@given(scenario=scenarios)
 def test_greedy_pick_is_min_over_all_options(scenario):
     table = _shared_table(scenario["n_gpus"], scenario["prune_index"])
     drawn = _problem(scenario, table)

@@ -1,0 +1,80 @@
+"""The summary of ``benchmarks/perf_pairs.py`` on canned perfbench output.
+
+Nothing here runs perfbench: each run is the tail of its stdout.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "perf_pairs.py"
+_spec = importlib.util.spec_from_file_location("perf_pairs", _PATH)
+perf_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perf_pairs)
+
+BETTER = {"op_p50_s": "lower", "ok_op_ratio": "higher", "peak_rss_mb": "lower"}
+
+
+def _stdout(digest, op_p50_s, peak_rss_mb, correct=True):
+    metrics = {
+        "op_p50_s": {"value": op_p50_s, "unit": "s"},
+        "ok_op_ratio": {"value": 1.0, "unit": "ratio"},
+        "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
+    }
+    return "\n".join([
+        "round 1: wall_s=1.0 failed=0/3",
+        f"digest: {digest}",
+        'machine: {"cores": 2}',
+        "repro_env: {}",
+        "wall_s: 2.0",
+        json.dumps({"correct": correct, "attempted": 3, "failed": 0, "metrics": metrics}),
+    ]) + "\n"
+
+
+def test_parse_run_reads_digest_correctness_and_metrics():
+    digest, correct, metrics = perf_pairs.parse_run(_stdout("abc", 0.5, 80.0, correct=False))
+    assert digest == "abc" and correct is False
+    assert metrics == {"op_p50_s": 0.5, "ok_op_ratio": 1.0, "peak_rss_mb": 80.0}
+
+
+def test_summary_reports_medians_iqr_wins_and_digests():
+    parent = [_stdout("d1", t, 80.0) for t in (0.10, 0.12, 0.11, 0.13, 0.09)]
+    change = [_stdout("d1", t, 81.0) for t in (0.09, 0.11, 0.12, 0.10, 0.08)]
+    change[2] = _stdout("d2", 0.12, 81.0)
+    lines = perf_pairs.summarize(parent, change, BETTER)
+    assert lines[0] == "5 pairs (parent, change)"
+    by_metric = {line.split()[0]: line for line in lines[1:4]}
+    assert by_metric["op_p50_s"] == (
+        "op_p50_s (lower is better): parent median 0.11 IQR 0.02"
+        " | change median 0.1 IQR 0.02 | change better in 4/5"
+    )
+    # Equal values are no win, in either direction.
+    assert by_metric["ok_op_ratio"].endswith("change better in 0/5")
+    assert by_metric["peak_rss_mb"].endswith("change better in 0/5")
+    assert lines[4:] == [
+        "pair 1: digests equal",
+        "pair 2: digests equal",
+        "pair 3: digests DIFFER (d1 vs d2)",
+        "pair 4: digests equal",
+        "pair 5: digests equal",
+    ]
+
+
+def test_summary_flags_incorrect_runs_and_skips_unreported_metrics():
+    lines = perf_pairs.summarize(
+        [_stdout("d", 0.1, 80.0)], [_stdout("d", 0.2, 79.0, correct=False)],
+        dict(BETTER, round_s="lower"),
+    )
+    assert not any(line.startswith("round_s") for line in lines)
+    assert "parent median 80 IQR 0 | change median 79 IQR 0 | change better in 1/1" in lines[3]
+    assert lines[-1] == "pair 1: digests equal  NOT CORRECT"
+
+
+@pytest.mark.parametrize("argv", [["--workload", "plan_search"], ["--parent", "a", "--change", "b"]])
+def test_cli_requires_checkouts_workload_and_seed(argv):
+    with pytest.raises(SystemExit):
+        perf_pairs.main(argv)
