@@ -1,20 +1,23 @@
 """Compare two checkouts on one perfbench workload with alternating runs.
 
-Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
+Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace X``
 once in the parent checkout and once in the change checkout.  Which side runs
 first alternates from pair to pair, so slow drift of the machine lands on
-both sides alike.  After the last pair it prints, for each end-to-end metric
-of ``BENCHMARK.json``, each side's median and interquartile range, and in how
-many pairs the change was better (by the metric's ``better`` direction; a tie
-is no win).  It also prints whether the two digests of each pair are equal:
-timings of runs whose outcomes differ compare different work.
+both sides alike.  After the last pair it prints, for each metric of
+``BENCHMARK.json`` (the ``end_to_end`` ones with ``--trace 0``, the
+``per_layer`` ones with ``--trace 1``), each side's median and interquartile
+range, and in how many pairs the change was better (by the metric's
+``better`` direction; a tie is no win).  It also prints whether the two
+digests of each pair are equal: timings of runs whose outcomes differ
+compare different work.  A run that exits non-zero stops the comparison
+with the tail of its stderr.
 
 Run from the repository root of the change::
 
     python3 benchmarks/perf_pairs.py --parent ../parent --change . \\
         --workload online_replan --seed 101 --pairs 5
 
-It only reads perfbench's stdout; neither checkout is modified.
+It only reads perfbench's output; neither checkout is modified.
 """
 
 from __future__ import annotations
@@ -79,12 +82,21 @@ def summarize(
     return lines
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> str:
+STDERR_TAIL_LINES = 20
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> str:
+    """One perfbench run's stdout; exits with its stderr tail if it failed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True,
     )
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.rstrip().splitlines()[-STDERR_TAIL_LINES:])
+        raise SystemExit(
+            f"perfbench in {checkout} exited with {proc.returncode}; stderr tail:\n{tail}"
+        )
     return proc.stdout
 
 
@@ -96,17 +108,21 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: traced runs, compared on the per-layer metrics")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
+    better = {entry["name"]: entry["better"] for entry in metrics}
     parent: List[str] = []
     change: List[str] = []
     sides = [(parent, args.parent), (change, args.change)]
     for i in range(args.pairs):
         for runs, checkout in sides if i % 2 == 0 else sides[::-1]:
-            runs.append(_run(checkout, args.workload, args.seed, args.seconds))
+            runs.append(_run(checkout, args.workload, args.seed, args.seconds, args.trace))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-    print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s per run")
+    print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s per run,"
+          f" trace {args.trace}")
     print("\n".join(summarize(parent, change, better)))
     return 0
 

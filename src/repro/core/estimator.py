@@ -29,16 +29,28 @@ simulation.  All caches are exact memoisations of pure functions, so the
 fast path is bit-for-bit consistent with a full recompute; set
 ``cross_check=True`` to verify that invariant on every evaluation (used by
 the test suite).
+
+An MCMC step only needs a proposal's exact cost when the proposal might be
+accepted.  ``cost_delta(..., reject_above=)`` therefore prices an eval-cache
+miss bound first: the critical path of the plan's dependency chain (the
+simulation without mesh waits) is a lower bound on TimeCost bit for bit, so
+when it (or, for an OOM plan, the penalised bound) already exceeds the
+caller's rejection threshold, the proposal is rejected without the
+simulation — and, on the time bound alone, without the memory sweep.  This
+is early rejection in Metropolis-Hastings (Solonen et al., Bayesian
+Analysis 2012); the bound is remembered in the eval cache so a revisit
+re-tests it instead of rebuilding the plan's state.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from array import array
 from bisect import insort, bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..cluster.comm import CommModel
 from ..cluster.hardware import ClusterSpec
@@ -71,16 +83,25 @@ _MAX_PLAN_EVALS = 16384
 
 @dataclass(slots=True)
 class EvalCacheStats:
-    """Counters of the signature-keyed eval cache (hits/misses/evictions).
+    """Counters of the signature-keyed eval cache.
 
     Long-lived estimators (e.g. inside a :class:`~repro.service.server.PlanService`)
     used to grow this cache without bound; it is now a capped LRU and these
     counters make its behaviour observable.
+
+    A lookup is a *hit* when the cache answers it without building the
+    plan's state: an exact entry, or a bound entry (a plan rejected on its
+    lower bound, see :meth:`RuntimeEstimator.cost_delta`) whose bound still
+    rejects under the new threshold.  Every other lookup is a *miss*, a
+    bound entry that no longer rejects included (it is then replaced by the
+    exact value).  ``bound_rejections`` counts the proposals rejected on a
+    bound, fresh or stored, without a simulation.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+    bound_rejections: int = 0
 
     @property
     def lookups(self) -> int:
@@ -97,6 +118,7 @@ class EvalCacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
+            "bound_rejections": self.bound_rejections,
             "hit_rate": self.hit_rate,
         }
 
@@ -158,6 +180,24 @@ class _PlanState:
     """Per call: (static bytes, parameter-shard bytes, active bytes)."""
 
 
+class _BoundEntry:
+    """Eval-cache entry of a plan rejected on a lower bound of its cost.
+
+    ``seconds`` is the plan's critical-path bound on TimeCost; ``max_bytes``
+    its exact MaxMem when the memory sweep ran, ``None`` when the time bound
+    alone rejected.  Exact entries are plain ``(TimeCost, MaxMem)`` tuples.
+    """
+
+    __slots__ = ("seconds", "max_bytes")
+
+    def __init__(self, seconds: float, max_bytes: Optional[float]) -> None:
+        self.seconds = seconds
+        self.max_bytes = max_bytes
+
+
+_EvalEntry = Union[Tuple[float, float], _BoundEntry]
+
+
 class RuntimeEstimator:
     """Profiling-assisted analytical estimator for execution plans.
 
@@ -194,7 +234,8 @@ class RuntimeEstimator:
     The memo caches are plain dicts holding values of pure functions, so
     concurrent use from several threads (e.g. a plan service shared by
     several client threads) is safe under the GIL: racing writes store
-    identical values.
+    identical values (or, in the eval cache, an exact entry and a bound
+    entry of the same plan, each true of it).
     """
 
     def __init__(
@@ -305,7 +346,7 @@ class RuntimeEstimator:
         self._mem_cache: Dict[Tuple, Tuple[float, float, float]] = {}
         self._states: "OrderedDict[Tuple, _PlanState]" = OrderedDict()
         self._sig_memo: Tuple[Optional[ExecutionPlan], Tuple] = (None, ())
-        self._eval_cache: "OrderedDict[Tuple, Tuple[float, float]]" = OrderedDict()
+        self._eval_cache: "OrderedDict[Tuple, _EvalEntry]" = OrderedDict()
         self._eval_cache_size = int(eval_cache_size)
         self.eval_cache_stats = EvalCacheStats()
         # Simulation constants: indegrees and the initial ready heap.  Heap
@@ -323,6 +364,9 @@ class RuntimeEstimator:
             (0.0, self._rank_of[i])
             for i, count in enumerate(self._parent_counts)
             if count == 0
+        )
+        self._topo_ids = array(
+            "l", [self._call_index[name] for name in graph.topological_order()]
         )
 
     # ------------------------------------------------------------------ #
@@ -695,6 +739,33 @@ class RuntimeEstimator:
             raise RuntimeError("scheduling simulation did not complete all calls")
         return total, spans
 
+    def _critical_path(self, state: _PlanState) -> float:
+        """Lower bound on :meth:`_simulate`'s total: its walk without mesh waits.
+
+        Each call starts when its last parent's output arrives, and every
+        end and arrival time is the same float expression as in the
+        simulation (``start + duration + realloc + rpc``, ``end +
+        transfer``).  The simulation only ever starts a call later (it also
+        waits for the call's mesh), and adding the same addends to a smaller
+        float never gives a larger sum, so the bound is ``<=`` TimeCost bit
+        for bit.  Any topological order gives the same longest path.
+        """
+        durations, realloc_in, transfers = state.durations, state.realloc_in, state.transfers
+        rpc_overhead = self.cluster.rpc_overhead_s
+        out_ptr, out_child, out_edge = self._out_ptr, self._out_child, self._out_edge
+        ready_time: List[float] = [0.0] * len(durations)
+        total = 0.0
+        for call_id in self._topo_ids:
+            end = ready_time[call_id] + durations[call_id] + realloc_in[call_id] + rpc_overhead
+            if end > total:
+                total = end
+            for k in range(out_ptr[call_id], out_ptr[call_id + 1]):
+                child_id = out_child[k]
+                ready = end + transfers[out_edge[k]]
+                if ready > ready_time[child_id]:
+                    ready_time[child_id] = ready
+        return total
+
     def time_cost(self, plan: ExecutionPlan) -> TimeCostResult:
         """Simulate one iteration of the plan and return its wall time.
 
@@ -819,41 +890,48 @@ class RuntimeEstimator:
             return total
         return oom_penalty * total
 
-    def _evaluate_signature(
-        self, signature: Tuple, state_fn: Callable[[], _PlanState]
-    ) -> Tuple[float, float]:
-        """Memoised ``(TimeCost, MaxMem)`` of a plan identified by signature.
+    def _lookup(self, signature: Tuple) -> Optional[_EvalEntry]:
+        """The eval-cache entry of a signature, touched as most recently used."""
+        entry = self._eval_cache.get(signature)
+        if entry is not None:
+            try:
+                self._eval_cache.move_to_end(signature)
+            except KeyError:
+                # A concurrent insert evicted the entry between the get and
+                # the LRU touch; the entry itself remains valid.
+                pass
+        return entry
+
+    def _store(self, signature: Tuple, entry: _EvalEntry) -> None:
+        """Insert or overwrite an eval-cache entry, evicting past capacity."""
+        self._eval_cache[signature] = entry
+        while len(self._eval_cache) > self._eval_cache_size:
+            try:
+                self._eval_cache.popitem(last=False)
+                self.eval_cache_stats.evictions += 1
+            except KeyError:
+                # Another thread emptied the LRU past us; nothing to evict.
+                break
+
+    def _evaluate_signature(self, signature: Tuple, plan: ExecutionPlan) -> Tuple[float, float]:
+        """Memoised ``(TimeCost, MaxMem)`` of ``plan``, identified by signature.
 
         The MCMC chain re-proposes the same neighbouring plans many times;
         a signature hit skips the state construction and simulation outright.
         The cache is a capped LRU (``eval_cache_size``) with hit/miss/
         eviction counters in :attr:`eval_cache_stats`, so a long-lived
-        estimator cannot grow without bound.
+        estimator cannot grow without bound.  A bound entry holds no exact
+        value: it counts as a miss and is overwritten.
         """
-        stats = self.eval_cache_stats
-        cached = self._eval_cache.get(signature)
-        if cached is not None:
-            stats.hits += 1
-            try:
-                self._eval_cache.move_to_end(signature)
-            except KeyError:
-                # A concurrent insert evicted the entry between the get and
-                # the LRU touch; the cached value remains valid.
-                pass
-            return cached
-        stats.misses += 1
-        state = state_fn()
-        total, _ = self._simulate(state)
-        max_bytes = self._max_bytes_sweep(state)
-        self._eval_cache[signature] = (total, max_bytes)
-        while len(self._eval_cache) > self._eval_cache_size:
-            try:
-                self._eval_cache.popitem(last=False)
-                stats.evictions += 1
-            except KeyError:
-                # Another thread emptied the LRU past us; nothing to evict.
-                break
-        return total, max_bytes
+        entry = self._lookup(signature)
+        if entry is not None and entry.__class__ is not _BoundEntry:
+            self.eval_cache_stats.hits += 1
+            return entry
+        self.eval_cache_stats.misses += 1
+        state = self._state_for(plan)
+        entry = (self._simulate(state)[0], self._max_bytes_sweep(state))
+        self._store(signature, entry)
+        return entry
 
     def _exact_cost(self, plan: ExecutionPlan, oom_penalty: float) -> float:
         """Full from-scratch recompute, bypassing every memo cache.
@@ -878,10 +956,7 @@ class RuntimeEstimator:
             return 0.0
         if not self.use_cache:
             return self._cost_of_state(self._build_state(plan), oom_penalty)
-        signature = self._plan_signature(plan)
-        total, max_bytes = self._evaluate_signature(
-            signature, lambda: self._state_for(plan)
-        )
+        total, max_bytes = self._evaluate_signature(self._plan_signature(plan), plan)
         value = total if max_bytes < self.cluster.device_memory_bytes else oom_penalty * total
         if self.cross_check:
             self._verify(value, plan, oom_penalty, context="cost")
@@ -893,43 +968,131 @@ class RuntimeEstimator:
         call_name: str,
         new_alloc: Allocation,
         oom_penalty: float = DEFAULT_OOM_PENALTY,
-    ) -> float:
-        """Cost of ``plan`` with ``call_name`` moved to ``new_alloc``.
+        reject_above: float = math.inf,
+    ) -> Optional[float]:
+        """Cost of ``plan`` with ``call_name`` moved to ``new_alloc``, or
+        ``None`` when that cost is proven to be above ``reject_above``.
 
         The incremental path reuses the base plan's resolved components and
-        recomputes only what a single-call move can affect before re-running
-        the scheduling simulation.  Falls back to an exact full recompute when
-        caching is disabled or the call is unknown; either way the returned
-        value equals ``cost(plan.with_assignment(call_name, new_alloc))``.
+        recomputes only what a single-call move can affect.  On an eval-cache
+        miss it then tries to reject the move before simulating it:
+
+        1. the critical path of the moved plan (:meth:`_critical_path`, the
+           simulation without mesh waits) is a lower bound on its TimeCost,
+           bit for bit, and its cost is at least that (``oom_penalty >= 1``):
+           a bound above ``reject_above`` rejects with no sweep and no
+           simulation;
+        2. otherwise the exact memory sweep runs; an OOM plan costs at least
+           ``oom_penalty`` times the bound, which may reject it;
+        3. only then is the plan simulated.
+
+        A rejection is stored in the eval cache as a bound entry; a revisit
+        re-tests the bound against its own threshold and replaces the entry by
+        the exact value once the bound no longer rejects.  Returns ``None``
+        only for a cost above ``reject_above`` (the default never rejects);
+        any returned value equals
+        ``cost(plan.with_assignment(call_name, new_alloc))``, also when
+        caching is disabled or the call is unknown (an exact full recompute).
         """
         if not self.use_cache or call_name not in self.graph:
             return self.cost(plan.with_assignment(call_name, new_alloc), oom_penalty)
         signature = self._plan_signature(plan)
         index = self._call_index[call_name]
         moved_signature = signature[:index] + (new_alloc.key,) + signature[index + 1 :]
-
-        def build() -> _PlanState:
-            base = self._state_for(plan)
-            state = self._moved_state(base, plan, call_name, new_alloc)
-            self._remember_state(moved_signature, state)
-            return state
-
-        total, max_bytes = self._evaluate_signature(moved_signature, build)
-        value = total if max_bytes < self.cluster.device_memory_bytes else oom_penalty * total
+        value = self._score_move(
+            plan, call_name, new_alloc, moved_signature, oom_penalty, reject_above
+        )
         if self.cross_check:
             self._verify(
                 value,
                 plan.with_assignment(call_name, new_alloc),
                 oom_penalty,
                 context=f"cost_delta({call_name})",
+                reject_above=reject_above,
             )
         return value
 
+    def _score_move(
+        self,
+        plan: ExecutionPlan,
+        call_name: str,
+        new_alloc: Allocation,
+        signature: Tuple,
+        oom_penalty: float,
+        reject_above: float,
+    ) -> Optional[float]:
+        """:meth:`cost_delta`'s cached, bound-first scoring of one move."""
+        stats = self.eval_cache_stats
+        capacity = self.cluster.device_memory_bytes
+        entry = self._lookup(signature)
+        if entry is None:
+            state = self._moved_state_of(plan, call_name, new_alloc, signature)
+            bound, max_bytes = self._critical_path(state), None
+        elif entry.__class__ is _BoundEntry:
+            bound, max_bytes = entry.seconds, entry.max_bytes
+            if self._bound_rejects(bound, max_bytes, oom_penalty, reject_above):
+                stats.hits += 1
+                stats.bound_rejections += 1
+                return None
+            state = self._moved_state_of(plan, call_name, new_alloc, signature)
+        else:
+            stats.hits += 1
+            total, max_bytes = entry
+            return total if max_bytes < capacity else oom_penalty * total
+        stats.misses += 1
+        if max_bytes is None and not bound > reject_above:
+            max_bytes = self._max_bytes_sweep(state)
+        if self._bound_rejects(bound, max_bytes, oom_penalty, reject_above):
+            stats.bound_rejections += 1
+            self._store(signature, _BoundEntry(bound, max_bytes))
+            return None
+        total, _ = self._simulate(state)
+        self._store(signature, (total, max_bytes))
+        return total if max_bytes < capacity else oom_penalty * total
+
+    def _bound_rejects(
+        self,
+        bound: float,
+        max_bytes: Optional[float],
+        oom_penalty: float,
+        reject_above: float,
+    ) -> bool:
+        """Whether a plan whose TimeCost is at least ``bound`` (and whose
+        MaxMem is ``max_bytes``, when known) must cost more than
+        ``reject_above``."""
+        if bound > reject_above:
+            return True
+        return (
+            max_bytes is not None
+            and max_bytes >= self.cluster.device_memory_bytes
+            and oom_penalty * bound > reject_above
+        )
+
+    def _moved_state_of(
+        self, plan: ExecutionPlan, call_name: str, new_alloc: Allocation, signature: Tuple
+    ) -> _PlanState:
+        """The remembered state of ``plan`` with one call moved."""
+        state = self._moved_state(self._state_for(plan), plan, call_name, new_alloc)
+        self._remember_state(signature, state)
+        return state
+
     def _verify(
-        self, fast: float, plan: ExecutionPlan, oom_penalty: float, context: str
+        self,
+        fast: Optional[float],
+        plan: ExecutionPlan,
+        oom_penalty: float,
+        context: str,
+        reject_above: float = math.inf,
     ) -> None:
         exact = self._exact_cost(plan, oom_penalty)
-        if fast != exact:
+        if fast is None:
+            if not exact > reject_above:
+                raise RuntimeError(
+                    f"estimator cross-check failed in {context}: a bound rejected "
+                    f"the plan, but its full recompute {exact!r} is not above "
+                    f"{reject_above!r}"
+                )
+        elif fast != exact:
             raise RuntimeError(
                 f"estimator cross-check failed in {context}: "
                 f"fast path {fast!r} != full recompute {exact!r}"

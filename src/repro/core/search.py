@@ -63,6 +63,28 @@ __all__ = [
     "search_execution_plan",
 ]
 
+_REJECT_MARGIN = 1e-9
+"""Relative slack of :func:`_reject_above`'s threshold.  It dwarfs the few
+ulps of rounding in ``log``, ``exp`` and the threshold's own arithmetic, so a
+cost above the threshold also fails the acceptance test as evaluated."""
+
+
+def _reject_above(current_cost: float, scale: float, u: float, beta: float) -> float:
+    """A cost above which the Metropolis test must reject, given its uniform.
+
+    The chain accepts a proposal when ``delta <= 0`` or
+    ``u < exp(-beta * delta)`` with ``delta = (cost - current_cost) / scale``,
+    that is when ``cost < current_cost + scale * -ln(u) / beta``.  The
+    returned threshold widens that bound by :data:`_REJECT_MARGIN` three
+    times over (relative and absolute slack on ``-ln(u)``, relative slack on
+    the sum), so every cost above it also fails the test in floating point.
+    ``u == 0`` and ``beta == 0`` (accept everything) give ``inf``.
+    """
+    if u <= 0.0 or beta <= 0.0:
+        return math.inf
+    exponent = -math.log(u) * (1.0 + _REJECT_MARGIN) + _REJECT_MARGIN
+    return (current_cost + scale * exponent / beta) * (1.0 + _REJECT_MARGIN)
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -174,6 +196,15 @@ class SearchConfig:
     cost.  Excluded from workload fingerprints (see :mod:`repro.service`)."""
 
     def __post_init__(self) -> None:
+        # Early rejection (see ``MCMCSearcher.advance_chain``) is exact only
+        # for a finite, non-negative temperature and a penalty that never
+        # lowers a cost.
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not (math.isfinite(self.oom_penalty) and self.oom_penalty >= 1):
+            raise ValueError(
+                f"oom_penalty must be finite and >= 1, got {self.oom_penalty}"
+            )
         # Budget validation at construction: a bad budget would otherwise
         # fail deep in chain setup (or silently search nothing forever).
         # ``max_iterations=0`` stays legal on purpose — it is the documented
@@ -236,7 +267,8 @@ class SearchProblem:
     """One search problem, built once and shared by every searcher posing it.
 
     A pure function of (graph, workload, cluster, prune) and the estimator
-    scoring it: each call's compiled options (a
+    scoring it: the call names in graph order (``call_names``, the tuple
+    proposals index), each call's compiled options (a
     :class:`~repro.core.pruning._CallOptions`: the option list, its by-mesh
     proposal index and its greedy representatives), the search-space size
     and the greedy start, which is computed on first use and then kept.
@@ -261,6 +293,7 @@ class SearchProblem:
         self.workload = workload
         self.cluster = cluster
         self.estimator = estimator or RuntimeEstimator(graph, workload, cluster)
+        self.call_names: Tuple[str, ...] = tuple(graph.call_names)
         if options:
             missing = set(graph.call_names) - set(options)
             if missing:
@@ -333,6 +366,7 @@ class MCMCSearcher:
         self.cluster = problem.cluster
         self.estimator = problem.estimator
         self.options = problem.options
+        self._call_names = problem.call_names
         self._compiled = problem.compiled
         self.config = config
         self.seed_plans = list(seed_plans or [])
@@ -378,7 +412,7 @@ class MCMCSearcher:
         call (which removes a reallocation edge when they share a model), and
         (c) keep a call's mesh but change its strategy or micro-batch count.
         """
-        call_names = self.graph.call_names
+        call_names = self._call_names
         call_name = call_names[int(rng.integers(len(call_names)))]
         compiled = self._compiled[call_name]
         choices = compiled.options
@@ -444,6 +478,15 @@ class MCMCSearcher:
         and therefore the best plan/cost and history — is bit-identical no
         matter how the iteration budget is sliced (a binding *time* budget
         is timing-dependent in any mode, sliced or not).
+
+        Each step draws its acceptance uniform ``u`` right after the
+        proposal and before scoring it.  ``cost_delta`` draws nothing, so the
+        stream is the one the draw-after-scoring loop consumed; knowing ``u``
+        first turns the Metropolis test into a cost threshold
+        (:func:`_reject_above`) that the estimator uses to reject a proposal
+        on a lower bound of its cost, without simulating it.  A proposal
+        that passes the bound is tested with the exact cost, so accepted
+        moves, the best plan and the history are those of exact scoring.
         """
         cfg = self.config
         if state.done:
@@ -471,6 +514,7 @@ class MCMCSearcher:
         best_plan, best_cost = state.best_plan, state.best_cost
         n_accepted = 0
         iteration = 0
+        cost_delta, beta, oom_penalty = self.estimator.cost_delta, cfg.beta, cfg.oom_penalty
         # One uniform is drawn per proposal (even for downhill moves that
         # accept regardless), so any slicing of the loop consumes the RNG
         # stream identically — chain trajectories are bit-identical however
@@ -480,18 +524,22 @@ class MCMCSearcher:
                 break
             iteration += 1
             call_name, new_alloc = self._propose(current, rng)
-            proposal_cost = self.estimator.cost_delta(
-                current, call_name, new_alloc, cfg.oom_penalty
-            )
+            u = rng.random()
             # Normalise the energy by the chain's best cost so far so the
             # temperature stays meaningful across experiment scales and even
             # when the initial plan is heavily OOM-penalised.  Chain-local on
             # purpose: sharing the cross-chain best would entangle the chains,
             # making each chain's trajectory depend on the chains before it.
             scale = max(best_cost, 1e-9)
-            delta = (proposal_cost - current_cost) / scale
-            u = rng.random()
-            accept = delta <= 0 or u < math.exp(-cfg.beta * delta)
+            proposal_cost = cost_delta(
+                current, call_name, new_alloc, oom_penalty,
+                reject_above=_reject_above(current_cost, scale, u, beta),
+            )
+            if proposal_cost is None:
+                accept = False  # its cost is above the threshold: the test fails
+            else:
+                delta = (proposal_cost - current_cost) / scale
+                accept = delta <= 0 or u < math.exp(-beta * delta)
             if accept:
                 current = current.with_assignment(call_name, new_alloc)
                 current_cost = proposal_cost

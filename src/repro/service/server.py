@@ -658,7 +658,7 @@ class PlanService:
             entry = select_warm_start(self.cache, fingerprint, warm_start_before)
             if entry is not None:
                 warm_plan = adapt_plan(
-                    entry, request.graph, request.cluster, problem.options
+                    entry, request.graph, request.cluster, problem.compiled
                 )
                 if warm_plan is not None:
                     seed_plans = seed_plans + [warm_plan]
@@ -820,6 +820,7 @@ class PlanService:
         hits = sum(e.eval_cache_stats.hits for e in estimators)
         misses = sum(e.eval_cache_stats.misses for e in estimators)
         evictions = sum(e.eval_cache_stats.evictions for e in estimators)
+        bound_rejections = sum(e.eval_cache_stats.bound_rejections for e in estimators)
         lookups = hits + misses
         self.registry.gauge(
             "service_cache_hit_ratio", "Plan-cache hit fraction of all requests"
@@ -833,6 +834,10 @@ class PlanService:
         self.registry.gauge(
             "service_eval_cache_evictions", "Estimator eval-cache LRU evictions"
         ).set(evictions)
+        self.registry.gauge(
+            "service_eval_cache_bound_rejections",
+            "MCMC proposals the estimators rejected on a cost bound, unsimulated",
+        ).set(bound_rejections)
 
     def _search(
         self,

@@ -18,11 +18,12 @@ the cost reachable within a given budget relative to the hint itself.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..cluster.hardware import ClusterSpec
 from ..core.dataflow import DataflowGraph
 from ..core.plan import Allocation, ExecutionPlan
+from ..core.pruning import _CallOptions
 from .cache import PlanCache, PlanCacheEntry
 from .fingerprint import WorkloadFingerprint
 
@@ -119,16 +120,17 @@ def adapt_plan(
     entry: PlanCacheEntry,
     graph: DataflowGraph,
     cluster: ClusterSpec,
-    options: Dict[str, List[Allocation]],
+    options: Mapping[str, _CallOptions],
 ) -> Optional[ExecutionPlan]:
     """Project a cached plan onto the target cluster's allocation options.
 
     When the target cluster has the same shape as the plan's source cluster
     the cached assignments are reused as they are.  Otherwise every call's
-    cached allocation is replaced by the nearest option available on the
-    target cluster (nearest in mesh fraction, TP/PP degrees and micro-batch
-    count).  Returns ``None`` when the cached plan does not cover the graph —
-    the search then simply cold-starts.
+    cached allocation is replaced by the nearest of its compiled options on
+    the target cluster (nearest in mesh fraction, TP/PP degrees and
+    micro-batch count; a search problem's ``compiled``).  Returns ``None``
+    when the cached plan does not cover the graph — the search then simply
+    cold-starts.
     """
     cached_plan = entry.plan
     call_names = graph.call_names
@@ -139,23 +141,27 @@ def adapt_plan(
         return ExecutionPlan(cached_plan.assignments, name="warm-start")
     assignments: Dict[str, Allocation] = {}
     for call_name in call_names:
-        choices = options.get(call_name)
-        if not choices:
+        compiled = options.get(call_name)
+        if compiled is None or not compiled.options:
             return None
-        assignments[call_name] = _nearest_option(cached_plan[call_name], choices, cluster)
+        assignments[call_name] = _nearest_option(cached_plan[call_name], compiled, cluster)
     return ExecutionPlan(assignments, name="warm-start")
 
 
 def _nearest_option(
-    cached: Allocation, choices: List[Allocation], cluster: ClusterSpec
+    cached: Allocation, compiled: _CallOptions, cluster: ClusterSpec
 ) -> Allocation:
-    """The first of ``choices`` (options on ``cluster``) at the least
-    :func:`_allocation_distance` from ``cached``.
+    """The first option of ``compiled`` (a call's options on ``cluster``) at
+    the least :func:`_allocation_distance` from ``cached``.
 
-    Options share few distinct mesh sizes, degrees, micro-batch counts and
-    positions, so each distance term is computed once per distinct value and
-    reused.  The terms are added in :func:`_allocation_distance`'s order, so
-    every sum is bit-identical to it.
+    The scan goes mesh by mesh through the ``by_mesh`` spans, which keeps
+    list order.  Every distance term is non-negative and the mesh-fraction
+    term comes first, so a mesh whose fraction term alone is strictly
+    greater than the best distance so far cannot hold a nearer option (nor,
+    later in the list, an equally near one) and is skipped.  Options share
+    few distinct degrees and micro-batch counts, so each such term is
+    computed once per distinct value and reused.  The terms are added in
+    :func:`_allocation_distance`'s order, so every sum is bit-identical to it.
     """
     source = cached.mesh.cluster
     cached_fraction = cached.mesh.n_gpus / max(1, source.n_gpus)
@@ -167,32 +173,35 @@ def _nearest_option(
     tp_terms: Dict[int, float] = {}
     pp_terms: Dict[int, float] = {}
     mbs_terms: Dict[int, float] = {}
-    start_terms: Dict[int, float] = {}
+    choices = compiled.options
     best, best_distance = choices[0], math.inf
-    for candidate in choices:
-        mesh, parallel = candidate.mesh, candidate.parallel
-        n_gpus, tp, pp = mesh.n_gpus, parallel.tp, parallel.pp
-        mbs, start = candidate.n_microbatches, mesh.node_start
+    for span, _layouts in compiled.by_mesh.values():
+        mesh = choices[span.start].mesh
+        n_gpus = mesh.n_gpus
         a = mesh_terms.get(n_gpus)
         if a is None:
             a = mesh_terms[n_gpus] = 2.0 * _log_ratio(n_gpus / target_gpus, cached_fraction)
-        t = tp_terms.get(tp)
-        if t is None:
-            t = tp_terms[tp] = _log_ratio(tp, cached_tp)
-        q = pp_terms.get(pp)
-        if q is None:
-            q = pp_terms[pp] = _log_ratio(pp, cached_pp)
-        m = mbs_terms.get(mbs)
-        if m is None:
-            m = mbs_terms[mbs] = 0.25 * _log_ratio(mbs, cached_mbs)
-        e = start_terms.get(start)
-        if e is None:
-            e = start_terms[start] = 0.1 * abs(start / target_nodes - cached_start)
-        d = a
-        d += t
-        d += q
-        d += m
-        d += e
-        if d < best_distance:
-            best, best_distance = candidate, d
+        if a > best_distance:
+            continue
+        e = 0.1 * abs(mesh.node_start / target_nodes - cached_start)
+        for index in span:
+            candidate = choices[index]
+            parallel = candidate.parallel
+            tp, pp, mbs = parallel.tp, parallel.pp, candidate.n_microbatches
+            t = tp_terms.get(tp)
+            if t is None:
+                t = tp_terms[tp] = _log_ratio(tp, cached_tp)
+            q = pp_terms.get(pp)
+            if q is None:
+                q = pp_terms[pp] = _log_ratio(pp, cached_pp)
+            m = mbs_terms.get(mbs)
+            if m is None:
+                m = mbs_terms[mbs] = 0.25 * _log_ratio(mbs, cached_mbs)
+            d = a
+            d += t
+            d += q
+            d += m
+            d += e
+            if d < best_distance:
+                best, best_distance = candidate, d
     return best

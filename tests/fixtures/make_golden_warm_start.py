@@ -28,6 +28,7 @@ from repro.core import (
     allocation_options,
     instructgpt_workload,
 )
+from repro.core.pruning import _CallOptions
 from repro.service import PlanCacheEntry, adapt_plan, fingerprint_request
 
 FIXTURES = Path(__file__).resolve().parent
@@ -81,13 +82,18 @@ def cached_entry(graph, workload, cluster: ClusterSpec) -> PlanCacheEntry:
     return PlanCacheEntry.from_search_result(fingerprint, result, peak)
 
 
+def compile_options(options) -> Dict[str, _CallOptions]:
+    """Each call's option list compiled as a search problem compiles it."""
+    return {name: _CallOptions(choices) for name, choices in options.items()}
+
+
 def adapt(algorithm: str, batch_size: int, src: ClusterSpec, dst: ClusterSpec):
     """``(graph, target options, adapted plan or None)`` of one case."""
     graph = GRAPHS[algorithm]()
     workload = instructgpt_workload("7b", "7b", batch_size=batch_size)
     entry = cached_entry(graph, workload, src)
     options = allocation_options(graph, workload, dst, PruneConfig())
-    return graph, options, adapt_plan(entry, graph, dst, options)
+    return graph, options, adapt_plan(entry, graph, dst, compile_options(options))
 
 
 def pin(plan) -> Optional[Dict]:

@@ -1,0 +1,322 @@
+"""Bound-first Metropolis steps: early rejection must not move any outcome.
+
+``MCMCSearcher.advance_chain`` draws each step's uniform before scoring the
+proposal and hands ``RuntimeEstimator.cost_delta`` a cost threshold above
+which the step must reject; the estimator may then reject on a lower bound
+of the cost (the critical path without mesh waits, times the OOM penalty
+once the plan is known to overflow) without simulating the plan.  These
+tests pin the pieces that make that exact:
+
+* the old loop (score, then draw ``u``), kept here as the reference, and the
+  new one give equal best plans, costs, accepted counts and histories;
+* the threshold is sound: a cost just above it fails the acceptance test;
+* the critical-path bound never exceeds the simulated TimeCost;
+* ``cost_delta`` returns the exact cost whenever that cost is not above the
+  threshold, stores its rejections as bound entries of the eval cache, and
+  its cross-check catches both a poisoned exact entry and a poisoned bound.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algorithms import build_grpo_graph, build_ppo_graph
+from repro.cluster import make_cluster
+from repro.core import (
+    ExecutionPlan,
+    MCMCSearcher,
+    RuntimeEstimator,
+    SearchConfig,
+    allocation_options,
+    instructgpt_workload,
+)
+from repro.core.estimator import _BoundEntry
+from repro.core.search import _reject_above
+from repro.obs.metrics import MetricsRegistry
+from repro.service import PlanRequest, PlanService
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+sys.path.insert(0, str(FIXTURES))
+
+from make_golden_search import ITERATIONS, SEEDS, make_searcher  # noqa: E402
+
+GRAPHS = {"ppo": build_ppo_graph, "grpo": build_grpo_graph}
+WORKLOAD = instructgpt_workload("7b", "7b", batch_size=128)
+CLUSTER = make_cluster(16)
+
+
+def accepts(proposal_cost, current_cost, scale, u, beta):
+    """The chain's acceptance test, as the loop evaluates it."""
+    delta = (proposal_cost - current_cost) / scale
+    return delta <= 0 or u < math.exp(-beta * delta)
+
+
+def old_loop(searcher, state):
+    """The acceptance loop before early rejection: score, then draw ``u``.
+
+    Returns ``(best_plan, best_cost, n_accepted, history)`` with history
+    entries ``(iteration, best_cost_so_far)``.
+    """
+    cfg = searcher.config
+    rng = state.rng
+    current, current_cost = state.current_plan, state.current_cost
+    best_plan, best_cost = state.best_plan, state.best_cost
+    n_accepted = 0
+    history = []
+    for iteration in range(1, state.max_iterations + 1):
+        call_name, new_alloc = searcher._propose(current, rng)
+        proposal_cost = searcher.estimator.cost_delta(
+            current, call_name, new_alloc, cfg.oom_penalty
+        )
+        scale = max(best_cost, 1e-9)
+        delta = (proposal_cost - current_cost) / scale
+        u = rng.random()
+        accept = delta <= 0 or u < math.exp(-cfg.beta * delta)
+        if accept:
+            current = current.with_assignment(call_name, new_alloc)
+            current_cost = proposal_cost
+            n_accepted += 1
+            if current_cost < best_cost:
+                best_plan, best_cost = current, current_cost
+        history.append((iteration, best_cost))
+    return best_plan, best_cost, n_accepted, history
+
+
+def new_loop(searcher, state, slice_iterations):
+    """``advance_chain`` in slices, in :func:`old_loop`'s result format."""
+    while not state.done:
+        searcher.advance_chain(state, max_iterations=slice_iterations)
+    history = [(iteration, best) for iteration, _elapsed, best in state.history]
+    return state.best_plan, state.best_cost, state.n_accepted, history
+
+
+def _searcher(algorithm, seed, iterations, beta, oom_penalty, cross_check=False):
+    """A golden-search searcher with its own fresh estimator."""
+    golden = make_searcher(algorithm, seed, iterations)
+    config = dataclasses.replace(golden.config, beta=beta, oom_penalty=oom_penalty)
+    estimator = RuntimeEstimator(
+        golden.graph, golden.workload, golden.cluster, cross_check=cross_check
+    )
+    return MCMCSearcher(
+        golden.graph, golden.workload, golden.cluster, estimator=estimator, config=config
+    )
+
+
+def _chain(searcher):
+    start_plan, start_cost = searcher.initial_candidate()
+    return searcher.init_chain_state(0, start_plan, start_cost, searcher.config.max_iterations)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    algorithm=st.sampled_from(sorted(GRAPHS)),
+    seed=st.sampled_from(SEEDS),
+    iterations=st.sampled_from(ITERATIONS),
+    beta=st.sampled_from([0.0, 0.5, 8.0, 64.0]),
+    oom_penalty=st.sampled_from([1.0, 3.0, 100.0]),
+    slice_iterations=st.sampled_from([37, 1000]),
+)
+def test_new_loop_equals_old_loop(algorithm, seed, iterations, beta, oom_penalty, slice_iterations):
+    old = _searcher(algorithm, seed, iterations, beta, oom_penalty)
+    new = _searcher(algorithm, seed, iterations, beta, oom_penalty)
+    expected = old_loop(old, _chain(old))
+    got = new_loop(new, _chain(new), slice_iterations)
+    assert got[0].assignments == expected[0].assignments
+    assert got[1:] == expected[1:]
+    stats = new.estimator.eval_cache_stats
+    if beta > 0 and iterations == max(ITERATIONS):
+        # The chain really did reject on bounds, yet nothing moved.
+        assert stats.bound_rejections > 0
+
+
+@pytest.mark.parametrize("algorithm", sorted(GRAPHS))
+def test_every_bound_rejection_is_cross_checked(algorithm):
+    """Under ``cross_check`` each bound rejection verifies the exact cost."""
+    searcher = _searcher(algorithm, 7, 120, 8.0, 100.0, cross_check=True)
+    state = searcher.advance_chain(_chain(searcher))
+    assert searcher.estimator.eval_cache_stats.bound_rejections > 0
+    reference = _searcher(algorithm, 7, 120, 8.0, 100.0)
+    assert old_loop(reference, _chain(reference))[1:3] == (state.best_cost, state.n_accepted)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    u=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.integers(min_value=1, max_value=2**20).map(lambda k: 1.0 - k * 2.0**-53),
+    ),
+    current_cost=st.floats(min_value=0.0, max_value=1e6),
+    ratio=st.floats(min_value=1e-3, max_value=1.0),
+    beta=st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_threshold_is_sound(u, current_cost, ratio, beta):
+    """A cost just above the threshold fails the acceptance test."""
+    scale = max(current_cost * ratio, 1e-9)
+    threshold = _reject_above(current_cost, scale, u, beta)
+    if math.isinf(threshold):
+        return
+    above = math.nextafter(threshold, math.inf)
+    assert not accepts(above, current_cost, scale, u, beta)
+    assert not accepts(threshold * 1.5 + 1.0, current_cost, scale, u, beta)
+
+
+def test_threshold_margin_covers_rounding():
+    """Seeded sweep: about one case in 700 of these would be accepted just
+    above ``current + scale * -ln(u) / beta`` without the margin."""
+    rng = np.random.default_rng(2012)
+    for _ in range(20_000):
+        u, current_cost = rng.random(), rng.uniform(0.0, 100.0)
+        scale = current_cost * rng.uniform(0.01, 1.0)
+        beta = float(rng.choice([0.5, 8.0, 64.0]))
+        above = math.nextafter(_reject_above(current_cost, scale, u, beta), math.inf)
+        assert not accepts(above, current_cost, scale, u, beta)
+
+
+def test_threshold_never_rejects_what_always_accepts():
+    assert _reject_above(5.0, 1.0, 0.0, 8.0) == math.inf
+    assert _reject_above(5.0, 1.0, 0.3, 0.0) == math.inf
+
+
+def _random_moves(algorithm, n, seed):
+    """``n`` random ``(plan, call, alloc)`` moves over random plans."""
+    graph = GRAPHS[algorithm]()
+    options = allocation_options(graph, WORKLOAD, CLUSTER)
+    rng = np.random.default_rng(seed)
+    names = graph.call_names
+    moves = []
+    for _ in range(n):
+        plan = ExecutionPlan(
+            {name: options[name][int(rng.integers(len(options[name])))] for name in names}
+        )
+        name = names[int(rng.integers(len(names)))]
+        moves.append((plan, name, options[name][int(rng.integers(len(options[name])))]))
+    return graph, moves
+
+
+@pytest.mark.parametrize("algorithm", sorted(GRAPHS))
+def test_critical_path_bounds_the_simulation(algorithm):
+    graph, moves = _random_moves(algorithm, 300, seed=3)
+    estimator = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+    strict = 0
+    for plan, name, alloc in moves:
+        state = estimator._state_for(plan.with_assignment(name, alloc))
+        bound = estimator._critical_path(state)
+        total, _ = estimator._simulate(state)
+        assert bound <= total
+        strict += bound < total
+    # Mesh waits matter for most random plans: the bound is not the total.
+    assert strict > len(moves) // 2
+
+
+@pytest.mark.parametrize("algorithm", sorted(GRAPHS))
+@pytest.mark.parametrize("oom_penalty", [1.0, 100.0])
+def test_cost_delta_rejects_only_above_the_threshold(algorithm, oom_penalty):
+    """At a threshold equal to the exact cost nothing is rejected; just
+    below it, a rejection is allowed but a returned value stays exact."""
+    graph, moves = _random_moves(algorithm, 200, seed=5)
+    exact = RuntimeEstimator(graph, WORKLOAD, CLUSTER, use_cache=False)
+    rejected = 0
+    for plan, name, alloc in moves:
+        cost = exact.cost(plan.with_assignment(name, alloc), oom_penalty)
+        at = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+        assert at.cost_delta(plan, name, alloc, oom_penalty, reject_above=cost) == cost
+        below = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+        value = below.cost_delta(
+            plan, name, alloc, oom_penalty, reject_above=math.nextafter(cost, -math.inf)
+        )
+        assert value is None or value == cost
+        rejected += value is None
+        # The stored entry never answers cost() with a bound.
+        assert below.cost(plan.with_assignment(name, alloc), oom_penalty) == cost
+    assert rejected > 0
+
+
+def _move(algorithm="ppo"):
+    graph, moves = _random_moves(algorithm, 1, seed=11)
+    return (graph,) + moves[0]
+
+
+def test_bound_entry_is_retested_and_replaced():
+    graph, plan, name, alloc = _move()
+    moved = plan.with_assignment(name, alloc)
+    exact = RuntimeEstimator(graph, WORKLOAD, CLUSTER, use_cache=False).cost(moved)
+    estimator = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+    stats = estimator.eval_cache_stats
+    assert estimator.cost_delta(plan, name, alloc, reject_above=0.0) is None
+    assert (stats.hits, stats.misses, stats.bound_rejections) == (0, 1, 1)
+    (entry,) = estimator._eval_cache.values()
+    assert isinstance(entry, _BoundEntry)
+    # A revisit whose stored bound still rejects is a hit and simulates nothing.
+    assert estimator.cost_delta(plan, name, alloc, reject_above=0.0) is None
+    assert (stats.hits, stats.misses, stats.bound_rejections) == (1, 1, 2)
+    # One whose bound no longer rejects is a miss that stores the exact value.
+    assert estimator.cost_delta(plan, name, alloc) == exact
+    assert (stats.hits, stats.misses, stats.bound_rejections) == (1, 2, 2)
+    (entry,) = estimator._eval_cache.values()
+    assert entry.__class__ is tuple
+    assert estimator.cost_delta(plan, name, alloc, reject_above=0.0) == exact
+    assert stats.to_dict()["bound_rejections"] == 2
+
+
+def test_cost_treats_a_bound_entry_as_a_miss():
+    graph, plan, name, alloc = _move("grpo")
+    moved = plan.with_assignment(name, alloc)
+    estimator = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+    assert estimator.cost_delta(plan, name, alloc, reject_above=0.0) is None
+    misses = estimator.eval_cache_stats.misses
+    expected = RuntimeEstimator(graph, WORKLOAD, CLUSTER, use_cache=False).cost(moved)
+    assert estimator.cost(moved) == expected
+    assert estimator.eval_cache_stats.misses == misses + 1
+
+
+def test_cross_check_catches_a_poisoned_exact_entry_in_cost_delta():
+    graph, plan, name, alloc = _move()
+    estimator = RuntimeEstimator(graph, WORKLOAD, CLUSTER, cross_check=True)
+    estimator.cost_delta(plan, name, alloc)
+    (signature,) = [
+        sig for sig in estimator._eval_cache if sig != estimator._plan_signature(plan)
+    ]
+    total, max_bytes = estimator._eval_cache[signature]
+    estimator._eval_cache[signature] = (total * 1.5, max_bytes)
+    with pytest.raises(RuntimeError, match=r"cross-check failed in cost_delta"):
+        estimator.cost_delta(plan, name, alloc)
+
+
+def test_cross_check_catches_a_poisoned_bound_in_cost_delta():
+    graph, plan, name, alloc = _move()
+    exact = RuntimeEstimator(graph, WORKLOAD, CLUSTER, use_cache=False).cost(
+        plan.with_assignment(name, alloc)
+    )
+    estimator = RuntimeEstimator(graph, WORKLOAD, CLUSTER, cross_check=True)
+    assert estimator.cost_delta(plan, name, alloc, reject_above=0.0) is None
+    (signature,) = list(estimator._eval_cache)
+    # A bound above the true cost would reject a move the chain may accept.
+    estimator._eval_cache[signature] = _BoundEntry(exact * 2.0, None)
+    with pytest.raises(RuntimeError, match="a bound rejected the plan"):
+        estimator.cost_delta(plan, name, alloc, reject_above=exact * 1.5)
+
+
+def test_service_publishes_bound_rejections():
+    registry = MetricsRegistry()
+    request = PlanRequest(
+        build_ppo_graph(),
+        instructgpt_workload("7b", "7b", batch_size=64),
+        make_cluster(8),
+        search=SearchConfig(max_iterations=200, time_budget_s=600.0, seed=1),
+    )
+    with PlanService(registry=registry) as service:
+        service.plan(request)
+        registry.collect()
+        estimators = list(service._estimators.values())
+        expected = sum(e.eval_cache_stats.bound_rejections for e in estimators)
+        assert expected > 0
+        gauge = registry.get("service_eval_cache_bound_rejections")
+        assert gauge.value == expected

@@ -253,7 +253,10 @@ class TestConcurrentSharing:
     def test_shared_estimator_survives_threaded_cost_delta(self, workload, cluster16):
         # The plan service hands one estimator to several worker threads;
         # the plan-state LRU must tolerate concurrent churn (get / evict
-        # races previously raised KeyError from move_to_end).
+        # races previously raised KeyError from move_to_end), and exact and
+        # bound entries racing into the eval cache must never give a wrong
+        # answer: a value is exact, a rejection is above its threshold.
+        import sys
         import threading
 
         graph = build_ppo_graph()
@@ -262,6 +265,7 @@ class TestConcurrentSharing:
         plan = ExecutionPlan({n: c[0] for n, c in options.items()})
         names = graph.call_names
         errors = []
+        answers = []
 
         def worker(seed):
             rng = np.random.default_rng(seed)
@@ -271,17 +275,33 @@ class TestConcurrentSharing:
                     call_name = names[int(rng.integers(len(names)))]
                     choices = options[call_name]
                     alloc = choices[int(rng.integers(len(choices)))]
-                    estimator.cost_delta(current, call_name, alloc)
+                    threshold = float(rng.choice([np.inf, 10.0, 30.0, 100.0]))
+                    value = estimator.cost_delta(
+                        current, call_name, alloc, reject_above=threshold
+                    )
                     current = current.with_assignment(call_name, alloc)
+                    answers.append((current, threshold, value))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors, f"concurrent cost_delta failed: {errors[:3]}"
+        assert len(answers) == 4 * 1500
+        reference = RuntimeEstimator(graph, workload, cluster16)
+        for moved, threshold, value in answers:
+            exact = reference.cost(moved)
+            assert exact > threshold if value is None else value == exact
+        assert any(value is None for _, _, value in answers)
 
 
 class TestEstimatorSharing:

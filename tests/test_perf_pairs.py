@@ -78,3 +78,73 @@ def test_summary_flags_incorrect_runs_and_skips_unreported_metrics():
 def test_cli_requires_checkouts_workload_and_seed(argv):
     with pytest.raises(SystemExit):
         perf_pairs.main(argv)
+
+
+def _traced_stdout(digest, estimator_self_s, hit_ratio):
+    """The tail of a ``--trace 1`` run: per-layer lines, then the JSON."""
+    metrics = {
+        "core.estimator.self_s": {"value": estimator_self_s, "unit": "s"},
+        "core.estimator.eval_cache_hit_ratio": {"value": hit_ratio, "unit": "ratio"},
+        "bench.traced_wall_s": {"value": 5.0, "unit": "s"},
+    }
+    return "\n".join([
+        "round 1: requests=112 wall_s=3.0 failed=0/112",
+        "round 2 traced: requests=112 wall_s=5.0 failed=0/112",
+        *(f"  {name:40s} {entry['value']:.6g} {entry['unit']}" for name, entry in metrics.items()),
+        f"digest: {digest}",
+        'machine: {"cores": 2}',
+        "repro_env: {}",
+        "wall_s: 9.0",
+        json.dumps({"correct": True, "attempted": 224, "failed": 0, "metrics": metrics}),
+    ]) + "\n"
+
+
+def test_trace_mode_compares_per_layer_metrics(monkeypatch, capsys):
+    outputs = {
+        "parent": [_traced_stdout("d", s, 0.10) for s in (3.4, 3.5, 3.3)],
+        "change": [_traced_stdout("d", s, 0.06) for s in (2.9, 3.0, 3.6)],
+    }
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((str(checkout), trace))
+        return outputs[str(checkout)].pop(0)
+
+    monkeypatch.setattr(perf_pairs, "_run", fake_run)
+    assert perf_pairs.main([
+        "--parent", "parent", "--change", "change", "--workload", "plan_search",
+        "--seed", "107", "--pairs", "3", "--trace", "1",
+    ]) == 0
+    # Alternating sides, every run traced.
+    assert calls == [("parent", 1), ("change", 1), ("change", 1), ("parent", 1),
+                     ("parent", 1), ("change", 1)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "workload plan_search, seed 107, 20 s per run, trace 1"
+    by_metric = {line.split()[0]: line for line in lines[2:]}
+    # Directions come from BENCHMARK.json's per_layer list.
+    assert by_metric["core.estimator.self_s"] == (
+        "core.estimator.self_s (lower is better): parent median 3.4 IQR 0.1"
+        " | change median 3 IQR 0.35 | change better in 2/3"
+    )
+    assert by_metric["core.estimator.eval_cache_hit_ratio"].startswith(
+        "core.estimator.eval_cache_hit_ratio (higher is better)"
+    )
+    assert by_metric["bench.traced_wall_s"].endswith("change better in 0/3")
+    assert not any(line.startswith("op_p50_s") for line in lines)
+
+
+def test_failed_run_exits_with_its_stderr_tail(monkeypatch):
+    stderr = "".join(f"noise {i}\n" for i in range(40)) + "ValueError: boom\n"
+
+    def fake_subprocess_run(cmd, **kwargs):
+        assert cmd[-2:] == ["--trace", "0"]
+        return perf_pairs.subprocess.CompletedProcess(cmd, 2, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", fake_subprocess_run)
+    with pytest.raises(SystemExit) as failure:
+        perf_pairs._run(Path("parent"), "plan_search", 107, 20.0, 0)
+    message = str(failure.value.code)
+    assert message.startswith("perfbench in parent exited with 2; stderr tail:\n")
+    tail = message.splitlines()[1:]
+    assert len(tail) == perf_pairs.STDERR_TAIL_LINES
+    assert tail[-1] == "ValueError: boom" and "noise 20" not in tail

@@ -266,6 +266,21 @@ class TestSearchConfigValidation:
         with pytest.raises(ValueError, match="n_chains"):
             SearchConfig(n_chains=n_chains)
 
+    @pytest.mark.parametrize("beta", [-0.5, float("inf"), float("nan")])
+    def test_negative_or_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            SearchConfig(beta=beta)
+
+    @pytest.mark.parametrize("penalty", [0.5, 0.0, -1.0, float("inf"), float("nan")])
+    def test_oom_penalty_below_one_or_non_finite_rejected(self, penalty):
+        with pytest.raises(ValueError, match="oom_penalty"):
+            SearchConfig(oom_penalty=penalty)
+
+    def test_boundary_beta_and_penalty_still_legal(self):
+        # beta=0 accepts every move; a penalty of 1 does not penalise OOM.
+        config = SearchConfig(beta=0.0, oom_penalty=1.0)
+        assert (config.beta, config.oom_penalty) == (0.0, 1.0)
+
 
 class TestChainStateBasics:
     def test_remaining_iterations_never_negative(self):

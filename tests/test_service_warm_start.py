@@ -37,6 +37,7 @@ from make_golden_warm_start import (  # noqa: E402  (fixture helpers double as r
     adapt,
     cached_entry,
     cases,
+    compile_options,
     pin,
     shrink_case,
     slice_case,
@@ -103,7 +104,7 @@ def test_same_shape_adaptation_is_identity(algorithm):
     cluster = make_cluster(16)
     entry = cached_entry(graph, workload, cluster)
     options = allocation_options(graph, workload, cluster, PruneConfig())
-    plan = adapt_plan(entry, graph, cluster, options)
+    plan = adapt_plan(entry, graph, cluster, compile_options(options))
     assert plan is not None and plan.name == "warm-start"
     assert dict(plan.items()) == entry.plan.assignments
 
@@ -139,7 +140,7 @@ def test_adaptation_matches_brute_force_nearest_option(
     cached = ExecutionPlan(
         {name: draw.choice(src_options[name]) for name in graph.call_names}
     )
-    plan = adapt_plan(SimpleNamespace(plan=cached), graph, cluster, options)
+    plan = adapt_plan(SimpleNamespace(plan=cached), graph, cluster, compile_options(options))
     if any(not options[c] for c in graph.call_names):
         assert plan is None
         return
