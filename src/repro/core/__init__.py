@@ -41,8 +41,6 @@ from .profiler import (
 )
 from .pruning import PruneConfig, allocation_options, enumerate_allocations, search_space_size
 from .search import (
-    ChainResult,
-    ChainSpec,
     ChainState,
     MCMCSearcher,
     SearchConfig,
@@ -101,8 +99,6 @@ __all__ = [
     "SearchSession",
     "SessionProgress",
     "search_execution_plan",
-    "ChainSpec",
-    "ChainResult",
     "ChainState",
     "BruteForceResult",
     "brute_force_search",

@@ -57,8 +57,6 @@ __all__ = [
     "SearchSession",
     "SearchProblem",
     "MCMCSearcher",
-    "ChainSpec",
-    "ChainResult",
     "ChainState",
     "search_execution_plan",
 ]
@@ -86,35 +84,6 @@ def _reject_above(current_cost: float, scale: float, u: float, beta: float) -> f
     return (current_cost + scale * exponent / beta) * (1.0 + _REJECT_MARGIN)
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """One chain's share of a search: which stream, how many proposals."""
-
-    chain: int
-    max_iterations: int
-
-
-@dataclass
-class ChainResult:
-    """Outcome of one Metropolis-Hastings chain.
-
-    ``best_plan``/``best_cost`` are the chain-local optimum; ``history``
-    holds chain-local ``(iteration, elapsed_seconds, best_cost_so_far)``
-    samples with iteration counting from 1 and elapsed measured from the
-    chain's own start.  ``wall_seconds`` is the chain's wall-clock time and
-    ``cpu_seconds`` its CPU time (``time.process_time`` delta).
-    """
-
-    chain: int
-    best_plan: ExecutionPlan
-    best_cost: float
-    n_iterations: int
-    n_accepted: int
-    history: List[Tuple[int, float, float]] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-
-
 @dataclass
 class ChainState:
     """Resumable mid-flight snapshot of one Metropolis-Hastings chain.
@@ -124,7 +93,11 @@ class ChainState:
     and still produce exactly the chain one uninterrupted run would have
     produced: the RNG travels *in* the state, iteration numbering picks up
     where the previous slice stopped, and wall/CPU seconds accumulate across
-    slices.
+    slices.  ``best_plan``/``best_cost`` are the chain-local optimum;
+    ``history`` holds chain-local ``(iteration, elapsed_seconds,
+    best_cost_so_far)`` samples, iterations counting from 1 and elapsed
+    measured from the chain's own start; ``cpu_seconds`` is
+    ``time.process_time`` time.
     """
 
     chain: int
@@ -151,19 +124,6 @@ class ChainState:
     def remaining_iterations(self) -> int:
         """Proposals left in the chain's total budget."""
         return max(0, self.max_iterations - self.n_iterations)
-
-    def to_result(self) -> ChainResult:
-        """The chain's outcome so far, in the merged-result format."""
-        return ChainResult(
-            chain=self.chain,
-            best_plan=self.best_plan,
-            best_cost=self.best_cost,
-            n_iterations=self.n_iterations,
-            n_accepted=self.n_accepted,
-            history=list(self.history),
-            wall_seconds=self.wall_seconds,
-            cpu_seconds=self.cpu_seconds,
-        )
 
 
 @dataclass(frozen=True)
@@ -461,23 +421,20 @@ class MCMCSearcher:
         )
 
     def advance_chain(
-        self,
-        state: ChainState,
-        max_iterations: Optional[int] = None,
-        time_budget_s: Optional[float] = None,
+        self, state: ChainState, max_iterations: Optional[int] = None
     ) -> ChainState:
-        """Advance one checkpointed chain by a slice of its budgets.
+        """Advance one checkpointed chain by a slice of its budget.
 
-        Mutates and returns ``state``.  ``max_iterations``/``time_budget_s``
-        bound this *slice*; the chain's total budgets
-        (``state.max_iterations`` and ``config.time_budget_s`` worth of
-        accumulated wall time) always apply on top, and exhausting either
-        marks the state ``done``.  Advancing a fresh state without slice
-        bounds runs the whole chain; because the RNG travels in the
-        state and nothing is drawn between slices, the proposal stream —
-        and therefore the best plan/cost and history — is bit-identical no
-        matter how the iteration budget is sliced (a binding *time* budget
-        is timing-dependent in any mode, sliced or not).
+        Mutates and returns ``state``.  ``max_iterations`` bounds this
+        *slice*; the chain's total budgets (``state.max_iterations`` and
+        ``config.time_budget_s`` worth of accumulated wall time) always apply
+        on top, and exhausting either marks the state ``done``.  Advancing a
+        fresh state without a slice bound runs the whole chain (what
+        :meth:`search` does); because the RNG travels in the state and
+        nothing is drawn between slices, the proposal stream — and therefore
+        the best plan/cost and history — is bit-identical no matter how the
+        iteration budget is sliced (a binding *time* budget is
+        timing-dependent in any mode, sliced or not).
 
         Each step draws its acceptance uniform ``u`` right after the
         proposal and before scoring it.  ``cost_delta`` draws nothing, so the
@@ -494,12 +451,6 @@ class MCMCSearcher:
         slice_iters = state.remaining_iterations
         if max_iterations is not None:
             slice_iters = min(slice_iters, max(0, int(max_iterations)))
-        remaining_time = cfg.time_budget_s - state.wall_seconds
-        slice_time = (
-            remaining_time
-            if time_budget_s is None
-            else min(float(time_budget_s), remaining_time)
-        )
         # Chain slices are the unit of tracing: one span per advance (never
         # per proposal).  The gate is the state's span context: a chain
         # advanced outside any span has none, records nothing, and the hot
@@ -508,7 +459,7 @@ class MCMCSearcher:
         span_start_s = time.time() if span_parent is not None else 0.0
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
-        deadline = wall_start + slice_time
+        deadline = wall_start + (cfg.time_budget_s - state.wall_seconds)
         rng = state.rng
         current, current_cost = state.current_plan, state.current_cost
         best_plan, best_cost = state.best_plan, state.best_cost
@@ -584,23 +535,16 @@ class MCMCSearcher:
             )
         return state
 
-    def _chain_specs(self, n_chains: int) -> List[ChainSpec]:
-        """Even split of the iteration budget (earlier chains take remainders)."""
-        base_iters, extra_iters = divmod(self.config.max_iterations, n_chains)
-        return [
-            ChainSpec(chain=chain, max_iterations=base_iters + (1 if chain < extra_iters else 0))
-            for chain in range(n_chains)
-        ]
-
     def search(self) -> SearchResult:
         """Run the Metropolis-Hastings chains and return the best plan found.
 
-        Every chain starts from the best of the greedy per-call-optimal plan,
-        any seed plans supplied at construction time (e.g. the Megatron
-        heuristic) and ``config.initial_plan``; the reported ``initial_plan``/
-        ``initial_cost`` are that actual chain start, so the improvement ratio
-        reflects what the search itself achieved.  Chains run one after
-        another on the calling thread.
+        A :class:`SearchSession` run to completion: every chain starts from
+        the best of the greedy per-call-optimal plan, any seed plans supplied
+        at construction time (e.g. the Megatron heuristic) and
+        ``config.initial_plan``, then advances once through its whole budget,
+        one chain after another on the calling thread.  The reported
+        ``initial_plan``/``initial_cost`` are that actual chain start, so the
+        improvement ratio reflects what the search itself achieved.
         """
         cfg = self.config
         with get_tracer().start_span(
@@ -608,38 +552,16 @@ class MCMCSearcher:
             category="search",
             args={"n_chains": cfg.n_chains, "max_iterations": cfg.max_iterations},
         ) as search_span:
-            start_time = time.perf_counter()
-            start_plan, start_cost = self.initial_candidate()
-            init_seconds = time.perf_counter() - start_time
-            # Report the actual chain start (greedy, seed or warm-start hint —
-            # whichever won), not unconditionally the greedy plan.
-            initial_plan, initial_cost = start_plan, start_cost
-
-            n_chains = max(1, int(cfg.n_chains))
-            results = [
-                self.advance_chain(
-                    self.init_chain_state(
-                        spec.chain, start_plan, start_cost, spec.max_iterations
-                    )
-                ).to_result()
-                for spec in self._chain_specs(n_chains)
-            ]
-            merged = self._merge_results(
-                results,
-                initial_plan=initial_plan,
-                initial_cost=initial_cost,
-                start_cost=start_cost,
-                start_time=start_time,
-                n_chains=n_chains,
-                init_seconds=init_seconds,
-            )
+            session = SearchSession(self).start()
+            for state in session.states:
+                self.advance_chain(state)
+            result = session.stop()
             search_span.set(
-                best_cost=merged.best_cost,
-                initial_cost=merged.initial_cost,
-                iterations=merged.n_iterations,
+                best_cost=result.best_cost,
+                initial_cost=result.initial_cost,
+                iterations=result.n_iterations,
             )
-        self._publish_metrics(merged)
-        return merged
+        return result
 
     @staticmethod
     def _publish_metrics(result: SearchResult) -> None:
@@ -678,49 +600,6 @@ class MCMCSearcher:
                 result.best_cost,
             )
 
-    def _merge_results(
-        self,
-        results: List[ChainResult],
-        initial_plan: ExecutionPlan,
-        initial_cost: float,
-        start_cost: float,
-        start_time: float,
-        n_chains: int,
-        init_seconds: float,
-    ) -> SearchResult:
-        """Deterministically merge per-chain results (chain order, strict <)."""
-        best_plan_assignments: Dict[str, Allocation] = dict(initial_plan.assignments)
-        best_cost = start_cost
-        for result in results:
-            if result.best_cost < best_cost:
-                best_plan_assignments = dict(result.best_plan.assignments)
-                best_cost = result.best_cost
-        history: List[Tuple[int, float, float]] = []
-        running_best = start_cost
-        offset = 0
-        for result in results:
-            for iteration, elapsed, chain_best in result.history:
-                if chain_best < running_best:
-                    running_best = chain_best
-                history.append((offset + iteration, elapsed, running_best))
-            offset += result.n_iterations
-        return SearchResult(
-            best_plan=ExecutionPlan(best_plan_assignments, name="searched"),
-            best_cost=best_cost,
-            initial_plan=initial_plan,
-            initial_cost=initial_cost,
-            n_iterations=sum(r.n_iterations for r in results),
-            n_accepted=sum(r.n_accepted for r in results),
-            elapsed_seconds=time.perf_counter() - start_time,
-            history=history,
-            search_space=self.problem.search_space,
-            n_chains=n_chains,
-            cpu_seconds=sum(r.cpu_seconds for r in results),
-            chain_wall_seconds=[r.wall_seconds for r in results],
-            chain_cpu_seconds=[r.cpu_seconds for r in results],
-            init_seconds=init_seconds,
-        )
-
 
 @dataclass(frozen=True)
 class SessionProgress:
@@ -740,25 +619,23 @@ class SessionProgress:
 
 
 class SearchSession:
-    """A resumable, pollable plan search (the online re-planning primitive).
+    """A resumable, pollable plan search: the one runner of the MCMC chains.
 
-    The same Metropolis-Hastings chains :meth:`MCMCSearcher.search` runs to
-    completion, executed in slices: :meth:`start` evaluates the initial
-    candidates and positions the chains, each :meth:`poll` advances every
-    unfinished chain by one slice of its budgets on the calling thread,
-    :meth:`best_so_far` reads the merged best at any point, and :meth:`stop`
-    returns the final merged :class:`SearchResult`.  Slicing never changes
-    the outcome: at equal total iteration budgets, the session's best
-    plan/cost are bit-identical to an uninterrupted ``search()`` with the
-    same seed, because each chain's RNG travels inside its checkpointed
-    :class:`ChainState` and nothing is drawn between slices.
+    :meth:`start` evaluates the initial candidates and positions the chains
+    (the iteration budget split evenly, earlier chains taking the
+    remainder), each :meth:`poll` advances every unfinished chain by
+    ``slice_iterations`` proposals on the calling thread, :meth:`best_so_far`
+    reads the merged best at any point, and :meth:`stop` returns the final
+    merged :class:`SearchResult` and publishes the run's metrics.
+    :meth:`MCMCSearcher.search` is a session whose chains each advance once,
+    unsliced.  Slicing never changes the outcome: at equal total iteration
+    budgets, the session's result is bit-identical to an uninterrupted
+    ``search()`` with the same seed, because each chain's RNG travels inside
+    its checkpointed :class:`ChainState` and nothing is drawn between slices.
     """
 
     def __init__(
-        self,
-        searcher: MCMCSearcher,
-        slice_iterations: Optional[int] = None,
-        slice_time_s: Optional[float] = None,
+        self, searcher: MCMCSearcher, slice_iterations: Optional[int] = None
     ) -> None:
         if slice_iterations is not None and slice_iterations < 1:
             raise ValueError(
@@ -771,10 +648,7 @@ class SearchSession:
             if slice_iterations is not None
             else max(1, cfg.max_iterations // 10)
         )
-        """Default proposals per chain per poll (a tenth of the budget)."""
-        self.slice_time_s = slice_time_s
-        """Default wall-clock bound per chain per poll (``None``: unbounded —
-        the iteration slice and the chain's total time budget still apply)."""
+        """Proposals per chain per poll (default: a tenth of the budget)."""
         self.states: List[ChainState] = []
         self.n_polls = 0
         self._started_at: Optional[float] = None
@@ -795,11 +669,13 @@ class SearchSession:
         start_plan, start_cost = self.searcher.initial_candidate()
         self._init_seconds = time.perf_counter() - self._started_at
         self._initial_plan, self._initial_cost = start_plan, start_cost
+        n_chains = int(cfg.n_chains)
+        base_iters, extra_iters = divmod(cfg.max_iterations, n_chains)
         self.states = [
             self.searcher.init_chain_state(
-                spec.chain, start_plan, start_cost, spec.max_iterations
+                chain, start_plan, start_cost, base_iters + (chain < extra_iters)
             )
-            for spec in self.searcher._chain_specs(max(1, int(cfg.n_chains)))
+            for chain in range(n_chains)
         ]
         return self
 
@@ -844,8 +720,8 @@ class SearchSession:
     def best_so_far(self) -> Tuple[Optional[ExecutionPlan], float]:
         """Merged best over the initial candidate and every chain.
 
-        Deterministic merge, mirroring ``_merge_results``: chain order with
-        strict ``<``, so slicing cannot flip ties.
+        Deterministic merge: chain order with strict ``<``, so slicing cannot
+        flip ties and a chain that never beats the start reports the start.
         """
         best_plan, best_cost = self._initial_plan, self._initial_cost
         for state in self.states:
@@ -857,16 +733,9 @@ class SearchSession:
     def best_cost(self) -> float:
         return self.best_so_far()[1]
 
-    def poll(
-        self,
-        max_iterations: Optional[int] = None,
-        time_budget_s: Optional[float] = None,
-    ) -> SessionProgress:
-        """Advance every unfinished chain by one slice and report progress.
-
-        Slice bounds default to the session's ``slice_iterations``/
-        ``slice_time_s``.
-        """
+    def poll(self) -> SessionProgress:
+        """Advance every unfinished chain by ``slice_iterations`` proposals
+        and report progress."""
         if self._stopped:
             raise RuntimeError("SearchSession has been stopped")
         self.start()
@@ -879,12 +748,8 @@ class SearchSession:
         if poll_context is not None:
             for state in active:
                 state.span_context = poll_context
-        slice_iters = (
-            int(max_iterations) if max_iterations is not None else self.slice_iterations
-        )
-        slice_time = time_budget_s if time_budget_s is not None else self.slice_time_s
         for state in active:
-            self.searcher.advance_chain(state, slice_iters, slice_time)
+            self.searcher.advance_chain(state, self.slice_iterations)
         self.n_polls += 1
         best = self.best_cost
         return SessionProgress(
@@ -901,15 +766,35 @@ class SearchSession:
 
         ``elapsed_seconds`` is the session's age (including idle time between
         polls); ``chain_wall_seconds`` holds the actual compute consumed.
+        The history numbers the chains' iterations back to back (chain-major)
+        and carries the running best over the start and the chains so far.
         """
         self.start()
-        return self.searcher._merge_results(
-            [state.to_result() for state in self.states],
+        best_plan, best_cost = self.best_so_far()
+        history: List[Tuple[int, float, float]] = []
+        running_best = self._initial_cost
+        offset = 0
+        for state in self.states:
+            for iteration, elapsed, chain_best in state.history:
+                if chain_best < running_best:
+                    running_best = chain_best
+                history.append((offset + iteration, elapsed, running_best))
+            offset += state.n_iterations
+        chain_cpu_seconds = [state.cpu_seconds for state in self.states]
+        return SearchResult(
+            best_plan=ExecutionPlan(best_plan.assignments, name="searched"),
+            best_cost=best_cost,
             initial_plan=self._initial_plan,
             initial_cost=self._initial_cost,
-            start_cost=self._initial_cost,
-            start_time=self._started_at,
+            n_iterations=self.n_iterations,
+            n_accepted=sum(state.n_accepted for state in self.states),
+            elapsed_seconds=time.perf_counter() - self._started_at,
+            history=history,
+            search_space=self.searcher.problem.search_space,
             n_chains=len(self.states),
+            cpu_seconds=sum(chain_cpu_seconds),
+            chain_wall_seconds=[state.wall_seconds for state in self.states],
+            chain_cpu_seconds=chain_cpu_seconds,
             init_seconds=self._init_seconds,
         )
 

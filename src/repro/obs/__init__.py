@@ -4,15 +4,14 @@ The observability layer every subsystem reports through:
 
 * :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry` with
   :class:`Counter`/:class:`Gauge`/:class:`Histogram` instruments (labeled
-  series, streaming p50/p90/p99) and the :func:`timed`/:func:`span` timing
-  helpers;
+  series, streaming p50/p90/p99);
 * :mod:`repro.obs.log` — the ``repro.*`` structured logger hierarchy
   (``REPRO_LOG_LEVEL``, ``REPRO_LOG_FORMAT=text|json``);
 * :mod:`repro.obs.export` — JSON snapshots (``METRICS_*.json``), Prometheus
   text exposition and Chrome-trace counter tracks;
 * :mod:`repro.obs.tracing` — the causal span tracer (``SpanContext``
-  propagation across threads and processes, Chrome-trace
-  async-event/flow-arrow export);
+  propagation along the call stack or through an explicit parent,
+  Chrome-trace async-event/flow-arrow export);
 * :mod:`repro.obs.provenance` — the decision-provenance ledger
   (``PROVENANCE_*.jsonl``: costing waves, placements, swap arithmetic,
   plan-request lineage);
@@ -44,8 +43,6 @@ from .metrics import (
     P2Quantile,
     get_registry,
     set_registry,
-    span,
-    timed,
 )
 from .provenance import (
     ProvenanceLedger,
@@ -72,8 +69,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "get_registry",
     "set_registry",
-    "timed",
-    "span",
     "get_logger",
     "configure_logging",
     "JsonFormatter",

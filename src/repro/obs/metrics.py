@@ -24,7 +24,6 @@ events) live in :mod:`repro.obs.export`; the structured logging setup in
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "Histogram",
     "get_registry",
     "set_registry",
-    "timed",
-    "span",
     "DEFAULT_BUCKETS",
 ]
 
@@ -311,8 +308,7 @@ class Histogram(_Instrument):
 
     ``observe(v)`` updates count/sum/min/max, the fixed bucket counts and
     one P² estimator per tracked quantile (p50/p90/p99 by default), so a
-    snapshot can report percentiles without retaining samples.  ``time()``
-    returns a context manager *and* decorator observing wall-clock seconds.
+    snapshot can report percentiles without retaining samples.
     """
 
     kind = "histogram"
@@ -360,10 +356,6 @@ class Histogram(_Instrument):
         series = self._default_series()
         with self._lock:
             self._series_observe(series, value)
-
-    def time(self) -> "timed":
-        """Context manager / decorator observing elapsed wall-clock seconds."""
-        return timed(self)
 
     def percentile(self, q: float) -> float:
         """Streaming estimate of quantile ``q`` on the unlabeled series."""
@@ -516,107 +508,3 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
         previous = _GLOBAL_REGISTRY
         _GLOBAL_REGISTRY = registry
     return previous
-
-
-# ---------------------------------------------------------------------- #
-# timed() / span()
-# ---------------------------------------------------------------------- #
-class timed:
-    """Observe wall-clock seconds into a histogram (or gauge).
-
-    Usable both as a context manager and as a decorator::
-
-        with timed(histogram):
-            handle_request()
-
-        @timed(histogram)
-        def handle_request(): ...
-
-    The elapsed seconds of the block are available as ``.elapsed`` after
-    exit.
-    """
-
-    def __init__(self, instrument: Any) -> None:
-        self._instrument = instrument
-        self._started = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "timed":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = time.perf_counter() - self._started
-        observe = getattr(self._instrument, "observe", None)
-        if observe is not None:
-            observe(self.elapsed)
-        else:
-            self._instrument.set(self.elapsed)
-
-    def __call__(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        import functools
-
-        @functools.wraps(fn)
-        def wrapper(*args: object, **kwargs: object) -> Any:
-            with timed(self._instrument):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-
-class span:
-    """A timed, logged block: debug log on exit, optional histogram.
-
-    ``with span("plan_search", logger=log, histogram=hist, job="j1"): ...``
-    logs ``plan_search took 0.123s (job=j1)`` at DEBUG when the block exits
-    and observes the elapsed seconds into ``histogram`` when one is given.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        logger: Optional[Any] = None,
-        histogram: Optional[Any] = None,
-        **fields: object,
-    ) -> None:
-        self.name = name
-        self.fields = fields
-        self.elapsed = 0.0
-        self._logger = logger
-        self._histogram = histogram
-        self._started = 0.0
-
-    def __enter__(self) -> "span":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = time.perf_counter() - self._started
-        if self._histogram is not None:
-            self._histogram.observe(self.elapsed)
-        logger = self._logger
-        if logger is None:
-            from .log import get_logger
-
-            logger = get_logger("obs")
-        if logger.isEnabledFor(10):  # logging.DEBUG without the import
-            suffix = ""
-            if self.fields:
-                inner = ", ".join(f"{k}={v}" for k, v in sorted(self.fields.items()))
-                suffix = f" ({inner})"
-            logger.debug("%s took %.6fs%s", self.name, self.elapsed, suffix)
-
-    def __call__(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        import functools
-
-        @functools.wraps(fn)
-        def wrapper(*args: object, **kwargs: object) -> Any:
-            with span(
-                self.name,
-                logger=self._logger,
-                histogram=self._histogram,
-                **self.fields,
-            ):
-                return fn(*args, **kwargs)
-
-        return wrapper

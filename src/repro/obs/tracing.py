@@ -163,8 +163,8 @@ class Tracer:
     """Collects the span tree of a run; thread-safe.
 
     The default process-global tracer (:func:`get_tracer`) is what every
-    instrumented layer reports into, so one scheduler run's spans — whether
-    opened on the scheduler thread or a plan-service worker thread —
+    instrumented layer reports into, so one scheduler run's spans — the
+    scheduler's, the plan service's and the search chains' alike —
     accumulate in a single place.  It holds the newest ``_MAX_RECORDS``
     spans.  Consumers snapshot :attr:`n_records` before a run and export
     the delta (see :meth:`record_chrome`).

@@ -305,11 +305,7 @@ class PlanSession:
             + sum(s.wall_seconds for s in session.states),
         )
 
-    def poll(
-        self,
-        max_iterations: Optional[int] = None,
-        time_budget_s: Optional[float] = None,
-    ) -> SessionStatus:
+    def poll(self) -> SessionStatus:
         """Advance the session by one slice; write improvements to the cache."""
         with self._lock:
             if self._closed:
@@ -322,7 +318,7 @@ class PlanSession:
                     "fingerprint": self.fingerprint.key,
                 },
             ) as poll_span:
-                progress = self.session.poll(max_iterations, time_budget_s)
+                progress = self.session.poll()
                 poll_span.set(
                     improved=progress.improved,
                     best_cost=progress.best_cost,
@@ -343,23 +339,17 @@ class PlanSession:
     def stop(self) -> PlanResponse:
         """Finish the session: final cache write-back and a settled response.
 
-        Idempotent — repeated stops return the same response.  The response's
-        ``search_seconds`` bill the compute actually consumed — initialisation
-        plus the slices — not the session's wall-clock age (sessions idle
-        between polls), so they add up with blocking searches' times.
+        Idempotent — repeated stops return the same response, billed once
+        (see :meth:`PlanService._bill_search`).
         """
         with self._lock:
             if self._final is not None:
                 return self._final
             result = self.session.stop()
-            self.service._session_write_back(self)
-            peak = self.estimator.max_memory(result.best_plan).max_bytes
-            search_seconds = result.init_seconds + sum(result.chain_wall_seconds)
             service = self.service
-            with service._lock:
-                service.stats.search_seconds += search_seconds
-                service.stats.init_seconds += result.init_seconds
-                service._count_priced()
+            service._session_write_back(self)
+            peak = self.estimator.max_memory(result.best_plan).max_bytes
+            search_seconds = service._bill_search(result)
             stats = RequestStats(
                 fingerprint=self.fingerprint.key,
                 cache_hit=False,
@@ -468,7 +458,8 @@ class PlanService:
             labels=("outcome",),
         )
         self._m_search_seconds = self.registry.counter(
-            "service_search_seconds_total", "Wall-clock seconds spent in plan search"
+            "service_search_seconds_total",
+            "Plan-search seconds: initialisation plus chain wall time",
         )
         self._m_sessions = self.registry.counter(
             "service_sessions_total", "Online search sessions started"
@@ -543,10 +534,7 @@ class PlanService:
     # Online sessions
     # ------------------------------------------------------------------ #
     def start_session(
-        self,
-        request: PlanRequest,
-        slice_iterations: Optional[int] = None,
-        slice_time_s: Optional[float] = None,
+        self, request: PlanRequest, slice_iterations: Optional[int] = None
     ) -> PlanSession:
         """Open a resumable background search for ``request``.
 
@@ -566,11 +554,7 @@ class PlanService:
         searcher, seeded_from = self._searcher_for(
             request, fingerprint, [exact.plan] if exact is not None else []
         )
-        session = SearchSession(
-            searcher,
-            slice_iterations=slice_iterations,
-            slice_time_s=slice_time_s,
-        ).start()
+        session = SearchSession(searcher, slice_iterations=slice_iterations).start()
         with self._lock:
             self._session_counter += 1
             session_id = f"session-{self._session_counter}"
@@ -806,6 +790,23 @@ class PlanService:
         """Whether a plan's estimated MaxMem fits the per-device capacity."""
         return peak_memory_bytes < cluster.device_memory_bytes
 
+    def _bill_search(self, result: SearchResult) -> float:
+        """Bill a finished search or stopped session; returns the seconds.
+
+        The bill is the compute actually consumed — initialisation plus the
+        chains' wall time — not the session's age (sessions idle between
+        polls), so blocking searches and sessions add up in
+        :attr:`ServiceStats.search_seconds` and the
+        ``service_search_seconds_total`` counter alike.
+        """
+        seconds = result.init_seconds + sum(result.chain_wall_seconds)
+        with self._lock:
+            self.stats.search_seconds += seconds
+            self.stats.init_seconds += result.init_seconds
+            self._count_priced()
+        self._m_search_seconds.inc(seconds)
+        return seconds
+
     def _collect_gauges(self) -> None:
         """Publish lazily collected gauges (run by registry snapshots/exports).
 
@@ -857,12 +858,10 @@ class PlanService:
             PlanCacheEntry.from_search_result(fingerprint, result, peak_memory_bytes)
         )
         finished_at = time.perf_counter()
-        with self._lock:
-            if warm_started:
+        search_seconds = self._bill_search(result)
+        if warm_started:
+            with self._lock:
                 self.stats.warm_starts += 1
-            self.stats.search_seconds += result.elapsed_seconds
-            self.stats.init_seconds += result.init_seconds
-            self._count_priced()
         total_seconds = finished_at - submitted_at
         outcome = "warm" if warm_started else "cold"
         get_ledger().record(
@@ -872,11 +871,10 @@ class PlanService:
             seeded_from=seeded_from,
             cost=result.best_cost,
             initial_cost=result.initial_cost,
-            search_seconds=result.elapsed_seconds,
+            search_seconds=search_seconds,
         )
         self._m_requests.labels(outcome=outcome).inc()
         self._m_latency.labels(outcome=outcome).observe(total_seconds)
-        self._m_search_seconds.inc(result.elapsed_seconds)
         self._log.debug(
             "served %s search in %.3fs (cost %.4f)",
             outcome,
@@ -885,14 +883,14 @@ class PlanService:
             extra={
                 "fingerprint": fingerprint.key,
                 "outcome": outcome,
-                "search_seconds": result.elapsed_seconds,
+                "search_seconds": search_seconds,
             },
         )
         stats = RequestStats(
             fingerprint=fingerprint.key,
             cache_hit=False,
             warm_started=warm_started,
-            search_seconds=result.elapsed_seconds,
+            search_seconds=search_seconds,
             init_seconds=result.init_seconds,
             total_seconds=total_seconds,
             seeded_from=seeded_from,

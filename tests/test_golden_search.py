@@ -3,7 +3,9 @@
 ``tests/fixtures/golden_search.json`` (see
 ``tests/fixtures/make_golden_search.py``) holds ``repr(best_cost)``,
 ``best_plan.to_dict()`` and ``n_accepted`` of iteration-bound searches for
-PPO and GRPO, two seeds and two budgets.  Every case must reproduce its pin
+PPO and GRPO, two seeds and two budgets, plus three-chain cases that also
+pin the cross-chain merge (``n_iterations``, ``initial_cost`` and the merged
+history's ``(iteration, best_cost)`` pairs).  Every case must reproduce its pin
 exactly — floats compared through ``repr`` — both as one uninterrupted
 ``search()`` and as a :class:`SearchSession` polled in slices.  Any change
 to the proposal stream, the one-uniform-per-proposal acceptance draw or the
@@ -24,16 +26,18 @@ sys.path.insert(0, str(FIXTURES))
 from make_golden_search import (  # noqa: E402  (fixture helpers double as regeneration script)
     GOLDEN_PATH,
     cases,
+    multi_chain_cases,
     run_oneshot,
     run_sliced,
 )
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 CASES = list(cases())
+MULTI_CHAIN_CASES = list(multi_chain_cases())
 
 
 def test_fixture_covers_every_case():
-    assert sorted(GOLDEN) == sorted(name for name, *_ in CASES)
+    assert sorted(GOLDEN) == sorted(name for name, *_ in CASES + MULTI_CHAIN_CASES)
 
 
 @pytest.mark.parametrize("runner", [run_oneshot, run_sliced], ids=["oneshot", "sliced"])
@@ -47,3 +51,14 @@ def test_search_matches_pin(runner, name, algorithm, seed, iterations):
     assert fresh["n_accepted"] == golden["n_accepted"]
     # JSON round-trip: the pin stores tuples as lists.
     assert json.loads(json.dumps(fresh["best_plan"])) == golden["best_plan"]
+
+
+@pytest.mark.parametrize("runner", [run_oneshot, run_sliced], ids=["oneshot", "sliced"])
+@pytest.mark.parametrize(
+    "name,algorithm,seed,iterations,n_chains",
+    MULTI_CHAIN_CASES,
+    ids=[name for name, *_ in MULTI_CHAIN_CASES],
+)
+def test_multi_chain_search_matches_pin(runner, name, algorithm, seed, iterations, n_chains):
+    fresh = runner(algorithm, seed, iterations, n_chains)
+    assert json.loads(json.dumps(fresh)) == GOLDEN[name]

@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.obs.metrics` instrument semantics (counters, gauges,
 histograms with labeled series and streaming quantiles), the
-``REPRO_LOG_*`` environment knobs, the ``timed``/``span`` helpers, the structured ``repro.*`` logging
+``REPRO_LOG_*`` environment knobs, the structured ``repro.*`` logging
 setup, and the :class:`~repro.service.server.ServiceStats` delta arithmetic
 the scheduler and benchmarks report per-run statistics through.
 """
@@ -27,8 +27,6 @@ from repro.obs.metrics import (
     P2Quantile,
     get_registry,
     set_registry,
-    span,
-    timed,
 )
 from repro.service.server import ServiceStats
 
@@ -202,46 +200,6 @@ class TestRegistry:
         finally:
             set_registry(previous)
         assert get_registry() is previous
-
-
-class TestTimedAndSpan:
-    def test_timed_context_manager_observes(self, registry):
-        h = registry.histogram("block_seconds", "")
-        with timed(h) as t:
-            pass
-        assert h.count == 1
-        assert t.elapsed >= 0.0
-
-    def test_timed_decorator(self, registry):
-        h = registry.histogram("fn_seconds", "")
-
-        @timed(h)
-        def work(x):
-            return x * 2
-
-        assert work(21) == 42
-        assert h.count == 1
-
-    def test_timed_on_gauge_sets_elapsed(self, registry):
-        g = registry.gauge("last_seconds", "")
-        with timed(g):
-            pass
-        assert g.value >= 0.0
-
-    def test_span_logs_at_debug_and_observes(self, registry):
-        h = registry.histogram("span_seconds", "")
-        stream = io.StringIO()
-        logger = logging.getLogger("test.obs.span")
-        logger.setLevel(logging.DEBUG)
-        logger.addHandler(logging.StreamHandler(stream))
-        try:
-            with span("phase", logger=logger, histogram=h, job="j1"):
-                pass
-        finally:
-            logger.handlers.clear()
-        assert h.count == 1
-        out = stream.getvalue()
-        assert "phase took" in out and "job=j1" in out
 
 
 class TestLogging:

@@ -186,6 +186,32 @@ class TestSessionLifecycle:
             assert progress.improved == (progress.best_cost < previous)
             previous = progress.best_cost
 
+    def test_merge_breaks_cost_ties_towards_the_start_then_chain_order(
+        self, cluster8, workload_small
+    ):
+        # The golden multi-chain pins never see two distinct plans at one
+        # cost, so the strict ``<`` of the merge is pinned here directly.
+        searcher = _searcher(
+            "ppo", workload_small, cluster8,
+            max_iterations=30, time_budget_s=60.0, seed=0, n_chains=3,
+        )
+        session = SearchSession(searcher).start()
+        start_plan, start_cost = session.best_so_far()
+        others = [
+            start_plan.with_assignment(name, options[-1])
+            for name, options in searcher.options.items()
+            if options[-1] != start_plan[name]
+        ][:2]
+        assert len(others) == 2
+        for state, plan in zip(session.states[1:], others):
+            state.best_plan, state.best_cost = plan, start_cost
+        assert session.result().best_plan.assignments == start_plan.assignments
+        lower = start_cost / 2
+        for state in session.states[1:]:
+            state.best_cost = lower
+        assert session.best_so_far() == (others[0], lower)
+        assert session.result().best_plan.assignments == others[0].assignments
+
     def test_stop_is_final_and_result_matches(self, cluster8, workload_small):
         searcher = _searcher(
             "ppo", workload_small, cluster8,
@@ -299,5 +325,3 @@ class TestChainStateBasics:
             n_iterations=9,
         )
         assert state.remaining_iterations == 0
-        result = state.to_result()
-        assert result.n_iterations == 9 and result.best_cost == 1.0

@@ -10,6 +10,7 @@ import pytest
 from repro.algorithms import build_ppo_graph
 from repro.cluster import make_cluster
 from repro.core import ExecutionPlan, SearchConfig, instructgpt_workload
+from repro.obs.metrics import MetricsRegistry
 from repro.service import PlanCache, PlanCacheEntry, PlanRequest, PlanService
 
 
@@ -130,6 +131,27 @@ class TestBilling:
         assert service.stats.search_seconds == pytest.approx(
             sum(r.stats.search_seconds for r in responses), rel=1e-12
         )
+
+    def test_registry_counter_bills_blocking_and_session_alike(self):
+        registry = MetricsRegistry()
+        with PlanService(registry=registry) as service:
+            blocking = service.plan(_request(seed=1))
+            result = blocking.result
+            assert blocking.stats.search_seconds == result.init_seconds + sum(
+                result.chain_wall_seconds
+            )
+            handle = service.start_session(_request(seed=2), slice_iterations=10)
+            handle.poll()
+            service.stop_session(handle.session_id)
+            service.plan(_request(seed=1))  # a hit bills nothing
+            service.plan(_request(batch_size=64, seed=3))
+            drained = service.start_session(_request(batch_size=64, seed=4))
+            while not drained.done:
+                drained.poll()
+            service.stop_session(drained.session_id)
+            counter = registry.get("service_search_seconds_total")
+            assert service.stats.search_seconds > 0
+            assert counter.value == service.stats.search_seconds
 
 
 class TestProblemSharing:
