@@ -29,10 +29,19 @@ binds, the best plan and cost are a pure function of the inputs and the
 seed.  (A binding *time* budget makes any run timing-dependent — two runs
 under machine load already differ — so time-bounded searches are
 best-effort.)
+
+A chain's random numbers come from its ``np.random.Generator`` (PCG64), but
+the proposal loop does not call it per draw: each slice opens a
+:class:`_DrawStream` over it, which fetches raw 64-bit words in blocks and
+computes ``integers(n)`` and ``random()`` from them in Python exactly as
+numpy does.  When the slice ends, the stream rewinds the words it did not
+use and writes PCG64's half-word buffer back, so after every slice the
+generator's state is the one per-call draws would have left.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -60,6 +69,113 @@ __all__ = [
     "ChainState",
     "search_execution_plan",
 ]
+
+_MASK32 = 0xFFFFFFFF
+_TWO32 = 1 << 32
+_TWO_M53 = 2.0**-53
+_BLOCK_WORDS = 64
+"""Raw PCG64 words a :class:`_DrawStream` fetches per numpy call."""
+
+
+class _DrawStream:
+    """A chain slice's draws from a PCG64 ``Generator``, computed in Python.
+
+    numpy spends ~2 µs of call overhead on each scalar ``integers(n)`` and
+    ~1 µs on each ``random()``, more than the arithmetic behind them.  This
+    stream fetches the generator's raw 64-bit words in blocks of
+    :data:`_BLOCK_WORDS` (``bit_generator.random_raw``) and reproduces both
+    draws exactly: ``random()`` is ``(word >> 11) * 2**-53`` and
+    ``integers(n)`` numpy's 32-bit Lemire rejection over ``next_uint32``,
+    which hands out the low half of a word and keeps the high half in
+    PCG64's ``has_uint32``/``uinteger`` buffer; ``integers(1)`` draws
+    nothing.  Used as a context manager, one per slice: on exit, even by an
+    exception, it rewinds the generator over the words it fetched but did
+    not use (``bit_generator.advance(-unused)``) and writes the half-word
+    buffer back, so ``bit_generator.state`` is exactly what the same calls
+    on the ``Generator`` itself would have left.  Draw from the generator
+    only after the stream has exited.
+
+    Refuses (``ValueError``) a generator whose bit generator is not
+    ``PCG64`` and a bound outside ``1 <= n <= 2**32``, whose numpy draws it
+    does not reproduce.
+    """
+
+    __slots__ = ("integers", "random", "_sync")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bitgen = getattr(rng, "bit_generator", None)
+        if type(bitgen) is not np.random.PCG64:
+            raise ValueError(
+                "draw streams need a PCG64 numpy Generator, "
+                f"got {type(bitgen).__name__}"
+            )
+        state = bitgen.state
+        has_uint32, uinteger = bool(state["has_uint32"]), state["uinteger"]
+        block = None  # the list iterator words are being drawn from
+
+        def blocks():
+            nonlocal block
+            while True:
+                block = iter(bitgen.random_raw(_BLOCK_WORDS).tolist())
+                yield block
+
+        next_word = itertools.chain.from_iterable(blocks()).__next__
+
+        def next_uint32() -> int:
+            nonlocal has_uint32, uinteger
+            if has_uint32:
+                has_uint32 = False
+                return uinteger
+            word = next_word()
+            has_uint32, uinteger = True, word >> 32
+            return word & _MASK32
+
+        def integers(n: int) -> int:
+            """``Generator.integers(n)``: uniform on ``[0, n)``."""
+            nonlocal has_uint32, uinteger
+            if not 1 < n < _TWO32:
+                if n == 1:
+                    return 0
+                if n == _TWO32:
+                    return next_uint32()
+                raise ValueError(f"draw streams need 1 <= n <= 2**32, got {n}")
+            if has_uint32:  # next_uint32(), inlined on the hot path
+                has_uint32 = False
+                m = uinteger * n
+            else:
+                word = next_word()
+                has_uint32, uinteger = True, word >> 32
+                m = (word & _MASK32) * n
+            if (m & _MASK32) < n:
+                threshold = (_TWO32 - n) % n
+                while (m & _MASK32) < threshold:
+                    m = next_uint32() * n
+            return m >> 32
+
+        def random() -> float:
+            """``Generator.random()``: uniform on ``[0, 1)``."""
+            return (next_word() >> 11) * _TWO_M53
+
+        def sync() -> None:
+            unused = block.__length_hint__() if block is not None else 0
+            if unused:
+                bitgen.advance(-unused)
+            # ``random_raw`` leaves the half-word buffer alone and ``advance``
+            # zeroes it: write the stream's own back.
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = int(has_uint32), uinteger
+            bitgen.state = state
+
+        self.integers = integers
+        self.random = random
+        self._sync = sync
+
+    def __enter__(self) -> "_DrawStream":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._sync()
+
 
 _REJECT_MARGIN = 1e-9
 """Relative slack of :func:`_reject_above`'s threshold.  It dwarfs the few
@@ -104,6 +220,11 @@ class ChainState:
     max_iterations: int
     """The chain's **total** proposal budget (not a per-slice bound)."""
     rng: np.random.Generator
+    """The chain's PCG64 generator, positioned after its last proposal's
+    draws.  A slice draws through a :class:`_DrawStream` and writes the
+    stream's position back when it ends, so between slices this is the
+    generator per-call draws would have left, down to its
+    ``bit_generator.state``."""
     current_plan: ExecutionPlan
     current_cost: float
     best_plan: ExecutionPlan
@@ -362,24 +483,28 @@ class MCMCSearcher:
     # ------------------------------------------------------------------ #
     # MCMC
     # ------------------------------------------------------------------ #
-    def _propose(
-        self, plan: ExecutionPlan, rng: np.random.Generator
-    ) -> Tuple[str, Allocation]:
+    def _propose(self, plan: ExecutionPlan, rng) -> Tuple[str, Allocation]:
         """Propose a single-call move ``(call_name, new_allocation)``.
 
         Three move types are mixed: (a) reassign a random call to a random
         allocation option, (b) align a call with the allocation of another
         call (which removes a reallocation edge when they share a model), and
         (c) keep a call's mesh but change its strategy or micro-batch count.
+        ``rng`` is anything with ``Generator``'s ``integers(n)`` and
+        ``random()``: :meth:`advance_chain` passes its slice's
+        :class:`_DrawStream`, which draws the same numbers as the chain's
+        ``np.random.Generator`` itself (also accepted).  A proposal draws the
+        call, the move roll, then the other call and/or the option, in that
+        order: three or four draws.
         """
         call_names = self._call_names
-        call_name = call_names[int(rng.integers(len(call_names)))]
+        call_name = call_names[rng.integers(len(call_names))]
         compiled = self._compiled[call_name]
         choices = compiled.options
         roll = rng.random()
         if roll < 0.2 and len(call_names) > 1:
             # Align with another call's allocation if it is a valid option here.
-            other = call_names[int(rng.integers(len(call_names)))]
+            other = call_names[rng.integers(len(call_names))]
             if other != call_name:
                 other_alloc = plan[other]
                 other_key = other_alloc.key
@@ -391,8 +516,8 @@ class MCMCSearcher:
             entry = compiled.by_mesh.get(plan[call_name].key[:4])
             if entry is not None:
                 span = entry[0]
-                return call_name, choices[span[int(rng.integers(len(span)))]]
-        return call_name, choices[int(rng.integers(len(choices)))]
+                return call_name, choices[span[rng.integers(len(span))]]
+        return call_name, choices[rng.integers(len(choices))]
 
     def _chain_rng(self, chain: int) -> np.random.Generator:
         """Chain 0 keeps the classic single-chain stream (bit-compatible with
@@ -444,6 +569,15 @@ class MCMCSearcher:
         on a lower bound of its cost, without simulating it.  A proposal
         that passes the bound is tested with the exact cost, so accepted
         moves, the best plan and the history are those of exact scoring.
+
+        The slice draws through one :class:`_DrawStream` over ``state.rng``
+        (the same numbers, in the same order, as calling the generator per
+        draw, without numpy's per-call overhead).  On the way out, normal
+        or by an exception from the estimator, the stream rewinds the
+        words it fetched but did not use and restores PCG64's half-word
+        buffer, so ``state.rng`` stands exactly after the draws of the
+        proposals this slice made.  A generator that is not PCG64 raises
+        ``ValueError`` before the first proposal.
         """
         cfg = self.config
         if state.done:
@@ -460,7 +594,6 @@ class MCMCSearcher:
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
         deadline = wall_start + (cfg.time_budget_s - state.wall_seconds)
-        rng = state.rng
         current, current_cost = state.current_plan, state.current_cost
         best_plan, best_cost = state.best_plan, state.best_cost
         n_accepted = 0
@@ -469,42 +602,47 @@ class MCMCSearcher:
         # One uniform is drawn per proposal (even for downhill moves that
         # accept regardless), so any slicing of the loop consumes the RNG
         # stream identically — chain trajectories are bit-identical however
-        # the iteration budget is sliced.
-        while iteration < slice_iters:
-            if time.perf_counter() > deadline:
-                break
-            iteration += 1
-            call_name, new_alloc = self._propose(current, rng)
-            u = rng.random()
-            # Normalise the energy by the chain's best cost so far so the
-            # temperature stays meaningful across experiment scales and even
-            # when the initial plan is heavily OOM-penalised.  Chain-local on
-            # purpose: sharing the cross-chain best would entangle the chains,
-            # making each chain's trajectory depend on the chains before it.
-            scale = max(best_cost, 1e-9)
-            proposal_cost = cost_delta(
-                current, call_name, new_alloc, oom_penalty,
-                reject_above=_reject_above(current_cost, scale, u, beta),
-            )
-            if proposal_cost is None:
-                accept = False  # its cost is above the threshold: the test fails
-            else:
-                delta = (proposal_cost - current_cost) / scale
-                accept = delta <= 0 or u < math.exp(-beta * delta)
-            if accept:
-                current = current.with_assignment(call_name, new_alloc)
-                current_cost = proposal_cost
-                n_accepted += 1
-                if current_cost < best_cost:
-                    best_plan, best_cost = current, current_cost
-            if cfg.record_history:
-                state.history.append(
-                    (
-                        state.n_iterations + iteration,
-                        state.wall_seconds + (time.perf_counter() - wall_start),
-                        best_cost,
-                    )
+        # the iteration budget is sliced.  The draw stream writes its
+        # position back to ``state.rng`` when the slice ends, however it ends.
+        with _DrawStream(state.rng) as draws:
+            draw_u = draws.random
+            while iteration < slice_iters:
+                if time.perf_counter() > deadline:
+                    break
+                iteration += 1
+                call_name, new_alloc = self._propose(current, draws)
+                u = draw_u()
+                # Normalise the energy by the chain's best cost so far so
+                # the temperature stays meaningful across experiment scales
+                # and even when the initial plan is heavily OOM-penalised.
+                # Chain-local on purpose: sharing the cross-chain best would
+                # entangle the chains, making each chain's trajectory depend
+                # on the chains before it.
+                scale = max(best_cost, 1e-9)
+                proposal_cost = cost_delta(
+                    current, call_name, new_alloc, oom_penalty,
+                    reject_above=_reject_above(current_cost, scale, u, beta),
                 )
+                if proposal_cost is None:
+                    # Its cost is above the threshold: the test fails.
+                    accept = False
+                else:
+                    delta = (proposal_cost - current_cost) / scale
+                    accept = delta <= 0 or u < math.exp(-beta * delta)
+                if accept:
+                    current = current.with_assignment(call_name, new_alloc)
+                    current_cost = proposal_cost
+                    n_accepted += 1
+                    if current_cost < best_cost:
+                        best_plan, best_cost = current, current_cost
+                if cfg.record_history:
+                    state.history.append(
+                        (
+                            state.n_iterations + iteration,
+                            state.wall_seconds + (time.perf_counter() - wall_start),
+                            best_cost,
+                        )
+                    )
         state.current_plan, state.current_cost = current, current_cost
         state.best_plan, state.best_cost = best_plan, best_cost
         state.n_iterations += iteration

@@ -6,6 +6,8 @@ import os
 import platform
 from typing import Dict
 
+import numpy
+
 __all__ = ["machine_fingerprint"]
 
 
@@ -14,7 +16,10 @@ def machine_fingerprint() -> Dict[str, object]:
 
     * ``cores`` — ``os.cpu_count()``: the machine's logical core count;
     * ``usable_cores`` — the scheduler-affinity mask size, which is what a
-      containerised run can actually use (falls back to ``cores``).
+      containerised run can actually use (falls back to ``cores``);
+    * ``platform`` and ``python`` — the OS and interpreter version;
+    * ``numpy`` — ``numpy.__version__``: every search outcome, and so every
+      digest, depends on the raw words numpy's PCG64 generator produces.
     """
     cores = os.cpu_count() or 1
     try:
@@ -26,4 +31,5 @@ def machine_fingerprint() -> Dict[str, object]:
         "usable_cores": usable,
         "platform": platform.platform(),
         "python": platform.python_version(),
+        "numpy": numpy.__version__,
     }

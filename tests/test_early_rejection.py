@@ -8,7 +8,10 @@ once the plan is known to overflow) without simulating the plan.  These
 tests pin the pieces that make that exact:
 
 * the old loop (score, then draw ``u``), kept here as the reference, and the
-  new one give equal best plans, costs, accepted counts and histories;
+  new one give equal best plans, costs, accepted counts and histories, and
+  leave the chain's generator in equal states: after the whole chain, after
+  every slice and after a slice an estimator error ended (the new loop draws
+  through a ``_DrawStream``, the old one calls the ``Generator`` per draw);
 * the threshold is sound: a cost just above it fails the acceptance test;
 * the critical-path bound never exceeds the simulated TimeCost;
 * ``cost_delta`` returns the exact cost whenever that cost is not above the
@@ -59,11 +62,13 @@ def accepts(proposal_cost, current_cost, scale, u, beta):
     return delta <= 0 or u < math.exp(-beta * delta)
 
 
-def old_loop(searcher, state):
+def old_loop(searcher, state, rng_states=None):
     """The acceptance loop before early rejection: score, then draw ``u``.
 
     Returns ``(best_plan, best_cost, n_accepted, history)`` with history
-    entries ``(iteration, best_cost_so_far)``.
+    entries ``(iteration, best_cost_so_far)``.  ``rng_states``, when given,
+    collects ``state.rng.bit_generator.state`` before the first proposal and
+    after each one.
     """
     cfg = searcher.config
     rng = state.rng
@@ -71,6 +76,8 @@ def old_loop(searcher, state):
     best_plan, best_cost = state.best_plan, state.best_cost
     n_accepted = 0
     history = []
+    if rng_states is not None:
+        rng_states.append(rng.bit_generator.state)
     for iteration in range(1, state.max_iterations + 1):
         call_name, new_alloc = searcher._propose(current, rng)
         proposal_cost = searcher.estimator.cost_delta(
@@ -87,6 +94,8 @@ def old_loop(searcher, state):
             if current_cost < best_cost:
                 best_plan, best_cost = current, current_cost
         history.append((iteration, best_cost))
+        if rng_states is not None:
+            rng_states.append(rng.bit_generator.state)
     return best_plan, best_cost, n_accepted, history
 
 
@@ -127,14 +136,63 @@ def _chain(searcher):
 def test_new_loop_equals_old_loop(algorithm, seed, iterations, beta, oom_penalty, slice_iterations):
     old = _searcher(algorithm, seed, iterations, beta, oom_penalty)
     new = _searcher(algorithm, seed, iterations, beta, oom_penalty)
-    expected = old_loop(old, _chain(old))
-    got = new_loop(new, _chain(new), slice_iterations)
+    old_state, new_state = _chain(old), _chain(new)
+    expected = old_loop(old, old_state)
+    got = new_loop(new, new_state, slice_iterations)
     assert got[0].assignments == expected[0].assignments
     assert got[1:] == expected[1:]
+    assert new_state.rng.bit_generator.state == old_state.rng.bit_generator.state
     stats = new.estimator.eval_cache_stats
     if beta > 0 and iterations == max(ITERATIONS):
         # The chain really did reject on bounds, yet nothing moved.
         assert stats.bound_rejections > 0
+
+
+@pytest.mark.parametrize("algorithm", sorted(GRAPHS))
+@pytest.mark.parametrize("slice_iterations", [1, 37, None])
+def test_generator_state_after_each_slice(algorithm, slice_iterations):
+    """Between slices the chain's generator is where per-call draws leave it."""
+    reference = _searcher(algorithm, 7, 120, 8.0, 3.0)
+    rng_states = []
+    old_loop(reference, _chain(reference), rng_states)
+    searcher = _searcher(algorithm, 7, 120, 8.0, 3.0)
+    state = _chain(searcher)
+    slices = 0
+    while not state.done:
+        searcher.advance_chain(state, max_iterations=slice_iterations)
+        assert state.rng.bit_generator.state == rng_states[state.n_iterations]
+        slices += 1
+    assert slices == {1: 120, 37: 4, None: 1}[slice_iterations]
+
+
+class _Failed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_proposal", [1, 2, 45, 119])
+def test_estimator_error_leaves_the_generator_after_its_proposals(failing_proposal):
+    """A slice that ``cost_delta`` ends with an error on its k-th proposal
+    leaves ``state.rng`` after exactly k proposals' draws (the k-th one's
+    draws, its uniform included, precede its scoring)."""
+    reference = _searcher("ppo", 1, 120, 8.0, 3.0)
+    rng_states = []
+    old_loop(reference, _chain(reference), rng_states)
+    searcher = _searcher("ppo", 1, 120, 8.0, 3.0)
+    cost_delta = searcher.estimator.cost_delta
+    calls = 0
+
+    def failing_cost_delta(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == failing_proposal:
+            raise _Failed
+        return cost_delta(*args, **kwargs)
+
+    searcher.estimator.cost_delta = failing_cost_delta
+    state = _chain(searcher)
+    with pytest.raises(_Failed):
+        searcher.advance_chain(state)
+    assert state.rng.bit_generator.state == rng_states[failing_proposal]
 
 
 @pytest.mark.parametrize("algorithm", sorted(GRAPHS))
