@@ -8,7 +8,7 @@ The package is organised by subsystem:
 * :mod:`repro.core` — dataflow graphs, execution plans, the profiling-assisted
   estimator and the MCMC execution-plan search (the paper's core contribution).
 * :mod:`repro.realloc` — parameter reallocation between 3D layouts (Figure 6).
-* :mod:`repro.runtime` — the master/worker runtime engine (discrete-event).
+* :mod:`repro.runtime` — the runtime engine (list scheduling on GPU timelines).
 * :mod:`repro.algorithms` — PPO, DPO, GRPO and ReMax dataflow graphs.
 * :mod:`repro.baselines` — DeepSpeed-Chat, OpenRLHF, NeMo-Aligner, veRL and the
   Megatron heuristic as strategy models, plus ReaL itself.
@@ -17,8 +17,8 @@ The package is organised by subsystem:
   serves each request on the caller's thread.
 * :mod:`repro.sched` — multi-job cluster scheduler: elastic, plan-service-
   driven scheduling of concurrent RLHF jobs over one shared cluster.
-* :mod:`repro.sim` — the shared discrete-event kernel, resource timelines and
-  the Chrome-trace exporter both simulators run on.
+* :mod:`repro.sim` — the discrete-event kernel the scheduler runs on, and the
+  resource timelines and Chrome-trace exporter both simulators share.
 * :mod:`repro.capacity` — synthetic fleet traces and capacity what-if grids.
 * :mod:`repro.obs` — metrics registry, structured logging, causal tracing,
   the decision-provenance ledger and the run-report CLI.

@@ -1,4 +1,4 @@
-"""Runtime engine: master/worker discrete-event execution of execution plans."""
+"""Runtime engine: list-scheduled execution of execution plans on GPU timelines."""
 
 from .data_transfer import (
     DataTransferPlan,
@@ -7,21 +7,11 @@ from .data_transfer import (
     plan_data_transfer,
 )
 from .engine import IterationTrace, RuntimeEngine, ThroughputResult
-from .master import MasterWorker
-from .request import DataLocation, Reply, Request
-from .worker import BusySpan, ModelWorker, WorkerPool
 
 __all__ = [
     "RuntimeEngine",
     "IterationTrace",
     "ThroughputResult",
-    "MasterWorker",
-    "ModelWorker",
-    "WorkerPool",
-    "BusySpan",
-    "Request",
-    "Reply",
-    "DataLocation",
     "DataTransferPlan",
     "DataTransferStep",
     "plan_data_transfer",

@@ -1,27 +1,24 @@
-"""The runtime engine: discrete-event execution of an execution plan.
+"""The runtime engine: list-scheduled execution of an execution plan.
 
-This is the reproduction's stand-in for ReaL's worker-based runtime.  The
-master worker resolves dependencies and dispatches requests; model workers
-execute them FIFO on their GPUs; parameter reallocations and data transfers
-are charged on the participating GPUs between calls.  Per-GPU busy time is
-recorded per cost category, which yields the GPU-time breakdown of Figure 11,
-the wall-time breakdown of Table 6 and the "real" times that Figure 12
-compares the estimator against.
+This is the reproduction's stand-in for ReaL's worker-based runtime
+(Section 6), where a master worker resolves dependencies and dispatches
+requests to model workers that execute them FIFO on their GPUs.  Here that
+is one greedy list-scheduling loop: each step takes the ready call that can
+start the earliest (ties by name), no earlier than the cluster's
+``rpc_overhead_s`` after its last parent finished, and charges its
+parameter reallocations, incoming data transfers and the call itself on
+per-GPU :class:`~repro.sim.resources.TimelinePool` timelines.  Per-GPU busy
+time is recorded per cost category, which yields the GPU-time breakdown of
+Figure 11, the wall-time breakdown of Table 6 and the "real" times that
+Figure 12 compares the estimator against; the spans export as a Chrome trace
+(:meth:`IterationTrace.export_chrome_trace`).
 
 The engine evaluates per-layer costs with the exact analytical kernel model
 (not the interpolated profiles the estimator uses) and accounts for request
 dispatch overhead, reallocation broadcasts and inter-call data movement, so
 its results deliberately differ from the estimator's by a few percent.
-
-Since the :mod:`repro.sim` refactor the engine is a *workload executor* over
-the shared simulation kernel: the dispatch/complete chain runs as
-:class:`~repro.sim.kernel.SimKernel` events, GPU busy time is tracked by the
-shared resource timelines, and the resulting spans export as a Chrome trace
-(:meth:`IterationTrace.export_chrome_trace`).  The executor is a greedy list
-scheduler — each dispatch picks the ready call that can start earliest and
-its completion event immediately re-arms the dispatcher — which reproduces
-the paper's master/worker FIFO behaviour exactly (and bit-identically to the
-pre-kernel implementation, see ``tests/test_golden_traces.py``).
+``tests/test_golden_traces.py`` and ``tests/test_golden_engine_plans.py``
+pin its traces bit for bit.
 """
 
 from __future__ import annotations
@@ -37,17 +34,11 @@ from ..core.plan import ExecutionPlan, reallocation_edges
 from ..core.profiler import AnalyticalProvider
 from ..core.workload import RLHFWorkload
 from ..realloc.cost import ReallocCostModel
-from ..sim.kernel import Event, SimKernel
+from ..sim.resources import TimelinePool
 from ..sim.trace import TraceRecorder, TraceSpan
 from .data_transfer import data_transfer_time, plan_data_transfer
-from .master import MasterWorker
-from .worker import WorkerPool
 
 __all__ = ["IterationTrace", "ThroughputResult", "RuntimeEngine"]
-
-# Kernel event kinds of the engine's executor.
-_DISPATCH = "dispatch"
-_COMPLETE = "complete"
 
 
 @dataclass
@@ -195,13 +186,11 @@ class RuntimeEngine:
     def run_iteration(self, graph: DataflowGraph, plan: ExecutionPlan) -> IterationTrace:
         """Simulate one RLHF iteration of ``plan`` and return its trace."""
         plan.validate(graph, self.cluster)
-        master = MasterWorker(graph, plan, rpc_overhead_s=self.cluster.rpc_overhead_s)
-        pool = WorkerPool(self.cluster.n_gpus)
-
         breakdowns = {name: self._call_breakdown(graph, name, plan) for name in graph.call_names}
 
-        # Parameter reallocation incoming to each call.
-        realloc_in: Dict[str, List[Tuple[str, float, Tuple[int, ...]]]] = {
+        # Parameter reallocation incoming to each call: (seconds, GPUs of
+        # the union of the source and destination meshes).
+        realloc_in: Dict[str, List[Tuple[float, Tuple[int, ...]]]] = {
             name: [] for name in graph.call_names
         }
         realloc_total = 0.0
@@ -209,7 +198,7 @@ class RuntimeEngine:
             config = self.workload.model_config(edge.model_name)
             cost = self.realloc_model.cost(config, edge.src, edge.dst)
             gpus = tuple(sorted(set(edge.src.mesh.device_ids) | set(edge.dst.mesh.device_ids)))
-            realloc_in[edge.dst_call].append((edge.model_name, cost.seconds, gpus))
+            realloc_in[edge.dst_call].append((cost.seconds, gpus))
             realloc_total += cost.seconds
 
         # Data transfer incoming to each call, keyed by (parent, child).
@@ -224,42 +213,37 @@ class RuntimeEngine:
             transfer_total += seconds
 
         parents = graph.parents_map()
+        children = graph.children_map()
+        pool = TimelinePool(self.cluster.n_gpus)
+        rpc_overhead_s = self.cluster.rpc_overhead_s
+        remaining_parents = {name: len(parents[name]) for name in graph.call_names}
+        ready_time = dict.fromkeys(graph.call_names, 0.0)
+        ready = [name for name, count in remaining_parents.items() if count == 0]
         call_spans: Dict[str, Tuple[float, float]] = {}
 
-        # Workload executor over the shared kernel.  A DISPATCH event runs
-        # one greedy list-scheduling step: pick the dispatchable call that
-        # can start the earliest given both its readiness and its device
-        # mesh availability, charge its phases on the worker timelines and
-        # schedule its COMPLETE event.  The COMPLETE event propagates
-        # readiness to children and re-arms the dispatcher, so calls are
-        # processed one at a time in greedy order — the FIFO discipline of
-        # the paper's model workers.
-        kernel = SimKernel()
-
-        def _dispatch(event: Event) -> None:
-            ready = master.ready_calls()
+        # Greedy list scheduling: each step runs the ready call that can
+        # start the earliest given its readiness and its mesh's
+        # availability (ties by name), charging its phases on the GPU
+        # timelines in FIFO order.
+        while len(call_spans) < len(remaining_parents):
             if not ready:
                 raise RuntimeError("deadlock: no ready calls but the graph is incomplete")
-            candidates = []
-            for name, ready_time in ready:
-                mesh_gpus = plan[name].mesh.device_ids
-                start = max(ready_time, pool.free_at(mesh_gpus))
-                candidates.append((start, name, ready_time))
-            candidates.sort()
-            start, name, ready_time = candidates[0]
-            request = master.dispatch(name, now=ready_time)
-            start = max(start, request.issued_at)
-
-            alloc = plan[name]
-            mesh_gpus = alloc.mesh.device_ids
+            start, name = min(
+                (max(ready_time[n], pool.free_at(plan[n].mesh.device_ids)), n) for n in ready
+            )
+            ready.remove(name)
+            # The master's request reaches the workers rpc_overhead_s after
+            # the call became ready.
+            start = max(start, ready_time[name] + rpc_overhead_s)
+            mesh_gpus = plan[name].mesh.device_ids
             clock = start
 
             # 1. Parameter reallocation occupies the union of source and
             #    destination meshes.
-            for _model_name, seconds, gpus in realloc_in[name]:
+            for seconds, gpus in realloc_in[name]:
                 if seconds <= 0:
                     continue
-                realloc_start = max(clock, pool.free_at(tuple(gpus)))
+                realloc_start = max(clock, pool.free_at(gpus))
                 for g in gpus:
                     pool[g].occupy(max(realloc_start, pool[g].free_at), {"realloc": seconds}, name)
                 clock = realloc_start + seconds
@@ -286,17 +270,12 @@ class RuntimeEngine:
             for g in mesh_gpus:
                 end = max(end, pool[g].occupy(max(call_start, pool[g].free_at), durations, name))
             call_spans[name] = (start, end)
-            kernel.schedule(end, _COMPLETE, payload=(name, end))
 
-        def _complete(event: Event) -> None:
-            name, end = event.payload
-            master.complete(name, end)
-            if not master.all_completed():
-                kernel.schedule(event.time, _DISPATCH)
-
-        handlers = {_DISPATCH: _dispatch, _COMPLETE: _complete}
-        kernel.schedule(0.0, _DISPATCH)
-        kernel.run(lambda event: handlers[event.kind](event))
+            for child in children[name]:
+                ready_time[child] = max(ready_time[child], end)
+                remaining_parents[child] -= 1
+                if remaining_parents[child] == 0:
+                    ready.append(child)
 
         total = max(end for _, end in call_spans.values())
         memory = RuntimeEstimator(graph, self.workload, self.cluster,

@@ -3,9 +3,8 @@
 :class:`ClusterScheduler` admits a stream of RLHF training jobs
 (:class:`~repro.sched.job.JobSpec`) onto a shared
 :class:`~repro.cluster.hardware.ClusterSpec` and simulates the cluster on
-the shared discrete-event kernel (:class:`~repro.sim.kernel.SimKernel`) —
-the same kernel the iteration-level runtime engine executes plans on.  The
-event loop covers:
+the shared discrete-event kernel (:class:`~repro.sim.kernel.SimKernel`).
+The event loop covers:
 
 * **arrivals** — jobs join the queue at their arrival time;
 * **iteration boundaries** — a placed job advances whole RLHF iterations,

@@ -1,16 +1,17 @@
-"""Shared discrete-event simulation kernel.
+"""Shared discrete-event simulation substrate.
 
 Both simulators of the reproduction — the iteration-level runtime engine
 (:mod:`repro.runtime`) that produces the paper's Figure 11/12 and Table 6
 numbers, and the cluster-level multi-job scheduler (:mod:`repro.sched`) —
-are built on this package instead of hand-rolled event loops:
+are built on this package instead of hand-rolled bookkeeping:
 
 * :mod:`repro.sim.kernel` — the event queue and monotone virtual clock
-  (:class:`SimKernel`).  Workload executors schedule
-  :class:`Event` records and drain them through :meth:`SimKernel.run`.
+  (:class:`SimKernel`) that drives the scheduler: it schedules
+  :class:`Event` records and drains them through :meth:`SimKernel.run`.
 * :mod:`repro.sim.resources` — per-resource occupancy bookkeeping
   (:class:`ResourceTimeline`, :class:`TimelinePool`): busy spans per cost
-  category with FIFO enforcement, the substrate of per-GPU timelines.
+  category with FIFO enforcement.  The engine list-schedules calls onto
+  one timeline per GPU.
 * :mod:`repro.sim.trace` — the unified span record (:class:`TraceSpan`) and
   the Chrome-trace (``chrome://tracing`` / Perfetto JSON) exporter
   (:class:`TraceRecorder`), so a single run — one engine iteration or a

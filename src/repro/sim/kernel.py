@@ -1,29 +1,22 @@
-"""The discrete-event kernel: one event queue and virtual clock for all sims.
+"""The discrete-event kernel: the event queue and virtual clock of the scheduler.
 
-:class:`SimKernel` is the shared core the runtime engine and the cluster
-scheduler are both built on.  It is deliberately small: a priority queue of
-:class:`Event` records ordered by ``(time, priority, seq)`` plus a monotone
-virtual clock.  Executors give events an integer ``priority`` to fix the
-processing order of simultaneous events (e.g. the scheduler processes
-capacity changes before arrivals before completions at the same timestamp)
-and a ``kind`` tag that their handler dispatches on.
+:class:`SimKernel` drives the cluster scheduler (:mod:`repro.sched`).  It is
+deliberately small: a priority queue of :class:`Event` records ordered by
+``(time, priority, seq)`` plus a monotone virtual clock.  Executors give
+events an integer ``priority`` to fix the processing order of simultaneous
+events (e.g. the scheduler processes capacity changes before arrivals before
+completions at the same timestamp) and a ``kind`` tag that their handler
+dispatches on.
 
-Two usage patterns are supported by :meth:`SimKernel.run`:
-
-* plain event-at-a-time handling (the runtime engine's dispatch/complete
-  chain), and
-* timestamp-drained handling: after *all* events sharing the earliest
-  timestamp have been handled, an optional ``on_timestamp_drained`` hook
-  runs — which is where the cluster scheduler makes placement decisions, so
-  simultaneous arrivals are never starved by a decision triggered a moment
-  "earlier".
+:meth:`SimKernel.run` drains timestamps: after *all* events sharing the
+earliest timestamp have been handled, an optional ``on_timestamp_drained``
+hook runs — which is where the cluster scheduler makes placement decisions,
+so simultaneous arrivals are never starved by a decision triggered a moment
+"earlier".  Without the hook it is plain event-at-a-time handling.
 
 The clock is an *observer* clock: ``now`` is the maximum time of any
-processed event and never decreases.  Events may be scheduled at or before
-``now`` (they fire on the next pop); this is what lets the engine express
-its list-scheduling executor — where a later-dispatched call may finish
-before an earlier one — on the same kernel the causally ordered scheduler
-uses.
+processed event and never decreases.  An event scheduled before ``now``
+fires on the next pop without moving the clock backwards.
 """
 
 from __future__ import annotations

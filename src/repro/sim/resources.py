@@ -5,10 +5,10 @@ simulators) is busy, with what and in which cost category, as a sequence of
 :class:`~repro.sim.trace.TraceSpan` records.  A :class:`TimelinePool` indexes
 the timelines of a whole cluster and answers group-availability queries.
 
-The runtime engine's per-GPU model workers (:mod:`repro.runtime.worker`) are
-thin extensions of these classes (they add model-residency tracking); the
-cluster scheduler uses the same span records when exporting job phases into
-the merged Chrome trace.
+The runtime engine (:mod:`repro.runtime.engine`) charges every call's
+reallocation, data-transfer and compute phases on a pool with one timeline
+per GPU; the cluster scheduler uses the same span records when exporting
+job phases into the merged Chrome trace.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
-"""Integration tests for the discrete-event runtime engine."""
+"""Integration tests for the list-scheduling runtime engine."""
+
+import dataclasses
 
 import pytest
 
@@ -42,6 +44,25 @@ class TestRunIteration:
         gen_end = spans["actor_generate"][1]
         for child in ("reward_inference", "ref_inference", "critic_inference"):
             assert spans[child][0] >= gen_end - 1e-9
+
+    @pytest.mark.parametrize("rpc_overhead_s", [None, 0.5])
+    def test_calls_start_after_parents_plus_rpc_overhead(
+        self, small_workload, ppo_graph, cluster, rpc_overhead_s
+    ):
+        if rpc_overhead_s is not None:
+            cluster = dataclasses.replace(cluster, rpc_overhead_s=rpc_overhead_s)
+        overhead = cluster.rpc_overhead_s
+        plan = symmetric_plan(ppo_graph, cluster, ParallelStrategy(2, 8, 1), n_microbatches=8)
+        spans = RuntimeEngine(cluster, small_workload).run_iteration(ppo_graph, plan).call_spans
+        parents = ppo_graph.parents_map()
+        for name, (start, _) in spans.items():
+            last_parent_end = max((spans[p][1] for p in parents[name]), default=0.0)
+            assert start >= last_parent_end + overhead
+        # The source, and the first child once its mesh is free, wait
+        # exactly the overhead.
+        assert spans["actor_generate"][0] == overhead
+        children = ("reward_inference", "ref_inference", "critic_inference")
+        assert min(spans[c][0] for c in children) == spans["actor_generate"][1] + overhead
 
     def test_gpu_accounting_consistent(self, engine, ppo_graph, sym_plan, cluster):
         trace = engine.run_iteration(ppo_graph, sym_plan)
