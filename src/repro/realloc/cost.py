@@ -11,14 +11,13 @@ edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Tuple
 
 from ..cluster.hardware import ClusterSpec
 from ..core.plan import Allocation
 from ..model.config import ModelConfig
 from .layout import ParamLayout
-from .remap import ReallocationPlan, plan_reallocation, reallocation_time
+from .remap import plan_reallocation, reallocation_time
 
 __all__ = ["ReallocCost", "ReallocCostModel"]
 
@@ -103,8 +102,3 @@ class ReallocCostModel:
         total_bytes = config.param_count() * PARAM_BYTES
         return ReallocCost(seconds=seconds, bytes_sent=total_bytes, n_broadcasts=dst.mesh.n_gpus)
 
-    def plan(self, config: ModelConfig, src: Allocation, dst: Allocation) -> ReallocationPlan:
-        """The full broadcast schedule (used by the runtime engine's trace)."""
-        src_layout = ParamLayout(config=config, mesh=src.mesh, parallel=src.parallel)
-        dst_layout = ParamLayout(config=config, mesh=dst.mesh, parallel=dst.parallel)
-        return plan_reallocation(src_layout, dst_layout)
