@@ -38,7 +38,6 @@ from ..core.dataflow import DataflowGraph, ModelFunctionCall
 from ..core.pruning import PruneConfig
 from ..core.search import SearchConfig
 from ..core.workload import RLHFWorkload
-from ..model.config import ModelConfig
 
 __all__ = [
     "WorkloadFingerprint",
@@ -68,12 +67,17 @@ def _graph_dict(graph: DataflowGraph) -> Dict[str, Any]:
     }
 
 
-def _model_dict(config: ModelConfig) -> Dict[str, Any]:
-    return dataclasses.asdict(config)
+def _fields_dict(obj: Any) -> Dict[str, Any]:
+    """``dataclasses.asdict`` without its deep copies.
 
-
-def _cluster_dict(cluster: ClusterSpec) -> Dict[str, Any]:
-    return dataclasses.asdict(cluster)
+    The configs fingerprinted here hold only scalars, tuples of scalars and
+    nested dataclasses, which encode to the same JSON either way.
+    """
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = _fields_dict(value) if hasattr(value, "__dataclass_fields__") else value
+    return out
 
 
 def _search_dict(search: SearchConfig) -> Dict[str, Any]:
@@ -89,9 +93,18 @@ def _search_dict(search: SearchConfig) -> Dict[str, Any]:
 
 
 def _prune_dict(prune: PruneConfig) -> Dict[str, Any]:
-    data = dataclasses.asdict(prune)
+    data = _fields_dict(prune)
     data["microbatch_choices"] = list(data["microbatch_choices"])
     return data
+
+
+def _workload_scalars(workload: RLHFWorkload) -> Dict[str, Any]:
+    return {
+        "batch_size": workload.batch_size,
+        "prompt_len": workload.prompt_len,
+        "gen_len": workload.gen_len,
+        "n_ppo_minibatches": workload.n_ppo_minibatches,
+    }
 
 
 def canonical_request(
@@ -105,24 +118,37 @@ def canonical_request(
     return {
         "graph": _graph_dict(graph),
         "workload": {
-            "batch_size": workload.batch_size,
-            "prompt_len": workload.prompt_len,
-            "gen_len": workload.gen_len,
-            "n_ppo_minibatches": workload.n_ppo_minibatches,
+            **_workload_scalars(workload),
             "models": {
-                name: _model_dict(workload.model_configs[name])
+                name: _fields_dict(workload.model_configs[name])
                 for name in sorted(workload.model_configs)
             },
         },
-        "cluster": _cluster_dict(cluster),
+        "cluster": _fields_dict(cluster),
         "search": _search_dict(search),
         "prune": _prune_dict(prune),
     }
 
 
-def _digest(document: Mapping[str, Any]) -> str:
-    payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _json(value: Any) -> str:
+    """Canonical JSON text: sorted keys, no whitespace."""
+    return _ENCODER.encode(value)
+
+
+def _object(members: Mapping[str, str]) -> str:
+    """Canonical JSON text of an object from its members' canonical texts.
+
+    Equals ``_json`` of the object itself, because the encoder writes a
+    nested value exactly as it writes that value alone.
+    """
+    return "{" + ",".join(f"{_json(name)}:{members[name]}" for name in sorted(members)) + "}"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -165,16 +191,32 @@ def fingerprint_request(
     search: SearchConfig = SearchConfig(),
     prune: PruneConfig = PruneConfig(),
 ) -> WorkloadFingerprint:
-    """Fingerprint a planning request into exact and family keys."""
-    canonical = canonical_request(graph, workload, cluster, search, prune)
+    """Fingerprint a planning request into exact and family keys.
+
+    Each part of :func:`canonical_request` (and each cluster field) is
+    encoded once; the five digests hash documents assembled from those
+    texts, which are byte-identical to encoding each document whole.
+    """
+    graph_json = _json(_graph_dict(graph))
+    models_json = _object({
+        name: _json(_fields_dict(config)) for name, config in workload.model_configs.items()
+    })
+    workload_json = _object({
+        **{name: _json(value) for name, value in _workload_scalars(workload).items()},
+        "models": models_json,
+    })
+    cluster_fields = {name: _json(value) for name, value in _fields_dict(cluster).items()}
+    cluster_json = _object(cluster_fields)
+    prune_json = _json(_prune_dict(prune))
+    estimator_document = {"graph": graph_json, "workload": workload_json, "cluster": cluster_json}
     family_document = {
-        "graph": canonical["graph"],
-        "models": canonical["workload"]["models"],
-        "gpus_per_node": cluster.gpus_per_node,
-        "gpu": dataclasses.asdict(cluster.gpu),
-        "interconnect": dataclasses.asdict(cluster.interconnect),
-        "rpc_overhead_s": cluster.rpc_overhead_s,
-        "prune": canonical["prune"],
+        "graph": graph_json,
+        "models": models_json,
+        "gpus_per_node": cluster_fields["gpus_per_node"],
+        "gpu": cluster_fields["gpu"],
+        "interconnect": cluster_fields["interconnect"],
+        "rpc_overhead_s": cluster_fields["rpc_overhead_s"],
+        "prune": prune_json,
     }
     features: Dict[str, float] = {
         "batch_size": float(workload.batch_size),
@@ -184,18 +226,13 @@ def fingerprint_request(
         "n_nodes": float(cluster.n_nodes),
         "n_gpus": float(cluster.n_gpus),
     }
-    estimator_document = {
-        "graph": canonical["graph"],
-        "workload": canonical["workload"],
-        "cluster": canonical["cluster"],
-    }
     return WorkloadFingerprint(
-        key=_digest(canonical),
-        family=_digest(family_document),
+        key=_sha256(_object({
+            **estimator_document, "search": _json(_search_dict(search)), "prune": prune_json,
+        })),
+        family=_sha256(_object(family_document)),
         features=features,
-        estimator_key=_digest(estimator_document),
-        problem_key=_digest({**estimator_document, "prune": canonical["prune"]}),
-        option_table_key=_digest(
-            {"cluster": canonical["cluster"], "prune": canonical["prune"]}
-        ),
+        estimator_key=_sha256(_object(estimator_document)),
+        problem_key=_sha256(_object({**estimator_document, "prune": prune_json})),
+        option_table_key=_sha256(_object({"cluster": cluster_json, "prune": prune_json})),
     )

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
+import json
 
-from repro.algorithms import build_dpo_graph, build_ppo_graph
-from repro.cluster import make_cluster
+import pytest
+
+from repro.algorithms import build_dpo_graph, build_graph, build_ppo_graph
+from repro.cluster import ClusterSpec, H100_SPEC, DEFAULT_INTERCONNECT, make_cluster
 from repro.core import (
     MCMCSearcher,
     ParallelStrategy,
+    PruneConfig,
+    RLHFWorkload,
     SearchConfig,
     instructgpt_workload,
     symmetric_plan,
@@ -17,6 +24,7 @@ from repro.service import (
     PlanCache,
     PlanCacheEntry,
     WorkloadFingerprint,
+    canonical_request,
     fingerprint_request,
     select_warm_start,
 )
@@ -88,6 +96,83 @@ class TestFingerprint:
             search=dataclasses.replace(SMALL_SEARCH, initial_plan=hint)
         )
         assert plain.key == with_history.key == with_hint.key
+
+
+def _whole_document_keys(graph, workload, cluster, search, prune):
+    """The five keys as whole-document digests of ``dataclasses.asdict`` parts."""
+
+    def digest(document):
+        payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    canonical = canonical_request(graph, workload, cluster, search, prune)
+    canonical["workload"]["models"] = {
+        name: dataclasses.asdict(workload.model_configs[name])
+        for name in sorted(workload.model_configs)
+    }
+    canonical["cluster"] = dataclasses.asdict(cluster)
+    canonical["prune"] = dict(
+        dataclasses.asdict(prune), microbatch_choices=list(prune.microbatch_choices)
+    )
+    family_document = {
+        "graph": canonical["graph"],
+        "models": canonical["workload"]["models"],
+        "gpus_per_node": cluster.gpus_per_node,
+        "gpu": dataclasses.asdict(cluster.gpu),
+        "interconnect": dataclasses.asdict(cluster.interconnect),
+        "rpc_overhead_s": cluster.rpc_overhead_s,
+        "prune": canonical["prune"],
+    }
+    estimator_document = {
+        "graph": canonical["graph"],
+        "workload": canonical["workload"],
+        "cluster": canonical["cluster"],
+    }
+    return {
+        "key": digest(canonical),
+        "family": digest(family_document),
+        "estimator_key": digest(estimator_document),
+        "problem_key": digest({**estimator_document, "prune": canonical["prune"]}),
+        "option_table_key": digest({"cluster": canonical["cluster"], "prune": canonical["prune"]}),
+    }
+
+
+_CLUSTERS = (
+    make_cluster(8),
+    make_cluster(16),
+    ClusterSpec(
+        n_nodes=3,
+        gpus_per_node=4,
+        gpu=dataclasses.replace(H100_SPEC, name="H800 \u00e9", memory_gb=79.5),
+        interconnect=dataclasses.replace(DEFAULT_INTERCONNECT, inter_node_bandwidth_gbps=200.0),
+        rpc_overhead_s=1e-3,
+    ),
+)
+_PRUNES = (
+    PruneConfig(),
+    PruneConfig(microbatch_choices=(1, 3), max_mesh_gpus=8, power_of_two_meshes=False),
+)
+_SEARCHES = (SearchConfig(), SMALL_SEARCH)
+
+
+class TestFingerprintEncoding:
+    """Keys built from once-encoded parts equal whole-document digests."""
+
+    @pytest.mark.parametrize("algorithm", ["ppo", "grpo", "remax", "dpo"])
+    def test_keys_byte_identical(self, algorithm):
+        graph = build_graph(algorithm)
+        base = instructgpt_workload("13b", "7b", batch_size=96, gen_len=512)
+        workloads = (
+            base,
+            RLHFWorkload({**base.model_configs, "r\u00e9f\"x": base.model_configs["ref"]},
+                         batch_size=7, prompt_len=33, n_ppo_minibatches=2),
+        )
+        for workload, cluster, search, prune in itertools.product(
+            workloads, _CLUSTERS, _SEARCHES, _PRUNES
+        ):
+            fingerprint = fingerprint_request(graph, workload, cluster, search, prune)
+            expected = _whole_document_keys(graph, workload, cluster, search, prune)
+            assert {name: getattr(fingerprint, name) for name in expected} == expected
 
 
 class TestPlanCache:
