@@ -18,10 +18,18 @@ The fixtures pin the observable outputs of the two discrete-event simulators
 Run from the repository root (only needed when intentionally re-baselining)::
 
     PYTHONPATH=src python tests/fixtures/make_golden.py
+
+This rewrites the engine fixtures only.  The schedule fixtures hold the
+*pre-kernel* baseline that ``TestSchedulerWithinTolerance`` and
+``test_failure_delta_is_the_documented_improvement`` measure the current
+scheduler against; regenerating them from current code would make those
+tests compare the scheduler with itself.  They are rewritten only with an
+explicit ``--schedule-baselines``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -156,10 +164,18 @@ def schedule_scenarios():
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--schedule-baselines", action="store_true",
+        help="also overwrite the pre-kernel golden_schedule_*.json baselines",
+    )
+    args = parser.parse_args()
     for name, payload in engine_scenarios():
         path = FIXTURES / f"golden_engine_{name}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
+    if not args.schedule_baselines:
+        return
     for name, payload in schedule_scenarios():
         path = FIXTURES / f"golden_schedule_{name}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
