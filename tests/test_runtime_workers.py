@@ -1,15 +1,18 @@
-"""Tests for model workers, the worker pool and the master worker."""
+"""Tests for the per-GPU worker timelines the runtime engine charges calls on.
+
+The engine models each of ReaL's model workers as one
+:class:`~repro.sim.resources.ResourceTimeline` and the cluster's workers as a
+:class:`~repro.sim.resources.TimelinePool` with one timeline per GPU.
+"""
 
 import pytest
 
-from repro.cluster import full_cluster_mesh, make_cluster
-from repro.core import ParallelStrategy, symmetric_plan
-from repro.runtime import MasterWorker, ModelWorker, WorkerPool
+from repro.sim import ResourceTimeline, TimelinePool
 
 
 class TestModelWorker:
     def test_occupy_advances_clock(self):
-        worker = ModelWorker(gpu_id=0)
+        worker = ResourceTimeline(resource_id=0)
         end = worker.occupy(0.0, {"compute": 1.0, "coll_comm": 0.5}, "call")
         assert end == pytest.approx(1.5)
         assert worker.free_at == pytest.approx(1.5)
@@ -17,102 +20,42 @@ class TestModelWorker:
         assert worker.busy_seconds("compute") == pytest.approx(1.0)
 
     def test_occupy_rejects_time_travel(self):
-        worker = ModelWorker(gpu_id=0)
+        worker = ResourceTimeline(resource_id=0)
         worker.occupy(0.0, {"compute": 2.0}, "a")
         with pytest.raises(ValueError):
             worker.occupy(1.0, {"compute": 1.0}, "b")
 
     def test_zero_durations_skipped(self):
-        worker = ModelWorker(gpu_id=0)
+        worker = ResourceTimeline(resource_id=0)
         worker.occupy(0.0, {"compute": 0.0, "pp_comm": 0.0}, "a")
         assert worker.spans == []
+        assert worker.free_at == 0.0
 
     def test_categories_aggregated(self):
-        worker = ModelWorker(gpu_id=1)
+        worker = ResourceTimeline(resource_id=1)
         worker.occupy(0.0, {"compute": 1.0}, "a")
         worker.occupy(2.0, {"compute": 2.0, "bubble": 1.0}, "b")
         cats = worker.categories()
         assert cats["compute"] == pytest.approx(3.0)
         assert cats["bubble"] == pytest.approx(1.0)
 
-    def test_model_residency_tracking(self):
-        worker = ModelWorker(gpu_id=0)
-        worker.load_model("actor", 1e9)
-        assert worker.resident_models == {"actor": 1e9}
-        worker.evict_model("actor")
-        worker.evict_model("ghost")  # no-op
-        assert worker.resident_models == {}
-
 
 class TestWorkerPool:
     def test_pool_indexing_and_len(self):
-        pool = WorkerPool(4)
+        pool = TimelinePool(4)
         assert len(pool) == 4
-        assert pool[2].gpu_id == 2
+        assert pool[2].resource_id == 2
 
     def test_free_at_is_max_over_group(self):
-        pool = WorkerPool(4)
+        pool = TimelinePool(4)
         pool[1].occupy(0.0, {"compute": 3.0}, "x")
         assert pool.free_at((0, 1, 2)) == pytest.approx(3.0)
 
     def test_category_totals(self):
-        pool = WorkerPool(2)
+        pool = TimelinePool(2)
         pool[0].occupy(0.0, {"compute": 1.0}, "a")
         pool[1].occupy(0.0, {"compute": 2.0, "realloc": 0.5}, "a")
         totals = pool.category_totals()
         assert totals["compute"] == pytest.approx(3.0)
         assert totals["realloc"] == pytest.approx(0.5)
         assert pool.total_busy() == pytest.approx(3.5)
-
-
-class TestMasterWorker:
-    @pytest.fixture
-    def master(self, ppo_graph):
-        cluster = make_cluster(16)
-        plan = symmetric_plan(ppo_graph, cluster, ParallelStrategy(2, 8, 1))
-        return MasterWorker(ppo_graph, plan)
-
-    def test_initial_ready_calls_are_sources(self, master, ppo_graph):
-        ready = [name for name, _ in master.ready_calls()]
-        assert ready == ppo_graph.sources()
-
-    def test_dispatch_then_complete_unlocks_children(self, master, ppo_graph):
-        master.dispatch("actor_generate", now=0.0)
-        newly_ready = master.complete("actor_generate", finish_time=10.0)
-        assert set(newly_ready) == {"reward_inference", "ref_inference", "critic_inference"}
-        ready_times = dict(master.ready_calls())
-        assert ready_times["reward_inference"] == pytest.approx(10.0)
-
-    def test_double_dispatch_rejected(self, master):
-        master.dispatch("actor_generate", now=0.0)
-        with pytest.raises(RuntimeError):
-            master.dispatch("actor_generate", now=0.0)
-
-    def test_dispatch_before_ready_rejected(self, master):
-        with pytest.raises(RuntimeError):
-            master.dispatch("actor_train", now=0.0)
-
-    def test_double_complete_rejected(self, master):
-        master.dispatch("actor_generate", now=0.0)
-        master.complete("actor_generate", 1.0)
-        with pytest.raises(RuntimeError):
-            master.complete("actor_generate", 2.0)
-
-    def test_all_completed_after_full_walk(self, master, ppo_graph):
-        clock = 0.0
-        while not master.all_completed():
-            ready = master.ready_calls()
-            assert ready, "deadlock"
-            name, ready_time = ready[0]
-            master.dispatch(name, now=ready_time)
-            clock = max(clock, ready_time) + 1.0
-            master.complete(name, clock)
-        assert master.n_completed() == len(ppo_graph)
-        assert len(master.issued_requests) == len(ppo_graph)
-
-    def test_rpc_overhead_delays_request(self, ppo_graph):
-        cluster = make_cluster(16)
-        plan = symmetric_plan(ppo_graph, cluster, ParallelStrategy(2, 8, 1))
-        master = MasterWorker(ppo_graph, plan, rpc_overhead_s=0.5)
-        request = master.dispatch("actor_generate", now=1.0)
-        assert request.issued_at == pytest.approx(1.5)

@@ -81,38 +81,14 @@ class TestSimKernel:
 
 
 class TestResourceTimeline:
-    # (occupations, end, span categories, busy seconds per category).
-    TIMELINE_CASES = [
-        ([(0.0, {"compute": 2.0, "idle": 0.0, "comm": 1.0})], 3.0,
-         ["compute", "comm"], {"compute": 2.0, "comm": 1.0}),
-        # Zero durations are skipped: no span, and the resource stays free.
-        ([(0.0, {"compute": 0.0, "pp_comm": 0.0})], 0.0, [], {}),
-        # Occupations with an idle gap between them aggregate per category.
-        ([(0.0, {"compute": 1.0}), (2.0, {"compute": 2.0, "bubble": 1.0})], 5.0,
-         ["compute", "compute", "bubble"], {"compute": 3.0, "bubble": 1.0}),
-    ]
-
-    # (pool size, durations occupied from t=0 per resource, group, the
-    # group's free_at, busy seconds per category over the pool).
-    POOL_CASES = [
-        (3, {1: {"compute": 4.0}, 2: {"comm": 1.0}}, (0, 1, 2), 4.0,
-         {"compute": 4.0, "comm": 1.0}),
-        (2, {0: {"compute": 1.0}, 1: {"compute": 2.0, "realloc": 0.5}}, (0, 1), 2.5,
-         {"compute": 3.0, "realloc": 0.5}),
-        (4, {1: {"compute": 3.0}}, (0, 1, 2), 3.0, {"compute": 3.0}),
-    ]
-
     def test_occupy_and_categories(self):
-        for occupations, end, span_categories, categories in self.TIMELINE_CASES:
-            timeline = ResourceTimeline(resource_id=7)
-            for start, durations in occupations:
-                finished = timeline.occupy(start, durations, "call")
-            assert finished == pytest.approx(end)
-            assert timeline.free_at == pytest.approx(end)
-            assert [s.category for s in timeline.spans] == span_categories
-            assert timeline.busy_seconds("compute") == pytest.approx(categories.get("compute", 0.0))
-            assert timeline.busy_seconds() == pytest.approx(sum(categories.values()))
-            assert timeline.categories() == pytest.approx(categories)
+        timeline = ResourceTimeline(resource_id=7)
+        end = timeline.occupy(0.0, {"compute": 2.0, "idle": 0.0, "comm": 1.0}, "call")
+        assert end == pytest.approx(3.0)
+        assert timeline.free_at == pytest.approx(3.0)
+        assert [s.category for s in timeline.spans] == ["compute", "comm"]
+        assert timeline.busy_seconds("compute") == pytest.approx(2.0)
+        assert timeline.categories() == pytest.approx({"compute": 2.0, "comm": 1.0})
 
     def test_fifo_enforced(self):
         timeline = ResourceTimeline(resource_id=0)
@@ -121,15 +97,13 @@ class TestResourceTimeline:
             timeline.occupy(1.0, {"compute": 1.0}, "b")
 
     def test_pool_group_queries(self):
-        for size, occupied, group, free_at, totals in self.POOL_CASES:
-            pool = TimelinePool(size)
-            for resource_id, durations in occupied.items():
-                pool[resource_id].occupy(0.0, durations, "x")
-            assert len(pool) == size
-            assert [pool[r].resource_id for r in range(size)] == list(range(size))
-            assert pool.free_at(group) == pytest.approx(free_at)
-            assert pool.total_busy() == pytest.approx(sum(totals.values()))
-            assert pool.category_totals() == pytest.approx(totals)
+        pool = TimelinePool(3)
+        pool[1].occupy(0.0, {"compute": 4.0}, "x")
+        pool[2].occupy(0.0, {"comm": 1.0}, "y")
+        assert pool.free_at((0, 1, 2)) == pytest.approx(4.0)
+        assert pool.total_busy() == pytest.approx(5.0)
+        assert pool.category_totals() == pytest.approx({"compute": 4.0, "comm": 1.0})
+        assert len(pool) == 3
         sparse = TimelinePool((5, 9))
         assert len(sparse) == 2
         assert sparse[9].resource_id == 9
