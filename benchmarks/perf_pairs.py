@@ -9,8 +9,11 @@ both sides alike.  After the last pair it prints, for each metric of
 range, and in how many pairs the change was better (by the metric's
 ``better`` direction; a tie is no win).  It also prints whether the two
 digests of each pair are equal: timings of runs whose outcomes differ
-compare different work.  A run that exits non-zero stops the comparison
-with the tail of its stderr.
+compare different work.  Each side's ``machine:`` line is printed before
+the summary, and a pair whose two runs report different ``usable_cores``
+is flagged, since wall-clock rates are only comparable at equal usable
+cores.  A run that exits non-zero stops the comparison with the tail of
+its stderr.
 
 Run from the repository root of the change::
 
@@ -41,6 +44,27 @@ def parse_run(stdout: str) -> Tuple[str, bool, Dict[str, float]]:
     result = json.loads(lines[-1])
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     return (digests[0] if digests else ""), result.get("correct") is True, metrics
+
+
+def parse_machine(stdout: str) -> Dict[str, object]:
+    """The ``machine:`` fingerprint of one perfbench run's stdout (``{}`` if absent)."""
+    for line in stdout.splitlines():
+        if line.startswith("machine:"):
+            return json.loads(line.split(":", 1)[1])
+    return {}
+
+
+def machine_lines(parent: Sequence[str], change: Sequence[str]) -> List[str]:
+    """Each side's distinct ``machine:`` lines, in order of first appearance."""
+    lines: List[str] = []
+    for side, stdouts in (("parent", parent), ("change", change)):
+        seen: List[str] = []
+        for stdout in stdouts:
+            machine = json.dumps(parse_machine(stdout), sort_keys=True)
+            if machine not in seen:
+                seen.append(machine)
+        lines.extend(f"{side} machine: {machine}" for machine in seen)
+    return lines
 
 
 def _quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -75,10 +99,13 @@ def summarize(
             f" | change median {c_med:.6g} IQR {c_q3 - c_q1:.3g}"
             f" | change better in {wins}/{n_pairs}"
         )
-    for i, (p, c) in enumerate(runs, 1):
+    for i, ((p, c), p_out, c_out) in enumerate(zip(runs, parent, change), 1):
         verdict = "equal" if p[0] == c[0] else f"DIFFER ({p[0][:12]} vs {c[0][:12]})"
         correct = "" if p[1] and c[1] else "  NOT CORRECT"
-        lines.append(f"pair {i}: digests {verdict}{correct}")
+        p_cores = parse_machine(p_out).get("usable_cores")
+        c_cores = parse_machine(c_out).get("usable_cores")
+        cores = "" if p_cores == c_cores else f"  USABLE CORES DIFFER ({p_cores} vs {c_cores})"
+        lines.append(f"pair {i}: digests {verdict}{correct}{cores}")
     return lines
 
 
@@ -123,7 +150,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
     print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s per run,"
           f" trace {args.trace}")
-    print("\n".join(summarize(parent, change, better)))
+    print("\n".join(machine_lines(parent, change) + summarize(parent, change, better)))
     return 0
 
 

@@ -179,9 +179,19 @@ class ParamLayout:
             total += self.block_bytes(block_id) * (hi - lo)
         return total
 
+    def block_stages(self) -> Dict[int, int]:
+        """Pipeline stage of every parameter block, in :meth:`block_ids` order."""
+        stages = {EMBEDDING_BLOCK: 0, HEAD_BLOCK: self.parallel.pp - 1}
+        for stage, layers in enumerate(self.stages):
+            stages.update((layer, stage) for layer in layers)
+        return stages
+
     def holder_intervals(self, block_id: int) -> Dict[int, Interval]:
         """Mapping ``gpu_id -> fractional interval`` for one parameter block."""
-        stage = self.stage_of_block(block_id)
+        return self.stage_holders(self.stage_of_block(block_id))
+
+    def stage_holders(self, stage: int) -> Dict[int, Interval]:
+        """Mapping ``gpu_id -> fractional interval`` shared by every block of ``stage``."""
         out: Dict[int, Interval] = {}
         for tp_rank in range(self.parallel.tp):
             interval = self.shard_interval(tp_rank)

@@ -8,6 +8,16 @@ every byte range a destination GPU needs, the planner greedily picks the
 source GPU with the lowest communication cost (itself, then a GPU on the same
 node, then a remote GPU); sources then broadcast their ranges to all assigned
 destinations in parallel.
+
+Every transformer layer of one (source stage, destination stage) pair has
+the same holders and the same bytes, so the greedy runs once per block
+pattern and its steps are replayed for each block with the block's own id.
+A caller that remaps many layouts of one cluster can pass a ``block_memo``
+dict to share patterns across calls; the exact cost model
+(:class:`~repro.realloc.cost.ReallocCostModel`) keeps one for its lifetime.
+:func:`reallocation_time` times each distinct broadcast once but still adds
+every step's time per GPU in step order, so a price is bit-identical with
+or without the memo.
 """
 
 from __future__ import annotations
@@ -113,71 +123,121 @@ def _source_cost(cluster: ClusterSpec, src_gpu: int, dst_gpu: int) -> int:
     return 2
 
 
-def plan_reallocation(src: ParamLayout, dst: ParamLayout) -> ReallocationPlan:
+BlockSteps = Tuple[Tuple[Interval, int, Tuple[int, ...], float], ...]
+"""One block's broadcasts as ``(interval, src_gpu, receivers, nbytes)``, in plan order."""
+
+
+def _plan_block(
+    src_holders: Dict[int, Interval],
+    dst_needs: Dict[int, Interval],
+    block_bytes: float,
+    cluster: ClusterSpec,
+    block_id: int,
+) -> BlockSteps:
+    """The greedy broadcasts remapping one block from its holders to its needers.
+
+    The result depends only on the two holder maps, ``block_bytes`` and the
+    cluster's node width (``block_id`` only names the block in errors), which
+    is what lets :func:`plan_reallocation` reuse it for every block of the
+    same pattern.
+    """
+    # Split every destination's needed range along the source TP partition
+    # boundaries so each piece is held in full by some set of source GPUs.
+    boundaries = sorted({b for iv in src_holders.values() for b in iv} | {0.0, 1.0})
+    segments: List[Interval] = [
+        (lo, hi) for lo, hi in zip(boundaries[:-1], boundaries[1:]) if hi > lo + 1e-12
+    ]
+
+    # segment -> list of destination GPUs that still need it.
+    pending: Dict[Interval, List[int]] = defaultdict(list)
+    for dst_gpu, needed in dst_needs.items():
+        already_held = src_holders.get(dst_gpu)
+        missing = _subtract_interval(needed, already_held)
+        for miss in missing:
+            for seg in segments:
+                piece = _interval_intersection(miss, seg)
+                if piece is not None:
+                    pending[piece].append(dst_gpu)
+
+    steps = []
+    for piece, dst_gpus in sorted(pending.items()):
+        # Source candidates: GPUs whose held interval covers the piece.
+        candidates = [
+            gpu
+            for gpu, held in src_holders.items()
+            if held[0] <= piece[0] + 1e-12 and held[1] >= piece[1] - 1e-12
+        ]
+        if not candidates:
+            raise RuntimeError(
+                f"no source GPU holds range {piece} of block {block_id}; "
+                "source layout is inconsistent"
+            )
+        # Greedy: pick the candidate with the lowest total cost to the
+        # destination set (prefer local / same-node sources).
+        best_src = min(
+            candidates,
+            key=lambda g: (sum(_source_cost(cluster, g, d) for d in dst_gpus), g),
+        )
+        receivers = tuple(sorted(d for d in dst_gpus if d != best_src))
+        if receivers:
+            steps.append((piece, best_src, receivers, block_bytes * (piece[1] - piece[0])))
+    return tuple(steps)
+
+
+def plan_reallocation(
+    src: ParamLayout, dst: ParamLayout, block_memo: Dict[Tuple, BlockSteps] | None = None
+) -> ReallocationPlan:
     """Derive the broadcast schedule remapping parameters from ``src`` to ``dst``.
 
     The returned plan satisfies the coverage invariant: for every destination
     GPU and every parameter block it must hold under ``dst``, the union of the
     ranges it already holds under ``src`` and the ranges it receives equals the
     required range (verified by property-based tests).
+
+    Every transformer layer of one (source stage, destination stage) pair
+    has the same holders and bytes, so the greedy runs once per block
+    pattern: the holders are taken once per stage, and each pattern's steps
+    are looked up in ``block_memo`` under ``(source holders, destination
+    holders, block bytes, node width)``, everything :func:`_plan_block`
+    reads.  A memo passed in is filled and may be shared by any number of
+    calls; the steps, their order and their ``nbytes`` are the same with or
+    without it.
     """
     if src.config.name != dst.config.name:
         raise ValueError(
             f"cannot reallocate between different models ({src.config.name} vs {dst.config.name})"
         )
     cluster = src.mesh.cluster
+    if block_memo is None:
+        block_memo = {}
+    src_holders = [src.stage_holders(stage) for stage in range(src.parallel.pp)]
+    dst_needs = [dst.stage_holders(stage) for stage in range(dst.parallel.pp)]
+    src_keys = [tuple(held.items()) for held in src_holders]
+    dst_keys = [tuple(needed.items()) for needed in dst_needs]
+    src_stages = src.block_stages()
+    patterns: Dict[Tuple[int, int, float], BlockSteps] = {}
     plan = ReallocationPlan()
-
-    for block_id in dst.block_ids():
-        src_holders = src.holder_intervals(block_id)   # gpu -> interval held
-        dst_needs = dst.holder_intervals(block_id)      # gpu -> interval needed
+    for block_id, dst_stage in dst.block_stages().items():
+        src_stage = src_stages.get(block_id)
+        if src_stage is None:
+            src_stage = src.stage_of_block(block_id)  # raises for an unknown block
         block_bytes = dst.block_bytes(block_id)
-
-        # Split every destination's needed range along the source TP partition
-        # boundaries so each piece is held in full by some set of source GPUs.
-        boundaries = sorted({b for iv in src_holders.values() for b in iv} | {0.0, 1.0})
-        segments: List[Interval] = [
-            (lo, hi) for lo, hi in zip(boundaries[:-1], boundaries[1:]) if hi > lo + 1e-12
-        ]
-
-        # segment -> list of destination GPUs that still need it.
-        pending: Dict[Interval, List[int]] = defaultdict(list)
-        for dst_gpu, needed in dst_needs.items():
-            already_held = src_holders.get(dst_gpu)
-            missing = _subtract_interval(needed, already_held)
-            for miss in missing:
-                for seg in segments:
-                    piece = _interval_intersection(miss, seg)
-                    if piece is not None:
-                        pending[piece].append(dst_gpu)
-
-        for piece, dst_gpus in sorted(pending.items()):
-            # Source candidates: GPUs whose held interval covers the piece.
-            candidates = [
-                gpu
-                for gpu, held in src_holders.items()
-                if held[0] <= piece[0] + 1e-12 and held[1] >= piece[1] - 1e-12
-            ]
-            if not candidates:
-                raise RuntimeError(
-                    f"no source GPU holds range {piece} of block {block_id}; "
-                    "source layout is inconsistent"
+        pattern = (src_stage, dst_stage, block_bytes)
+        block_steps = patterns.get(pattern)
+        if block_steps is None:
+            key = (src_keys[src_stage], dst_keys[dst_stage], block_bytes, cluster.gpus_per_node)
+            block_steps = block_memo.get(key)
+            if block_steps is None:
+                block_steps = block_memo[key] = _plan_block(
+                    src_holders[src_stage], dst_needs[dst_stage], block_bytes, cluster, block_id
                 )
-            # Greedy: pick the candidate with the lowest total cost to the
-            # destination set (prefer local / same-node sources).
-            best_src = min(
-                candidates,
-                key=lambda g: (sum(_source_cost(cluster, g, d) for d in dst_gpus), g),
-            )
-            receivers = tuple(sorted(d for d in dst_gpus if d != best_src))
-            if not receivers:
-                continue
-            nbytes = block_bytes * (piece[1] - piece[0])
+            patterns[pattern] = block_steps
+        for interval, src_gpu, receivers, nbytes in block_steps:
             plan.steps.append(
                 BroadcastStep(
                     block_id=block_id,
-                    interval=piece,
-                    src_gpu=best_src,
+                    interval=interval,
+                    src_gpu=src_gpu,
                     dst_gpus=receivers,
                     nbytes=nbytes,
                 )
@@ -197,10 +257,16 @@ def reallocation_time(plan: ReallocationPlan, cluster: ClusterSpec) -> float:
     if plan.is_empty():
         return 0.0
     comm = CommModel(cluster)
+    times: Dict[Tuple[float, int, Tuple[int, ...]], float] = {}
     send_time: Dict[int, float] = defaultdict(float)
     recv_time: Dict[int, float] = defaultdict(float)
     for step in plan.steps:
-        t = comm.broadcast_group_time(step.nbytes, step.src_gpu, step.dst_gpus)
+        # Every layer of a block pattern repeats the same broadcasts: time
+        # each distinct one once, but add it per step, in step order.
+        broadcast = (step.nbytes, step.src_gpu, step.dst_gpus)
+        t = times.get(broadcast)
+        if t is None:
+            t = times[broadcast] = comm.broadcast_group_time(*broadcast)
         send_time[step.src_gpu] += t
         for dst in step.dst_gpus:
             recv_time[dst] += t

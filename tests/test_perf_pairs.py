@@ -19,7 +19,7 @@ _spec.loader.exec_module(perf_pairs)
 BETTER = {"op_p50_s": "lower", "ok_op_ratio": "higher", "peak_rss_mb": "lower"}
 
 
-def _stdout(digest, op_p50_s, peak_rss_mb, correct=True):
+def _stdout(digest, op_p50_s, peak_rss_mb, correct=True, machine=None):
     metrics = {
         "op_p50_s": {"value": op_p50_s, "unit": "s"},
         "ok_op_ratio": {"value": 1.0, "unit": "ratio"},
@@ -28,7 +28,7 @@ def _stdout(digest, op_p50_s, peak_rss_mb, correct=True):
     return "\n".join([
         "round 1: wall_s=1.0 failed=0/3",
         f"digest: {digest}",
-        'machine: {"cores": 2}',
+        "machine: " + json.dumps(machine or {"cores": 2}),
         "repro_env: {}",
         "wall_s: 2.0",
         json.dumps({"correct": correct, "attempted": 3, "failed": 0, "metrics": metrics}),
@@ -72,6 +72,23 @@ def test_summary_flags_incorrect_runs_and_skips_unreported_metrics():
     assert not any(line.startswith("round_s") for line in lines)
     assert "parent median 80 IQR 0 | change median 79 IQR 0 | change better in 1/1" in lines[3]
     assert lines[-1] == "pair 1: digests equal  NOT CORRECT"
+
+
+def test_pairs_on_different_usable_cores_are_flagged():
+    two, four = {"cores": 4, "usable_cores": 2}, {"cores": 4, "usable_cores": 4}
+    parent = [_stdout("d", 0.1, 80.0, machine=two), _stdout("d", 0.1, 80.0, machine=two)]
+    change = [_stdout("d", 0.1, 80.0, machine=two), _stdout("d", 0.1, 80.0, machine=four)]
+    assert perf_pairs.parse_machine(parent[0]) == two
+    lines = perf_pairs.summarize(parent, change, BETTER)
+    assert lines[-2:] == [
+        "pair 1: digests equal",
+        "pair 2: digests equal  USABLE CORES DIFFER (2 vs 4)",
+    ]
+    assert perf_pairs.machine_lines(parent, change) == [
+        'parent machine: {"cores": 4, "usable_cores": 2}',
+        'change machine: {"cores": 4, "usable_cores": 2}',
+        'change machine: {"cores": 4, "usable_cores": 4}',
+    ]
 
 
 @pytest.mark.parametrize("argv", [["--workload", "plan_search"], ["--parent", "a", "--change", "b"]])
@@ -120,6 +137,8 @@ def test_trace_mode_compares_per_layer_metrics(monkeypatch, capsys):
                      ("parent", 1), ("change", 1)]
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "workload plan_search, seed 107, 20 s per run, trace 1"
+    # Each side's machine line comes before the summary.
+    assert lines[1:3] == ['parent machine: {"cores": 2}', 'change machine: {"cores": 2}']
     by_metric = {line.split()[0]: line for line in lines[2:]}
     # Directions come from BENCHMARK.json's per_layer list.
     assert by_metric["core.estimator.self_s"] == (

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import DeviceMesh, full_cluster_mesh, make_cluster
-from repro.core import Allocation, ParallelStrategy
+from repro.cluster import DeviceMesh, enumerate_device_meshes, full_cluster_mesh, make_cluster
+from repro.core import Allocation, ParallelStrategy, enumerate_strategies
 from repro.model import get_model_config
 from repro.realloc import (
     ParamLayout,
@@ -12,6 +12,7 @@ from repro.realloc import (
     plan_reallocation,
     reallocation_time,
 )
+from repro.realloc import remap
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +164,62 @@ def test_reallocation_coverage_property(src, dst):
     plan = plan_reallocation(src_layout, dst_layout)
     assert coverage_holds(src_layout, dst_layout, plan)
     assert reallocation_time(plan, cluster) >= 0.0
+
+
+CLUSTER_32 = make_cluster(32)
+"""Four 8-GPU nodes: meshes range from one GPU to whole node ranges."""
+MESHES_32 = enumerate_device_meshes(CLUSTER_32)
+CONFIG_7B = get_model_config("7b")
+
+
+@st.composite
+def layouts(draw):
+    """A 7b layout on any mesh of the 4-node cluster, TP within a node."""
+    mesh = draw(st.sampled_from(MESHES_32))
+    strategies = enumerate_strategies(mesh.n_gpus, CONFIG_7B, max_tp=CLUSTER_32.gpus_per_node)
+    return ParamLayout(config=CONFIG_7B, mesh=mesh, parallel=draw(st.sampled_from(strategies)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(src_layout=layouts(), dst_layout=layouts())
+def test_coverage_property_on_distinct_meshes(src_layout, dst_layout):
+    """Property: coverage also holds between sub-meshes and different node ranges."""
+    plan = plan_reallocation(src_layout, dst_layout)
+    assert coverage_holds(src_layout, dst_layout, plan)
+    assert reallocation_time(plan, CLUSTER_32) >= 0.0
+
+
+SHARED_BLOCK_MEMO: dict = {}
+"""One block memo filled across every example of the property below."""
+
+
+@settings(max_examples=40, deadline=None)
+@given(src_layout=layouts(), dst_layout=layouts())
+def test_shared_block_memo_changes_no_step(src_layout, dst_layout):
+    """Property: a memo shared across remaps gives the memo-free plan, step for step."""
+    alone = plan_reallocation(src_layout, dst_layout)
+    shared = plan_reallocation(src_layout, dst_layout, SHARED_BLOCK_MEMO)
+    assert shared.steps == alone.steps
+    assert reallocation_time(shared, CLUSTER_32) == reallocation_time(alone, CLUSTER_32)
+
+
+def test_greedy_runs_once_per_block_pattern(monkeypatch):
+    calls = []
+    real = remap._plan_block
+
+    def counting(*args):
+        calls.append(args[2])  # block bytes
+        return real(*args)
+
+    monkeypatch.setattr(remap, "_plan_block", counting)
+    mesh = full_cluster_mesh(CLUSTER_32)
+    src = ParamLayout(config=CONFIG_7B, mesh=mesh, parallel=ParallelStrategy(4, 8, 1))
+    dst = ParamLayout(config=CONFIG_7B, mesh=mesh, parallel=ParallelStrategy(8, 4, 1))
+    memo: dict = {}
+    plan = plan_reallocation(src, dst, memo)
+    # One pattern shared by the embedding and the output head (one stage,
+    # equal bytes in 7b) and one shared by all 32 layers.
+    assert len(calls) == len(memo) == 2
+    assert {step.block_id for step in plan.steps} == set(dst.block_ids())
+    assert plan_reallocation(src, dst, memo).steps == plan.steps
+    assert len(calls) == 2
