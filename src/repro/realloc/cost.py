@@ -17,7 +17,7 @@ from ..cluster.hardware import ClusterSpec
 from ..core.plan import Allocation
 from ..model.config import ModelConfig
 from .layout import ParamLayout
-from .remap import BlockSteps, plan_reallocation, reallocation_time
+from .remap import plan_reallocation, reallocation_time
 
 __all__ = ["ReallocCost", "ReallocCostModel"]
 
@@ -43,12 +43,7 @@ class ReallocCostModel:
     Costs are memoised for the model's lifetime, keyed by the full
     :class:`~repro.model.config.ModelConfig` (not its name) and both
     allocations' parameter layouts (``key[:7]``: mesh and strategy), so one
-    model can serve callers of different workloads on its cluster.  The
-    exact path also keeps the block-pattern memo of
-    :func:`~repro.realloc.remap.plan_reallocation` (each distinct block's
-    greedy broadcast steps, keyed by its holders, bytes and node width), so
-    a new remap replans only the block patterns no earlier remap of this
-    model had; the memo lives and dies with the model.  A
+    model can serve callers of different workloads on its cluster.  A
     :class:`~repro.service.server.PlanService` keeps one exact model per
     carved cluster, shared by the runtime engines of every scheduler that
     uses the service.
@@ -58,7 +53,6 @@ class ReallocCostModel:
         self.cluster = cluster
         self.exact = exact
         self._cache: Dict[Tuple, ReallocCost] = {}
-        self._block_memo: Dict[Tuple, BlockSteps] = {}
 
     def cost(self, config: ModelConfig, src: Allocation, dst: Allocation) -> ReallocCost:
         """Cost of remapping ``config``'s parameters from ``src`` to ``dst``."""
@@ -73,7 +67,7 @@ class ReallocCostModel:
         else:
             src_layout = ParamLayout(config=config, mesh=src.mesh, parallel=src.parallel)
             dst_layout = ParamLayout(config=config, mesh=dst.mesh, parallel=dst.parallel)
-            plan = plan_reallocation(src_layout, dst_layout, self._block_memo)
+            plan = plan_reallocation(src_layout, dst_layout)
             result = ReallocCost(
                 seconds=reallocation_time(plan, self.cluster),
                 bytes_sent=plan.total_bytes,

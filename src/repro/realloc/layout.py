@@ -17,6 +17,7 @@ the last stage).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from ..cluster.topology import DeviceMesh
@@ -90,9 +91,9 @@ class ParamLayout:
     # ------------------------------------------------------------------ #
     # Rank geometry
     # ------------------------------------------------------------------ #
-    @property
+    @cached_property
     def stages(self) -> List[range]:
-        """Layer ranges of each pipeline stage."""
+        """Layer ranges of each pipeline stage (computed once per layout)."""
         return layer_assignment(self.config.n_layers, self.parallel.pp)
 
     def rank_coords(self, rank: int) -> Tuple[int, int, int]:
@@ -178,13 +179,6 @@ class ParamLayout:
         for block_id, (lo, hi) in self.gpu_blocks(gpu_id):
             total += self.block_bytes(block_id) * (hi - lo)
         return total
-
-    def block_stages(self) -> Dict[int, int]:
-        """Pipeline stage of every parameter block, in :meth:`block_ids` order."""
-        stages = {EMBEDDING_BLOCK: 0, HEAD_BLOCK: self.parallel.pp - 1}
-        for stage, layers in enumerate(self.stages):
-            stages.update((layer, stage) for layer in layers)
-        return stages
 
     def holder_intervals(self, block_id: int) -> Dict[int, Interval]:
         """Mapping ``gpu_id -> fractional interval`` for one parameter block."""

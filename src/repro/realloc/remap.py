@@ -10,14 +10,11 @@ node, then a remote GPU); sources then broadcast their ranges to all assigned
 destinations in parallel.
 
 Every transformer layer of one (source stage, destination stage) pair has
-the same holders and the same bytes, so the greedy runs once per block
-pattern and its steps are replayed for each block with the block's own id.
-A caller that remaps many layouts of one cluster can pass a ``block_memo``
-dict to share patterns across calls; the exact cost model
-(:class:`~repro.realloc.cost.ReallocCostModel`) keeps one for its lifetime.
-:func:`reallocation_time` times each distinct broadcast once but still adds
-every step's time per GPU in step order, so a price is bit-identical with
-or without the memo.
+the same holders and the same bytes, so within one call the greedy runs once
+per such block pattern and its steps are replayed for each block with the
+block's own id.  :func:`reallocation_time` times each distinct broadcast once
+but still adds every step's time per GPU in step order, so a price is
+bit-identical to planning and timing every block on its own.
 """
 
 from __future__ import annotations
@@ -137,9 +134,8 @@ def _plan_block(
     """The greedy broadcasts remapping one block from its holders to its needers.
 
     The result depends only on the two holder maps, ``block_bytes`` and the
-    cluster's node width (``block_id`` only names the block in errors), which
-    is what lets :func:`plan_reallocation` reuse it for every block of the
-    same pattern.
+    cluster (``block_id`` only names the block in errors), which is what lets
+    :func:`plan_reallocation` reuse it for every block of the same pattern.
     """
     # Split every destination's needed range along the source TP partition
     # boundaries so each piece is held in full by some set of source GPUs.
@@ -184,9 +180,7 @@ def _plan_block(
     return tuple(steps)
 
 
-def plan_reallocation(
-    src: ParamLayout, dst: ParamLayout, block_memo: Dict[Tuple, BlockSteps] | None = None
-) -> ReallocationPlan:
+def plan_reallocation(src: ParamLayout, dst: ParamLayout) -> ReallocationPlan:
     """Derive the broadcast schedule remapping parameters from ``src`` to ``dst``.
 
     The returned plan satisfies the coverage invariant: for every destination
@@ -194,44 +188,30 @@ def plan_reallocation(
     ranges it already holds under ``src`` and the ranges it receives equals the
     required range (verified by property-based tests).
 
-    Every transformer layer of one (source stage, destination stage) pair
-    has the same holders and bytes, so the greedy runs once per block
-    pattern: the holders are taken once per stage, and each pattern's steps
-    are looked up in ``block_memo`` under ``(source holders, destination
-    holders, block bytes, node width)``, everything :func:`_plan_block`
-    reads.  A memo passed in is filled and may be shared by any number of
-    calls; the steps, their order and their ``nbytes`` are the same with or
-    without it.
+    The holders are taken once per pipeline stage, and the greedy runs once
+    per ``(source stage, destination stage, block bytes)`` pattern: every
+    block of a pattern gets the same steps, in the same order, under its own
+    ``block_id``.
     """
     if src.config.name != dst.config.name:
         raise ValueError(
             f"cannot reallocate between different models ({src.config.name} vs {dst.config.name})"
         )
     cluster = src.mesh.cluster
-    if block_memo is None:
-        block_memo = {}
     src_holders = [src.stage_holders(stage) for stage in range(src.parallel.pp)]
     dst_needs = [dst.stage_holders(stage) for stage in range(dst.parallel.pp)]
-    src_keys = [tuple(held.items()) for held in src_holders]
-    dst_keys = [tuple(needed.items()) for needed in dst_needs]
-    src_stages = src.block_stages()
     patterns: Dict[Tuple[int, int, float], BlockSteps] = {}
     plan = ReallocationPlan()
-    for block_id, dst_stage in dst.block_stages().items():
-        src_stage = src_stages.get(block_id)
-        if src_stage is None:
-            src_stage = src.stage_of_block(block_id)  # raises for an unknown block
+    for block_id in dst.block_ids():
+        src_stage = src.stage_of_block(block_id)
+        dst_stage = dst.stage_of_block(block_id)
         block_bytes = dst.block_bytes(block_id)
         pattern = (src_stage, dst_stage, block_bytes)
         block_steps = patterns.get(pattern)
         if block_steps is None:
-            key = (src_keys[src_stage], dst_keys[dst_stage], block_bytes, cluster.gpus_per_node)
-            block_steps = block_memo.get(key)
-            if block_steps is None:
-                block_steps = block_memo[key] = _plan_block(
-                    src_holders[src_stage], dst_needs[dst_stage], block_bytes, cluster, block_id
-                )
-            patterns[pattern] = block_steps
+            block_steps = patterns[pattern] = _plan_block(
+                src_holders[src_stage], dst_needs[dst_stage], block_bytes, cluster, block_id
+            )
         for interval, src_gpu, receivers, nbytes in block_steps:
             plan.steps.append(
                 BroadcastStep(

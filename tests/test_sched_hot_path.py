@@ -232,9 +232,9 @@ def test_remaps_are_planned_once_per_service(monkeypatch):
     planned = []
     real = realloc_cost.plan_reallocation
 
-    def counting(src, dst, *rest):
+    def counting(src, dst):
         planned.append((src, dst))
-        return real(src, dst, *rest)
+        return real(src, dst)
 
     monkeypatch.setattr(realloc_cost, "plan_reallocation", counting)
     with PlanService() as service:
