@@ -120,10 +120,6 @@ class CapacityReport:
                 return outcome
         raise KeyError(f"no candidate named {name!r}")
 
-    def frontier_outcomes(self) -> List[CandidateOutcome]:
-        on_frontier = set(self.frontier)
-        return [o for o in self.outcomes if o.name in on_frontier]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "n_jobs": self.n_jobs,

@@ -1,6 +1,6 @@
 """Simulated cluster substrate: hardware specs, device meshes and comm costs."""
 
-from .comm import CommModel, TransferCost
+from .comm import CommModel
 from .hardware import (
     DEFAULT_INTERCONNECT,
     GB,
@@ -30,5 +30,4 @@ __all__ = [
     "full_cluster_mesh",
     "meshes_tile_cluster",
     "CommModel",
-    "TransferCost",
 ]

@@ -11,24 +11,11 @@ throughout the reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .hardware import ClusterSpec
-from .topology import DeviceMesh
 
-__all__ = ["CommModel", "TransferCost"]
-
-
-@dataclass(frozen=True)
-class TransferCost:
-    """Time and byte volume of a single communication operation."""
-
-    seconds: float
-    bytes: float
-
-    def __add__(self, other: "TransferCost") -> "TransferCost":
-        return TransferCost(self.seconds + other.seconds, self.bytes + other.bytes)
+__all__ = ["CommModel"]
 
 
 class CommModel:
@@ -71,26 +58,11 @@ class CommModel:
     # ------------------------------------------------------------------ #
     # Point-to-point
     # ------------------------------------------------------------------ #
-    def p2p_time(self, nbytes: float, src_gpu: int, dst_gpu: int) -> float:
-        """Time to send ``nbytes`` from ``src_gpu`` to ``dst_gpu``."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if src_gpu == dst_gpu or nbytes == 0:
-            return 0.0
-        cross = not self.cluster.same_node(src_gpu, dst_gpu)
-        return self.link_latency(cross) + nbytes / self.link_bandwidth(cross)
-
     def p2p_time_cross(self, nbytes: float, cross_node: bool) -> float:
         """P2P time when only the intra/inter-node distinction is known."""
         if nbytes <= 0:
             return 0.0
         return self.link_latency(cross_node) + nbytes / self.link_bandwidth(cross_node)
-
-    def host_device_time(self, nbytes: float) -> float:
-        """Time to copy ``nbytes`` between host memory and a GPU (offload)."""
-        if nbytes <= 0:
-            return 0.0
-        return nbytes / self.cluster.gpu.pcie_bandwidth
 
     # ------------------------------------------------------------------ #
     # Collectives (ring algorithms)
@@ -134,24 +106,8 @@ class CommModel:
         )
 
     # ------------------------------------------------------------------ #
-    # Mesh-aware wrappers
+    # Explicit destination sets
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def group_crosses_nodes(gpu_ids: Iterable[int], cluster: ClusterSpec) -> bool:
-        """Whether a communication group spans more than one node."""
-        nodes = {cluster.node_of(g) for g in gpu_ids}
-        return len(nodes) > 1
-
-    def mesh_allreduce_time(self, nbytes: float, mesh: DeviceMesh, group_size: int) -> float:
-        """All-reduce across ``group_size`` ranks placed inside ``mesh``.
-
-        The group is assumed to be laid out contiguously in the mesh's
-        row-major device order, so it crosses node boundaries only when it is
-        wider than the mesh's per-node width.
-        """
-        cross = group_size > mesh.gpus_per_node
-        return self.allreduce_time(nbytes, group_size, cross)
-
     def broadcast_group_time(
         self,
         nbytes: float,

@@ -68,7 +68,9 @@ class GPUSpec:
         Factor by which CUDA-graph capture reduces the per-kernel launch
         overhead during decoding.
     pcie_bandwidth_gbps:
-        Host-device bandwidth used for parameter offloading.
+        Host-device bandwidth.  No cost model reads it (parameter offloading
+        is not modelled), but plan fingerprints hash every GPU field, so it
+        stays to keep their keys.
     """
 
     name: str = "H100-SXM5"
@@ -105,11 +107,6 @@ class GPUSpec:
     def achievable_hbm_bandwidth(self) -> float:
         """Sustained HBM bandwidth (bytes/s) for memory-bound kernels."""
         return self.hbm_bandwidth_gbps * GB * self.decode_efficiency
-
-    @property
-    def pcie_bandwidth(self) -> float:
-        """Host-device bandwidth in bytes/s."""
-        return self.pcie_bandwidth_gbps * GB
 
 
 @dataclass(frozen=True)
@@ -189,11 +186,6 @@ class ClusterSpec:
         return self.n_nodes * self.gpus_per_node
 
     @property
-    def total_memory_bytes(self) -> float:
-        """Aggregate HBM capacity of the cluster in bytes."""
-        return self.n_gpus * self.gpu.memory_bytes
-
-    @property
     def device_memory_bytes(self) -> float:
         """Per-device HBM capacity in bytes (``mem_d`` in the paper)."""
         return self.gpu.memory_bytes
@@ -203,12 +195,6 @@ class ClusterSpec:
         if not (0 <= gpu_id < self.n_gpus):
             raise ValueError(f"gpu_id {gpu_id} out of range for {self.n_gpus} GPUs")
         return gpu_id // self.gpus_per_node
-
-    def local_rank_of(self, gpu_id: int) -> int:
-        """Return the within-node rank of global GPU ``gpu_id``."""
-        if not (0 <= gpu_id < self.n_gpus):
-            raise ValueError(f"gpu_id {gpu_id} out of range for {self.n_gpus} GPUs")
-        return gpu_id % self.gpus_per_node
 
     def same_node(self, gpu_a: int, gpu_b: int) -> bool:
         """Whether two global GPU indices live on the same node."""

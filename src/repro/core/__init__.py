@@ -25,10 +25,8 @@ from .estimator import (
 from .parallel import ParallelStrategy, enumerate_strategies, factorize_3d
 from .plan import (
     Allocation,
-    DataTransferEdge,
     ExecutionPlan,
     ReallocationEdge,
-    data_transfer_edges,
     reallocation_edges,
     symmetric_plan,
 )
@@ -39,7 +37,7 @@ from .profiler import (
     Profiler,
     ProfileStats,
 )
-from .pruning import PruneConfig, allocation_options, enumerate_allocations, search_space_size
+from .pruning import PruneConfig, allocation_options, search_space_size
 from .search import (
     ChainState,
     MCMCSearcher,
@@ -68,9 +66,7 @@ __all__ = [
     "Allocation",
     "ExecutionPlan",
     "ReallocationEdge",
-    "DataTransferEdge",
     "reallocation_edges",
-    "data_transfer_edges",
     "symmetric_plan",
     # estimator
     "CallCostModel",
@@ -89,7 +85,6 @@ __all__ = [
     "ProfiledProvider",
     # search
     "PruneConfig",
-    "enumerate_allocations",
     "allocation_options",
     "search_space_size",
     "SearchConfig",

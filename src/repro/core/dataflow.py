@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["FunctionCallType", "ModelFunctionCall", "DataflowGraph"]
 
@@ -209,16 +209,6 @@ class DataflowGraph:
         """Call names in a deterministic topological order."""
         return list(self._order)
 
-    def sources(self) -> List[str]:
-        """Calls without dependencies (can start immediately)."""
-        have_parents = {dst for _, dst in self._edges}
-        return [c.name for c in self.calls if c.name not in have_parents]
-
-    def sinks(self) -> List[str]:
-        """Calls nothing depends on."""
-        have_children = {src for src, _ in self._edges}
-        return [c.name for c in self.calls if c.name not in have_children]
-
     def model_names(self) -> List[str]:
         """Distinct model (LLM) names appearing in the graph."""
         seen: List[str] = []
@@ -232,10 +222,6 @@ class DataflowGraph:
         order = {name: i for i, name in enumerate(self._order)}
         matching = [c for c in self.calls if c.model_name == model_name]
         return sorted(matching, key=lambda c: order[c.name])
-
-    def trainable_models(self) -> List[str]:
-        """Model names that have at least one training call."""
-        return sorted({c.model_name for c in self.calls if c.is_trainable})
 
     def validate(self) -> None:
         """Re-run structural validation (raises on inconsistency)."""

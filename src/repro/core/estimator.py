@@ -147,11 +147,6 @@ class MemoryEstimate:
         """Peak bytes on the most loaded GPU."""
         return max(self.per_gpu.values(), default=0.0)
 
-    @property
-    def max_static_bytes(self) -> float:
-        """Peak static (gradient + optimizer) bytes on the most loaded GPU."""
-        return max(self.static_per_gpu.values(), default=0.0)
-
 
 @dataclass(slots=True)
 class _PlanState:

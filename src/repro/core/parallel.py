@@ -3,8 +3,8 @@
 Section 2.2 of the paper describes a parallelization strategy ``S`` as the
 triple ``(dp, tp, pp)`` of data-, tensor- and pipeline-parallel degrees,
 optionally combined with a number of micro-batches.  This module provides
-the strategy value type, validation against a model/device mesh and an
-enumeration helper used by the plan search.
+the strategy value type, validation against a model and an enumeration
+helper used by the plan search.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-from ..cluster.topology import DeviceMesh
 from ..model.config import ModelConfig
 
 __all__ = ["ParallelStrategy", "enumerate_strategies", "factorize_3d"]
@@ -55,19 +54,6 @@ class ParallelStrategy:
         if self.tp > config.n_kv_heads and config.n_kv_heads % self.tp != 0 and self.tp % config.n_kv_heads != 0:
             return False
         return True
-
-    def fits_mesh(self, mesh: DeviceMesh) -> bool:
-        """Whether the strategy exactly occupies ``mesh``."""
-        return self.world_size == mesh.n_gpus
-
-    def tp_crosses_nodes(self, mesh: DeviceMesh) -> bool:
-        """Whether the tensor-parallel groups span node boundaries.
-
-        The canonical Megatron layout places TP innermost, so TP crosses
-        nodes only when ``tp`` exceeds the number of GPUs per node of the
-        mesh.
-        """
-        return self.tp > mesh.gpus_per_node
 
     def describe(self) -> str:
         """Human-readable summary, e.g. ``dp=4 tp=2 pp=2``."""

@@ -4,9 +4,10 @@ An execution plan (Section 4 of the paper) assigns every model function call
 of a dataflow graph a device mesh :math:`D_i`, a 3D parallelization strategy
 :math:`S_i` and a number of micro-batches.  The *augmented* graph
 :math:`G_p` additionally contains parameter-reallocation, data-transfer and
-offload nodes; here we represent those implicitly as annotated edges
-(:func:`reallocation_edges`, :func:`data_transfer_edges`) whose costs are
-computed by :mod:`repro.realloc` and :mod:`repro.runtime.data_transfer`.
+offload nodes.  Here reallocations are annotated edges
+(:func:`reallocation_edges`) priced by :mod:`repro.realloc`, data transfers
+are priced per graph edge by :mod:`repro.runtime.data_transfer`, and
+offloading is not modelled.
 """
 
 from __future__ import annotations
@@ -16,16 +17,14 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..cluster.hardware import ClusterSpec
 from ..cluster.topology import DeviceMesh, full_cluster_mesh
-from .dataflow import DataflowGraph, ModelFunctionCall
+from .dataflow import DataflowGraph
 from .parallel import ParallelStrategy
 
 __all__ = [
     "Allocation",
     "ExecutionPlan",
     "ReallocationEdge",
-    "DataTransferEdge",
     "reallocation_edges",
-    "data_transfer_edges",
     "symmetric_plan",
 ]
 
@@ -121,25 +120,6 @@ class ReallocationEdge:
     def is_noop(self) -> bool:
         """True when source and destination layouts are identical."""
         return self.src.mesh == self.dst.mesh and self.src.parallel == self.dst.parallel
-
-
-@dataclass(frozen=True)
-class DataTransferEdge:
-    """A data movement between a producer call and a consumer call."""
-
-    src_call: str
-    dst_call: str
-    src: Allocation
-    dst: Allocation
-
-    @property
-    def is_local(self) -> bool:
-        """True when producer and consumer share mesh and DP/TP layout."""
-        return (
-            self.src.mesh == self.dst.mesh
-            and self.src.parallel.dp == self.dst.parallel.dp
-            and self.src.parallel.tp == self.dst.parallel.tp
-        )
 
 
 class ExecutionPlan:
@@ -267,20 +247,6 @@ def reallocation_edges(graph: DataflowGraph, plan: ExecutionPlan) -> List[Reallo
             )
             if not edge.is_noop:
                 edges.append(edge)
-    return edges
-
-
-def data_transfer_edges(graph: DataflowGraph, plan: ExecutionPlan) -> List[DataTransferEdge]:
-    """Data transfers implied by ``plan`` along the graph's data edges."""
-    edges: List[DataTransferEdge] = []
-    for src_name, dst_name in graph.edges:
-        edge = DataTransferEdge(
-            src_call=src_name,
-            dst_call=dst_name,
-            src=plan[src_name],
-            dst=plan[dst_name],
-        )
-        edges.append(edge)
     return edges
 
 

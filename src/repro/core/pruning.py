@@ -23,7 +23,7 @@ from .parallel import ParallelStrategy, enumerate_strategies
 from .plan import Allocation
 from .workload import RLHFWorkload
 
-__all__ = ["PruneConfig", "enumerate_allocations", "allocation_options", "search_space_size"]
+__all__ = ["PruneConfig", "allocation_options", "search_space_size"]
 
 DEFAULT_MICROBATCH_CHOICES = (1, 2, 4, 8, 16, 32)
 
@@ -62,12 +62,6 @@ class PruneConfig:
     """Sub-node meshes (fractions of one host) are only considered on clusters
     of at most this many GPUs; on larger clusters a per-call mesh smaller than
     one node is never worthwhile and only inflates the search space."""
-
-    def restrict(self, **changes) -> "PruneConfig":
-        """Return a modified copy (dataclasses.replace wrapper)."""
-        import dataclasses
-
-        return dataclasses.replace(self, **changes)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -268,17 +262,6 @@ class _OptionTable:
                         )
                     options.append(alloc)
         return options
-
-
-def enumerate_allocations(
-    call: ModelFunctionCall,
-    config: ModelConfig,
-    workload: RLHFWorkload,
-    cluster: ClusterSpec,
-    prune: PruneConfig = PruneConfig(),
-) -> List[Allocation]:
-    """All pruned allocation options for one model function call."""
-    return list(_OptionTable(cluster, prune).compile(call, config, workload).options)
 
 
 def allocation_options(

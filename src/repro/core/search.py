@@ -831,10 +831,6 @@ class SearchSession:
         return self._started_at is not None
 
     @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-    @property
     def done(self) -> bool:
         """All chains exhausted (a never-started session is not done)."""
         return self.started and all(state.done for state in self.states)

@@ -11,7 +11,7 @@ metric.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from ..model import flops as F
@@ -39,11 +39,6 @@ class CallWorkload:
     def seqlen(self) -> int:
         """Full sequence length (prompt + generated response)."""
         return self.prompt_len + self.gen_len
-
-    @property
-    def total_tokens(self) -> int:
-        """Total tokens processed by the call (full sequences)."""
-        return self.batch_size * self.seqlen
 
     def per_minibatch(self) -> "CallWorkload":
         """The workload of one training minibatch."""
@@ -99,10 +94,6 @@ class RLHFWorkload:
                 f"model {model_name!r} not in workload (have {sorted(self.model_configs)})"
             )
         return self.model_configs[model_name]
-
-    def with_batch_size(self, batch_size: int) -> "RLHFWorkload":
-        """Copy of the workload with a different global batch size."""
-        return dataclasses.replace(self, batch_size=batch_size)
 
     def with_context(self, prompt_len: int, gen_len: int) -> "RLHFWorkload":
         """Copy of the workload with different prompt/generation lengths."""

@@ -4,7 +4,6 @@ from .ablation import OptimizationLevel, figure2_opportunity, progressive_optimi
 from .metrics import (
     ThroughputRecord,
     petaflops_per_second,
-    speedup,
     static_memory_utilization,
 )
 from .reporting import format_table
@@ -33,7 +32,6 @@ __all__ = [
     "algorithm_settings",
     "gpus_for_actor",
     "petaflops_per_second",
-    "speedup",
     "static_memory_utilization",
     "ThroughputRecord",
     "format_table",

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.dataflow import DataflowGraph
 from ..core.estimator import MemoryEstimate
 from ..core.workload import RLHFWorkload
 
-__all__ = ["petaflops_per_second", "speedup", "static_memory_utilization", "ThroughputRecord"]
+__all__ = ["petaflops_per_second", "static_memory_utilization", "ThroughputRecord"]
 
 
 def petaflops_per_second(
@@ -19,13 +19,6 @@ def petaflops_per_second(
     if seconds_per_iteration <= 0:
         raise ValueError("seconds_per_iteration must be positive")
     return workload.iteration_flops(graph.calls) / seconds_per_iteration / 1e15
-
-
-def speedup(baseline_seconds: float, improved_seconds: float) -> float:
-    """How many times faster the improved configuration is."""
-    if improved_seconds <= 0:
-        raise ValueError("improved_seconds must be positive")
-    return baseline_seconds / improved_seconds
 
 
 def static_memory_utilization(memory: MemoryEstimate, device_memory_bytes: float) -> float:

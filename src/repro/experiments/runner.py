@@ -8,8 +8,7 @@ returns the rows/series the paper reports.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .. import knobs
 from ..baselines import (
@@ -20,7 +19,7 @@ from ..baselines import (
     RealSystem,
     VeRLSystem,
 )
-from ..baselines.base import BaselineSystem, SystemEvaluation
+from ..baselines.base import BaselineSystem
 from ..core.estimator import RuntimeEstimator
 from ..core.search import SearchConfig
 from ..service.server import PlanService
@@ -51,18 +50,16 @@ def default_search_config(seed: int = 0) -> SearchConfig:
     )
 
 
-def default_systems(include_real: bool = True, seed: int = 0) -> List[BaselineSystem]:
-    """The Figure 7 comparison set (plus ReaL itself unless disabled)."""
-    systems: List[BaselineSystem] = [
+def default_systems() -> List[BaselineSystem]:
+    """The Figure 7 comparison set: the four baselines, ReaL-Heuristic and ReaL."""
+    return [
         DeepSpeedChatSystem(),
         OpenRLHFSystem(),
         NeMoAlignerSystem(),
         VeRLSystem(),
         RealHeuristicSystem(),
+        RealSystem(search_config=default_search_config()),
     ]
-    if include_real:
-        systems.append(RealSystem(search_config=default_search_config(seed)))
-    return systems
 
 
 def evaluate_setting(

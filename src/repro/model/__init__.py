@@ -4,7 +4,6 @@ from .config import (
     LLAMA3_CONFIGS,
     MODEL_SIZES,
     ModelConfig,
-    critic_variant,
     get_model_config,
 )
 from .flops import (
@@ -13,7 +12,7 @@ from .flops import (
     model_forward_flops,
     training_step_flops,
 )
-from .layers import LayerCostModel, LayerOp, LayerTiming
+from .layers import LayerCostModel, LayerTiming
 from .memory import (
     GRAD_BYTES,
     OPTIMIZER_BYTES_PER_PARAM,
@@ -27,13 +26,11 @@ __all__ = [
     "LLAMA3_CONFIGS",
     "MODEL_SIZES",
     "get_model_config",
-    "critic_variant",
     "model_forward_flops",
     "training_step_flops",
     "generation_flops",
     "inference_flops",
     "LayerCostModel",
-    "LayerOp",
     "LayerTiming",
     "MemoryModel",
     "MemoryBreakdown",

@@ -18,7 +18,6 @@ __all__ = [
     "LLAMA3_CONFIGS",
     "MODEL_SIZES",
     "get_model_config",
-    "critic_variant",
 ]
 
 
@@ -188,7 +187,3 @@ def get_model_config(size: str, critic: bool = False) -> ModelConfig:
     config = LLAMA3_CONFIGS[key]
     return config.as_critic() if critic else config
 
-
-def critic_variant(size: str) -> ModelConfig:
-    """Shorthand for :func:`get_model_config` with ``critic=True``."""
-    return get_model_config(size, critic=True)

@@ -18,7 +18,6 @@ the three effects the paper's kernel-level breakdown (Figure 10) relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from ..cluster.hardware import ClusterSpec
 from ..cluster.comm import CommModel
@@ -26,16 +25,7 @@ from .config import ModelConfig
 from . import flops as F
 from .memory import PARAM_BYTES
 
-__all__ = ["LayerOp", "LayerTiming", "LayerCostModel"]
-
-
-class LayerOp(str, Enum):
-    """Operation types profiled per layer."""
-
-    FORWARD = "forward"
-    BACKWARD = "backward"
-    DECODE = "decode"
-    OPTIMIZER_STEP = "optimizer_step"
+__all__ = ["LayerTiming", "LayerCostModel"]
 
 
 # Number of kernels launched per transformer layer per decoding step.  The

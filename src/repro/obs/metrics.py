@@ -357,15 +357,6 @@ class Histogram(_Instrument):
         with self._lock:
             self._series_observe(series, value)
 
-    def percentile(self, q: float) -> float:
-        """Streaming estimate of quantile ``q`` on the unlabeled series."""
-        series = self._default_series()
-        with self._lock:
-            for estimator in series.quantiles:
-                if estimator.q == q:
-                    return estimator.value()
-        raise ValueError(f"{self.name} does not track quantile {q}")
-
     @property
     def count(self) -> int:
         return self._default_series().count

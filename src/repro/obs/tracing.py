@@ -231,13 +231,12 @@ class Tracer:
         recorder: Any,
         since: int = 0,
         process: str = "planning",
-        epoch_s: Optional[float] = None,
     ) -> int:
         """Merge the span tree into a Chrome-trace recorder; returns #spans.
 
         Spans become async events (``ph: "b"``/``"e"``) on a ``process``
         whose threads are the span categories, rebased so the earliest span
-        starts at zero (or at ``epoch_s`` wall-clock seconds).  Every
+        starts at zero.  Every
         parent→child edge within the exported set additionally gets a flow
         arrow (``ph: "s"`` at the parent's begin → ``ph: "f"`` at the
         child's begin), which Perfetto renders as the causal arrows between
@@ -247,7 +246,7 @@ class Tracer:
         records = self.records(since)
         if not records:
             return 0
-        epoch = min(r.start_s for r in records) if epoch_s is None else epoch_s
+        epoch = min(r.start_s for r in records)
         by_id = {r.context.span_id: r for r in records}
         for record in records:
             thread = record.category or "spans"

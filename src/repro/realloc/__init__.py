@@ -1,8 +1,7 @@
-"""Parameter reallocation: layouts, broadcast remapping, costs and offloading."""
+"""Parameter reallocation: layouts, broadcast remapping and costs."""
 
 from .cost import ReallocCost, ReallocCostModel
 from .layout import EMBEDDING_BLOCK, HEAD_BLOCK, ParamLayout, layer_assignment
-from .offload import OffloadDecision, offload_cost, should_offload
 from .remap import BroadcastStep, ReallocationPlan, plan_reallocation, reallocation_time
 
 __all__ = [
@@ -16,7 +15,4 @@ __all__ = [
     "reallocation_time",
     "ReallocCost",
     "ReallocCostModel",
-    "OffloadDecision",
-    "offload_cost",
-    "should_offload",
 ]

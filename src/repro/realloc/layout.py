@@ -96,13 +96,6 @@ class ParamLayout:
         """Layer ranges of each pipeline stage (computed once per layout)."""
         return layer_assignment(self.config.n_layers, self.parallel.pp)
 
-    def rank_coords(self, rank: int) -> Tuple[int, int, int]:
-        """``(pp_rank, dp_rank, tp_rank)`` of a global rank."""
-        tp, dp = self.parallel.tp, self.parallel.dp
-        if not (0 <= rank < self.parallel.world_size):
-            raise ValueError(f"rank {rank} out of range")
-        return (rank // (tp * dp), (rank // tp) % dp, rank % tp)
-
     def rank_of_coords(self, pp_rank: int, dp_rank: int, tp_rank: int) -> int:
         """Global rank of a ``(pp, dp, tp)`` coordinate."""
         tp, dp = self.parallel.tp, self.parallel.dp
@@ -158,27 +151,6 @@ class ParamLayout:
             self.gpu_of_coords(stage, dp_rank, tp_rank)
             for dp_rank in range(self.parallel.dp)
         ]
-
-    def gpu_blocks(self, gpu_id: int) -> List[Tuple[int, Interval]]:
-        """Parameter blocks (and fractional ranges) held by a GPU."""
-        try:
-            rank = self.mesh.device_ids.index(gpu_id)
-        except ValueError:
-            return []
-        pp_rank, _dp_rank, tp_rank = self.rank_coords(rank)
-        interval = self.shard_interval(tp_rank)
-        blocks: List[Tuple[int, Interval]] = []
-        for block_id in self.block_ids():
-            if self.stage_of_block(block_id) == pp_rank:
-                blocks.append((block_id, interval))
-        return blocks
-
-    def gpu_param_bytes(self, gpu_id: int) -> float:
-        """Total parameter bytes stored on a GPU under this layout."""
-        total = 0.0
-        for block_id, (lo, hi) in self.gpu_blocks(gpu_id):
-            total += self.block_bytes(block_id) * (hi - lo)
-        return total
 
     def holder_intervals(self, block_id: int) -> Dict[int, Interval]:
         """Mapping ``gpu_id -> fractional interval`` for one parameter block."""

@@ -178,11 +178,6 @@ class WorkloadFingerprint:
     enumerate their calls' options over one mesh set under one set of
     pruning rules, so they can share one compiled option table."""
 
-    @property
-    def short_key(self) -> str:
-        """Abbreviated key for logs and stats tables."""
-        return self.key[:12]
-
 
 def fingerprint_request(
     graph: DataflowGraph,

@@ -5,9 +5,9 @@ Both simulators of the reproduction — the iteration-level runtime engine
 numbers, and the cluster-level multi-job scheduler (:mod:`repro.sched`) —
 are built on this package instead of hand-rolled bookkeeping:
 
-* :mod:`repro.sim.kernel` — the event queue and monotone virtual clock
-  (:class:`SimKernel`) that drives the scheduler: it schedules
-  :class:`Event` records and drains them through :meth:`SimKernel.run`.
+* :mod:`repro.sim.kernel` — the event queue (:class:`SimKernel`) that
+  drives the scheduler: it schedules :class:`Event` records and drains
+  them through :meth:`SimKernel.run`.
 * :mod:`repro.sim.resources` — per-resource occupancy bookkeeping
   (:class:`ResourceTimeline`, :class:`TimelinePool`): busy spans per cost
   category with FIFO enforcement.  The engine list-schedules calls onto

@@ -1,22 +1,20 @@
-"""The discrete-event kernel: the event queue and virtual clock of the scheduler.
+"""The discrete-event kernel: the event queue of the cluster scheduler.
 
 :class:`SimKernel` drives the cluster scheduler (:mod:`repro.sched`).  It is
 deliberately small: a priority queue of :class:`Event` records ordered by
-``(time, priority, seq)`` plus a monotone virtual clock.  Executors give
-events an integer ``priority`` to fix the processing order of simultaneous
-events (e.g. the scheduler processes capacity changes before arrivals before
-completions at the same timestamp) and a ``kind`` tag that their handler
-dispatches on.
+``(time, priority, seq)``.  Executors give events an integer ``priority`` to
+fix the processing order of simultaneous events (e.g. the scheduler
+processes capacity changes before arrivals before completions at the same
+timestamp) and a ``kind`` tag that their handler dispatches on.
 
-:meth:`SimKernel.run` drains timestamps: after *all* events sharing the
-earliest timestamp have been handled, an optional ``on_timestamp_drained``
-hook runs — which is where the cluster scheduler makes placement decisions,
-so simultaneous arrivals are never starved by a decision triggered a moment
-"earlier".  Without the hook it is plain event-at-a-time handling.
-
-The clock is an *observer* clock: ``now`` is the maximum time of any
-processed event and never decreases.  An event scheduled before ``now``
-fires on the next pop without moving the clock backwards.
+:meth:`SimKernel.run` is the one way to drain the queue.  It drains
+timestamps: after *all* events sharing the earliest timestamp have been
+handled, an optional ``on_timestamp_drained`` hook runs — which is where the
+cluster scheduler makes placement decisions, so simultaneous arrivals are
+never starved by a decision triggered a moment "earlier".  Without the hook
+it is plain event-at-a-time handling.  An event scheduled before the
+timestamp being drained fires next: it closes the current batch, and the
+rest of that timestamp drains as a new batch after it.
 """
 
 from __future__ import annotations
@@ -53,34 +51,12 @@ class Event:
 
 
 class SimKernel:
-    """Event queue plus monotone virtual clock."""
+    """Event queue drained in ``(time, priority, seq)`` order by :meth:`run`."""
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         self._heap: List[Event] = []
         self._seq = itertools.count()
-        self._now = start_time
         self.n_processed = 0
-
-    # ------------------------------------------------------------------ #
-    # Clock and queue state
-    # ------------------------------------------------------------------ #
-    @property
-    def now(self) -> float:
-        """Current virtual time: the latest processed event time (monotone)."""
-        return self._now
-
-    @property
-    def empty(self) -> bool:
-        self._prune()
-        return not self._heap
-
-    def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest pending event (``None`` when empty)."""
-        self._prune()
-        return self._heap[0].time if self._heap else None
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -94,8 +70,8 @@ class SimKernel:
     ) -> Event:
         """Queue an event; ties break by ``priority`` then insertion order.
 
-        ``time`` may be at or before :attr:`now` — such events fire on the
-        next pop without moving the clock backwards.
+        ``time`` may lie before the timestamp being drained; such an event
+        fires next (see the module docstring).
         """
         event = Event(time, priority, next(self._seq), kind, payload)
         heapq.heappush(self._heap, event)
@@ -108,20 +84,6 @@ class SimKernel:
     # ------------------------------------------------------------------ #
     # Processing
     # ------------------------------------------------------------------ #
-    def _prune(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event, advancing the clock."""
-        self._prune()
-        if not self._heap:
-            raise IndexError("pop from an empty SimKernel")
-        event = heapq.heappop(self._heap)
-        self._now = max(self._now, event.time)
-        self.n_processed += 1
-        return event
-
     def run(
         self,
         handler: Callable[[Event], None],
@@ -143,11 +105,8 @@ class SimKernel:
         wall_started = _time.perf_counter()
         processed_before = self.n_processed
         # The drain below is the fleet-scale hot loop: one inlined heap pass
-        # per timestamp batch instead of a peek (prune) + pop (prune again)
-        # method-call round trip per event.  Semantics are identical to the
-        # naive loop: cancelled events are skipped, events the handler
-        # schedules *at* the batch timestamp drain in the same batch, and the
-        # clock only ever moves forward.
+        # per timestamp batch.  Cancelled events are skipped, and events the
+        # handler schedules *at* the batch timestamp drain in the same batch.
         heap = self._heap
         heappop = heapq.heappop
         try:
@@ -157,8 +116,6 @@ class SimKernel:
                     heappop(heap)
                     continue
                 batch_time = head.time
-                if batch_time > self._now:
-                    self._now = batch_time
                 while heap:
                     head = heap[0]
                     if head.cancelled:

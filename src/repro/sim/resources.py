@@ -13,7 +13,7 @@ job phases into the merged Chrome trace.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .trace import TraceSpan
 
@@ -59,10 +59,6 @@ class ResourceTimeline:
         self.free_at = max(self.free_at, clock)
         return clock
 
-    def busy_seconds(self, category: Optional[str] = None) -> float:
-        """Total busy time, optionally restricted to one cost category."""
-        return sum(s.duration for s in self.spans if category is None or s.category == category)
-
     def categories(self) -> Dict[str, float]:
         """Busy seconds per cost category."""
         out: Dict[str, float] = {}
@@ -89,10 +85,6 @@ class TimelinePool:
     def free_at(self, resource_ids: Tuple[int, ...]) -> float:
         """Earliest time at which every resource in the group is free."""
         return max(self.timelines[rid].free_at for rid in resource_ids)
-
-    def total_busy(self, category: Optional[str] = None) -> float:
-        """Aggregate busy seconds across all timelines."""
-        return sum(t.busy_seconds(category) for t in self.timelines.values())
 
     def category_totals(self) -> Dict[str, float]:
         """Aggregate busy seconds per category across all timelines."""

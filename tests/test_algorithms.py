@@ -29,11 +29,14 @@ class TestPPOGraph:
         assert "reward_inference" in graph.parents("actor_train")
         assert "ref_inference" in graph.parents("actor_train")
         assert "critic_inference" in graph.parents("critic_train")
-        assert graph.sources() == ["actor_generate"]
-        assert set(graph.sinks()) == {"actor_train", "critic_train"}
+        sources = [name for name, parents in graph.parents_map().items() if not parents]
+        sinks = [name for name in graph.call_names if not graph.children(name)]
+        assert sources == ["actor_generate"]
+        assert set(sinks) == {"actor_train", "critic_train"}
 
     def test_trainable_models(self):
-        assert build_ppo_graph().trainable_models() == ["actor", "critic"]
+        trainable = {call.model_name for call in build_ppo_graph().calls if call.is_trainable}
+        assert trainable == {"actor", "critic"}
 
     def test_inference_calls_independent_of_each_other(self):
         graph = build_ppo_graph()

@@ -125,7 +125,6 @@ class TestCapacityWhatIf:
         names = {o.name for o in report.outcomes}
         assert report.frontier
         assert set(report.frontier) <= names
-        assert {o.name for o in report.frontier_outcomes()} == set(report.frontier)
 
     def test_spot_pricing_dominates_on_demand_twin(self, report):
         # Identical cluster and replay, lower $/GPU-hour: the on-demand twin

@@ -42,9 +42,6 @@ class TestGPUSpec:
         with pytest.raises(ValueError):
             GPUSpec(memory_gb=-1)
 
-    def test_pcie_bandwidth_bytes(self):
-        assert H100_SPEC.pcie_bandwidth == pytest.approx(H100_SPEC.pcie_bandwidth_gbps * GB)
-
 
 class TestInterconnectSpec:
     def test_defaults_match_paper_cluster(self):
@@ -64,10 +61,6 @@ class TestClusterSpec:
     def test_n_gpus(self):
         assert ClusterSpec(n_nodes=4).n_gpus == 32
 
-    def test_total_memory(self):
-        cluster = ClusterSpec(n_nodes=2)
-        assert cluster.total_memory_bytes == pytest.approx(16 * 80 * GB)
-
     def test_device_memory(self):
         assert ClusterSpec(n_nodes=1).device_memory_bytes == pytest.approx(80 * GB)
 
@@ -75,14 +68,14 @@ class TestClusterSpec:
         cluster = ClusterSpec(n_nodes=2)
         assert cluster.node_of(0) == 0
         assert cluster.node_of(8) == 1
-        assert cluster.local_rank_of(11) == 3
+        assert cluster.node_of(11) == 1
 
     def test_node_of_out_of_range(self):
         cluster = ClusterSpec(n_nodes=1)
         with pytest.raises(ValueError):
             cluster.node_of(8)
         with pytest.raises(ValueError):
-            cluster.local_rank_of(-1)
+            cluster.node_of(-1)
 
     def test_same_node(self):
         cluster = ClusterSpec(n_nodes=2)

@@ -48,8 +48,8 @@ class TestDataflowGraph:
 
     def test_sources_and_sinks(self):
         graph = simple_graph()
-        assert graph.sources() == ["gen"]
-        assert graph.sinks() == ["train"]
+        assert [name for name, parents in graph.parents_map().items() if not parents] == ["gen"]
+        assert [name for name in graph.call_names if not graph.children(name)] == ["train"]
 
     def test_model_names_preserve_order(self):
         assert simple_graph().model_names() == ["actor", "reward"]
@@ -59,7 +59,7 @@ class TestDataflowGraph:
         assert [c.name for c in calls] == ["gen", "train"]
 
     def test_trainable_models(self):
-        assert simple_graph().trainable_models() == ["actor"]
+        assert {call.model_name for call in simple_graph().calls if call.is_trainable} == {"actor"}
 
     def test_contains_and_get(self):
         graph = simple_graph()

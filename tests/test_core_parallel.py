@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster import make_cluster, full_cluster_mesh
 from repro.core import ParallelStrategy, enumerate_strategies, factorize_3d
 from repro.model import get_model_config
 
@@ -25,18 +24,6 @@ class TestParallelStrategy:
         cfg = get_model_config("7b")  # 32 heads
         assert ParallelStrategy(dp=1, tp=8, pp=1).is_compatible_with_model(cfg)
         assert not ParallelStrategy(dp=1, tp=3, pp=1).is_compatible_with_model(cfg)
-
-    def test_fits_mesh(self):
-        cluster = make_cluster(16)
-        mesh = full_cluster_mesh(cluster)
-        assert ParallelStrategy(dp=2, tp=8, pp=1).fits_mesh(mesh)
-        assert not ParallelStrategy(dp=1, tp=8, pp=1).fits_mesh(mesh)
-
-    def test_tp_crosses_nodes(self):
-        cluster = make_cluster(16)
-        mesh = full_cluster_mesh(cluster)
-        assert not ParallelStrategy(dp=2, tp=8, pp=1).tp_crosses_nodes(mesh)
-        assert ParallelStrategy(dp=1, tp=16, pp=1).tp_crosses_nodes(mesh)
 
     def test_describe(self):
         assert ParallelStrategy(1, 2, 3).describe() == "dp=1 tp=2 pp=3"

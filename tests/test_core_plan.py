@@ -1,4 +1,4 @@
-"""Tests for execution plans and their derived reallocation/transfer edges."""
+"""Tests for execution plans and their derived reallocation edges."""
 
 import copy
 import dataclasses
@@ -13,7 +13,6 @@ from repro.core import (
     ExecutionPlan,
     ParallelStrategy,
     RuntimeEstimator,
-    data_transfer_edges,
     reallocation_edges,
     symmetric_plan,
 )
@@ -178,19 +177,3 @@ class TestDerivedEdges:
         # generate -> train and the wrap-around train -> generate both realloc.
         assert len(actor_edges) == 2
         assert all(not e.is_noop for e in actor_edges)
-
-    def test_data_transfer_edges_match_graph_edges(self, ppo_graph, cluster):
-        plan = symmetric_plan(ppo_graph, cluster, ParallelStrategy(2, 8, 1))
-        edges = data_transfer_edges(ppo_graph, plan)
-        assert len(edges) == len(ppo_graph.edges)
-        assert all(edge.is_local for edge in edges)
-
-    def test_data_transfer_detects_layout_change(self, ppo_graph, cluster):
-        plan = symmetric_plan(ppo_graph, cluster, ParallelStrategy(2, 8, 1))
-        node0 = DeviceMesh(cluster, 0, 1, 0, 8)
-        plan = plan.with_assignment(
-            "reward_inference", Allocation(mesh=node0, parallel=ParallelStrategy(1, 8, 1))
-        )
-        edges = data_transfer_edges(ppo_graph, plan)
-        changed = [e for e in edges if e.dst_call == "reward_inference"]
-        assert changed and all(not e.is_local for e in changed)

@@ -1,5 +1,7 @@
 """Tests for search-space pruning, MCMC search and brute-force search."""
 
+import dataclasses
+
 import pytest
 
 from repro.algorithms import build_dpo_graph, build_grpo_graph, build_ppo_graph
@@ -12,7 +14,6 @@ from repro.core import (
     SearchConfig,
     allocation_options,
     brute_force_search,
-    enumerate_allocations,
     instructgpt_workload,
     search_space_size,
     symmetric_plan,
@@ -82,23 +83,19 @@ class TestPruning:
     def test_static_oom_pruning_drops_unsharded_70b(self, ppo_graph):
         cluster = make_cluster(16)
         workload = instructgpt_workload("70b", "7b", batch_size=64)
-        options = enumerate_allocations(
-            ppo_graph.get("actor_train"), workload.model_config("actor"), workload, cluster
-        )
+        options = allocation_options(ppo_graph, workload, cluster)["actor_train"]
         assert options
         assert all(a.parallel.tp * a.parallel.pp > 1 for a in options)
 
     def test_pruning_raises_when_nothing_fits(self, ppo_graph, cluster8):
         # A 70B trainable model cannot fit on a single 8-GPU node at all.
         workload = instructgpt_workload("70b", "7b", batch_size=64)
-        with pytest.raises(ValueError):
-            enumerate_allocations(
-                ppo_graph.get("actor_train"), workload.model_config("actor"), workload, cluster8
-            )
+        with pytest.raises(ValueError, match="no feasible allocation"):
+            allocation_options(ppo_graph, workload, cluster8)
 
     def test_restrict_returns_copy(self):
         base = PruneConfig()
-        changed = base.restrict(mesh_stride=3)
+        changed = dataclasses.replace(base, mesh_stride=3)
         assert changed.mesh_stride == 3 and base.mesh_stride == 1
 
     def test_static_oom_prune_uses_param_bytes_constant(self, ppo_graph, monkeypatch):
@@ -108,24 +105,16 @@ class TestPruning:
 
         cluster = make_cluster(8)
         workload = instructgpt_workload("7b", "7b", batch_size=64)
-        call = ppo_graph.get("actor_generate")
-        assert enumerate_allocations(
-            call, workload.model_config("actor"), workload, cluster
-        )
+        assert allocation_options(ppo_graph, workload, cluster)["actor_generate"]
         monkeypatch.setattr(pruning_module, "PARAM_BYTES", 1e12)
         with pytest.raises(ValueError, match="no feasible allocation"):
-            enumerate_allocations(
-                call, workload.model_config("actor"), workload, cluster
-            )
+            allocation_options(ppo_graph, workload, cluster)
 
     def test_microbatch_ceiling_on_nondivisible_batch(self, ppo_graph, cluster8):
         # batch 26 over dp=8 shards ceil(26/8) = 4 sequences per rank, so 4
         # micro-batches are admissible; floor division would wrongly stop at 3.
         workload = instructgpt_workload("7b", "7b", batch_size=26)
-        options = enumerate_allocations(
-            ppo_graph.get("actor_generate"), workload.model_config("actor"),
-            workload, cluster8,
-        )
+        options = allocation_options(ppo_graph, workload, cluster8)["actor_generate"]
         dp8 = [a for a in options if a.parallel.dp == 8]
         assert dp8, "expected dp=8 options on the 8-GPU cluster"
         assert any(a.n_microbatches == 4 for a in dp8)

@@ -11,7 +11,6 @@ class TestCallWorkload:
     def test_seqlen_and_tokens(self):
         wl = CallWorkload(batch_size=8, prompt_len=128, gen_len=128)
         assert wl.seqlen == 256
-        assert wl.total_tokens == 8 * 256
 
     def test_per_minibatch(self):
         wl = CallWorkload(batch_size=64, prompt_len=16, gen_len=16, n_minibatches=8)
@@ -39,10 +38,6 @@ class TestInstructGPTWorkload:
     def test_unknown_model_raises(self):
         with pytest.raises(KeyError):
             instructgpt_workload().model_config("judge")
-
-    def test_with_batch_size(self):
-        wl = instructgpt_workload().with_batch_size(64)
-        assert wl.batch_size == 64
 
     def test_with_context(self):
         wl = instructgpt_workload().with_context(4096, 4096)

@@ -16,7 +16,6 @@ from repro.experiments import (
     petaflops_per_second,
     progressive_optimization,
     run_comparison,
-    speedup,
     static_memory_utilization,
     strong_scaling_settings,
     weak_scaling_settings,
@@ -76,11 +75,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             petaflops_per_second(workload, ppo_graph, 0.0)
 
-    def test_speedup(self):
-        assert speedup(10.0, 5.0) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            speedup(10.0, 0.0)
-
     def test_static_memory_utilization(self, ppo_graph):
         from repro.core import ParallelStrategy, RuntimeEstimator, symmetric_plan
 
@@ -105,8 +99,8 @@ class TestReporting:
 class TestRunner:
     def test_default_systems_include_real(self):
         systems = default_systems()
-        assert any(s.name == "ReaL" for s in systems)
-        assert any(s.name == "ReaL-Heuristic" for s in systems)
+        assert [s.name for s in systems][-2:] == ["ReaL-Heuristic", "ReaL"]
+        assert systems[-1].search_config == default_search_config()
 
     def test_default_search_config_scalable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SEARCH_BUDGET_SCALE", "2.0")

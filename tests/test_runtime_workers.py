@@ -16,8 +16,6 @@ class TestModelWorker:
         end = worker.occupy(0.0, {"compute": 1.0, "coll_comm": 0.5}, "call")
         assert end == pytest.approx(1.5)
         assert worker.free_at == pytest.approx(1.5)
-        assert worker.busy_seconds() == pytest.approx(1.5)
-        assert worker.busy_seconds("compute") == pytest.approx(1.0)
 
     def test_occupy_rejects_time_travel(self):
         worker = ResourceTimeline(resource_id=0)
@@ -58,4 +56,3 @@ class TestWorkerPool:
         totals = pool.category_totals()
         assert totals["compute"] == pytest.approx(3.0)
         assert totals["realloc"] == pytest.approx(0.5)
-        assert pool.total_busy() == pytest.approx(3.5)

@@ -64,7 +64,6 @@ class TestFingerprint:
     def test_key_is_stable_hex(self):
         fp = _fingerprint()
         assert len(fp.key) == 64 and int(fp.key, 16) >= 0
-        assert fp.short_key == fp.key[:12]
 
     def test_scale_changes_key_not_family(self):
         base = _fingerprint(batch_size=128, n_gpus=8)

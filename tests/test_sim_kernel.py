@@ -1,4 +1,4 @@
-"""Tests of the shared simulation kernel: events, clock, resources, traces."""
+"""Tests of the shared simulation kernel: events, resources, traces."""
 
 import json
 
@@ -15,6 +15,18 @@ from repro.sim import (
 )
 
 
+def _recording(kernel, on_event=None):
+    """A handler that records ``(time, kind)`` in handling order."""
+    seen = []
+
+    def handler(event):
+        seen.append((event.time, event.kind))
+        if on_event is not None:
+            on_event(event)
+
+    return handler, seen
+
+
 class TestSimKernel:
     def test_events_pop_in_time_priority_seq_order(self):
         kernel = SimKernel()
@@ -22,30 +34,48 @@ class TestSimKernel:
         kernel.schedule(1.0, "b", priority=1)
         kernel.schedule(1.0, "a", priority=0)
         kernel.schedule(1.0, "c", priority=1)
-        order = [kernel.pop().kind for _ in range(4)]
-        assert order == ["a", "b", "c", "late"]
+        handler, seen = _recording(kernel)
+        kernel.run(handler)
+        assert [kind for _, kind in seen] == ["a", "b", "c", "late"]
+        assert kernel.n_processed == 4
 
-    def test_clock_is_monotone_even_for_past_events(self):
+    def test_past_events_fire_next(self):
         kernel = SimKernel()
+        drains = []
+
+        def spawn_past(event):
+            if event.kind == "x":
+                kernel.schedule(3.0, "past")
+
+        handler, seen = _recording(kernel, spawn_past)
         kernel.schedule(5.0, "x")
-        kernel.pop()
-        assert kernel.now == 5.0
-        kernel.schedule(3.0, "past")
-        event = kernel.pop()
-        assert event.time == 3.0
-        assert kernel.now == 5.0  # observer clock never rewinds
+        kernel.schedule(5.0, "peer")
+        kernel.schedule(7.0, "later")
+        kernel.run(handler, on_timestamp_drained=drains.append)
+        # The past event fires next: it closes the 5.0 batch, and the rest
+        # of 5.0 drains as a batch of its own after it.  Nothing already
+        # handled runs again.
+        assert seen == [(5.0, "x"), (3.0, "past"), (5.0, "peer"), (7.0, "later")]
+        assert drains == [5.0, 3.0, 5.0, 7.0]
 
     def test_cancelled_events_are_skipped(self):
         kernel = SimKernel()
+        drains = []
+
+        def cancel_victim(event):
+            if event.kind == "killer":
+                kernel.cancel(victim)
+
+        handler, seen = _recording(kernel, cancel_victim)
         doomed = kernel.schedule(1.0, "doomed")
         kernel.schedule(2.0, "kept")
+        kernel.schedule(3.0, "killer")
+        victim = kernel.schedule(3.0, "victim", priority=1)
         kernel.cancel(doomed)
-        assert len(kernel) == 1
-        assert kernel.peek_time() == 2.0
-        assert kernel.pop().kind == "kept"
-        assert kernel.empty
-        with pytest.raises(IndexError):
-            kernel.pop()
+        kernel.run(handler, on_timestamp_drained=drains.append)
+        assert seen == [(2.0, "kept"), (3.0, "killer")]
+        assert drains == [2.0, 3.0]
+        assert kernel.n_processed == 2
 
     def test_run_drains_timestamps_before_hook(self):
         kernel = SimKernel()
@@ -87,7 +117,6 @@ class TestResourceTimeline:
         assert end == pytest.approx(3.0)
         assert timeline.free_at == pytest.approx(3.0)
         assert [s.category for s in timeline.spans] == ["compute", "comm"]
-        assert timeline.busy_seconds("compute") == pytest.approx(2.0)
         assert timeline.categories() == pytest.approx({"compute": 2.0, "comm": 1.0})
 
     def test_fifo_enforced(self):
@@ -101,7 +130,6 @@ class TestResourceTimeline:
         pool[1].occupy(0.0, {"compute": 4.0}, "x")
         pool[2].occupy(0.0, {"comm": 1.0}, "y")
         assert pool.free_at((0, 1, 2)) == pytest.approx(4.0)
-        assert pool.total_busy() == pytest.approx(5.0)
         assert pool.category_totals() == pytest.approx({"compute": 4.0, "comm": 1.0})
         assert len(pool) == 3
         sparse = TimelinePool((5, 9))
