@@ -35,6 +35,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple
 
+from repro import knobs
+
 BENCH_DIR = Path(__file__).resolve().parent
 PINS_PATH = BENCH_DIR.parent / "tests" / "fixtures" / "paper_pins.json"
 
@@ -101,10 +103,6 @@ def _table6(tables):
     }
 
 
-def _identity(out):
-    return out
-
-
 # check name -> (module, run function, extractor of the pinned values)
 CHECKS: Dict[str, Tuple[str, str, Callable[[Any], Any]]] = {
     "fig2_opportunity": ("bench_fig2_opportunity", "run_figure2", _levels),
@@ -120,7 +118,7 @@ CHECKS: Dict[str, Tuple[str, str, Callable[[Any], Any]]] = {
         "bench_fig10_kernel_trace", "run_figure10",
         lambda out: {"decode": out[0], "train": out[1]},
     ),
-    "fig11_gpu_breakdown": ("bench_fig11_gpu_breakdown", "run_figure11", _identity),
+    "fig11_gpu_breakdown": ("bench_fig11_gpu_breakdown", "run_figure11", lambda out: out),
     "fig12_left_profiler_cost": (
         "bench_fig12_estimator", "run_profiler_cost", lambda out: out[0]
     ),
@@ -128,21 +126,19 @@ CHECKS: Dict[str, Tuple[str, str, Callable[[Any], Any]]] = {
         "bench_fig12_estimator", "run_estimator_accuracy", _fig12_right
     ),
     "fig13_search_progress": ("bench_fig13_search_progress", "run_figure13", _fig13),
-    "fig14_pruning": ("bench_fig14_pruning", "run_figure14", _identity),
-    "fig15_optimality": ("bench_fig15_optimality", "run_figure15", _identity),
+    "fig14_pruning": ("bench_fig14_pruning", "run_figure14", lambda out: out),
+    "fig15_optimality": ("bench_fig15_optimality", "run_figure15", lambda out: out),
     "fig16_algorithms": ("bench_fig16_algorithms", "run_figure16", _fig16),
-    "fig17_strong_scaling": ("bench_fig17_strong_scaling", "run_figure17", _identity),
-    "table1_model_configs": ("bench_table1_model_configs", "build_table1", _identity),
+    "fig17_strong_scaling": ("bench_fig17_strong_scaling", "run_figure17", lambda out: out),
+    "table1_model_configs": ("bench_table1_model_configs", "build_table1", lambda out: out),
     "table6_breakdown": ("bench_table6_breakdown", "run_table6", _table6),
-    "table7_baselines": ("bench_table7_baselines", "run_table7", _identity),
-    "tables2_5_plans": ("bench_tables2_5_plans", "run_tables", _identity),
+    "table7_baselines": ("bench_table7_baselines", "run_table7", lambda out: out),
+    "tables2_5_plans": ("bench_tables2_5_plans", "run_tables", lambda out: out),
 }
 
 
 def default_scale() -> bool:
     """Whether the benchmark knobs are at the defaults the pins were taken at."""
-    from repro import knobs
-
     return (
         knobs.get("REPRO_BENCH_SCALE") != "full"
         and knobs.get("REPRO_SEARCH_BUDGET_SCALE") == 1.0
