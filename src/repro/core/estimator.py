@@ -209,7 +209,8 @@ class RuntimeEstimator:
     use_cache:
         Memoise per-call, per-edge and per-plan quantities (the fast path).
         Disable to reproduce the from-scratch evaluation cost; results are
-        identical either way.
+        identical either way.  Layer timings are memoised by the providers
+        on both paths.
     cross_check:
         Verify every fast-path evaluation against a full recompute and raise
         ``RuntimeError`` on any mismatch.  Slow; meant for tests.
@@ -929,7 +930,10 @@ class RuntimeEstimator:
         return entry
 
     def _exact_cost(self, plan: ExecutionPlan, oom_penalty: float) -> float:
-        """Full from-scratch recompute, bypassing every memo cache.
+        """Full from-scratch recompute, bypassing every estimator memo.
+
+        Layer timings still come from the providers' memos, which hold the
+        values of pure functions (see :mod:`repro.core.profiler`).
 
         Also aggregates memory per GPU instead of per mesh segment, so the
         cross-check exercises an independent implementation of MaxMem.

@@ -14,13 +14,25 @@ the way the paper's profiler samples CUDA kernels, records the statistics in a
 The runtime engine, by contrast, evaluates the analytical model at the exact
 data sizes, which is what creates the estimated-versus-measured gap studied in
 Figure 12 (right).
+
+Like the paper's estimator, which measures each layer operation once and
+rebuilds every plan's cost from those numbers, each provider prices a layer
+operation once: its six methods look their argument tuple up in a per-method
+:class:`_TimingMemo` and compute only on a miss.  Every method is a pure
+function of the provider's model, cluster (and profile) and its arguments,
+and :class:`~repro.model.layers.LayerTiming` is frozen, so the memo needs no
+lock and no off switch, and the estimator's ``use_cache=False`` reference
+path goes through it as well.  It needs no eviction either: it holds one
+entry per distinct layer shape its provider was asked about, a few dozen for
+one plan request.  The memo lives and dies with its provider: estimators,
+engines and the profiler each build their own.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Protocol, Sequence, Tuple
 
 from ..cluster.hardware import ClusterSpec
 from ..model.config import ModelConfig
@@ -69,31 +81,81 @@ class LayerTimeProvider(Protocol):
         ...
 
 
-class AnalyticalProvider:
+class _TimingMemo(dict):
+    """Results of one pure timing function, keyed on its argument tuple.
+
+    A lookup of an unseen tuple calls ``compute(*args)`` once and stores the
+    result; every later lookup is a plain dict hit.
+    """
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[..., LayerTiming]) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, args: tuple) -> LayerTiming:
+        timing = self[args] = self.compute(*args)
+        return timing
+
+
+class _MemoisedProvider:
+    """The :class:`LayerTimeProvider` interface over six memoised timing functions.
+
+    Subclasses pass the functions that compute each timing; each public
+    method answers from its :class:`_TimingMemo`.
+    """
+
+    def __init__(
+        self,
+        forward: Callable[[int, int, int], LayerTiming],
+        backward: Callable[[int, int, int], LayerTiming],
+        decode: Callable[[int, float, int, bool], LayerTiming],
+        head_forward: Callable[[int, int], LayerTiming],
+        head_backward: Callable[[int, int], LayerTiming],
+        optimizer_step: Callable[[int, int], LayerTiming],
+    ) -> None:
+        self._forward = _TimingMemo(forward)
+        self._backward = _TimingMemo(backward)
+        self._decode = _TimingMemo(decode)
+        self._head_forward = _TimingMemo(head_forward)
+        self._head_backward = _TimingMemo(head_backward)
+        self._optimizer_step = _TimingMemo(optimizer_step)
+
+    def forward(self, n_tokens: int, seqlen: int, tp: int) -> LayerTiming:
+        return self._forward[n_tokens, seqlen, tp]
+
+    def backward(self, n_tokens: int, seqlen: int, tp: int) -> LayerTiming:
+        return self._backward[n_tokens, seqlen, tp]
+
+    def decode(self, batch: int, kv_len: float, tp: int, use_cuda_graph: bool) -> LayerTiming:
+        return self._decode[batch, kv_len, tp, use_cuda_graph]
+
+    def head_forward(self, n_tokens: int, tp: int) -> LayerTiming:
+        return self._head_forward[n_tokens, tp]
+
+    def head_backward(self, n_tokens: int, tp: int) -> LayerTiming:
+        return self._head_backward[n_tokens, tp]
+
+    def optimizer_step(self, tp: int, pp: int) -> LayerTiming:
+        return self._optimizer_step[tp, pp]
+
+
+class AnalyticalProvider(_MemoisedProvider):
     """Exact per-layer costs from the analytical kernel model."""
 
     def __init__(self, config: ModelConfig, cluster: ClusterSpec) -> None:
         self.config = config
         self.cluster = cluster
-        self._model = LayerCostModel(config, cluster)
-
-    def forward(self, n_tokens: int, seqlen: int, tp: int) -> LayerTiming:
-        return self._model.forward_time(n_tokens, seqlen, tp)
-
-    def backward(self, n_tokens: int, seqlen: int, tp: int) -> LayerTiming:
-        return self._model.backward_time(n_tokens, seqlen, tp)
-
-    def decode(self, batch: int, kv_len: float, tp: int, use_cuda_graph: bool) -> LayerTiming:
-        return self._model.decode_time(batch, kv_len, tp, use_cuda_graph)
-
-    def head_forward(self, n_tokens: int, tp: int) -> LayerTiming:
-        return self._model.head_forward_time(n_tokens, tp)
-
-    def head_backward(self, n_tokens: int, tp: int) -> LayerTiming:
-        return self._model.head_backward_time(n_tokens, tp)
-
-    def optimizer_step(self, tp: int, pp: int) -> LayerTiming:
-        return self._model.optimizer_step_time(tp, pp)
+        model = LayerCostModel(config, cluster)
+        super().__init__(
+            model.forward_time,
+            model.backward_time,
+            model.decode_time,
+            model.head_forward_time,
+            model.head_backward_time,
+            model.optimizer_step_time,
+        )
 
 
 @dataclass
@@ -236,7 +298,7 @@ class Profiler:
         return stats
 
 
-class ProfiledProvider:
+class ProfiledProvider(_MemoisedProvider):
     """Layer time provider that interpolates a :class:`ProfileStats` table."""
 
     def __init__(self, config: ModelConfig, cluster: ClusterSpec, stats: ProfileStats) -> None:
@@ -248,7 +310,15 @@ class ProfiledProvider:
         self.cluster = cluster
         self.stats = stats
         # Fallback for TP degrees / sequence lengths outside the profiled set.
-        self._fallback = AnalyticalProvider(config, cluster)
+        self._fallback = LayerCostModel(config, cluster)
+        super().__init__(
+            self._interp_forward,
+            self._interp_backward,
+            self._interp_decode,
+            self._interp_head_forward,
+            self._interp_head_backward,
+            self._interp_optimizer_step,
+        )
 
     # ------------------------------------------------------------------ #
     # Key resolution helpers
@@ -260,36 +330,38 @@ class ProfiledProvider:
         return tp in self.stats.tp_degrees
 
     # ------------------------------------------------------------------ #
-    # Provider interface
+    # Interpolation (memoised by the provider interface)
     # ------------------------------------------------------------------ #
-    def forward(self, n_tokens: int, seqlen: int, tp: int) -> LayerTiming:
+    def _interp_forward(self, n_tokens: int, seqlen: int, tp: int) -> LayerTiming:
         if not self._has_tp(tp):
-            return self._fallback.forward(n_tokens, seqlen, tp)
+            return self._fallback.forward_time(n_tokens, seqlen, tp)
         key = (tp, self._nearest_seq(seqlen))
         return _interp_timing(self.stats.forward_samples[key], n_tokens)
 
-    def backward(self, n_tokens: int, seqlen: int, tp: int) -> LayerTiming:
+    def _interp_backward(self, n_tokens: int, seqlen: int, tp: int) -> LayerTiming:
         if not self._has_tp(tp):
-            return self._fallback.backward(n_tokens, seqlen, tp)
+            return self._fallback.backward_time(n_tokens, seqlen, tp)
         key = (tp, self._nearest_seq(seqlen))
         return _interp_timing(self.stats.backward_samples[key], n_tokens)
 
-    def decode(self, batch: int, kv_len: float, tp: int, use_cuda_graph: bool) -> LayerTiming:
+    def _interp_decode(
+        self, batch: int, kv_len: float, tp: int, use_cuda_graph: bool
+    ) -> LayerTiming:
         if not self._has_tp(tp):
-            return self._fallback.decode(batch, kv_len, tp, use_cuda_graph)
+            return self._fallback.decode_time(batch, kv_len, tp, use_cuda_graph)
         key = (tp, self._nearest_seq(kv_len), use_cuda_graph)
         return _interp_timing(self.stats.decode_samples[key], batch)
 
-    def head_forward(self, n_tokens: int, tp: int) -> LayerTiming:
+    def _interp_head_forward(self, n_tokens: int, tp: int) -> LayerTiming:
         if not self._has_tp(tp):
-            return self._fallback.head_forward(n_tokens, tp)
+            return self._fallback.head_forward_time(n_tokens, tp)
         return _interp_timing(self.stats.head_samples[tp], n_tokens)
 
-    def head_backward(self, n_tokens: int, tp: int) -> LayerTiming:
+    def _interp_head_backward(self, n_tokens: int, tp: int) -> LayerTiming:
         fwd = self.head_forward(n_tokens, tp)
         return LayerTiming(2.0 * fwd.compute_s, 2.0 * fwd.tp_comm_s, fwd.launch_s)
 
-    def optimizer_step(self, tp: int, pp: int) -> LayerTiming:
+    def _interp_optimizer_step(self, tp: int, pp: int) -> LayerTiming:
         if not self._has_tp(tp):
-            return self._fallback.optimizer_step(tp, pp)
+            return self._fallback.optimizer_step_time(tp, pp)
         return self.stats.optimizer_samples[tp]
