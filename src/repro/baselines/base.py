@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.hardware import ClusterSpec
-from ..cluster.topology import DeviceMesh, full_cluster_mesh
+from ..cluster.topology import DeviceMesh
 from ..core.dataflow import DataflowGraph, FunctionCallType
 from ..core.estimator import RuntimeEstimator
 from ..core.parallel import ParallelStrategy, enumerate_strategies

@@ -10,8 +10,6 @@ no parameters are reallocated.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..cluster.hardware import ClusterSpec
 from ..cluster.topology import full_cluster_mesh
 from ..core.dataflow import DataflowGraph

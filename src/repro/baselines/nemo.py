@@ -10,11 +10,9 @@ boundary still prevents the full cluster from working on any single call.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..cluster.hardware import ClusterSpec
-from ..core.dataflow import DataflowGraph, FunctionCallType
-from ..core.plan import Allocation, ExecutionPlan
+from ..core.dataflow import DataflowGraph
+from ..core.plan import ExecutionPlan
 from ..core.workload import RLHFWorkload
 from .base import (
     BaselineSystem,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.search import SearchConfig
 from ..sched.job import JobSpec

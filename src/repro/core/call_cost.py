@@ -11,9 +11,8 @@ account for on top.
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Dict, Tuple
 

@@ -17,7 +17,7 @@ all other calls stay pinned to the heuristic plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..baselines.heuristic import build_heuristic_plan
 from ..cluster.hardware import ClusterSpec
@@ -99,7 +99,7 @@ def progressive_optimization(
     optimized generation, optimized generation+training (concurrent), and
     optimized generation+training+inference (the full search space).
     """
-    search_config = search_config or SearchConfig(max_iterations=1500, time_budget_s=15.0)
+    search_config = search_config or SearchConfig(max_iterations=1500, time_budget_s=3600.0)
     heuristic = build_heuristic_plan(graph, workload, cluster)
 
     generation_calls = [
@@ -149,7 +149,7 @@ def figure2_opportunity(
     prune: PruneConfig = PruneConfig(),
 ) -> List[OptimizationLevel]:
     """The Figure 2 ladder: +Opt.Inf, +Critic reallocation, +Actor reallocation."""
-    search_config = search_config or SearchConfig(max_iterations=1500, time_budget_s=15.0)
+    search_config = search_config or SearchConfig(max_iterations=1500, time_budget_s=3600.0)
     heuristic = build_heuristic_plan(graph, workload, cluster)
 
     inference_calls = [

@@ -40,12 +40,14 @@ def default_search_config(seed: int = 0) -> SearchConfig:
 
     Benchmarks must finish in CI-friendly time, so the default budget is a few
     thousand proposals; set ``REPRO_SEARCH_BUDGET_SCALE`` to enlarge it for
-    higher-fidelity runs.
+    higher-fidelity runs.  The wall-clock budget is far above what those
+    proposals take, so only ``max_iterations`` stops a search and a slow host
+    cannot move the figures built on it.
     """
     scale = knobs.get("REPRO_SEARCH_BUDGET_SCALE")
     return SearchConfig(
         max_iterations=int(3000 * scale),
-        time_budget_s=30.0 * scale,
+        time_budget_s=3600.0 * scale,
         seed=seed,
     )
 

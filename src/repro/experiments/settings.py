@@ -10,8 +10,8 @@ count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from ..algorithms.registry import build_graph
 from ..cluster.hardware import ClusterSpec, make_cluster
