@@ -14,6 +14,13 @@ so no calibration loop is sampled) it prints, per function:
 * ``incl`` — the share of samples with the function anywhere on the stack
   (counted once per sample, so recursion does not inflate it).
 
+With ``--callers PATTERN`` it prints instead, for the samples whose innermost
+function matches the regular expression ``PATTERN``, the share of each
+immediate caller.  That splits a hot leaf by who calls it, for example the
+dataclass constructors behind ``__create_fn__.<locals>.__init__`` self time::
+
+    python3 benchmarks/sample_stacks.py --workload plan_search --callers '__create_fn__'
+
 Run from the repository root (Unix only; the sampler acts on its own
 process)::
 
@@ -26,6 +33,7 @@ It imports ``perfbench`` (and through it the ``repro`` package under
 from __future__ import annotations
 
 import argparse
+import re
 import signal
 import sys
 import tempfile
@@ -106,6 +114,24 @@ def aggregate(stacks: Dict[Stack, int]) -> List[Tuple[str, float, float]]:
     return rows
 
 
+def callers(stacks: Dict[Stack, int], pattern: str) -> Tuple[int, List[Tuple[str, float]]]:
+    """Immediate callers of the samples whose innermost function matches.
+
+    Returns the number of matching samples and ``(caller, share)`` rows, by
+    share, where each share is of the matching samples.  A matching frame
+    with nothing above it is charged to ``<root>``.
+    """
+    regex = re.compile(pattern)
+    counts: Counter = Counter()
+    for stack, count in stacks.items():
+        if regex.search(label(stack[0])):
+            counts[label(stack[1]) if len(stack) > 1 else "<root>"] += count
+    matched = sum(counts.values())
+    rows = [(name, count / matched) for name, count in counts.items()]
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    return matched, rows
+
+
 def sample(fn: Callable[[], object], interval: float = 0.001) -> Counter:
     """The stacks sampled while ``fn()`` runs."""
     with StackSampler(interval) as sampler:
@@ -120,6 +146,19 @@ def format_rows(rows: List[Tuple[str, float, float]], n_samples: int, top: int) 
     return "\n".join(lines)
 
 
+def format_callers(
+    pattern: str, matched: int, rows: List[Tuple[str, float]], n_samples: int, top: int
+) -> str:
+    share = matched / n_samples if n_samples else 0.0
+    lines = [
+        f"{matched} of {n_samples} samples ({share:.1%}) end in a function matching {pattern!r}",
+        f"{'share':>7}  immediate caller",
+    ]
+    for name, caller_share in rows[:top]:
+        lines.append(f"{caller_share:7.1%}  {name}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
@@ -128,9 +167,17 @@ def main(argv=None) -> int:
     parser.add_argument("--interval", type=float, default=0.001,
                         help="CPU seconds between samples")
     parser.add_argument("--top", type=int, default=30, help="rows to print")
+    parser.add_argument("--callers", metavar="PATTERN",
+                        help="print the immediate callers of the samples whose "
+                             "innermost function matches this regular expression")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
+    if args.callers is not None:
+        try:
+            re.compile(args.callers)
+        except re.error as exc:
+            parser.error(f"--callers: {exc}")
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.clock import Clock
@@ -145,7 +192,12 @@ def main(argv=None) -> int:
                 workload.run_round(Clock(calibrated=False))
 
         stacks = sample(rounds, args.interval)
-    print(format_rows(aggregate(stacks), sum(stacks.values()), args.top))
+    n_samples = sum(stacks.values())
+    if args.callers is not None:
+        matched, rows = callers(stacks, args.callers)
+        print(format_callers(args.callers, matched, rows, n_samples, args.top))
+    else:
+        print(format_rows(aggregate(stacks), n_samples, args.top))
     return 0
 
 

@@ -51,6 +51,28 @@ def test_aggregate_counts_self_innermost_and_inclusive_once_per_sample():
     assert sample_stacks.aggregate(Counter()) == []
 
 
+def helper():
+    return inner()
+
+
+def test_callers_splits_matching_leaf_samples_by_immediate_caller():
+    code_outer, code_inner, code_helper = outer.__code__, inner.__code__, helper.__code__
+    stacks = Counter({
+        (code_inner, code_outer): 3,
+        (code_inner, code_helper, code_outer): 1,
+        (code_inner,): 1,
+        # Inner is on the stack but not innermost: not a matching sample.
+        (code_outer, code_inner): 5,
+    })
+    matched, rows = sample_stacks.callers(stacks, r":inner$")
+    assert matched == 5
+    assert rows == [(_label(outer), 0.6), ("<root>", 0.2), (_label(helper), 0.2)]
+    text = sample_stacks.format_callers(":inner$", matched, rows, 10, top=2)
+    assert text.splitlines()[0] == "5 of 10 samples (50.0%) end in a function matching ':inner$'"
+    assert len(text.splitlines()) == 4
+    assert sample_stacks.callers(stacks, "no_such_function") == (0, [])
+
+
 def test_label_names_the_repository_path_and_qualified_name():
     assert _label(outer) == "tests/test_sample_stacks.py:outer"
     assert _label(sample_stacks.StackSampler._sample) == (
@@ -78,3 +100,10 @@ def test_sampling_a_tiny_callable_charges_the_busy_function():
 def test_rejects_a_nonpositive_interval():
     with pytest.raises(ValueError, match="interval"):
         sample_stacks.StackSampler(0.0)
+
+
+def test_main_rejects_a_malformed_callers_pattern(capsys):
+    with pytest.raises(SystemExit) as exc:
+        sample_stacks.main(["--workload", "plan_search", "--callers", "("])
+    assert exc.value.code == 2
+    assert "--callers" in capsys.readouterr().err
