@@ -263,8 +263,9 @@ def run_iteration_trace(
     like :func:`find_execution_plan`, including optional plan-service
     routing); the plan is then executed for one iteration on the
     discrete-event runtime engine, yielding the full
-    :class:`~repro.runtime.engine.IterationTrace` — per-call spans, per-GPU
-    cost-category seconds and the memory estimate.  ``trace_path`` exports
+    :class:`~repro.runtime.engine.IterationTrace` — per-call spans and
+    per-GPU cost-category seconds (the plan's memory estimate is
+    ``experiment.get_estimator().max_memory(plan)``).  ``trace_path`` exports
     the iteration as Chrome-trace JSON (``chrome://tracing`` / Perfetto).
     """
     from ..runtime.engine import RuntimeEngine  # local import avoids a cycle

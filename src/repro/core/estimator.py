@@ -132,7 +132,6 @@ class TimeCostResult:
     call_seconds: Dict[str, float] = field(default_factory=dict)
     realloc_seconds: float = 0.0
     data_transfer_seconds: float = 0.0
-    breakdowns: Dict[str, CostBreakdown] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -336,7 +335,6 @@ class RuntimeEstimator:
         }
         # Memo caches (exact values of pure functions of their keys).
         self._call_time_cache: Dict[Tuple, float] = call_costs.times
-        self._breakdown_cache: Dict[Tuple, CostBreakdown] = {}
         self._realloc_cache: Dict[Tuple, float] = {}
         self._transfer_cache: Dict[Tuple, float] = {}
         self._mem_cache: Dict[Tuple, Tuple[float, float, float]] = {}
@@ -403,22 +401,6 @@ class RuntimeEstimator:
         call = self.graph.get(call_name)
         wl = self._call_workloads[call_name]
         return self._cost_models[call.model_name].breakdown(call, wl, alloc)
-
-    def call_breakdown(self, call_name: str, alloc: Allocation) -> CostBreakdown:
-        """Cost breakdown of one call under an allocation.
-
-        Memoised by call content and shape (:meth:`_shape_key`): allocations
-        that differ only in mesh position share one entry.  Returns a fresh
-        copy so callers may mutate the breakdown without corrupting the cache.
-        """
-        if not self.use_cache:
-            return self._compute_breakdown(call_name, alloc)
-        key = self._shape_key(call_name, alloc)
-        cached = self._breakdown_cache.get(key)
-        if cached is None:
-            cached = self._compute_breakdown(call_name, alloc)
-            self._breakdown_cache[key] = cached
-        return cached.scaled(1.0)
 
     def call_time(self, call_name: str, alloc: Allocation) -> float:
         """Wall time of one call under an allocation, memoised by call
@@ -769,9 +751,6 @@ class RuntimeEstimator:
         """
         if not self._call_names:
             return TimeCostResult(total_seconds=0.0)
-        breakdowns = {
-            name: self.call_breakdown(name, plan[name]) for name in self._call_names
-        }
         state = self._state_for(plan) if self.use_cache else self._build_state(plan)
         total, spans = self._simulate(state, collect_spans=True)
         return TimeCostResult(
@@ -782,7 +761,6 @@ class RuntimeEstimator:
             },
             realloc_seconds=sum(state.realloc_in),
             data_transfer_seconds=sum(state.transfers),
-            breakdowns=breakdowns,
         )
 
     # ------------------------------------------------------------------ #

@@ -12,9 +12,9 @@ a :class:`SearchProblem`: each call's compiled options (option list, by-mesh
 proposal index and greedy representatives), the search-space size and the
 greedy start (computed once, on first use).  A problem is a pure function of
 (graph, workload, cluster, prune) and its estimator, so searches and sessions
-posing the same one share a single instance (the plan service keeps them in a
-weak-valued map, and builds them from one option table per cluster and prune
-config).
+posing the same one share a single instance (the plan service keeps its
+recently used problems in one LRU, and builds them from one option table per
+cluster and prune config).
 
 Proposals are scored through the estimator's incremental
 :meth:`~repro.core.estimator.RuntimeEstimator.cost_delta` path (a proposal

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster.hardware import ClusterSpec
 from ..core.call_cost import CallCostModel, CostBreakdown
 from ..core.dataflow import DataflowGraph
-from ..core.estimator import MemoryEstimate, RuntimeEstimator
 from ..core.plan import ExecutionPlan, reallocation_edges
 from ..core.profiler import AnalyticalProvider
 from ..core.workload import RLHFWorkload
@@ -51,7 +50,6 @@ class IterationTrace:
     gpu_category_seconds: Dict[int, Dict[str, float]]
     realloc_seconds: float
     data_transfer_seconds: float
-    memory: MemoryEstimate
     gpu_spans: Dict[int, Tuple[TraceSpan, ...]] = field(default_factory=dict)
     """Per-GPU busy spans in unified :class:`~repro.sim.trace.TraceSpan` form."""
 
@@ -278,8 +276,6 @@ class RuntimeEngine:
                     ready.append(child)
 
         total = max(end for _, end in call_spans.values())
-        memory = RuntimeEstimator(graph, self.workload, self.cluster,
-                                  use_cuda_graph=self.use_cuda_graph).max_memory(plan)
         gpu_categories = {g: pool[g].categories() for g in range(self.cluster.n_gpus)}
         gpu_spans = {g: tuple(pool[g].spans) for g in range(self.cluster.n_gpus)}
         return IterationTrace(
@@ -289,7 +285,6 @@ class RuntimeEngine:
             gpu_category_seconds=gpu_categories,
             realloc_seconds=realloc_total,
             data_transfer_seconds=transfer_total,
-            memory=memory,
             gpu_spans=gpu_spans,
         )
 

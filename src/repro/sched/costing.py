@@ -21,12 +21,12 @@ report is built from: cold searches vs. warm-started/cached replans.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.plan import ExecutionPlan
 from ..core.pruning import PruneConfig
-from ..core.search import SearchConfig, SearchProblem
+from ..core.search import SearchConfig
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.provenance import get_ledger
 from ..obs.tracing import get_tracer
@@ -40,7 +40,10 @@ __all__ = ["Candidate", "PlanCosting"]
 
 @dataclass(frozen=True)
 class Candidate:
-    """One scored (job, partition) placement option."""
+    """One scored (job, partition) placement option: the plan the service
+    served for the job on the partition, and its cost.  The search problem
+    behind the plan stays with the service, which holds its recently used
+    problems, so the placed job's background session reuses it."""
 
     job: Job
     partition: Partition
@@ -48,10 +51,8 @@ class Candidate:
     seconds_per_iteration: float
     feasible: bool
     stats: Optional[RequestStats] = None
-    problem: Optional[SearchProblem] = field(default=None, repr=False, compare=False)
-    """The search problem that produced :attr:`plan` (``None`` after a cache
-    hit).  Holding it keeps the problem alive until the placed job's
-    background session, which poses the same problem, has started."""
+    """How the plan service served :attr:`plan` (``None`` when no allocation
+    fits or the candidate came from the costing memo)."""
 
     @property
     def iterations_per_second(self) -> float:
@@ -194,7 +195,6 @@ class PlanCosting:
                 future = self.service.submit(
                     self._request(job, partition),
                     warm_start_before=wave_start_puts,
-                    keep_problem=True,
                 )
                 try:
                     response = future.result()
@@ -221,7 +221,6 @@ class PlanCosting:
                         seconds_per_iteration=response.cost,
                         feasible=response.feasible and response.cost > 0,
                         stats=response.stats,
-                        problem=response.problem,
                     )
                 )
             wave_seconds = time.perf_counter() - wave_started

@@ -345,6 +345,8 @@ class PartitionManager:
 
     def restore_node(self, node: int) -> FrozenSet[int]:
         """Bring a failed node back; its GPUs rejoin the free pool."""
+        if not (0 <= node < self.cluster.n_nodes):
+            raise ValueError(f"node {node} out of range")
         ids = frozenset(
             range(
                 node * self.cluster.gpus_per_node,

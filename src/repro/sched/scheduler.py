@@ -52,12 +52,12 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cluster.hardware import ClusterSpec
 from ..core.plan import ExecutionPlan
 from ..core.pruning import PruneConfig
-from ..core.search import SearchConfig, SearchProblem
+from ..core.search import SearchConfig
 from ..obs.export import record_counter_tracks, write_metrics_snapshot
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -226,6 +226,12 @@ class ClusterScheduler:
                     f"job {spec.name!r} needs >= {spec.min_gpus} GPUs but the "
                     f"cluster has {cluster.n_gpus}"
                 )
+        for failure in failures:
+            if not 0 <= failure.node < cluster.n_nodes:
+                raise ValueError(
+                    f"failure of node {failure.node} is out of range: the "
+                    f"cluster has {cluster.n_nodes} nodes"
+                )
         self.cluster = cluster
         self.policy = get_policy(policy)
         self.config = config if config is not None else SchedulerConfig()
@@ -286,11 +292,6 @@ class ClusterScheduler:
         self._n_search_polls = 0
         self._n_swaps_rejected = 0
         self._n_sessions_started = 0
-        # The problem of every background session opened.  The service holds
-        # problems only while a search or session does, so without this a
-        # later job posing the same problem (same kind, same partition shape)
-        # after the last session on it stopped would rebuild it.
-        self._session_problems: Set[SearchProblem] = set()
         self._swap_seconds_saved = 0.0
         self._poll_event: Optional[Event] = None
         self._obs_log = get_logger("sched")
@@ -675,7 +676,6 @@ class ClusterScheduler:
             request,
             slice_iterations=self.config.poll_iterations,
         )
-        self._session_problems.add(job.session.problem)
         self._n_sessions_started += 1
         self._n_open_sessions += 1
         self._ensure_poll_scheduled(time)

@@ -163,16 +163,11 @@ class WorkloadFingerprint:
     key: str
     family: str
     features: Mapping[str, float] = field(default_factory=dict)
-    estimator_key: str = ""
-    """Identity of the (graph, workload, cluster) triple only.  Requests that
-    share it pose different search problems but identical estimation
-    problems, so they can share one memoised
-    :class:`~repro.core.estimator.RuntimeEstimator`."""
     problem_key: str = ""
-    """Identity of the (graph, workload, cluster, prune) search problem: the
-    estimator identity plus the pruning rules.  Requests that share it differ
-    only in search budget or seed, so they can share one
-    :class:`~repro.core.search.SearchProblem`."""
+    """Identity of the (graph, workload, cluster, prune) search problem.
+    Requests that share it differ only in search budget or seed, so they can
+    share one :class:`~repro.core.search.SearchProblem` and its memoised
+    :class:`~repro.core.estimator.RuntimeEstimator`."""
     option_table_key: str = ""
     """Identity of the (cluster, prune) pair alone: requests that share it
     enumerate their calls' options over one mesh set under one set of
@@ -189,7 +184,7 @@ def fingerprint_request(
     """Fingerprint a planning request into exact and family keys.
 
     Each part of :func:`canonical_request` (and each cluster field) is
-    encoded once; the five digests hash documents assembled from those
+    encoded once; the four digests hash documents assembled from those
     texts, which are byte-identical to encoding each document whole.
     """
     graph_json = _json(_graph_dict(graph))
@@ -227,7 +222,6 @@ def fingerprint_request(
         })),
         family=_sha256(_object(family_document)),
         features=features,
-        estimator_key=_sha256(_object(estimator_document)),
         problem_key=_sha256(_object({**estimator_document, "prune": prune_json})),
         option_table_key=_sha256(_object({"cluster": cluster_json, "prune": prune_json})),
     )

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-import weakref
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -134,14 +133,6 @@ class PlanResponse:
     stats: RequestStats
     peak_memory_bytes: float
     feasible: bool = True
-    problem: Optional[SearchProblem] = field(default=None, repr=False, compare=False)
-    """The search problem a miss was searched on, when the request was
-    submitted with ``keep_problem=True`` (else ``None``, and always for a
-    hit).  The service holds problems only while a search or session does,
-    so a caller that will pose the same problem again — a scheduler opening
-    the placed job's background session — keeps it alive through this
-    reference.  Off by default: a client keeping many responses would keep
-    their problems and estimators too."""
 
 
 @dataclass
@@ -156,10 +147,7 @@ class ServiceStats:
     problem_builds: int = 0
     """Searches and sessions that built a new :class:`SearchProblem`."""
     problem_reuses: int = 0
-    """Searches and sessions that reused the live problem of an earlier one."""
-    estimator_reuses: int = 0
-    """Estimator lookups that found a cached estimator.  Only problem builds
-    look one up: a reused problem brings its own estimator."""
+    """Searches and sessions that reused the held problem of an earlier one."""
     sessions_started: int = 0
     """Online (pollable) search sessions opened via :meth:`start_session`."""
     session_polls: int = 0
@@ -272,11 +260,6 @@ class PlanSession:
         return self.session.done
 
     @property
-    def problem(self) -> SearchProblem:
-        """The service-shared search problem this session searches."""
-        return self.session.searcher.problem
-
-    @property
     def closed(self) -> bool:
         return self._closed
 
@@ -385,18 +368,19 @@ class PlanService:
         Whether cache misses are seeded from the most similar cached plan of
         the same fingerprint family.
     estimator_cache_size:
-        How many :class:`~repro.core.estimator.RuntimeEstimator` instances to
-        keep (LRU, keyed by the graph/workload/cluster identity).  Requests
-        that pose the same estimation problem — including
-        differently-budgeted searches over one workload — share a single
-        estimator, so its memoised per-call and per-edge costs amortise
-        across requests.  Searches and sessions that pose the same search
-        problem (equal graph, workload, cluster and prune config) share one
-        :class:`~repro.core.search.SearchProblem` while any of them is alive;
-        a problem is held weakly, so it needs no size limit.  Problems are
-        built from one compiled option table per (cluster, prune) content,
-        of which the service keeps the ``_MAX_OPTION_TABLES`` (16) most
-        recently used: calls of equal content (call type, model, batch
+        How many :class:`~repro.core.search.SearchProblem` instances to keep
+        (LRU, keyed by the graph/workload/cluster/prune identity), each with
+        its own :class:`~repro.core.estimator.RuntimeEstimator`.  Searches and
+        sessions that pose the same search problem — identical or
+        differently-budgeted or -seeded requests over one workload, and a
+        placed job's background session after its admission search — share
+        one problem, so its option lists and its estimator's memoised
+        per-call and per-edge costs amortise across them.  A problem is a
+        pure function of its key, so evicting one changes no outcome; a
+        search or session that holds an evicted problem keeps it.  Problems
+        are built from one compiled option table per (cluster, prune)
+        content, of which the service keeps the ``_MAX_OPTION_TABLES`` (16)
+        most recently used: calls of equal content (call type, model, batch
         size) in any graph or workload on that cluster share one option
         list, its proposal index and its greedy candidates.  All the
         service's estimators share one
@@ -435,12 +419,9 @@ class PlanService:
         self.stats = ServiceStats()
         self._sessions: Dict[str, PlanSession] = {}
         self._session_counter = 0
-        self._estimators: "OrderedDict[str, RuntimeEstimator]" = OrderedDict()
         self._call_costs = CallCostTable()
         self._estimator_cache_size = estimator_cache_size
-        self._problems: "weakref.WeakValueDictionary[str, SearchProblem]" = (
-            weakref.WeakValueDictionary()
-        )
+        self._problems: "OrderedDict[str, SearchProblem]" = OrderedDict()
         self._option_tables: "OrderedDict[str, _OptionTable]" = OrderedDict()
         self._realloc_models: "OrderedDict[ClusterSpec, ReallocCostModel]" = OrderedDict()
         self._lock = threading.RLock()
@@ -480,7 +461,6 @@ class PlanService:
         self,
         request: PlanRequest,
         warm_start_before: Optional[int] = None,
-        keep_problem: bool = False,
     ) -> "Future[PlanResponse]":
         """Serve ``request`` on the calling thread; returns a finished future.
 
@@ -488,8 +468,6 @@ class PlanService:
         returns; a search error (e.g. ``ValueError`` when no allocation fits)
         is set on the future.  ``warm_start_before`` limits the warm start to
         cache entries put before that value of :attr:`PlanCache.puts`.
-        ``keep_problem`` attaches a miss's search problem to the response
-        (:attr:`PlanResponse.problem`) for a caller that will pose it again.
         """
         if self._closed:
             raise RuntimeError("PlanService has been shut down")
@@ -511,7 +489,7 @@ class PlanService:
             try:
                 if entry is None:
                     response = self._search(
-                        request, fingerprint, submitted_at, warm_start_before, keep_problem
+                        request, fingerprint, submitted_at, warm_start_before
                     )
                 else:
                     response = self._serve_hit(entry, request, fingerprint, submitted_at)
@@ -655,10 +633,12 @@ class PlanService:
     def _problem_for(
         self, request: PlanRequest, fingerprint: WorkloadFingerprint
     ) -> SearchProblem:
-        """The live problem of an earlier search or session, or a new one.
+        """The held problem of an earlier search or session, or a new one.
 
-        A problem is a pure function of its key, so sharing it changes no
-        outcome; it lives exactly as long as a searcher holds it.
+        The service keeps the ``estimator_cache_size`` most recently used
+        problems, each built with its own estimator over the shared
+        :class:`~repro.core.call_cost.CallCostTable`.  A problem is a pure
+        function of its key, so sharing or rebuilding it changes no outcome.
         """
         key = fingerprint.problem_key
         # Built under the lock, so racing threads never build one twice (the
@@ -666,18 +646,24 @@ class PlanService:
         with self._lock:
             problem = self._problems.get(key)
             if problem is not None:
+                self._problems.move_to_end(key)
                 self.stats.problem_reuses += 1
                 return problem
-            table = self._option_table_for(request, fingerprint)
+            estimator = RuntimeEstimator(
+                request.graph, request.workload, request.cluster,
+                call_costs=self._call_costs,
+            )
             problem = SearchProblem(
                 request.graph,
                 request.workload,
                 request.cluster,
-                estimator=self._estimator_for(request, fingerprint),
+                estimator=estimator,
                 prune=request.prune,
-                table=table,
+                table=self._option_table_for(request, fingerprint),
             )
             self._problems[key] = problem
+            while len(self._problems) > self._estimator_cache_size:
+                self._problems.popitem(last=False)
             self.stats.problem_builds += 1
         return problem
 
@@ -722,31 +708,6 @@ class PlanService:
             while len(self._realloc_models) > _MAX_REALLOC_MODELS:
                 self._realloc_models.popitem(last=False)
             return model
-
-    def _estimator_for(
-        self, request: PlanRequest, fingerprint: WorkloadFingerprint
-    ) -> RuntimeEstimator:
-        """One shared fast-path estimator per (graph, workload, cluster).
-
-        Searches that pose the same estimation problem (identical or
-        differently-budgeted requests over one workload) reuse the memoised
-        per-call and per-edge costs instead of re-deriving them from scratch.
-        Called with the service lock held (by :meth:`_problem_for`).
-        """
-        key = fingerprint.estimator_key
-        estimator = self._estimators.get(key)
-        if estimator is not None:
-            self._estimators.move_to_end(key)
-            self.stats.estimator_reuses += 1
-            return estimator
-        estimator = RuntimeEstimator(
-            request.graph, request.workload, request.cluster,
-            call_costs=self._call_costs,
-        )
-        self._estimators[key] = estimator
-        while len(self._estimators) > self._estimator_cache_size:
-            self._estimators.popitem(last=False)
-        return estimator
 
     def _serve_hit(
         self,
@@ -812,11 +773,12 @@ class PlanService:
 
         The estimator's eval cache counts hits/misses on the search hot path
         with plain attribute increments; this collector sums those private
-        counters across the service's cached estimators and publishes them as
-        gauges — observability without touching the hot loop.
+        counters across the estimators of the service's held problems and
+        publishes them as gauges — observability without touching the hot
+        loop.
         """
         with self._lock:
-            estimators = list(self._estimators.values())
+            estimators = [problem.estimator for problem in self._problems.values()]
             hit_rate = self.stats.hit_rate
         hits = sum(e.eval_cache_stats.hits for e in estimators)
         misses = sum(e.eval_cache_stats.misses for e in estimators)
@@ -846,7 +808,6 @@ class PlanService:
         fingerprint: WorkloadFingerprint,
         submitted_at: float,
         warm_start_before: Optional[int],
-        keep_problem: bool,
     ) -> PlanResponse:
         searcher, seeded_from = self._searcher_for(
             request, fingerprint, [], warm_start_before
@@ -902,7 +863,6 @@ class PlanService:
             stats=stats,
             peak_memory_bytes=peak_memory_bytes,
             feasible=self._fits_memory(peak_memory_bytes, request.cluster),
-            problem=searcher.problem if keep_problem else None,
         )
 
     # ------------------------------------------------------------------ #

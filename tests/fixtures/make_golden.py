@@ -38,6 +38,7 @@ from repro.cluster import DeviceMesh, make_cluster
 from repro.core import (
     Allocation,
     ParallelStrategy,
+    RuntimeEstimator,
     SearchConfig,
     instructgpt_workload,
     symmetric_plan,
@@ -62,7 +63,9 @@ def _trace_payload(engine, graph, plan):
         },
         "realloc_seconds": trace.realloc_seconds,
         "data_transfer_seconds": trace.data_transfer_seconds,
-        "memory_max_bytes": trace.memory.max_bytes,
+        "memory_max_bytes": RuntimeEstimator(
+            graph, engine.workload, engine.cluster, use_cuda_graph=engine.use_cuda_graph
+        ).max_memory(plan).max_bytes,
         "gpu_time_fractions": trace.gpu_time_fractions(),
         "category_totals": dict(sorted(trace.category_totals().items())),
     }

@@ -363,18 +363,24 @@ def test_cross_check_catches_a_poisoned_bound_in_cost_delta():
 
 
 def test_service_publishes_bound_rejections():
+    """The gauge sums the estimators of the service's held problems."""
     registry = MetricsRegistry()
-    request = PlanRequest(
-        build_ppo_graph(),
-        instructgpt_workload("7b", "7b", batch_size=64),
-        make_cluster(8),
-        search=SearchConfig(max_iterations=200, time_budget_s=600.0, seed=1),
-    )
+    requests = [
+        PlanRequest(
+            build_ppo_graph(),
+            instructgpt_workload("7b", "7b", batch_size=batch_size),
+            make_cluster(8),
+            search=SearchConfig(max_iterations=200, time_budget_s=600.0, seed=1),
+        )
+        for batch_size in (64, 128)
+    ]
     with PlanService(registry=registry) as service:
-        service.plan(request)
+        for request in requests:
+            service.plan(request)
         registry.collect()
-        estimators = list(service._estimators.values())
-        expected = sum(e.eval_cache_stats.bound_rejections for e in estimators)
-        assert expected > 0
+        estimators = [problem.estimator for problem in service._problems.values()]
+        assert len(estimators) == 2
+        per_estimator = [e.eval_cache_stats.bound_rejections for e in estimators]
+        assert all(count > 0 for count in per_estimator)
         gauge = registry.get("service_eval_cache_bound_rejections")
-        assert gauge.value == expected
+        assert gauge.value == sum(per_estimator)

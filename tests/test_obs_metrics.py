@@ -252,18 +252,19 @@ class TestServiceStatsDelta:
     def test_delta_subtracts_every_counter(self):
         baseline = ServiceStats(
             requests=10, cache_hits=4, cache_misses=6, warm_starts=2,
-            estimator_reuses=3,
+            problem_reuses=3,
             search_seconds=5.0,
         )
         live = ServiceStats(
             requests=25, cache_hits=14, cache_misses=11, warm_starts=5,
-            estimator_reuses=9,
+            problem_reuses=9,
             search_seconds=8.5,
         )
         delta = live.delta(baseline)
         assert delta.requests == 15
         assert delta.cache_hits == 10
         assert delta.cache_misses == 5
+        assert delta.problem_reuses == 6
         assert delta.search_seconds == pytest.approx(3.5)
         # hit_rate recomputes from the delta, not the cumulative counters.
         assert delta.hit_rate == pytest.approx(10 / 15)

@@ -108,11 +108,6 @@ class TestRunIteration:
         trace_changed = engine.run_iteration(ppo_graph, changed)
         assert trace_changed.realloc_seconds > 0.0
 
-    def test_memory_estimate_attached(self, engine, ppo_graph, sym_plan, cluster):
-        trace = engine.run_iteration(ppo_graph, sym_plan)
-        assert trace.memory.max_bytes > 0
-        assert len(trace.memory.per_gpu) == cluster.n_gpus
-
     def test_invalid_plan_rejected(self, engine, ppo_graph, cluster, sym_plan):
         broken = dict(sym_plan.assignments)
         del broken["actor_train"]

@@ -105,8 +105,12 @@ class TestPartitionManager:
 
     def test_restore_out_of_range_node_rejected(self):
         manager = PartitionManager(make_cluster(16))
-        with pytest.raises(ValueError):
-            manager.fail_node(5)
+        for node in (-1, 2, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                manager.fail_node(node)
+            with pytest.raises(ValueError, match="out of range"):
+                manager.restore_node(node)
+        assert manager.free_ids == frozenset(range(16))
 
     def test_extra_free_enables_hypothetical_candidates(self):
         manager = PartitionManager(make_cluster(16))

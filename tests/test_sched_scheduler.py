@@ -305,6 +305,15 @@ class TestFailures:
         with pytest.raises(ValueError):
             NodeFailure(time=5.0, node=0, recovery_time=5.0)
 
+    def test_out_of_range_failure_node_rejected_at_construction(self):
+        jobs = [tiny_job("a")]
+        for node in (-1, 2, 99):
+            with pytest.raises(ValueError, match=f"node {node} is out of range"):
+                ClusterScheduler(
+                    make_cluster(16), jobs, config=TINY,
+                    failures=[NodeFailure(time=5.0, node=node)],
+                )
+
     def test_utilization_bounded_when_work_outlives_last_completion(self):
         # "short" completes early; "long" runs past that completion and is
         # then killed by a permanent whole-cluster failure.  Its GPU time

@@ -130,7 +130,6 @@ def _whole_document_keys(graph, workload, cluster, search, prune):
     return {
         "key": digest(canonical),
         "family": digest(family_document),
-        "estimator_key": digest(estimator_document),
         "problem_key": digest({**estimator_document, "prune": canonical["prune"]}),
         "option_table_key": digest({"cluster": canonical["cluster"], "prune": canonical["prune"]}),
     }

@@ -240,24 +240,44 @@ class TestClientAndRouting:
 
 
 class TestEstimatorSharing:
+    """Requests that pose one search problem share it and its estimator."""
+
     def test_same_workload_different_budget_shares_estimator(self, service):
         # Different search seeds -> different fingerprints (both are cold
-        # searches) but the same estimation problem -> one shared estimator.
+        # searches) but the same search problem -> one shared problem.
         first = _request(max_iterations=50, seed=0)
         second = _request(max_iterations=50, seed=1)
         assert first.fingerprint().key != second.fingerprint().key
-        assert first.fingerprint().estimator_key == second.fingerprint().estimator_key
+        assert first.fingerprint().problem_key == second.fingerprint().problem_key
         service.plan(first)
-        assert service.stats.estimator_reuses == 0
+        (problem,) = service._problems.values()
         service.plan(second)
-        assert service.stats.estimator_reuses == 1
-        assert len(service._estimators) == 1
+        assert (service.stats.problem_builds, service.stats.problem_reuses) == (1, 1)
+        assert list(service._problems.values()) == [problem]
 
     def test_different_workloads_use_distinct_estimators(self, service):
         service.plan(_request(batch_size=128, max_iterations=50))
         service.plan(_request(batch_size=256, max_iterations=50))
-        assert service.stats.estimator_reuses == 0
-        assert len(service._estimators) == 2
+        assert (service.stats.problem_builds, service.stats.problem_reuses) == (2, 0)
+        first, second = service._problems.values()
+        assert first.estimator is not second.estimator
+
+    def test_lru_of_one_rebuilds_on_every_switch(self):
+        """Alternating two problems through a one-problem memo rebuilds one
+        on every switch, and every cost equals a fresh service's: a problem
+        is a pure function of its key."""
+        requests = [
+            _request(batch_size=batch_size, max_iterations=50, seed=seed)
+            for seed in (0, 1)
+            for batch_size in (128, 256)
+        ]
+        with PlanService(warm_start=False, estimator_cache_size=1) as service:
+            costs = [service.plan(request).cost for request in requests]
+            assert (service.stats.problem_builds, service.stats.problem_reuses) == (4, 0)
+            assert list(service._problems) == [requests[-1].fingerprint().problem_key]
+        for request, cost in zip(requests, costs):
+            with PlanService(warm_start=False) as fresh:
+                assert fresh.plan(request).cost == cost
 
     def test_estimator_cache_size_validation(self):
         with pytest.raises(ValueError):
@@ -276,7 +296,7 @@ class TestCallShapePricing:
             delta = service.stats.snapshot().delta(baseline)
         # A new problem and estimator, but every 8-GPU shape of these calls
         # was priced for the 16-GPU request.
-        assert (delta.problem_builds, delta.estimator_reuses) == (1, 0)
+        assert (delta.problem_builds, delta.problem_reuses) == (1, 0)
         assert delta.to_dict()["call_shapes_priced"] == 0
         with PlanService(warm_start=False) as fresh:
             assert fresh.plan(_request(n_gpus=8, max_iterations=50)).cost == response.cost

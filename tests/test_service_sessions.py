@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 
@@ -166,13 +167,23 @@ class TestProblemSharing:
         with PlanService() as fresh:
             assert fresh.plan(_request(seed=2, max_iterations=30)).cost == blocking.cost
 
-    def test_problem_dies_with_its_last_searcher(self, service):
-        service.plan(_request(seed=1))
-        service.plan(_request(seed=2))
-        assert service.stats.problem_builds == 2
-        assert service.stats.problem_reuses == 0
-        assert service.stats.estimator_reuses == 1
-        assert len(service._problems) == 0
+    def test_session_outlives_its_evicted_problem(self):
+        """A session keeps searching a problem the memo evicted, and settles
+        on what a fresh service's session finds."""
+        with PlanService(warm_start=False, estimator_cache_size=1) as service:
+            handle = service.start_session(_request(seed=1), slice_iterations=10)
+            service.plan(_request(batch_size=64, seed=2))
+            assert handle.fingerprint.problem_key not in service._problems
+            while not handle.done:
+                handle.poll()
+            response = service.stop_session(handle.session_id)
+            service.start_session(_request(seed=3), slice_iterations=10)
+            assert (service.stats.problem_builds, service.stats.problem_reuses) == (3, 0)
+        with PlanService(warm_start=False) as fresh:
+            drained = fresh.start_session(_request(seed=1), slice_iterations=10)
+            while not drained.done:
+                drained.poll()
+            assert fresh.stop_session(drained.session_id).cost == response.cost
 
     def test_threads_share_problems_without_changing_outcomes(self):
         """More client threads than cores pose one problem at once.  Warm
@@ -212,17 +223,15 @@ class TestProblemSharing:
                 assert costs[seed] == fresh.plan(_request(seed=seed, max_iterations=20)).cost
         service.close()
 
-    def test_kept_problem_outlives_its_search_for_a_session(self, service):
-        # By default a response does not keep its problem alive.
-        assert service.plan(_request(seed=1)).problem is None
-        assert len(service._problems) == 0
-        kept = service.submit(_request(seed=2), keep_problem=True).result()
-        assert kept.problem is not None and not kept.stats.cache_hit
-        handle = service.start_session(_request(seed=3), slice_iterations=10)
-        assert handle.problem is kept.problem
-        assert (service.stats.problem_builds, service.stats.problem_reuses) == (2, 1)
-        # A hit searched nothing: there is no problem to keep.
-        assert service.submit(_request(seed=2), keep_problem=True).result().problem is None
+    def test_session_after_blocking_search_reuses_its_problem(self, service):
+        # The blocking search's response is dropped at once: the service
+        # itself holds the problem until the session poses it again.
+        service.plan(_request(seed=1))
+        gc.collect()
+        handle = service.start_session(_request(seed=2), slice_iterations=10)
+        assert (service.stats.problem_builds, service.stats.problem_reuses) == (1, 1)
+        (problem,) = service._problems.values()
+        assert handle.session.searcher.problem is problem
         service.stop_session(handle.session_id)
 
     def test_counters_carry_through_delta_and_dict(self, service):
