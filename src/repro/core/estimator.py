@@ -25,10 +25,12 @@ and offers an incremental
 single-call move by recomputing only what that move can affect (the moved
 call's duration, its model's reallocation edges, its incident data-transfer
 edges and its memory contribution) before re-running the cheap scheduling
-simulation.  All caches are exact memoisations of pure functions, so the
-fast path is bit-for-bit consistent with a full recompute; set
-``cross_check=True`` to verify that invariant on every evaluation (used by
-the test suite).
+simulation.  :meth:`RuntimeEstimator.cost` and ``cost_delta`` share one
+eval-cached scoring routine.  All caches are exact memoisations of pure
+functions, so it is bit-for-bit consistent with a full recompute; set
+``cross_check=True`` to compare every value against
+:meth:`RuntimeEstimator._exact_cost`, which rebuilds the plan from the pure
+component functions without touching a memo (used by the test suite).
 
 An MCMC step only needs a proposal's exact cost when the proposal might be
 accepted.  ``cost_delta(..., reject_above=)`` therefore prices an eval-cache
@@ -205,14 +207,11 @@ class RuntimeEstimator:
         estimator); otherwise the exact analytical model is used.
     use_cuda_graph:
         Whether generation decoding benefits from CUDA-graph capture.
-    use_cache:
-        Memoise per-call, per-edge and per-plan quantities (the fast path).
-        Disable to reproduce the from-scratch evaluation cost; results are
-        identical either way.  Layer timings are memoised by the providers
-        on both paths.
     cross_check:
-        Verify every fast-path evaluation against a full recompute and raise
-        ``RuntimeError`` on any mismatch.  Slow; meant for tests.
+        Verify every :meth:`cost`/:meth:`cost_delta` value against
+        :meth:`_exact_cost`, a from-scratch recompute that bypasses every
+        estimator memo, and raise ``RuntimeError`` on any mismatch.  Slow;
+        meant for tests.
     eval_cache_size:
         LRU capacity of the signature-keyed (TimeCost, MaxMem) eval cache.
         Bounded so long-lived estimators (e.g. held by a plan service) cannot
@@ -240,7 +239,6 @@ class RuntimeEstimator:
         cluster: ClusterSpec,
         profiles: Optional[Mapping[str, ProfileStats]] = None,
         use_cuda_graph: bool = True,
-        use_cache: bool = True,
         cross_check: bool = False,
         eval_cache_size: int = _MAX_PLAN_EVALS,
         call_costs: Optional[CallCostTable] = None,
@@ -250,7 +248,6 @@ class RuntimeEstimator:
         self.graph = graph
         self.workload = workload
         self.cluster = cluster
-        self.use_cache = use_cache
         self.cross_check = cross_check
         self.comm = CommModel(cluster)
         self.realloc_model = ReallocCostModel(cluster)
@@ -405,8 +402,6 @@ class RuntimeEstimator:
     def call_time(self, call_name: str, alloc: Allocation) -> float:
         """Wall time of one call under an allocation, memoised by call
         content and shape in the estimator's :class:`CallCostTable`."""
-        if not self.use_cache:
-            return self._compute_breakdown(call_name, alloc).total
         key = self._shape_key(call_name, alloc)
         cached = self._call_time_cache.get(key)
         if cached is not None:
@@ -418,8 +413,15 @@ class RuntimeEstimator:
     # ------------------------------------------------------------------ #
     # Reallocation cost along parameter edges
     # ------------------------------------------------------------------ #
+    def _compute_realloc_seconds(
+        self, model_name: str, src: Allocation, dst: Allocation
+    ) -> float:
+        """Seconds to remap ``model_name``'s parameters from ``src`` to ``dst``."""
+        config = self.workload.model_config(model_name)
+        return self.realloc_model.cost(config, src, dst).seconds
+
     def _realloc_seconds(self, model_name: str, src: Allocation, dst: Allocation) -> float:
-        """Seconds to remap ``model_name``'s parameters from ``src`` to ``dst``.
+        """:meth:`_compute_realloc_seconds`, memoised.
 
         The estimator's reallocation model is the approximate one, which
         depends only on the destination's TP/PP sharding and on whether the
@@ -427,16 +429,17 @@ class RuntimeEstimator:
         """
         cross = src.key[:2] != dst.key[:2]
         key = (model_name, dst.parallel.tp, dst.parallel.pp, cross)
-        cached = self._realloc_cache.get(key) if self.use_cache else None
-        if cached is not None:
-            return cached
-        config = self.workload.model_config(model_name)
-        value = self.realloc_model.cost(config, src, dst).seconds
-        if self.use_cache:
-            self._realloc_cache[key] = value
-        return value
+        cached = self._realloc_cache.get(key)
+        if cached is None:
+            cached = self._compute_realloc_seconds(model_name, src, dst)
+            self._realloc_cache[key] = cached
+        return cached
 
-    def _realloc_in_list(self, alloc_of: Callable[[str], Allocation]) -> List[float]:
+    def _realloc_in_list(
+        self,
+        alloc_of: Callable[[str], Allocation],
+        realloc_seconds: Callable[[str, Allocation, Allocation], float],
+    ) -> List[float]:
         """Reallocation seconds charged to each call (by call id).
 
         Mirrors :func:`~repro.core.plan.reallocation_edges`: consecutive calls
@@ -453,7 +456,7 @@ class RuntimeEstimator:
                 src, dst = alloc_of(src_call), alloc_of(dst_call)
                 if src.key[:7] == dst.key[:7]:
                     continue
-                realloc_in[self._call_index[dst_call]] = self._realloc_seconds(
+                realloc_in[self._call_index[dst_call]] = realloc_seconds(
                     model_name, src, dst
                 )
         return realloc_in
@@ -477,26 +480,28 @@ class RuntimeEstimator:
         ):
             return 0.0
         cross = src_alloc.mesh.node_ids != dst_alloc.mesh.node_ids
-        return self._transfer_seconds(dst_name, cross)
+        return self._compute_transfer_seconds(dst_name, cross)
 
-    def _transfer_seconds(self, dst_name: str, cross: bool) -> float:
+    def _compute_transfer_seconds(self, dst_name: str, cross: bool) -> float:
         """Redistribution time of a non-local edge into ``dst_name``.
 
         The payload is fixed by the destination call's workload, so the only
         layout-dependent bit is whether the move crosses node boundaries.
         """
-        key = (dst_name, cross)
-        cached = self._transfer_cache.get(key) if self.use_cache else None
-        if cached is not None:
-            return cached
         wl = self._call_workloads[dst_name]
         # Transferred payload: token ids, log-probs, rewards and values are a
         # few scalars per token; we charge 16 bytes per token of the batch.
         nbytes = wl.batch_size * wl.seqlen * 16.0
-        value = self.comm.p2p_time_cross(nbytes, cross)
-        if self.use_cache:
-            self._transfer_cache[key] = value
-        return value
+        return self.comm.p2p_time_cross(nbytes, cross)
+
+    def _transfer_seconds(self, dst_name: str, cross: bool) -> float:
+        """:meth:`_compute_transfer_seconds`, memoised."""
+        key = (dst_name, cross)
+        cached = self._transfer_cache.get(key)
+        if cached is None:
+            cached = self._compute_transfer_seconds(dst_name, cross)
+            self._transfer_cache[key] = cached
+        return cached
 
     def _edge_transfer_cached(
         self, src_name: str, dst_name: str, src_alloc: Allocation, dst_alloc: Allocation
@@ -533,8 +538,6 @@ class RuntimeEstimator:
         None of the components depend on the mesh position, so the memo key
         is (call, strategy, micro-batches, zero3).
         """
-        if not self.use_cache:
-            return self._compute_mem_contrib(call_name, alloc)
         key = (call_name,) + alloc.key[4:]
         cached = self._mem_cache.get(key)
         if cached is None:
@@ -554,23 +557,24 @@ class RuntimeEstimator:
     # ------------------------------------------------------------------ #
     # Plan states (fast path)
     # ------------------------------------------------------------------ #
-    def _build_state(self, plan: ExecutionPlan) -> _PlanState:
-        durations = [self.call_time(name, plan[name]) for name in self._call_names]
-        realloc_in = self._realloc_in_list(plan.__getitem__)
-        # The uncached path keeps the mesh-equality reference implementation,
-        # so cross-check compares two independent transfer computations.
-        transfer = self._edge_transfer_cached if self.use_cache else self._edge_transfer_time
-        transfers = [
-            transfer(src, dst, plan[src], plan[dst]) for src, dst in self._edges
-        ]
-        mesh_spans = [self._mesh_span(plan[name].mesh) for name in self._call_names]
-        mem = [self._mem_contrib(name, plan[name]) for name in self._call_names]
+    def _build_state(
+        self,
+        plan: ExecutionPlan,
+        call_time: Callable[[str, Allocation], float],
+        realloc_seconds: Callable[[str, Allocation, Allocation], float],
+        edge_transfer: Callable[[str, str, Allocation, Allocation], float],
+        mem_contrib: Callable[[str, Allocation], Tuple[float, float, float]],
+    ) -> _PlanState:
+        """The state of ``plan`` from the given per-component functions."""
+        names = self._call_names
         return _PlanState(
-            durations=durations,
-            realloc_in=realloc_in,
-            transfers=transfers,
-            mesh_spans=mesh_spans,
-            mem=mem,
+            durations=[call_time(name, plan[name]) for name in names],
+            realloc_in=self._realloc_in_list(plan.__getitem__, realloc_seconds),
+            transfers=[
+                edge_transfer(src, dst, plan[src], plan[dst]) for src, dst in self._edges
+            ],
+            mesh_spans=[self._mesh_span(plan[name].mesh) for name in names],
+            mem=[mem_contrib(name, plan[name]) for name in names],
         )
 
     def _state_for(self, plan: ExecutionPlan) -> _PlanState:
@@ -584,7 +588,13 @@ class RuntimeEstimator:
                 # get and the LRU touch; the state itself remains valid.
                 pass
             return state
-        state = self._build_state(plan)
+        state = self._build_state(
+            plan,
+            self.call_time,
+            self._realloc_seconds,
+            self._edge_transfer_cached,
+            self._mem_contrib,
+        )
         self._remember_state(signature, state)
         return state
 
@@ -751,7 +761,7 @@ class RuntimeEstimator:
         """
         if not self._call_names:
             return TimeCostResult(total_seconds=0.0)
-        state = self._state_for(plan) if self.use_cache else self._build_state(plan)
+        state = self._state_for(plan)
         total, spans = self._simulate(state, collect_spans=True)
         return TimeCostResult(
             total_seconds=total,
@@ -848,7 +858,7 @@ class RuntimeEstimator:
 
     def max_memory(self, plan: ExecutionPlan) -> MemoryEstimate:
         """Estimate the peak memory per GPU under the plan."""
-        state = self._state_for(plan) if self.use_cache else self._build_state(plan)
+        state = self._state_for(plan)
         per_gpu, static = self._aggregate_memory(state)
         # Report every cluster GPU, including idle ones, like the runtime does.
         full_static = {g: static.get(g, 0.0) for g in range(self.cluster.n_gpus)}
@@ -858,12 +868,6 @@ class RuntimeEstimator:
     # ------------------------------------------------------------------ #
     # cost(Gp)
     # ------------------------------------------------------------------ #
-    def _cost_of_state(self, state: _PlanState, oom_penalty: float) -> float:
-        total, _ = self._simulate(state)
-        if self._max_bytes_sweep(state) < self.cluster.device_memory_bytes:
-            return total
-        return oom_penalty * total
-
     def _lookup(self, signature: Tuple) -> Optional[_EvalEntry]:
         """The eval-cache entry of a signature, touched as most recently used."""
         entry = self._eval_cache.get(signature)
@@ -887,40 +891,28 @@ class RuntimeEstimator:
                 # Another thread emptied the LRU past us; nothing to evict.
                 break
 
-    def _evaluate_signature(self, signature: Tuple, plan: ExecutionPlan) -> Tuple[float, float]:
-        """Memoised ``(TimeCost, MaxMem)`` of ``plan``, identified by signature.
-
-        The MCMC chain re-proposes the same neighbouring plans many times;
-        a signature hit skips the state construction and simulation outright.
-        The cache is a capped LRU (``eval_cache_size``) with hit/miss/
-        eviction counters in :attr:`eval_cache_stats`, so a long-lived
-        estimator cannot grow without bound.  A bound entry holds no exact
-        value: it counts as a miss and is overwritten.
-        """
-        entry = self._lookup(signature)
-        if entry is not None and entry.__class__ is not _BoundEntry:
-            self.eval_cache_stats.hits += 1
-            return entry
-        self.eval_cache_stats.misses += 1
-        state = self._state_for(plan)
-        entry = (self._simulate(state)[0], self._max_bytes_sweep(state))
-        self._store(signature, entry)
-        return entry
+    def _exact_state(self, plan: ExecutionPlan) -> _PlanState:
+        """The plan's state from the pure per-component functions, with the
+        mesh-equality transfer rule (:meth:`_edge_transfer_time`) in place of
+        the memoised key-prefix one.  Nothing is written to the estimator;
+        layer timings still come from the providers' memos, which hold the
+        values of pure functions (see :mod:`repro.core.profiler`)."""
+        return self._build_state(
+            plan,
+            lambda name, alloc: self._compute_breakdown(name, alloc).total,
+            self._compute_realloc_seconds,
+            self._edge_transfer_time,
+            self._compute_mem_contrib,
+        )
 
     def _exact_cost(self, plan: ExecutionPlan, oom_penalty: float) -> float:
         """Full from-scratch recompute, bypassing every estimator memo.
 
-        Layer timings still come from the providers' memos, which hold the
-        values of pure functions (see :mod:`repro.core.profiler`).
-
-        Also aggregates memory per GPU instead of per mesh segment, so the
-        cross-check exercises an independent implementation of MaxMem.
+        Builds the :meth:`_exact_state` and aggregates memory per GPU instead
+        of per mesh segment, so the cross-check exercises independent
+        implementations of the transfer rule and of MaxMem.
         """
-        saved, self.use_cache = self.use_cache, False
-        try:
-            state = self._build_state(plan)
-        finally:
-            self.use_cache = saved
+        state = self._exact_state(plan)
         total, _ = self._simulate(state)
         per_gpu, _static = self._aggregate_memory(state)
         if max(per_gpu.values(), default=0.0) < self.cluster.device_memory_bytes:
@@ -928,16 +920,21 @@ class RuntimeEstimator:
         return oom_penalty * total
 
     def cost(self, plan: ExecutionPlan, oom_penalty: float = DEFAULT_OOM_PENALTY) -> float:
-        """Search cost: time cost with a multiplicative OOM penalty."""
+        """Search cost: time cost with a multiplicative OOM penalty.
+
+        Memoised in the eval cache by the plan's signature (see
+        :meth:`_score`); a capped LRU (``eval_cache_size``) with counters in
+        :attr:`eval_cache_stats`, so a long-lived estimator cannot grow
+        without bound.
+        """
         if not self._call_names:
             return 0.0
-        if not self.use_cache:
-            return self._cost_of_state(self._build_state(plan), oom_penalty)
-        total, max_bytes = self._evaluate_signature(self._plan_signature(plan), plan)
-        value = total if max_bytes < self.cluster.device_memory_bytes else oom_penalty * total
+        value = self._score(
+            plan, self._plan_signature(plan), None, None, oom_penalty, math.inf
+        )
         if self.cross_check:
             self._verify(value, plan, oom_penalty, context="cost")
-        return value
+        return value  # never None: an infinite threshold rejects nothing
 
     def cost_delta(
         self,
@@ -951,33 +948,19 @@ class RuntimeEstimator:
         ``None`` when that cost is proven to be above ``reject_above``.
 
         The incremental path reuses the base plan's resolved components and
-        recomputes only what a single-call move can affect.  On an eval-cache
-        miss it then tries to reject the move before simulating it:
-
-        1. the critical path of the moved plan (:meth:`_critical_path`, the
-           simulation without mesh waits) is a lower bound on its TimeCost,
-           bit for bit, and its cost is at least that (``oom_penalty >= 1``):
-           a bound above ``reject_above`` rejects with no sweep and no
-           simulation;
-        2. otherwise the exact memory sweep runs; an OOM plan costs at least
-           ``oom_penalty`` times the bound, which may reject it;
-        3. only then is the plan simulated.
-
-        A rejection is stored in the eval cache as a bound entry; a revisit
-        re-tests the bound against its own threshold and replaces the entry by
-        the exact value once the bound no longer rejects.  Returns ``None``
-        only for a cost above ``reject_above`` (the default never rejects);
-        any returned value equals
-        ``cost(plan.with_assignment(call_name, new_alloc))``, also when
-        caching is disabled or the call is unknown (an exact full recompute).
+        recomputes only what a single-call move can affect, then scores the
+        moved plan bound first (see :meth:`_score`).  Returns ``None`` only
+        for a cost above ``reject_above`` (the default never rejects); any
+        returned value equals ``cost(plan.with_assignment(call_name,
+        new_alloc))``; for an unknown call it is that call.
         """
-        if not self.use_cache or call_name not in self.graph:
+        if call_name not in self.graph:
             return self.cost(plan.with_assignment(call_name, new_alloc), oom_penalty)
         signature = self._plan_signature(plan)
         index = self._call_index[call_name]
         moved_signature = signature[:index] + (new_alloc.key,) + signature[index + 1 :]
-        value = self._score_move(
-            plan, call_name, new_alloc, moved_signature, oom_penalty, reject_above
+        value = self._score(
+            plan, moved_signature, call_name, new_alloc, oom_penalty, reject_above
         )
         if self.cross_check:
             self._verify(
@@ -989,34 +972,60 @@ class RuntimeEstimator:
             )
         return value
 
-    def _score_move(
+    def _score(
         self,
         plan: ExecutionPlan,
-        call_name: str,
-        new_alloc: Allocation,
         signature: Tuple,
+        call_name: Optional[str],
+        new_alloc: Optional[Allocation],
         oom_penalty: float,
         reject_above: float,
     ) -> Optional[float]:
-        """:meth:`cost_delta`'s cached, bound-first scoring of one move."""
+        """Eval-cached, bound-first cost of the plan ``signature`` names:
+        ``plan`` itself when ``call_name`` is ``None``, else ``plan`` with
+        ``call_name`` moved to ``new_alloc``; ``None`` when that cost is
+        proven to be above ``reject_above``.
+
+        An exact entry answers outright.  On a miss the plan's state is
+        built, and the scoring tries to reject the plan before simulating it:
+
+        1. the critical path of the plan (:meth:`_critical_path`, the
+           simulation without mesh waits) is a lower bound on its TimeCost,
+           bit for bit, and its cost is at least that (``oom_penalty >= 1``):
+           a bound above ``reject_above`` rejects with no sweep and no
+           simulation;
+        2. otherwise the exact memory sweep runs; an OOM plan costs at least
+           ``oom_penalty`` times the bound, which may reject it;
+        3. only then is the plan simulated.
+
+        A rejection is stored as a bound entry; a revisit re-tests the bound
+        against its own threshold and replaces the entry by the exact value
+        once the bound no longer rejects.  Under an infinite threshold
+        nothing can be rejected, so the bound is not computed.
+        """
         stats = self.eval_cache_stats
         capacity = self.cluster.device_memory_bytes
         entry = self._lookup(signature)
-        if entry is None:
-            state = self._moved_state_of(plan, call_name, new_alloc, signature)
-            bound, max_bytes = self._critical_path(state), None
-        elif entry.__class__ is _BoundEntry:
+        bound: Optional[float] = None
+        max_bytes: Optional[float] = None
+        if entry.__class__ is _BoundEntry:
             bound, max_bytes = entry.seconds, entry.max_bytes
             if self._bound_rejects(bound, max_bytes, oom_penalty, reject_above):
                 stats.hits += 1
                 stats.bound_rejections += 1
                 return None
-            state = self._moved_state_of(plan, call_name, new_alloc, signature)
-        else:
+        elif entry is not None:
             stats.hits += 1
             total, max_bytes = entry
             return total if max_bytes < capacity else oom_penalty * total
         stats.misses += 1
+        if call_name is None:
+            state = self._state_for(plan)
+        else:
+            state = self._moved_state(self._state_for(plan), plan, call_name, new_alloc)
+            self._remember_state(signature, state)
+        if bound is None:
+            bound = self._critical_path(state) if reject_above < math.inf else 0.0
         if max_bytes is None and not bound > reject_above:
             max_bytes = self._max_bytes_sweep(state)
         if self._bound_rejects(bound, max_bytes, oom_penalty, reject_above):
@@ -1044,14 +1053,6 @@ class RuntimeEstimator:
             and max_bytes >= self.cluster.device_memory_bytes
             and oom_penalty * bound > reject_above
         )
-
-    def _moved_state_of(
-        self, plan: ExecutionPlan, call_name: str, new_alloc: Allocation, signature: Tuple
-    ) -> _PlanState:
-        """The remembered state of ``plan`` with one call moved."""
-        state = self._moved_state(self._state_for(plan), plan, call_name, new_alloc)
-        self._remember_state(signature, state)
-        return state
 
     def _verify(
         self,

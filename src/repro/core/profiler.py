@@ -21,8 +21,8 @@ operation once: its six methods look their argument tuple up in a per-method
 :class:`_TimingMemo` and compute only on a miss.  Every method is a pure
 function of the provider's model, cluster (and profile) and its arguments,
 and :class:`~repro.model.layers.LayerTiming` is frozen, so the memo needs no
-lock and no off switch, and the estimator's ``use_cache=False`` reference
-path goes through it as well.  It needs no eviction either: it holds one
+lock and no off switch, and the estimator's from-scratch reference
+(``RuntimeEstimator._exact_cost``) goes through it as well.  It needs no eviction either: it holds one
 entry per distinct layer shape its provider was asked about, a few dozen for
 one plan request.  The memo lives and dies with its provider: estimators,
 engines and the profiler each build their own.

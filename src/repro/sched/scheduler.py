@@ -83,6 +83,8 @@ _FAILURE, _RECOVERY, _ARRIVAL, _ITERATION = "failure", "recovery", "arrival", "i
 _SEARCH_POLL = "search_poll"
 _PRIORITY = {_FAILURE: 0, _RECOVERY: 1, _ARRIVAL: 2, _ITERATION: 3, _SEARCH_POLL: 4}
 _UID = attrgetter("uid")
+_MAX_DISPATCH_ROUNDS = 256
+"""Safety bound on placement/preemption rounds per dispatch."""
 
 @dataclass(frozen=True)
 class NodeFailure:
@@ -116,8 +118,6 @@ class SchedulerConfig:
     """Whether running jobs may grow onto freed capacity."""
     resize_threshold: float = 1.05
     """Minimum relative iterations/sec gain for an elastic migration."""
-    max_dispatch_rounds: int = 256
-    """Safety bound on placement/preemption rounds per event."""
     online_replanning: bool = False
     """Keep searching better plans for running jobs in the background and
     hot-swap at iteration boundaries when the remaining-work gain clears
@@ -155,6 +155,10 @@ class SchedulerConfig:
         if not self.poll_interval_s > 0:
             raise ValueError(
                 f"poll_interval_s must be > 0, got {self.poll_interval_s}"
+            )
+        if self.poll_iterations < 1:
+            raise ValueError(
+                f"poll_iterations must be >= 1, got {self.poll_iterations}"
             )
         if not self.counter_interval_s >= 0:
             raise ValueError(
@@ -865,7 +869,7 @@ class ClusterScheduler:
     # ------------------------------------------------------------------ #
     def _dispatch(self, time: float) -> None:
         while True:
-            for _ in range(self.config.max_dispatch_rounds):
+            for _ in range(_MAX_DISPATCH_ROUNDS):
                 decision = self.policy.decide(
                     self._queue, self._running(), self.manager, self.costing
                 )

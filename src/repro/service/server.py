@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster.hardware import ClusterSpec
 from ..core.call_cost import CallCostTable
 from ..core.dataflow import DataflowGraph
-from ..core.estimator import RuntimeEstimator
+from ..core.estimator import EvalCacheStats, RuntimeEstimator
 from ..core.plan import ExecutionPlan
 from ..core.pruning import PruneConfig, _OptionTable
 from ..core.search import (
@@ -267,27 +267,6 @@ class PlanSession:
         """Current merged best (plan, cost) — readable at any time."""
         return self.session.best_so_far()
 
-    def status(self) -> SessionStatus:
-        """Current progress without consuming any budget."""
-        with self._lock:
-            return self._status(improved=False, cache_refreshed=False)
-
-    def _status(self, improved: bool, cache_refreshed: bool) -> SessionStatus:
-        session = self.session
-        return SessionStatus(
-            session_id=self.session_id,
-            fingerprint=self.fingerprint.key,
-            best_cost=session.best_cost,
-            initial_cost=session.initial_cost,
-            n_iterations=session.n_iterations,
-            n_polls=session.n_polls,
-            done=session.done,
-            improved=improved,
-            cache_refreshed=cache_refreshed,
-            search_seconds=session.init_seconds
-            + sum(s.wall_seconds for s in session.states),
-        )
-
     def poll(self) -> SessionStatus:
         """Advance the session by one slice; write improvements to the cache."""
         with self._lock:
@@ -317,7 +296,20 @@ class PlanSession:
                 service.stats.session_polls += 1
                 service._count_priced()
             service._m_session_polls.inc()
-            return self._status(improved=progress.improved, cache_refreshed=refreshed)
+            session = self.session
+            return SessionStatus(
+                session_id=self.session_id,
+                fingerprint=self.fingerprint.key,
+                best_cost=session.best_cost,
+                initial_cost=session.initial_cost,
+                n_iterations=session.n_iterations,
+                n_polls=session.n_polls,
+                done=session.done,
+                improved=progress.improved,
+                cache_refreshed=refreshed,
+                search_seconds=session.init_seconds
+                + sum(s.wall_seconds for s in session.states),
+            )
 
     def stop(self) -> PlanResponse:
         """Finish the session: final cache write-back and a settled response.
@@ -420,6 +412,7 @@ class PlanService:
         self._sessions: Dict[str, PlanSession] = {}
         self._session_counter = 0
         self._call_costs = CallCostTable()
+        self._eval_cache_stats = EvalCacheStats()
         self._estimator_cache_size = estimator_cache_size
         self._problems: "OrderedDict[str, SearchProblem]" = OrderedDict()
         self._option_tables: "OrderedDict[str, _OptionTable]" = OrderedDict()
@@ -564,26 +557,11 @@ class PlanService:
         )
         return handle
 
-    def get_session(self, session_id: str) -> PlanSession:
-        """Look up a live session by id (:class:`KeyError` when unknown)."""
-        with self._lock:
-            return self._sessions[session_id]
-
-    def poll_session(self, session_id: str) -> SessionStatus:
-        """Advance a registered session by one slice."""
-        return self.get_session(session_id).poll()
-
     def stop_session(self, session_id: str) -> PlanResponse:
         """Stop and unregister a session; returns its settled response."""
         with self._lock:
             handle = self._sessions.pop(session_id)
         return handle.stop()
-
-    @property
-    def active_sessions(self) -> List[str]:
-        """Ids of the currently registered online sessions."""
-        with self._lock:
-            return list(self._sessions)
 
     def _session_write_back(self, handle: PlanSession) -> bool:
         """Refresh the cache when a session's current best beats the entry."""
@@ -637,7 +615,9 @@ class PlanService:
 
         The service keeps the ``estimator_cache_size`` most recently used
         problems, each built with its own estimator over the shared
-        :class:`~repro.core.call_cost.CallCostTable`.  A problem is a pure
+        :class:`~repro.core.call_cost.CallCostTable`; every estimator counts
+        into the service's one :class:`~repro.core.estimator.EvalCacheStats`,
+        so evicting a problem drops none of its counts.  A problem is a pure
         function of its key, so sharing or rebuilding it changes no outcome.
         """
         key = fingerprint.problem_key
@@ -653,6 +633,7 @@ class PlanService:
                 request.graph, request.workload, request.cluster,
                 call_costs=self._call_costs,
             )
+            estimator.eval_cache_stats = self._eval_cache_stats
             problem = SearchProblem(
                 request.graph,
                 request.workload,
@@ -771,36 +752,32 @@ class PlanService:
     def _collect_gauges(self) -> None:
         """Publish lazily collected gauges (run by registry snapshots/exports).
 
-        The estimator's eval cache counts hits/misses on the search hot path
-        with plain attribute increments; this collector sums those private
-        counters across the estimators of the service's held problems and
-        publishes them as gauges — observability without touching the hot
-        loop.
+        The estimators' eval caches count hits/misses on the search hot path
+        with plain attribute increments into the service's one
+        :class:`~repro.core.estimator.EvalCacheStats`; this collector
+        publishes those counters as gauges — observability without touching
+        the hot loop.
         """
         with self._lock:
-            estimators = [problem.estimator for problem in self._problems.values()]
             hit_rate = self.stats.hit_rate
-        hits = sum(e.eval_cache_stats.hits for e in estimators)
-        misses = sum(e.eval_cache_stats.misses for e in estimators)
-        evictions = sum(e.eval_cache_stats.evictions for e in estimators)
-        bound_rejections = sum(e.eval_cache_stats.bound_rejections for e in estimators)
-        lookups = hits + misses
+        stats = self._eval_cache_stats
+        hits, lookups = stats.hits, stats.lookups
         self.registry.gauge(
             "service_cache_hit_ratio", "Plan-cache hit fraction of all requests"
         ).set(hit_rate)
         self.registry.gauge(
-            "service_eval_cache_lookups", "Estimator eval-cache lookups (cached estimators)"
+            "service_eval_cache_lookups", "Estimator eval-cache lookups (every estimator of the service)"
         ).set(lookups)
         self.registry.gauge(
             "service_eval_cache_hit_ratio", "Estimator eval-cache hit fraction"
         ).set(hits / lookups if lookups else 0.0)
         self.registry.gauge(
             "service_eval_cache_evictions", "Estimator eval-cache LRU evictions"
-        ).set(evictions)
+        ).set(stats.evictions)
         self.registry.gauge(
             "service_eval_cache_bound_rejections",
             "MCMC proposals the estimators rejected on a cost bound, unsimulated",
-        ).set(bound_rejections)
+        ).set(stats.bound_rejections)
 
     def _search(
         self,

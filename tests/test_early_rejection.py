@@ -41,7 +41,7 @@ from repro.core import (
     allocation_options,
     instructgpt_workload,
 )
-from repro.core.estimator import _BoundEntry
+from repro.core.estimator import DEFAULT_OOM_PENALTY, _BoundEntry
 from repro.core.search import _reject_above
 from repro.obs.metrics import MetricsRegistry
 from repro.service import PlanRequest, PlanService
@@ -280,10 +280,10 @@ def test_cost_delta_rejects_only_above_the_threshold(algorithm, oom_penalty):
     """At a threshold equal to the exact cost nothing is rejected; just
     below it, a rejection is allowed but a returned value stays exact."""
     graph, moves = _random_moves(algorithm, 200, seed=5)
-    exact = RuntimeEstimator(graph, WORKLOAD, CLUSTER, use_cache=False)
+    reference = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
     rejected = 0
     for plan, name, alloc in moves:
-        cost = exact.cost(plan.with_assignment(name, alloc), oom_penalty)
+        cost = reference._exact_cost(plan.with_assignment(name, alloc), oom_penalty)
         at = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
         assert at.cost_delta(plan, name, alloc, oom_penalty, reject_above=cost) == cost
         below = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
@@ -305,8 +305,8 @@ def _move(algorithm="ppo"):
 def test_bound_entry_is_retested_and_replaced():
     graph, plan, name, alloc = _move()
     moved = plan.with_assignment(name, alloc)
-    exact = RuntimeEstimator(graph, WORKLOAD, CLUSTER, use_cache=False).cost(moved)
     estimator = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+    exact = estimator._exact_cost(moved, DEFAULT_OOM_PENALTY)
     stats = estimator.eval_cache_stats
     assert estimator.cost_delta(plan, name, alloc, reject_above=0.0) is None
     assert (stats.hits, stats.misses, stats.bound_rejections) == (0, 1, 1)
@@ -325,14 +325,21 @@ def test_bound_entry_is_retested_and_replaced():
 
 
 def test_cost_treats_a_bound_entry_as_a_miss():
+    """``cost()`` scores through ``cost_delta``'s routine: an absent entry
+    and a bound entry are misses, an exact entry a hit, each value exact."""
     graph, plan, name, alloc = _move("grpo")
     moved = plan.with_assignment(name, alloc)
     estimator = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+    stats = estimator.eval_cache_stats
+    assert estimator.cost(plan) == estimator._exact_cost(plan, DEFAULT_OOM_PENALTY)
+    assert (stats.hits, stats.misses) == (0, 1)
     assert estimator.cost_delta(plan, name, alloc, reject_above=0.0) is None
-    misses = estimator.eval_cache_stats.misses
-    expected = RuntimeEstimator(graph, WORKLOAD, CLUSTER, use_cache=False).cost(moved)
+    assert (stats.hits, stats.misses, stats.bound_rejections) == (0, 2, 1)
+    expected = estimator._exact_cost(moved, DEFAULT_OOM_PENALTY)
     assert estimator.cost(moved) == expected
-    assert estimator.eval_cache_stats.misses == misses + 1
+    assert (stats.hits, stats.misses) == (0, 3)
+    assert estimator.cost(moved) == expected
+    assert (stats.hits, stats.misses, stats.bound_rejections) == (1, 3, 1)
 
 
 def test_cross_check_catches_a_poisoned_exact_entry_in_cost_delta():
@@ -350,10 +357,8 @@ def test_cross_check_catches_a_poisoned_exact_entry_in_cost_delta():
 
 def test_cross_check_catches_a_poisoned_bound_in_cost_delta():
     graph, plan, name, alloc = _move()
-    exact = RuntimeEstimator(graph, WORKLOAD, CLUSTER, use_cache=False).cost(
-        plan.with_assignment(name, alloc)
-    )
     estimator = RuntimeEstimator(graph, WORKLOAD, CLUSTER, cross_check=True)
+    exact = estimator._exact_cost(plan.with_assignment(name, alloc), DEFAULT_OOM_PENALTY)
     assert estimator.cost_delta(plan, name, alloc, reject_above=0.0) is None
     (signature,) = list(estimator._eval_cache)
     # A bound above the true cost would reject a move the chain may accept.
@@ -363,7 +368,8 @@ def test_cross_check_catches_a_poisoned_bound_in_cost_delta():
 
 
 def test_service_publishes_bound_rejections():
-    """The gauge sums the estimators of the service's held problems."""
+    """The gauge reads the one counter every estimator of the service
+    counts into, and each request's search adds to it."""
     registry = MetricsRegistry()
     requests = [
         PlanRequest(
@@ -375,12 +381,14 @@ def test_service_publishes_bound_rejections():
         for batch_size in (64, 128)
     ]
     with PlanService(registry=registry) as service:
+        counts = [0]
         for request in requests:
             service.plan(request)
-        registry.collect()
+            counts.append(service._eval_cache_stats.bound_rejections)
+        assert counts[0] < counts[1] < counts[2]
         estimators = [problem.estimator for problem in service._problems.values()]
         assert len(estimators) == 2
-        per_estimator = [e.eval_cache_stats.bound_rejections for e in estimators]
-        assert all(count > 0 for count in per_estimator)
+        assert all(e.eval_cache_stats is service._eval_cache_stats for e in estimators)
+        registry.collect()
         gauge = registry.get("service_eval_cache_bound_rejections")
-        assert gauge.value == sum(per_estimator)
+        assert gauge.value == counts[-1]

@@ -1,7 +1,7 @@
 """Consistency checks for the single plan-scoring path.
 
 The memoised ``cost()`` / incremental ``cost_delta()`` fast path returns
-exactly the floats a from-scratch recompute returns — on PPO and GRPO,
+exactly the floats the from-scratch ``_exact_cost`` returns — on PPO and GRPO,
 across seeds, including OOM-penalized and empty-graph plans — and a search
 driven by it, sliced or not, lands on the same result.
 """
@@ -21,6 +21,7 @@ from repro.core import (
     instructgpt_workload,
 )
 from repro.core.dataflow import DataflowGraph
+from repro.core.estimator import DEFAULT_OOM_PENALTY
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +77,13 @@ class TestBitIdentity:
         self, algorithm, seed, workload_small, cluster8
     ):
         graph, options, estimator, _ = _setup(algorithm, workload_small, cluster8)
-        reference = RuntimeEstimator(graph, workload_small, cluster8, use_cache=False)
         plans = _random_plans(graph, options, 24, seed)
         cold = [estimator.cost(plan) for plan in plans]
         # Second pass is served from the signature-keyed eval cache.
         warm = [estimator.cost(plan) for plan in plans]
         assert warm == cold
         for plan, got in zip(plans, cold):
-            assert got == reference.cost(plan)
+            assert got == estimator._exact_cost(plan, DEFAULT_OOM_PENALTY)
 
     @pytest.mark.parametrize("algorithm", ["ppo", "grpo"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -93,11 +93,11 @@ class TestBitIdentity:
         graph, options, estimator, searcher = _setup(
             algorithm, workload_small, cluster8
         )
-        reference = RuntimeEstimator(graph, workload_small, cluster8, use_cache=False)
         base = searcher.greedy_initial_plan()
         for name, alloc in _random_moves(graph, options, 48, seed):
             got = estimator.cost_delta(base, name, alloc)
-            assert got == reference.cost(base.with_assignment(name, alloc))
+            moved = base.with_assignment(name, alloc)
+            assert got == estimator._exact_cost(moved, DEFAULT_OOM_PENALTY)
 
     def test_oom_penalized_plans_match(self, workload_small):
         # Shrink device memory so plenty of (otherwise prunable-feasible)
@@ -107,7 +107,6 @@ class TestBitIdentity:
 
         tight = _mk(8, gpu=GPUSpec(memory_gb=18.0))
         graph, options, estimator, _ = _setup("ppo", workload_small, tight)
-        reference = RuntimeEstimator(graph, workload_small, tight, use_cache=False)
         plans = _random_plans(graph, options, 16, 0)
         penalized = [
             estimator.cost(p, oom_penalty=100.0) != estimator.cost(p, oom_penalty=1.0)
@@ -115,25 +114,21 @@ class TestBitIdentity:
         ]
         assert any(penalized), "setup failed to produce any OOM-penalized plan"
         for plan in plans:
-            assert estimator.cost(plan, oom_penalty=100.0) == reference.cost(
-                plan, oom_penalty=100.0
+            assert estimator.cost(plan, oom_penalty=100.0) == estimator._exact_cost(
+                plan, 100.0
             )
         base = plans[0]
         for name, alloc in _random_moves(graph, options, 16, 1):
             assert estimator.cost_delta(
                 base, name, alloc, oom_penalty=100.0
-            ) == reference.cost(base.with_assignment(name, alloc), oom_penalty=100.0)
+            ) == estimator._exact_cost(base.with_assignment(name, alloc), 100.0)
 
     def test_empty_graph_scores_zero(self, workload_small, cluster8):
         graph = DataflowGraph(calls=[], external_inputs=("prompts",), name="empty")
         plan = ExecutionPlan({}, name="empty")
-        assert RuntimeEstimator(graph, workload_small, cluster8).cost(plan) == 0.0
-        assert (
-            RuntimeEstimator(graph, workload_small, cluster8, use_cache=False).cost(
-                plan
-            )
-            == 0.0
-        )
+        estimator = RuntimeEstimator(graph, workload_small, cluster8)
+        assert estimator.cost(plan) == 0.0
+        assert estimator._exact_cost(plan, DEFAULT_OOM_PENALTY) == 0.0
 
     def test_cross_check_verifies_every_row(self, workload_small, cluster8):
         graph = build_ppo_graph()
@@ -155,27 +150,28 @@ class TestBatchedChainParity:
     def test_batched_equals_scalar_trajectory(
         self, algorithm, workload_small, cluster8
     ):
-        def run(use_cache):
+        def run(cross_check):
             config = SearchConfig(
                 max_iterations=250, time_budget_s=60.0, seed=11, record_history=True
             )
             graph = _graph(algorithm)
             estimator = RuntimeEstimator(
-                graph, workload_small, cluster8, use_cache=use_cache
+                graph, workload_small, cluster8, cross_check=cross_check
             )
             return MCMCSearcher(
                 graph, workload_small, cluster8, config=config, estimator=estimator
             ).search()
 
         # The memoised incremental path must walk exactly the chain that
-        # from-scratch scoring walks.
-        memoised = run(True)
-        scratch = run(False)
-        assert memoised.best_cost == scratch.best_cost
-        assert memoised.best_plan.to_dict() == scratch.best_plan.to_dict()
-        assert memoised.n_accepted == scratch.n_accepted
+        # from-scratch scoring walks: the cross-checked run raises on any
+        # score that differs from ``_exact_cost`` (a bound rejection included).
+        memoised = run(False)
+        checked = run(True)
+        assert memoised.best_cost == checked.best_cost
+        assert memoised.best_plan.to_dict() == checked.best_plan.to_dict()
+        assert memoised.n_accepted == checked.n_accepted
         assert [(i, c) for i, _, c in memoised.history] == [
-            (i, c) for i, _, c in scratch.history
+            (i, c) for i, _, c in checked.history
         ]
 
 

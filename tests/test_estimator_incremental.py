@@ -4,7 +4,7 @@ The incremental path must be *bit-for-bit* identical to a full recompute:
 the memo caches store values of pure functions, and a single-call move only
 replaces the components that move can affect.  The property-style suite
 below walks randomized move sequences over the tier-1 fixture graphs and
-cross-checks every step against a cache-free estimator.
+cross-checks every step against the estimator's from-scratch ``_exact_cost``.
 """
 
 import pytest
@@ -28,6 +28,7 @@ from repro.core import (
     instructgpt_workload,
     symmetric_plan,
 )
+from repro.core.estimator import DEFAULT_OOM_PENALTY
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,10 @@ def workload():
 def _fixture(graph_builder, workload, cluster):
     graph = graph_builder()
     fast = RuntimeEstimator(graph, workload, cluster)
-    exact = RuntimeEstimator(graph, workload, cluster, use_cache=False)
+
+    def exact(plan):
+        return fast._exact_cost(plan, DEFAULT_OOM_PENALTY)
+
     options = allocation_options(graph, workload, cluster)
     start = {name: choices[0] for name, choices in options.items()}
     return graph, fast, exact, options, ExecutionPlan(start, name="start")
@@ -62,31 +66,30 @@ def grpo_fixture(workload, cluster16):
 class TestFastPathConsistency:
     def test_cost_matches_uncached_estimator(self, ppo_fixture):
         graph, fast, exact, options, plan = ppo_fixture
-        assert fast.cost(plan) == exact.cost(plan)
+        assert fast.cost(plan) == exact(plan)
         # Second evaluation is served from caches and must not drift.
-        assert fast.cost(plan) == exact.cost(plan)
+        assert fast.cost(plan) == exact(plan)
 
     def test_time_cost_and_memory_match(self, ppo_fixture):
         graph, fast, exact, options, plan = ppo_fixture
-        fast_tc, exact_tc = fast.time_cost(plan), exact.time_cost(plan)
-        assert fast_tc.total_seconds == exact_tc.total_seconds
-        assert fast_tc.spans == exact_tc.spans
-        assert fast_tc.call_seconds == exact_tc.call_seconds
-        assert fast.max_memory(plan).per_gpu == exact.max_memory(plan).per_gpu
+        state = fast._exact_state(plan)
+        assert fast._state_for(plan) == state
+        total, spans = fast._simulate(state, collect_spans=True)
+        fast_tc = fast.time_cost(plan)
+        assert fast_tc.total_seconds == total
+        assert fast_tc.spans == spans
+        assert list(fast_tc.call_seconds.values()) == state.durations
+        per_gpu, _static = fast._aggregate_memory(state)
+        n_gpus = fast.cluster.n_gpus
+        expected = {g: per_gpu.get(g, 0.0) for g in range(n_gpus)}
+        assert fast.max_memory(plan).per_gpu == expected
 
     def test_cost_delta_equals_full_cost_of_moved_plan(self, ppo_fixture):
         graph, fast, exact, options, plan = ppo_fixture
         call_name = graph.call_names[0]
         for alloc in options[call_name][:10]:
             moved = plan.with_assignment(call_name, alloc)
-            assert fast.cost_delta(plan, call_name, alloc) == exact.cost(moved)
-
-    def test_cost_delta_falls_back_without_cache(self, ppo_fixture):
-        graph, fast, exact, options, plan = ppo_fixture
-        call_name = graph.call_names[0]
-        alloc = options[call_name][1]
-        expected = exact.cost(plan.with_assignment(call_name, alloc))
-        assert exact.cost_delta(plan, call_name, alloc) == expected
+            assert fast.cost_delta(plan, call_name, alloc) == exact(moved)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
@@ -110,7 +113,7 @@ class TestFastPathConsistency:
             alloc = choices[int(rng.integers(len(choices)))]
             fast_cost = fast.cost_delta(current, call_name, alloc)
             moved = current.with_assignment(call_name, alloc)
-            assert fast_cost == exact.cost(moved)
+            assert fast_cost == exact(moved)
             assert fast.cost(moved) == fast_cost
             if rng.random() < 0.5:  # mix accepted and rejected moves
                 current = moved
@@ -157,7 +160,7 @@ def _content_shape(cost_model, call, wl, alloc):
 
 
 def _option_content_shapes(graph, workload, cluster, options):
-    estimator = RuntimeEstimator(graph, workload, cluster, use_cache=False)
+    estimator = RuntimeEstimator(graph, workload, cluster)
     return {
         _content_shape(
             estimator.cost_model(call.model_name), call,
@@ -199,13 +202,15 @@ class TestShapeKeyedMemos:
         n_options = sum(len(choices) for choices in options.values())
         assert len(priced) == len(set(priced)) < n_options
         assert set(priced) == _option_content_shapes(graph, workload, cluster16, options)
-        uncached = MCMCSearcher(
-            graph, workload, cluster16,
-            estimator=RuntimeEstimator(graph, workload, cluster16, use_cache=False),
-            options=options,
-        ).greedy_initial_plan()
-        # Same option objects: option order and tie-breaks are unchanged.
-        assert all(plan[name] is uncached[name] for name in graph.call_names)
+        # Same option objects as a from-scratch ``min`` over every option:
+        # option order and tie-breaks are unchanged.
+        reference = RuntimeEstimator(graph, workload, cluster16)
+        for name in graph.call_names:
+            fastest = min(
+                options[name],
+                key=lambda alloc: reference._compute_breakdown(name, alloc).total,
+            )
+            assert plan[name] is fastest
 
     def test_shared_table_prices_only_new_content_shapes(self, workload, cluster16, priced):
         """A second request through one table prices only what the first

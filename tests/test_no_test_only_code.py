@@ -30,10 +30,6 @@ ALLOWED: Dict[str, str] = {
     # README documents these as API.
     "core/api.py:auto": "README documents repro.auto",
     "sched/metrics.py:ScheduleReport.summary_row": "README documents it",
-    # Service API.
-    "service/server.py:PlanSession.status": "PlanService session API",
-    "service/server.py:PlanService.poll_session": "PlanService session API",
-    "service/server.py:PlanService.active_sessions": "PlanService session API",
     # Oracles that tests use to check code the system runs.
     "realloc/layout.py:ParamLayout.holder_intervals": "remap coverage oracle",
     "realloc/remap.py:ReallocationPlan.bytes_sent_by": "remap coverage oracle",

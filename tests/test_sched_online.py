@@ -199,3 +199,11 @@ class TestOnlineReplanning:
                 SchedulerConfig(**{field: value})
         edge = SchedulerConfig(swap_margin=1.0, counter_interval_s=0.0)
         assert edge.swap_margin == 1.0
+
+    def test_poll_iterations_must_be_positive(self):
+        # A zero-proposal poll would fail only once the first background
+        # session is polled, after a whole placement search.
+        for value in (0, -3):
+            with pytest.raises(ValueError, match="poll_iterations must be >= 1"):
+                SchedulerConfig(online_replanning=True, poll_iterations=value)
+        assert SchedulerConfig(poll_iterations=1).poll_iterations == 1

@@ -25,7 +25,6 @@ from repro.core import (
     SearchSession,
     instructgpt_workload,
 )
-from repro.core.call_cost import CallCostModel
 
 
 @pytest.fixture(scope="module")
@@ -105,12 +104,12 @@ class TestSharedProblem:
     def test_greedy_sweep_runs_once_per_problem(
         self, cluster8, workload_small, monkeypatch
     ):
-        """Counts model evaluations with an unmemoised estimator: the first
-        sweep scores one breakdown per distinct (call, shape), a second sweep
-        on the same problem scores none, and the plan is each call's
+        """Counts the estimator's ``call_time`` calls: the first sweep prices
+        one per distinct (call, shape), a second sweep on the same problem
+        prices none, and the plan is each call's
         ``min(options, key=call_time)``."""
         graph = _graph("ppo")
-        estimator = RuntimeEstimator(graph, workload_small, cluster8, use_cache=False)
+        estimator = RuntimeEstimator(graph, workload_small, cluster8)
         problem = SearchProblem(graph, workload_small, cluster8, estimator=estimator)
         n_shapes = len({
             (call_name, a.mesh.n_nodes, a.mesh.gpus_per_node, a.parallel.dp,
@@ -120,13 +119,13 @@ class TestSharedProblem:
         })
         assert n_shapes < sum(len(choices) for choices in problem.options.values())
         scored = []
-        breakdown = CallCostModel.breakdown
+        call_time = estimator.call_time
 
-        def counting_breakdown(self, call, wl, alloc):
-            scored.append(call.name)
-            return breakdown(self, call, wl, alloc)
+        def counting_call_time(call_name, alloc):
+            scored.append(call_name)
+            return call_time(call_name, alloc)
 
-        monkeypatch.setattr(CallCostModel, "breakdown", counting_breakdown)
+        monkeypatch.setattr(estimator, "call_time", counting_call_time)
         first = MCMCSearcher(problem=problem).greedy_initial_plan()
         assert len(scored) == n_shapes
         second = MCMCSearcher(problem=problem).greedy_initial_plan()

@@ -40,7 +40,7 @@ class TestSessionLifecycle:
     def test_start_poll_stop_roundtrip(self, service):
         request = _request()
         handle = service.start_session(request, slice_iterations=10)
-        assert service.active_sessions == [handle.session_id]
+        assert not handle.closed
         assert service.stats.sessions_started == 1
 
         status = handle.poll()
@@ -51,7 +51,7 @@ class TestSessionLifecycle:
         while not handle.done:
             handle.poll()
         response = service.stop_session(handle.session_id)
-        assert service.active_sessions == []
+        assert handle.closed
         assert response.cost == handle.session.best_cost
         assert response.plan.assignments == handle.best_so_far()[0].assignments
         assert response.stats.fingerprint == request.fingerprint().key
@@ -70,14 +70,13 @@ class TestSessionLifecycle:
         assert session_response.cost == blocking.cost
         assert session_response.plan.to_dict() == blocking.plan.to_dict()
 
-    def test_poll_session_and_get_session(self, service):
+    def test_stop_session_unregisters_the_id(self, service):
         handle = service.start_session(_request(), slice_iterations=5)
-        assert service.get_session(handle.session_id) is handle
-        status = service.poll_session(handle.session_id)
-        assert status.n_iterations == 5
-        service.stop_session(handle.session_id)
+        assert handle.poll().n_iterations == 5
+        response = service.stop_session(handle.session_id)
+        assert response is handle.stop()
         with pytest.raises(KeyError):
-            service.get_session(handle.session_id)
+            service.stop_session(handle.session_id)
 
     def test_stop_is_idempotent(self, service):
         handle = service.start_session(_request(), slice_iterations=5)
@@ -92,7 +91,8 @@ class TestSessionLifecycle:
         handle.poll()
         service.shutdown()
         assert handle.closed
-        assert service.active_sessions == []
+        with pytest.raises(KeyError):
+            service.stop_session(handle.session_id)
         with pytest.raises(RuntimeError):
             service.start_session(_request())
 
@@ -184,6 +184,27 @@ class TestProblemSharing:
             while not drained.done:
                 drained.poll()
             assert fresh.stop_session(drained.session_id).cost == response.cost
+
+    def test_evicted_problem_keeps_its_eval_cache_counts(self):
+        """The eval-cache gauges count every estimator the service built,
+        also one whose problem the memo has evicted."""
+        registry = MetricsRegistry()
+        with PlanService(estimator_cache_size=1, registry=registry) as service:
+            handle = service.start_session(
+                _request(seed=1, max_iterations=100), slice_iterations=10
+            )
+            while not handle.done:
+                handle.poll()
+            service.stop_session(handle.session_id)
+            registry.collect()
+            # One cost() of the greedy start plus one cost_delta per proposal.
+            assert registry.get("service_eval_cache_lookups").value == 101
+            # Another workload evicts the session's problem; its search adds
+            # one cost() of the warm-start plan on top.
+            service.plan(_request(batch_size=64, max_iterations=100, seed=2))
+            assert handle.fingerprint.problem_key not in service._problems
+            registry.collect()
+            assert registry.get("service_eval_cache_lookups").value == 203
 
     def test_threads_share_problems_without_changing_outcomes(self):
         """More client threads than cores pose one problem at once.  Warm
