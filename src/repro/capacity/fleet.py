@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core.search import SearchConfig
@@ -115,6 +115,13 @@ DEFAULT_JOB_TYPES: Tuple[FleetJobType, ...] = (
 """A production-flavoured default mix: many small jobs, few large ones."""
 
 
+_DIURNAL_AMPLITUDE = 0.5
+"""Relative day/night swing of the arrival rate: the rate varies between
+``(1 - a)`` and ``(1 + a)`` times the mean."""
+_DIURNAL_PERIOD_S = 86400.0
+"""Period of the arrival-rate swing: one day."""
+
+
 @dataclass(frozen=True)
 class FleetTraceConfig:
     """Shape of one synthetic fleet trace (fully determined by ``seed``)."""
@@ -124,10 +131,6 @@ class FleetTraceConfig:
     """Nominal arrival window; the mean arrival rate is ``n_jobs / horizon_s``
     (the last arrival lands near — not exactly at — the horizon)."""
     seed: int = 0
-    diurnal_amplitude: float = 0.5
-    """Relative day/night swing of the arrival rate in ``[0, 1)``: the rate
-    varies between ``(1 - a)`` and ``(1 + a)`` times the mean."""
-    diurnal_period_s: float = 86400.0
     job_types: Tuple[FleetJobType, ...] = field(default=DEFAULT_JOB_TYPES)
 
     def __post_init__(self) -> None:
@@ -135,12 +138,6 @@ class FleetTraceConfig:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
         if self.horizon_s <= 0:
             raise ValueError(f"horizon_s must be > 0, got {self.horizon_s}")
-        if not (0.0 <= self.diurnal_amplitude < 1.0):
-            raise ValueError(
-                f"diurnal_amplitude must be in [0, 1), got {self.diurnal_amplitude}"
-            )
-        if self.diurnal_period_s <= 0:
-            raise ValueError(f"diurnal_period_s must be > 0, got {self.diurnal_period_s}")
         if not self.job_types:
             raise ValueError("job_types must be non-empty")
 
@@ -149,16 +146,17 @@ def generate_fleet_trace(config: FleetTraceConfig = FleetTraceConfig()) -> List[
     """Generate one synthetic fleet trace as a list of :class:`JobSpec`.
 
     Arrivals follow a nonhomogeneous Poisson process with rate
-    ``mean * (1 + a * sin(2πt / period))``, realised by thinning a
+    ``mean * (1 + a * sin(2πt / period))`` (``a`` = ``_DIURNAL_AMPLITUDE``,
+    ``period`` = ``_DIURNAL_PERIOD_S``), realised by thinning a
     homogeneous stream at the peak rate; each accepted arrival draws a job
     type by weight and a target-iteration count from the type's range.  The
     whole trace is a pure function of ``config`` (one seeded ``Random``).
     """
     rng = random.Random(config.seed)
     mean_rate = config.n_jobs / config.horizon_s
-    amplitude = config.diurnal_amplitude
+    amplitude = _DIURNAL_AMPLITUDE
     peak_rate = mean_rate * (1.0 + amplitude)
-    omega = 2.0 * math.pi / config.diurnal_period_s
+    omega = 2.0 * math.pi / _DIURNAL_PERIOD_S
     types = list(config.job_types)
     weights = [jtype.weight for jtype in types]
     jobs: List[JobSpec] = []
@@ -190,23 +188,18 @@ def generate_fleet_trace(config: FleetTraceConfig = FleetTraceConfig()) -> List[
     return jobs
 
 
-def fleet_scheduler_config(
-    base: Optional[SchedulerConfig] = None,
-    counter_interval_s: float = 600.0,
-) -> SchedulerConfig:
+def fleet_scheduler_config(counter_interval_s: float = 600.0) -> SchedulerConfig:
     """Scheduler preset for fleet-scale replay.
 
-    Starts from ``base`` (default :class:`SchedulerConfig`) and applies the
-    fleet knobs: per-decision timeline off (no unbounded in-memory lists, no
+    A default :class:`SchedulerConfig` with the fleet knobs applied:
+    per-decision timeline off (no unbounded in-memory lists, no
     per-decision logging), counter tracks throttled to one sample per
     ``counter_interval_s`` of virtual time, the (job type, shape) candidate
     memo on, tight search budgets, and elasticity off — a fleet replay asks
     capacity questions, where opportunistic per-job growth mostly adds
     re-planning churn to every dispatch.
     """
-    base = base if base is not None else SchedulerConfig()
-    return replace(
-        base,
+    return SchedulerConfig(
         search=SearchConfig(max_iterations=60, time_budget_s=0.25, record_history=False),
         elastic=False,
         timeline=False,

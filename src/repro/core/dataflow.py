@@ -183,10 +183,6 @@ class DataflowGraph:
         """Look up a call by name."""
         return self._by_name[name]
 
-    def parents(self, name: str) -> List[str]:
-        """Names of the calls that ``name`` depends on."""
-        return [src for src, dst in self._edges if dst == name]
-
     def children(self, name: str) -> List[str]:
         """Names of the calls depending on ``name``."""
         return [dst for src, dst in self._edges if src == name]

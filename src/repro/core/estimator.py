@@ -80,16 +80,19 @@ _MAX_PLAN_STATES = 32
 """How many per-plan component states the estimator keeps around (LRU)."""
 
 _MAX_PLAN_EVALS = 16384
-"""Default LRU capacity of the signature-keyed (TimeCost, MaxMem) eval cache."""
+"""LRU capacity of the signature-keyed (TimeCost, MaxMem) eval cache, read
+when an estimator is built.  Bounded so long-lived estimators (e.g. held by a
+plan service) cannot grow without limit."""
 
 
 @dataclass(slots=True)
 class EvalCacheStats:
     """Counters of the signature-keyed eval cache.
 
-    Long-lived estimators (e.g. inside a :class:`~repro.service.server.PlanService`)
-    used to grow this cache without bound; it is now a capped LRU and these
-    counters make its behaviour observable.
+    The cache is an LRU capped at ``_MAX_PLAN_EVALS`` entries, so
+    long-lived estimators (e.g. inside a
+    :class:`~repro.service.server.PlanService`) stay bounded; these counters
+    make its behaviour observable.
 
     A lookup is a *hit* when the cache answers it without building the
     plan's state: an exact entry, or a bound entry (a plan rejected on its
@@ -212,11 +215,6 @@ class RuntimeEstimator:
         :meth:`_exact_cost`, a from-scratch recompute that bypasses every
         estimator memo, and raise ``RuntimeError`` on any mismatch.  Slow;
         meant for tests.
-    eval_cache_size:
-        LRU capacity of the signature-keyed (TimeCost, MaxMem) eval cache.
-        Bounded so long-lived estimators (e.g. held by a plan service) cannot
-        grow without limit; ``eval_cache_stats`` exposes hit/miss/eviction
-        counters.
     call_costs:
         The :class:`~repro.core.call_cost.CallCostTable` that memoises call
         times, shared with every other estimator given the same table (a
@@ -240,11 +238,8 @@ class RuntimeEstimator:
         profiles: Optional[Mapping[str, ProfileStats]] = None,
         use_cuda_graph: bool = True,
         cross_check: bool = False,
-        eval_cache_size: int = _MAX_PLAN_EVALS,
         call_costs: Optional[CallCostTable] = None,
     ) -> None:
-        if eval_cache_size < 1:
-            raise ValueError(f"eval_cache_size must be >= 1, got {eval_cache_size}")
         self.graph = graph
         self.workload = workload
         self.cluster = cluster
@@ -338,7 +333,7 @@ class RuntimeEstimator:
         self._states: "OrderedDict[Tuple, _PlanState]" = OrderedDict()
         self._sig_memo: Tuple[Optional[ExecutionPlan], Tuple] = (None, ())
         self._eval_cache: "OrderedDict[Tuple, _EvalEntry]" = OrderedDict()
-        self._eval_cache_size = int(eval_cache_size)
+        self._eval_cache_size = _MAX_PLAN_EVALS
         self.eval_cache_stats = EvalCacheStats()
         # Simulation constants: indegrees and the initial ready heap.  Heap
         # entries carry the call's alphabetical rank so equal-ready-time ties
@@ -678,8 +673,10 @@ class RuntimeEstimator:
 
         Nodes become ready when all their parents completed (plus data
         transfer time); a ready node starts as soon as every GPU of its device
-        mesh is free.  Parameter reallocations are charged to the destination
-        call and additionally occupy the source mesh.
+        mesh is free, and then occupies its mesh for its duration plus its
+        incoming parameter reallocation and the RPC overhead.  Reallocations
+        are charged to the destination call only; the source mesh is not
+        held for them.
         """
         durations, realloc_in = state.durations, state.realloc_in
         transfers, mesh_spans = state.transfers, state.mesh_spans
@@ -813,10 +810,9 @@ class RuntimeEstimator:
         mesh boundaries) hosts exactly the same set of calls, so evaluating
         one representative GPU per segment gives the cluster-wide peak.
         Spans enter/leave a sorted *active set* at their boundary events, so
-        each segment only touches the calls actually covering it —
-        ``O(n log n)`` for the event queue plus the covering-call totals,
-        instead of re-scanning all ``n`` calls per boundary (the previous
-        ``O(calls^2)`` sweep).  The active set is kept in ascending call-id
+        each segment only touches the calls actually covering it:
+        ``O(n log n)`` for the event queue plus the covering-call totals.
+        The active set is kept in ascending call-id
         order and contributions are combined exactly as
         :meth:`_aggregate_memory` combines them (ascending call id), so the
         result is bit-for-bit identical to ``max(per_gpu)``.
@@ -923,7 +919,7 @@ class RuntimeEstimator:
         """Search cost: time cost with a multiplicative OOM penalty.
 
         Memoised in the eval cache by the plan's signature (see
-        :meth:`_score`); a capped LRU (``eval_cache_size``) with counters in
+        :meth:`_score`); a capped LRU (``_MAX_PLAN_EVALS``) with counters in
         :attr:`eval_cache_stats`, so a long-lived estimator cannot grow
         without bound.
         """

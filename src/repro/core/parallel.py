@@ -81,19 +81,16 @@ def enumerate_strategies(
     n_gpus: int,
     config: Optional[ModelConfig] = None,
     max_tp: Optional[int] = None,
-    max_pp: Optional[int] = None,
 ) -> List[ParallelStrategy]:
     """Enumerate all 3D strategies occupying exactly ``n_gpus`` GPUs.
 
     ``config`` restricts strategies to those compatible with the model
-    architecture; ``max_tp``/``max_pp`` apply the search-space pruning rules
-    from Section 8.2 of the paper (e.g. TP never exceeding the node width).
+    architecture; ``max_tp`` applies the search-space pruning rule from
+    Section 8.2 of the paper that TP never exceeds the node width.
     """
     strategies: List[ParallelStrategy] = []
     for dp, tp, pp in factorize_3d(n_gpus):
         if max_tp is not None and tp > max_tp:
-            continue
-        if max_pp is not None and pp > max_pp:
             continue
         strategy = ParallelStrategy(dp=dp, tp=tp, pp=pp)
         if config is not None and not strategy.is_compatible_with_model(config):

@@ -40,12 +40,6 @@ class CallWorkload:
         """Full sequence length (prompt + generated response)."""
         return self.prompt_len + self.gen_len
 
-    def per_minibatch(self) -> "CallWorkload":
-        """The workload of one training minibatch."""
-        return dataclasses.replace(
-            self, batch_size=max(1, self.batch_size // self.n_minibatches), n_minibatches=1
-        )
-
 
 @dataclass(frozen=True)
 class RLHFWorkload:

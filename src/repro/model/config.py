@@ -133,10 +133,6 @@ class ModelConfig:
         """Parameter count excluding the output embedding (Table 1 identifier)."""
         return self.param_count() - (self.vocab_size * self.hidden_size if not self.is_critic else 0)
 
-    def param_bytes(self, dtype_bytes: int = 2) -> int:
-        """Bytes occupied by the parameters at ``dtype_bytes`` per element."""
-        return self.param_count() * dtype_bytes
-
     # ------------------------------------------------------------------ #
     # Variants
     # ------------------------------------------------------------------ #

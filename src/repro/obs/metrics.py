@@ -263,9 +263,6 @@ class Gauge(_Instrument):
     def _series_inc(self, series: List[float], amount: float = 1.0) -> None:
         series[0] += amount
 
-    def _series_dec(self, series: List[float], amount: float = 1.0) -> None:
-        series[0] -= amount
-
     def set(self, value: float) -> None:
         series = self._default_series()
         with self._lock:
@@ -275,11 +272,6 @@ class Gauge(_Instrument):
         series = self._default_series()
         with self._lock:
             self._series_inc(series, amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        series = self._default_series()
-        with self._lock:
-            self._series_dec(series, amount)
 
     @property
     def value(self) -> float:

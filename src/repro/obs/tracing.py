@@ -81,10 +81,6 @@ class SpanRecord:
     context: SpanContext
     args: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def duration_s(self) -> float:
-        return max(0.0, self.end_s - self.start_s)
-
 
 _ids = itertools.count(1)
 

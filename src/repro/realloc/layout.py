@@ -144,14 +144,6 @@ class ParamLayout:
             raise ValueError(f"tp_rank {tp_rank} out of range for tp={tp}")
         return (tp_rank / tp, (tp_rank + 1) / tp)
 
-    def holders(self, block_id: int, tp_rank: int) -> List[int]:
-        """GPUs holding the ``tp_rank``-th shard of ``block_id`` (DP replicas)."""
-        stage = self.stage_of_block(block_id)
-        return [
-            self.gpu_of_coords(stage, dp_rank, tp_rank)
-            for dp_rank in range(self.parallel.dp)
-        ]
-
     def holder_intervals(self, block_id: int) -> Dict[int, Interval]:
         """Mapping ``gpu_id -> fractional interval`` for one parameter block."""
         return self.stage_holders(self.stage_of_block(block_id))

@@ -222,32 +222,27 @@ class PriorityPolicy(SchedulingPolicy):
 class StaticEqualPolicy(SchedulingPolicy):
     """Naive static baseline: fixed equal whole-node slots, FIFO, no elasticity.
 
-    The cluster is carved once into ``n_slots`` equal whole-node partitions
-    (default: one slot per node).  Arriving jobs take any free slot in FIFO
-    order; slots never merge, split or move, so GPUs idle whenever a slot's
-    job finishes early — exactly the rigidity the elastic policies remove.
+    The cluster is carved once into one whole-node slot per node.  Arriving
+    jobs take any free slot in FIFO order; slots never merge, split or move,
+    so GPUs idle whenever a slot's job finishes early — exactly the rigidity
+    the elastic policies remove.
     """
 
     name = "static_equal"
     allows_resize = False
 
-    def __init__(self, n_slots: Optional[int] = None) -> None:
-        self.n_slots = n_slots
+    def __init__(self) -> None:
         self._slots: Optional[List[Partition]] = None
         self._slots_cluster = None
 
     def _slots_for(self, manager: PartitionManager) -> List[Partition]:
         if self._slots is None or self._slots_cluster != manager.cluster:
-            n_slots = self.n_slots if self.n_slots is not None else manager.cluster.n_nodes
-            self._slots = equal_node_partitions(manager.cluster, n_slots)
+            self._slots = equal_node_partitions(manager.cluster, manager.cluster.n_nodes)
             self._slots_cluster = manager.cluster
         return self._slots
 
     def decide(self, queue, running, manager, costing) -> PolicyDecision:
-        free = manager.free_ids
-        open_slots = [
-            slot for slot in self._slots_for(manager) if slot.device_id_set <= free
-        ]
+        open_slots = [slot for slot in self._slots_for(manager) if manager.is_free(slot)]
         # One wave over every (job, fitting slot) pair; the FIFO
         # selection below is unchanged (slots are identical shapes anyway, so
         # repeats collapse onto the same cached search).

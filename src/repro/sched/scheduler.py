@@ -85,6 +85,8 @@ _PRIORITY = {_FAILURE: 0, _RECOVERY: 1, _ARRIVAL: 2, _ITERATION: 3, _SEARCH_POLL
 _UID = attrgetter("uid")
 _MAX_DISPATCH_ROUNDS = 256
 """Safety bound on placement/preemption rounds per dispatch."""
+_RESIZE_THRESHOLD = 1.05
+"""Minimum relative iterations/sec gain for an elastic migration."""
 
 @dataclass(frozen=True)
 class NodeFailure:
@@ -110,14 +112,11 @@ class SchedulerConfig:
             max_iterations=400, time_budget_s=2.0, record_history=False
         )
     )
-    """Budget of cold placements (first search of a (job type, shape))."""
-    replan_search: Optional[SearchConfig] = None
-    """Budget of warm-started replans; defaults to a quarter of ``search``."""
+    """Budget of cold placements (first search of a (job type, shape)).
+    Warm-started replans get a quarter of it."""
     prune: PruneConfig = field(default_factory=PruneConfig)
     elastic: bool = True
     """Whether running jobs may grow onto freed capacity."""
-    resize_threshold: float = 1.05
-    """Minimum relative iterations/sec gain for an elastic migration."""
     online_replanning: bool = False
     """Keep searching better plans for running jobs in the background and
     hot-swap at iteration boundaries when the remaining-work gain clears
@@ -166,8 +165,7 @@ class SchedulerConfig:
             )
 
     def resolved_replan_search(self) -> SearchConfig:
-        if self.replan_search is not None:
-            return self.replan_search
+        """Budget of warm-started replans: a quarter of :attr:`search`."""
         return dataclasses.replace(
             self.search,
             max_iterations=max(1, self.search.max_iterations // 4),
@@ -1024,7 +1022,7 @@ class ClusterScheduler:
             if not feasible:
                 continue
             best = max(feasible, key=lambda c: c.iterations_per_second)
-            if best.iterations_per_second <= job.planned_throughput * self.config.resize_threshold:
+            if best.iterations_per_second <= job.planned_throughput * _RESIZE_THRESHOLD:
                 continue
             # Migrate: close the current segment (the in-flight iteration is
             # lost), move the parameters, restart on the bigger partition.

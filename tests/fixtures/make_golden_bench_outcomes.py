@@ -146,7 +146,7 @@ def scheduler() -> Dict[str, Any]:
     jobs = scheduler_trace()
     config = SchedulerConfig(search=_search(80, seed=0))
     policies = [
-        StaticEqualPolicy(n_slots=cluster.n_nodes),
+        StaticEqualPolicy(),
         "first_fit",
         "priority",
         "best_throughput",

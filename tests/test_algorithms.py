@@ -25,10 +25,10 @@ class TestPPOGraph:
 
     def test_dependencies_match_figure1(self):
         graph = build_ppo_graph()
-        assert set(graph.parents("reward_inference")) == {"actor_generate"}
-        assert "reward_inference" in graph.parents("actor_train")
-        assert "ref_inference" in graph.parents("actor_train")
-        assert "critic_inference" in graph.parents("critic_train")
+        assert set(graph.parents_map()["reward_inference"]) == {"actor_generate"}
+        assert "reward_inference" in graph.parents_map()["actor_train"]
+        assert "ref_inference" in graph.parents_map()["actor_train"]
+        assert "critic_inference" in graph.parents_map()["critic_train"]
         sources = [name for name, parents in graph.parents_map().items() if not parents]
         sinks = [name for name in graph.call_names if not graph.children(name)]
         assert sources == ["actor_generate"]
@@ -43,7 +43,7 @@ class TestPPOGraph:
         for a in ("reward_inference", "ref_inference", "critic_inference"):
             for b in ("reward_inference", "ref_inference", "critic_inference"):
                 if a != b:
-                    assert b not in graph.parents(a)
+                    assert b not in graph.parents_map()[a]
 
 
 class TestDPOGraph:
@@ -60,7 +60,7 @@ class TestDPOGraph:
 
     def test_training_depends_on_reference(self):
         graph = build_dpo_graph()
-        assert "ref_inference" in graph.parents("actor_train")
+        assert "ref_inference" in graph.parents_map()["actor_train"]
 
 
 class TestGRPOGraph:
@@ -79,7 +79,7 @@ class TestGRPOGraph:
 
     def test_dependencies(self):
         graph = build_grpo_graph()
-        assert set(graph.parents("actor_train")) >= {"actor_generate", "reward_inference", "ref_inference"}
+        assert set(graph.parents_map()["actor_train"]) >= {"actor_generate", "reward_inference", "ref_inference"}
 
 
 class TestReMaxGraph:
@@ -90,11 +90,11 @@ class TestReMaxGraph:
         for a in gens:
             for b in gens:
                 if a != b:
-                    assert b not in graph.parents(a)
+                    assert b not in graph.parents_map()[a]
 
     def test_training_needs_both_rewards(self):
         graph = build_remax_graph()
-        parents = set(graph.parents("actor_train"))
+        parents = set(graph.parents_map()["actor_train"])
         assert {"sample_reward_inference", "greedy_reward_inference"} <= parents
 
     def test_no_critic(self):

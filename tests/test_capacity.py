@@ -58,8 +58,6 @@ class TestFleetTraceGenerator:
         with pytest.raises(ValueError):
             FleetTraceConfig(horizon_s=0.0)
         with pytest.raises(ValueError):
-            FleetTraceConfig(diurnal_amplitude=1.0)
-        with pytest.raises(ValueError):
             FleetTraceConfig(job_types=())
         with pytest.raises(ValueError):
             FleetJobType(name="bad", iterations=(5, 2))

@@ -38,9 +38,9 @@ class TestDataflowGraph:
 
     def test_parents_and_children(self):
         graph = simple_graph()
-        assert set(graph.parents("train")) == {"gen", "score"}
+        assert set(graph.parents_map()["train"]) == {"gen", "score"}
         assert graph.children("gen") == ["score", "train"]
-        assert graph.parents("gen") == []
+        assert graph.parents_map()["gen"] == []
 
     def test_topological_order(self):
         order = simple_graph().topological_order()

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.estimator as estimator_module
 from repro.cluster import DeviceMesh, full_cluster_mesh, make_cluster
 from repro.core import (
     Allocation,
@@ -158,8 +159,11 @@ class TestEvalCacheLRU:
         assert len(choices) >= n
         return [base.with_assignment(call, choices[i]) for i in range(n)]
 
-    def test_lru_caps_size_and_counts_evictions(self, ppo_graph, small_cluster, workload_small):
-        estimator = RuntimeEstimator(ppo_graph, workload_small, small_cluster, eval_cache_size=2)
+    def test_lru_caps_size_and_counts_evictions(
+        self, ppo_graph, small_cluster, workload_small, monkeypatch
+    ):
+        monkeypatch.setattr(estimator_module, "_MAX_PLAN_EVALS", 2)
+        estimator = RuntimeEstimator(ppo_graph, workload_small, small_cluster)
         searcher = MCMCSearcher(ppo_graph, workload_small, small_cluster, estimator=estimator)
         plans = self._plans(searcher, 3)
         for plan in plans:
@@ -178,14 +182,11 @@ class TestEvalCacheLRU:
         assert data["evictions"] >= 2
 
     def test_cached_values_identical_after_eviction(
-        self, ppo_graph, small_cluster, workload_small
+        self, ppo_graph, small_cluster, workload_small, monkeypatch
     ):
-        tiny = RuntimeEstimator(ppo_graph, workload_small, small_cluster, eval_cache_size=1)
         reference = RuntimeEstimator(ppo_graph, workload_small, small_cluster)
+        monkeypatch.setattr(estimator_module, "_MAX_PLAN_EVALS", 1)
+        tiny = RuntimeEstimator(ppo_graph, workload_small, small_cluster)
         searcher = MCMCSearcher(ppo_graph, workload_small, small_cluster, estimator=tiny)
         for plan in self._plans(searcher, 3):
             assert tiny.cost(plan) == reference.cost(plan)
-
-    def test_invalid_capacity_rejected(self, ppo_graph, small_cluster, workload_small):
-        with pytest.raises(ValueError):
-            RuntimeEstimator(ppo_graph, workload_small, small_cluster, eval_cache_size=0)

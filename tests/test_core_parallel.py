@@ -66,7 +66,3 @@ class TestEnumeration:
         cfg = get_model_config("7b")
         strategies = enumerate_strategies(64, config=cfg)
         assert all(s.is_compatible_with_model(cfg) for s in strategies)
-
-    def test_enumerate_with_max_pp(self):
-        strategies = enumerate_strategies(32, max_pp=4)
-        assert all(s.pp <= 4 for s in strategies)

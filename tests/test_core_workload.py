@@ -12,12 +12,6 @@ class TestCallWorkload:
         wl = CallWorkload(batch_size=8, prompt_len=128, gen_len=128)
         assert wl.seqlen == 256
 
-    def test_per_minibatch(self):
-        wl = CallWorkload(batch_size=64, prompt_len=16, gen_len=16, n_minibatches=8)
-        mini = wl.per_minibatch()
-        assert mini.batch_size == 8
-        assert mini.n_minibatches == 1
-
 
 class TestInstructGPTWorkload:
     def test_defaults_match_appendix_a(self):

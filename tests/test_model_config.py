@@ -64,11 +64,6 @@ class TestModelConfig:
         critic = get_model_config("7b", critic=True)
         assert critic.as_critic() is critic
 
-    def test_param_bytes(self):
-        config = get_model_config("7b")
-        assert config.param_bytes() == config.param_count() * 2
-        assert config.param_bytes(dtype_bytes=4) == config.param_count() * 4
-
     def test_lookup_accepts_prefixes(self):
         assert get_model_config("llama3-13b").name == "llama3-13b"
         assert get_model_config("LLAMA13B").name == "llama3-13b"

@@ -84,7 +84,7 @@ class TestCounterGauge:
     def test_gauge_moves_both_ways(self, registry):
         g = registry.gauge("inflight", "in flight")
         g.set(5)
-        g.dec(2)
+        g.inc(-2)
         g.inc()
         assert g.value == 4.0
 

@@ -104,7 +104,7 @@ class TestSpanTree:
             span.set(late="outcome")
         (record,) = tracer.records()
         assert record.args == {"early": 1, "late": "outcome"}
-        assert record.duration_s >= 0.0
+        assert record.end_s >= record.start_s
 
     def test_records_since_a_baseline(self, tracer):
         with tracer.start_span("one"):

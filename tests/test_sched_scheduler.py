@@ -71,7 +71,7 @@ class TestPolicyRegistry:
         ]
 
     def test_get_policy_passthrough_and_errors(self):
-        policy = StaticEqualPolicy(n_slots=2)
+        policy = StaticEqualPolicy()
         assert get_policy(policy) is policy
         with pytest.raises(KeyError):
             get_policy("nope")
@@ -185,7 +185,6 @@ class TestElasticResize:
         ]
         config = SchedulerConfig(
             search=SearchConfig(max_iterations=150, time_budget_s=1.0, record_history=False),
-            resize_threshold=1.01,
         )
         report = schedule_trace(
             make_cluster(16), jobs, policy="best_throughput", config=config
@@ -592,7 +591,7 @@ class TestStaticEqualBaseline:
             tiny_job("long", target_iterations=10, max_gpus=16),
         ]
         report = schedule_trace(
-            make_cluster(16), jobs, policy=StaticEqualPolicy(n_slots=2), config=TINY
+            make_cluster(16), jobs, policy=StaticEqualPolicy(), config=TINY
         )
         assert report.all_completed
         assert report.n_resizes == 0
