@@ -21,6 +21,17 @@ dataclass constructors behind ``__create_fn__.<locals>.__init__`` self time::
 
     python3 benchmarks/sample_stacks.py --workload plan_search --callers '__create_fn__'
 
+With ``--ops`` it samples only inside the operations perfbench times, as
+perfbench times them: each round runs on a subclass of perfbench's ``Clock``
+(calibration on) whose ``measure`` arms the sampler and a ``gc.callbacks``
+recorder around the operation alone, so neither the calibration loop nor the
+workload's glue between operations is seen.  It then also prints, per
+operation name, the garbage collections of each generation and the
+milliseconds they took, per operation (the first operation of each name in
+a round — fleet_replay's cold replay — is a row of its own)::
+
+    python3 benchmarks/sample_stacks.py --workload fleet_replay --ops --rounds 2
+
 Run from the repository root (Unix only; the sampler acts on its own
 process)::
 
@@ -33,14 +44,16 @@ It imports ``perfbench`` (and through it the ``repro`` package under
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import signal
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 from types import CodeType
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("plan_search", "fleet_replay", "online_replan")
@@ -81,6 +94,118 @@ class StackSampler:
     def __exit__(self, *exc_info) -> None:
         signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
         signal.signal(signal.SIGPROF, self._previous)
+
+
+class GCRecorder:
+    """Count garbage collections per generation, and their wall seconds,
+    from ``gc.callbacks`` while the recorder is active (a context manager)."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started = None
+
+    def _callback(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            generation = info["generation"]
+            self.collections[generation] += 1
+            self.seconds[generation] += time.perf_counter() - self._started
+            self._started = None
+
+    def __enter__(self) -> "GCRecorder":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self._callback)
+
+
+class OpRecord(NamedTuple):
+    """One timed operation: its name, wall seconds and the collections
+    (per generation) and GC seconds inside it."""
+
+    name: str
+    wall_s: float
+    collections: Tuple[int, int, int]
+    gc_s: float
+
+
+class OpSampler:
+    """Sample stacks and record GC only while an operation runs."""
+
+    def __init__(self, interval: float = 0.001) -> None:
+        self.sampler = StackSampler(interval)
+        self.records: List[OpRecord] = []
+
+    @property
+    def stacks(self) -> Counter:
+        return self.sampler.stacks
+
+    def run(self, name: str, fn: Callable, *args: Any, **kwargs: Any) -> Any:
+        recorder = GCRecorder()
+        started = time.perf_counter()
+        with recorder, self.sampler:
+            result = fn(*args, **kwargs)
+        self.records.append(OpRecord(
+            name, time.perf_counter() - started, tuple(recorder.collections),
+            sum(recorder.seconds),
+        ))
+        return result
+
+
+def op_clock(base: type, ops: OpSampler) -> type:
+    """A subclass of the clock class ``base`` (perfbench's ``Clock``) whose
+    ``measure`` runs the operation itself through ``ops``; whatever ``base``
+    does around the operation, calibration included, is not sampled.  An
+    operation is named by the callable's qualified name, with
+    ``" (first)"`` for its first operation of that name on the clock."""
+
+    class OpClock(base):
+        def measure(self, fn: Callable, *args: Any, **kwargs: Any):
+            name = getattr(fn, "__qualname__", repr(fn))
+            seen = self.__dict__.setdefault("_names_seen", set())
+            label = name if name in seen else f"{name} (first)"
+            seen.add(name)
+            return super().measure(lambda *a, **k: ops.run(label, fn, *a, **k), *args, **kwargs)
+
+    return OpClock
+
+
+def gc_rows(records: List[OpRecord]) -> List[Tuple[str, int, float, Tuple[float, ...], float, float]]:
+    """Per operation name, in order of first appearance: ``(name, n_ops,
+    mean wall s, mean collections per generation, mean GC s, max GC s)``."""
+    groups: Dict[str, List[OpRecord]] = {}
+    for record in records:
+        groups.setdefault(record.name, []).append(record)
+    rows = []
+    for name, group in groups.items():
+        n = len(group)
+        rows.append((
+            name,
+            n,
+            sum(r.wall_s for r in group) / n,
+            tuple(sum(r.collections[g] for r in group) / n for g in range(3)),
+            sum(r.gc_s for r in group) / n,
+            max(r.gc_s for r in group),
+        ))
+    return rows
+
+
+def format_gc_rows(records: List[OpRecord]) -> str:
+    lines = [
+        f"GC inside {len(records)} timed operations (per operation means; from gc.callbacks)",
+        f"{'ops':>5} {'wall_ms':>9} {'gen0':>6} {'gen1':>6} {'gen2':>6} "
+        f"{'gc_ms':>7} {'max_gc_ms':>9}  operation",
+    ]
+    for name, n, wall_s, collections, gc_s, max_gc_s in gc_rows(records):
+        gen0, gen1, gen2 = collections
+        lines.append(
+            f"{n:5d} {wall_s * 1e3:9.2f} {gen0:6.2f} {gen1:6.2f} {gen2:6.2f} "
+            f"{gc_s * 1e3:7.2f} {max_gc_s * 1e3:9.2f}  {name}"
+        )
+    return "\n".join(lines)
 
 
 def label(code: CodeType) -> str:
@@ -170,6 +295,9 @@ def main(argv=None) -> int:
     parser.add_argument("--callers", metavar="PATTERN",
                         help="print the immediate callers of the samples whose "
                              "innermost function matches this regular expression")
+    parser.add_argument("--ops", action="store_true",
+                        help="sample only inside the timed operations (calibrated "
+                             "clock, as perfbench) and print GC per operation")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
@@ -183,16 +311,26 @@ def main(argv=None) -> int:
     from perfbench.clock import Clock
     from perfbench.workloads import make_workload
 
+    ops = OpSampler(args.interval) if args.ops else None
     with tempfile.TemporaryDirectory() as tmp:
         workload = make_workload(args.workload, args.seed, tmp)
         workload.setup()
-
-        def rounds() -> None:
+        if ops is not None:
+            clock = op_clock(Clock, ops)
             for _ in range(args.rounds):
-                workload.run_round(Clock(calibrated=False))
+                workload.run_round(clock())
+            stacks = ops.stacks
+        else:
 
-        stacks = sample(rounds, args.interval)
+            def rounds() -> None:
+                for _ in range(args.rounds):
+                    workload.run_round(Clock(calibrated=False))
+
+            stacks = sample(rounds, args.interval)
     n_samples = sum(stacks.values())
+    if ops is not None:
+        print(format_gc_rows(ops.records))
+        print()
     if args.callers is not None:
         matched, rows = callers(stacks, args.callers)
         print(format_callers(args.callers, matched, rows, n_samples, args.top))

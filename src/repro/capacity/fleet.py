@@ -188,13 +188,17 @@ def generate_fleet_trace(config: FleetTraceConfig = FleetTraceConfig()) -> List[
     return jobs
 
 
-def fleet_scheduler_config(counter_interval_s: float = 600.0) -> SchedulerConfig:
+FLEET_COUNTER_INTERVAL_S = 600.0
+"""Virtual seconds between counter-track samples of a fleet replay."""
+
+
+def fleet_scheduler_config() -> SchedulerConfig:
     """Scheduler preset for fleet-scale replay.
 
     A default :class:`SchedulerConfig` with the fleet knobs applied:
     per-decision timeline off (no unbounded in-memory lists, no
     per-decision logging), counter tracks throttled to one sample per
-    ``counter_interval_s`` of virtual time, the (job type, shape) candidate
+    :data:`FLEET_COUNTER_INTERVAL_S` of virtual time, the (job type, shape) candidate
     memo on, tight search budgets, and elasticity off — a fleet replay asks
     capacity questions, where opportunistic per-job growth mostly adds
     re-planning churn to every dispatch.
@@ -203,6 +207,6 @@ def fleet_scheduler_config(counter_interval_s: float = 600.0) -> SchedulerConfig
         search=SearchConfig(max_iterations=60, time_budget_s=0.25, record_history=False),
         elastic=False,
         timeline=False,
-        counter_interval_s=counter_interval_s,
+        counter_interval_s=FLEET_COUNTER_INTERVAL_S,
         memoize_candidates=True,
     )

@@ -7,6 +7,12 @@ fix the processing order of simultaneous events (e.g. the scheduler
 processes capacity changes before arrivals before completions at the same
 timestamp) and a ``kind`` tag that their handler dispatches on.
 
+An :class:`Event` *is* its heap key: a ``list`` subclass whose three items
+are ``[time, priority, seq]``, with the rest of the record in slots.  The
+heap therefore compares entries with ``list``'s own C comparison (``seq`` is
+unique, so it never looks past the key), holding one object per event and
+running no Python ``__lt__``.
+
 :meth:`SimKernel.run` is the one way to drain the queue.  It drains
 timestamps: after *all* events sharing the earliest timestamp have been
 handled, an optional ``on_timestamp_drained`` hook runs — which is where the
@@ -29,25 +35,25 @@ from ..obs.metrics import get_registry
 __all__ = ["Event", "SimKernel"]
 
 
-class Event:
-    """One scheduled occurrence in virtual time."""
+class Event(list):
+    """One scheduled occurrence in virtual time.
 
-    __slots__ = ("time", "priority", "seq", "kind", "payload", "cancelled")
+    The list items are the heap key ``[time, priority, seq]``; ``time`` is
+    also a slot, since handlers read it.  Events compare as lists, by key.
+    """
+
+    __slots__ = ("time", "kind", "payload", "cancelled")
 
     def __init__(self, time: float, priority: int, seq: int, kind: str, payload: object) -> None:
+        self.extend((time, priority, seq))
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.kind = kind
         self.payload = payload
         self.cancelled = False
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.4f}, {self.kind!r}, prio={self.priority}{flag})"
+        return f"Event(t={self.time:.4f}, {self.kind!r}, prio={self[1]}{flag})"
 
 
 class SimKernel:

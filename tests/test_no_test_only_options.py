@@ -74,7 +74,6 @@ ALLOWED: Dict[str, str] = {
     "obs/metrics.py:MetricsRegistry.histogram":
         "instrument API: bucket and quantile choice",
     # One value outside the tests today; ROADMAP lists them for a later pass.
-    "capacity/fleet.py:fleet_scheduler_config(counter_interval_s)": "later removal pass",
     "core/api.py:build_graph_from_defs(name)": "later removal pass",
     "experiments/ablation.py:figure2_opportunity(prune)": "later removal pass",
     "experiments/ablation.py:progressive_optimization(prune)": "later removal pass",

@@ -107,3 +107,59 @@ def test_main_rejects_a_malformed_callers_pattern(capsys):
         sample_stacks.main(["--workload", "plan_search", "--callers", "("])
     assert exc.value.code == 2
     assert "--callers" in capsys.readouterr().err
+
+
+_CLOCK_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "clock.py"
+_clock_spec = importlib.util.spec_from_file_location("perfbench_clock", _CLOCK_PATH)
+perfbench_clock = importlib.util.module_from_spec(_clock_spec)
+_clock_spec.loader.exec_module(perfbench_clock)
+
+
+def churn():
+    """A tiny operation that makes garbage cycles until a few collections ran."""
+    import gc
+
+    before = gc.get_stats()[0]["collections"]
+    while gc.get_stats()[0]["collections"] < before + 3:
+        node = []
+        node.append(node)
+    return inner()
+
+
+def test_ops_clock_samples_and_counts_gc_inside_operations_only():
+    import gc
+
+    callbacks = list(gc.callbacks)
+    ops = sample_stacks.OpSampler(interval=0.002)
+    clock = sample_stacks.op_clock(perfbench_clock.Clock, ops)()
+    assert clock.calibrated  # calibrated, as perfbench times operations
+    result, seconds = clock.measure(churn)
+    assert result > 0 and seconds > 0
+    clock.measure(churn)
+    gc.collect()  # outside any operation: not recorded
+    # Calibration ran around each operation but none of it was sampled.
+    labels = {sample_stacks.label(code) for stack in ops.stacks for code in stack}
+    assert _label(inner) in labels
+    assert not any(name.endswith(("calibrate", "_reference_loop")) for name in labels)
+    assert [r.name for r in ops.records] == ["churn (first)", "churn"]
+    for record in ops.records:
+        assert record.collections[0] >= 3
+        assert record.wall_s >= 0.1 and record.gc_s > 0
+    rows = sample_stacks.gc_rows(ops.records)
+    assert [(name, n) for name, n, *_ in rows] == [("churn (first)", 1), ("churn", 1)]
+    text = sample_stacks.format_gc_rows(ops.records)
+    assert text.splitlines()[0].startswith("GC inside 2 timed operations")
+    assert text.splitlines()[-1].endswith("  churn")
+    # The recorder leaves gc.callbacks as it found it.
+    assert gc.callbacks == callbacks
+
+
+def test_gc_recorder_counts_each_generation_while_active():
+    import gc
+
+    with sample_stacks.GCRecorder() as recorder:
+        gc.collect(0)
+        gc.collect(2)
+    gc.collect(1)
+    assert recorder.collections == [1, 0, 1]
+    assert all(seconds >= 0 for seconds in recorder.seconds)

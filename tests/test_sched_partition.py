@@ -161,27 +161,36 @@ class TestPartitionManager:
 
 
 class TestMaskEquivalence:
-    """The bitmask queries must match brute-force enumerate-and-filter.
+    """The free-space index must match brute-force enumerate-and-filter.
 
     ``_reference`` enumerates every device mesh and keeps those inside a free
     set the test tracks on its own.  Randomized allocate/release/fail/restore
-    walks, allocating placements the reference picks, then check
-    ``distinct_shapes`` against the reference's first placement of each
-    shape, and ``is_free`` (on every mesh) and ``n_free`` against the
-    tracked free set.
+    walks, allocating placements the reference picks, check after *every*
+    step ``distinct_shapes`` (under random bounds and ``extra_free``
+    hypotheses, some overlapping failed GPUs) against the reference's first
+    placement of each shape, and ``is_free`` (on every mesh) and ``n_free``
+    against the tracked free set.  Clusters have 4- or 8-GPU nodes, and one
+    has more than 64 nodes, so its node bitsets span several machine words.
     """
 
     @staticmethod
-    def _reference(cluster, free, min_gpus=1, max_gpus=None):
+    def _meshes(cluster):
+        """Every mesh of ``cluster`` with its GPU set, computed once per walk."""
+        return [(mesh, mesh.device_id_set) for mesh in enumerate_device_meshes(cluster)]
+
+    @staticmethod
+    def _reference(cluster, free, min_gpus=1, max_gpus=None, meshes=None):
         """Valid meshes inside ``free``, smallest first, then by location."""
         limit = cluster.n_gpus if max_gpus is None else min(max_gpus, cluster.n_gpus)
-        meshes = [
+        if meshes is None:
+            meshes = TestMaskEquivalence._meshes(cluster)
+        inside = [
             mesh
-            for mesh in enumerate_device_meshes(cluster, min_gpus=max(1, min_gpus))
-            if mesh.n_gpus <= limit and mesh.device_id_set <= free
+            for mesh, ids in meshes
+            if max(1, min_gpus) <= mesh.n_gpus <= limit and ids <= free
         ]
-        meshes.sort(key=lambda m: (m.n_gpus, m.node_start, m.gpu_start))
-        return meshes
+        inside.sort(key=lambda m: (m.n_gpus, m.node_start, m.gpu_start))
+        return inside
 
     @staticmethod
     def _observed(meshes):
@@ -194,11 +203,15 @@ class TestMaskEquivalence:
             first.setdefault(mesh.shape, mesh)
         return cls._observed(first.values())
 
-    @staticmethod
-    def _walk(rng, manager, n_nodes, n_steps):
-        """A random mutation walk over the manager's API; returns the owners'
-        partitions and the free set tracked alongside."""
+    @classmethod
+    def _walk(cls, rng, manager, n_steps, meshes):
+        """A random mutation walk over the manager's API.
+
+        Yields ``(owners, free, failed_nodes)`` after every step: the owners'
+        partitions, and the free set and failed nodes tracked alongside.
+        """
         cluster = manager.cluster
+        n_nodes = cluster.n_nodes
         free = set(range(cluster.n_gpus))
         owners = {}
         failed_nodes = set()
@@ -206,7 +219,7 @@ class TestMaskEquivalence:
         for step in range(n_steps):
             move = rng.random()
             if move < 0.45:
-                options = TestMaskEquivalence._reference(cluster, free)
+                options = cls._reference(cluster, free, meshes=meshes)
                 if options:
                     partition = Partition(rng.choice(options))
                     owner = 1000 + step
@@ -229,41 +242,78 @@ class TestMaskEquivalence:
                 manager.restore_node(node)
                 held = set().union(*(p.device_id_set for p in owners.values()))
                 free |= set(range(node * gpn, (node + 1) * gpn)) - held
-        return owners, free
+            yield owners, free, failed_nodes
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        n_nodes=st.integers(min_value=1, max_value=5),
-        seed=st.integers(min_value=0, max_value=10_000),
-        min_gpus=st.integers(min_value=1, max_value=24),
-        use_inf=st.booleans(),
-    )
-    def test_candidates_match_brute_force_under_mutations(
-        self, n_nodes, seed, min_gpus, use_inf
-    ):
-        import random
+    @staticmethod
+    def _extra_free(rng, cluster, owners, failed_nodes):
+        """A hypothetical ``extra_free`` set: nothing, an owner's GPUs, a
+        failed node's GPUs with or without an owner's, or random GPUs."""
+        gpn = cluster.gpus_per_node
+        extra = set()
+        kind = rng.randrange(4)
+        if kind in (1, 2) and owners:
+            extra |= owners[rng.choice(sorted(owners))].device_id_set
+        if kind == 2 and failed_nodes:
+            node = rng.choice(sorted(failed_nodes))
+            extra |= set(range(node * gpn, (node + 1) * gpn))
+        if kind == 3:
+            extra |= set(rng.sample(range(cluster.n_gpus), rng.randint(1, cluster.n_gpus)))
+        return frozenset(extra)
 
-        rng = random.Random(seed)
-        manager = PartitionManager(make_cluster(n_nodes * 8))
-        owners, free = self._walk(rng, manager, n_nodes, rng.randint(0, 6))
+    @classmethod
+    def _check(cls, rng, manager, owners, free, failed_nodes, meshes):
+        cluster = manager.cluster
+        gpn = cluster.gpus_per_node
         assert manager.n_free == len(free)
-        for mesh in enumerate_device_meshes(manager.cluster):
-            assert manager.is_free(Partition(mesh)) == (mesh.device_id_set <= free)
-
-        max_gpus = float("inf") if use_inf else rng.choice((8, 16, 24, None))
-        extra = frozenset()
-        if owners and rng.random() < 0.5:
-            extra = next(iter(owners.values())).device_id_set
-        observed = self._observed(
+        for mesh, ids in meshes:
+            assert manager.is_free(Partition(mesh)) == (ids <= free)
+        min_gpus = rng.randint(1, 3 * gpn)
+        max_gpus = rng.choice((gpn // 2, gpn, 2 * gpn, 3 * gpn, None, float("inf")))
+        extra = cls._extra_free(rng, cluster, owners, failed_nodes)
+        observed = cls._observed(
             p.region
             for p in manager.distinct_shapes(
                 min_gpus=min_gpus, max_gpus=max_gpus, extra_free=extra
             )
         )
-        expected = self._first_per_shape(
-            self._reference(manager.cluster, free | extra, min_gpus, max_gpus)
+        expected = cls._first_per_shape(
+            cls._reference(cluster, free | extra, min_gpus, max_gpus, meshes)
         )
         assert observed == expected
+        # The hypothesis leaves the manager's own answers untouched.
+        assert manager.n_free == len(free)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n_nodes=st.integers(min_value=1, max_value=5),
+        gpus_per_node=st.sampled_from((4, 8)),
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_steps=st.integers(min_value=0, max_value=40),
+    )
+    def test_candidates_match_brute_force_under_mutations(
+        self, n_nodes, gpus_per_node, seed, n_steps
+    ):
+        import random
+
+        rng = random.Random(seed)
+        manager = PartitionManager(make_cluster(n_nodes * gpus_per_node, gpus_per_node))
+        meshes = self._meshes(manager.cluster)
+        self._check(rng, manager, {}, set(range(manager.cluster.n_gpus)), set(), meshes)
+        for owners, free, failed_nodes in self._walk(rng, manager, n_steps, meshes):
+            self._check(rng, manager, owners, free, failed_nodes, meshes)
+
+    @pytest.mark.parametrize("gpus_per_node", [4, 8])
+    def test_index_spanning_several_machine_words(self, gpus_per_node):
+        import random
+
+        rng = random.Random(20 + gpus_per_node)
+        manager = PartitionManager(make_cluster(70 * gpus_per_node, gpus_per_node))
+        meshes = self._meshes(manager.cluster)
+        n_high = 0
+        for owners, free, failed_nodes in self._walk(rng, manager, 60, meshes):
+            self._check(rng, manager, owners, free, failed_nodes, meshes)
+            n_high += any(p.region.node_start + p.region.n_nodes > 64 for p in owners.values())
+        assert n_high  # the walk did use nodes past the first 64-bit word
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -109,6 +109,26 @@ class TestSimKernel:
         kernel.run(handler)
         assert ticks == [0.0, 1.0, 2.0, 3.0]
 
+    def test_equal_keys_pop_in_insertion_order_around_cancellations(self):
+        import random
+
+        rng = random.Random(5)
+        kernel = SimKernel()
+        # Many events share each (time, priority); payloads are unhashable
+        # and unorderable, so nothing but the key may break a tie.
+        events = [
+            kernel.schedule(float(i % 3), "e", payload=[i], priority=i % 2)
+            for i in range(600)
+        ]
+        cancelled = set(rng.sample(range(600), 200))
+        for i in cancelled:
+            kernel.cancel(events[i])
+        seen = []
+        kernel.run(lambda event: seen.append(event.payload[0]))
+        kept = [i for i in range(600) if i not in cancelled]
+        assert seen == sorted(kept, key=lambda i: (i % 3, i % 2, i))
+        assert kernel.n_processed == 400
+
 
 class TestResourceTimeline:
     def test_occupy_and_categories(self):
