@@ -97,7 +97,6 @@ class BaselineSystem(ABC):
         graph: DataflowGraph,
         workload: RLHFWorkload,
         cluster: ClusterSpec,
-        n_iterations: int = 1,
     ) -> SystemEvaluation:
         """Build the plan and measure its throughput on the simulated cluster.
 
@@ -122,7 +121,7 @@ class BaselineSystem(ABC):
                 failure_reason=f"peak memory {mem:.0f} GB exceeds device capacity",
             )
         engine = RuntimeEngine(run_cluster, workload, use_cuda_graph=self.uses_cuda_graph())
-        throughput = engine.measure_throughput(graph, plan, n_iterations=n_iterations)
+        throughput = engine.measure_throughput(graph, plan)
         return SystemEvaluation(
             system=self.name, feasible=True, throughput=throughput, plan=plan
         )

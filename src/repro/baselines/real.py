@@ -8,20 +8,15 @@ best plan found within the configured budget.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..cluster.hardware import ClusterSpec
 from ..core.dataflow import DataflowGraph
 from ..core.plan import ExecutionPlan
-from ..core.pruning import PruneConfig
 from ..core.search import MCMCSearcher, SearchConfig, SearchResult
 from ..core.workload import RLHFWorkload
 from .base import BaselineSystem
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
-    from ..service.server import PlanService
 
 __all__ = ["RealSystem"]
 
@@ -30,19 +25,13 @@ __all__ = ["RealSystem"]
 class RealSystem(BaselineSystem):
     """ReaL: parameter reallocation with an MCMC-searched execution plan.
 
-    When ``plan_service`` is set, plan searches are routed through the
-    planning service: repeated evaluations of the same setting become cache
-    hits, and new settings of the same model family are warm-started from
-    previously searched plans.  The Megatron heuristic seed is passed along
-    through the search config's ``initial_plan`` hook so the service path
-    starts from the same candidates as the direct path.
+    The search starts from the best of its greedy plan and the Megatron
+    heuristic plan (when that fits).
     """
 
     search_config: SearchConfig = field(default_factory=SearchConfig)
-    prune_config: PruneConfig = field(default_factory=PruneConfig)
     name: str = "ReaL"
     last_result: Optional[SearchResult] = None
-    plan_service: Optional["PlanService"] = None
 
     def build_plan(
         self, graph: DataflowGraph, workload: RLHFWorkload, cluster: ClusterSpec
@@ -55,28 +44,10 @@ class RealSystem(BaselineSystem):
             seed_plans.append(build_heuristic_plan(graph, workload, cluster))
         except InfeasiblePlanError:
             pass  # the search simply starts from the greedy plan
-        if self.plan_service is not None:
-            from ..service.server import PlanRequest  # local import avoids a cycle
-
-            search = self.search_config
-            if seed_plans:
-                search = dataclasses.replace(search, initial_plan=seed_plans[0])
-            response = self.plan_service.plan(
-                PlanRequest(
-                    graph=graph,
-                    workload=workload,
-                    cluster=cluster,
-                    search=search,
-                    prune=self.prune_config,
-                )
-            )
-            self.last_result = response.result
-            return response.plan
         searcher = MCMCSearcher(
             graph=graph,
             workload=workload,
             cluster=cluster,
-            prune=self.prune_config,
             config=self.search_config,
             seed_plans=seed_plans,
         )

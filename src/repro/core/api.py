@@ -85,7 +85,6 @@ def _parse_model_type(model_type: str) -> ModelConfig:
 def build_graph_from_defs(
     defs: Sequence[ModelFunctionCallDef],
     external_inputs: Sequence[str] = ("prompts",),
-    name: str = "custom",
 ) -> Tuple[DataflowGraph, Dict[str, ModelConfig]]:
     """Build a dataflow graph and model-config map from call definitions."""
     calls: List[ModelFunctionCall] = []
@@ -110,7 +109,7 @@ def build_graph_from_defs(
                     f"({existing.name} vs {config.name})"
                 )
             configs[call_def.model_name] = config
-    graph = DataflowGraph(calls=calls, external_inputs=tuple(external_inputs), name=name)
+    graph = DataflowGraph(calls=calls, external_inputs=tuple(external_inputs), name="custom")
     missing = set(graph.model_names()) - set(configs)
     if missing:
         raise ValueError(f"no model_type declared for models: {sorted(missing)}")

@@ -41,9 +41,10 @@ class PruneConfig:
         Discard allocations whose static + parameter memory already exceeds
         the device capacity (cheap necessary condition for feasibility).
     microbatch_choices:
-        Allowed numbers of micro-batches.
+        Allowed numbers of micro-batches (non-empty, each >= 1).
     min_mesh_gpus / max_mesh_gpus:
-        Restrict the size of candidate device meshes (1 = no restriction).
+        Restrict the size of candidate device meshes (each >= 1; a minimum
+        of 1 and a maximum of ``None`` mean no restriction).
     mesh_stride:
         Keep only every ``mesh_stride``-th mesh of each size class; a crude
         way to emulate coarser pruning levels for the Figure 14 ablation.
@@ -62,6 +63,21 @@ class PruneConfig:
     """Sub-node meshes (fractions of one host) are only considered on clusters
     of at most this many GPUs; on larger clusters a per-call mesh smaller than
     one node is never worthwhile and only inflates the search space."""
+
+    def __post_init__(self) -> None:
+        # A bad bound would otherwise read as "no restriction", and a bad
+        # micro-batch choice fail only deep in option enumeration.
+        if not self.microbatch_choices or min(self.microbatch_choices) < 1:
+            raise ValueError(
+                f"microbatch_choices must be non-empty and all >= 1, "
+                f"got {self.microbatch_choices!r}"
+            )
+        if self.min_mesh_gpus < 1:
+            raise ValueError(f"min_mesh_gpus must be >= 1, got {self.min_mesh_gpus}")
+        if self.max_mesh_gpus is not None and self.max_mesh_gpus < 1:
+            raise ValueError(f"max_mesh_gpus must be >= 1 or None, got {self.max_mesh_gpus}")
+        if self.mesh_stride < 1:
+            raise ValueError(f"mesh_stride must be >= 1, got {self.mesh_stride}")
 
 
 def _is_power_of_two(n: int) -> bool:

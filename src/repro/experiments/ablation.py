@@ -23,7 +23,7 @@ from ..baselines.heuristic import build_heuristic_plan
 from ..cluster.hardware import ClusterSpec
 from ..core.dataflow import DataflowGraph, FunctionCallType
 from ..core.plan import ExecutionPlan
-from ..core.pruning import PruneConfig, allocation_options
+from ..core.pruning import allocation_options
 from ..core.search import MCMCSearcher, SearchConfig
 from ..core.workload import RLHFWorkload
 from ..runtime.engine import RuntimeEngine
@@ -49,10 +49,9 @@ def _constrained_search(
     base_plan: ExecutionPlan,
     free_calls: Sequence[str],
     search_config: SearchConfig,
-    prune: PruneConfig = PruneConfig(),
 ) -> ExecutionPlan:
     """Search over plans where only ``free_calls`` may deviate from ``base_plan``."""
-    options = allocation_options(graph, workload, cluster, prune)
+    options = allocation_options(graph, workload, cluster)
     for call_name in graph.call_names:
         if call_name not in free_calls:
             options[call_name] = [base_plan[call_name]]
@@ -91,7 +90,6 @@ def progressive_optimization(
     workload: RLHFWorkload,
     cluster: ClusterSpec,
     search_config: Optional[SearchConfig] = None,
-    prune: PruneConfig = PruneConfig(),
 ) -> List[OptimizationLevel]:
     """The Figure 9 ladder, from the heuristic to the full ReaL plan.
 
@@ -117,11 +115,11 @@ def progressive_optimization(
         _measure(graph, workload, cluster, heuristic, "+ CUDAGraph generation", True),
     ]
     plan_gen = _constrained_search(
-        graph, workload, cluster, heuristic, generation_calls, search_config, prune
+        graph, workload, cluster, heuristic, generation_calls, search_config
     )
     levels.append(_measure(graph, workload, cluster, plan_gen, "+ generation parallelization", True))
     plan_train = _constrained_search(
-        graph, workload, cluster, plan_gen, generation_calls + training_calls, search_config, prune
+        graph, workload, cluster, plan_gen, generation_calls + training_calls, search_config
     )
     levels.append(
         _measure(graph, workload, cluster, plan_train, "+ training parallelization & concurrency", True)
@@ -133,7 +131,6 @@ def progressive_optimization(
         plan_train,
         generation_calls + training_calls + inference_calls,
         search_config,
-        prune,
     )
     levels.append(
         _measure(graph, workload, cluster, plan_full, "+ inference parallelization & concurrency", True)
@@ -146,7 +143,6 @@ def figure2_opportunity(
     workload: RLHFWorkload,
     cluster: ClusterSpec,
     search_config: Optional[SearchConfig] = None,
-    prune: PruneConfig = PruneConfig(),
 ) -> List[OptimizationLevel]:
     """The Figure 2 ladder: +Opt.Inf, +Critic reallocation, +Actor reallocation."""
     search_config = search_config or SearchConfig(max_iterations=1500, time_budget_s=3600.0)
@@ -160,11 +156,11 @@ def figure2_opportunity(
 
     levels = [_measure(graph, workload, cluster, heuristic, "3D parallelism (heuristic)", True)]
     plan_inf = _constrained_search(
-        graph, workload, cluster, heuristic, inference_calls, search_config, prune
+        graph, workload, cluster, heuristic, inference_calls, search_config
     )
     levels.append(_measure(graph, workload, cluster, plan_inf, "+ Opt. Inf.", True))
     plan_critic = _constrained_search(
-        graph, workload, cluster, plan_inf, inference_calls + critic_calls, search_config, prune
+        graph, workload, cluster, plan_inf, inference_calls + critic_calls, search_config
     )
     levels.append(_measure(graph, workload, cluster, plan_critic, "+ Critic Realloc.", True))
     plan_actor = _constrained_search(
@@ -174,7 +170,6 @@ def figure2_opportunity(
         plan_critic,
         inference_calls + critic_calls + actor_calls,
         search_config,
-        prune,
     )
     levels.append(_measure(graph, workload, cluster, plan_actor, "+ Actor Realloc.", True))
     return levels

@@ -35,7 +35,7 @@ __all__ = [
     "run_scheduler_comparison",
 ]
 
-def default_search_config(seed: int = 0) -> SearchConfig:
+def default_search_config() -> SearchConfig:
     """Search budget used by the benchmark harness.
 
     Benchmarks must finish in CI-friendly time, so the default budget is a few
@@ -48,7 +48,6 @@ def default_search_config(seed: int = 0) -> SearchConfig:
     return SearchConfig(
         max_iterations=int(3000 * scale),
         time_budget_s=3600.0 * scale,
-        seed=seed,
     )
 
 
@@ -64,16 +63,12 @@ def default_systems() -> List[BaselineSystem]:
     ]
 
 
-def evaluate_setting(
-    setting: ExperimentSetting,
-    system: BaselineSystem,
-    n_iterations: int = 1,
-) -> ThroughputRecord:
+def evaluate_setting(setting: ExperimentSetting, system: BaselineSystem) -> ThroughputRecord:
     """Evaluate one system on one setting and return a throughput record."""
     graph = setting.graph()
     workload = setting.workload()
     cluster = setting.cluster()
-    evaluation = system.evaluate(graph, workload, cluster, n_iterations=n_iterations)
+    evaluation = system.evaluate(graph, workload, cluster)
     extra: Dict[str, float] = {}
     if evaluation.feasible and evaluation.plan is not None:
         estimator = RuntimeEstimator(graph, workload, cluster)
@@ -94,47 +89,17 @@ def evaluate_setting(
 def run_comparison(
     settings: Sequence[ExperimentSetting],
     systems: Optional[Sequence[BaselineSystem]] = None,
-    plan_service: Optional[PlanService] = None,
 ) -> List[ThroughputRecord]:
-    """Evaluate every system on every setting (the Figure 7 grid).
-
-    When ``plan_service`` is given, every searching system (ReaL) routes its
-    plan searches through the shared service for the duration of the grid,
-    so the whole grid reuses one plan cache: repeated settings are cache
-    hits and related settings warm-start each other instead of cold-starting
-    the MCMC chain per cell.  Each system's own ``plan_service`` attribute
-    is restored afterwards, so callers keep control of their systems'
-    routing outside this comparison.
-    """
+    """Evaluate every system on every setting (the Figure 7 grid)."""
     systems = list(systems) if systems is not None else default_systems()
-    routed = [system for system in systems if hasattr(system, "plan_service")]
-    previous = {id(system): system.plan_service for system in routed}
-    if plan_service is not None:
-        for system in routed:
-            system.plan_service = plan_service
-    try:
-        records: List[ThroughputRecord] = []
-        for setting in settings:
-            for system in systems:
-                records.append(evaluate_setting(setting, system))
-        return records
-    finally:
-        if plan_service is not None:
-            for system in routed:
-                system.plan_service = previous[id(system)]
+    return [evaluate_setting(setting, system) for setting in settings for system in systems]
 
 
-def run_heuristic_comparison(
-    settings: Sequence[ExperimentSetting],
-    seed: int = 0,
-    plan_service: Optional[PlanService] = None,
-) -> List[ThroughputRecord]:
+def run_heuristic_comparison(settings: Sequence[ExperimentSetting]) -> List[ThroughputRecord]:
     """ReaL vs ReaL-Heuristic only (Figures 8 and 16)."""
-    systems: List[BaselineSystem] = [
-        RealHeuristicSystem(),
-        RealSystem(search_config=default_search_config(seed)),
-    ]
-    return run_comparison(settings, systems, plan_service=plan_service)
+    return run_comparison(
+        settings, [RealHeuristicSystem(), RealSystem(search_config=default_search_config())]
+    )
 
 
 def run_scheduler_comparison(

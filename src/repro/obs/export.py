@@ -153,22 +153,21 @@ def record_counter_tracks(
     recorder: Any,
     process: str,
     samples: Sequence[Tuple[float, Mapping[str, float]]],
-    category: str = "metrics",
 ) -> int:
     """Emit time-series samples as Chrome-trace counter tracks.
 
     ``samples`` is a chronological list of ``(time_seconds, {track: value})``
     mappings; every distinct track name becomes its own counter track in the
-    Perfetto/chrome://tracing UI (grouped under ``process``).  Returns the
-    number of counter events emitted.  ``recorder`` is a
-    :class:`~repro.sim.trace.TraceRecorder` (kept duck-typed so this module
-    never imports the simulator).
+    Perfetto/chrome://tracing UI (grouped under ``process``, category
+    ``metrics``).  Returns the number of counter events emitted.
+    ``recorder`` is a :class:`~repro.sim.trace.TraceRecorder` (kept
+    duck-typed so this module never imports the simulator).
     """
     emitted = 0
     for time_s, values in samples:
         for track, value in values.items():
             recorder.add_counter(
-                process, track, time_s, {track: float(value)}, category=category
+                process, track, time_s, {track: float(value)}, category="metrics"
             )
             emitted += 1
     return emitted

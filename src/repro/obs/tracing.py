@@ -222,26 +222,22 @@ class Tracer:
             skip = max(0, since - (self._n_records - len(self._records)))
             return list(itertools.islice(self._records, skip, None))
 
-    def record_chrome(
-        self,
-        recorder: Any,
-        since: int = 0,
-        process: str = "planning",
-    ) -> int:
+    def record_chrome(self, recorder: Any, since: int = 0) -> int:
         """Merge the span tree into a Chrome-trace recorder; returns #spans.
 
-        Spans become async events (``ph: "b"``/``"e"``) on a ``process``
-        whose threads are the span categories, rebased so the earliest span
-        starts at zero.  Every
-        parent→child edge within the exported set additionally gets a flow
-        arrow (``ph: "s"`` at the parent's begin → ``ph: "f"`` at the
-        child's begin), which Perfetto renders as the causal arrows between
-        tracks.  ``recorder`` is a :class:`~repro.sim.trace.TraceRecorder`
-        (duck-typed — this module never imports the simulator).
+        Spans become async events (``ph: "b"``/``"e"``) on the ``planning``
+        process, whose threads are the span categories, rebased so the
+        earliest span starts at zero.  Every parent→child edge within the
+        exported set additionally gets a flow arrow (``ph: "s"`` at the
+        parent's begin → ``ph: "f"`` at the child's begin), which Perfetto
+        renders as the causal arrows between tracks.  ``recorder`` is a
+        :class:`~repro.sim.trace.TraceRecorder` (duck-typed — this module
+        never imports the simulator).
         """
         records = self.records(since)
         if not records:
             return 0
+        process = "planning"
         epoch = min(r.start_s for r in records)
         by_id = {r.context.span_id: r for r in records}
         for record in records:
@@ -274,7 +270,6 @@ class Tracer:
                 record.category or "spans",
                 record.start_s - epoch,
                 id=record.context.span_id,
-                name="causal",
             )
         return len(records)
 

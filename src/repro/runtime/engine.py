@@ -95,40 +95,29 @@ class IterationTrace:
     # ------------------------------------------------------------------ #
     # Unified trace export
     # ------------------------------------------------------------------ #
-    def record_chrome(
-        self,
-        recorder: TraceRecorder,
-        process: str = "runtime engine",
-        offset_s: float = 0.0,
-    ) -> None:
-        """Emit this iteration's spans into a shared :class:`TraceRecorder`.
+    def export_chrome_trace(self, path: str) -> str:
+        """Write this iteration as a Chrome-trace JSON file; returns the path.
 
-        Per-GPU busy spans land on one thread row per GPU and call-level
-        spans on a ``calls`` overview row; ``offset_s`` shifts the whole
-        iteration (used when embedding iterations into a cluster schedule).
+        Call-level spans land on a ``calls`` overview row and per-GPU busy
+        spans on one thread row per GPU, all under ``runtime engine``.
         """
+        recorder = TraceRecorder()
+        process = "runtime engine"
         for name, (start, end) in sorted(self.call_spans.items()):
-            recorder.add_span(process, "calls", name, start + offset_s, end + offset_s,
-                              category="call")
+            recorder.add_span(process, "calls", name, start, end, category="call")
         for gpu_id in sorted(self.gpu_spans):
             thread = f"gpu {gpu_id}"
             for span in self.gpu_spans[gpu_id]:
-                recorder.add_trace_span(process, thread, span, offset_s=offset_s)
-
-    def export_chrome_trace(self, path: str, process: str = "runtime engine") -> str:
-        """Write this iteration as a Chrome-trace JSON file; returns the path."""
-        recorder = TraceRecorder()
-        self.record_chrome(recorder, process=process)
+                recorder.add_trace_span(process, thread, span)
         return str(recorder.save(path))
 
 
 @dataclass
 class ThroughputResult:
-    """Throughput of a plan measured over several simulated iterations."""
+    """Throughput of a plan from one simulated iteration."""
 
     seconds_per_iteration: float
     total_flops_per_iteration: float
-    n_iterations: int
 
     @property
     def flops_per_second(self) -> float:
@@ -291,21 +280,14 @@ class RuntimeEngine:
     # ------------------------------------------------------------------ #
     # Throughput measurement
     # ------------------------------------------------------------------ #
-    def measure_throughput(
-        self, graph: DataflowGraph, plan: ExecutionPlan, n_iterations: int = 3
-    ) -> ThroughputResult:
-        """Run several iterations and report the PFLOP/s throughput.
+    def measure_throughput(self, graph: DataflowGraph, plan: ExecutionPlan) -> ThroughputResult:
+        """Run one iteration and report the PFLOP/s throughput.
 
-        The simulation is deterministic, so iterations after the first have
-        identical duration; running a few mirrors the paper's measurement
-        protocol (20 iterations after warm-up) without wasting time.
+        The simulation is deterministic, so every iteration of a plan takes
+        the same time and one run stands for the paper's measurement
+        protocol (20 iterations after warm-up).
         """
-        if n_iterations < 1:
-            raise ValueError("n_iterations must be >= 1")
-        seconds = [self.run_iteration(graph, plan).total_seconds for _ in range(n_iterations)]
-        flops = self.workload.iteration_flops(graph.calls)
         return ThroughputResult(
-            seconds_per_iteration=sum(seconds) / len(seconds),
-            total_flops_per_iteration=flops,
-            n_iterations=n_iterations,
+            seconds_per_iteration=self.run_iteration(graph, plan).total_seconds,
+            total_flops_per_iteration=self.workload.iteration_flops(graph.calls),
         )

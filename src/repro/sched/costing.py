@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.plan import ExecutionPlan
-from ..core.pruning import PruneConfig
 from ..core.search import SearchConfig
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.provenance import get_ledger
@@ -74,14 +73,12 @@ class PlanCosting:
         service: PlanService,
         search: SearchConfig,
         replan_search: SearchConfig,
-        prune: PruneConfig = PruneConfig(),
         registry: Optional[MetricsRegistry] = None,
         memoize: bool = False,
     ) -> None:
         self.service = service
         self.search = search
         self.replan_search = replan_search
-        self.prune = prune
         self.memoize = memoize
         # (job planning identity, partition shape, replan?) → scored result.
         # The memo mirrors the service's exact-key cache — identical keys pose
@@ -119,7 +116,6 @@ class PlanCosting:
             workload=job.workload,
             cluster=partition.spec,
             search=search,
-            prune=self.prune,
         )
 
     @staticmethod

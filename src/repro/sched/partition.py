@@ -72,31 +72,23 @@ class Partition:
         return f"{self.region.describe()} ({self.n_gpus} GPUs)"
 
 
-def equal_node_partitions(cluster: ClusterSpec, n_slots: int) -> List[Partition]:
-    """Carve the cluster into ``n_slots`` equal whole-node partitions.
+def equal_node_partitions(cluster: ClusterSpec) -> List[Partition]:
+    """One whole-node partition per node of the cluster.
 
     This is the naive static baseline the scheduler benchmark compares
-    against: every slot gets ``n_nodes // n_slots`` consecutive hosts and the
-    carving never changes.  ``n_slots`` must not exceed the node count.
+    against: every slot is one host and the carving never changes.
     """
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    if n_slots > cluster.n_nodes:
-        raise ValueError(
-            f"cannot carve {cluster.n_nodes} nodes into {n_slots} equal node slots"
-        )
-    span = cluster.n_nodes // n_slots
     return [
         Partition(
             DeviceMesh(
                 cluster=cluster,
-                node_start=slot * span,
-                n_nodes=span,
+                node_start=node,
+                n_nodes=1,
                 gpu_start=0,
                 gpus_per_node=cluster.gpus_per_node,
             )
         )
-        for slot in range(n_slots)
+        for node in range(cluster.n_nodes)
     ]
 
 

@@ -237,7 +237,7 @@ class StaticEqualPolicy(SchedulingPolicy):
 
     def _slots_for(self, manager: PartitionManager) -> List[Partition]:
         if self._slots is None or self._slots_cluster != manager.cluster:
-            self._slots = equal_node_partitions(manager.cluster, manager.cluster.n_nodes)
+            self._slots = equal_node_partitions(manager.cluster)
             self._slots_cluster = manager.cluster
         return self._slots
 

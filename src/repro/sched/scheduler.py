@@ -56,7 +56,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cluster.hardware import ClusterSpec
 from ..core.plan import ExecutionPlan
-from ..core.pruning import PruneConfig
 from ..core.search import SearchConfig
 from ..obs.export import record_counter_tracks, write_metrics_snapshot
 from ..obs.log import get_logger
@@ -114,7 +113,6 @@ class SchedulerConfig:
     )
     """Budget of cold placements (first search of a (job type, shape)).
     Warm-started replans get a quarter of it."""
-    prune: PruneConfig = field(default_factory=PruneConfig)
     elastic: bool = True
     """Whether running jobs may grow onto freed capacity."""
     online_replanning: bool = False
@@ -267,7 +265,6 @@ class ClusterScheduler:
             service=self.service,
             search=self.config.search,
             replan_search=self.config.resolved_replan_search(),
-            prune=self.config.prune,
             registry=self.registry,
             memoize=self.config.memoize_candidates,
         )
@@ -672,7 +669,6 @@ class ClusterScheduler:
             workload=job.workload,
             cluster=job.partition.spec,
             search=search,
-            prune=self.config.prune,
         )
         job.session = self.service.start_session(
             request,

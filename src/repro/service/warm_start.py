@@ -7,8 +7,8 @@ previously solved *similar* workload already exhibits.  This module selects
 the most similar cached plan within the request's fingerprint family — same
 dataflow graph, model architectures, per-node hardware and pruning rules, but
 possibly different batch size, sequence lengths or cluster size — adapts it
-to the target cluster, and feeds it to the searcher through the
-``initial_plan`` hook of :class:`~repro.core.search.SearchConfig`.
+to the target cluster, and the plan service adds it to the searcher's
+``seed_plans``.
 
 Because the searcher evaluates the hint alongside its own greedy start and
 keeps the best plan ever visited, a warm start can only lower (never raise)

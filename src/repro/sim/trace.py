@@ -133,29 +133,9 @@ class TraceRecorder:
             event["args"] = dict(args)
         self._events.append(event)
 
-    def add_trace_span(
-        self,
-        process: str,
-        thread: str,
-        span: TraceSpan,
-        offset_s: float = 0.0,
-        args: Optional[Mapping[str, Any]] = None,
-    ) -> None:
-        """Record a :class:`TraceSpan`, optionally shifted by ``offset_s``.
-
-        The offset is how per-iteration engine spans (whose clock starts at
-        zero every iteration) are embedded at their true position inside a
-        cluster-level schedule.
-        """
-        self.add_span(
-            process,
-            thread,
-            span.name,
-            span.start + offset_s,
-            span.end + offset_s,
-            category=span.category,
-            args=args,
-        )
+    def add_trace_span(self, process: str, thread: str, span: TraceSpan) -> None:
+        """Record a :class:`TraceSpan` as a complete event."""
+        self.add_span(process, thread, span.name, span.start, span.end, category=span.category)
 
     def add_instant(
         self,
@@ -260,17 +240,16 @@ class TraceRecorder:
         to_thread: str,
         to_time_s: float,
         id: Union[str, int],
-        name: str = "causal",
-        category: str = "flow",
     ) -> None:
-        """Record one flow arrow (``ph: "s"`` → ``ph: "f"``) between tracks.
+        """Record one causal flow arrow (``ph: "s"`` → ``ph: "f"``) between tracks.
 
         Flow events bind to the events at their ``(pid, tid, ts)``; the
         finish step carries ``bp: "e"`` (bind to enclosing slice), the form
         both chrome://tracing and Perfetto accept.  ``name``/``cat``/``id``
         must match between the two steps — the recorder guarantees that.
+        Every flow is named ``causal``, in category ``flow``.
         """
-        common = {"name": name, "cat": category, "id": str(id)}
+        common = {"name": "causal", "cat": "flow", "id": str(id)}
         self._events.append(
             {
                 "ph": "s",

@@ -100,9 +100,8 @@ def engine_scenarios():
             "plan": plan.to_dict(),
             "trace": _trace_payload(engine, graph, plan),
             "throughput": {
-                "seconds_per_iteration": engine.measure_throughput(
-                    graph, plan, n_iterations=2
-                ).seconds_per_iteration,
+                "seconds_per_iteration":
+                    engine.measure_throughput(graph, plan).seconds_per_iteration,
             },
         }
         yield name, payload

@@ -93,6 +93,24 @@ class TestPruning:
         with pytest.raises(ValueError, match="no feasible allocation"):
             allocation_options(ppo_graph, workload, cluster8)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mesh_stride", 0),
+            ("mesh_stride", -3),
+            ("min_mesh_gpus", -4),
+            ("min_mesh_gpus", 0),
+            ("max_mesh_gpus", 0),
+            ("microbatch_choices", (1, 0, 4)),
+            ("microbatch_choices", ()),
+        ],
+    )
+    def test_invalid_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PruneConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(PruneConfig(), **{field: value})
+
     def test_restrict_returns_copy(self):
         base = PruneConfig()
         changed = dataclasses.replace(base, mesh_stride=3)

@@ -73,27 +73,26 @@ ALLOWED: Dict[str, str] = {
         "instrument API, as counter(labels)",
     "obs/metrics.py:MetricsRegistry.histogram":
         "instrument API: bucket and quantile choice",
-    # One value outside the tests today; ROADMAP lists them for a later pass.
-    "core/api.py:build_graph_from_defs(name)": "later removal pass",
-    "experiments/ablation.py:figure2_opportunity(prune)": "later removal pass",
-    "experiments/ablation.py:progressive_optimization(prune)": "later removal pass",
-    "experiments/runner.py:evaluate_setting(n_iterations)": "later removal pass",
-    "experiments/runner.py:run_heuristic_comparison": "later removal pass",
-    "obs/export.py:record_counter_tracks(category)": "later removal pass",
-    "runtime/engine.py:IterationTrace.export_chrome_trace(process)": "later removal pass",
-    "runtime/engine.py:IterationTrace.record_chrome(offset_s)": "later removal pass",
-    "sched/scheduler.py:SchedulerConfig(prune)": "later removal pass",
-    "sim/trace.py:TraceRecorder.add_flow(category)": "later removal pass",
-    "sim/trace.py:TraceRecorder.add_trace_span(args)": "later removal pass",
 }
 """Keys are ``"<path under src/repro>:<qualname>"``, covering every option
 of the definition, or ``"<path under src/repro>:<qualname>(<option>)"``."""
 
-# SearchConfig and PruneConfig fields are hashed into the plan-cache
-# fingerprints; dropping one would change every cache key.
-_FINGERPRINTED = ("SearchConfig", "PruneConfig")
-
 _SOURCES = ("benchmarks", "examples", "perfbench")
+
+
+@functools.lru_cache(maxsize=1)
+def _fingerprinted() -> Set[Tuple[str, str]]:
+    """``(class, field)`` of the config fields the plan-cache fingerprints hash.
+
+    Dropping one would change every cache key, so the guard skips them; the
+    other fields of those classes are checked like any option.
+    """
+    from repro.core import PruneConfig, SearchConfig
+    from repro.service.fingerprint import _prune_dict, _search_dict
+
+    return {("SearchConfig", name) for name in _search_dict(SearchConfig())} | {
+        ("PruneConfig", name) for name in _prune_dict(PruneConfig())
+    }
 
 
 def _files() -> List[Path]:
@@ -134,8 +133,9 @@ def _options(tree: ast.AST, where: str):
                         for stmt in child.body
                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                     ]
-                    if child.name not in _FINGERPRINTED:
-                        for position, name in enumerate(fields):
+                    hashed = _fingerprinted()
+                    for position, name in enumerate(fields):
+                        if (child.name, name) not in hashed:
                             found.append((f"{where}:{qualname}({name})",
                                           (child.name, "replace"), name, position))
                 visit(child, qualname + ".", child)
@@ -240,3 +240,13 @@ def test_allowlist_is_not_stale():
     used = sorted(entry for entry, keys in covers.items() if keys and not keys & unset)
     assert not missing, f"allowlisted but no longer defined: {missing}"
     assert not used, f"allowlisted but now set outside the tests: {used}"
+
+
+if __name__ == "__main__":
+    import sys
+
+    sys.path.insert(0, str(ROOT / "src"))
+    unset, defined = _unset()
+    print(f"settable values: {len(defined)}")
+    print(f"unset outside the tests: {len(unset)}")
+    print(f"ALLOWED entries: {len(ALLOWED)}")

@@ -29,7 +29,7 @@ from repro.algorithms import (
     register_algorithm,
 )
 from repro.capacity import FleetTraceConfig, fleet_scheduler_config, generate_fleet_trace
-from repro.cluster import make_cluster
+from repro.cluster import DeviceMesh, make_cluster
 from repro.core import (
     Allocation,
     ParallelStrategy,
@@ -40,7 +40,7 @@ from repro.core import (
 from repro.model import get_model_config
 from repro.realloc import ReallocCostModel
 from repro.realloc import cost as realloc_cost
-from repro.sched import ClusterScheduler, Job, JobSpec, equal_node_partitions
+from repro.sched import ClusterScheduler, Job, JobSpec, Partition
 from repro.service import PlanService, server
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root
@@ -50,7 +50,7 @@ SPEC = JobSpec(name="probe", batch_size=64)
 GRAPH = SPEC.build_graph()
 WORKLOAD = SPEC.build_workload()
 PARTITIONS = {
-    n_gpus: equal_node_partitions(make_cluster(32), 32 // n_gpus)[0] for n_gpus in (8, 16, 32)
+    n_gpus: Partition(DeviceMesh(make_cluster(32), 0, n_gpus // 8, 0, 8)) for n_gpus in (8, 16, 32)
 }
 SCHEDULER = ClusterScheduler(make_cluster(8), [], service=PlanService())
 

@@ -47,23 +47,18 @@ class TestPartition:
 class TestEqualNodePartitions:
     def test_exact_tiling(self):
         cluster = make_cluster(64)
-        slots = equal_node_partitions(cluster, 8)
+        slots = equal_node_partitions(cluster)
         covered = set()
         for slot in slots:
             assert not covered & slot.device_id_set
             covered |= slot.device_id_set
         assert covered == set(range(64))
 
-    def test_uneven_split_leaves_remainder_unused(self):
+    def test_one_whole_node_slot_per_node(self):
         cluster = make_cluster(64)  # 8 nodes
-        slots = equal_node_partitions(cluster, 3)
-        assert all(slot.n_gpus == 2 * 8 for slot in slots)
-
-    def test_too_many_slots_rejected(self):
-        with pytest.raises(ValueError):
-            equal_node_partitions(make_cluster(16), 3)
-        with pytest.raises(ValueError):
-            equal_node_partitions(make_cluster(16), 0)
+        slots = equal_node_partitions(cluster)
+        assert [slot.region.node_start for slot in slots] == list(range(8))
+        assert all(slot.shape == (1, 8) for slot in slots)
 
 
 class TestPartitionManager:

@@ -6,10 +6,8 @@ import time
 
 import pytest
 
-from repro.baselines import RealSystem
 from repro.cluster import make_cluster
 from repro.core import SearchConfig, call_cost, find_execution_plan, instructgpt_workload
-from repro.experiments import ExperimentSetting, run_comparison
 from repro.service import (
     PlanRequest,
     PlanService,
@@ -205,20 +203,6 @@ class TestClientAndRouting:
             assert svc.stats.cache_hits == 1
             assert result_b.best_cost == result_a.best_cost
             assert experiment.cluster.n_gpus == 8
-
-    def test_real_system_reuses_service_across_evaluations(self):
-        setting = ExperimentSetting("tiny", "7b", "7b", n_gpus=8, batch_size=64)
-        search = SearchConfig(max_iterations=120, time_budget_s=30.0, seed=0)
-        with PlanService() as svc:
-            system = RealSystem(search_config=search)
-            run_comparison([setting], [system], plan_service=svc)
-            assert svc.stats.cache_misses == 1
-            run_comparison([setting], [system], plan_service=svc)
-            assert svc.stats.cache_hits == 1
-            assert system.last_result is not None
-            # The grid borrows the service; the system is restored after,
-            # so a later direct evaluation does not hit a shut-down service.
-            assert system.plan_service is None
 
     def test_initial_plan_hook_in_search_execution_plan(self):
         from repro.core import search_execution_plan

@@ -165,9 +165,7 @@ class TestChromeTraceRoundTrip:
     def _recorder(self):
         recorder = TraceRecorder()
         recorder.add_span("job a", "gpu 0", "actor_train", 0.5, 1.5, category="compute")
-        recorder.add_trace_span(
-            "job a", "gpu 1", TraceSpan("gen", "compute", 0.0, 0.25), offset_s=2.0
-        )
+        recorder.add_trace_span("job a", "gpu 1", TraceSpan("gen", "compute", 2.0, 2.25))
         recorder.add_instant("cluster", "events", "failure: node 0", 1.0,
                              args={"detail": "node 0 down"})
         return recorder
@@ -190,7 +188,7 @@ class TestChromeTraceRoundTrip:
         assert payload["traceEvents"]
         events = load_chrome_trace(path)
         assert len(events) == len(payload["traceEvents"])
-        # Offsets and unit conversion: the shifted span starts at 2.0 s.
+        # Unit conversion: the span starts at 2.0 s.
         gen = next(e for e in events if e["name"] == "gen")
         assert gen["ts"] == pytest.approx(2.0e6)
         assert gen["dur"] == pytest.approx(0.25e6)
