@@ -14,9 +14,9 @@ from repro.experiments import algorithm_settings, format_table, run_heuristic_co
 
 def run_figure16():
     if bench_scale() == "full":
-        settings = algorithm_settings(("dpo", "grpo", "remax"), "70b", "7b", n_gpus=128)
+        settings = algorithm_settings("70b", n_gpus=128)
     else:
-        settings = algorithm_settings(("dpo", "grpo", "remax"), "7b", "7b", n_gpus=16)
+        settings = algorithm_settings("7b", n_gpus=16)
     records = run_heuristic_comparison(settings)
     rows = []
     improvements = {}

@@ -17,7 +17,7 @@ def run_figure17():
     gpu_counts = (8, 16, 32) if bench_scale() != "full" else (8, 16, 32, 64, 96, 128)
     rows = []
     for actor in (["7b"] if bench_scale() != "full" else ["7b", "13b", "34b"]):
-        settings = strong_scaling_settings(actor, "7b", gpu_counts=gpu_counts)
+        settings = strong_scaling_settings(actor, gpu_counts=gpu_counts)
         for setting in settings:
             record = evaluate_setting(
                 setting, RealSystem(search_config=bench_search_config())

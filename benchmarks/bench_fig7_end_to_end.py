@@ -21,7 +21,7 @@ from repro.experiments import format_table, run_comparison, weak_scaling_setting
 
 
 def run_figure7():
-    settings = weak_scaling_settings("7b")
+    settings = weak_scaling_settings()
     if bench_scale() != "full":
         settings = settings[:2]  # 7B@16 GPUs and 13B@32 GPUs
     systems = [

@@ -51,7 +51,6 @@ from .core import (
     RuntimeEstimator,
     SearchConfig,
     instructgpt_workload,
-    search_execution_plan,
 )
 from .runtime import RuntimeEngine
 from .sched import ClusterScheduler, JobSpec, NodeFailure, ScheduleReport, schedule_trace
@@ -84,7 +83,6 @@ __all__ = [
     "instructgpt_workload",
     "RuntimeEstimator",
     "SearchConfig",
-    "search_execution_plan",
     "RuntimeEngine",
     "PlanService",
     "PlanRequest",

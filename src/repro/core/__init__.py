@@ -46,7 +46,6 @@ from .search import (
     SearchResult,
     SearchSession,
     SessionProgress,
-    search_execution_plan,
 )
 from .workload import CallWorkload, RLHFWorkload, instructgpt_workload
 
@@ -93,7 +92,6 @@ __all__ = [
     "MCMCSearcher",
     "SearchSession",
     "SessionProgress",
-    "search_execution_plan",
     "ChainState",
     "BruteForceResult",
     "brute_force_search",

@@ -25,7 +25,7 @@ from .dataflow import DataflowGraph, FunctionCallType, ModelFunctionCall
 from .estimator import RuntimeEstimator
 from .plan import ExecutionPlan
 from .pruning import PruneConfig
-from .search import SearchConfig, SearchResult, search_execution_plan
+from .search import MCMCSearcher, SearchConfig, SearchResult
 from .workload import RLHFWorkload
 
 __all__ = [
@@ -126,7 +126,7 @@ class ExperimentConfig:
     search: SearchConfig = field(default_factory=SearchConfig)
     prune: PruneConfig = field(default_factory=PruneConfig)
     estimator: Optional[RuntimeEstimator] = None
-    """Shared fast-path estimator.  Built lazily on the first local search and
+    """Shared fast-path estimator.  Built lazily on the first search and
     reused by every subsequent one, so the memoised per-call/per-edge costs
     carry over across repeated searches of the same experiment."""
 
@@ -136,34 +136,22 @@ class ExperimentConfig:
             self.estimator = RuntimeEstimator(self.graph, self.workload, self.cluster)
         return self.estimator
 
-    def run_search(self, service: Optional["PlanService"] = None) -> SearchResult:
+    def run_search(self) -> SearchResult:
         """Search for an efficient execution plan for this experiment.
 
-        When a :class:`~repro.service.server.PlanService` is given the search
-        is routed through it: identical experiments are served from the plan
-        cache and misses are warm-started from similar cached plans.
+        The search runs directly on the experiment's shared estimator; for
+        cached, warm-started planning, send a
+        :class:`~repro.service.server.PlanRequest` to
+        :meth:`PlanService.plan <repro.service.server.PlanService.plan>`.
         """
-        if service is not None:
-            from ..service.server import PlanRequest  # local import avoids a cycle
-
-            response = service.plan(
-                PlanRequest(
-                    graph=self.graph,
-                    workload=self.workload,
-                    cluster=self.cluster,
-                    search=self.search,
-                    prune=self.prune,
-                )
-            )
-            return response.result
-        return search_execution_plan(
-            self.graph,
-            self.workload,
-            self.cluster,
+        return MCMCSearcher(
+            graph=self.graph,
+            workload=self.workload,
+            cluster=self.cluster,
+            estimator=self.get_estimator(),
             prune=self.prune,
             config=self.search,
-            estimator=self.get_estimator(),
-        )
+        ).search()
 
 
 def auto(
@@ -199,6 +187,39 @@ def auto(
     )
 
 
+def _named_experiment(
+    algorithm: str,
+    actor_size: str,
+    critic_size: str,
+    n_gpus: int,
+    batch_size: int,
+    prompt_len: int,
+    gen_len: int,
+    n_ppo_minibatches: int,
+    gpus_per_node: int,
+    search: SearchConfig,
+    prune: PruneConfig,
+) -> ExperimentConfig:
+    """The experiment of a named RLHF algorithm on an InstructGPT workload."""
+    from ..algorithms.registry import build_graph  # local import avoids a cycle
+    from .workload import instructgpt_workload
+
+    return ExperimentConfig(
+        graph=build_graph(algorithm),
+        workload=instructgpt_workload(
+            actor_size=actor_size,
+            critic_size=critic_size,
+            batch_size=batch_size,
+            prompt_len=prompt_len,
+            gen_len=gen_len,
+            n_ppo_minibatches=n_ppo_minibatches,
+        ),
+        cluster=make_cluster(n_gpus, gpus_per_node=gpus_per_node),
+        search=search,
+        prune=prune,
+    )
+
+
 def find_execution_plan(
     algorithm: str,
     actor_size: str,
@@ -211,33 +232,17 @@ def find_execution_plan(
     gpus_per_node: int = 8,
     search: SearchConfig = SearchConfig(),
     prune: PruneConfig = PruneConfig(),
-    service: Optional["PlanService"] = None,
 ) -> Tuple[SearchResult, ExperimentConfig]:
     """One-call entry point: search a plan for a named RLHF algorithm.
 
     Returns the search result together with the assembled experiment (graph,
     workload and cluster) so callers can evaluate or execute the plan.
-    Passing a :class:`~repro.service.server.PlanService` routes the search
-    through the planning service (shared cache, warm starts).
     """
-    from ..algorithms.registry import build_graph  # local import avoids a cycle
-    from .workload import instructgpt_workload
-
-    graph = build_graph(algorithm)
-    workload = instructgpt_workload(
-        actor_size=actor_size,
-        critic_size=critic_size,
-        batch_size=batch_size,
-        prompt_len=prompt_len,
-        gen_len=gen_len,
-        n_ppo_minibatches=n_ppo_minibatches,
+    experiment = _named_experiment(
+        algorithm, actor_size, critic_size, n_gpus, batch_size, prompt_len,
+        gen_len, n_ppo_minibatches, gpus_per_node, search, prune,
     )
-    cluster = make_cluster(n_gpus, gpus_per_node=gpus_per_node)
-    experiment = ExperimentConfig(
-        graph=graph, workload=workload, cluster=cluster, search=search, prune=prune
-    )
-    result = experiment.run_search(service=service)
-    return result, experiment
+    return experiment.run_search(), experiment
 
 
 def run_iteration_trace(
@@ -253,15 +258,13 @@ def run_iteration_trace(
     plan: Optional[ExecutionPlan] = None,
     search: SearchConfig = SearchConfig(),
     prune: PruneConfig = PruneConfig(),
-    service: Optional["PlanService"] = None,
     trace_path: Optional[str] = None,
 ) -> Tuple["IterationTrace", ExperimentConfig]:
     """Simulate one RLHF iteration on the runtime engine and return its trace.
 
     When ``plan`` is omitted the execution plan is searched first (exactly
-    like :func:`find_execution_plan`, including optional plan-service
-    routing); the plan is then executed for one iteration on the
-    discrete-event runtime engine, yielding the full
+    like :func:`find_execution_plan`); the plan is then executed for one
+    iteration on the discrete-event runtime engine, yielding the full
     :class:`~repro.runtime.engine.IterationTrace` — per-call spans and
     per-GPU cost-category seconds (the plan's memory estimate is
     ``experiment.get_estimator().max_memory(plan)``).  ``trace_path`` exports
@@ -269,40 +272,13 @@ def run_iteration_trace(
     """
     from ..runtime.engine import RuntimeEngine  # local import avoids a cycle
 
+    named = (algorithm, actor_size, critic_size, n_gpus, batch_size, prompt_len,
+             gen_len, n_ppo_minibatches, gpus_per_node, search, prune)
     if plan is None:
-        result, experiment = find_execution_plan(
-            algorithm,
-            actor_size,
-            critic_size,
-            n_gpus,
-            batch_size=batch_size,
-            prompt_len=prompt_len,
-            gen_len=gen_len,
-            n_ppo_minibatches=n_ppo_minibatches,
-            gpus_per_node=gpus_per_node,
-            search=search,
-            prune=prune,
-            service=service,
-        )
+        result, experiment = find_execution_plan(*named)
         plan = result.best_plan
     else:
-        from ..algorithms.registry import build_graph  # local import avoids a cycle
-        from .workload import instructgpt_workload
-
-        experiment = ExperimentConfig(
-            graph=build_graph(algorithm),
-            workload=instructgpt_workload(
-                actor_size=actor_size,
-                critic_size=critic_size,
-                batch_size=batch_size,
-                prompt_len=prompt_len,
-                gen_len=gen_len,
-                n_ppo_minibatches=n_ppo_minibatches,
-            ),
-            cluster=make_cluster(n_gpus, gpus_per_node=gpus_per_node),
-            search=search,
-            prune=prune,
-        )
+        experiment = _named_experiment(*named)
     engine = RuntimeEngine(experiment.cluster, experiment.workload)
     trace = engine.run_iteration(experiment.graph, plan)
     if trace_path is not None:

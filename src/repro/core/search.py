@@ -67,7 +67,6 @@ __all__ = [
     "SearchProblem",
     "MCMCSearcher",
     "ChainState",
-    "search_execution_plan",
 ]
 
 _MASK32 = 0xFFFFFFFF
@@ -270,11 +269,6 @@ class SearchConfig:
     own RNG stream, an even share of the iteration budget and the **full**
     wall-clock budget; the search returns the best plan over all chains with
     merged history."""
-    initial_plan: Optional[ExecutionPlan] = None
-    """Optional warm-start hint: evaluated alongside the greedy plan and any
-    seed plans, so the chain starts from the best available candidate.  The
-    hint never hurts — the search result is at least as good as the hint's
-    cost.  Excluded from workload fingerprints (see :mod:`repro.service`)."""
 
     def __post_init__(self) -> None:
         # Early rejection (see ``MCMCSearcher.advance_chain``) is exact only
@@ -461,21 +455,20 @@ class MCMCSearcher:
         return ExecutionPlan(self.problem.greedy_assignments(), name="greedy-initial")
 
     def initial_candidate(self) -> Tuple[ExecutionPlan, float]:
-        """Best of the greedy plan, the seed plans and ``config.initial_plan``.
+        """Best of the greedy plan and the seed plans, in that order.
 
         This is the plan every chain starts from — and the floor any search
-        or session result can only improve on.  Runs under a ``search.init``
+        or session result can only improve on.  A seed replaces the running
+        start only when strictly cheaper, so among equal costs the greedy
+        plan, then the earliest seed, wins.  Runs under a ``search.init``
         span, a sibling of the chain slices beneath the enclosing span.
         """
-        cfg = self.config
+        oom_penalty = self.config.oom_penalty
         with get_tracer().start_span("search.init", category="search"):
             start_plan = self.greedy_initial_plan()
-            start_cost = self.estimator.cost(start_plan, cfg.oom_penalty)
-            candidates = list(self.seed_plans)
-            if cfg.initial_plan is not None:
-                candidates.append(cfg.initial_plan)
-            for seed_plan in candidates:
-                seed_cost = self.estimator.cost(seed_plan, cfg.oom_penalty)
+            start_cost = self.estimator.cost(start_plan, oom_penalty)
+            for seed_plan in self.seed_plans:
+                seed_cost = self.estimator.cost(seed_plan, oom_penalty)
                 if seed_cost < start_cost:
                     start_plan, start_cost = seed_plan, seed_cost
         return start_plan, start_cost
@@ -677,9 +670,9 @@ class MCMCSearcher:
         """Run the Metropolis-Hastings chains and return the best plan found.
 
         A :class:`SearchSession` run to completion: every chain starts from
-        the best of the greedy per-call-optimal plan, any seed plans supplied
-        at construction time (e.g. the Megatron heuristic) and
-        ``config.initial_plan``, then advances once through its whole budget,
+        the best of the greedy per-call-optimal plan and the seed plans
+        supplied at construction time (e.g. the Megatron heuristic, a cached
+        or running plan), then advances once through its whole budget,
         one chain after another on the calling thread.  The reported
         ``initial_plan``/``initial_cost`` are that actual chain start, so the
         improvement ratio reflects what the search itself achieved.
@@ -932,32 +925,3 @@ class SearchSession:
             init_seconds=self._init_seconds,
         )
 
-
-def search_execution_plan(
-    graph: DataflowGraph,
-    workload: RLHFWorkload,
-    cluster: ClusterSpec,
-    prune: PruneConfig = PruneConfig(),
-    config: SearchConfig = SearchConfig(),
-    estimator: Optional[RuntimeEstimator] = None,
-    initial_plan: Optional[ExecutionPlan] = None,
-) -> SearchResult:
-    """Convenience wrapper: build a searcher and run it once.
-
-    ``initial_plan`` optionally warm-starts the chain (e.g. from a cached plan
-    for a similar workload, see :mod:`repro.service.warm_start`); it takes
-    precedence over ``config.initial_plan`` when both are given.
-    """
-    if initial_plan is not None:
-        import dataclasses
-
-        config = dataclasses.replace(config, initial_plan=initial_plan)
-    searcher = MCMCSearcher(
-        graph=graph,
-        workload=workload,
-        cluster=cluster,
-        estimator=estimator,
-        prune=prune,
-        config=config,
-    )
-    return searcher.search()

@@ -40,6 +40,11 @@ BASE_PPO_MINIBATCHES = 8
 ACTOR_TO_GPUS = {"7b": 16, "13b": 32, "34b": 64, "70b": 128}
 #: Weak-scaling batch sizes for those cluster sizes.
 GPUS_TO_BATCH = {8: 256, 16: 512, 32: 1024, 64: 2048, 96: 3072, 128: 4096}
+#: Critic size of the weak-scaling, strong-scaling and algorithm sweeps (the
+#: paper's 7B-critic panels).
+CRITIC_SIZE = "7b"
+#: The Figure 16 algorithms beyond PPO.
+FIGURE16_ALGORITHMS = ("dpo", "grpo", "remax")
 
 
 def gpus_for_actor(actor_size: str) -> int:
@@ -103,17 +108,17 @@ class ExperimentSetting:
         )
 
 
-def weak_scaling_settings(critic_size: str = "7b") -> List[ExperimentSetting]:
+def weak_scaling_settings() -> List[ExperimentSetting]:
     """The Figure 7 weak-scaling sweep: actor and batch grow with the cluster."""
     settings = []
     for actor, n_gpus in ACTOR_TO_GPUS.items():
-        if critic_size == "13b" and actor == "7b":
+        if CRITIC_SIZE == "13b" and actor == "7b":
             continue  # the paper's 13B-critic panel starts at 32 GPUs
         settings.append(
             ExperimentSetting(
-                name=f"{actor}+{critic_size}-{n_gpus}gpus",
+                name=f"{actor}+{CRITIC_SIZE}-{n_gpus}gpus",
                 actor_size=actor,
-                critic_size=critic_size,
+                critic_size=CRITIC_SIZE,
                 n_gpus=n_gpus,
                 batch_size=GPUS_TO_BATCH[n_gpus],
             )
@@ -148,15 +153,14 @@ def figure8_settings(context_len: int = 2048) -> List[ExperimentSetting]:
 
 def strong_scaling_settings(
     actor_size: str = "7b",
-    critic_size: str = "7b",
     gpu_counts: Tuple[int, ...] = (8, 16, 32, 64, 96, 128),
 ) -> List[ExperimentSetting]:
     """The Figure 17 strong-scaling sweep: fixed problem, growing cluster."""
     return [
         ExperimentSetting(
-            name=f"{actor_size}+{critic_size}-{n}gpus",
+            name=f"{actor_size}+{CRITIC_SIZE}-{n}gpus",
             actor_size=actor_size,
-            critic_size=critic_size,
+            critic_size=CRITIC_SIZE,
             n_gpus=n,
             batch_size=BASE_BATCH_SIZE,
         )
@@ -165,20 +169,17 @@ def strong_scaling_settings(
 
 
 def algorithm_settings(
-    algorithms: Tuple[str, ...] = ("dpo", "grpo", "remax"),
-    actor_size: str = "70b",
-    critic_size: str = "7b",
-    n_gpus: int = 128,
+    actor_size: str = "70b", n_gpus: int = 128
 ) -> List[ExperimentSetting]:
     """The Figure 16 settings: RLHF algorithms beyond PPO on 16 nodes."""
     return [
         ExperimentSetting(
-            name=f"{algorithm}-{actor_size}+{critic_size}",
+            name=f"{algorithm}-{actor_size}+{CRITIC_SIZE}",
             actor_size=actor_size,
-            critic_size=critic_size,
+            critic_size=CRITIC_SIZE,
             n_gpus=n_gpus,
             batch_size=GPUS_TO_BATCH[n_gpus],
             algorithm=algorithm,
         )
-        for algorithm in algorithms
+        for algorithm in FIGURE16_ALGORITHMS
     ]

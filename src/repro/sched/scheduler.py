@@ -661,18 +661,16 @@ class ClusterScheduler:
             return
         if job.remaining_iterations < 2:
             return
-        search = dataclasses.replace(
-            self.config.resolved_online_search(), initial_plan=job.plan
-        )
         request = PlanRequest(
             graph=job.graph,
             workload=job.workload,
             cluster=job.partition.spec,
-            search=search,
+            search=self.config.resolved_online_search(),
         )
         job.session = self.service.start_session(
             request,
             slice_iterations=self.config.poll_iterations,
+            seed_plans=(job.plan,),
         )
         self._n_sessions_started += 1
         self._n_open_sessions += 1

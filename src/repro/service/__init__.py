@@ -24,7 +24,6 @@ from .server import (
     PlanSession,
     RequestStats,
     ServiceStats,
-    SessionStatus,
 )
 from .warm_start import adapt_plan, select_warm_start, similarity_distance
 
@@ -41,7 +40,6 @@ __all__ = [
     "PlanResponse",
     "RequestStats",
     "ServiceStats",
-    "SessionStatus",
     "PlanSession",
     "PlanService",
 ]

@@ -18,9 +18,9 @@ Two keys are derived per request:
   one member is a useful warm start for another (see
   :mod:`repro.service.warm_start`).
 
-Fields that do not change the search *problem* are excluded from both keys:
-``SearchConfig.record_history`` (observability only) and
-``SearchConfig.initial_plan`` (a hint that can only improve the result).
+``SearchConfig.record_history`` is excluded from both keys: it records
+observability only and does not change the search *problem*.  Seed plans are
+not part of a request at all (they are passed to the searcher or session).
 Searches whose *time* budget binds are not run-to-run deterministic, so the
 cache's contract for those is "a plan searched under this budget".
 """
@@ -81,7 +81,7 @@ def _fields_dict(obj: Any) -> Dict[str, Any]:
 
 
 def _search_dict(search: SearchConfig) -> Dict[str, Any]:
-    # record_history and initial_plan do not change the search problem.
+    # record_history does not change the search problem.
     return {
         "beta": search.beta,
         "oom_penalty": search.oom_penalty,

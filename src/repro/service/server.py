@@ -1,7 +1,8 @@
 """Plan server: cached, warm-started plan search on the caller's thread.
 
 The :class:`PlanService` turns the one-shot
-:func:`~repro.core.search.search_execution_plan` into a long-lived service:
+:meth:`MCMCSearcher.search <repro.core.search.MCMCSearcher.search>` into a
+long-lived service:
 
 * requests are fingerprinted (:mod:`repro.service.fingerprint`) and served
   from the :class:`~repro.service.cache.PlanCache` when an identical request
@@ -13,6 +14,9 @@ The :class:`PlanService` turns the one-shot
   passes the cache's put count from before its first request as
   ``warm_start_before``, so each candidate is seeded from the cache as it
   stood when the wave began and candidates never seed each other;
+* an online session (:meth:`PlanService.start_session`) is seeded like a
+  miss, plus any ``seed_plans`` its caller knows (the scheduler passes a
+  job's running plan);
 * every response carries per-request statistics (hit/miss, warm vs cold,
   search time) and the service aggregates them.
 
@@ -29,7 +33,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..cluster.hardware import ClusterSpec
 from ..core.call_cost import CallCostTable
@@ -43,6 +47,7 @@ from ..core.search import (
     SearchProblem,
     SearchResult,
     SearchSession,
+    SessionProgress,
 )
 from ..core.workload import RLHFWorkload
 from ..obs.log import get_logger
@@ -59,7 +64,6 @@ __all__ = [
     "RequestStats",
     "PlanResponse",
     "ServiceStats",
-    "SessionStatus",
     "PlanSession",
     "PlanService",
 ]
@@ -193,26 +197,6 @@ class ServiceStats:
         return data
 
 
-@dataclass(frozen=True)
-class SessionStatus:
-    """Progress report of one :meth:`PlanSession.poll`."""
-
-    session_id: str
-    fingerprint: str
-    best_cost: float
-    initial_cost: float
-    n_iterations: int
-    n_polls: int
-    done: bool
-    improved: bool
-    """Whether this poll lowered the session's best cost."""
-    cache_refreshed: bool
-    """Whether this poll's improvement replaced the cached entry."""
-    search_seconds: float
-    """Compute seconds consumed so far: initialisation plus the chains'
-    summed slice time (not session age)."""
-
-
 class PlanSession:
     """A registered online search session of a :class:`PlanService`.
 
@@ -267,7 +251,7 @@ class PlanSession:
         """Current merged best (plan, cost) — readable at any time."""
         return self.session.best_so_far()
 
-    def poll(self) -> SessionStatus:
+    def poll(self) -> SessionProgress:
         """Advance the session by one slice; write improvements to the cache."""
         with self._lock:
             if self._closed:
@@ -288,28 +272,14 @@ class PlanSession:
                 )
                 if progress.improved:
                     self.winning_poll_context = poll_span.context
-            refreshed = False
             if progress.improved:
-                refreshed = self.service._session_write_back(self)
+                self.service._session_write_back(self)
             service = self.service
             with service._lock:
                 service.stats.session_polls += 1
                 service._count_priced()
             service._m_session_polls.inc()
-            session = self.session
-            return SessionStatus(
-                session_id=self.session_id,
-                fingerprint=self.fingerprint.key,
-                best_cost=session.best_cost,
-                initial_cost=session.initial_cost,
-                n_iterations=session.n_iterations,
-                n_polls=session.n_polls,
-                done=session.done,
-                improved=progress.improved,
-                cache_refreshed=refreshed,
-                search_seconds=session.init_seconds
-                + sum(s.wall_seconds for s in session.states),
-            )
+            return progress
 
     def stop(self) -> PlanResponse:
         """Finish the session: final cache write-back and a settled response.
@@ -505,7 +475,10 @@ class PlanService:
     # Online sessions
     # ------------------------------------------------------------------ #
     def start_session(
-        self, request: PlanRequest, slice_iterations: Optional[int] = None
+        self,
+        request: PlanRequest,
+        slice_iterations: Optional[int] = None,
+        seed_plans: Sequence[ExecutionPlan] = (),
     ) -> PlanSession:
         """Open a resumable background search for ``request``.
 
@@ -513,17 +486,21 @@ class PlanService:
         :class:`PlanSession` consumes its budgets one :meth:`PlanSession.poll`
         at a time, its :meth:`~PlanSession.best_so_far` is readable between
         polls, and every improving poll refreshes the plan cache for the
-        session's fingerprint.  The session is seeded exactly like a blocking
+        session's fingerprint.  The session is seeded like a blocking
         request — from the exact cached entry (if any) plus the family
-        warm-start — so polling starts from the best plan the service already
-        knows.
+        warm-start — and then from ``seed_plans`` (e.g. the plan a job runs
+        now), so polling starts from the best plan the service or the caller
+        already knows; among equal costs the earlier seed wins.
         """
         if self._closed:
             raise RuntimeError("PlanService has been shut down")
         fingerprint = request.fingerprint()
         exact = self.cache.peek(fingerprint.key)
         searcher, seeded_from = self._searcher_for(
-            request, fingerprint, [exact.plan] if exact is not None else []
+            request,
+            fingerprint,
+            exact_plan=exact.plan if exact is not None else None,
+            seed_plans=seed_plans,
         )
         session = SearchSession(searcher, slice_iterations=slice_iterations).start()
         with self._lock:
@@ -563,17 +540,15 @@ class PlanService:
             handle = self._sessions.pop(session_id)
         return handle.stop()
 
-    def _session_write_back(self, handle: PlanSession) -> bool:
+    def _session_write_back(self, handle: PlanSession) -> None:
         """Refresh the cache when a session's current best beats the entry."""
         result = handle.session.result()
         peak = handle.estimator.max_memory(result.best_plan).max_bytes
         entry = PlanCacheEntry.from_search_result(handle.fingerprint, result, peak)
-        if not self.cache.refresh(entry):
-            return False
-        with self._lock:
-            self.stats.cache_refreshes += 1
-        self._m_cache_refreshes.inc()
-        return True
+        if self.cache.refresh(entry):
+            with self._lock:
+                self.stats.cache_refreshes += 1
+            self._m_cache_refreshes.inc()
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -582,17 +557,20 @@ class PlanService:
         self,
         request: PlanRequest,
         fingerprint: WorkloadFingerprint,
-        seed_plans: List[ExecutionPlan],
         warm_start_before: Optional[int] = None,
+        exact_plan: Optional[ExecutionPlan] = None,
+        seed_plans: Sequence[ExecutionPlan] = (),
     ) -> Tuple[MCMCSearcher, Optional[str]]:
         """A searcher on the request's shared problem and the key of the cache
         entry that warm-started it (``None`` when none did).
 
-        The searcher starts from the best of the greedy plan, ``seed_plans``
-        and, with warm starts on, the most similar cached plan of the family
-        (limited to entries put before ``warm_start_before``).
+        The searcher starts from the best of the greedy plan, ``exact_plan``,
+        with warm starts on the most similar cached plan of the family
+        (limited to entries put before ``warm_start_before``), and
+        ``seed_plans``, tried in that order.
         """
         problem = self._problem_for(request, fingerprint)
+        seeds = [] if exact_plan is None else [exact_plan]
         seeded_from: Optional[str] = None
         if self.warm_start:
             entry = select_warm_start(self.cache, fingerprint, warm_start_before)
@@ -601,10 +579,11 @@ class PlanService:
                     entry, request.graph, request.cluster, problem.compiled
                 )
                 if warm_plan is not None:
-                    seed_plans = seed_plans + [warm_plan]
+                    seeds.append(warm_plan)
                     seeded_from = entry.key
+        seeds.extend(seed_plans)
         searcher = MCMCSearcher(
-            problem=problem, config=request.search, seed_plans=seed_plans
+            problem=problem, config=request.search, seed_plans=seeds
         )
         return searcher, seeded_from
 
@@ -787,7 +766,7 @@ class PlanService:
         warm_start_before: Optional[int],
     ) -> PlanResponse:
         searcher, seeded_from = self._searcher_for(
-            request, fingerprint, [], warm_start_before
+            request, fingerprint, warm_start_before
         )
         warm_started = seeded_from is not None
         result = searcher.search()

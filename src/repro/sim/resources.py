@@ -1,19 +1,19 @@
-"""Resource occupancy bookkeeping shared by all simulators.
+"""Resource occupancy bookkeeping of the runtime engine.
 
-A :class:`ResourceTimeline` records when one resource (a GPU in both current
-simulators) is busy, with what and in which cost category, as a sequence of
-:class:`~repro.sim.trace.TraceSpan` records.  A :class:`TimelinePool` indexes
-the timelines of a whole cluster and answers group-availability queries.
+A :class:`ResourceTimeline` records when one GPU is busy, with what and in
+which cost category, as a sequence of :class:`~repro.sim.trace.TraceSpan`
+records.  A :class:`TimelinePool` holds one timeline per GPU of a cluster and
+answers group-availability queries.
 
 The runtime engine (:mod:`repro.runtime.engine`) charges every call's
-reallocation, data-transfer and compute phases on a pool with one timeline
-per GPU; the cluster scheduler uses the same span records when exporting
-job phases into the merged Chrome trace.
+reallocation, data-transfer and compute phases on a pool; its
+:class:`~repro.runtime.engine.IterationTrace` keeps each GPU's spans and
+per-category seconds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Tuple
 
 from .trace import TraceSpan
 
@@ -68,28 +68,16 @@ class ResourceTimeline:
 
 
 class TimelinePool:
-    """The timelines of a whole cluster, indexed by resource id."""
+    """One timeline per GPU of a cluster, indexed by GPU id."""
 
-    def __init__(self, resources: Union[int, Iterable[int]]) -> None:
-        ids = range(resources) if isinstance(resources, int) else resources
-        self.timelines: Dict[int, ResourceTimeline] = {
-            rid: ResourceTimeline(resource_id=rid) for rid in ids
-        }
+    def __init__(self, n_resources: int) -> None:
+        self.timelines: List[ResourceTimeline] = [
+            ResourceTimeline(resource_id=rid) for rid in range(n_resources)
+        ]
 
     def __getitem__(self, resource_id: int) -> ResourceTimeline:
         return self.timelines[resource_id]
 
-    def __len__(self) -> int:
-        return len(self.timelines)
-
     def free_at(self, resource_ids: Tuple[int, ...]) -> float:
         """Earliest time at which every resource in the group is free."""
         return max(self.timelines[rid].free_at for rid in resource_ids)
-
-    def category_totals(self) -> Dict[str, float]:
-        """Aggregate busy seconds per category across all timelines."""
-        out: Dict[str, float] = {}
-        for timeline in self.timelines.values():
-            for category, seconds in timeline.categories().items():
-                out[category] = out.get(category, 0.0) + seconds
-        return out

@@ -272,7 +272,7 @@ class TestMCMCSearch:
         assert result.initial_cost == pytest.approx(good_cost)
         assert result.improvement_ratio == pytest.approx(1.0)
 
-    def test_config_initial_plan_reported_as_start(
+    def test_best_of_several_seeds_reported_as_start(
         self, ppo_graph, workload_small, cluster8
     ):
         estimator = RuntimeEstimator(ppo_graph, workload_small, cluster8)
@@ -280,12 +280,15 @@ class TestMCMCSearch:
             ppo_graph, workload_small, cluster8, estimator=estimator,
             config=SearchConfig(max_iterations=300, time_budget_s=20, seed=8),
         ).search().best_plan
+        greedy = MCMCSearcher(
+            ppo_graph, workload_small, cluster8, estimator=estimator
+        ).greedy_initial_plan()
         result = MCMCSearcher(
             ppo_graph, workload_small, cluster8, estimator=estimator,
-            config=SearchConfig(
-                max_iterations=0, time_budget_s=20, seed=9, initial_plan=good
-            ),
+            config=SearchConfig(max_iterations=0, time_budget_s=20, seed=9),
+            seed_plans=[greedy, good, greedy],
         ).search()
+        assert result.initial_plan is good
         assert result.initial_cost == pytest.approx(estimator.cost(good))
 
 

@@ -20,18 +20,20 @@ from repro.experiments import (
     strong_scaling_settings,
     weak_scaling_settings,
 )
+import repro.experiments.settings as experiment_settings
 from repro.experiments.runner import default_search_config, default_systems
 
 
 class TestSettings:
     def test_weak_scaling_matches_appendix_a(self):
-        settings = weak_scaling_settings("7b")
+        settings = weak_scaling_settings()
         assert [(s.actor_size, s.n_gpus, s.batch_size) for s in settings] == [
             ("7b", 16, 512), ("13b", 32, 1024), ("34b", 64, 2048), ("70b", 128, 4096),
         ]
 
-    def test_weak_scaling_13b_critic_panel(self):
-        settings = weak_scaling_settings("13b")
+    def test_weak_scaling_13b_critic_panel(self, monkeypatch):
+        monkeypatch.setattr(experiment_settings, "CRITIC_SIZE", "13b")
+        settings = weak_scaling_settings()
         assert settings[0].actor_size == "13b"
         assert all(s.critic_size == "13b" for s in settings)
 
@@ -54,8 +56,9 @@ class TestSettings:
         assert [s.n_gpus for s in settings] == [8, 16, 32]
 
     def test_algorithm_settings(self):
-        settings = algorithm_settings(("dpo", "grpo"))
-        assert [s.algorithm for s in settings] == ["dpo", "grpo"]
+        settings = algorithm_settings("7b", n_gpus=16)
+        assert [s.algorithm for s in settings] == ["dpo", "grpo", "remax"]
+        assert all((s.critic_size, s.batch_size) == ("7b", 512) for s in settings)
 
     def test_setting_builders(self):
         setting = ExperimentSetting("t", "7b", "7b", n_gpus=16, batch_size=64)

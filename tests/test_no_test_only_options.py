@@ -3,7 +3,8 @@
 An option is a field of a ``src/`` dataclass whose name ends in ``Config``,
 or a parameter with a default of a ``src/`` function, method or constructor.
 It counts as set when some call in ``src/``, ``benchmarks/``, ``examples/``
-or ``perfbench/`` passes it, by keyword or by position:
+or ``perfbench/`` passes it something other than its default literal, by
+keyword or by position:
 
 - a call whose callee name (the bare name, or the attribute after the last
   dot) is the function, the method, or the class of the constructor;
@@ -49,8 +50,6 @@ ALLOWED: Dict[str, str] = {
         "README documents capacity_whatif on repro.core.api",
     "sched/scheduler.py:schedule_trace(provenance_path)":
         "README documents provenance_path=",
-    "core/search.py:search_execution_plan(initial_plan)":
-        "the warm-start hook README documents",
     "obs/log.py:configure_logging":
         "applications call it; README documents the REPRO_LOG_* defaults",
     "obs/report.py:main(argv)": "CLI entry point; python -m passes sys.argv",
@@ -116,10 +115,12 @@ def _decorators(node: "ast.ClassDef | ast.FunctionDef") -> List[str]:
 
 
 def _options(tree: ast.AST, where: str):
-    """``(key, callee names, option name, position or None)`` of every option.
+    """``(key, callee names, option name, position or None, default)`` of
+    every option.
 
     ``position`` counts the call's positional arguments (``self`` and ``cls``
-    excluded); ``None`` marks a keyword-only parameter.
+    excluded); ``None`` marks a keyword-only parameter.  ``default`` is the
+    default's expression (``None`` for a field without one).
     """
     found = []
 
@@ -129,15 +130,15 @@ def _options(tree: ast.AST, where: str):
                 qualname = prefix + child.name
                 if child.name.endswith("Config") and "dataclass" in _decorators(child):
                     fields = [
-                        stmt.target.id
+                        (stmt.target.id, stmt.value)
                         for stmt in child.body
                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                     ]
                     hashed = _fingerprinted()
-                    for position, name in enumerate(fields):
+                    for position, (name, default) in enumerate(fields):
                         if (child.name, name) not in hashed:
                             found.append((f"{where}:{qualname}({name})",
-                                          (child.name, "replace"), name, position))
+                                          (child.name, "replace"), name, position, default))
                 visit(child, qualname + ".", child)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = prefix + child.name
@@ -149,12 +150,12 @@ def _options(tree: ast.AST, where: str):
                 first_default = len(positional) - len(args.defaults)
                 for index, arg in enumerate(positional):
                     if index >= first_default and index >= skip:
-                        found.append((f"{where}:{qualname}({arg.arg})",
-                                      callees, arg.arg, index - skip))
+                        found.append((f"{where}:{qualname}({arg.arg})", callees, arg.arg,
+                                      index - skip, args.defaults[index - first_default]))
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
                         found.append((f"{where}:{qualname}({arg.arg})",
-                                      callees, arg.arg, None))
+                                      callees, arg.arg, None, default))
                 visit(child, qualname + ".", None)
             else:
                 visit(child, prefix, owner)
@@ -178,6 +179,26 @@ def _passes(call: ast.Call):
         yield _name(call.args[0]), call.args[1:], call.keywords
 
 
+_NOT_LITERAL = object()
+
+
+def _literal(expr: "ast.expr | None") -> object:
+    """The value of a literal expression, else ``_NOT_LITERAL``."""
+    try:
+        return ast.literal_eval(expr)
+    except ValueError:
+        return _NOT_LITERAL
+
+
+def _sets(passed: List[ast.expr], default: "ast.expr | None") -> bool:
+    """Whether some passed value differs from the option's default literal."""
+    value = _literal(default)
+    return any(
+        value is _NOT_LITERAL or _literal(expr) is _NOT_LITERAL or _literal(expr) != value
+        for expr in passed
+    )
+
+
 @functools.lru_cache(maxsize=1)
 def _unset() -> Tuple[Set[str], Set[str]]:
     """Options no call outside the tests sets, and every option."""
@@ -187,10 +208,10 @@ def _unset() -> Tuple[Set[str], Set[str]]:
     for path, tree in trees:
         if path.is_relative_to(src):
             options += _options(tree, path.relative_to(src).as_posix())
-    # Per callee name: keywords passed, the most positional arguments passed,
-    # whether some call splats **kwargs, and the first *args splat position.
-    keywords: Dict[str, Set[str]] = defaultdict(set)
-    positions: Dict[str, int] = defaultdict(int)
+    # Per callee name: the values passed by keyword and by position, whether
+    # some call splats **kwargs, and the first *args splat position.
+    keywords: Dict[str, Dict[str, List[ast.expr]]] = defaultdict(lambda: defaultdict(list))
+    positions: Dict[str, Dict[int, List[ast.expr]]] = defaultdict(lambda: defaultdict(list))
     splat_kwargs: Set[str] = set()
     splat_args: Dict[str, int] = {}
     for _path, tree in trees:
@@ -202,19 +223,19 @@ def _unset() -> Tuple[Set[str], Set[str]]:
                     if isinstance(arg, ast.Starred):
                         splat_args[name] = min(splat_args.get(name, index), index)
                         break
-                    positions[name] = max(positions[name], index + 1)
+                    positions[name][index].append(arg)
                 for keyword in passed:
                     if keyword.arg is None:
                         splat_kwargs.add(name)
                     else:
-                        keywords[name].add(keyword.arg)
+                        keywords[name][keyword.arg].append(keyword.value)
     unset = set()
-    for key, callees, option, position in options:
+    for key, callees, option, position, default in options:
         if not any(
-            option in keywords[callee]
+            _sets(keywords[callee][option], default)
             or callee in splat_kwargs
             or (position is not None
-                and (position < positions[callee]
+                and (_sets(positions[callee][position], default)
                      or position >= splat_args.get(callee, position + 1)))
             for callee in callees
         ):

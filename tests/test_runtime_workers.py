@@ -41,18 +41,10 @@ class TestModelWorker:
 class TestWorkerPool:
     def test_pool_indexing_and_len(self):
         pool = TimelinePool(4)
-        assert len(pool) == 4
+        assert len(pool.timelines) == 4
         assert pool[2].resource_id == 2
 
     def test_free_at_is_max_over_group(self):
         pool = TimelinePool(4)
         pool[1].occupy(0.0, {"compute": 3.0}, "x")
         assert pool.free_at((0, 1, 2)) == pytest.approx(3.0)
-
-    def test_category_totals(self):
-        pool = TimelinePool(2)
-        pool[0].occupy(0.0, {"compute": 1.0}, "a")
-        pool[1].occupy(0.0, {"compute": 2.0, "realloc": 0.5}, "a")
-        totals = pool.category_totals()
-        assert totals["compute"] == pytest.approx(3.0)
-        assert totals["realloc"] == pytest.approx(0.5)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.cluster import make_cluster
-from repro.core import SearchConfig, call_cost, find_execution_plan, instructgpt_workload
+from repro.core import SearchConfig, call_cost, instructgpt_workload
 from repro.service import (
     PlanRequest,
     PlanService,
@@ -189,35 +189,16 @@ class TestClientAndRouting:
             assert stats.cache_misses == 2
             assert stats.cache_hits == 2
 
-    def test_find_execution_plan_routes_through_service(self):
-        search = SearchConfig(max_iterations=80, time_budget_s=30.0, seed=0)
-        with PlanService() as svc:
-            result_a, _ = find_execution_plan(
-                "ppo", "7b", "7b", n_gpus=8, batch_size=128,
-                search=search, service=svc,
-            )
-            result_b, experiment = find_execution_plan(
-                "ppo", "7b", "7b", n_gpus=8, batch_size=128,
-                search=search, service=svc,
-            )
-            assert svc.stats.cache_hits == 1
-            assert result_b.best_cost == result_a.best_cost
-            assert experiment.cluster.n_gpus == 8
-
-    def test_initial_plan_hook_in_search_execution_plan(self):
-        from repro.core import search_execution_plan
+    def test_seed_plan_can_only_improve_the_start(self):
         from repro.baselines import build_heuristic_plan
+        from repro.core import MCMCSearcher
 
         request = _request()
         hint = build_heuristic_plan(request.graph, request.workload, request.cluster)
         config = SearchConfig(max_iterations=0, time_budget_s=30.0, seed=0)
-        cold = search_execution_plan(
-            request.graph, request.workload, request.cluster, config=config
-        )
-        hinted = search_execution_plan(
-            request.graph, request.workload, request.cluster, config=config,
-            initial_plan=hint,
-        )
+        problem = (request.graph, request.workload, request.cluster)
+        cold = MCMCSearcher(*problem, config=config).search()
+        hinted = MCMCSearcher(*problem, config=config, seed_plans=[hint]).search()
         # With a zero budget the result is the best starting candidate, so
         # the hint can only improve (here: strictly, greedy plans OOM).
         assert hinted.best_cost <= cold.best_cost

@@ -43,9 +43,9 @@ class TestSessionLifecycle:
         assert not handle.closed
         assert service.stats.sessions_started == 1
 
-        status = handle.poll()
-        assert status.n_iterations == 10
-        assert status.session_id == handle.session_id
+        progress = handle.poll()
+        assert (progress.n_iterations, progress.new_iterations) == (10, 10)
+        assert service._sessions[handle.session_id] is handle
         assert service.stats.session_polls == 1
 
         while not handle.done:
@@ -105,16 +105,49 @@ class TestSessionLifecycle:
         assert cost <= cached.cost
         service.stop_session(handle.session_id)
 
+    def test_caller_seed_plans_follow_the_service_seeds(self, service):
+        """``start_session(seed_plans=)`` seeds after the exact and warm seeds:
+        a cheaper caller plan starts the chain, and among equal costs the
+        earliest seed wins."""
+        from repro.core import MCMCSearcher
+
+        request = _request(seed=5, max_iterations=20)
+        service.plan(_request(batch_size=192, seed=5, max_iterations=20))
+        exact = service.plan(request).plan
+        better = MCMCSearcher(
+            request.graph, request.workload, request.cluster,
+            config=SearchConfig(max_iterations=400, seed=6, record_history=False),
+        ).search().best_plan
+        twin = ExecutionPlan(better.assignments, name="twin")
+
+        def start(*seed_plans):
+            # Left open: a stop would write ``better`` back as the exact seed.
+            handle = service.start_session(request, slice_iterations=1, seed_plans=seed_plans)
+            return handle, handle.session.result().initial_plan
+
+        handle, initial = start(better, twin)
+        seeds = handle.session.searcher.seed_plans
+        assert handle.warm_started and len(seeds) == 4
+        assert seeds[0] is exact and seeds[2:] == [better, twin]
+        cost = lambda plan: handle.estimator.cost(plan, request.search.oom_penalty)
+        greedy = handle.session.searcher.greedy_initial_plan()
+        assert cost(better) < min(cost(plan) for plan in (greedy, *seeds[:2]))
+        assert initial is better
+        assert start(twin, better)[1] is twin
+        copy = ExecutionPlan(exact.assignments, name="copy")
+        assert start(copy)[1] is not copy
+
 
 class TestBilling:
     def test_session_bills_init_plus_chain_time(self, service):
         handle = service.start_session(_request(), slice_iterations=10)
-        status = handle.poll()
+        progress = handle.poll()
         session = handle.session
-        assert status.search_seconds == session.init_seconds + sum(
-            state.wall_seconds for state in session.states
-        )
         response = handle.stop()
+        # Stopping runs no slice: the bill is init plus the polled chain time.
+        assert response.stats.search_seconds == (
+            session.init_seconds + progress.wall_seconds
+        )
         result = response.result
         assert result.init_seconds > 0
         assert response.stats.search_seconds == result.init_seconds + sum(
