@@ -198,15 +198,14 @@ def fleet_scheduler_config() -> SchedulerConfig:
     A default :class:`SchedulerConfig` with the fleet knobs applied:
     per-decision timeline off (no unbounded in-memory lists, no
     per-decision logging), counter tracks throttled to one sample per
-    :data:`FLEET_COUNTER_INTERVAL_S` of virtual time, the (job type, shape) candidate
-    memo on, tight search budgets, and elasticity off — a fleet replay asks
-    capacity questions, where opportunistic per-job growth mostly adds
-    re-planning churn to every dispatch.
+    :data:`FLEET_COUNTER_INTERVAL_S` of virtual time, tight search budgets,
+    and elasticity off — a fleet replay asks capacity questions, where
+    opportunistic per-job growth mostly adds re-planning churn to every
+    dispatch.
     """
     return SchedulerConfig(
         search=SearchConfig(max_iterations=60, time_budget_s=0.25, record_history=False),
         elastic=False,
         timeline=False,
         counter_interval_s=FLEET_COUNTER_INTERVAL_S,
-        memoize_candidates=True,
     )

@@ -66,16 +66,6 @@ class CostBreakdown:
             other=self.other * factor,
         )
 
-    def add(self, other: "CostBreakdown") -> "CostBreakdown":
-        """In-place accumulation of another breakdown."""
-        self.compute += other.compute
-        self.pp_comm += other.pp_comm
-        self.coll_comm += other.coll_comm
-        self.bubble += other.bubble
-        self.launch += other.launch
-        self.other += other.other
-        return self
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
@@ -282,10 +272,6 @@ class CallCostModel:
         if call.call_type is FunctionCallType.INFERENCE:
             return self.inference_breakdown(wl, alloc)
         return self.training_breakdown(wl, alloc)
-
-    def time(self, call: ModelFunctionCall, wl: CallWorkload, alloc: Allocation) -> float:
-        """Wall time of ``call`` under ``alloc``."""
-        return self.breakdown(call, wl, alloc).total
 
     # ------------------------------------------------------------------ #
     # Memory

@@ -183,10 +183,6 @@ class DataflowGraph:
         """Look up a call by name."""
         return self._by_name[name]
 
-    def children(self, name: str) -> List[str]:
-        """Names of the calls depending on ``name``."""
-        return [dst for src, dst in self._edges if src == name]
-
     def children_map(self) -> Dict[str, List[str]]:
         """Mapping from each call to its children."""
         out: Dict[str, List[str]] = {c.name: [] for c in self.calls}

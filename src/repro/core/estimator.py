@@ -112,21 +112,6 @@ class EvalCacheStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bound_rejections": self.bound_rejections,
-            "hit_rate": self.hit_rate,
-        }
-
 
 @dataclass(slots=True)
 class TimeCostResult:

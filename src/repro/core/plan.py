@@ -141,10 +141,6 @@ class ExecutionPlan:
     def __len__(self) -> int:
         return len(self.assignments)
 
-    def get(self, call_name: str) -> Allocation:
-        """Allocation of a call (raises ``KeyError`` if unassigned)."""
-        return self.assignments[call_name]
-
     def items(self) -> Iterable[Tuple[str, Allocation]]:
         """Iterate over ``(call_name, allocation)`` pairs."""
         return self.assignments.items()

@@ -832,15 +832,6 @@ class SearchSession:
     # Progress
     # ------------------------------------------------------------------ #
     @property
-    def initial_cost(self) -> float:
-        return self._initial_cost
-
-    @property
-    def init_seconds(self) -> float:
-        """Wall-clock seconds :meth:`start` spent choosing the chain start."""
-        return self._init_seconds
-
-    @property
     def n_iterations(self) -> int:
         return sum(state.n_iterations for state in self.states)
 

@@ -10,7 +10,6 @@ metric.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
@@ -88,10 +87,6 @@ class RLHFWorkload:
                 f"model {model_name!r} not in workload (have {sorted(self.model_configs)})"
             )
         return self.model_configs[model_name]
-
-    def with_context(self, prompt_len: int, gen_len: int) -> "RLHFWorkload":
-        """Copy of the workload with different prompt/generation lengths."""
-        return dataclasses.replace(self, prompt_len=prompt_len, gen_len=gen_len)
 
     # ------------------------------------------------------------------ #
     # Per-call workload derivation

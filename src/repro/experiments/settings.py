@@ -110,20 +110,16 @@ class ExperimentSetting:
 
 def weak_scaling_settings() -> List[ExperimentSetting]:
     """The Figure 7 weak-scaling sweep: actor and batch grow with the cluster."""
-    settings = []
-    for actor, n_gpus in ACTOR_TO_GPUS.items():
-        if CRITIC_SIZE == "13b" and actor == "7b":
-            continue  # the paper's 13B-critic panel starts at 32 GPUs
-        settings.append(
-            ExperimentSetting(
-                name=f"{actor}+{CRITIC_SIZE}-{n_gpus}gpus",
-                actor_size=actor,
-                critic_size=CRITIC_SIZE,
-                n_gpus=n_gpus,
-                batch_size=GPUS_TO_BATCH[n_gpus],
-            )
+    return [
+        ExperimentSetting(
+            name=f"{actor}+{CRITIC_SIZE}-{n_gpus}gpus",
+            actor_size=actor,
+            critic_size=CRITIC_SIZE,
+            n_gpus=n_gpus,
+            batch_size=GPUS_TO_BATCH[n_gpus],
         )
-    return settings
+        for actor, n_gpus in ACTOR_TO_GPUS.items()
+    ]
 
 
 def figure8_settings(context_len: int = 2048) -> List[ExperimentSetting]:

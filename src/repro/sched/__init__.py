@@ -10,7 +10,8 @@ concurrent RLHF jobs across them:
   :meth:`ClusterSpec.sub_cluster`, plus free/failed GPU bookkeeping.
 * :mod:`repro.sched.costing` — scoring (job, partition) candidates through
   the shared :class:`~repro.service.server.PlanService` (exact-key cache
-  across same-shaped partitions, warm-started replans for displaced jobs).
+  across same-shaped partitions, a per-run memo that sends each (job type,
+  shape) key once, warm-started replans for displaced jobs).
 * :mod:`repro.sched.policies` — first-fit, best-aggregate-throughput
   packing, priority/preemption, and the naive static-equal baseline.
 * :mod:`repro.sched.scheduler` — the discrete-event loop over arrivals,
@@ -21,7 +22,7 @@ concurrent RLHF jobs across them:
 from .costing import Candidate, PlanCosting
 from .job import Job, JobPhase, JobSpec
 from .metrics import JobMetrics, ScheduleReport, SearchTimeStats
-from .partition import Partition, PartitionManager, equal_node_partitions
+from .partition import Partition, PartitionManager
 from .profiles import IterationProfile, IterationProfiler, MigrationCostModel
 from .policies import (
     BestThroughputPolicy,
@@ -41,7 +42,6 @@ __all__ = [
     "Job",
     "Partition",
     "PartitionManager",
-    "equal_node_partitions",
     "Candidate",
     "PlanCosting",
     "IterationProfile",

@@ -14,6 +14,11 @@ request over the partition's carved :class:`ClusterSpec`, so
   stood when the wave began, so the order of a wave's candidates never
   changes which plan seeds which search.
 
+On top of that cache, each scheduler run keeps a memo keyed on (job type,
+partition shape, replan?): a key is sent to the service once, and every
+later ask is answered from the memo.  So a scheduler never re-searches a key
+it has scored, even after the service evicts that key's cache entry.
+
 The costing layer also keeps the request-statistics ledger the scheduler
 report is built from: cold searches vs. warm-started/cached replans.
 """
@@ -51,7 +56,9 @@ class Candidate:
     feasible: bool
     stats: Optional[RequestStats] = None
     """How the plan service served :attr:`plan` (``None`` when no allocation
-    fits or the candidate came from the costing memo)."""
+    fits).  A candidate the costing memo answered carries a hit-labelled copy
+    of the stats of the request that filled the memo entry: the service cache
+    hit it replaces."""
 
     @property
     def iterations_per_second(self) -> float:
@@ -66,7 +73,7 @@ class Candidate:
 
 
 class PlanCosting:
-    """Plan-service front end of the scheduler, with a stats ledger."""
+    """Plan-service front end of the scheduler, with a memo and a stats ledger."""
 
     def __init__(
         self,
@@ -74,30 +81,31 @@ class PlanCosting:
         search: SearchConfig,
         replan_search: SearchConfig,
         registry: Optional[MetricsRegistry] = None,
-        memoize: bool = False,
     ) -> None:
         self.service = service
         self.search = search
         self.replan_search = replan_search
-        self.memoize = memoize
-        # (job planning identity, partition shape, replan?) → scored result.
-        # The memo mirrors the service's exact-key cache — identical keys pose
-        # byte-identical planning problems — but answers without a service
-        # round trip (fingerprinting, locks, response assembly).  Gated off
-        # by default because hits bypass the service's request statistics.
-        self._memo: Dict[tuple, Tuple[Optional[ExecutionPlan], float, bool]] = {}
+        # (job planning identity, partition shape, replan?) → the scored
+        # result and a hit-labelled copy of the stats of the request that
+        # filled it.  Identical keys pose byte-identical planning problems, so
+        # the memo answers as the service's exact-key cache would, without
+        # the round trip (fingerprinting, locks, response assembly) and even
+        # after the service has evicted the entry.
+        self._memo: Dict[
+            tuple, Tuple[Optional[ExecutionPlan], float, bool, Optional[RequestStats]]
+        ] = {}
         self.candidates_scored = 0
+        self._n_waves = 0
         self._cold: List[RequestStats] = []
         self._replan: List[RequestStats] = []
         self._wave_seconds: List[float] = []
-        self._wave_sizes: List[int] = []
         # The service may be shared across several schedulers/benchmark runs;
         # this baseline turns its cumulative counters into per-run deltas.
         self._stats_baseline = service.stats.snapshot()
         self.registry = registry if registry is not None else get_registry()
         self._m_decision = self.registry.histogram(
             "sched_decision_seconds",
-            "Plan-costing latency of one scheduling decision (one wave)",
+            "Plan-service latency of one decision wave that missed the costing memo",
         )
         self._m_candidates = self.registry.counter(
             "sched_candidates_total", "(job, partition) candidates scored"
@@ -128,66 +136,57 @@ class PlanCosting:
     def score(self, pairs: Sequence[Tuple[Job, Partition]]) -> List[Candidate]:
         """Score one *wave* of candidates; infeasible/failed ones stay in place.
 
-        Requests are served one after another on this thread.  Repeated
-        shapes become cache hits, and every miss is warm-started only from
-        entries cached before the wave began.  One call is one wave —
-        policies batch every candidate of a scheduling decision into a single
-        call, and the wave's wall-clock time is the decision's plan-costing
-        latency (see :attr:`wave_stats`).
-
-        With :attr:`memoize` on, previously scored (job type, shape, replan?)
-        keys answer from the in-process memo (a :class:`Candidate` without
-        request stats) and only novel keys go through the service wave; the
-        returned list stays positional either way.
+        One call is one wave — policies batch every candidate of a scheduling
+        decision into a single call.  Each (job type, partition shape,
+        replan?) key goes to the plan service once per scheduler run: the
+        first wave that holds it sends it once, however often it repeats
+        there, and every later ask is answered from the memo with a
+        hit-labelled copy of the filling request's stats.  Requests are
+        served one after another on this thread, and every miss is
+        warm-started only from entries cached before the wave began.  The
+        returned list is positional.
         """
         if not pairs:
             return []
-        if not self.memoize:
-            return self._score_wave(list(pairs))
-        out: List[Optional[Candidate]] = [None] * len(pairs)
-        misses: List[Tuple[int, tuple]] = []
-        for index, (job, partition) in enumerate(pairs):
-            key = self._memo_key(job, partition)
-            hit = self._memo.get(key)
-            if hit is None:
-                misses.append((index, key))
-                continue
-            plan, cost, feasible = hit
-            self.candidates_scored += 1
-            self._m_candidates.inc()
-            out[index] = Candidate(
-                job=job,
-                partition=partition,
-                plan=plan,
-                seconds_per_iteration=cost,
-                feasible=feasible,
-            )
-        if misses:
-            scored = self._score_wave([pairs[index] for index, _key in misses])
-            for (index, key), candidate in zip(misses, scored):
-                self._memo[key] = (
-                    candidate.plan,
-                    candidate.seconds_per_iteration,
-                    candidate.feasible,
-                )
-                out[index] = candidate
-        return out  # type: ignore[return-value]
+        self._n_waves += 1
+        self.candidates_scored += len(pairs)
+        self._m_candidates.inc(len(pairs))
+        memo = self._memo
+        keys = [self._memo_key(job, partition) for job, partition in pairs]
+        fresh: Dict[tuple, Tuple[Job, Partition]] = {}
+        for key, pair in zip(keys, pairs):
+            if key not in memo and key not in fresh:
+                fresh[key] = pair
+        served = self._serve(fresh) if fresh else {}
+        out: List[Candidate] = []
+        for key, (job, partition) in zip(keys, pairs):
+            plan, cost, feasible, stats = memo[key]
+            if key in served:
+                # The key's first candidate carries the request's own stats.
+                stats = served.pop(key)
+            elif stats is not None and key[2]:
+                # A memo answer stands for a service cache hit, which the
+                # ledger counts among replans only (key[2] is replan?).
+                self._replan.append(stats)
+            out.append(Candidate(job, partition, plan, cost, feasible, stats))
+        return out
 
-    def _score_wave(self, pairs: Sequence[Tuple[Job, Partition]]) -> List[Candidate]:
-        """One service wave (the un-memoized scoring path)."""
+    def _serve(self, fresh: Dict[tuple, Tuple[Job, Partition]]) -> Dict[tuple, RequestStats]:
+        """Send a wave's memo misses to the service and enter the answers in
+        the memo; returns the request stats of each key the service answered."""
         wave_started = time.perf_counter()
         # Warm starts see only what was cached before the wave began.
         wave_start_puts = self.service.cache.puts
+        served: Dict[tuple, RequestStats] = {}
+        answers = []
         # The wave span is the root of each decision's causal tree: every
         # plan-request span (and its search-chain spans) hangs beneath it.
         with get_tracer().start_span(
             "decision wave",
             category="sched",
-            args={"candidates": len(pairs)},
+            args={"candidates": len(fresh)},
         ) as wave_span:
-            out: List[Candidate] = []
-            for job, partition in pairs:
-                self.candidates_scored += 1
+            for key, (job, partition) in fresh.items():
                 future = self.service.submit(
                     self._request(job, partition),
                     warm_start_before=wave_start_puts,
@@ -198,27 +197,19 @@ class PlanCosting:
                     # No admissible allocation for some call on this partition
                     # (e.g. the model cannot fit at any parallelization) — the
                     # candidate is simply infeasible, not an error.
-                    out.append(
-                        Candidate(
-                            job=job,
-                            partition=partition,
-                            plan=None,
-                            seconds_per_iteration=float("inf"),
-                            feasible=False,
-                        )
+                    stats = None
+                    entry = (None, float("inf"), False, None)
+                else:
+                    stats = served[key] = response.stats
+                    self._record(job, stats)
+                    entry = (
+                        response.plan,
+                        response.cost,
+                        response.feasible and response.cost > 0,
+                        RequestStats(fingerprint=stats.fingerprint, cache_hit=True),
                     )
-                    continue
-                self._record(job, response.stats)
-                out.append(
-                    Candidate(
-                        job=job,
-                        partition=partition,
-                        plan=response.plan,
-                        seconds_per_iteration=response.cost,
-                        feasible=response.feasible and response.cost > 0,
-                        stats=response.stats,
-                    )
-                )
+                self._memo[key] = entry
+                answers.append((job, partition, entry, stats))
             wave_seconds = time.perf_counter() - wave_started
             wave_span.set(wave_seconds=wave_seconds)
         get_ledger().record(
@@ -226,21 +217,19 @@ class PlanCosting:
             wave_seconds=wave_seconds,
             candidates=[
                 {
-                    "job": candidate.job.spec.name,
-                    "partition": candidate.partition.describe(),
-                    "cost": candidate.seconds_per_iteration,
-                    "feasible": candidate.feasible,
-                    "outcome": candidate.stats.outcome if candidate.stats else "infeasible",
-                    "fingerprint": candidate.stats.fingerprint if candidate.stats else None,
+                    "job": job.spec.name,
+                    "partition": partition.describe(),
+                    "cost": cost,
+                    "feasible": feasible,
+                    "outcome": stats.outcome if stats else "infeasible",
+                    "fingerprint": stats.fingerprint if stats else None,
                 }
-                for candidate in out
+                for job, partition, (_plan, cost, feasible, _hit), stats in answers
             ],
         )
         self._wave_seconds.append(wave_seconds)
-        self._wave_sizes.append(len(pairs))
         self._m_decision.observe(wave_seconds)
-        self._m_candidates.inc(len(pairs))
-        return out
+        return served
 
     def score_one(self, job: Job, partitions: Sequence[Partition]) -> List[Candidate]:
         """Score one job against several partitions."""
@@ -282,20 +271,21 @@ class PlanCosting:
 
     @property
     def wave_stats(self) -> Dict[str, float]:
-        """Scheduler decision latency: per-wave wall-clock summary.
+        """Decision waves and the plan-service time they blocked on.
 
         One wave is one :meth:`score` call — all candidate costings of one
-        scheduling decision.  ``mean``/``max`` therefore measure how long the
-        scheduler blocks on plan costing per decision; perfbench reports
-        the wave count as ``sched.costing.waves``.
+        scheduling decision; perfbench reports the count as
+        ``sched.costing.waves``.  ``service_waves`` counts the waves that
+        sent the service at least one request; ``total_s``/``mean_s``/
+        ``max_s`` summarise their wall-clock time.  A wave the memo answers
+        whole sends nothing and is not timed.
         """
-        waves = self._wave_seconds
-        if not waves:
-            return {"waves": 0, "candidates": 0, "total_s": 0.0, "mean_s": 0.0, "max_s": 0.0}
+        seconds = self._wave_seconds
         return {
-            "waves": len(waves),
-            "candidates": sum(self._wave_sizes),
-            "total_s": sum(waves),
-            "mean_s": sum(waves) / len(waves),
-            "max_s": max(waves),
+            "waves": self._n_waves,
+            "candidates": self.candidates_scored,
+            "service_waves": len(seconds),
+            "total_s": sum(seconds),
+            "mean_s": sum(seconds) / len(seconds) if seconds else 0.0,
+            "max_s": max(seconds, default=0.0),
         }

@@ -210,13 +210,6 @@ class Job:
         return self.phase is JobPhase.RUNNING
 
     @property
-    def throughput(self) -> float:
-        """Current true iterations/sec (0 when not running)."""
-        if not self.is_running or self.seconds_per_iteration <= 0:
-            return 0.0
-        return 1.0 / self.seconds_per_iteration
-
-    @property
     def planned_throughput(self) -> float:
         """Current estimator iterations/sec (0 when not running)."""
         if not self.is_running or self.planned_seconds_per_iteration <= 0:

@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..cluster.hardware import ClusterSpec
 from ..cluster.topology import DeviceMesh
 
-__all__ = ["Partition", "PartitionManager", "equal_node_partitions"]
+__all__ = ["Partition", "PartitionManager"]
 
 
 @dataclass(frozen=True)
@@ -70,26 +70,6 @@ class Partition:
     def describe(self) -> str:
         """Human readable location string, e.g. ``trainer[01-04]``."""
         return f"{self.region.describe()} ({self.n_gpus} GPUs)"
-
-
-def equal_node_partitions(cluster: ClusterSpec) -> List[Partition]:
-    """One whole-node partition per node of the cluster.
-
-    This is the naive static baseline the scheduler benchmark compares
-    against: every slot is one host and the carving never changes.
-    """
-    return [
-        Partition(
-            DeviceMesh(
-                cluster=cluster,
-                node_start=node,
-                n_nodes=1,
-                gpu_start=0,
-                gpus_per_node=cluster.gpus_per_node,
-            )
-        )
-        for node in range(cluster.n_nodes)
-    ]
 
 
 class _WindowTable(dict):

@@ -13,8 +13,8 @@ Shipped policies:
   queued jobs and free partition shapes.
 * :class:`PriorityPolicy` — strict priority order with preemption of
   lower-priority running jobs when the head job cannot fit.
-* :class:`StaticEqualPolicy` — the naive baseline: the cluster is carved into
-  fixed equal whole-node slots once, jobs FIFO onto free slots, no elasticity.
+* :class:`StaticEqualPolicy` — the naive baseline: one whole node per job,
+  FIFO onto the lowest free node, no elasticity.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .costing import Candidate, PlanCosting
 from .job import Job
-from .partition import Partition, PartitionManager, equal_node_partitions
+from .partition import Partition, PartitionManager
 
 __all__ = [
     "PolicyDecision",
@@ -70,23 +70,31 @@ class SchedulingPolicy:
     # Shared helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _feasible(candidates: Sequence[Candidate]) -> List[Candidate]:
-        return [c for c in candidates if c.feasible]
+    def _shape_pairs(
+        jobs: Sequence[Job], manager: PartitionManager
+    ) -> List[Tuple[Job, Partition]]:
+        """Every (job, free shape) pair, jobs in the given order and each
+        job's shapes smallest first."""
+        return [
+            (job, shape)
+            for job in jobs
+            for shape in manager.distinct_shapes(job.spec.min_gpus, job.spec.gpu_ceiling)
+        ]
 
     @staticmethod
-    def _first_fit(
-        job: Job, manager: PartitionManager, costing: PlanCosting
-    ) -> Optional[Candidate]:
-        """Smallest feasible free partition for ``job`` (shape-deduplicated)."""
-        shapes = manager.distinct_shapes(job.spec.min_gpus, job.spec.gpu_ceiling)
-        if not shapes:
-            return None
-        # Shapes come back smallest first; score them all in one batch (the
-        # cache collapses repeats) and take the smallest feasible one.
-        for candidate in costing.score_one(job, shapes):
-            if candidate.feasible:
-                return candidate
-        return None
+    def _first_feasible(
+        pairs: Sequence[Tuple[Job, Partition]], costing: PlanCosting
+    ) -> PolicyDecision:
+        """Place the first feasible candidate of ``pairs``, scored in one wave.
+
+        With pairs in queue order and each job's shapes smallest first, that
+        is the first queued job that fits, on its smallest fitting shape.
+        """
+        if pairs:
+            for candidate in costing.score(pairs):
+                if candidate.feasible:
+                    return PolicyDecision(placement=candidate)
+        return PolicyDecision()
 
 
 class FirstFitPolicy(SchedulingPolicy):
@@ -105,22 +113,7 @@ class FirstFitPolicy(SchedulingPolicy):
     name = "first_fit"
 
     def decide(self, queue, running, manager, costing) -> PolicyDecision:
-        pairs: List[Tuple[Job, Partition]] = []
-        for job in queue:
-            shapes = manager.distinct_shapes(job.spec.min_gpus, job.spec.gpu_ceiling)
-            pairs.extend((job, shape) for shape in shapes)
-        if not pairs:
-            return PolicyDecision()
-        by_job: dict = {}
-        for candidate in costing.score(pairs):
-            by_job.setdefault(candidate.job.uid, []).append(candidate)
-        for job in queue:
-            # Shapes were enumerated smallest first and score() preserves
-            # order, so the first feasible candidate is the smallest fit.
-            for candidate in by_job.get(job.uid, ()):
-                if candidate.feasible:
-                    return PolicyDecision(placement=candidate)
-        return PolicyDecision()
+        return self._first_feasible(self._shape_pairs(queue, manager), costing)
 
 
 class BestThroughputPolicy(SchedulingPolicy):
@@ -137,13 +130,10 @@ class BestThroughputPolicy(SchedulingPolicy):
     name = "best_throughput"
 
     def decide(self, queue, running, manager, costing) -> PolicyDecision:
-        pairs: List[Tuple[Job, Partition]] = []
-        for job in queue:
-            for shape in manager.distinct_shapes(job.spec.min_gpus, job.spec.gpu_ceiling):
-                pairs.append((job, shape))
+        pairs = self._shape_pairs(queue, manager)
         if not pairs:
             return PolicyDecision()
-        feasible = self._feasible(costing.score(pairs))
+        feasible = [c for c in costing.score(pairs) if c.feasible]
         if not feasible:
             return PolicyDecision()
         best = max(
@@ -179,13 +169,10 @@ class PriorityPolicy(SchedulingPolicy):
         if not ordered:
             return PolicyDecision()
         head = ordered[0]
-        candidate = self._first_fit(head, manager, costing)
-        if candidate is not None:
-            return PolicyDecision(placement=candidate)
-        victims = self._victims_for(head, running, manager, costing)
-        if victims:
-            return PolicyDecision(preemptions=victims)
-        return PolicyDecision()
+        decision = self._first_feasible(self._shape_pairs([head], manager), costing)
+        if decision.is_noop:
+            return PolicyDecision(preemptions=self._victims_for(head, running, manager, costing))
+        return decision
 
     @staticmethod
     def _victims_for(
@@ -220,47 +207,25 @@ class PriorityPolicy(SchedulingPolicy):
 
 
 class StaticEqualPolicy(SchedulingPolicy):
-    """Naive static baseline: fixed equal whole-node slots, FIFO, no elasticity.
+    """Naive static baseline: one whole node per job, FIFO, no elasticity.
 
-    The cluster is carved once into one whole-node slot per node.  Arriving
-    jobs take any free slot in FIFO order; slots never merge, split or move,
-    so GPUs idle whenever a slot's job finishes early — exactly the rigidity
-    the elastic policies remove.
+    Every job takes the lowest free whole node in FIFO order; placements
+    never merge, split or move, so GPUs idle whenever a node's job finishes
+    early — exactly the rigidity the elastic policies remove.  A job that
+    needs more than one node is never placed.
     """
 
     name = "static_equal"
     allows_resize = False
 
-    def __init__(self) -> None:
-        self._slots: Optional[List[Partition]] = None
-        self._slots_cluster = None
-
-    def _slots_for(self, manager: PartitionManager) -> List[Partition]:
-        if self._slots is None or self._slots_cluster != manager.cluster:
-            self._slots = equal_node_partitions(manager.cluster)
-            self._slots_cluster = manager.cluster
-        return self._slots
-
     def decide(self, queue, running, manager, costing) -> PolicyDecision:
-        open_slots = [slot for slot in self._slots_for(manager) if manager.is_free(slot)]
-        # One wave over every (job, fitting slot) pair; the FIFO
-        # selection below is unchanged (slots are identical shapes anyway, so
-        # repeats collapse onto the same cached search).
-        pairs: List[Tuple[Job, Partition]] = []
-        for job in queue:
-            pairs.extend(
-                (job, slot) for slot in open_slots if slot.n_gpus >= job.spec.min_gpus
-            )
-        if not pairs:
-            return PolicyDecision()
-        by_job: dict = {}
-        for candidate in costing.score(pairs):
-            by_job.setdefault(candidate.job.uid, []).append(candidate)
-        for job in queue:
-            for candidate in by_job.get(job.uid, ()):
-                if candidate.feasible:
-                    return PolicyDecision(placement=candidate)
-        return PolicyDecision()
+        gpn = manager.cluster.gpus_per_node
+        # Whole nodes are one shape, so this is the lowest free one, if any.
+        lowest = manager.distinct_shapes(gpn, gpn)
+        return self._first_feasible(
+            [(job, node) for job in queue if job.spec.min_gpus <= gpn for node in lowest],
+            costing,
+        )
 
 
 _POLICIES = {

@@ -140,11 +140,6 @@ class SchedulerConfig:
     0 samples at every dispatch step.  Fleet replays set an interval so the
     in-memory sample list stays bounded by the horizon, not the event
     count."""
-    memoize_candidates: bool = False
-    """Memoize (job-type, shape) → scored candidate inside :class:`PlanCosting`.
-    Off by default: the memo short-circuits the plan service, so service-level
-    cache statistics stop counting repeated scoring waves.  Fleet replay turns
-    it on — thousands of decisions re-score identical candidates."""
 
     def __post_init__(self) -> None:
         if not self.swap_margin >= 1.0:
@@ -266,7 +261,6 @@ class ClusterScheduler:
             search=self.config.search,
             replan_search=self.config.resolved_replan_search(),
             registry=self.registry,
-            memoize=self.config.memoize_candidates,
         )
         self.profiler = IterationProfiler(realloc_models=self.service.realloc_model_for)
         self.migration = MigrationCostModel(cluster)

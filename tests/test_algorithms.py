@@ -30,7 +30,7 @@ class TestPPOGraph:
         assert "ref_inference" in graph.parents_map()["actor_train"]
         assert "critic_inference" in graph.parents_map()["critic_train"]
         sources = [name for name, parents in graph.parents_map().items() if not parents]
-        sinks = [name for name in graph.call_names if not graph.children(name)]
+        sinks = [name for name, children in graph.children_map().items() if not children]
         assert sources == ["actor_generate"]
         assert set(sinks) == {"actor_train", "critic_train"}
 

@@ -68,7 +68,6 @@ class TestFleetTraceGenerator:
         config = fleet_scheduler_config()
         assert config.timeline is False
         assert config.counter_interval_s == 600.0
-        assert config.memoize_candidates is True
         assert config.elastic is False
         assert config.search.record_history is False
 

@@ -39,7 +39,7 @@ class TestDataflowGraph:
     def test_parents_and_children(self):
         graph = simple_graph()
         assert set(graph.parents_map()["train"]) == {"gen", "score"}
-        assert graph.children("gen") == ["score", "train"]
+        assert graph.children_map()["gen"] == ["score", "train"]
         assert graph.parents_map()["gen"] == []
 
     def test_topological_order(self):
@@ -49,7 +49,7 @@ class TestDataflowGraph:
     def test_sources_and_sinks(self):
         graph = simple_graph()
         assert [name for name, parents in graph.parents_map().items() if not parents] == ["gen"]
-        assert [name for name in graph.call_names if not graph.children(name)] == ["train"]
+        assert [name for name, kids in graph.children_map().items() if not kids] == ["train"]
 
     def test_model_names_preserve_order(self):
         assert simple_graph().model_names() == ["actor", "reward"]

@@ -34,7 +34,7 @@ class TestInstructGPTWorkload:
             instructgpt_workload().model_config("judge")
 
     def test_with_context(self):
-        wl = instructgpt_workload().with_context(4096, 4096)
+        wl = instructgpt_workload(prompt_len=4096, gen_len=4096)
         assert wl.context_len == 8192
 
     def test_invalid_configuration_rejected(self):

@@ -321,7 +321,7 @@ def test_bound_entry_is_retested_and_replaced():
     (entry,) = estimator._eval_cache.values()
     assert entry.__class__ is tuple
     assert estimator.cost_delta(plan, name, alloc, reject_above=0.0) == exact
-    assert stats.to_dict()["bound_rejections"] == 2
+    assert stats.bound_rejections == 2
 
 
 def test_cost_treats_a_bound_entry_as_a_miss():

@@ -20,7 +20,6 @@ from repro.experiments import (
     strong_scaling_settings,
     weak_scaling_settings,
 )
-import repro.experiments.settings as experiment_settings
 from repro.experiments.runner import default_search_config, default_systems
 
 
@@ -30,12 +29,6 @@ class TestSettings:
         assert [(s.actor_size, s.n_gpus, s.batch_size) for s in settings] == [
             ("7b", 16, 512), ("13b", 32, 1024), ("34b", 64, 2048), ("70b", 128, 4096),
         ]
-
-    def test_weak_scaling_13b_critic_panel(self, monkeypatch):
-        monkeypatch.setattr(experiment_settings, "CRITIC_SIZE", "13b")
-        settings = weak_scaling_settings()
-        assert settings[0].actor_size == "13b"
-        assert all(s.critic_size == "13b" for s in settings)
 
     def test_figure8_pairs(self):
         settings = figure8_settings()

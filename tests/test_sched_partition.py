@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import make_cluster
 from repro.cluster.topology import enumerate_device_meshes
-from repro.sched import Partition, PartitionManager, equal_node_partitions
+from repro.sched import Partition, PartitionManager
 
 
 def _all_placements(cluster):
@@ -42,23 +42,6 @@ class TestPartition:
     def test_describe_mentions_gpu_count(self):
         partition = PartitionManager(make_cluster(16)).distinct_shapes(min_gpus=16)[0]
         assert "16 GPUs" in partition.describe()
-
-
-class TestEqualNodePartitions:
-    def test_exact_tiling(self):
-        cluster = make_cluster(64)
-        slots = equal_node_partitions(cluster)
-        covered = set()
-        for slot in slots:
-            assert not covered & slot.device_id_set
-            covered |= slot.device_id_set
-        assert covered == set(range(64))
-
-    def test_one_whole_node_slot_per_node(self):
-        cluster = make_cluster(64)  # 8 nodes
-        slots = equal_node_partitions(cluster)
-        assert [slot.region.node_start for slot in slots] == list(range(8))
-        assert all(slot.shape == (1, 8) for slot in slots)
 
 
 class TestPartitionManager:

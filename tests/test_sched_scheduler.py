@@ -177,6 +177,50 @@ class TestDecisionWave:
         assert len(seeds) == 1 and None not in seeds
 
 
+    def test_repeated_keys_are_sent_once_and_then_answered_from_the_memo(self):
+        from repro.sched import Job, PartitionManager, PlanCosting
+
+        search = SearchConfig(
+            max_iterations=20, time_budget_s=600.0, seed=0, record_history=False
+        )
+        shapes = PartitionManager(make_cluster(16)).distinct_shapes()
+        one_gpu, node = shapes[0], shapes[3]
+        assert (one_gpu.n_gpus, node.shape) == (1, (1, 8))
+        # Two jobs of one type, and one whose models fit no allocation of a
+        # single GPU (the service raises ValueError for it).
+        specs = [
+            tiny_job("a"),
+            tiny_job("b"),
+            tiny_job("big", actor_size="70b", critic_size="70b", min_gpus=1),
+        ]
+        a, b, big = (Job(spec, spec.build_graph(), spec.build_workload()) for spec in specs)
+        pairs = [(a, node), (big, one_gpu), (b, node), (big, one_gpu), (a, node)]
+        with PlanService() as service:
+            costing = PlanCosting(service, search, search)
+            first = costing.score(pairs)
+            assert service.stats.requests == 2
+            second = costing.score(pairs)
+            assert service.stats.requests == 2
+        for wave in (first, second):
+            assert [(c.job, c.partition) for c in wave] == pairs
+            assert all(c.plan is first[0].plan for c in wave[0::2])
+            assert all(not c.feasible and c.stats is None for c in wave[1::2])
+        filled = first[0].stats
+        assert filled.outcome == "cold"
+        hits = first[2::2] + second[0::2]
+        assert all(
+            c.stats.outcome == "hit" and c.stats.fingerprint == filled.fingerprint
+            for c in hits
+        )
+        # The memo hits count as the service hits they replace; the
+        # infeasible key is never recorded.
+        assert costing.cold_stats.count == 1
+        assert costing.replan_stats.count == 0
+        assert costing.candidates_scored == 10
+        assert costing.wave_stats["waves"] == 2
+        assert costing.wave_stats["service_waves"] == 1
+
+
 class TestElasticResize:
     def test_long_job_grows_after_short_job_finishes(self):
         jobs = [
@@ -585,6 +629,28 @@ class TestTraceDrivenProgress:
 
 
 class TestStaticEqualBaseline:
+    def test_lowest_free_whole_node_and_only_jobs_a_node_holds(self):
+        from repro.sched import Candidate, Job, PartitionManager
+
+        manager = PartitionManager(make_cluster(32))  # four 8-GPU nodes
+        manager.allocate(manager.distinct_shapes(8, 8)[0], owner=99)  # node 0
+        manager.fail_node(1)
+        specs = [tiny_job("wide", min_gpus=16, max_gpus=16), tiny_job("narrow")]
+        queue = [Job(spec, spec.build_graph(), spec.build_workload()) for spec in specs]
+        scored = []
+
+        class Costing:
+            def score(self, pairs):
+                scored.extend(pairs)
+                return [Candidate(job, part, None, 1.0, True) for job, part in pairs]
+
+        decision = StaticEqualPolicy().decide(queue, [], manager, Costing())
+        assert [job.spec.name for job, _partition in scored] == ["narrow"]
+        placement = decision.placement
+        assert placement.job is queue[1]
+        assert placement.partition.shape == (1, 8)
+        assert placement.partition.region.node_start == 2
+
     def test_static_slots_never_resize(self):
         jobs = [
             tiny_job("short", target_iterations=2),

@@ -142,13 +142,10 @@ class TestBilling:
     def test_session_bills_init_plus_chain_time(self, service):
         handle = service.start_session(_request(), slice_iterations=10)
         progress = handle.poll()
-        session = handle.session
         response = handle.stop()
-        # Stopping runs no slice: the bill is init plus the polled chain time.
-        assert response.stats.search_seconds == (
-            session.init_seconds + progress.wall_seconds
-        )
         result = response.result
+        # Stopping runs no slice: the bill is init plus the polled chain time.
+        assert response.stats.search_seconds == result.init_seconds + progress.wall_seconds
         assert result.init_seconds > 0
         assert response.stats.search_seconds == result.init_seconds + sum(
             result.chain_wall_seconds
