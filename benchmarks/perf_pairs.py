@@ -6,7 +6,8 @@ first alternates from pair to pair, so slow drift of the machine lands on
 both sides alike.  After the last pair it prints, for each metric of
 ``BENCHMARK.json`` (the ``end_to_end`` ones with ``--trace 0``, the
 ``per_layer`` ones with ``--trace 1``), each side's median and interquartile
-range, and in how many pairs the change was better (by the metric's
+range, the relative change of the medians (``change / parent - 1``, signed,
+in percent), and in how many pairs the change was better (by the metric's
 ``better`` direction; a tie is no win).  It also prints whether the two
 digests of each pair are equal: timings of runs whose outcomes differ
 compare different work.  Each side's ``machine:`` line is printed before
@@ -74,6 +75,13 @@ def _quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
     return q1, median, q3
 
 
+def relative_change(before: float, after: float) -> str:
+    """``after / before - 1`` as a signed percentage (``n/a`` from zero)."""
+    if before == 0:
+        return "n/a"
+    return f"{(after / before - 1.0) * 100.0:+.2f}%"
+
+
 def summarize(
     parent: Sequence[str], change: Sequence[str], better: Dict[str, str]
 ) -> List[str]:
@@ -97,6 +105,7 @@ def summarize(
         lines.append(
             f"{name} ({direction} is better): parent median {p_med:.6g} IQR {p_q3 - p_q1:.3g}"
             f" | change median {c_med:.6g} IQR {c_q3 - c_q1:.3g}"
+            f" | medians {relative_change(p_med, c_med)}"
             f" | change better in {wins}/{n_pairs}"
         )
     for i, ((p, c), p_out, c_out) in enumerate(zip(runs, parent, change), 1):

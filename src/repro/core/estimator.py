@@ -34,14 +34,15 @@ component functions without touching a memo (used by the test suite).
 
 An MCMC step only needs a proposal's exact cost when the proposal might be
 accepted.  ``cost_delta(..., reject_above=)`` therefore prices an eval-cache
-miss bound first: the critical path of the plan's dependency chain (the
-simulation without mesh waits) is a lower bound on TimeCost bit for bit, so
-when it (or, for an OOM plan, the penalised bound) already exceeds the
-caller's rejection threshold, the proposal is rejected without the
-simulation — and, on the time bound alone, without the memory sweep.  This
-is early rejection in Metropolis-Hastings (Solonen et al., Bayesian
-Analysis 2012); the bound is remembered in the eval cache so a revisit
-re-tests it instead of rebuilding the plan's state.
+miss in stages, each paying only for what it decides: two lower bounds on
+TimeCost, the critical path of the plan's dependency chain (the simulation
+without mesh waits) and the busiest GPU's summed work, come before the
+memory.  When the tighter bound (or, for an OOM plan, the penalised bound)
+already exceeds the caller's rejection threshold, the proposal is rejected
+without the simulation — and, on the time bounds alone, without pricing its
+memory.  This is early rejection in Metropolis-Hastings (Solonen et al.,
+Bayesian Analysis 2012); the bound is remembered in the eval cache so a
+revisit re-tests it instead of rebuilding the plan's state.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ DEFAULT_OOM_PENALTY = 100.0
 
 _MAX_PLAN_STATES = 32
 """How many per-plan component states the estimator keeps around (LRU)."""
+
+_LOAD_MARGIN = 1e-9
+"""Relative slack of :meth:`RuntimeEstimator._load_bound`.  It dwarfs the
+few ulps per call by which the bound's sweep and the simulation's end times
+round apart, so the bound stays ``<=`` TimeCost bit for bit."""
 
 _MAX_PLAN_EVALS = 16384
 """LRU capacity of the signature-keyed (TimeCost, MaxMem) eval cache, read
@@ -146,7 +152,7 @@ class _PlanState:
     fields are flat lists indexed by call id (or edge id), so a single-call
     move is a handful of C-speed ``list.copy()`` calls plus point updates.
     ``__slots__`` keeps the per-state footprint flat: the MCMC chain creates
-    one of these per proposal.
+    one of these per proposal, and prices its memory only on demand.
     """
 
     durations: List[float]
@@ -160,16 +166,20 @@ class _PlanState:
     mesh_spans: List[Tuple[int, int]]
     """Per call: half-open global GPU id range ``[lo, hi)`` of its mesh
     (device meshes always cover a contiguous run of global GPU ids)."""
-    mem: List[Tuple[float, float, float]]
-    """Per call: (static bytes, parameter-shard bytes, active bytes)."""
+    mem: Optional[List[Tuple[float, float, float]]]
+    """Per call: (static bytes, parameter-shard bytes, active bytes); read it
+    through :meth:`RuntimeEstimator._mem_of`, which fills it from ``pending``:
+    the base state and the move (call id, call name, allocation) on it."""
+    pending: Optional[Tuple[_PlanState, int, str, Allocation]] = None
 
 
 class _BoundEntry:
     """Eval-cache entry of a plan rejected on a lower bound of its cost.
 
-    ``seconds`` is the plan's critical-path bound on TimeCost; ``max_bytes``
-    its exact MaxMem when the memory sweep ran, ``None`` when the time bound
-    alone rejected.  Exact entries are plain ``(TimeCost, MaxMem)`` tuples.
+    ``seconds`` is the plan's tightest lower bound on TimeCost: its critical
+    path, or its per-GPU load bound when that is larger; ``max_bytes`` its
+    exact MaxMem when the memory sweep ran, ``None`` when a time bound alone
+    rejected.  Exact entries are plain ``(TimeCost, MaxMem)`` tuples.
     """
 
     __slots__ = ("seconds", "max_bytes")
@@ -229,6 +239,7 @@ class RuntimeEstimator:
         self.workload = workload
         self.cluster = cluster
         self.cross_check = cross_check
+        self._capacity = cluster.device_memory_bytes
         self.comm = CommModel(cluster)
         self.realloc_model = ReallocCostModel(cluster)
         self._cost_models: Dict[str, CallCostModel] = {}
@@ -525,6 +536,19 @@ class RuntimeEstimator:
             self._mem_cache[key] = cached
         return cached
 
+    def _mem_of(self, state: _PlanState) -> List[Tuple[float, float, float]]:
+        """The state's per-call memory contributions, priced on first read.
+        ``mem`` is written before ``pending`` is cleared, so racing readers
+        agree."""
+        pending = state.pending
+        if pending is not None:
+            base, call_id, call_name, alloc = pending
+            mem = self._mem_of(base).copy()
+            mem[call_id] = self._mem_contrib(call_name, alloc)
+            state.mem = mem
+            state.pending = None
+        return state.mem
+
     def _mesh_span(self, mesh: DeviceMesh) -> Tuple[int, int]:
         """Half-open global GPU id range ``[lo, hi)`` covered by the mesh.
 
@@ -596,7 +620,8 @@ class RuntimeEstimator:
     ) -> _PlanState:
         """State of ``plan`` with one call moved, updating only what changed:
         the moved call's duration, its model's reallocation edges, its
-        incident data-transfer edges, its mesh and its memory contribution.
+        incident data-transfer edges and its mesh.  Its memory contribution
+        is left pending on ``base`` until a stage reads it (:meth:`_mem_of`).
 
         Layout and transfer identities are prefixes of the allocations'
         :attr:`~repro.core.plan.Allocation.key`, so no dataclass attribute
@@ -638,14 +663,13 @@ class RuntimeEstimator:
                 )
         mesh_spans = base.mesh_spans.copy()
         mesh_spans[call_id] = self._mesh_span(new_alloc.mesh)
-        mem = base.mem.copy()
-        mem[call_id] = self._mem_contrib(call_name, new_alloc)
         return _PlanState(
             durations=durations,
             realloc_in=realloc_in,
             transfers=transfers,
             mesh_spans=mesh_spans,
-            mem=mem,
+            mem=None,
+            pending=(base, call_id, call_name, new_alloc),
         )
 
     # ------------------------------------------------------------------ #
@@ -736,6 +760,28 @@ class RuntimeEstimator:
                     ready_time[child_id] = ready
         return total
 
+    def _load_bound(self, state: _PlanState) -> float:
+        """Lower bound on :meth:`_simulate`'s total: the busiest GPU's work.
+
+        The simulation runs the calls sharing a GPU one after another, each
+        holding it for ``duration + realloc + rpc``, so TimeCost is at least
+        the largest per-GPU sum of those, which a sweep over the mesh-span
+        boundaries finds.  It adds in another order than the simulation, so
+        it is lowered by :data:`_LOAD_MARGIN` to stay ``<=`` TimeCost.
+        """
+        rpc = self.cluster.rpc_overhead_s
+        steps: Dict[int, float] = {}
+        for (lo, hi), duration, realloc in zip(state.mesh_spans, state.durations, state.realloc_in):
+            seconds = duration + realloc + rpc
+            steps[lo] = steps.get(lo, 0.0) + seconds
+            steps[hi] = steps.get(hi, 0.0) - seconds
+        best = load = 0.0
+        for boundary in sorted(steps):
+            load += steps[boundary]
+            if load > best:
+                best = load
+        return best * (1.0 - _LOAD_MARGIN)
+
     def time_cost(self, plan: ExecutionPlan) -> TimeCostResult:
         """Simulate one iteration of the plan and return its wall time.
 
@@ -768,11 +814,12 @@ class RuntimeEstimator:
         largest parameter shard any call places there.  Active memory is the
         largest activation/KV footprint among the calls running on the GPU.
         """
+        mem = self._mem_of(state)
         static: Dict[int, float] = {}
         params: Dict[Tuple[int, str], float] = {}
         active: Dict[int, float] = {}
         for call_id in range(len(self._call_names)):
-            call_static, param_bytes, call_active = state.mem[call_id]
+            call_static, param_bytes, call_active = mem[call_id]
             model = self._model_by_id[call_id]
             lo, hi = state.mesh_spans[call_id]
             for g in range(lo, hi):
@@ -803,7 +850,7 @@ class RuntimeEstimator:
         result is bit-for-bit identical to ``max(per_gpu)``.
         """
         spans = state.mesh_spans
-        mem = state.mem
+        mem = self._mem_of(state)
         model_by_id = self._model_by_id
         starts: Dict[int, List[int]] = {}
         stops: Dict[int, List[int]] = {}
@@ -968,24 +1015,27 @@ class RuntimeEstimator:
         proven to be above ``reject_above``.
 
         An exact entry answers outright.  On a miss the plan's state is
-        built, and the scoring tries to reject the plan before simulating it:
+        built (a moved plan's memory unpriced), and each stage below runs
+        only when the ones before it did not reject:
 
         1. the critical path of the plan (:meth:`_critical_path`, the
            simulation without mesh waits) is a lower bound on its TimeCost,
            bit for bit, and its cost is at least that (``oom_penalty >= 1``):
-           a bound above ``reject_above`` rejects with no sweep and no
-           simulation;
-        2. otherwise the exact memory sweep runs; an OOM plan costs at least
+           a bound above ``reject_above`` rejects;
+        2. so is the per-GPU load bound (:meth:`_load_bound`); the larger
+           of the two is the bound, and may reject.  No memory is priced;
+        3. the exact memory sweep runs; an OOM plan costs at least
            ``oom_penalty`` times the bound, which may reject it;
-        3. only then is the plan simulated.
+        4. only then is the plan simulated, and a moved plan's state is
+           remembered for the moves that start from it.
 
         A rejection is stored as a bound entry; a revisit re-tests the bound
         against its own threshold and replaces the entry by the exact value
         once the bound no longer rejects.  Under an infinite threshold
-        nothing can be rejected, so the bound is not computed.
+        nothing can be rejected, so no bound is computed.
         """
         stats = self.eval_cache_stats
-        capacity = self.cluster.device_memory_bytes
+        capacity = self._capacity
         entry = self._lookup(signature)
         bound: Optional[float] = None
         max_bytes: Optional[float] = None
@@ -1004,9 +1054,12 @@ class RuntimeEstimator:
             state = self._state_for(plan)
         else:
             state = self._moved_state(self._state_for(plan), plan, call_name, new_alloc)
-            self._remember_state(signature, state)
         if bound is None:
             bound = self._critical_path(state) if reject_above < math.inf else 0.0
+        if not bound > reject_above and reject_above < math.inf:
+            load = self._load_bound(state)
+            if load > bound:
+                bound = load
         if max_bytes is None and not bound > reject_above:
             max_bytes = self._max_bytes_sweep(state)
         if self._bound_rejects(bound, max_bytes, oom_penalty, reject_above):
@@ -1014,6 +1067,8 @@ class RuntimeEstimator:
             self._store(signature, _BoundEntry(bound, max_bytes))
             return None
         total, _ = self._simulate(state)
+        if call_name is not None:
+            self._remember_state(signature, state)
         self._store(signature, (total, max_bytes))
         return total if max_bytes < capacity else oom_penalty * total
 
@@ -1031,7 +1086,7 @@ class RuntimeEstimator:
             return True
         return (
             max_bytes is not None
-            and max_bytes >= self.cluster.device_memory_bytes
+            and max_bytes >= self._capacity
             and oom_penalty * bound > reject_above
         )
 

@@ -3,8 +3,9 @@
 ``MCMCSearcher.advance_chain`` draws each step's uniform before scoring the
 proposal and hands ``RuntimeEstimator.cost_delta`` a cost threshold above
 which the step must reject; the estimator may then reject on a lower bound
-of the cost (the critical path without mesh waits, times the OOM penalty
-once the plan is known to overflow) without simulating the plan.  These
+of the cost (the critical path without mesh waits or the per-GPU load,
+times the OOM penalty once the plan is known to overflow) without simulating
+the plan, and without pricing its memory when a time bound alone rejects.  These
 tests pin the pieces that make that exact:
 
 * the old loop (score, then draw ``u``), kept here as the reference, and the
@@ -13,7 +14,9 @@ tests pin the pieces that make that exact:
   every slice and after a slice an estimator error ended (the new loop draws
   through a ``_DrawStream``, the old one calls the ``Generator`` per draw);
 * the threshold is sound: a cost just above it fails the acceptance test;
-* the critical-path bound never exceeds the simulated TimeCost;
+* the critical-path and load bounds never exceed the simulated TimeCost;
+* a proposal rejected on a time bound prices no memory, and the memory the
+  estimator prices later is the exact one;
 * ``cost_delta`` returns the exact cost whenever that cost is not above the
   threshold, stores its rejections as bound entries of the eval cache, and
   its cross-check catches both a poisoned exact entry and a poisoned bound.
@@ -243,10 +246,15 @@ def test_threshold_never_rejects_what_always_accepts():
     assert _reject_above(5.0, 1.0, 0.3, 0.0) == math.inf
 
 
-def _random_moves(algorithm, n, seed):
-    """``n`` random ``(plan, call, alloc)`` moves over random plans."""
+def _random_moves(algorithm, n, seed, max_gpus=None, min_gpus=1):
+    """``n`` random ``(plan, call, alloc)`` moves over random plans whose
+    meshes have between ``min_gpus`` and ``max_gpus`` (default: any) GPUs."""
     graph = GRAPHS[algorithm]()
-    options = allocation_options(graph, WORKLOAD, CLUSTER)
+    max_gpus = max_gpus or CLUSTER.n_gpus
+    options = {
+        name: [a for a in allocs if min_gpus <= a.mesh.n_gpus <= max_gpus]
+        for name, allocs in allocation_options(graph, WORKLOAD, CLUSTER).items()
+    }
     rng = np.random.default_rng(seed)
     names = graph.call_names
     moves = []
@@ -272,6 +280,110 @@ def test_critical_path_bounds_the_simulation(algorithm):
         strict += bound < total
     # Mesh waits matter for most random plans: the bound is not the total.
     assert strict > len(moves) // 2
+
+
+@pytest.mark.parametrize("algorithm", sorted(GRAPHS))
+def test_load_bound_bounds_the_simulation(algorithm):
+    """On random moved plans, plans with every call on the full-cluster mesh
+    (where the simulation is one serial run and the bound all but equals
+    it) and OOM-heavy plans of 1- and 2-GPU meshes."""
+    families = {
+        "random": _random_moves(algorithm, 300, seed=3)[1],
+        "full": _random_moves(algorithm, 200, seed=4, min_gpus=CLUSTER.n_gpus)[1],
+        "small": _random_moves(algorithm, 200, seed=6, max_gpus=2)[1],
+    }
+    estimator = RuntimeEstimator(GRAPHS[algorithm](), WORKLOAD, CLUSTER)
+    tighter = {}
+    ooms = 0
+    for family, moves in families.items():
+        tighter[family] = 0
+        for plan, name, alloc in moves:
+            state = estimator._moved_state(estimator._state_for(plan), plan, name, alloc)
+            bound = estimator._load_bound(state)
+            total, _ = estimator._simulate(state)
+            assert bound <= total
+            tighter[family] += bound > estimator._critical_path(state)
+            if family == "small":
+                ooms += estimator._max_bytes_sweep(state) >= CLUSTER.device_memory_bytes
+    # Calls sharing every GPU run one after another: the load bound is the
+    # tighter one on every such plan, and on some random ones.
+    assert tighter["full"] == len(families["full"])
+    assert tighter["random"] > len(families["random"]) // 10
+    assert ooms > len(families["small"]) // 2
+
+
+@pytest.mark.parametrize("algorithm", sorted(GRAPHS))
+def test_time_bound_rejection_prices_no_memory(algorithm, monkeypatch):
+    """A move rejected on a time bound leaves its memory unpriced; the plan's
+    cost, memory and feasibility asked afterwards are the exact ones."""
+    graph, moves = _random_moves(algorithm, 20, seed=8)
+    checked = 0
+    for plan, name, alloc in moves:
+        moved = plan.with_assignment(name, alloc)
+        estimator = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+        estimator.cost(plan)
+        key = (name,) + alloc.key[4:]
+        if key in estimator._mem_cache:
+            continue  # the move keeps a priced strategy: nothing to observe
+        calls = []
+        compute = estimator._compute_mem_contrib
+        monkeypatch.setattr(
+            estimator, "_compute_mem_contrib", lambda *args: calls.append(args) or compute(*args)
+        )
+        cached = len(estimator._mem_cache)
+        assert estimator.cost_delta(plan, name, alloc, reject_above=0.0) is None
+        assert calls == [] and len(estimator._mem_cache) == cached
+        fresh = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+        assert estimator.cost(moved) == estimator._exact_cost(moved, DEFAULT_OOM_PENALTY)
+        assert estimator.cost(moved) == fresh.cost(moved)
+        assert estimator.max_memory(moved) == fresh.max_memory(moved)
+        assert estimator.is_feasible(moved) == fresh.is_feasible(moved)
+        assert key in estimator._mem_cache
+        checked += 1
+    assert checked > 10
+
+
+def test_remembered_state_prices_its_memory_on_first_read():
+    """A revisited OOM rejection is simulated without a sweep (its entry
+    holds MaxMem), so the state it leaves in the LRU has unpriced memory:
+    ``max_memory`` prices it, exactly."""
+    graph, moves = _random_moves("grpo", 200, seed=9, max_gpus=2)
+    reference = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+    for plan, name, alloc in moves:
+        moved = plan.with_assignment(name, alloc)
+        if reference.is_feasible(moved):
+            continue
+        exact = reference._exact_cost(moved, DEFAULT_OOM_PENALTY)
+        estimator = RuntimeEstimator(graph, WORKLOAD, CLUSTER)
+        # About TimeCost: the penalised bound rejects where no time bound does.
+        reject_above = exact / DEFAULT_OOM_PENALTY
+        assert estimator.cost_delta(plan, name, alloc, reject_above=reject_above) is None
+        (entry,) = [e for e in estimator._eval_cache.values() if e.__class__ is _BoundEntry]
+        if entry.max_bytes is None:
+            continue  # a time bound rejected it: no OOM rejection to revisit
+        assert estimator.cost_delta(plan, name, alloc) == exact
+        state = estimator._states[estimator._plan_signature(moved)]
+        assert state.mem is None and state.pending is not None
+        assert estimator.max_memory(moved) == reference.max_memory(moved)
+        assert state.pending is None and state.mem == reference._exact_state(moved).mem
+        return
+    pytest.fail("no OOM move was rejected on its penalised bound")
+
+
+@pytest.mark.parametrize("algorithm", sorted(GRAPHS))
+def test_load_bound_rejects_more_without_moving_the_chain(algorithm, monkeypatch):
+    """A cross-checked chain with the load bound rejects more proposals
+    than one without it, and ends exactly where that one ends."""
+    searcher = _searcher(algorithm, 1, 200, 8.0, 100.0, cross_check=True)
+    state = searcher.advance_chain(_chain(searcher))
+    baseline = _searcher(algorithm, 1, 200, 8.0, 100.0, cross_check=True)
+    monkeypatch.setattr(baseline.estimator, "_load_bound", lambda state: 0.0)
+    reference = baseline.advance_chain(_chain(baseline))
+    got, expected = new_loop(searcher, state, None), new_loop(baseline, reference, None)
+    assert got[0].assignments == expected[0].assignments
+    assert got[1:] == expected[1:]
+    ours = searcher.estimator.eval_cache_stats.bound_rejections
+    assert ours > baseline.estimator.eval_cache_stats.bound_rejections
 
 
 @pytest.mark.parametrize("algorithm", sorted(GRAPHS))

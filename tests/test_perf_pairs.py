@@ -50,11 +50,12 @@ def test_summary_reports_medians_iqr_wins_and_digests():
     by_metric = {line.split()[0]: line for line in lines[1:4]}
     assert by_metric["op_p50_s"] == (
         "op_p50_s (lower is better): parent median 0.11 IQR 0.02"
-        " | change median 0.1 IQR 0.02 | change better in 4/5"
+        " | change median 0.1 IQR 0.02 | medians -9.09% | change better in 4/5"
     )
     # Equal values are no win, in either direction.
     assert by_metric["ok_op_ratio"].endswith("change better in 0/5")
-    assert by_metric["peak_rss_mb"].endswith("change better in 0/5")
+    assert by_metric["peak_rss_mb"].endswith("| medians +1.25% | change better in 0/5")
+    assert "| medians +0.00% |" in by_metric["ok_op_ratio"]
     assert lines[4:] == [
         "pair 1: digests equal",
         "pair 2: digests equal",
@@ -70,7 +71,10 @@ def test_summary_flags_incorrect_runs_and_skips_unreported_metrics():
         dict(BETTER, round_s="lower"),
     )
     assert not any(line.startswith("round_s") for line in lines)
-    assert "parent median 80 IQR 0 | change median 79 IQR 0 | change better in 1/1" in lines[3]
+    assert (
+        "parent median 80 IQR 0 | change median 79 IQR 0 | medians -1.25% | change better in 1/1"
+        in lines[3]
+    )
     assert lines[-1] == "pair 1: digests equal  NOT CORRECT"
 
 
@@ -143,13 +147,21 @@ def test_trace_mode_compares_per_layer_metrics(monkeypatch, capsys):
     # Directions come from BENCHMARK.json's per_layer list.
     assert by_metric["core.estimator.self_s"] == (
         "core.estimator.self_s (lower is better): parent median 3.4 IQR 0.1"
-        " | change median 3 IQR 0.35 | change better in 2/3"
+        " | change median 3 IQR 0.35 | medians -11.76% | change better in 2/3"
     )
     assert by_metric["core.estimator.eval_cache_hit_ratio"].startswith(
         "core.estimator.eval_cache_hit_ratio (higher is better)"
     )
     assert by_metric["bench.traced_wall_s"].endswith("change better in 0/3")
     assert not any(line.startswith("op_p50_s") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "before, after, expected",
+    [(0.02, 0.015, "-25.00%"), (2.0, 3.0, "+50.00%"), (5.0, 5.0, "+0.00%"), (0.0, 1.0, "n/a")],
+)
+def test_relative_change_of_medians(before, after, expected):
+    assert perf_pairs.relative_change(before, after) == expected
 
 
 def test_failed_run_exits_with_its_stderr_tail(monkeypatch):
