@@ -11,7 +11,6 @@ account for on top.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import count
 from typing import Dict, Tuple
@@ -316,8 +315,7 @@ class CallCostTable:
     clears the table.  The values are pure, so clearing only forces
     recomputation; both maps hold at most ``_MAX_CALL_COSTS`` entries.
     :attr:`priced` counts the stores: the call shapes actually priced.
-    Lookups read :attr:`times` directly; stores take a lock, so estimators
-    on several threads lose no count.
+    Lookups read :attr:`times` directly.
     """
 
     def __init__(self) -> None:
@@ -325,7 +323,6 @@ class CallCostTable:
         self.priced = 0
         self._tokens: Dict[Tuple, int] = {}
         self._next_token = count()
-        self._lock = threading.Lock()
 
     def token(
         self,
@@ -346,8 +343,7 @@ class CallCostTable:
 
     def store(self, key: Tuple, seconds: float) -> None:
         """Remember a freshly priced call time."""
-        with self._lock:
-            if len(self.times) >= _MAX_CALL_COSTS:
-                self.times.clear()
-            self.times[key] = seconds
-            self.priced += 1
+        if len(self.times) >= _MAX_CALL_COSTS:
+            self.times.clear()
+        self.times[key] = seconds
+        self.priced += 1

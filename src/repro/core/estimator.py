@@ -217,12 +217,6 @@ class RuntimeEstimator:
         estimator builds a private table.  Estimators built from
         ``profiles`` always use a private table: profiled timings are not a
         function of the table's content key.
-
-    The memo caches are plain dicts holding values of pure functions, so
-    concurrent use from several threads (e.g. a plan service shared by
-    several client threads) is safe under the GIL: racing writes store
-    identical values (or, in the eval cache, an exact entry and a bound
-    entry of the same plan, each true of it).
     """
 
     def __init__(
@@ -537,9 +531,7 @@ class RuntimeEstimator:
         return cached
 
     def _mem_of(self, state: _PlanState) -> List[Tuple[float, float, float]]:
-        """The state's per-call memory contributions, priced on first read.
-        ``mem`` is written before ``pending`` is cleared, so racing readers
-        agree."""
+        """The state's per-call memory contributions, priced on first read."""
         pending = state.pending
         if pending is not None:
             base, call_id, call_name, alloc = pending
@@ -585,12 +577,7 @@ class RuntimeEstimator:
         signature = self._plan_signature(plan)
         state = self._states.get(signature)
         if state is not None:
-            try:
-                self._states.move_to_end(signature)
-            except KeyError:
-                # A concurrent _remember_state evicted the entry between the
-                # get and the LRU touch; the state itself remains valid.
-                pass
+            self._states.move_to_end(signature)
             return state
         state = self._build_state(
             plan,
@@ -605,11 +592,7 @@ class RuntimeEstimator:
     def _remember_state(self, signature: Tuple, state: _PlanState) -> None:
         self._states[signature] = state
         while len(self._states) > _MAX_PLAN_STATES:
-            try:
-                self._states.popitem(last=False)
-            except KeyError:
-                # Another thread emptied the LRU past us; nothing to evict.
-                break
+            self._states.popitem(last=False)
 
     def _moved_state(
         self,
@@ -900,24 +883,15 @@ class RuntimeEstimator:
         """The eval-cache entry of a signature, touched as most recently used."""
         entry = self._eval_cache.get(signature)
         if entry is not None:
-            try:
-                self._eval_cache.move_to_end(signature)
-            except KeyError:
-                # A concurrent insert evicted the entry between the get and
-                # the LRU touch; the entry itself remains valid.
-                pass
+            self._eval_cache.move_to_end(signature)
         return entry
 
     def _store(self, signature: Tuple, entry: _EvalEntry) -> None:
         """Insert or overwrite an eval-cache entry, evicting past capacity."""
         self._eval_cache[signature] = entry
         while len(self._eval_cache) > self._eval_cache_size:
-            try:
-                self._eval_cache.popitem(last=False)
-                self.eval_cache_stats.evictions += 1
-            except KeyError:
-                # Another thread emptied the LRU past us; nothing to evict.
-                break
+            self._eval_cache.popitem(last=False)
+            self.eval_cache_stats.evictions += 1
 
     def _exact_state(self, plan: ExecutionPlan) -> _PlanState:
         """The plan's state from the pure per-component functions, with the

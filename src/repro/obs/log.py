@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-import threading
 from typing import Any, Dict, Optional, TextIO
 
 from .. import knobs
@@ -41,7 +40,6 @@ _STANDARD_ATTRS = frozenset(
 ) | {"message", "asctime", "taskName"}
 
 _configured = False
-_config_lock = threading.Lock()
 
 
 class JsonFormatter(logging.Formatter):
@@ -77,21 +75,20 @@ def configure_logging(
     level = level or knobs.get("REPRO_LOG_LEVEL")
     fmt = fmt or knobs.get("REPRO_LOG_FORMAT")
     root = logging.getLogger(ROOT_LOGGER_NAME)
-    with _config_lock:
-        root.setLevel(level.upper())
-        handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
-        if fmt.lower() == "json":
-            handler.setFormatter(JsonFormatter())
-        else:
-            handler.setFormatter(
-                logging.Formatter(
-                    "%(asctime)s %(levelname)s %(name)s: %(message)s",
-                    datefmt="%H:%M:%S",
-                )
+    root.setLevel(level.upper())
+    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    if fmt.lower() == "json":
+        handler.setFormatter(JsonFormatter())
+    else:
+        handler.setFormatter(
+            logging.Formatter(
+                "%(asctime)s %(levelname)s %(name)s: %(message)s",
+                datefmt="%H:%M:%S",
             )
-        root.handlers[:] = [handler]
-        root.propagate = False
-        _configured = True
+        )
+    root.handlers[:] = [handler]
+    root.propagate = False
+    _configured = True
     return root
 
 
@@ -103,10 +100,8 @@ def get_logger(subsystem: str = "") -> logging.Logger:
     """
     global _configured
     if not _configured:
-        with _config_lock:
-            pre_configured = logging.getLogger(ROOT_LOGGER_NAME).handlers
-            _configured = True
-        if not pre_configured:
+        _configured = True
+        if not logging.getLogger(ROOT_LOGGER_NAME).handlers:
             configure_logging()
     name = f"{ROOT_LOGGER_NAME}.{subsystem}" if subsystem else ROOT_LOGGER_NAME
     return logging.getLogger(name)

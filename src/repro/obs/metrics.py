@@ -12,9 +12,9 @@ is the shared instrumentation substrate they now report through:
   it with a single method call;
 * :class:`Histogram` combines fixed cumulative buckets (for Prometheus
   exposition) with streaming P² quantile estimation for p50/p90/p99 — no
-  sample retention, O(1) memory per series;
-* everything is thread-safe (one lock per instrument family; the registry
-  lock only guards registration).
+  sample retention, O(1) memory per series.
+
+Like the rest of the library, the registry is not thread-safe.
 
 Exporters (JSON snapshot, Prometheus text exposition, Chrome-trace counter
 events) live in :mod:`repro.obs.export`; the structured logging setup in
@@ -23,7 +23,7 @@ events) live in :mod:`repro.obs.export`; the structured logging setup in
 
 from __future__ import annotations
 
-import threading
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -142,7 +142,6 @@ class _Instrument:
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
-        self._lock = threading.Lock()
         self._series: Dict[Tuple[str, ...], Any] = {}
         if not self.label_names:
             self._series[()] = self._new_series()
@@ -160,11 +159,10 @@ class _Instrument:
     def labels(self, **labels: object) -> "_Instrument":
         """The child series for one label-value combination (interned)."""
         key = self._label_key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._new_series()
-                self._series[key] = series
+        series = self._series.get(key)
+        if series is None:
+            series = self._new_series()
+            self._series[key] = series
         return _Child(self, key, series)
 
     def _default_series(self) -> Any:
@@ -175,8 +173,7 @@ class _Instrument:
         return self._series[()]
 
     def series_items(self) -> List[Tuple[Tuple[str, ...], Any]]:
-        with self._lock:
-            return sorted(self._series.items())
+        return sorted(self._series.items())
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -207,16 +204,10 @@ class _Child:
         self._series = series
 
     def __getattr__(self, attr: str) -> Any:
-        method = getattr(type(self._parent), f"_series_{attr}", None)
+        method = getattr(self._parent, f"_series_{attr}", None)
         if method is None:
             raise AttributeError(attr)
-        parent, series = self._parent, self._series
-
-        def bound(*args: object, **kwargs: object) -> Any:
-            with parent._lock:
-                return method(parent, series, *args, **kwargs)
-
-        return bound
+        return partial(method, self._series)
 
     @property
     def value(self) -> float:
@@ -237,9 +228,7 @@ class Counter(_Instrument):
         series[0] += amount
 
     def inc(self, amount: float = 1.0) -> None:
-        series = self._default_series()
-        with self._lock:
-            self._series_inc(series, amount)
+        self._series_inc(self._default_series(), amount)
 
     @property
     def value(self) -> float:
@@ -264,14 +253,10 @@ class Gauge(_Instrument):
         series[0] += amount
 
     def set(self, value: float) -> None:
-        series = self._default_series()
-        with self._lock:
-            self._series_set(series, value)
+        self._series_set(self._default_series(), value)
 
     def inc(self, amount: float = 1.0) -> None:
-        series = self._default_series()
-        with self._lock:
-            self._series_inc(series, amount)
+        self._series_inc(self._default_series(), amount)
 
     @property
     def value(self) -> float:
@@ -345,9 +330,7 @@ class Histogram(_Instrument):
             quantile.observe(value)
 
     def observe(self, value: float) -> None:
-        series = self._default_series()
-        with self._lock:
-            self._series_observe(series, value)
+        self._series_observe(self._default_series(), value)
 
     @property
     def count(self) -> int:
@@ -391,24 +374,22 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, _Instrument] = {}
         self._collectors: List[Callable[[], None]] = []
-        self._lock = threading.Lock()
 
     # -- instrument factories ------------------------------------------- #
     def _get_or_create(
         self, cls: type, name: str, help: str, label_names: Sequence[str], **kwargs: Any
     ) -> Any:
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if type(existing) is not cls:
-                    raise ValueError(
-                        f"{name} already registered as {existing.kind}, "
-                        f"requested {cls.kind}"
-                    )
-                return existing
-            instrument = cls(name, help, label_names, **kwargs)
-            self._metrics[name] = instrument
-            return instrument
+        existing = self._metrics.get(name)
+        if existing is not None:
+            if type(existing) is not cls:
+                raise ValueError(
+                    f"{name} already registered as {existing.kind}, "
+                    f"requested {cls.kind}"
+                )
+            return existing
+        instrument = cls(name, help, label_names, **kwargs)
+        self._metrics[name] = instrument
+        return instrument
 
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
@@ -437,32 +418,26 @@ class MetricsRegistry:
         the registry on their hot paths.  Returns ``fn`` for symmetry with
         :meth:`unregister_collector`.
         """
-        with self._lock:
-            self._collectors.append(fn)
+        self._collectors.append(fn)
         return fn
 
     def unregister_collector(self, fn: Callable[[], None]) -> None:
-        with self._lock:
-            try:
-                self._collectors.remove(fn)
-            except ValueError:
-                pass
+        try:
+            self._collectors.remove(fn)
+        except ValueError:
+            pass
 
     def collect(self) -> None:
         """Run the registered collectors (snapshot/export call this)."""
-        with self._lock:
-            collectors = list(self._collectors)
-        for fn in collectors:
+        for fn in list(self._collectors):
             fn()
 
     # -- export surface ------------------------------------------------- #
     def instruments(self) -> List[_Instrument]:
-        with self._lock:
-            return [self._metrics[name] for name in sorted(self._metrics)]
+        return [self._metrics[name] for name in sorted(self._metrics)]
 
     def get(self, name: str) -> Optional[_Instrument]:
-        with self._lock:
-            return self._metrics.get(name)
+        return self._metrics.get(name)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of every instrument's series."""
@@ -476,7 +451,6 @@ class MetricsRegistry:
 
 
 _GLOBAL_REGISTRY = MetricsRegistry()
-_GLOBAL_LOCK = threading.Lock()
 
 
 def get_registry() -> MetricsRegistry:
@@ -487,7 +461,6 @@ def get_registry() -> MetricsRegistry:
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     """Swap the process-wide registry (tests); returns the previous one."""
     global _GLOBAL_REGISTRY
-    with _GLOBAL_LOCK:
-        previous = _GLOBAL_REGISTRY
-        _GLOBAL_REGISTRY = registry
+    previous = _GLOBAL_REGISTRY
+    _GLOBAL_REGISTRY = registry
     return previous

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Union
@@ -48,43 +47,38 @@ _MAX_EVENTS = 16384
 
 
 class ProvenanceLedger:
-    """Bounded log of decision events; thread-safe.
+    """Bounded log of decision events; not thread-safe.
 
     Events are plain dicts (JSON-serializable by construction of the
     callers); the ledger stamps each with a monotonically increasing
-    ``seq`` so files stay ordered even when several threads record.
+    ``seq``, its index over the ledger's life.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._events: Deque[Dict[str, Any]] = deque(maxlen=_MAX_EVENTS)
         self._n_events = 0
 
     def record(self, kind: str, **fields: Any) -> None:
         """Append one event, evicting the oldest beyond the cap."""
-        with self._lock:
-            event = {"kind": kind, "seq": self._n_events}
-            event.update(fields)
-            self._events.append(event)
-            self._n_events += 1
+        event = {"kind": kind, "seq": self._n_events}
+        event.update(fields)
+        self._events.append(event)
+        self._n_events += 1
 
     @property
     def n_events(self) -> int:
         """Events recorded over the ledger's life, evicted ones included."""
-        with self._lock:
-            return self._n_events
+        return self._n_events
 
     @property
     def first_held(self) -> int:
         """``seq`` of the oldest event still held (``n_events`` when none is)."""
-        with self._lock:
-            return self._n_events - len(self._events)
+        return self._n_events - len(self._events)
 
     def events(self, since: int = 0, kind: Optional[str] = None) -> List[Dict[str, Any]]:
         """Held events whose ``seq`` is ``since`` or later (optionally by kind)."""
-        with self._lock:
-            skip = max(0, since - (self._n_events - len(self._events)))
-            selected = list(itertools.islice(self._events, skip, None))
+        skip = max(0, since - self.first_held)
+        selected = list(itertools.islice(self._events, skip, None))
         if kind is not None:
             selected = [event for event in selected if event.get("kind") == kind]
         return selected
@@ -137,7 +131,6 @@ def load_provenance(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
 
 _LEDGER = ProvenanceLedger()
-_ledger_lock = threading.Lock()
 
 
 def get_ledger() -> ProvenanceLedger:
@@ -148,6 +141,5 @@ def get_ledger() -> ProvenanceLedger:
 def set_ledger(ledger: ProvenanceLedger) -> ProvenanceLedger:
     """Swap the global ledger (tests, isolated runs); returns the old one."""
     global _LEDGER
-    with _ledger_lock:
-        previous, _LEDGER = _LEDGER, ledger
+    previous, _LEDGER = _LEDGER, ledger
     return previous

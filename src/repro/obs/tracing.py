@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
 import time
 from collections import deque
 from contextvars import ContextVar
@@ -156,7 +155,7 @@ class _ActiveSpan:
 
 
 class Tracer:
-    """Collects the span tree of a run; thread-safe.
+    """Collects the span tree of a run; not thread-safe.
 
     The default process-global tracer (:func:`get_tracer`) is what every
     instrumented layer reports into, so one scheduler run's spans — the
@@ -167,7 +166,6 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._records: Deque[SpanRecord] = deque(maxlen=_MAX_RECORDS)
         self._n_records = 0
 
@@ -197,9 +195,8 @@ class Tracer:
 
     def append(self, record: SpanRecord) -> None:
         """Record one finished span, evicting the oldest beyond the cap."""
-        with self._lock:
-            self._records.append(record)
-            self._n_records += 1
+        self._records.append(record)
+        self._n_records += 1
 
     # ------------------------------------------------------------------ #
     # Reading / export
@@ -207,20 +204,17 @@ class Tracer:
     @property
     def n_records(self) -> int:
         """Spans appended over the tracer's life, evicted ones included."""
-        with self._lock:
-            return self._n_records
+        return self._n_records
 
     @property
     def first_held(self) -> int:
         """Index of the oldest span still held (``n_records`` when none is)."""
-        with self._lock:
-            return self._n_records - len(self._records)
+        return self._n_records - len(self._records)
 
     def records(self, since: int = 0) -> List[SpanRecord]:
         """Held spans whose index is ``since`` or later."""
-        with self._lock:
-            skip = max(0, since - (self._n_records - len(self._records)))
-            return list(itertools.islice(self._records, skip, None))
+        skip = max(0, since - self.first_held)
+        return list(itertools.islice(self._records, skip, None))
 
     def record_chrome(self, recorder: Any, since: int = 0) -> int:
         """Merge the span tree into a Chrome-trace recorder; returns #spans.
@@ -275,7 +269,6 @@ class Tracer:
 
 
 _TRACER = Tracer()
-_tracer_lock = threading.Lock()
 
 
 def get_tracer() -> Tracer:
@@ -286,6 +279,5 @@ def get_tracer() -> Tracer:
 def set_tracer(tracer: Tracer) -> Tracer:
     """Swap the global tracer (tests, isolated runs); returns the old one."""
     global _TRACER
-    with _tracer_lock:
-        previous, _TRACER = _TRACER, tracer
+    previous, _TRACER = _TRACER, tracer
     return previous

@@ -187,12 +187,11 @@ class PlanCosting:
             args={"candidates": len(fresh)},
         ) as wave_span:
             for key, (job, partition) in fresh.items():
-                future = self.service.submit(
-                    self._request(job, partition),
-                    warm_start_before=wave_start_puts,
-                )
                 try:
-                    response = future.result()
+                    response = self.service.plan(
+                        self._request(job, partition),
+                        warm_start_before=wave_start_puts,
+                    )
                 except ValueError:
                     # No admissible allocation for some call on this partition
                     # (e.g. the model cannot fit at any parallelization) — the

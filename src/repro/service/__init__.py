@@ -5,14 +5,16 @@ subsystem turns it into a shared service so heavy planning traffic is cheap:
 
 * :mod:`repro.service.fingerprint` — canonical cache keys for planning
   requests (exact key + warm-start family key).
-* :mod:`repro.service.cache` — thread-safe in-memory LRU cache of plan
-  objects.
+* :mod:`repro.service.cache` — in-memory LRU cache of plan objects.
 * :mod:`repro.service.warm_start` — seeding the MCMC search from the most
   similar cached plan, adapted across cluster sizes.
 * :mod:`repro.service.server` — the :class:`PlanService`, which serves each
   request on the caller's thread (duplicates are cache hits) and warm-starts
   every candidate of a decision wave from the cache as it stood when the
   wave began; per-request statistics.
+
+Like the rest of the library, the service is not thread-safe: use one
+service per thread.
 """
 
 from .cache import PlanCache, PlanCacheEntry

@@ -8,12 +8,12 @@ to repeat, so nothing needs to survive a restart.
 
 Puts are numbered, so a decision wave can warm-start every candidate from
 the cache as it stood when the wave began (the ``before`` cutoff of
-:meth:`PlanCache.family_entries`).  The cache is thread-safe.
+:meth:`PlanCache.family_entries`).  Like the rest of the library, the
+cache is not thread-safe.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -94,7 +94,7 @@ class PlanCacheEntry:
 
 
 class PlanCache:
-    """Thread-safe LRU cache of :class:`PlanCacheEntry` objects.
+    """LRU cache of :class:`PlanCacheEntry` objects.
 
     ``capacity`` is the maximum number of entries; the least recently used
     entry is evicted when the cache overflows.
@@ -108,32 +108,28 @@ class PlanCache:
         self._put_numbers: Dict[str, int] = {}
         self.puts = 0
         """How many :meth:`put` calls the cache has seen (refreshes included)."""
-        self._lock = threading.RLock()
 
     def get(self, key: str) -> Optional[PlanCacheEntry]:
         """Look up an entry by exact fingerprint key (refreshes LRU order)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
 
     def peek(self, key: str) -> Optional[PlanCacheEntry]:
         """Look up an entry without touching LRU order."""
-        with self._lock:
-            return self._entries.get(key)
+        return self._entries.get(key)
 
     def put(self, entry: PlanCacheEntry) -> None:
         """Insert (or refresh) an entry, evicting the LRU entry on overflow."""
-        with self._lock:
-            if entry.key in self._entries:
-                self._entries.move_to_end(entry.key)
-            self._entries[entry.key] = entry
-            self._put_numbers[entry.key] = self.puts
-            self.puts += 1
-            while len(self._entries) > self.capacity:
-                evicted, _entry = self._entries.popitem(last=False)
-                del self._put_numbers[evicted]
+        if entry.key in self._entries:
+            self._entries.move_to_end(entry.key)
+        self._entries[entry.key] = entry
+        self._put_numbers[entry.key] = self.puts
+        self.puts += 1
+        while len(self._entries) > self.capacity:
+            evicted, _entry = self._entries.popitem(last=False)
+            del self._put_numbers[evicted]
 
     def refresh(self, entry: PlanCacheEntry) -> bool:
         """Replace the cached entry for ``entry.key`` only if this one is better.
@@ -144,12 +140,11 @@ class PlanCache:
         knows how to beat.  Entries at least as good as the candidate are
         left untouched; returns whether the cache changed.
         """
-        with self._lock:
-            existing = self._entries.get(entry.key)
-            if existing is not None and existing.best_cost <= entry.best_cost:
-                return False
-            self.put(entry)
-            return True
+        existing = self._entries.get(entry.key)
+        if existing is not None and existing.best_cost <= entry.best_cost:
+            return False
+        self.put(entry)
+        return True
 
     def family_entries(
         self, family: str, before: Optional[int] = None
@@ -159,23 +154,9 @@ class PlanCache:
         With ``before``, only entries whose latest put came earlier than put
         number ``before`` (a past value of :attr:`puts`) are returned.
         """
-        with self._lock:
-            return [
-                entry
-                for entry in reversed(self._entries.values())
-                if entry.family == family
-                and (before is None or self._put_numbers[entry.key] < before)
-            ]
-
-    def keys(self) -> List[str]:
-        """Cached fingerprint keys in LRU-to-MRU order."""
-        with self._lock:
-            return list(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return [
+            entry
+            for entry in reversed(self._entries.values())
+            if entry.family == family
+            and (before is None or self._put_numbers[entry.key] < before)
+        ]

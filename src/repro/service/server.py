@@ -8,7 +8,7 @@ long-lived service:
   from the :class:`~repro.service.cache.PlanCache` when an identical request
   was solved before — including a duplicate earlier in the same wave;
 * cache misses are searched on the calling thread before
-  :meth:`PlanService.submit` returns its (already finished) future;
+  :meth:`PlanService.plan` returns;
 * misses are warm-started from the most similar cached plan of the same
   fingerprint family (:mod:`repro.service.warm_start`).  A decision wave
   passes the cache's put count from before its first request as
@@ -22,16 +22,15 @@ long-lived service:
 
 The search is pure Python and holds the GIL, so a worker pool would overlap
 nothing; serving inline keeps every outcome independent of thread timing.
-The service stays safe to share between several client threads.
+Like the rest of the library, the service is not thread-safe: use one
+service per thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -205,7 +204,7 @@ class PlanSession:
     to the plan cache (see :meth:`PlanCache.refresh`), polls and refreshes
     are counted in :class:`ServiceStats`, and :meth:`stop` settles the
     session into an ordinary :class:`PlanResponse`.  Obtain instances via
-    :meth:`PlanService.start_session`; thread-safe.
+    :meth:`PlanService.start_session`.
     """
 
     def __init__(
@@ -231,8 +230,6 @@ class PlanSession:
         """Span context of the most recent *improving* poll — what a
         scheduler-side plan swap grafts its span under, closing the causal
         loop from the swap back to the slice that found the winning plan."""
-        self._lock = threading.Lock()
-        self._closed = False
         self._final: Optional[PlanResponse] = None
 
     # ------------------------------------------------------------------ #
@@ -245,7 +242,7 @@ class PlanSession:
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        return self._final is not None
 
     def best_so_far(self) -> "Tuple[Optional[ExecutionPlan], float]":
         """Current merged best (plan, cost) — readable at any time."""
@@ -253,33 +250,31 @@ class PlanSession:
 
     def poll(self) -> SessionProgress:
         """Advance the session by one slice; write improvements to the cache."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError(f"session {self.session_id} has been stopped")
-            with get_tracer().start_span(
-                "session poll",
-                category="service",
-                args={
-                    "session_id": self.session_id,
-                    "fingerprint": self.fingerprint.key,
-                },
-            ) as poll_span:
-                progress = self.session.poll()
-                poll_span.set(
-                    improved=progress.improved,
-                    best_cost=progress.best_cost,
-                    new_iterations=progress.new_iterations,
-                )
-                if progress.improved:
-                    self.winning_poll_context = poll_span.context
+        if self.closed:
+            raise RuntimeError(f"session {self.session_id} has been stopped")
+        with get_tracer().start_span(
+            "session poll",
+            category="service",
+            args={
+                "session_id": self.session_id,
+                "fingerprint": self.fingerprint.key,
+            },
+        ) as poll_span:
+            progress = self.session.poll()
+            poll_span.set(
+                improved=progress.improved,
+                best_cost=progress.best_cost,
+                new_iterations=progress.new_iterations,
+            )
             if progress.improved:
-                self.service._session_write_back(self)
-            service = self.service
-            with service._lock:
-                service.stats.session_polls += 1
-                service._count_priced()
-            service._m_session_polls.inc()
-            return progress
+                self.winning_poll_context = poll_span.context
+        service = self.service
+        if progress.improved:
+            service._session_write_back(self)
+        service.stats.session_polls += 1
+        service._count_priced()
+        service._m_session_polls.inc()
+        return progress
 
     def stop(self) -> PlanResponse:
         """Finish the session: final cache write-back and a settled response.
@@ -287,33 +282,31 @@ class PlanSession:
         Idempotent — repeated stops return the same response, billed once
         (see :meth:`PlanService._bill_search`).
         """
-        with self._lock:
-            if self._final is not None:
-                return self._final
-            result = self.session.stop()
-            service = self.service
-            service._session_write_back(self)
-            peak = self.estimator.max_memory(result.best_plan).max_bytes
-            search_seconds = service._bill_search(result)
-            stats = RequestStats(
-                fingerprint=self.fingerprint.key,
-                cache_hit=False,
-                warm_started=self.warm_started,
-                search_seconds=search_seconds,
-                init_seconds=result.init_seconds,
-                total_seconds=result.elapsed_seconds,
-                seeded_from=self.seeded_from,
-            )
-            self._final = PlanResponse(
-                plan=result.best_plan,
-                cost=result.best_cost,
-                result=result,
-                stats=stats,
-                peak_memory_bytes=peak,
-                feasible=service._fits_memory(peak, self.request.cluster),
-            )
-            self._closed = True
+        if self._final is not None:
             return self._final
+        result = self.session.stop()
+        service = self.service
+        service._session_write_back(self)
+        peak = self.estimator.max_memory(result.best_plan).max_bytes
+        search_seconds = service._bill_search(result)
+        stats = RequestStats(
+            fingerprint=self.fingerprint.key,
+            cache_hit=False,
+            warm_started=self.warm_started,
+            search_seconds=search_seconds,
+            init_seconds=result.init_seconds,
+            total_seconds=result.elapsed_seconds,
+            seeded_from=self.seeded_from,
+        )
+        self._final = PlanResponse(
+            plan=result.best_plan,
+            cost=result.best_cost,
+            result=result,
+            stats=stats,
+            peak_memory_bytes=peak,
+            feasible=service._fits_memory(peak, self.request.cluster),
+        )
+        return self._final
 
 
 class PlanService:
@@ -360,6 +353,7 @@ class PlanService:
         registry.
 
     The service is a context manager; :meth:`close` stops open sessions.
+    It is not thread-safe: use one service per thread.
     """
 
     def __init__(
@@ -387,7 +381,6 @@ class PlanService:
         self._problems: "OrderedDict[str, SearchProblem]" = OrderedDict()
         self._option_tables: "OrderedDict[str, _OptionTable]" = OrderedDict()
         self._realloc_models: "OrderedDict[ClusterSpec, ReallocCostModel]" = OrderedDict()
-        self._lock = threading.RLock()
         self._closed = False
         self._log = get_logger("service")
         self.registry = registry if registry is not None else get_registry()
@@ -420,56 +413,48 @@ class PlanService:
     # ------------------------------------------------------------------ #
     # Request handling
     # ------------------------------------------------------------------ #
-    def submit(
+    def plan(
         self,
         request: PlanRequest,
         warm_start_before: Optional[int] = None,
-    ) -> "Future[PlanResponse]":
-        """Serve ``request`` on the calling thread; returns a finished future.
+    ) -> PlanResponse:
+        """Serve ``request``: a hit from the cache, a miss searched now.
 
-        Hits are answered from the cache and misses are searched before this
-        returns; a search error (e.g. ``ValueError`` when no allocation fits)
-        is set on the future.  ``warm_start_before`` limits the warm start to
-        cache entries put before that value of :attr:`PlanCache.puts`.
+        A search error (e.g. ``ValueError`` when no allocation fits) is
+        raised.  ``warm_start_before`` limits the warm start to cache
+        entries put before that value of :attr:`PlanCache.puts`.
         """
         if self._closed:
-            raise RuntimeError("PlanService has been shut down")
+            raise RuntimeError("PlanService has been closed")
         fingerprint = request.fingerprint()
         submitted_at = time.perf_counter()
-        with self._lock:
-            self.stats.requests += 1
-            entry = self.cache.get(fingerprint.key)
-            if entry is None:
-                self.stats.cache_misses += 1
-            else:
-                self.stats.cache_hits += 1
-        future: "Future[PlanResponse]" = Future()
+        self.stats.requests += 1
+        entry = self.cache.get(fingerprint.key)
+        if entry is None:
+            self.stats.cache_misses += 1
+        else:
+            self.stats.cache_hits += 1
         with get_tracer().start_span(
             "plan request",
             category="service",
             args={"fingerprint": fingerprint.key},
         ) as request_span:
-            try:
-                if entry is None:
-                    response = self._search(
-                        request, fingerprint, submitted_at, warm_start_before
-                    )
-                else:
-                    response = self._serve_hit(entry, request, fingerprint, submitted_at)
-            except Exception as exc:  # noqa: BLE001 — delivered through the future
-                future.set_exception(exc)
-                return future
+            if entry is None:
+                response = self._search(
+                    request, fingerprint, submitted_at, warm_start_before
+                )
+            else:
+                response = self._serve_hit(entry, request, fingerprint, submitted_at)
             request_span.set(
                 outcome=response.stats.outcome,
                 cost=response.cost,
                 seeded_from=response.stats.seeded_from,
             )
-        future.set_result(response)
-        return future
+        return response
 
-    def plan(self, request: PlanRequest) -> PlanResponse:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(request).result()
+    # perfbench's layer tracer patches this name (perfbench/layer_trace.py);
+    # it goes when that patch target does.  Nothing calls it.
+    submit = plan
 
     # ------------------------------------------------------------------ #
     # Online sessions
@@ -482,7 +467,7 @@ class PlanService:
     ) -> PlanSession:
         """Open a resumable background search for ``request``.
 
-        Unlike :meth:`submit`, nothing blocks: the returned
+        Unlike :meth:`plan`, nothing blocks: the returned
         :class:`PlanSession` consumes its budgets one :meth:`PlanSession.poll`
         at a time, its :meth:`~PlanSession.best_so_far` is readable between
         polls, and every improving poll refreshes the plan cache for the
@@ -493,7 +478,7 @@ class PlanService:
         already knows; among equal costs the earlier seed wins.
         """
         if self._closed:
-            raise RuntimeError("PlanService has been shut down")
+            raise RuntimeError("PlanService has been closed")
         fingerprint = request.fingerprint()
         exact = self.cache.peek(fingerprint.key)
         searcher, seeded_from = self._searcher_for(
@@ -503,22 +488,21 @@ class PlanService:
             seed_plans=seed_plans,
         )
         session = SearchSession(searcher, slice_iterations=slice_iterations).start()
-        with self._lock:
-            self._session_counter += 1
-            session_id = f"session-{self._session_counter}"
-            handle = PlanSession(
-                service=self,
-                session_id=session_id,
-                request=request,
-                fingerprint=fingerprint,
-                session=session,
-                estimator=searcher.estimator,
-                warm_started=seeded_from is not None,
-                seeded_from=seeded_from,
-            )
-            self._sessions[session_id] = handle
-            self.stats.sessions_started += 1
-            self._count_priced()
+        self._session_counter += 1
+        session_id = f"session-{self._session_counter}"
+        handle = PlanSession(
+            service=self,
+            session_id=session_id,
+            request=request,
+            fingerprint=fingerprint,
+            session=session,
+            estimator=searcher.estimator,
+            warm_started=seeded_from is not None,
+            seeded_from=seeded_from,
+        )
+        self._sessions[session_id] = handle
+        self.stats.sessions_started += 1
+        self._count_priced()
         get_ledger().record(
             "plan_request",
             fingerprint=fingerprint.key,
@@ -536,9 +520,7 @@ class PlanService:
 
     def stop_session(self, session_id: str) -> PlanResponse:
         """Stop and unregister a session; returns its settled response."""
-        with self._lock:
-            handle = self._sessions.pop(session_id)
-        return handle.stop()
+        return self._sessions.pop(session_id).stop()
 
     def _session_write_back(self, handle: PlanSession) -> None:
         """Refresh the cache when a session's current best beats the entry."""
@@ -546,8 +528,7 @@ class PlanService:
         peak = handle.estimator.max_memory(result.best_plan).max_bytes
         entry = PlanCacheEntry.from_search_result(handle.fingerprint, result, peak)
         if self.cache.refresh(entry):
-            with self._lock:
-                self.stats.cache_refreshes += 1
+            self.stats.cache_refreshes += 1
             self._m_cache_refreshes.inc()
 
     # ------------------------------------------------------------------ #
@@ -600,31 +581,28 @@ class PlanService:
         function of its key, so sharing or rebuilding it changes no outcome.
         """
         key = fingerprint.problem_key
-        # Built under the lock, so racing threads never build one twice (the
-        # build is pure Python and holds the GIL, so they would not overlap).
-        with self._lock:
-            problem = self._problems.get(key)
-            if problem is not None:
-                self._problems.move_to_end(key)
-                self.stats.problem_reuses += 1
-                return problem
-            estimator = RuntimeEstimator(
-                request.graph, request.workload, request.cluster,
-                call_costs=self._call_costs,
-            )
-            estimator.eval_cache_stats = self._eval_cache_stats
-            problem = SearchProblem(
-                request.graph,
-                request.workload,
-                request.cluster,
-                estimator=estimator,
-                prune=request.prune,
-                table=self._option_table_for(request, fingerprint),
-            )
-            self._problems[key] = problem
-            while len(self._problems) > self._estimator_cache_size:
-                self._problems.popitem(last=False)
-            self.stats.problem_builds += 1
+        problem = self._problems.get(key)
+        if problem is not None:
+            self._problems.move_to_end(key)
+            self.stats.problem_reuses += 1
+            return problem
+        estimator = RuntimeEstimator(
+            request.graph, request.workload, request.cluster,
+            call_costs=self._call_costs,
+        )
+        estimator.eval_cache_stats = self._eval_cache_stats
+        problem = SearchProblem(
+            request.graph,
+            request.workload,
+            request.cluster,
+            estimator=estimator,
+            prune=request.prune,
+            table=self._option_table_for(request, fingerprint),
+        )
+        self._problems[key] = problem
+        while len(self._problems) > self._estimator_cache_size:
+            self._problems.popitem(last=False)
+        self.stats.problem_builds += 1
         return problem
 
     def _option_table_for(
@@ -633,8 +611,7 @@ class PlanService:
         """The compiled option table of the request's (cluster, prune) content.
 
         A rebuilt table compiles equal options in equal order, so evicting
-        one changes no outcome.  Called with the service lock held (by
-        :meth:`_problem_for`).
+        one changes no outcome.
         """
         key = fingerprint.option_table_key
         table = self._option_tables.get(key)
@@ -658,16 +635,15 @@ class PlanService:
         A rebuilt model returns equal costs, so evicting one changes no
         outcome.
         """
-        with self._lock:
-            model = self._realloc_models.get(cluster)
-            if model is not None:
-                self._realloc_models.move_to_end(cluster)
-                return model
-            model = ReallocCostModel(cluster, exact=True)
-            self._realloc_models[cluster] = model
-            while len(self._realloc_models) > _MAX_REALLOC_MODELS:
-                self._realloc_models.popitem(last=False)
+        model = self._realloc_models.get(cluster)
+        if model is not None:
+            self._realloc_models.move_to_end(cluster)
             return model
+        model = ReallocCostModel(cluster, exact=True)
+        self._realloc_models[cluster] = model
+        while len(self._realloc_models) > _MAX_REALLOC_MODELS:
+            self._realloc_models.popitem(last=False)
+        return model
 
     def _serve_hit(
         self,
@@ -702,8 +678,8 @@ class PlanService:
 
     def _count_priced(self) -> None:
         """Bring :attr:`ServiceStats.call_shapes_priced` up to date.  Called
-        with the service lock held after work that may price call shapes, so
-        the pricing path itself carries no service counter."""
+        after work that may price call shapes, so the pricing path itself
+        carries no service counter."""
         self.stats.call_shapes_priced = self._call_costs.priced
 
     @staticmethod
@@ -721,10 +697,9 @@ class PlanService:
         ``service_search_seconds_total`` counter alike.
         """
         seconds = result.init_seconds + sum(result.chain_wall_seconds)
-        with self._lock:
-            self.stats.search_seconds += seconds
-            self.stats.init_seconds += result.init_seconds
-            self._count_priced()
+        self.stats.search_seconds += seconds
+        self.stats.init_seconds += result.init_seconds
+        self._count_priced()
         self._m_search_seconds.inc(seconds)
         return seconds
 
@@ -737,8 +712,7 @@ class PlanService:
         publishes those counters as gauges — observability without touching
         the hot loop.
         """
-        with self._lock:
-            hit_rate = self.stats.hit_rate
+        hit_rate = self.stats.hit_rate
         stats = self._eval_cache_stats
         hits, lookups = stats.hits, stats.lookups
         self.registry.gauge(
@@ -777,8 +751,7 @@ class PlanService:
         finished_at = time.perf_counter()
         search_seconds = self._bill_search(result)
         if warm_started:
-            with self._lock:
-                self.stats.warm_starts += 1
+            self.stats.warm_starts += 1
         total_seconds = finished_at - submitted_at
         outcome = "warm" if warm_started else "cold"
         get_ledger().record(
@@ -824,25 +797,17 @@ class PlanService:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def shutdown(self) -> None:
-        """Stop accepting requests.
+    def close(self) -> None:
+        """Stop accepting requests and unhook the metrics collector.
 
         Open online sessions are stopped and settled with a final cache
-        write-back.
+        write-back.  Safe to call more than once.
         """
         self._closed = True
-        with self._lock:
-            sessions = list(self._sessions.values())
-            self._sessions.clear()
+        sessions = list(self._sessions.values())
+        self._sessions.clear()
         for handle in sessions:
             handle.stop()
-
-    def close(self) -> None:
-        """Shut the service down and unhook the metrics collector.
-
-        Safe to call more than once.
-        """
-        self.shutdown()
         # Publish the final gauge values before unhooking the collector, so
         # snapshots taken after close still carry this service's last state.
         self._collect_gauges()

@@ -175,19 +175,21 @@ class TestPlanCache:
         entry = _entry(key="a")
         cache.put(entry)
         assert cache.get("a") is entry
-        assert len(cache) == 1 and "a" in cache
+        assert cache.peek("a") is entry and cache.puts == 1
 
     def test_lru_eviction_order(self):
+        # The order shows in what the next put evicts: the least recent entry.
         cache = PlanCache(capacity=2)
         cache.put(_entry(key="a"))
         cache.put(_entry(key="b"))
         assert cache.peek("a") is not None  # peek leaves 'a' least recent
-        assert cache.keys() == ["a", "b"]
-        assert cache.get("a") is not None  # refresh 'a'; 'b' becomes LRU
-        assert cache.keys() == ["b", "a"]
         cache.put(_entry(key="c"))
-        assert cache.keys() == ["a", "c"]
-        assert cache.peek("b") is None
+        assert cache.peek("a") is None
+        assert cache.peek("b") is not None and cache.peek("c") is not None
+        assert cache.get("b") is not None  # refresh 'b'; 'c' becomes LRU
+        cache.put(_entry(key="d"))
+        assert cache.peek("c") is None
+        assert cache.peek("b") is not None and cache.peek("d") is not None
 
     def test_family_entries_most_recent_first(self):
         cache = PlanCache(capacity=8)

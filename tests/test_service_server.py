@@ -36,7 +36,7 @@ def _request(batch_size=128, n_gpus=8, max_iterations=300, seed=0, graph=None):
 def service():
     svc = PlanService()
     yield svc
-    svc.shutdown()
+    svc.close()
 
 
 class TestCacheHits:
@@ -86,17 +86,14 @@ class TestCacheHits:
 class TestDeduplication:
     def test_duplicate_submissions_are_cache_hits(self, service):
         request = _request(max_iterations=200)
-        futures = [service.submit(request) for _ in range(3)]
-        # Requests are served on the caller's thread: every future is done.
-        assert all(future.done() for future in futures)
-        responses = [future.result() for future in futures]
+        responses = [service.plan(request) for _ in range(3)]
         assert [r.stats.outcome for r in responses] == ["cold", "hit", "hit"]
         assert len({r.cost for r in responses}) == 1
         # Only one search actually ran.
         assert service.stats.cache_misses == 1
         assert service.stats.cache_hits == 2
 
-    def test_search_errors_are_set_on_the_future(self, service):
+    def test_search_errors_raise(self, service):
         # A 70B actor fits on a single GPU at no parallelization.
         request = PlanRequest(
             graph=_request().graph,
@@ -104,16 +101,14 @@ class TestDeduplication:
             cluster=make_cluster(1),
             search=SearchConfig(max_iterations=10, time_budget_s=30.0, seed=0),
         )
-        future = service.submit(request)
-        assert future.done()
         with pytest.raises(ValueError):
-            future.result()
+            service.plan(request)
 
-    def test_submit_after_shutdown_raises(self):
+    def test_plan_after_close_raises(self):
         svc = PlanService()
-        svc.shutdown()
+        svc.close()
         with pytest.raises(RuntimeError):
-            svc.submit(_request(max_iterations=10))
+            svc.plan(_request(max_iterations=10))
 
 
 class TestWarmStart:
@@ -133,7 +128,7 @@ class TestWarmStart:
         try:
             cold_response = cold.plan(perturbed)
         finally:
-            cold.shutdown()
+            cold.close()
 
         warm = PlanService(warm_start=True)
         try:
@@ -142,7 +137,7 @@ class TestWarmStart:
             warm.plan(_request(batch_size=128, max_iterations=1000))
             warm_response = warm.plan(perturbed)
         finally:
-            warm.shutdown()
+            warm.close()
 
         assert warm_response.stats.warm_started
         assert not cold_response.stats.warm_started
@@ -154,7 +149,7 @@ class TestWarmStart:
             svc.plan(_request(batch_size=128, n_gpus=8, max_iterations=600))
             response = svc.plan(_request(batch_size=256, n_gpus=16, max_iterations=100))
         finally:
-            svc.shutdown()
+            svc.close()
         assert response.stats.warm_started
         assert svc.stats.warm_starts == 1
         # The adapted seed lives on the 16-GPU cluster.
@@ -179,8 +174,7 @@ class TestClientAndRouting:
                 _request(batch_size=128, max_iterations=80),
                 _request(batch_size=192, max_iterations=80),
             ]
-            futures = [svc.submit(request) for request in requests]
-            responses = [future.result() for future in futures]
+            responses = [svc.plan(request) for request in requests]
             assert len(responses) == 4
             assert responses[0].cost == responses[2].cost
             assert responses[1].cost == responses[3].cost
@@ -286,14 +280,14 @@ class TestLifecycle:
         service.close()
         service.close()
         with pytest.raises(RuntimeError):
-            service.submit(_request(max_iterations=10))
+            service.plan(_request(max_iterations=10))
 
     def test_context_manager_closes(self):
         with PlanService() as service:
             service.plan(_request(max_iterations=20))
-        assert len(service.cache) == 1
+        assert service.cache.peek(_request(max_iterations=20).fingerprint().key) is not None
         with pytest.raises(RuntimeError):
-            service.submit(_request(max_iterations=10))
+            service.plan(_request(max_iterations=10))
 
 class TestServiceStatsDict:
     def test_to_dict_is_machine_readable(self, service):
