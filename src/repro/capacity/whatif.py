@@ -114,12 +114,6 @@ class CapacityReport:
     has both lower provisioned cost and higher iterations/hour."""
     n_jobs: int = 0
 
-    def outcome(self, name: str) -> CandidateOutcome:
-        for outcome in self.outcomes:
-            if outcome.name == name:
-                return outcome
-        raise KeyError(f"no candidate named {name!r}")
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "n_jobs": self.n_jobs,

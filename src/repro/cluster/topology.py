@@ -133,13 +133,6 @@ class DeviceMesh:
         """Whether the mesh covers the entire cluster."""
         return self.n_gpus == self.cluster.n_gpus
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DeviceMesh(nodes {self.node_start}..{self.node_start + self.n_nodes - 1}, "
-            f"gpus {self.gpu_start}..{self.gpu_start + self.gpus_per_node - 1}, "
-            f"shape={self.shape})"
-        )
-
     def describe(self) -> str:
         """Return a SLURM-style node list string, e.g. ``trainer[01-04]``."""
         first = self.node_start + 1

@@ -173,9 +173,6 @@ class DataflowGraph:
         """Names of all calls in declaration order."""
         return [c.name for c in self.calls]
 
-    def __len__(self) -> int:
-        return len(self.calls)
-
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
@@ -214,7 +211,3 @@ class DataflowGraph:
         order = {name: i for i, name in enumerate(self._order)}
         matching = [c for c in self.calls if c.model_name == model_name]
         return sorted(matching, key=lambda c: order[c.name])
-
-    def validate(self) -> None:
-        """Re-run structural validation (raises on inconsistency)."""
-        self.__post_init__()

@@ -59,9 +59,6 @@ class ParallelStrategy:
         """Human-readable summary, e.g. ``dp=4 tp=2 pp=2``."""
         return f"dp={self.dp} tp={self.tp} pp={self.pp}"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.describe()
-
 
 def factorize_3d(n: int) -> Iterator[tuple[int, int, int]]:
     """Yield all ordered triples ``(dp, tp, pp)`` with ``dp * tp * pp == n``."""

@@ -138,9 +138,6 @@ class ExecutionPlan:
     def __contains__(self, call_name: str) -> bool:
         return call_name in self.assignments
 
-    def __len__(self) -> int:
-        return len(self.assignments)
-
     def items(self) -> Iterable[Tuple[str, Allocation]]:
         """Iterate over ``(call_name, allocation)`` pairs."""
         return self.assignments.items()
@@ -262,7 +259,7 @@ def symmetric_plan(
     mesh = full_cluster_mesh(cluster)
     if strategy.world_size != mesh.n_gpus:
         raise ValueError(
-            f"strategy {strategy} does not occupy the full cluster of {mesh.n_gpus} GPUs"
+            f"strategy {strategy.describe()} does not occupy the full cluster of {mesh.n_gpus} GPUs"
         )
     assignments: Dict[str, Allocation] = {}
     for call in graph.calls:

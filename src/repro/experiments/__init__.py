@@ -9,7 +9,6 @@ from .metrics import (
 from .reporting import format_table
 from .runner import (
     default_search_config,
-    default_systems,
     evaluate_setting,
     run_comparison,
     run_heuristic_comparison,
@@ -35,7 +34,6 @@ __all__ = [
     "static_memory_utilization",
     "ThroughputRecord",
     "format_table",
-    "default_systems",
     "default_search_config",
     "evaluate_setting",
     "run_comparison",

@@ -11,14 +11,7 @@ import os
 from typing import Dict, List, Optional, Sequence
 
 from .. import knobs
-from ..baselines import (
-    DeepSpeedChatSystem,
-    NeMoAlignerSystem,
-    OpenRLHFSystem,
-    RealHeuristicSystem,
-    RealSystem,
-    VeRLSystem,
-)
+from ..baselines import RealHeuristicSystem, RealSystem
 from ..baselines.base import BaselineSystem
 from ..core.estimator import RuntimeEstimator
 from ..core.search import SearchConfig
@@ -28,7 +21,6 @@ from .settings import ExperimentSetting
 
 __all__ = [
     "default_search_config",
-    "default_systems",
     "evaluate_setting",
     "run_comparison",
     "run_heuristic_comparison",
@@ -49,18 +41,6 @@ def default_search_config() -> SearchConfig:
         max_iterations=int(3000 * scale),
         time_budget_s=3600.0 * scale,
     )
-
-
-def default_systems() -> List[BaselineSystem]:
-    """The Figure 7 comparison set: the four baselines, ReaL-Heuristic and ReaL."""
-    return [
-        DeepSpeedChatSystem(),
-        OpenRLHFSystem(),
-        NeMoAlignerSystem(),
-        VeRLSystem(),
-        RealHeuristicSystem(),
-        RealSystem(search_config=default_search_config()),
-    ]
 
 
 def evaluate_setting(setting: ExperimentSetting, system: BaselineSystem) -> ThroughputRecord:
@@ -87,11 +67,9 @@ def evaluate_setting(setting: ExperimentSetting, system: BaselineSystem) -> Thro
 
 
 def run_comparison(
-    settings: Sequence[ExperimentSetting],
-    systems: Optional[Sequence[BaselineSystem]] = None,
+    settings: Sequence[ExperimentSetting], systems: Sequence[BaselineSystem]
 ) -> List[ThroughputRecord]:
     """Evaluate every system on every setting (the Figure 7 grid)."""
-    systems = list(systems) if systems is not None else default_systems()
     return [evaluate_setting(setting, system) for setting in settings for system in systems]
 
 

@@ -209,10 +209,6 @@ class _Child:
             raise AttributeError(attr)
         return partial(method, self._series)
 
-    @property
-    def value(self) -> float:
-        return self._parent._series_dict(self._series).get("value", 0.0)
-
 
 class Counter(_Instrument):
     """A monotonically increasing count (events, requests, iterations)."""
@@ -230,10 +226,6 @@ class Counter(_Instrument):
     def inc(self, amount: float = 1.0) -> None:
         self._series_inc(self._default_series(), amount)
 
-    @property
-    def value(self) -> float:
-        return self._default_series()[0]
-
     def _series_dict(self, series: List[float]) -> Dict[str, Any]:
         return {"value": series[0]}
 
@@ -249,18 +241,8 @@ class Gauge(_Instrument):
     def _series_set(self, series: List[float], value: float) -> None:
         series[0] = float(value)
 
-    def _series_inc(self, series: List[float], amount: float = 1.0) -> None:
-        series[0] += amount
-
     def set(self, value: float) -> None:
         self._series_set(self._default_series(), value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._series_inc(self._default_series(), amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_series()[0]
 
     def _series_dict(self, series: List[float]) -> Dict[str, Any]:
         return {"value": series[0]}
@@ -331,14 +313,6 @@ class Histogram(_Instrument):
 
     def observe(self, value: float) -> None:
         self._series_observe(self._default_series(), value)
-
-    @property
-    def count(self) -> int:
-        return self._default_series().count
-
-    @property
-    def sum(self) -> float:
-        return self._default_series().sum
 
     def _series_dict(self, series: _HistogramSeries) -> Dict[str, Any]:
         cumulative: Dict[str, int] = {}
@@ -435,9 +409,6 @@ class MetricsRegistry:
     # -- export surface ------------------------------------------------- #
     def instruments(self) -> List[_Instrument]:
         return [self._metrics[name] for name in sorted(self._metrics)]
-
-    def get(self, name: str) -> Optional[_Instrument]:
-        return self._metrics.get(name)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of every instrument's series."""

@@ -40,10 +40,6 @@ class DataTransferPlan:
 
     steps: List[DataTransferStep]
 
-    @property
-    def total_bytes(self) -> float:
-        return sum(step.nbytes for step in self.steps)
-
     def is_empty(self) -> bool:
         return not self.steps
 

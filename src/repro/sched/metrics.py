@@ -10,7 +10,7 @@ utilization, like they do on a real cluster bill).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 __all__ = ["JobMetrics", "SearchTimeStats", "ScheduleReport"]
@@ -81,13 +81,6 @@ class SearchTimeStats:
     @property
     def mean_seconds(self) -> float:
         return self.total_seconds / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "total_seconds": self.total_seconds,
-            "mean_seconds": self.mean_seconds,
-        }
 
 
 @dataclass
@@ -241,8 +234,10 @@ class ScheduleReport:
             "swap_seconds_saved": self.swap_seconds_saved,
             "online_sessions": self.online_sessions,
             "candidates_scored": self.candidates_scored,
-            "cold_searches": self.cold_searches.to_dict(),
-            "replan_searches": self.replan_searches.to_dict(),
+            "cold_searches": {**asdict(self.cold_searches),
+                              "mean_seconds": self.cold_searches.mean_seconds},
+            "replan_searches": {**asdict(self.replan_searches),
+                                "mean_seconds": self.replan_searches.mean_seconds},
             "service_stats": dict(self.service_stats),
             "n_events": self.n_events,
             "engine_profile_runs": self.engine_profile_runs,

@@ -54,11 +54,6 @@ class Partition:
         return self.region.shape
 
     @property
-    def device_ids(self) -> Tuple[int, ...]:
-        """Global GPU ids (within the parent cluster) covered."""
-        return self.region.device_ids
-
-    @property
     def device_id_set(self) -> FrozenSet[int]:
         return self.region.device_id_set
 
@@ -280,7 +275,8 @@ class PartitionManager:
             gpn = self.cluster.gpus_per_node
             masks = self._node_mask
             missing = [
-                gid for gid in partition.device_ids if not masks[gid // gpn] >> (gid % gpn) & 1
+                gid for gid in partition.region.device_ids
+                if not masks[gid // gpn] >> (gid % gpn) & 1
             ]
             raise ValueError(f"partition GPUs not free: {sorted(missing)}")
         self._mark(partition.region, free=False)

@@ -51,10 +51,6 @@ class Event(list):
         self.payload = payload
         self.cancelled = False
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flag = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.4f}, {self.kind!r}, prio={self[1]}{flag})"
-
 
 class SimKernel:
     """Event queue drained in ``(time, priority, seq)`` order by :meth:`run`."""

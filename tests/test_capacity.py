@@ -7,7 +7,6 @@ import pytest
 from repro.capacity import (
     DEFAULT_JOB_TYPES,
     CapacityCandidate,
-    CapacityReport,
     FleetJobType,
     FleetTraceConfig,
     capacity_whatif,
@@ -126,8 +125,8 @@ class TestCapacityWhatIf:
     def test_spot_pricing_dominates_on_demand_twin(self, report):
         # Identical cluster and replay, lower $/GPU-hour: the on-demand twin
         # is dominated and must be off the frontier.
-        on_demand = report.outcome("64g")
-        spot = report.outcome("64g-spot")
+        outcomes = {outcome.name: outcome for outcome in report.outcomes}
+        on_demand, spot = outcomes["64g"], outcomes["64g-spot"]
         assert spot.makespan_s == on_demand.makespan_s
         assert spot.provisioned_cost < on_demand.provisioned_cost
         assert "64g" not in report.frontier
@@ -139,11 +138,6 @@ class TestCapacityWhatIf:
         assert payload["frontier"] == list(report.frontier)
         assert len(payload["candidates"]) == 3
         assert payload["candidates"][0]["name"] == "32g"
-
-    def test_unknown_outcome_name_raises(self, report):
-        assert isinstance(report, CapacityReport)
-        with pytest.raises(KeyError):
-            report.outcome("nope")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one candidate"):
@@ -166,7 +160,7 @@ class TestCapacityWhatIf:
             report = capacity_whatif(
                 jobs, [CapacityCandidate(name="8g", n_gpus=8)], service=service
             )
-        outcome = report.outcome("8g")
+        (outcome,) = report.outcomes
         assert outcome.n_skipped > 0
         assert outcome.n_jobs + outcome.n_skipped == len(jobs)
 

@@ -35,7 +35,7 @@ def ppo_like_defs():
 class TestBuildGraphFromDefs:
     def test_basic_graph(self):
         graph, configs = build_graph_from_defs(ppo_like_defs())
-        assert len(graph) == 3
+        assert len(graph.calls) == 3
         assert configs["actor"].name == "llama3-7b"
         assert configs["reward"].is_critic
         assert graph.model_names() == ["actor", "reward"]
@@ -86,7 +86,7 @@ class TestAuto:
         assert isinstance(experiment, ExperimentConfig)
         assert experiment.cluster.n_gpus == 8
         assert experiment.workload.batch_size == 32
-        assert len(experiment.graph) == 3
+        assert len(experiment.graph.calls) == 3
 
     def test_auto_search_returns_feasible_plan(self):
         experiment = auto(

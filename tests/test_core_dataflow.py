@@ -67,9 +67,6 @@ class TestDataflowGraph:
         assert graph.get("gen").model_name == "actor"
         assert "missing" not in graph
 
-    def test_len(self):
-        assert len(simple_graph()) == 3
-
     def test_duplicate_names_rejected(self):
         calls = [
             ModelFunctionCall("x", "actor", FunctionCallType.GENERATE, ("prompts",), ("a",)),

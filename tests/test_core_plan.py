@@ -113,7 +113,7 @@ class TestAllocationKey:
 class TestExecutionPlan:
     def test_symmetric_plan_covers_graph(self, ppo_graph, cluster):
         plan = symmetric_plan(ppo_graph, cluster, ParallelStrategy(2, 8, 1))
-        assert len(plan) == len(ppo_graph)
+        assert len(plan.assignments) == len(ppo_graph.calls)
         plan.validate(ppo_graph, cluster)
 
     def test_symmetric_plan_rejects_partial_strategy(self, ppo_graph, cluster):

@@ -501,6 +501,5 @@ def test_service_publishes_bound_rejections():
         estimators = [problem.estimator for problem in service._problems.values()]
         assert len(estimators) == 2
         assert all(e.eval_cache_stats is service._eval_cache_stats for e in estimators)
-        registry.collect()
-        gauge = registry.get("service_eval_cache_bound_rejections")
-        assert gauge.value == counts[-1]
+        gauge = registry.to_dict()["metrics"]["service_eval_cache_bound_rejections"]
+        assert gauge["series"][0]["value"] == counts[-1]

@@ -20,7 +20,7 @@ from repro.experiments import (
     strong_scaling_settings,
     weak_scaling_settings,
 )
-from repro.experiments.runner import default_search_config, default_systems
+from repro.experiments.runner import default_search_config
 
 
 class TestSettings:
@@ -93,11 +93,6 @@ class TestReporting:
 
 
 class TestRunner:
-    def test_default_systems_include_real(self):
-        systems = default_systems()
-        assert [s.name for s in systems][-2:] == ["ReaL-Heuristic", "ReaL"]
-        assert systems[-1].search_config == default_search_config()
-
     def test_default_search_config_scalable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SEARCH_BUDGET_SCALE", "2.0")
         assert default_search_config().max_iterations == 6000

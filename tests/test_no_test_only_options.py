@@ -53,7 +53,7 @@ ALLOWED: Dict[str, str] = {
     "obs/log.py:configure_logging":
         "applications call it; README documents the REPRO_LOG_* defaults",
     "obs/report.py:main(argv)": "CLI entry point; python -m passes sys.argv",
-    # Oracles and fixture generators (see test_no_test_only_code.py).
+    # Oracles and fixture generators (see benchmarks/reachability_allowed.txt).
     "core/plan.py:symmetric_plan": "golden fixture generators build plans with it",
     "service/fingerprint.py:canonical_request": "fingerprint key oracle",
     "experiments/runner.py:run_scheduler_comparison": "golden schedule generator",

@@ -208,7 +208,6 @@ class TestJobTypes:
             graph.name = "renamed"
         with pytest.raises(dataclasses.FrozenInstanceError):
             graph._edges = []
-        graph.validate()  # re-validation still rebuilds its own indexes
         assert graph.topological_order() == build_ppo_graph().topological_order()
 
 

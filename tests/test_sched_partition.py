@@ -20,7 +20,7 @@ def _free_set(manager):
         gid
         for p in _all_placements(manager.cluster)
         if p.n_gpus == 1 and manager.is_free(p)
-        for gid in p.device_ids
+        for gid in p.region.device_ids
     }
 
 

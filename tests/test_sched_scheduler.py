@@ -109,6 +109,9 @@ class TestSchedulerBasics:
         )
         payload = json.dumps(report.to_dict())
         assert "aggregate_iterations_per_second" in payload
+        cold = report.to_dict()["cold_searches"]
+        assert set(cold) == {"count", "total_seconds", "mean_seconds"}
+        assert cold["mean_seconds"] == report.cold_searches.mean_seconds
         assert report.summary_row()["jobs"] == "1/1"
 
     def test_schedule_jobs_api(self):

@@ -27,6 +27,11 @@ def _request(batch_size=128, n_gpus=8, max_iterations=40, seed=0):
     )
 
 
+def _gauge(registry, name):
+    """The value of an unlabelled gauge in a fresh registry snapshot."""
+    return registry.to_dict()["metrics"][name]["series"][0]["value"]
+
+
 @pytest.fixture()
 def service():
     svc = PlanService()
@@ -178,9 +183,9 @@ class TestBilling:
             while not drained.done:
                 drained.poll()
             service.stop_session(drained.session_id)
-            counter = registry.get("service_search_seconds_total")
+            counter = registry.to_dict()["metrics"]["service_search_seconds_total"]
             assert service.stats.search_seconds > 0
-            assert counter.value == service.stats.search_seconds
+            assert counter["series"][0]["value"] == service.stats.search_seconds
 
 
 class TestProblemSharing:
@@ -224,15 +229,13 @@ class TestProblemSharing:
             while not handle.done:
                 handle.poll()
             service.stop_session(handle.session_id)
-            registry.collect()
             # One cost() of the greedy start plus one cost_delta per proposal.
-            assert registry.get("service_eval_cache_lookups").value == 101
+            assert _gauge(registry, "service_eval_cache_lookups") == 101
             # Another workload evicts the session's problem; its search adds
             # one cost() of the warm-start plan on top.
             service.plan(_request(batch_size=64, max_iterations=100, seed=2))
             assert handle.fingerprint.problem_key not in service._problems
-            registry.collect()
-            assert registry.get("service_eval_cache_lookups").value == 203
+            assert _gauge(registry, "service_eval_cache_lookups") == 203
 
     def test_shared_problems_change_no_outcome(self):
         """Six searches and two open sessions pose one problem; the sessions
